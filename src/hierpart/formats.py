@@ -9,6 +9,7 @@ output byte-stable for identical payloads.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping, Sequence
 
 from .mesh import KINDS, MeshChunk
@@ -108,11 +109,21 @@ def mesh_from_payload(raw: Mapping[str, Any]) -> MeshChunk:
         if len(rec) != 2 + npe or rec[1] != kind:
             raise ValueError(f"element record {i}: expected "
                              f"[id, {kind!r}, {npe} node ids]")
-        chunk.elements[int(rec[0])] = tuple(int(x) for x in rec[2:])
+        eid = int(rec[0])
+        if eid < 0 or eid in chunk.elements:
+            raise ValueError(f"element record {i}: "
+                             f"{'negative' if eid < 0 else 'duplicate'} "
+                             f"element id {eid}")
+        chunk.elements[eid] = tuple(int(x) for x in rec[2:])
     for i, rec in enumerate(raw.get("nodes", [])):
         if len(rec) != 1 + dim:
             raise ValueError(f"node record {i}: expected [id, {dim} coordinates]")
-        chunk.nodes[int(rec[0])] = tuple(float(x) for x in rec[1:])
+        nid = int(rec[0])
+        if nid < 0 or nid in chunk.nodes:
+            raise ValueError(f"node record {i}: "
+                             f"{'negative' if nid < 0 else 'duplicate'} "
+                             f"node id {nid}")
+        chunk.nodes[nid] = tuple(float(x) for x in rec[1:])
     for i, rec in enumerate(raw.get("boundary", [])):
         if len(rec) != 1 + npf:
             raise ValueError(f"boundary record {i}: expected [tag, {npf} node ids]")
@@ -169,8 +180,12 @@ def load_weights(path) -> dict[int, float]:
         if not (isinstance(rec, list) and len(rec) == 2):
             raise FormatError(path, f"weight record {i}: expected [element, weight]")
         e, w = int(rec[0]), float(rec[1])
+        if not math.isfinite(w):
+            raise FormatError(path, f"weight record {i}: non-finite weight {w}")
         if w <= 0:
             raise FormatError(path, f"weight record {i}: non-positive weight {w}")
+        if e in out:
+            raise FormatError(path, f"weight record {i}: element {e} weighted twice")
         out[e] = w
     return out
 

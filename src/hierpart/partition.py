@@ -14,8 +14,9 @@ inside that vertex's rank range.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -109,11 +110,12 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
         cum = np.cumsum(weights[s])
         target = cum[-1] * low_parts / parts
         i = int(np.searchsorted(cum, target, side="left"))
-        candidates = [c for c in (i, i + 1) if 1 <= c <= s.size - 1]
-        if not candidates:
-            candidates = [min(max(i, 1), s.size - 1)]
-        prefix = lambda c: cum[c - 1]
-        count = min(candidates, key=lambda c: (abs(prefix(c) - target), c))
+        # Each side keeps at least one point per part it must fill.  A
+        # prefix's distance to the target falls, then rises, so clamping
+        # the two counts around the target gives the nearest feasible one.
+        lo, hi = low_parts, s.size - (parts - low_parts)
+        count = min({min(max(c, lo), hi) for c in (i, i + 1)},
+                    key=lambda c: (abs(cum[c - 1] - target), c))
         recurse(s[:count], low_parts, offset)
         recurse(s[count:], parts - low_parts, offset + low_parts)
 
@@ -128,116 +130,181 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
                     k: int, tolerance: float = 1.02) -> dict[int, int]:
     """Greedy graph growing into k parts plus one boundary refinement sweep.
 
-    Seeds are spread farthest-point style over BFS distance.  Parts grow one
-    at a time: part p absorbs its best-connected frontier vertex until it
-    reaches its weight target (remaining weight over remaining parts), then
-    the next part starts, and the last part takes whatever is left.  The
-    refinement sweep moves a boundary vertex to a neighboring part only when
-    that strictly reduces the edge cut and keeps the target part within
-    tolerance, so the cut never increases.
+    Seeds are spread farthest-point style over BFS distance: the first is the
+    lowest vertex id, each next one the vertex farthest from all seeds so far
+    (an unreachable vertex counts as farthest), ties going to the lowest id.
+    Parts grow one at a time: part p absorbs its best-connected frontier
+    vertex, the one maximising (2 * neighbours in p - degree, -id), until it
+    reaches its weight target (remaining weight over remaining parts); then
+    the next part starts, and the last part takes whatever is left.  A part
+    whose seed is already taken starts from the unassigned vertex farthest
+    from every assigned one, and an empty frontier continues at the lowest
+    unassigned id.  The refinement sweep moves a boundary vertex to a
+    neighboring part only when that strictly reduces the edge cut and keeps
+    the target part within tolerance, so the cut never increases.
+
+    Vertex ids are integers.  The graph is mapped once to CSR arrays over the
+    sorted ids, where index order is id order.  Each part grows from a fresh
+    min-heap keyed (degree - 2 * neighbours in p, index), whose minimum is
+    the maximum above; a vertex joining p re-pushes only its unassigned
+    neighbours, and taken or outdated entries are dropped when popped, so
+    growth costs O(E log V) overall.  Distances come from level-synchronous
+    BFS on the arrays: k - 1 passes place the seeds, each expanding only
+    where the new seed is closer than all earlier ones, and one more pass
+    runs per taken seed, at most O(k (V + E)) in all.
     """
     vertices = sorted(adjacency)
     n = len(vertices)
     if k < 1 or k > n:
         raise ValueError(f"part count {k} outside 1..{n}")
-    adj = {v: sorted(set(adjacency[v]) - {v}) for v in vertices}
-    for v, nbrs in adj.items():
-        for u in nbrs:
-            if u not in adj or v not in adj[u]:
-                raise ValueError(f"adjacency not symmetric at edge ({v}, {u})")
+    indptr, indices = _csr(adjacency, vertices)
     if weights is None:
-        w = {v: 1.0 for v in vertices}
+        w = [1.0] * n
     else:
-        w = {v: float(weights[v]) for v in vertices}
+        w = [float(weights[v]) for v in vertices]
     if k == 1:
         return {v: 0 for v in vertices}
 
-    seeds = _spread_seeds(vertices, adj, k)
-    part: dict[int, int] = {}
+    flat = indices.tolist()
+    bounds = indptr.tolist()
+    adj = [flat[bounds[i]:bounds[i + 1]] for i in range(n)]
+    deg = np.diff(indptr).tolist()
+    seeds = _spread_seeds(indptr, indices, k)
+    part = [-1] * n
     load = [0.0] * k
     count = [0] * k
-    unassigned = set(vertices)
-    remaining_weight = sum(w.values())
+    left = n
+    lowest = 0
+    remaining_weight = sum(w)
 
     for p in range(k):
         seed = seeds[p]
-        if seed not in unassigned:
-            seed = _farthest_unassigned(vertices, adj, unassigned)
+        if part[seed] >= 0:
+            seed = _farthest_unassigned(indptr, indices, np.asarray(part) < 0)
         target = remaining_weight / (k - p)
-        frontier = {seed}
+        # Heap codes (deg - 2 * inside) * n + i order by key, then index.
+        inside: dict[int, int] = {}
+        heap = [deg[seed] * n + seed]
         # The weight target never starves a later part of its one vertex.
-        while len(unassigned) > (0 if p == k - 1 else k - 1 - p) and \
-                (p == k - 1 or load[p] < target):
-            frontier &= unassigned
-            if frontier:
-                v = _best_frontier_vertex(frontier, adj, part, p)
+        keep = 0 if p == k - 1 else k - 1 - p
+        while left > keep and (p == k - 1 or load[p] < target):
+            while heap:
+                code = heapq.heappop(heap)
+                v = code % n
+                # Skip taken vertices, and entries pushed before v's
+                # inside count last rose.
+                if part[v] < 0 and \
+                        code == (deg[v] - 2 * inside.get(v, 0)) * n + v:
+                    break
             else:
-                v = min(unassigned)
+                # Empty frontier: continue at the lowest unassigned index.
+                while part[lowest] >= 0:
+                    lowest += 1
+                v = lowest
             part[v] = p
             load[p] += w[v]
             count[p] += 1
-            unassigned.discard(v)
-            frontier.update(u for u in adj[v] if u in unassigned)
+            left -= 1
+            for u in adj[v]:
+                if part[u] < 0:
+                    c = inside.get(u, 0) + 1
+                    inside[u] = c
+                    heapq.heappush(heap, (deg[u] - 2 * c) * n + u)
         remaining_weight -= load[p]
 
-    _refine_once(vertices, adj, part, w, load, count, k, tolerance)
-    return part
+    _refine_once(range(n), adj, part, w, load, count, k, tolerance)
+    return dict(zip(vertices, part))
 
 
-def _spread_seeds(vertices: list[int], adj: Mapping[int, list[int]], k: int
+def _csr(adjacency: Mapping[int, Sequence[int]], vertices: list[int]
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR arrays over indices of ``vertices``, self-loops dropped.
+
+    Neighbor lists are deduplicated and sorted.  The first (v, u) pair, in
+    sorted order, whose u is no vertex or does not list v back is an error.
+    """
+    n = len(vertices)
+    ids = np.asarray(vertices, dtype=np.int64)
+    lens = np.fromiter((len(adjacency[v]) for v in vertices), dtype=np.int64,
+                       count=n)
+    nbr = np.fromiter(chain.from_iterable(adjacency[v] for v in vertices),
+                      dtype=np.int64, count=int(lens.sum()))
+    row = np.repeat(np.arange(n, dtype=np.int64), lens)
+    keep = nbr != ids[row]
+    row, nbr = row[keep], nbr[keep]
+    order = np.lexsort((nbr, row))
+    row, nbr = row[order], nbr[order]
+    if row.size:
+        first = np.empty(row.size, dtype=bool)
+        first[0] = True
+        first[1:] = (row[1:] != row[:-1]) | (nbr[1:] != nbr[:-1])
+        row, nbr = row[first], nbr[first]
+    col = np.minimum(np.searchsorted(ids, nbr), n - 1)
+    known = ids[col] == nbr
+    # Known edge keys ascend; the n * n sentinel ends every search in range.
+    edge = np.append((row * n + col)[known], n * n)
+    back = col * n + row
+    mirrored = edge[np.searchsorted(edge, back)] == back
+    bad = np.flatnonzero(~(known & mirrored))
+    if bad.size:
+        b = bad[0]
+        raise ValueError(f"adjacency not symmetric at edge "
+                         f"({vertices[row[b]]}, {int(nbr[b])})")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return indptr, col
+
+
+def _bfs(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray,
+         dist: np.ndarray) -> None:
+    """Lower ``dist`` in place to the hop distance from ``sources``.
+
+    One array step per BFS level.  A level only expands through vertices
+    whose distance it lowers; since ``dist`` is itself a minimum of BFS
+    distances, nothing beyond a vertex that is not lowered can be lowered
+    either, so the result is min(dist, distance from sources) exactly.
+    """
+    dist[sources] = 0.0
+    slot_of = np.empty(len(dist), dtype=np.int64)
+    level = 0.0
+    frontier = sources
+    while frontier.size:
+        level += 1.0
+        starts = indptr[frontier]
+        lens = indptr[frontier + 1] - starts
+        ends = np.cumsum(lens)
+        slots = np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+        nbrs = indices[slots]
+        nbrs = nbrs[dist[nbrs] > level]
+        # Keep one copy of each vertex reached twice on this level.
+        rank = np.arange(nbrs.size)
+        slot_of[nbrs] = rank
+        frontier = nbrs[slot_of[nbrs] == rank]
+        dist[frontier] = level
+
+
+def _spread_seeds(indptr: np.ndarray, indices: np.ndarray, k: int
                   ) -> list[int]:
-    inf = float("inf")
-    start = vertices[0]
-    seeds = [start]
-    mindist = _bfs_distances(start, vertices, adj)
-    while len(seeds) < k:
-        nxt = max(vertices,
-                  key=lambda v: (mindist[v] if v not in seeds else -1.0, -v))
-        seeds.append(nxt)
-        d = _bfs_distances(nxt, vertices, adj)
-        for v in vertices:
-            if d[v] < mindist[v]:
-                mindist[v] = d[v]
-    return seeds
+    """k seed indices: index 0, then each vertex farthest from all seeds
+    so far (argmax, so ties go to the lowest index)."""
+    mindist = np.full(len(indptr) - 1, np.inf)
+    seeds: list[int] = []
+    while True:
+        # All inf picks index 0; after that, seeds sit at distance 0 and
+        # every other vertex at 1 or more.
+        seeds.append(int(np.argmax(mindist)))
+        if len(seeds) == k:
+            return seeds
+        _bfs(indptr, indices, np.array(seeds[-1:]), mindist)
 
 
-def _farthest_unassigned(vertices: list[int], adj: Mapping[int, list[int]],
-                         unassigned: set[int]) -> int:
-    """Unassigned vertex with the largest BFS distance to any assigned one."""
-    dist = {v: (0.0 if v not in unassigned else float("inf")) for v in vertices}
-    queue = deque(v for v in vertices if v not in unassigned)
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] == float("inf"):
-                dist[u] = dist[v] + 1.0
-                queue.append(u)
-    return max(sorted(unassigned), key=lambda v: dist[v])
-
-
-def _bfs_distances(source: int, vertices: list[int],
-                   adj: Mapping[int, list[int]]) -> dict[int, float]:
-    dist = {v: float("inf") for v in vertices}
-    dist[source] = 0.0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] == float("inf"):
-                dist[u] = dist[v] + 1.0
-                queue.append(u)
-    return dist
-
-
-def _best_frontier_vertex(frontier: set[int], adj, part, p) -> int:
-    best = None
-    best_key = None
-    for v in sorted(frontier):
-        inside = sum(1 for u in adj[v] if part.get(u) == p)
-        key = (inside - (len(adj[v]) - inside), -v)
-        if best_key is None or key > best_key:
-            best, best_key = v, key
-    return best
+def _farthest_unassigned(indptr: np.ndarray, indices: np.ndarray,
+                         unassigned: np.ndarray) -> int:
+    """Unassigned index with the largest BFS distance to any assigned one."""
+    dist = np.where(unassigned, np.inf, 0.0)
+    _bfs(indptr, indices, np.flatnonzero(~unassigned), dist)
+    cand = np.flatnonzero(unassigned)
+    return int(cand[np.argmax(dist[cand])])
 
 
 def _refine_once(vertices, adj, part, w, load, count, k, tolerance) -> None:

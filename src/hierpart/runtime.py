@@ -232,10 +232,6 @@ class RankContext:
         """The persistent accumulate window shared by ``team`` (default: all)."""
         return self._rt._persistent_window(_normalize_team(team, self.size))
 
-    def fresh_window(self, team: Sequence[int] | None = None) -> Window:
-        """A new accumulate window; collective over the team."""
-        return self._rt._fresh_window(self.rank, _normalize_team(team, self.size))
-
     def fence(self, window: Window) -> None:
         self._rt._fence(self.rank, window)
 
@@ -298,8 +294,7 @@ class Runtime:
         self.ledger = TrafficLedger(tree)
         self._used = False
         self._mutex = threading.Lock()
-        self._windows: dict[Any, Window] = {}
-        self._fresh_counts: dict[tuple[tuple[int, ...], int], int] = {}
+        self._windows: dict[tuple[int, ...], Window] = {}
         self._barriers: dict[tuple[int, ...], _Barrier] = {}
 
     # -- public entry ---------------------------------------------------------
@@ -534,19 +529,6 @@ class Runtime:
             if win is None:
                 win = Window(team)
                 self._windows[team] = win
-            return win
-
-    def _fresh_window(self, rank: int, team: tuple[int, ...]) -> Window:
-        # Each member's n-th fresh_window call over the same team must yield
-        # the same object; keyed by a per-(team, rank) call counter.
-        with self._mutex:
-            n = self._fresh_counts.get((team, rank), 0)
-            self._fresh_counts[(team, rank)] = n + 1
-            key = ("fresh", team, n)
-            win = self._windows.get(key)
-            if win is None:
-                win = Window(team)
-                self._windows[key] = win
             return win
 
     def _fence(self, rank: int, win: Window) -> None:

@@ -250,6 +250,63 @@ def test_bad_inputs_exit_2(inputs, capsys, tmp_path):
     assert code == 2
 
 
+def _edit_mesh(inputs, edit):
+    """Write a copy of the fixture mesh with ``edit`` applied to its payload."""
+    doc = json.loads(inputs["mesh_path"].read_text())
+    edit(doc["mesh"])
+    path = inputs["tmp"] / "edited_mesh.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _repeat_element(mesh):
+    mesh["elements"][5][0] = mesh["elements"][4][0]
+
+
+def _negative_element(mesh):
+    mesh["elements"][5][0] = -3
+
+
+def _repeat_node(mesh):
+    mesh["nodes"][7][0] = mesh["nodes"][6][0]
+
+
+def _negative_node(mesh):
+    old = mesh["nodes"][7][0]
+    mesh["nodes"][7][0] = -1
+    for rec in mesh["elements"]:
+        rec[2:] = [-1 if n == old else n for n in rec[2:]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_repeat_element, "element record 5: duplicate element id 4"),
+    (_negative_element, "element record 5: negative element id -3"),
+    (_repeat_node, "node record 7: duplicate node id 6"),
+    (_negative_node, "node record 7: negative node id -1"),
+])
+def test_bad_mesh_ids_exit_2_naming_the_record(inputs, capsys, edit, message):
+    mesh_path = _edit_mesh(inputs, edit)
+    code = main(["partition", "--mesh", str(mesh_path),
+                 "--topo", str(inputs["topo_path"]),
+                 "--out", str(inputs["tmp"] / "x")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("records, message", [
+    ([[0, float("nan")]], "weight record 0: non-finite weight nan"),
+    ([[0, 1.0], [1, float("inf")]], "weight record 1: non-finite weight inf"),
+    ([[0, 1.0], [1, 2.0], [0, 3.0]], "weight record 2: element 0 weighted twice"),
+])
+def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
+                                                     message):
+    wpath = inputs["tmp"] / "weights.json"
+    wpath.write_text(json.dumps({"schema": "treepart-1", "weights": records}))
+    code = run_partition(inputs, inputs["tmp"] / "x", ("--weights", str(wpath)))
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_level_exits_2(inputs):
     out1 = inputs["tmp"] / "base"
     assert run_partition(inputs, out1) == 0

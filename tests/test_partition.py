@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierpart.mesh import local_dual_graph, split_contiguous
 from hierpart.meshgen import triangle_grid
@@ -140,6 +142,28 @@ def test_rcb_rejects_bad_input():
         rcb([0, 1], np.zeros((2, 2)), np.array([1.0, 0.0]), 2)
     with pytest.raises(ValueError, match="empty point set"):
         rcb([0], np.zeros((1, 2)), None, 2)
+
+
+def test_rcb_heavy_point_leaves_every_part_an_element():
+    # The weighted median puts the heavy point alone on the low side of the
+    # first cut, which needs two parts; the split keeps two points there.
+    pts = np.array([[float(i), 0.0] for i in range(4)])
+    part = rcb([0, 1, 2, 3], pts, np.array([100.0, 1.0, 1.0, 1.0]), 4)
+    assert part == {0: 0, 1: 1, 2: 2, 3: 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rcb_skewed_weights_fill_every_part(data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, n))
+    exps = data.draw(st.lists(st.floats(0.0, 6.0), min_size=n, max_size=n))
+    coords = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * n,
+                                max_size=2 * n))
+    part = rcb(np.arange(n), np.array(coords).reshape(n, 2),
+               10.0 ** np.array(exps), k)
+    assert sorted(part) == list(range(n))
+    assert set(part.values()) == set(range(k))
 
 
 # -- graph growing -----------------------------------------------------------------
