@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -143,21 +142,21 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     neighboring part only when that strictly reduces the edge cut and keeps
     the target part within tolerance, so the cut never increases.
 
-    Vertex ids are integers.  The graph is mapped once to CSR arrays over the
-    sorted ids, where index order is id order.  Each part grows from a fresh
-    min-heap keyed (degree - 2 * neighbours in p, index), whose minimum is
-    the maximum above; a vertex joining p re-pushes only its unassigned
-    neighbours, and taken or outdated entries are dropped when popped, so
-    growth costs O(E log V) overall.  Distances come from level-synchronous
-    BFS on the arrays: k - 1 passes place the seeds, each expanding only
-    where the new seed is closer than all earlier ones, and one more pass
-    runs per taken seed, at most O(k (V + E)) in all.
+    Vertex ids are integers.  They are mapped once to indices 0..n-1 in id
+    order, with sorted, deduplicated neighbor index lists.  Each part grows
+    from a fresh min-heap keyed (degree - 2 * neighbours in p, index), whose
+    minimum is the maximum above; a vertex joining p re-pushes only its
+    unassigned neighbours, and taken or outdated entries are dropped when
+    popped, so growth costs O(E log V) overall.  Distances come from level
+    BFS over the index lists: k - 1 passes place the seeds, each expanding
+    only where the new seed is closer than all earlier ones, and one more
+    pass runs per taken seed, at most O(k (V + E)) in all.
     """
     vertices = sorted(adjacency)
     n = len(vertices)
     if k < 1 or k > n:
         raise ValueError(f"part count {k} outside 1..{n}")
-    indptr, indices = _csr(adjacency, vertices)
+    adj = _index_lists(adjacency, vertices)
     if weights is None:
         w = [1.0] * n
     else:
@@ -165,11 +164,8 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     if k == 1:
         return {v: 0 for v in vertices}
 
-    flat = indices.tolist()
-    bounds = indptr.tolist()
-    adj = [flat[bounds[i]:bounds[i + 1]] for i in range(n)]
-    deg = np.diff(indptr).tolist()
-    seeds = _spread_seeds(indptr, indices, k)
+    deg = [len(nbrs) for nbrs in adj]
+    seeds = _spread_seeds(adj, k)
     part = [-1] * n
     load = [0.0] * k
     count = [0] * k
@@ -180,7 +176,7 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     for p in range(k):
         seed = seeds[p]
         if part[seed] >= 0:
-            seed = _farthest_unassigned(indptr, indices, np.asarray(part) < 0)
+            seed = _farthest_unassigned(adj, part)
         target = remaining_weight / (k - p)
         # Heap codes (deg - 2 * inside) * n + i order by key, then index.
         inside: dict[int, int] = {}
@@ -216,95 +212,72 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     return dict(zip(vertices, part))
 
 
-def _csr(adjacency: Mapping[int, Sequence[int]], vertices: list[int]
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric CSR arrays over indices of ``vertices``, self-loops dropped.
+def _index_lists(adjacency: Mapping[int, Sequence[int]], vertices: list[int]
+                 ) -> list[list[int]]:
+    """Sorted neighbor index lists over ``vertices``, self-loops dropped.
 
-    Neighbor lists are deduplicated and sorted.  The first (v, u) pair, in
-    sorted order, whose u is no vertex or does not list v back is an error.
+    The first (v, u) pair, in sorted order, whose u is no vertex or does not
+    list v back is an error.
     """
-    n = len(vertices)
-    ids = np.asarray(vertices, dtype=np.int64)
-    lens = np.fromiter((len(adjacency[v]) for v in vertices), dtype=np.int64,
-                       count=n)
-    nbr = np.fromiter(chain.from_iterable(adjacency[v] for v in vertices),
-                      dtype=np.int64, count=int(lens.sum()))
-    row = np.repeat(np.arange(n, dtype=np.int64), lens)
-    keep = nbr != ids[row]
-    row, nbr = row[keep], nbr[keep]
-    order = np.lexsort((nbr, row))
-    row, nbr = row[order], nbr[order]
-    if row.size:
-        first = np.empty(row.size, dtype=bool)
-        first[0] = True
-        first[1:] = (row[1:] != row[:-1]) | (nbr[1:] != nbr[:-1])
-        row, nbr = row[first], nbr[first]
-    col = np.minimum(np.searchsorted(ids, nbr), n - 1)
-    known = ids[col] == nbr
-    # Known edge keys ascend; the n * n sentinel ends every search in range.
-    edge = np.append((row * n + col)[known], n * n)
-    back = col * n + row
-    mirrored = edge[np.searchsorted(edge, back)] == back
-    bad = np.flatnonzero(~(known & mirrored))
-    if bad.size:
-        b = bad[0]
-        raise ValueError(f"adjacency not symmetric at edge "
-                         f"({vertices[row[b]]}, {int(nbr[b])})")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return indptr, col
+    index = {v: i for i, v in enumerate(vertices)}
+    nbr_sets = [set(adjacency[v]) for v in vertices]
+    adj = []
+    for v, nbrs in zip(vertices, nbr_sets):
+        row = []
+        for u in sorted(nbrs):
+            if u == v:
+                continue
+            j = index.get(u)
+            if j is None or v not in nbr_sets[j]:
+                raise ValueError(f"adjacency not symmetric at edge ({v}, {u})")
+            row.append(j)
+        adj.append(row)
+    return adj
 
 
-def _bfs(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray,
-         dist: np.ndarray) -> None:
+def _bfs(adj: list[list[int]], sources: list[int], dist: list[float]) -> None:
     """Lower ``dist`` in place to the hop distance from ``sources``.
 
-    One array step per BFS level.  A level only expands through vertices
-    whose distance it lowers; since ``dist`` is itself a minimum of BFS
-    distances, nothing beyond a vertex that is not lowered can be lowered
-    either, so the result is min(dist, distance from sources) exactly.
+    A level only expands through vertices whose distance it lowers; since
+    ``dist`` is itself a minimum of BFS distances, nothing beyond a vertex
+    that is not lowered can be lowered either, so the result is
+    min(dist, distance from sources) exactly.
     """
-    dist[sources] = 0.0
-    slot_of = np.empty(len(dist), dtype=np.int64)
-    level = 0.0
+    for s in sources:
+        dist[s] = 0
     frontier = sources
-    while frontier.size:
-        level += 1.0
-        starts = indptr[frontier]
-        lens = indptr[frontier + 1] - starts
-        ends = np.cumsum(lens)
-        slots = np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
-        nbrs = indices[slots]
-        nbrs = nbrs[dist[nbrs] > level]
-        # Keep one copy of each vertex reached twice on this level.
-        rank = np.arange(nbrs.size)
-        slot_of[nbrs] = rank
-        frontier = nbrs[slot_of[nbrs] == rank]
-        dist[frontier] = level
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for v in frontier:
+            for u in adj[v]:
+                if dist[u] > level:
+                    dist[u] = level
+                    reached.append(u)
+        frontier = reached
 
 
-def _spread_seeds(indptr: np.ndarray, indices: np.ndarray, k: int
-                  ) -> list[int]:
+def _spread_seeds(adj: list[list[int]], k: int) -> list[int]:
     """k seed indices: index 0, then each vertex farthest from all seeds
-    so far (argmax, so ties go to the lowest index)."""
-    mindist = np.full(len(indptr) - 1, np.inf)
+    so far (the first maximum, so ties go to the lowest index)."""
+    mindist = [float("inf")] * len(adj)
     seeds: list[int] = []
     while True:
         # All inf picks index 0; after that, seeds sit at distance 0 and
         # every other vertex at 1 or more.
-        seeds.append(int(np.argmax(mindist)))
+        seeds.append(mindist.index(max(mindist)))
         if len(seeds) == k:
             return seeds
-        _bfs(indptr, indices, np.array(seeds[-1:]), mindist)
+        _bfs(adj, seeds[-1:], mindist)
 
 
-def _farthest_unassigned(indptr: np.ndarray, indices: np.ndarray,
-                         unassigned: np.ndarray) -> int:
+def _farthest_unassigned(adj: list[list[int]], part: list[int]) -> int:
     """Unassigned index with the largest BFS distance to any assigned one."""
-    dist = np.where(unassigned, np.inf, 0.0)
-    _bfs(indptr, indices, np.flatnonzero(~unassigned), dist)
-    cand = np.flatnonzero(unassigned)
-    return int(cand[np.argmax(dist[cand])])
+    dist = [float("inf")] * len(part)
+    _bfs(adj, [i for i, p in enumerate(part) if p >= 0], dist)
+    # Assigned indices stay at 0 and unassigned ones reach 1 or more.
+    return dist.index(max(dist))
 
 
 def _refine_once(vertices, adj, part, w, load, count, k, tolerance) -> None:

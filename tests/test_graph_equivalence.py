@@ -2,7 +2,7 @@
 
 ``oracle_graph_partition`` below is the first implementation of greedy graph
 growing, kept verbatim apart from names: it rescans and re-scores the whole
-frontier on every step and runs a dict-based BFS per seed.  The array/heap
+frontier on every step and runs a full dict-based BFS per seed.  The heap
 implementation must return the same dict or raise the same error on every
 input.
 """
@@ -271,8 +271,8 @@ def test_asymmetric_adjacency_names_first_pair_in_sorted_order():
     with pytest.raises(ValueError, match=r"not symmetric at edge \(0, 3\)"):
         graph_partition(dangling, None, 1)
     assert_same(dangling, None, 1)
-    # 10's dangling neighbor 3 sorts into vertex 5's slot; it must not pass
-    # for the back edge 10 -> 5 that (5, 10) lacks, which comes first.
+    # 10 lists only a dangling neighbor; the missing back edge 10 -> 5 of
+    # (5, 10) comes first in sorted order and is the one named.
     masked = {0: [], 5: [10], 10: [3]}
     with pytest.raises(ValueError, match=r"not symmetric at edge \(5, 10\)"):
         graph_partition(masked, None, 1)
