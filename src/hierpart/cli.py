@@ -20,10 +20,11 @@ from .formats import (FormatError, load_assignment, load_mesh, load_timing,
                       save_report)
 from .halo import exchange, schedule_for_rank
 from .mesh import (MeshChunk, find_shared_nodes, local_dual_graph,
-                   split_contiguous, subset_chunk)
+                   split_chunk, split_contiguous)
 from .metrics import (CostModel, comm_metrics, partition_loads,
                       quality_metrics, write_balance_csv, write_levels_csv)
-from .partition import METHODS, HierarchicalPlan, hierarchical_partition
+from .partition import (METHODS, HierarchicalPlan, check_tolerance,
+                        hierarchical_partition)
 from .runtime import DeadlockError, EpochError, ProtocolError, Runtime
 from .topology import TopologyTree
 
@@ -66,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="rcb, graph, or a comma list, one per level "
                                 "(default rcb)")
             p.add_argument("--tolerance", type=float, default=1.02,
-                           help="part weight cap relative to the mean (default 1.02)")
+                           help="part weight cap relative to the mean for the "
+                                "graph refinement sweep; rcb does not use it "
+                                "(default 1.02)")
         if level:
             p.add_argument("--level", type=int, required=True,
                            help="tree level whose groups rebalance internally")
@@ -108,16 +111,22 @@ def _load_weight_input(args, mesh: MeshChunk) -> dict[int, float] | None:
     if args.weights and args.timing:
         raise UsageError("--weights and --timing are mutually exclusive")
     if args.timing:
-        return derive_weights(load_timing(args.timing),
-                              elements=sorted(mesh.elements))
-    if args.weights:
+        source = "timing data"
+        weights = derive_weights(load_timing(args.timing),
+                                 elements=sorted(mesh.elements))
+    elif args.weights:
+        source = "weights"
         weights = load_weights(args.weights)
-        missing = sorted(set(mesh.elements) - weights.keys())
-        if missing:
-            raise ValueError(f"weights missing for elements {missing[:5]}"
-                             + ("..." if len(missing) > 5 else ""))
-        return weights
-    return None
+    else:
+        return None
+    # derive_weights already names elements without timing data.
+    for what, ids in (("missing for", mesh.elements.keys() - weights.keys()),
+                      ("given for unknown", weights.keys() - mesh.elements.keys())):
+        if ids:
+            ids = sorted(ids)
+            raise ValueError(f"{source} {what} elements {ids[:5]}"
+                             + ("..." if len(ids) > 5 else ""))
+    return weights
 
 
 def _check_assignment(assignment: Mapping[int, int], mesh: MeshChunk,
@@ -138,7 +147,7 @@ def _chunks_from_assignment(mesh: MeshChunk, assignment: Mapping[int, int],
     by_rank: list[list[int]] = [[] for _ in range(nparts)]
     for e, p in assignment.items():
         by_rank[p].append(e)
-    return [subset_chunk(mesh, ids) for ids in by_rank]
+    return split_chunk(mesh, by_rank)
 
 
 def _config_echo(command: str, args, keys) -> dict[str, Any]:
@@ -250,6 +259,7 @@ def _cmd_rebalance(args) -> int:
     args.method = method = _parse_method(args.method)
     if not isinstance(method, str):
         raise UsageError("rebalance takes a single --method")
+    check_tolerance(args.tolerance)  # HierarchicalPlan checks it for partition
 
     pre_imb = imbalance(assignment, weights, nparts)
     pre_loads = partition_loads(assignment, nparts, weights)

@@ -176,19 +176,32 @@ def _boundary_carriers(chunk: MeshChunk) -> dict[int, list[tuple[int, tuple[int,
     return carriers
 
 
-def subset_chunk(chunk: MeshChunk, element_ids: Iterable[int],
-                 carriers: Mapping[int, list] | None = None) -> MeshChunk:
+def split_chunk(chunk: MeshChunk, groups: Iterable[Iterable[int]]
+                ) -> list[MeshChunk]:
+    """Carve a chunk into one sub-chunk per group of element ids.
+
+    Each sub-chunk holds its group's elements, the nodes they reference and
+    the boundary faces they carry, all in ascending order.  The carrier map
+    is built once for all groups.
+    """
+    carriers = _boundary_carriers(chunk)
+    out = []
+    for ids in groups:
+        eids = sorted(ids)
+        elements = {e: chunk.elements[e] for e in eids}
+        nids = sorted({n for conn in elements.values() for n in conn})
+        out.append(MeshChunk(
+            chunk.kind,
+            nodes={n: chunk.nodes[n] for n in nids},
+            elements=elements,
+            boundary=sorted(f for e in eids for f in carriers.get(e, ())),
+        ))
+    return out
+
+
+def subset_chunk(chunk: MeshChunk, element_ids: Iterable[int]) -> MeshChunk:
     """Chunk restricted to the given elements, their nodes and boundary faces."""
-    if carriers is None:
-        carriers = _boundary_carriers(chunk)
-    sub = MeshChunk(chunk.kind)
-    for eid in sorted(element_ids):
-        conn = chunk.elements[eid]
-        sub.elements[eid] = conn
-        for n in conn:
-            sub.nodes[n] = chunk.nodes[n]
-        sub.boundary.extend(carriers.get(eid, ()))
-    return sub.sorted_copy()
+    return split_chunk(chunk, [element_ids])[0]
 
 
 # -- wire form ----------------------------------------------------------------
@@ -299,7 +312,6 @@ def migrate(ctx: RankContext, chunk: MeshChunk, assignment: Mapping[int, int],
     is ordered by global id so the result is independent of arrival order.
     """
     team_t = _normalize_team(team, ctx.size)
-    carriers = _boundary_carriers(chunk)
     by_dest: dict[int, list[int]] = {}
     for eid in sorted(chunk.elements):
         try:
@@ -312,8 +324,8 @@ def migrate(ctx: RankContext, chunk: MeshChunk, assignment: Mapping[int, int],
         by_dest.setdefault(dest, []).append(eid)
 
     outgoing = {
-        dest: pack_chunk(subset_chunk(chunk, eids, carriers))
-        for dest, eids in by_dest.items()
+        dest: pack_chunk(sub)
+        for dest, sub in zip(by_dest, split_chunk(chunk, by_dest.values()))
     }
     received = blind_exchange(ctx, outgoing, team=team_t)
     return merge_chunks(chunk.kind, [unpack_chunk(blob) for _, blob in received])
@@ -377,9 +389,7 @@ def split_ids_evenly(ids: Sequence[int], parts: int) -> list[list[int]]:
 
 def split_contiguous(chunk: MeshChunk, parts: int) -> list[MeshChunk]:
     """Carve a chunk into contiguous element-id blocks, one per part."""
-    carriers = _boundary_carriers(chunk)
-    return [subset_chunk(chunk, ids, carriers)
-            for ids in split_ids_evenly(list(chunk.elements), parts)]
+    return split_chunk(chunk, split_ids_evenly(list(chunk.elements), parts))
 
 
 # -- local measures -------------------------------------------------------------

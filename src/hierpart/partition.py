@@ -2,19 +2,27 @@
 
 Two sequential back-ends are built in: recursive coordinate bisection over
 element centroids, and a greedy graph-growing partitioner with one boundary
-refinement sweep.  Both fill the same request shape a heavyweight external
-partitioner would, so one can be slotted in later without touching the
-pipeline.
+refinement sweep.  The pipeline reaches them through one call, ``_backend``,
+on one summary of the elements to split (``_summary``: sorted ids, one
+centroid or connectivity row per element, and the weight vector), so another
+back-end slots in at that one place.
 
 The hierarchical pipeline mirrors the machine tree: mesh payloads are
 collected up to the bootstrap level, split across the bootstrap groups, and
 then pushed down level by level, so all traffic below a tree vertex stays
-inside that vertex's rank range.
+inside that vertex's rank range.  At each level the group leader carves its
+chunk into one group per child leader with ``mesh.split_chunk``: finished
+parts when it runs the back-end itself (approach 2), or equal id blocks that
+the child leaders then split among themselves (approach 1).  A split among
+several ranks (the bootstrap, approach 1, and in-group rebalancing) ships
+each rank's summary to the team leader, runs the same back-end call there,
+and migrates the elements.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -22,12 +30,19 @@ import numpy as np
 
 from . import _codec
 from .mesh import (MeshChunk, adjacency_from_elements, exchange_keyed_values,
-                   merge_chunks, migrate, pack_chunk, split_ids_evenly,
-                   subset_chunk, unpack_chunk)
+                   merge_chunks, migrate, pack_chunk, split_chunk,
+                   split_ids_evenly, unpack_chunk)
 from .runtime import RankContext
 from .topology import TopologyTree, aggregate, cascade, child_leaders, level_groups
 
 METHODS = ("rcb", "graph")
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Reject a part weight cap that is not a finite number >= 1.0."""
+    if not (math.isfinite(tolerance) and tolerance >= 1.0):
+        raise ValueError(f"tolerance must be a finite number >= 1.0, "
+                         f"got {tolerance}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +69,7 @@ class HierarchicalPlan:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.approach not in (1, 2):
             raise ValueError(f"approach must be 1 or 2, got {self.approach}")
-        if self.tolerance < 1.0:
-            raise ValueError(f"tolerance must be >= 1.0, got {self.tolerance}")
+        check_tolerance(self.tolerance)
 
     def method_for(self, step: int) -> str:
         if isinstance(self.method, str):
@@ -66,7 +80,7 @@ class HierarchicalPlan:
 # -- recursive coordinate bisection ----------------------------------------------
 
 def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
-        k: int, tolerance: float = 1.02) -> dict[int, int]:
+        k: int) -> dict[int, int]:
     """Recursive coordinate bisection into parts 0..k-1.
 
     Splits along the axis of largest extent at the weighted median, sending
@@ -340,17 +354,30 @@ def _unpack_payload(data: bytes) -> tuple[MeshChunk, dict[int, float] | None]:
     return chunk, {int(e): float(v) for e, v in zip(wids, wvals)}
 
 
-def _local_partition(chunk: MeshChunk, weights: Mapping[int, float] | None,
-                     k: int, method: str, tolerance: float, where: str
-                     ) -> dict[int, int]:
+def _summary(chunk: MeshChunk, weights: Mapping[int, float] | None,
+             method: str) -> tuple[list[int], Sequence, list[float] | None]:
+    """What a back-end needs of a chunk: sorted ids, one row per element
+    (a centroid array for rcb, connectivity tuples for graph) and the
+    weights in id order."""
+    ids = sorted(chunk.elements)
+    if method == "rcb":
+        rows = chunk.centroids()[1]
+    else:
+        rows = [chunk.elements[e] for e in ids]
+    wvec = None if weights is None else [weights[e] for e in ids]
+    return ids, rows, wvec
+
+
+def _backend(kind: str, method: str, ids: list[int], rows: Sequence,
+             wvec: list[float] | None, k: int, tolerance: float, where: str
+             ) -> dict[int, int]:
+    """Run the named back-end on a summary; errors are prefixed ``where``."""
     try:
         if method == "rcb":
-            ids, pts = chunk.centroids()
-            wv = None if weights is None else \
-                np.array([weights[int(e)] for e in ids], dtype=np.float64)
-            return rcb(ids, pts, wv, k, tolerance)
-        adj = adjacency_from_elements(chunk.elements, chunk.kind)
-        return graph_partition(adj, weights, k, tolerance)
+            return rcb(ids, rows, wvec, k)
+        adjacency = adjacency_from_elements(dict(zip(ids, rows)), kind)
+        wmap = None if wvec is None else dict(zip(ids, wvec))
+        return graph_partition(adjacency, wmap, k, tolerance)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from err
 
@@ -361,12 +388,12 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
                     ) -> tuple[MeshChunk, dict[int, float] | None]:
     """K-way split of the union of the team's chunks, one part per team rank.
 
-    Stand-in for a distributed partitioner back-end: light per-element
-    summaries (centroid or connectivity, plus weight) travel to the team
-    leader, the leader runs the sequential method, and each rank migrates
-    its elements straight to their new owners.  With ``remap_overlap`` the
-    part labels are matched to the ranks already holding most of each part,
-    which keeps already-good distributions in place.
+    Stand-in for a distributed partitioner back-end: each rank's summary
+    travels to the team leader, the leader runs the back-end on the union,
+    and each rank migrates its elements straight to their new owners.  With
+    ``remap_overlap`` the part labels are matched to the ranks already
+    holding most of each part, which keeps already-good distributions in
+    place.
     """
     team = tuple(sorted(team))
     if len(team) == 1:
@@ -374,104 +401,72 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     if k != len(team):
         raise ValueError(f"need one part per team rank: k={k}, team={team}")
 
-    eids = sorted(chunk.elements)
-    if method == "rcb":
-        ids_arr, pts = chunk.centroids()
-        summary = _codec.pack_blocks([
-            _codec.pack_i64(ids_arr),
-            _codec.pack_f64(pts.ravel()),
-            _pack_weight_vector(weights, eids),
-        ])
-    else:
-        conn = [n for e in eids for n in chunk.elements[e]]
-        summary = _codec.pack_blocks([
-            _codec.pack_i64(eids),
-            _codec.pack_i64(conn),
-            _pack_weight_vector(weights, eids),
-        ])
-
-    gathered = aggregate(ctx, team, summary)
-    replies = None
-    if gathered is not None:
-        replies = _leader_assign(ctx, gathered, team, chunk, weights, k,
-                                 method, tolerance, where, remap_overlap)
-    my_reply = cascade(ctx, team, replies)
-    rids = _codec.unpack_i64(_codec.unpack_blocks(my_reply)[0])
-    rdest = _codec.unpack_i64(_codec.unpack_blocks(my_reply)[1])
-    dest_of = {int(e): int(d) for e, d in zip(rids, rdest)}
-
+    # The summaries, gathered payloads and replies are freed with
+    # _team_assignment's frame, so none of them is held through the
+    # migration, where the team's memory peaks.
+    dest_of = _team_assignment(ctx, team, chunk, weights, k, method,
+                               tolerance, where, remap_overlap)
     new_chunk = migrate(ctx, chunk, dest_of, team=team)
     new_weights = None
     if weights is not None:
-        packed = {e: _codec.pack_f64([weights[e]]) for e in eids}
+        packed = {e: _codec.pack_f64([weights[e]]) for e in dest_of}
         moved = exchange_keyed_values(ctx, packed, dest_of, team=team)
         new_weights = {e: float(_codec.unpack_f64(v)[0]) for e, v in moved.items()}
     return new_chunk, new_weights
 
 
-def _pack_weight_vector(weights: Mapping[int, float] | None,
-                        eids: Sequence[int]) -> bytes:
-    if weights is None:
-        return _codec.pack_f64([])
-    return _codec.pack_f64([float(weights[e]) for e in eids])
+def _team_assignment(ctx, team, chunk, weights, k, method, tolerance, where,
+                     remap_overlap) -> dict[int, int]:
+    """New owner of each local element: the rank's summary goes to the team
+    leader, which runs the back-end on the union and replies to each rank."""
+    ids, rows, wvec = _summary(chunk, weights, method)
+    gathered = aggregate(ctx, team, _codec.pack_blocks([
+        _codec.pack_i64(ids),
+        _codec.pack_f64(rows.ravel()) if method == "rcb" else
+        _codec.pack_i64(n for row in rows for n in row),
+        _codec.pack_f64(wvec or []),
+    ]))
+    replies = None
+    if gathered is not None:
+        replies = _leader_assign(gathered, team, chunk, weights is not None, k,
+                                 method, tolerance, where, remap_overlap)
+    rids_raw, rdest_raw = _codec.unpack_blocks(cascade(ctx, team, replies))
+    return dict(zip(_codec.unpack_i64(rids_raw).tolist(),
+                    _codec.unpack_i64(rdest_raw).tolist()))
 
 
-def _leader_assign(ctx, gathered, team, chunk, weights, k, method, tolerance,
+def _leader_assign(gathered, team, chunk, has_weights, k, method, tolerance,
                    where, remap_overlap) -> list[bytes]:
-    """Compute the k-way assignment at the team leader; build reply payloads."""
-    all_ids: list[int] = []
-    holder_of: dict[int, int] = {}
-    pts_rows: list[np.ndarray] = []
-    conn_rows: list[np.ndarray] = []
-    wparts: list[np.ndarray] = []
-    has_weights = weights is not None
-    dim = chunk.dim
-    npe = chunk.nodes_per_element
+    """Compute the k-way assignment at the team leader; one reply per member."""
+    id_blocks, rows, wvec = [], [], []
     for payload in gathered:
-        ids_raw, data_raw, w_raw = _codec.unpack_blocks(payload.data)
-        ids = _codec.unpack_i64(ids_raw)
-        all_ids.extend(int(e) for e in ids)
-        for e in ids:
-            holder_of[int(e)] = payload.owner
+        ids_raw, rows_raw, w_raw = _codec.unpack_blocks(payload.data)
+        id_blocks.append(_codec.unpack_i64(ids_raw).tolist())
         if method == "rcb":
-            pts_rows.append(_codec.unpack_f64(data_raw).reshape(-1, dim))
+            rows.append(_codec.unpack_f64(rows_raw).reshape(-1, chunk.dim))
         else:
-            conn_rows.append(_codec.unpack_i64(data_raw).reshape(-1, npe))
-        wparts.append(_codec.unpack_f64(w_raw))
+            rows.extend(map(tuple, _codec.unpack_i64(rows_raw).reshape(
+                -1, chunk.nodes_per_element).tolist()))
+        wvec.extend(_codec.unpack_f64(w_raw).tolist())
+    if method == "rcb":
+        rows = np.concatenate(rows)
+    ids = [e for block in id_blocks for e in block]
+    part_of = _backend(chunk.kind, method, ids, rows,
+                       wvec if has_weights else None, k, tolerance, where)
 
-    ids_arr = np.asarray(all_ids, dtype=np.int64)
-    wvec = np.concatenate(wparts) if has_weights else None
-    try:
-        if method == "rcb":
-            pts = np.vstack(pts_rows) if pts_rows else np.empty((0, dim))
-            part_of = rcb(ids_arr, pts, wvec, k, tolerance)
-        else:
-            elements = {}
-            for ids, rows in zip(
-                    (_codec.unpack_i64(_codec.unpack_blocks(p.data)[0])
-                     for p in gathered), conn_rows):
-                for e, row in zip(ids, rows):
-                    elements[int(e)] = tuple(int(x) for x in row)
-            adj = adjacency_from_elements(elements, chunk.kind)
-            wmap = None if wvec is None else \
-                {int(e): float(v) for e, v in zip(ids_arr, wvec)}
-            part_of = graph_partition(adj, wmap, k, tolerance)
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from err
-
+    # aggregate returns one payload per member, in member order.
     if remap_overlap:
+        holder_of = {e: r for r, block in zip(team, id_blocks) for e in block}
         rank_of_part = _overlap_remap(part_of, holder_of, team)
     else:
         rank_of_part = {p: team[p] for p in range(k)}
-
-    replies: list[bytes] = []
-    for member in team:
-        mids = [e for e in all_ids if holder_of[e] == member]
-        dests = [rank_of_part[part_of[e]] for e in mids]
-        replies.append(_codec.pack_blocks([
-            _codec.pack_i64(mids), _codec.pack_i64(dests),
-        ]))
-    return replies
+    return [
+        _codec.pack_blocks([
+            _codec.pack_i64(block),
+            _codec.pack_i64([rank_of_part[part_of[e]] for e in block]),
+        ])
+        for block in id_blocks
+    ]
 
 
 def _overlap_remap(part_of: Mapping[int, int], holder_of: Mapping[int, int],
@@ -516,19 +511,13 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
     lg = level_groups(tree, bpl)
     my_group = lg.group_of(ctx.rank)
     gathered = aggregate(ctx, my_group, _pack_payload(chunk, weights))
+    chunk, weights = MeshChunk(kind), None
     if gathered is not None:
         parts = [_unpack_payload(p.data) for p in gathered]
         chunk = merge_chunks(kind, [c for c, _ in parts])
         if any(w is not None for _, w in parts):
-            weights = {}
-            for _, wmap in parts:
-                if wmap:
-                    weights.update(wmap)
-        else:
-            weights = None
-    else:
-        chunk = MeshChunk(kind)
-        weights = None
+            weights = {e: w for _, wmap in parts
+                       for e, w in (wmap or {}).items()}
 
     ctx.set_phase("bootstrap")
     leaders = lg.leaders
@@ -545,45 +534,27 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
         kids = child_leaders(tree, level, gidx)
         if ctx.rank not in kids:
             continue
-        leader = kids[0]
         where = f"level {level + 1} split of {tree.level_name(level)} group {gidx}"
 
-        if plan.approach == 2:
-            payloads = None
-            if ctx.rank == leader:
-                part_of = _local_partition(chunk, weights, len(kids), method,
-                                           plan.tolerance, where)
-                payloads = _split_payloads(chunk, weights, part_of, len(kids))
-            chunk, weights = _unpack_payload(cascade(ctx, kids, payloads))
-        else:
-            payloads = None
-            if ctx.rank == leader:
-                blocks = split_ids_evenly(list(chunk.elements), len(kids))
-                payloads = [
-                    _pack_payload(subset_chunk(chunk, block),
-                                  _slice_weights(weights, block))
-                    for block in blocks
-                ]
-            chunk, weights = _unpack_payload(cascade(ctx, kids, payloads))
+        # The group leader carves its chunk into one group per child leader:
+        # finished parts (approach 2) or equal id blocks the child leaders
+        # then partition among themselves (approach 1).
+        payloads = None
+        if ctx.rank == kids[0]:
+            if plan.approach == 2:
+                ids, rows, wvec = _summary(chunk, weights, method)
+                part_of = _backend(kind, method, ids, rows, wvec, len(kids),
+                                   plan.tolerance, where)
+                groups: list[list[int]] = [[] for _ in kids]
+                for e in ids:
+                    groups[part_of[e]].append(e)
+            else:
+                groups = split_ids_evenly(list(chunk.elements), len(kids))
+            payloads = [_pack_payload(sub, weights)
+                        for sub in split_chunk(chunk, groups)]
+        chunk, weights = _unpack_payload(cascade(ctx, kids, payloads))
+        if plan.approach == 1:
             chunk, weights = _team_partition(ctx, kids, chunk, weights,
                                              len(kids), method, plan.tolerance,
                                              where)
     return chunk, weights
-
-
-def _split_payloads(chunk: MeshChunk, weights, part_of: Mapping[int, int],
-                    k: int) -> list[bytes]:
-    groups: list[list[int]] = [[] for _ in range(k)]
-    for e in sorted(chunk.elements):
-        groups[part_of[e]].append(e)
-    return [
-        _pack_payload(subset_chunk(chunk, g), _slice_weights(weights, g))
-        for g in groups
-    ]
-
-
-def _slice_weights(weights: Mapping[int, float] | None,
-                   eids: Sequence[int]) -> dict[int, float] | None:
-    if weights is None:
-        return None
-    return {int(e): float(weights[e]) for e in eids}

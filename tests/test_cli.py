@@ -293,18 +293,49 @@ def test_bad_mesh_ids_exit_2_naming_the_record(inputs, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+def _weights_with_unknown(elements):
+    return [[e, 1.0] for e in elements] + [[999999, 1.0]]
+
+
+def _timing_with_unknown(elements):
+    return [{"elems": list(elements), "seconds": 1.0},
+            {"elems": [999999], "seconds": 1.0}]
+
+
 @pytest.mark.parametrize("records, message", [
     ([[0, float("nan")]], "weight record 0: non-finite weight nan"),
     ([[0, 1.0], [1, float("inf")]], "weight record 1: non-finite weight inf"),
     ([[0, 1.0], [1, 2.0], [0, 3.0]], "weight record 2: element 0 weighted twice"),
+    (_weights_with_unknown, "weights given for unknown elements [999999]"),
+    (_timing_with_unknown, "timing data given for unknown elements [999999]"),
 ])
 def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
                                                      message):
-    wpath = inputs["tmp"] / "weights.json"
-    wpath.write_text(json.dumps({"schema": "treepart-1", "weights": records}))
-    code = run_partition(inputs, inputs["tmp"] / "x", ("--weights", str(wpath)))
+    # A callable builds its records from the mesh's element ids; timing
+    # blocks go through --timing, plain records through --weights.
+    if callable(records):
+        records = records(sorted(inputs["mesh"].elements))
+    kind = "timing" if isinstance(records[0], dict) else "weights"
+    path = inputs["tmp"] / f"{kind}.json"
+    path.write_text(json.dumps({"schema": "treepart-1", kind: records}))
+    code = run_partition(inputs, inputs["tmp"] / "x", (f"--{kind}", str(path)))
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["partition", "rebalance"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0.5"])
+def test_bad_tolerance_exits_2(inputs, capsys, verb, tolerance):
+    args = [verb, "--mesh", str(inputs["mesh_path"]),
+            "--topo", str(inputs["topo_path"]),
+            "--out", str(inputs["tmp"] / "x"), "--tolerance", tolerance]
+    if verb == "rebalance":
+        start = inputs["tmp"] / "start.json"
+        save_assignment(start, {e: e % 4 for e in inputs["mesh"].elements})
+        args += ["--assignment", str(start), "--level", "0"]
+    assert main(args) == 2
+    assert (f"tolerance must be a finite number >= 1.0, got {float(tolerance)}"
+            in capsys.readouterr().err)
 
 
 def test_bad_level_exits_2(inputs):

@@ -6,13 +6,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierpart.mesh import (MeshChunk, adjacency_from_elements,
                            cache_block_groups, element_faces, find_shared_nodes,
                            halo_growth, kind_info, local_dual_graph,
-                           merge_chunks, migrate, pack_chunk, split_contiguous,
-                           split_ids_evenly, subset_chunk, unpack_chunk,
-                           build_dual_graph, exchange_keyed_values)
+                           merge_chunks, migrate, pack_chunk, split_chunk,
+                           split_contiguous, split_ids_evenly, subset_chunk,
+                           unpack_chunk, build_dual_graph,
+                           exchange_keyed_values)
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
@@ -191,6 +194,112 @@ def test_boundary_face_travels_with_unique_carrier():
         part.validate()  # every boundary face has its nodes locally
     total = sum(len(p.boundary) for p in parts)
     assert total == len(mesh.boundary)
+
+
+# -- split_chunk against the per-group carve it replaced ---------------------
+#
+# oracle_boundary_carriers and oracle_subset_chunk are the original carve,
+# kept verbatim apart from names: every call rebuilds the carrier map over
+# the whole chunk.  split_chunk builds it once for all groups and must give
+# the same chunks, in the same order, or raise the same error.
+
+
+def oracle_boundary_carriers(chunk):
+    node_elems = {}
+    for eid in sorted(chunk.elements):
+        for n in chunk.elements[eid]:
+            node_elems.setdefault(n, []).append(eid)
+    carriers = {}
+    for tag, conn in chunk.boundary:
+        candidates = None
+        for n in conn:
+            owners = set(node_elems.get(n, ()))
+            candidates = owners if candidates is None else candidates & owners
+            if not candidates:
+                break
+        if not candidates:
+            raise ValueError(f"boundary face {conn} (tag {tag}) has no local "
+                             f"containing element")
+        carriers.setdefault(min(candidates), []).append((tag, conn))
+    return carriers
+
+
+def oracle_subset_chunk(chunk, element_ids, carriers=None):
+    if carriers is None:
+        carriers = oracle_boundary_carriers(chunk)
+    sub = MeshChunk(chunk.kind)
+    for eid in sorted(element_ids):
+        conn = chunk.elements[eid]
+        sub.elements[eid] = conn
+        for n in conn:
+            sub.nodes[n] = chunk.nodes[n]
+        sub.boundary.extend(carriers.get(eid, ()))
+    return sub.sorted_copy()
+
+
+def carve_outcome(fn, *args):
+    """Each chunk as ordered records, or the error's type and message."""
+    try:
+        return [(c.kind, list(c.nodes.items()), list(c.elements.items()),
+                 c.boundary) for c in fn(*args)]
+    except (ValueError, KeyError) as err:
+        return (type(err).__name__, str(err))
+
+
+def assert_same_carve(chunk, groups):
+    got = carve_outcome(split_chunk, chunk, groups)
+    want = carve_outcome(
+        lambda ch, gs: [oracle_subset_chunk(ch, g) for g in gs], chunk, groups)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_split_chunk_matches_per_group_carve(data):
+    mesh = data.draw(st.sampled_from([
+        triangle_grid(3, 2), triangle_grid(5, 4), tet_box(1, 1, 1),
+        tet_box(2, 2, 1)]))
+    eids = sorted(mesh.elements)
+    # Faces of random elements tagged as boundary too: an interior one is
+    # contained by two elements, and the lower id must carry it.
+    extra = data.draw(st.lists(st.sampled_from(eids), max_size=3))
+    mesh = MeshChunk(mesh.kind, mesh.nodes, mesh.elements, mesh.boundary + [
+        (9, element_faces(mesh.elements[e], mesh.kind)[-1]) for e in extra])
+    n_groups = data.draw(st.integers(1, 6))
+    # -1 leaves an element out; groups may come out empty.
+    owner = data.draw(st.lists(st.integers(-1, n_groups - 1),
+                               min_size=len(eids), max_size=len(eids)))
+    groups = [[e for e, g in zip(eids, owner) if g == i]
+              for i in range(n_groups)]
+    groups = [data.draw(st.permutations(g)) for g in groups]
+    assert_same_carve(mesh, groups)
+    # A chunk that lost some elements but kept every boundary face fails
+    # both carves with the same message whenever a face lost its carrier.
+    kept = {e for e, g in zip(eids, owner) if g >= 0}
+    part = MeshChunk(mesh.kind, dict(mesh.nodes),
+                     {e: mesh.elements[e] for e in kept}, list(mesh.boundary))
+    assert_same_carve(part, [sorted(kept)[::2], sorted(kept)[1::2]])
+
+
+def test_split_chunk_empty_groups():
+    mesh = triangle_grid(2, 2)
+    empty = split_chunk(mesh, [[], [], []])
+    assert [(c.nodes, c.elements, c.boundary) for c in empty] == [({}, {}, [])] * 3
+    assert split_chunk(mesh, []) == []
+    assert_same_carve(mesh, [[], sorted(mesh.elements), []])
+
+
+def test_split_chunk_degenerate_face_goes_to_lowest_containing_id():
+    # Elements 0 and 1 of the 1x1 grid share the diagonal (0, 3).  Tagged
+    # as a boundary face, it is contained by both, and element 0 carries it
+    # whatever group order or id order the caller uses.
+    mesh = triangle_grid(1, 1)
+    mesh.boundary.append((9, (3, 0)))
+    first, second = split_chunk(mesh, [[1], [0]])
+    assert (9, (3, 0)) not in first.boundary
+    assert (9, (3, 0)) in second.boundary
+    assert_same_carve(mesh, [[1], [0]])
+    assert_same_carve(mesh, [[1, 0]])
 
 
 def test_cache_block_groups_remainder():
