@@ -2,9 +2,10 @@
 
 Keys from a dense space [0, key_space) are spread over the participating
 ranks in closed-form contiguous blocks, so any rank can compute a key's
-owner without communication.  Inserts and lookups ride on a rendezvous
-protocol built from ``blind_count`` plus point-to-point messages: no rank
-ever needs an all-to-all exchange to learn who talks to it.
+owner without communication.  Inserts and lookups all ride on one
+rendezvous, ``blind_exchange``, built from ``blind_count`` plus
+point-to-point messages: no rank ever needs an all-to-all exchange to learn
+who talks to it.  Lookups then answer each asker with an addressed reply.
 
 The dictionary is a multimap: inserting the same key from several ranks
 keeps every value, ordered by source rank (then insertion order within a
@@ -13,7 +14,7 @@ source), which keeps results independent of message arrival order.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _codec
 from .runtime import ANY_SOURCE, RankContext, _normalize_team
@@ -41,15 +42,13 @@ def owner_interval(index: int, key_space: int, nranks: int) -> tuple[int, int]:
     return lo, max(lo, hi)
 
 
-# One fixed tag per protocol step.  Blind drains are safe with a fixed tag
-# because every exchange instance is bracketed by blind_count fences: nobody
-# can inject data for the next instance before everyone drained the current
-# one.  The explicitly addressed replies ride on per-pair FIFO order.
+# One fixed tag for blind data and one for replies.  Blind drains are safe
+# with a fixed tag because every exchange instance is bracketed by
+# blind_count fences: nobody can inject data for the next instance before
+# everyone drained the current one.  The explicitly addressed replies ride on
+# per-pair FIFO order.
 _TAG_DATA = 21
-_TAG_QUERY_REQ = 22
-_TAG_QUERY_REP = 23
-_TAG_RANGE_REQ = 24
-_TAG_RANGE_REP = 25
+_TAG_REPLY = 22
 
 
 def blind_exchange(ctx: RankContext, outgoing: dict[int, bytes],
@@ -58,15 +57,14 @@ def blind_exchange(ctx: RankContext, outgoing: dict[int, bytes],
 
     Collective over the team.  No rank knows in advance who will contact it:
     each first learns its incoming message count from ``blind_count``, then
-    drains exactly that many messages by probing for any source.  Payloads
-    destined to the caller itself never touch the network.
+    receives exactly that many messages from any source.  Payloads destined
+    to the caller itself never touch the network.
 
     Returns (source, payload) pairs sorted by source rank.
     """
     team_t = _normalize_team(team, ctx.size)
     if ctx.rank not in team_t:
         raise ValueError(f"rank {ctx.rank} not in team {team_t}")
-    tag = _TAG_DATA
     local = None
     remote = {}
     for dest, payload in outgoing.items():
@@ -78,11 +76,10 @@ def blind_exchange(ctx: RankContext, outgoing: dict[int, bytes],
             remote[dest] = payload
     n_incoming = ctx.blind_count(sorted(remote), team=team_t)
     for dest in sorted(remote):
-        ctx.send(dest, remote[dest], tag)
+        ctx.send(dest, remote[dest], _TAG_DATA)
     received = []
     for _ in range(n_incoming):
-        source, _, _ = ctx.probe(source=ANY_SOURCE, tag=tag)
-        source, _, data = ctx.recv(source=source, tag=tag)
+        source, _, data = ctx.recv(source=ANY_SOURCE, tag=_TAG_DATA)
         received.append((source, data))
     if local is not None:
         received.append((ctx.rank, local))
@@ -134,6 +131,27 @@ class Directory:
 
     # -- lookups ------------------------------------------------------------
 
+    def _rendezvous(self, requests: dict[int, bytes],
+                    serve: Callable[[bytes], bytes]) -> dict[int, bytes]:
+        """Send each owner its request, answer every asker, collect replies.
+
+        Collective over the team.  ``serve(request) -> reply`` answers one
+        request from this rank's shard, for the caller itself and for remote
+        askers alike.  Returns the reply of every owner in ``requests``.
+        """
+        ctx = self._ctx
+        replies: dict[int, bytes] = {}
+        for source, request in blind_exchange(ctx, requests, team=self.team):
+            reply = serve(request)
+            if source == ctx.rank:
+                replies[source] = reply
+            else:
+                ctx.send(source, reply, _TAG_REPLY)
+        for dest in sorted(requests):
+            if dest != ctx.rank:
+                replies[dest] = ctx.recv(source=dest, tag=_TAG_REPLY)[2]
+        return replies
+
     def query(self, keys: Sequence[int]) -> dict[int, list[bytes]]:
         """Fetch value lists for the given keys; collective over the team.
 
@@ -141,38 +159,25 @@ class Directory:
         of the keys it asks about; owners learn the number of requesters
         blindly and reply directly.
         """
-        ctx = self._ctx
-        team_t = self.team
-        P = len(team_t)
-        req_tag, rep_tag = _TAG_QUERY_REQ, _TAG_QUERY_REP
-        wanted = sorted({int(k) for k in keys})
+        P = len(self.team)
         by_owner: dict[int, list[int]] = {}
-        for key in wanted:
-            by_owner.setdefault(team_t[owner(key, self.key_space, P)], []).append(key)
+        for key in sorted({int(k) for k in keys}):
+            by_owner.setdefault(self.team[owner(key, self.key_space, P)],
+                                []).append(key)
 
-        result: dict[int, list[bytes]] = {}
-        own = by_owner.pop(ctx.rank, None)
-        if own is not None:
-            for key in own:
-                result[key] = list(self._shard.get(key, []))
-
-        n_requests = ctx.blind_count(sorted(by_owner), team=team_t)
-        for dest in sorted(by_owner):
-            ctx.send(dest, _codec.pack_i64(by_owner[dest]), req_tag)
-
-        # Serve requesters: reply with the value lists in the asker's key order.
-        for _ in range(n_requests):
-            source, _, _ = ctx.probe(source=ANY_SOURCE, tag=req_tag)
-            source, _, data = ctx.recv(source=source, tag=req_tag)
-            asked = _codec.unpack_i64(data)
-            reply = _codec.pack_blocks([
-                _codec.pack_blocks(self._shard.get(int(k), [])) for k in asked
+        def serve(request: bytes) -> bytes:
+            # The value lists, in the asker's key order.
+            return _codec.pack_blocks([
+                _codec.pack_blocks(self._shard.get(int(k), []))
+                for k in _codec.unpack_i64(request)
             ])
-            ctx.send(source, reply, rep_tag)
 
-        for src in sorted(by_owner):
-            _, _, data = ctx.recv(source=src, tag=rep_tag)
-            for key, block in zip(by_owner[src], _codec.unpack_blocks(data)):
+        replies = self._rendezvous(
+            {dest: _codec.pack_i64(asked) for dest, asked in by_owner.items()},
+            serve)
+        result: dict[int, list[bytes]] = {}
+        for dest, asked in by_owner.items():
+            for key, block in zip(asked, _codec.unpack_blocks(replies[dest])):
                 result[key] = _codec.unpack_blocks(block)
         return result
 
@@ -182,49 +187,31 @@ class Directory:
         Only owners whose intervals intersect the range are contacted; an
         empty range exchanges no messages at all.
         """
-        ctx = self._ctx
-        team_t = self.team
-        P = len(team_t)
+        P = len(self.team)
         if not (0 <= lo <= hi <= self.key_space):
             raise KeyError(f"range [{lo}, {hi}) outside key space "
                            f"[0, {self.key_space})")
         if lo == hi:
             return {}
-        req_tag, rep_tag = _TAG_RANGE_REQ, _TAG_RANGE_REP
         first = owner(lo, self.key_space, P)
         last = owner(hi - 1, self.key_space, P)
-        targets = [team_t[i] for i in range(first, last + 1)]
+        targets = self.team[first:last + 1]
 
-        result: dict[int, list[bytes]] = {}
-        remote = []
-        for dest in targets:
-            if dest == ctx.rank:
-                for key in sorted(self._shard):
-                    if lo <= key < hi:
-                        result[key] = list(self._shard[key])
-            else:
-                remote.append(dest)
-
-        n_requests = ctx.blind_count(remote, team=team_t)
-        for dest in remote:
-            ctx.send(dest, _codec.pack_i64([lo, hi]), req_tag)
-
-        for _ in range(n_requests):
-            source, _, _ = ctx.probe(source=ANY_SOURCE, tag=req_tag)
-            source, _, data = ctx.recv(source=source, tag=req_tag)
-            qlo, qhi = (int(v) for v in _codec.unpack_i64(data))
-            hits = [(k, self._shard[k]) for k in sorted(self._shard)
-                    if qlo <= k < qhi]
-            reply = _codec.pack_kv([
-                (k, _codec.pack_blocks(vs)) for k, vs in hits
+        def serve(request: bytes) -> bytes:
+            qlo, qhi = (int(v) for v in _codec.unpack_i64(request))
+            return _codec.pack_kv([
+                (k, _codec.pack_blocks(self._shard[k]))
+                for k in sorted(self._shard) if qlo <= k < qhi
             ])
-            ctx.send(source, reply, rep_tag)
 
-        for src in remote:
-            _, _, data = ctx.recv(source=src, tag=rep_tag)
-            for key, block in _codec.unpack_kv(data):
+        request = _codec.pack_i64([lo, hi])
+        replies = self._rendezvous({dest: request for dest in targets}, serve)
+        # Owners in team order hold ascending key blocks, so this is key order.
+        result: dict[int, list[bytes]] = {}
+        for dest in targets:
+            for key, block in _codec.unpack_kv(replies[dest]):
                 result[key] = _codec.unpack_blocks(block)
-        return dict(sorted(result.items()))
+        return result
 
     # -- local introspection (tests, diagnostics) ------------------------------
 

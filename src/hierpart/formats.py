@@ -60,10 +60,8 @@ def _render(value: Any, indent: str) -> str:
                 for k, v in sorted(value.items())]
         return "{\n" + ",\n".join(rows) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            return "[" + ", ".join(json.dumps(v) for v in value) + "]"
+            return json.dumps(value)
         inner = indent + "  "
         rows = [inner + _render(v, inner) for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
@@ -197,7 +195,10 @@ def load_timing(path) -> list[tuple[list[int], float]]:
         if not (isinstance(rec, dict) and "elems" in rec and "seconds" in rec):
             raise FormatError(path,
                               f"timing record {i}: expected {{elems, seconds}}")
-        out.append(([int(e) for e in rec["elems"]], float(rec["seconds"])))
+        seconds = float(rec["seconds"])
+        if not math.isfinite(seconds):
+            raise FormatError(path, f"timing record {i}: non-finite seconds {seconds}")
+        out.append(([int(e) for e in rec["elems"]], seconds))
     return out
 
 

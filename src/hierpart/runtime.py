@@ -72,15 +72,6 @@ class Window:
         return f"Window(members={self.members}, gen={self.generation})"
 
 
-class _Barrier:
-    __slots__ = ("members", "generation", "arrived")
-
-    def __init__(self, members: tuple[int, ...]):
-        self.members = members
-        self.generation = 0
-        self.arrived: set[int] = set()
-
-
 class TrafficLedger:
     """Byte and message accounting for a single runtime execution.
 
@@ -142,7 +133,11 @@ class TrafficLedger:
         return sorted({ph for (_, ph, _, _) in self._records})
 
     def phase_totals(self) -> list[dict[str, Any]]:
-        """Per-phase traffic summary, sorted by phase name."""
+        """Per-phase traffic summary, sorted by phase name.
+
+        ``messages`` counts network messages only, as ``message_count`` does;
+        one-sided accumulates add to the byte columns, as in ``bytes_total``.
+        """
         acc: dict[str, dict[str, int]] = {}
         for (kind, ph, src, dst), (msgs, nbytes) in self._records.items():
             row = acc.setdefault(ph, {
@@ -152,7 +147,8 @@ class TrafficLedger:
             if kind == "copy":
                 row["copy_bytes"] += nbytes
                 continue
-            row["messages"] += msgs
+            if kind == "msg":
+                row["messages"] += msgs
             if self.locality(src, dst) == "internode":
                 row["internode_bytes"] += nbytes
             else:
@@ -166,19 +162,20 @@ class TrafficLedger:
             row = pairs.setdefault((src, dst), {"messages": 0, "bytes": 0, "copy_bytes": 0})
             if kind == "copy":
                 row["copy_bytes"] += nbytes
-            else:
+                continue
+            if kind == "msg":
                 row["messages"] += msgs
-                row["bytes"] += nbytes
+            row["bytes"] += nbytes
+        phases = self.phase_totals()
         return {
-            "phases": self.phase_totals(),
+            "phases": phases,
             "pairs": [
                 {"source": s, "dest": d, "locality": self.locality(s, d), **row}
                 for (s, d), row in sorted(pairs.items())
             ],
-            "total_internode_bytes": self.bytes_total(locality="internode"),
-            "total_intranode_bytes": self.bytes_total(locality="intranode"),
-            "total_copy_bytes": self.bytes_total(kinds=("copy",)),
-            "total_messages": self.message_count(),
+            **{f"total_{name}": sum(row[name] for row in phases)
+               for name in ("internode_bytes", "intranode_bytes", "copy_bytes",
+                            "messages")},
         }
 
 
@@ -226,14 +223,15 @@ class RankContext:
     # -- synchronization and one-sided ops -----------------------------------
 
     def barrier(self, team: Sequence[int] | None = None) -> None:
-        self._rt._barrier(self.rank, _normalize_team(team, self.size))
+        """Synchronize the team: a fence on its persistent window (default: all)."""
+        self._rt._fence(self.rank, self.window(team), "barrier")
 
     def window(self, team: Sequence[int] | None = None) -> Window:
         """The persistent accumulate window shared by ``team`` (default: all)."""
         return self._rt._persistent_window(_normalize_team(team, self.size))
 
     def fence(self, window: Window) -> None:
-        self._rt._fence(self.rank, window)
+        self._rt._fence(self.rank, window, "fence")
 
     def accumulate(self, window: Window, target: int, value: int = 1) -> None:
         self._rt._accumulate(self.rank, window, target, value, self._phase)
@@ -245,8 +243,7 @@ class RankContext:
         self._rt._reset_cell(self.rank, window, value)
 
     def blind_count(self, targets: Iterable[int],
-                    team: Sequence[int] | None = None,
-                    window: Window | None = None) -> int:
+                    team: Sequence[int] | None = None) -> int:
         """How many ranks listed me as a target, without me knowing whom.
 
         Collective over the team.  Each rank accumulates +1 into every
@@ -254,8 +251,7 @@ class RankContext:
         the column sum of the implicit send matrix.  The cell is cleared
         afterwards so the persistent window can be reused.
         """
-        team_t = _normalize_team(team, self.size)
-        win = window if window is not None else self.window(team_t)
+        win = self.window(team)
         targets = sorted(targets)
         for t in targets:
             if t not in win.cells:
@@ -295,7 +291,6 @@ class Runtime:
         self._used = False
         self._mutex = threading.Lock()
         self._windows: dict[tuple[int, ...], Window] = {}
-        self._barriers: dict[tuple[int, ...], _Barrier] = {}
 
     # -- public entry ---------------------------------------------------------
 
@@ -448,12 +443,9 @@ class Runtime:
         if kind == "copy":
             _, source, tag = wait
             return self._find_message(self._copy_inbox[rank], source, tag) is not None
-        if kind == "fence":
+        if kind in ("fence", "barrier"):
             _, win, gen0 = wait
             return win.generation > gen0
-        if kind == "barrier":
-            _, bar, gen0 = wait
-            return bar.generation > gen0
         raise AssertionError(f"unknown wait descriptor {wait!r}")
 
     @staticmethod
@@ -521,7 +513,7 @@ class Runtime:
             self._copy_inbox[rank].remove(msg)
         return msg.data
 
-    # -- windows, fences, barriers ---------------------------------------------------
+    # -- windows and fences ------------------------------------------------------
 
     def _persistent_window(self, team: tuple[int, ...]) -> Window:
         with self._mutex:
@@ -531,18 +523,19 @@ class Runtime:
                 self._windows[team] = win
             return win
 
-    def _fence(self, rank: int, win: Window) -> None:
+    def _fence(self, rank: int, win: Window, kind: str) -> None:
+        # ``kind`` ("fence" or "barrier") only labels the wait in reports.
         with self._mutex:
             if self._abort:
                 raise _Aborted()
             if rank not in win.cells:
-                raise ProtocolError(f"rank {rank} fencing window of {win.members}")
+                raise ProtocolError(f"rank {rank} in {kind} of {win.members}")
             gen0 = win.generation
             win.arrived.add(rank)
             if len(win.arrived) == len(win.members):
                 win.arrived.clear()
                 win.generation += 1
-        self._yield_control(rank, wait=("fence", win, gen0))
+        self._yield_control(rank, wait=(kind, win, gen0))
 
     def _accumulate(self, rank: int, win: Window, target: int, value: int,
                     phase: str) -> None:
@@ -568,23 +561,6 @@ class Runtime:
         with self._mutex:
             win.cells[rank] = value
 
-    def _barrier(self, rank: int, team: tuple[int, ...]) -> None:
-        with self._mutex:
-            if self._abort:
-                raise _Aborted()
-            bar = self._barriers.get(team)
-            if bar is None:
-                bar = _Barrier(team)
-                self._barriers[team] = bar
-            if rank not in bar.members:
-                raise ProtocolError(f"rank {rank} in barrier of {team}")
-            gen0 = bar.generation
-            bar.arrived.add(rank)
-            if len(bar.arrived) == len(bar.members):
-                bar.arrived.clear()
-                bar.generation += 1
-        self._yield_control(rank, wait=("barrier", bar, gen0))
-
 
 def _describe_wait(wait: tuple | None) -> str:
     if wait is None:
@@ -600,6 +576,6 @@ def _describe_wait(wait: tuple | None) -> str:
         _, win, _ = wait
         return f"fence(window members={list(win.members)})"
     if kind == "barrier":
-        _, bar, _ = wait
-        return f"barrier(team={list(bar.members)})"
+        _, win, _ = wait
+        return f"barrier(team={list(win.members)})"
     return repr(wait)

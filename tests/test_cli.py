@@ -308,6 +308,10 @@ def _timing_with_unknown(elements):
     ([[0, 1.0], [1, 2.0], [0, 3.0]], "weight record 2: element 0 weighted twice"),
     (_weights_with_unknown, "weights given for unknown elements [999999]"),
     (_timing_with_unknown, "timing data given for unknown elements [999999]"),
+    ([{"elems": [0], "seconds": float("nan")}],
+     "timing record 0: non-finite seconds nan"),
+    ([{"elems": [0], "seconds": 1.0}, {"elems": [1], "seconds": float("inf")}],
+     "timing record 1: non-finite seconds inf"),
 ])
 def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
                                                      message):

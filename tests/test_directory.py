@@ -171,6 +171,21 @@ def test_empty_range_sends_no_messages():
     assert build_msgs == ledger2.message_count()
 
 
+def test_lookups_in_own_shard_send_no_messages():
+    # key_space 8 over 2 ranks: each rank inserts, queries and ranges over
+    # keys of its own block [4r, 4r + 4) only.
+    def prog(ctx):
+        base = 4 * ctx.rank
+        d = Directory.build(ctx, [(base + 1, b"a"), (base + 2, b"b")], 8)
+        return d.query([base, base + 1]), d.range_query(base, base + 3)
+
+    rt = Runtime(tree_of(2), seed=0)
+    for r, (found, ranged) in enumerate(rt.run(prog)):
+        assert found == {4 * r: [], 4 * r + 1: [b"a"]}
+        assert ranged == {4 * r + 1: [b"a"], 4 * r + 2: [b"b"]}
+    assert rt.ledger.message_count() == 0
+
+
 def test_range_query_contacts_only_intersecting_owners():
     # key_space 16 over 4 ranks: blocks [0,4) [4,8) [8,12) [12,16).
     per_rank = [[(k, bytes([k]))] for k in (1, 5, 9, 13)]

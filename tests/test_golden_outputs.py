@@ -131,7 +131,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            '3ee9c4daf9479df2209a1248bcfd20b2f85ebab9a33c4e897e0b2d4434d65021',
+            '3c0222681c3408af33d0c72ccf63cd5b5083f99d2dd135d442215142385013e9',
     },
     'partition-topo_2x2-rcb-a2': {
         'assignment.json':
@@ -147,7 +147,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            '976de1ab4319cbca6af6582f7662bafba90c1810cb57055fcedbec23ed1965ba',
+            '00ddcda9e132d7ddd68c43bb6ae1a24bb0835189c2e6b70c1483545b58236bcb',
     },
     'partition-topo_2x2-graph-a1': {
         'assignment.json':
@@ -163,7 +163,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '0d2b38bedf617de9d0602811f192dd126202befed432f452378a55ad91126656',
+            '395523c9ceb76299dc569db092c1ad1294f35cd4b066b55f11d91587e0aa53c9',
     },
     'partition-topo_2x2-graph-a2': {
         'assignment.json':
@@ -179,7 +179,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '55093b5e6fea548bf07eb7fd3d3ddf79122fead1430d99a20f7680d1daf8eedf',
+            'f30444e5b5e3c2d030b79f6f387e8d6cf63428cfcebc806f4128418fa793580e',
     },
     'partition-topo_2x2-graph,rcb-a1': {
         'assignment.json':
@@ -195,7 +195,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            '1b117028f9155a08718ab210618918facac427dc88594a5dd16ea21ad1de64a9',
+            'f5f3cb1cedfbe946492bcc87275a45a6f7a6ecaa98084f3ae0394c27483b5055',
     },
     'partition-topo_2x2-graph,rcb-a2': {
         'assignment.json':
@@ -211,7 +211,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            'ad02ac03247a39eac712674e1b2aa1a5f319c08a641b51fb6c04927257224318',
+            '287fd86cf756293939cd8dcad884ccb94d7a40d3b4010c59b4471b63f2902469',
     },
     'partition-topo_2x2x2-rcb-a1': {
         'assignment.json':
@@ -235,7 +235,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'dce04dcf7ad0f785c06ddfca05bfea68381abc3b161a424c912843348978a3ea',
+            '9b37e545d66f704b902b5f2f18196847e615336d97b5fb6167450c80c9ea34d4',
     },
     'partition-topo_2x2x2-rcb-a2': {
         'assignment.json':
@@ -259,7 +259,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '2ef7f68ce748cea4e2017801d53070501230fb2f3acb2eae84cc3245c6323582',
+            '169350960356e569f32312c93fdcf3241370d543fa62a02c93f7e428e3d6918f',
     },
     'partition-topo_2x2x2-graph-a1': {
         'assignment.json':
@@ -283,7 +283,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            'bf72e521185016cf195746cb9f441de451bd8aac25c5204c637fc17304751244',
+            '5ee2dadf1bd253453516153a653cc88649ab97da3886e93c947771053150c885',
     },
     'partition-topo_2x2x2-graph-a2': {
         'assignment.json':
@@ -307,7 +307,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            'c14eb1fbdda0994277daaab7091cb3b4b51a1b895f5c52a0ff56bef56c7f311a',
+            '6efea9faf740e5b8e91c1ab9a3490860385a72094fb44995f2e3ff49fe9aebd1',
     },
     'partition-topo_2x2x2-graph,rcb-a1': {
         'assignment.json':
@@ -331,7 +331,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            '1184f53285f287323a26b1452846174afe8f64613e88e2060220445f231c1b20',
+            'b3f4188dfbc316d8bba5aac32e4b73bb0b5da2c7d8118211412fb584a0e54647',
     },
     'partition-topo_2x2x2-graph,rcb-a2': {
         'assignment.json':
@@ -355,7 +355,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            '65dd646360340963d84c86466b742ff58f716d2955c3fab59a4e265d1ea88fef',
+            'f128d46a895a7e74037d69654b942f1be78e2a7a56d844c950980e1e3e1432b2',
     },
     'rebalance-rcb': {
         'assignment.json':
@@ -365,7 +365,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'levels.csv':
             'cbf6eb6888f3ba5a12f5e06d29b330b7010260529daca54b87325ff8c6738405',
         'report.json':
-            '981dcb1bde496a261c31220fe3feeca078181d01f3056db8013d65338eb142f5',
+            'ec0b7124bbfa7b0a695bae0f3de11e2c01ce2e9f1c8bcb1be335dd9fab73fe92',
     },
     'rebalance-graph': {
         'assignment.json':
@@ -375,13 +375,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'levels.csv':
             'd3aa6efee6284a1103cd80d80b0e205fe8ce4efbb0f9875d1864674a6ed2df82',
         'report.json':
-            '44af0684da330bf7a106a4f3761e148031105d7b1543883066cd1922310ba0f8',
+            'cf7d2318dec7e4b6cba1e6037361a5a253d55059e34a6dd1599f4a2afbe13159',
     },
     'metrics': {
         'levels.csv':
             '0a507e7c96bea2e264966de554b6bc05a87fa6d02ea84753cb5f80f162593eb0',
         'report.json':
-            '5670e6b2c3da64b873226b301eb398e2b3eebac938f629869719331de4e16531',
+            '97892dc7241bc360aed027334254a642c6cd1e6dc8be6464053be33279f31687',
     },
 }
 

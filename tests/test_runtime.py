@@ -168,6 +168,25 @@ def test_mismatched_fence_counts_raise_epoch_error():
         Runtime(TREE2, seed=0).run(prog)
 
 
+def test_mismatched_barrier_counts_raise_epoch_error():
+    def prog(ctx):
+        ctx.barrier()
+        if ctx.rank == 0:
+            ctx.barrier()  # partner already finished
+
+    with pytest.raises(EpochError, match=r"barrier\(team=\[0, 1\]\)"):
+        Runtime(TREE2, seed=0).run(prog)
+
+
+def test_barrier_outside_team_rejected():
+    def prog(ctx):
+        if ctx.rank == 2:
+            ctx.barrier(team=(0, 1))
+
+    with pytest.raises(ProtocolError, match="rank 2 in barrier"):
+        Runtime(TREE4, seed=0).run(prog)
+
+
 def test_accumulate_outside_epoch_rejected():
     def prog(ctx):
         win = ctx.window()
@@ -295,6 +314,25 @@ def test_accumulate_ledger_four_bytes_each_and_self_free():
     assert rt.run(prog) == [2, 2, 2, 2]
     assert rt.ledger.bytes_total(kinds=("acc",)) == 4 * ACC_BYTES
     assert rt.ledger.message_count(kinds=("acc",)) == 4
+
+
+def test_ledger_message_totals_agree():
+    # Accumulates carry bytes but are not messages in any view of the ledger.
+    def prog(ctx):
+        for phase in ("alpha", "beta"):
+            ctx.set_phase(phase)
+            peer = (ctx.rank + 1) % 4
+            for _ in range(ctx.blind_count([peer])):
+                ctx.send(peer, b"x")
+                ctx.recv()
+
+    rt = Runtime(TREE4, seed=0)
+    rt.run(prog)
+    out = rt.ledger.export()
+    assert rt.ledger.message_count(kinds=("acc",)) == 8
+    assert (sum(row["messages"] for row in out["phases"])
+            == sum(row["messages"] for row in out["pairs"])
+            == out["total_messages"] == 8)
 
 
 def test_ledger_locality_split():
