@@ -2,7 +2,9 @@
 
 Messages on the simulated network are raw bytes; these helpers give the
 protocols a compact, deterministic packed form (little-endian int64/float64
-arrays with explicit length framing).
+arrays with explicit length framing).  A single value shipped on its own
+(one weight, one rank, one element id) packs through a ``struct`` into the
+same 8 bytes a one-element array gives, without building an array.
 """
 
 from __future__ import annotations
@@ -15,10 +17,16 @@ import numpy as np
 _I64 = np.dtype("<i8")
 _F64 = np.dtype("<f8")
 _LEN = struct.Struct("<q")
+_ONE_F64 = struct.Struct("<d")
+
+
+def _seq(values):
+    # An array converts in one call, without a Python scalar per item.
+    return values if isinstance(values, np.ndarray) else list(values)
 
 
 def pack_i64(values: Iterable[int]) -> bytes:
-    return np.asarray(list(values), dtype=_I64).tobytes()
+    return np.asarray(_seq(values), dtype=_I64).tobytes()
 
 
 def unpack_i64(data: bytes) -> np.ndarray:
@@ -26,11 +34,25 @@ def unpack_i64(data: bytes) -> np.ndarray:
 
 
 def pack_f64(values: Iterable[float]) -> bytes:
-    return np.asarray(list(values), dtype=_F64).tobytes()
+    return np.asarray(_seq(values), dtype=_F64).tobytes()
 
 
 def unpack_f64(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=_F64)
+
+
+# One value: the bytes of pack_i64([x]) / pack_f64([x]), and back to a
+# Python int / float.
+pack_one_i64 = _LEN.pack
+pack_one_f64 = _ONE_F64.pack
+
+
+def unpack_one_i64(data: bytes) -> int:
+    return _LEN.unpack(data)[0]
+
+
+def unpack_one_f64(data: bytes) -> float:
+    return _ONE_F64.unpack(data)[0]
 
 
 def pack_blocks(blocks: Sequence[bytes]) -> bytes:
@@ -63,6 +85,4 @@ def pack_kv(pairs: Sequence[tuple[int, bytes]]) -> bytes:
 
 def unpack_kv(data: bytes) -> list[tuple[int, bytes]]:
     keys_raw, values_raw = unpack_blocks(data)
-    keys = unpack_i64(keys_raw)
-    values = unpack_blocks(values_raw)
-    return [(int(k), v) for k, v in zip(keys, values)]
+    return list(zip(unpack_i64(keys_raw).tolist(), unpack_blocks(values_raw)))

@@ -168,8 +168,8 @@ class Directory:
         def serve(request: bytes) -> bytes:
             # The value lists, in the asker's key order.
             return _codec.pack_blocks([
-                _codec.pack_blocks(self._shard.get(int(k), []))
-                for k in _codec.unpack_i64(request)
+                _codec.pack_blocks(self._shard.get(k, []))
+                for k in _codec.unpack_i64(request).tolist()
             ])
 
         replies = self._rendezvous(
@@ -198,7 +198,7 @@ class Directory:
         targets = self.team[first:last + 1]
 
         def serve(request: bytes) -> bytes:
-            qlo, qhi = (int(v) for v in _codec.unpack_i64(request))
+            qlo, qhi = _codec.unpack_i64(request).tolist()
             return _codec.pack_kv([
                 (k, _codec.pack_blocks(self._shard[k]))
                 for k in sorted(self._shard) if qlo <= k < qhi

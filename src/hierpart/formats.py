@@ -63,6 +63,12 @@ def _render(value: Any, indent: str) -> str:
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
             return json.dumps(value)
         inner = indent + "  "
+        if all(isinstance(v, (list, tuple)) for v in value):
+            body = (",\n" + inner).join(map(json.dumps, value))
+            # Each row opens one bracket; any other bracket or brace is a
+            # nested container, which takes the general path below.
+            if body.count("[") == len(value) and "{" not in body:
+                return "[\n" + inner + body + "\n" + indent + "]"
         rows = [inner + _render(v, inner) for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
     return json.dumps(value)

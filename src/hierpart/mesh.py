@@ -94,13 +94,21 @@ class MeshChunk:
                                      f"unknown node {n}")
 
     def centroids(self) -> tuple[np.ndarray, np.ndarray]:
-        """(element ids, centroid coordinates), sorted by element id."""
-        ids = np.array(sorted(self.elements), dtype=np.int64)
-        pts = np.empty((len(ids), self.dim), dtype=np.float64)
-        for i, eid in enumerate(ids):
-            conn = self.elements[int(eid)]
-            pts[i] = np.mean([self.nodes[n] for n in conn], axis=0)
-        return ids, pts
+        """(element ids, centroid coordinates), sorted by element id.
+
+        One gather-mean over an (elements, nodes per element) row-index
+        array; it sums each element's nodes in connectivity order, so every
+        centroid equals ``np.mean`` of that element's coordinates bit for bit.
+        """
+        eids = sorted(self.elements)
+        ids = np.array(eids, dtype=np.int64)
+        if not eids:
+            return ids, np.empty((0, self.dim), dtype=np.float64)
+        row = {n: i for i, n in enumerate(self.nodes)}
+        xyz = np.array(list(self.nodes.values()), dtype=np.float64)
+        conn = np.array([[row[n] for n in self.elements[e]] for e in eids],
+                        dtype=np.intp)
+        return ids, xyz[conn].mean(axis=1)
 
     def sorted_copy(self) -> "MeshChunk":
         """Same chunk with elements and nodes in ascending global id order."""
@@ -121,16 +129,19 @@ def element_faces(conn: Sequence[int], kind: str) -> list[tuple[int, ...]]:
 def adjacency_from_elements(elements: Mapping[int, Sequence[int]],
                             kind: str) -> dict[int, list[int]]:
     """Dual graph of an in-memory element table: neighbors share a full face."""
+    npf = kind_info(kind)[3]
     face_users: dict[tuple[int, ...], list[int]] = {}
     for eid in sorted(elements):
-        for face in element_faces(elements[eid], kind):
+        # Combinations of the sorted connectivity are sorted faces.
+        for face in combinations(sorted(elements[eid]), npf):
             face_users.setdefault(face, []).append(eid)
     adj: dict[int, set[int]] = {int(e): set() for e in elements}
     for users in face_users.values():
-        for a in users:
-            for b in users:
-                if a != b:
-                    adj[a].add(b)
+        if len(users) > 1:
+            for a in users:
+                for b in users:
+                    if a != b:
+                        adj[a].add(b)
     return {e: sorted(nbrs) for e, nbrs in adj.items()}
 
 
@@ -227,23 +238,22 @@ def pack_chunk(chunk: MeshChunk) -> bytes:
 def unpack_chunk(data: bytes) -> MeshChunk:
     (code_raw, eids_raw, conn_raw, nids_raw, coords_raw,
      tags_raw, bconn_raw) = _codec.unpack_blocks(data)
-    code = int(_codec.unpack_i64(code_raw)[0])
-    kind = _KIND_BY_CODE[code]
+    kind = _KIND_BY_CODE[_codec.unpack_one_i64(code_raw)]
     _, dim, npe, npf = kind_info(kind)
-    eids = _codec.unpack_i64(eids_raw)
-    conn = _codec.unpack_i64(conn_raw).reshape(-1, npe)
-    nids = _codec.unpack_i64(nids_raw)
-    coords = _codec.unpack_f64(coords_raw).reshape(-1, dim)
-    tags = _codec.unpack_i64(tags_raw)
-    bconn = _codec.unpack_i64(bconn_raw).reshape(-1, npf)
-    chunk = MeshChunk(kind)
-    for nid, xyz in zip(nids, coords):
-        chunk.nodes[int(nid)] = tuple(float(c) for c in xyz)
-    for eid, row in zip(eids, conn):
-        chunk.elements[int(eid)] = tuple(int(n) for n in row)
-    for tag, row in zip(tags, bconn):
-        chunk.boundary.append((int(tag), tuple(int(n) for n in row)))
-    return chunk
+
+    def rows(raw: bytes, unpack, width: int):
+        # One .tolist() per block gives Python ints and floats directly.
+        return map(tuple, unpack(raw).reshape(-1, width).tolist())
+
+    return MeshChunk(
+        kind,
+        nodes=dict(zip(_codec.unpack_i64(nids_raw).tolist(),
+                       rows(coords_raw, _codec.unpack_f64, dim))),
+        elements=dict(zip(_codec.unpack_i64(eids_raw).tolist(),
+                          rows(conn_raw, _codec.unpack_i64, npe))),
+        boundary=list(zip(_codec.unpack_i64(tags_raw).tolist(),
+                          rows(bconn_raw, _codec.unpack_i64, npf))),
+    )
 
 
 # -- distributed operations -------------------------------------------------------
@@ -259,7 +269,7 @@ def build_dual_graph(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
     """
     npf = chunk.nodes_per_face
     pairs = [
-        (n, _codec.pack_i64([eid]))
+        (n, _codec.pack_one_i64(eid))
         for eid in sorted(chunk.elements)
         for n in chunk.elements[eid]
     ]
@@ -267,7 +277,7 @@ def build_dual_graph(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
     my_nodes = sorted({n for conn in chunk.elements.values() for n in conn})
     incidence_raw = directory.query(my_nodes)
     incidence = {
-        n: [int(_codec.unpack_i64(v)[0]) for v in vals]
+        n: list(map(_codec.unpack_one_i64, vals))
         for n, vals in incidence_raw.items()
     }
 
@@ -360,12 +370,13 @@ def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
     node held by k ranks shows up in every one of their pairwise lists.
     """
     my_nodes = sorted({n for conn in chunk.elements.values() for n in conn})
-    pairs = [(n, _codec.pack_i64([ctx.rank])) for n in my_nodes]
-    directory = Directory.build(ctx, pairs, n_nodes, team=team)
+    me = _codec.pack_one_i64(ctx.rank)
+    directory = Directory.build(ctx, [(n, me) for n in my_nodes], n_nodes,
+                                team=team)
     sharers_raw = directory.query(my_nodes)
     rows: dict[int, list[int]] = {}
     for n in my_nodes:
-        sharers = sorted(int(_codec.unpack_i64(v)[0]) for v in sharers_raw[n])
+        sharers = sorted(map(_codec.unpack_one_i64, sharers_raw[n]))
         for r in sharers:
             if r != ctx.rank:
                 rows.setdefault(r, []).append(n)

@@ -80,13 +80,14 @@ class HierarchicalPlan:
 # -- recursive coordinate bisection ----------------------------------------------
 
 def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
-        k: int) -> dict[int, int]:
+        k: int, m: int = 1) -> dict[int, int]:
     """Recursive coordinate bisection into parts 0..k-1.
 
     Splits along the axis of largest extent at the weighted median, sending
     weight fraction floor(k/2)/k to the low side.  Points are ordered by
     (coordinate, id) so equal coordinates break toward lower ids on the low
-    side, making the split a pure function of the input set.
+    side, making the split a pure function of the input set.  Every part
+    gets at least ``m`` points, whatever the weights.
     """
     ids = np.asarray(ids, dtype=np.int64)
     points = np.asarray(points, dtype=np.float64)
@@ -108,10 +109,9 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
 
     def recurse(sel: np.ndarray, parts: int, offset: int) -> None:
         if parts == 1:
-            for i in sel:
-                out[int(ids[i])] = offset
+            out.update(dict.fromkeys(ids[sel].tolist(), offset))
             return
-        if sel.size < parts:
+        if sel.size < parts * m:
             raise ValueError(f"empty point set with {parts} parts remaining "
                              f"({sel.size} points left)")
         low_parts = parts // 2
@@ -123,10 +123,10 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
         cum = np.cumsum(weights[s])
         target = cum[-1] * low_parts / parts
         i = int(np.searchsorted(cum, target, side="left"))
-        # Each side keeps at least one point per part it must fill.  A
+        # Each side keeps at least m points per part it must fill.  A
         # prefix's distance to the target falls, then rises, so clamping
         # the two counts around the target gives the nearest feasible one.
-        lo, hi = low_parts, s.size - (parts - low_parts)
+        lo, hi = low_parts * m, s.size - (parts - low_parts) * m
         count = min({min(max(c, lo), hi) for c in (i, i + 1)},
                     key=lambda c: (abs(cum[c - 1] - target), c))
         recurse(s[:count], low_parts, offset)
@@ -140,7 +140,8 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
 
 def graph_partition(adjacency: Mapping[int, Sequence[int]],
                     weights: Mapping[int, float] | None,
-                    k: int, tolerance: float = 1.02) -> dict[int, int]:
+                    k: int, tolerance: float = 1.02, m: int = 1
+                    ) -> dict[int, int]:
     """Greedy graph growing into k parts plus one boundary refinement sweep.
 
     Seeds are spread farthest-point style over BFS distance: the first is the
@@ -148,13 +149,15 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     (an unreachable vertex counts as farthest), ties going to the lowest id.
     Parts grow one at a time: part p absorbs its best-connected frontier
     vertex, the one maximising (2 * neighbours in p - degree, -id), until it
-    reaches its weight target (remaining weight over remaining parts); then
+    reaches its weight target (remaining weight over remaining parts) and
+    holds at least ``m`` vertices, leaving ``m`` for every later part; then
     the next part starts, and the last part takes whatever is left.  A part
     whose seed is already taken starts from the unassigned vertex farthest
     from every assigned one, and an empty frontier continues at the lowest
     unassigned id.  The refinement sweep moves a boundary vertex to a
-    neighboring part only when that strictly reduces the edge cut and keeps
-    the target part within tolerance, so the cut never increases.
+    neighboring part only when that strictly reduces the edge cut, keeps
+    the target part within tolerance and leaves the source part at least
+    ``m`` vertices, so the cut never increases.
 
     Vertex ids are integers.  They are mapped once to indices 0..n-1 in id
     order, with sorted, deduplicated neighbor index lists.  Each part grows
@@ -168,8 +171,8 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     """
     vertices = sorted(adjacency)
     n = len(vertices)
-    if k < 1 or k > n:
-        raise ValueError(f"part count {k} outside 1..{n}")
+    if k < 1 or k * m > n:
+        raise ValueError(f"part count {k} outside 1..{n // m}")
     adj = _index_lists(adjacency, vertices)
     if weights is None:
         w = [1.0] * n
@@ -195,9 +198,10 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
         # Heap codes (deg - 2 * inside) * n + i order by key, then index.
         inside: dict[int, int] = {}
         heap = [deg[seed] * n + seed]
-        # The weight target never starves a later part of its one vertex.
-        keep = 0 if p == k - 1 else k - 1 - p
-        while left > keep and (p == k - 1 or load[p] < target):
+        # The weight target never starves a later part of its m vertices.
+        keep = (k - 1 - p) * m
+        while left > keep and (p == k - 1 or count[p] < m
+                               or load[p] < target):
             while heap:
                 code = heapq.heappop(heap)
                 v = code % n
@@ -222,7 +226,7 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
                     heapq.heappush(heap, (deg[u] - 2 * c) * n + u)
         remaining_weight -= load[p]
 
-    _refine_once(range(n), adj, part, w, load, count, k, tolerance)
+    _refine_once(range(n), adj, part, w, load, count, k, tolerance, m)
     return dict(zip(vertices, part))
 
 
@@ -294,14 +298,15 @@ def _farthest_unassigned(adj: list[list[int]], part: list[int]) -> int:
     return dist.index(max(dist))
 
 
-def _refine_once(vertices, adj, part, w, load, count, k, tolerance) -> None:
+def _refine_once(vertices, adj, part, w, load, count, k, tolerance,
+                 m=1) -> None:
     total = sum(load)
     cap = tolerance * total / k
     boundary = [v for v in vertices
                 if any(part[u] != part[v] for u in adj[v])]
     for v in boundary:
         p = part[v]
-        if count[p] <= 1:
+        if count[p] <= m:
             continue
         links: dict[int, int] = {}
         for u in adj[v]:
@@ -347,11 +352,10 @@ def _pack_payload(chunk: MeshChunk, weights: Mapping[int, float] | None) -> byte
 def _unpack_payload(data: bytes) -> tuple[MeshChunk, dict[int, float] | None]:
     chunk_raw, flag_raw, wids_raw, wvals_raw = _codec.unpack_blocks(data)
     chunk = unpack_chunk(chunk_raw)
-    if int(_codec.unpack_i64(flag_raw)[0]) == _WEIGHTS_NONE:
+    if _codec.unpack_one_i64(flag_raw) == _WEIGHTS_NONE:
         return chunk, None
-    wids = _codec.unpack_i64(wids_raw)
-    wvals = _codec.unpack_f64(wvals_raw)
-    return chunk, {int(e): float(v) for e, v in zip(wids, wvals)}
+    return chunk, dict(zip(_codec.unpack_i64(wids_raw).tolist(),
+                           _codec.unpack_f64(wvals_raw).tolist()))
 
 
 def _summary(chunk: MeshChunk, weights: Mapping[int, float] | None,
@@ -369,23 +373,24 @@ def _summary(chunk: MeshChunk, weights: Mapping[int, float] | None,
 
 
 def _backend(kind: str, method: str, ids: list[int], rows: Sequence,
-             wvec: list[float] | None, k: int, tolerance: float, where: str
-             ) -> dict[int, int]:
-    """Run the named back-end on a summary; errors are prefixed ``where``."""
+             wvec: list[float] | None, k: int, tolerance: float, where: str,
+             m: int) -> dict[int, int]:
+    """Run the named back-end on a summary, at least ``m`` elements per
+    part; errors are prefixed ``where``."""
     try:
         if method == "rcb":
-            return rcb(ids, rows, wvec, k)
+            return rcb(ids, rows, wvec, k, m)
         adjacency = adjacency_from_elements(dict(zip(ids, rows)), kind)
         wmap = None if wvec is None else dict(zip(ids, wvec))
-        return graph_partition(adjacency, wmap, k, tolerance)
+        return graph_partition(adjacency, wmap, k, tolerance, m)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from err
 
 
 def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
                     weights: Mapping[int, float] | None, k: int, method: str,
-                    tolerance: float, where: str, remap_overlap: bool = False
-                    ) -> tuple[MeshChunk, dict[int, float] | None]:
+                    tolerance: float, where: str, remap_overlap: bool = False,
+                    m: int = 1) -> tuple[MeshChunk, dict[int, float] | None]:
     """K-way split of the union of the team's chunks, one part per team rank.
 
     Stand-in for a distributed partitioner back-end: each rank's summary
@@ -393,7 +398,7 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     and each rank migrates its elements straight to their new owners.  With
     ``remap_overlap`` the part labels are matched to the ranks already
     holding most of each part, which keeps already-good distributions in
-    place.
+    place.  Each part gets at least ``m`` elements.
     """
     team = tuple(sorted(team))
     if len(team) == 1:
@@ -405,18 +410,18 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     # _team_assignment's frame, so none of them is held through the
     # migration, where the team's memory peaks.
     dest_of = _team_assignment(ctx, team, chunk, weights, k, method,
-                               tolerance, where, remap_overlap)
+                               tolerance, where, remap_overlap, m)
     new_chunk = migrate(ctx, chunk, dest_of, team=team)
     new_weights = None
     if weights is not None:
-        packed = {e: _codec.pack_f64([weights[e]]) for e in dest_of}
+        packed = {e: _codec.pack_one_f64(weights[e]) for e in dest_of}
         moved = exchange_keyed_values(ctx, packed, dest_of, team=team)
-        new_weights = {e: float(_codec.unpack_f64(v)[0]) for e, v in moved.items()}
+        new_weights = {e: _codec.unpack_one_f64(v) for e, v in moved.items()}
     return new_chunk, new_weights
 
 
 def _team_assignment(ctx, team, chunk, weights, k, method, tolerance, where,
-                     remap_overlap) -> dict[int, int]:
+                     remap_overlap, m) -> dict[int, int]:
     """New owner of each local element: the rank's summary goes to the team
     leader, which runs the back-end on the union and replies to each rank."""
     ids, rows, wvec = _summary(chunk, weights, method)
@@ -429,14 +434,14 @@ def _team_assignment(ctx, team, chunk, weights, k, method, tolerance, where,
     replies = None
     if gathered is not None:
         replies = _leader_assign(gathered, team, chunk, weights is not None, k,
-                                 method, tolerance, where, remap_overlap)
+                                 method, tolerance, where, remap_overlap, m)
     rids_raw, rdest_raw = _codec.unpack_blocks(cascade(ctx, team, replies))
     return dict(zip(_codec.unpack_i64(rids_raw).tolist(),
                     _codec.unpack_i64(rdest_raw).tolist()))
 
 
 def _leader_assign(gathered, team, chunk, has_weights, k, method, tolerance,
-                   where, remap_overlap) -> list[bytes]:
+                   where, remap_overlap, m) -> list[bytes]:
     """Compute the k-way assignment at the team leader; one reply per member."""
     id_blocks, rows, wvec = [], [], []
     for payload in gathered:
@@ -452,7 +457,7 @@ def _leader_assign(gathered, team, chunk, has_weights, k, method, tolerance,
         rows = np.concatenate(rows)
     ids = [e for block in id_blocks for e in block]
     part_of = _backend(chunk.kind, method, ids, rows,
-                       wvec if has_weights else None, k, tolerance, where)
+                       wvec if has_weights else None, k, tolerance, where, m)
 
     # aggregate returns one payload per member, in member order.
     if remap_overlap:
@@ -519,12 +524,13 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
             weights = {e: w for _, wmap in parts
                        for e, w in (wmap or {}).items()}
 
+    # Every split gives each child group at least one element per leaf.
     ctx.set_phase("bootstrap")
     leaders = lg.leaders
     if ctx.rank in leaders and len(leaders) > 1:
         chunk, weights = _team_partition(
             ctx, leaders, chunk, weights, len(leaders), plan.method_for(0),
-            plan.tolerance, where="bootstrap split")
+            plan.tolerance, where="bootstrap split", m=tree.group_size(bpl))
 
     for level in range(bpl, tree.n_levels - 1):
         ctx.set_phase(f"level{level + 1}")
@@ -535,6 +541,7 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
         if ctx.rank not in kids:
             continue
         where = f"level {level + 1} split of {tree.level_name(level)} group {gidx}"
+        leaves = tree.group_size(level + 1)
 
         # The group leader carves its chunk into one group per child leader:
         # finished parts (approach 2) or equal id blocks the child leaders
@@ -544,7 +551,7 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
             if plan.approach == 2:
                 ids, rows, wvec = _summary(chunk, weights, method)
                 part_of = _backend(kind, method, ids, rows, wvec, len(kids),
-                                   plan.tolerance, where)
+                                   plan.tolerance, where, leaves)
                 groups: list[list[int]] = [[] for _ in kids]
                 for e in ids:
                     groups[part_of[e]].append(e)
@@ -556,5 +563,5 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
         if plan.approach == 1:
             chunk, weights = _team_partition(ctx, kids, chunk, weights,
                                              len(kids), method, plan.tolerance,
-                                             where)
+                                             where, m=leaves)
     return chunk, weights

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from hierpart.cli import main
-from hierpart.formats import (load_assignment, save_assignment, save_mesh,
-                              save_timing, save_topology, save_weights)
+from hierpart.formats import (load_assignment, load_mesh, save_assignment,
+                              save_mesh, save_timing, save_topology,
+                              save_weights)
 from hierpart.meshgen import triangle_grid
 from hierpart.topology import build_topology
 
@@ -325,6 +327,27 @@ def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
     code = run_partition(inputs, inputs["tmp"] / "x", (f"--{kind}", str(path)))
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+@pytest.mark.parametrize("approach", ["1", "2"])
+def test_skewed_weights_leave_no_rank_empty(tmp_path, method, approach):
+    # Two elements at 1000x the rest: every split must still leave each
+    # child group at least one element per leaf below it.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    mesh = load_mesh(fixtures / "demo_mesh.json")
+    weights = tmp_path / "weights.json"
+    save_weights(weights, {e: (1000.0 if e in (0, 1) else 1.0)
+                           for e in mesh.elements})
+    out = tmp_path / "out"
+    code = main(["partition", "--mesh", str(fixtures / "demo_mesh.json"),
+                 "--topo", str(fixtures / "topo_2x2x2.json"),
+                 "--weights", str(weights), "--method", method,
+                 "--approach", approach, "--out", str(out), "--no-timestamp"])
+    assert code == 0
+    assignment = load_assignment(out / "assignment.json")
+    assert sorted(assignment) == sorted(mesh.elements)
+    assert sorted(set(assignment.values())) == list(range(8))
 
 
 @pytest.mark.parametrize("verb", ["partition", "rebalance"])

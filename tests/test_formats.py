@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hierpart.formats import (SCHEMA, FormatError, dump_doc, load_assignment,
-                              load_mesh, load_timing, load_topology,
-                              load_weights, save_assignment, save_mesh,
-                              save_part, save_report, save_timing,
+from hierpart.formats import (SCHEMA, FormatError, _render, dump_doc,
+                              load_assignment, load_mesh, load_timing,
+                              load_topology, load_weights, save_assignment,
+                              save_mesh, save_part, save_report, save_timing,
                               save_topology, save_weights)
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.topology import build_topology
@@ -172,3 +174,51 @@ def test_renderer_keeps_records_on_one_line(tmp_path):
     assert len(elem_lines) == 8  # one per element, not one per field
     assert lines[-1].strip() == "}"
     assert path.read_text().endswith("}\n")
+
+
+def oracle_render(value, indent):
+    """The renderer as first written: one recursive call per list item."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        rows = [f'{inner}{json.dumps(str(k))}: {oracle_render(v, inner)}'
+                for k, v in sorted(value.items())]
+        return "{\n" + ",\n".join(rows) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple)) for v in value):
+            return json.dumps(value)
+        inner = indent + "  "
+        rows = [inner + oracle_render(v, inner) for v in value]
+        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
+# Strings full of brackets and braces, so a flat row can look nested.
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+            | st.floats(allow_nan=False)
+            | st.text(alphabet="[]{}\",: ab", max_size=6))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(alphabet="ab[", max_size=3),
+                                     inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(value=_VALUES)
+def test_render_matches_recursive_renderer(value):
+    assert _render(value, "") == oracle_render(value, "")
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [2, 3]],
+    [(0, "tri"), [1, "a[b"]],
+    [[0, [1, 2]], [3]],
+    [[], [1]],
+    [[0, {"a": 1}], [1]],
+    [[0], {"a": [1, 2]}],
+])
+def test_render_rows_hand_cases(rows):
+    assert _render({"rows": rows}, "") == oracle_render({"rows": rows}, "")

@@ -1,10 +1,11 @@
 """Byte-identity of every CLI output on the shipped fixtures.
 
-Each case runs one verb on ``fixtures/demo_mesh.json`` with
-``--no-timestamp`` and compares the sha256 of every file it writes with the
-digest recorded in ``GOLDEN``.  A refactor must leave all of them unchanged;
-a change that is meant to alter an output updates its digests in the same
-commit and says why.
+Each case runs one verb on ``fixtures/demo_mesh.json`` (or, for the
+``tet-*`` cases, on ``meshgen.tet_box(6, 6, 6)`` written to a temporary
+file) with ``--no-timestamp`` and compares the sha256 of every file it
+writes with the digest recorded in ``GOLDEN``.  A refactor must leave all
+of them unchanged; a change that is meant to alter an output updates its
+digests in the same commit and says why.
 
 To print the digests of the code under test (for example to record them):
 
@@ -22,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from hierpart.cli import main
-from hierpart.formats import load_assignment, save_weights
+from hierpart.formats import load_assignment, save_mesh, save_weights
+from hierpart.meshgen import tet_box
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MESH = FIXTURES / "demo_mesh.json"
@@ -58,12 +60,17 @@ def _partition(tmp: Path, topo, method, approach) -> Path:
 
 
 def _start(tmp: Path) -> tuple[list[str], Path]:
-    """Arguments naming the start assignment, and 4x weights on its rank 0."""
+    """``_start_args`` for the demo mesh's start partition."""
     start = _partition(tmp, *START) / "assignment.json"
+    return _start_args(tmp, MESH, start)
+
+
+def _start_args(tmp: Path, mesh: Path, start: Path) -> tuple[list[str], Path]:
+    """Arguments naming ``mesh`` and ``start``, and 4x weights on rank 0."""
     weights = tmp / "weights.json"
     save_weights(weights, {e: (4.0 if p == 0 else 1.0)
                            for e, p in load_assignment(start).items()})
-    return ["--mesh", str(MESH), "--topo", str(FIXTURES / f"{START[0]}.json"),
+    return ["--mesh", str(mesh), "--topo", str(FIXTURES / f"{START[0]}.json"),
             "--assignment", str(start)], weights
 
 
@@ -71,6 +78,26 @@ def _rebalance(tmp: Path, method) -> Path:
     args, weights = _start(tmp)
     out = tmp / f"rebalance-{method}"
     _cli("rebalance", *args, "--level", "0", "--method", method,
+         "--weights", str(weights), "--out", str(out))
+    return out
+
+
+def _tet_partition(tmp: Path) -> tuple[Path, Path]:
+    """The tet box mesh file and its rcb partition on ``topo_2x2x2``."""
+    tmp.mkdir(parents=True, exist_ok=True)
+    mesh = tmp / "tet_box.json"
+    save_mesh(mesh, tet_box(6, 6, 6))
+    out = tmp / "tet-partition-rcb"
+    _cli("partition", "--mesh", str(mesh), "--topo",
+         str(FIXTURES / "topo_2x2x2.json"), "--method", "rcb", "--out", str(out))
+    return mesh, out
+
+
+def _tet_rebalance(tmp: Path) -> Path:
+    mesh, start = _tet_partition(tmp)
+    args, weights = _start_args(tmp, mesh, start / "assignment.json")
+    out = tmp / "tet-rebalance-rcb"
+    _cli("rebalance", *args, "--level", "0", "--method", "rcb",
          "--weights", str(weights), "--out", str(out))
     return out
 
@@ -98,6 +125,14 @@ def test_metrics_outputs(tmp_path):
     assert _digests(_metrics(tmp_path)) == GOLDEN["metrics"]
 
 
+def test_tet_partition_outputs(tmp_path):
+    assert _digests(_tet_partition(tmp_path)[1]) == GOLDEN["tet-partition-rcb"]
+
+
+def test_tet_rebalance_outputs(tmp_path):
+    assert _digests(_tet_rebalance(tmp_path)) == GOLDEN["tet-rebalance-rcb"]
+
+
 def _all_digests() -> dict[str, dict[str, str]]:
     with tempfile.TemporaryDirectory() as tmp, \
             open(os.devnull, "w") as quiet:
@@ -110,6 +145,8 @@ def _all_digests() -> dict[str, dict[str, str]]:
                 out[f"rebalance-{method}"] = _digests(
                     _rebalance(tmp / method, method))
             out["metrics"] = _digests(_metrics(tmp / "m"))
+            out["tet-partition-rcb"] = _digests(_tet_partition(tmp / "tp")[1])
+            out["tet-rebalance-rcb"] = _digests(_tet_rebalance(tmp / "tr"))
         finally:
             sys.stdout = stdout
     return out
@@ -382,6 +419,40 @@ GOLDEN: dict[str, dict[str, str]] = {
             '0a507e7c96bea2e264966de554b6bc05a87fa6d02ea84753cb5f80f162593eb0',
         'report.json':
             '97892dc7241bc360aed027334254a642c6cd1e6dc8be6464053be33279f31687',
+    },
+    'tet-partition-rcb': {
+        'assignment.json':
+            'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
+        'levels.csv':
+            '965e13e16064b00bdbcb5d4cbbc7a05c89cbcd9e2debe7e2467c616b76017d32',
+        'part-0000.json':
+            'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
+        'part-0001.json':
+            '03fc319ade926d6d8c2d325fac3a9ace17e13c4c080848d0486fc514030f51ac',
+        'part-0002.json':
+            'd3bc0fa3bf9a2fed65e2dc8c6a18b55b18f29b243b51f2aefb821895c33a502a',
+        'part-0003.json':
+            '349c2ec084a29fa202d60aa770a9687d55dcb9c71889a625f73cf99e56ac94b9',
+        'part-0004.json':
+            'aa32716c17df7ad8bb67f957eca1e7b439876dd77fae92e38d4ce8d872270986',
+        'part-0005.json':
+            '4d04da5fd867366d0b74d4c3badd05abc2442d47ab53bdce6f70a9d8418b363f',
+        'part-0006.json':
+            '9fe18699091f2b5aa7efcb7500bcc158713573f3a7507d4b25763c7ebd557702',
+        'part-0007.json':
+            '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
+        'report.json':
+            '6845c00b7eea1e7e46be75c65cc366ef3682baf8567d22dd6ded7aaaf9b6cc41',
+    },
+    'tet-rebalance-rcb': {
+        'assignment.json':
+            '6df1f3456d570c4ea876792ac8442c5d7ed8192daeec67774b41ae361fc551e9',
+        'balance.csv':
+            '3e96fe4c21331d1e7d24c228440a75cb3509702469cf3d321bc2493e88fde3e1',
+        'levels.csv':
+            '1cf7fa7294b0812023e17e9fd1fc49ccf30a65a5a5cc342d37bb53cae713e305',
+        'report.json':
+            '8695e67b469e5eaa7b6c66ddddb23c3850ae07ecaa2b16c935f788ec6e7ce753',
     },
 }
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierpart.mesh import (MeshChunk, adjacency_from_elements,
+from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
                            cache_block_groups, element_faces, find_shared_nodes,
                            halo_growth, kind_info, local_dual_graph,
                            merge_chunks, migrate, pack_chunk, split_chunk,
@@ -17,6 +18,7 @@ from hierpart.mesh import (MeshChunk, adjacency_from_elements,
                            unpack_chunk, build_dual_graph,
                            exchange_keyed_values)
 from hierpart.meshgen import tet_box, triangle_grid
+from hierpart.partition import _pack_payload, _unpack_payload
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
@@ -121,6 +123,50 @@ def test_centroids_sorted_by_id():
     assert pts.shape == (4, 2)
 
 
+def oracle_centroids(chunk):
+    """One np.mean per element: the reference the gather-mean must match."""
+    ids = np.array(sorted(chunk.elements), dtype=np.int64)
+    pts = np.empty((len(ids), chunk.dim), dtype=np.float64)
+    for i, eid in enumerate(ids):
+        conn = chunk.elements[int(eid)]
+        pts[i] = np.mean([chunk.nodes[n] for n in conn], axis=0)
+    return ids, pts
+
+
+@st.composite
+def scattered_chunks(draw):
+    """Triangle or tet chunks with non-contiguous, unordered node and
+    element ids and signed coordinates, from subnormal to 1e300 (the sum
+    of four stays finite)."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    _, dim, npe, _ = kind_info(kind)
+    nids = draw(st.lists(st.integers(-10**6, 10**6), min_size=npe,
+                         max_size=24, unique=True))
+    coord = st.floats(-1e300, 1e300)
+    nodes = {n: tuple(draw(st.lists(coord, min_size=dim, max_size=dim)))
+             for n in nids}
+    eids = draw(st.lists(st.integers(-10**6, 10**6), max_size=30, unique=True))
+    elements = {e: tuple(draw(st.permutations(nids))[:npe]) for e in eids}
+    return MeshChunk(kind, nodes=nodes, elements=elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunk=scattered_chunks())
+def test_centroids_equal_per_element_mean_bit_for_bit(chunk):
+    ids, pts = chunk.centroids()
+    want_ids, want_pts = oracle_centroids(chunk)
+    assert ids.dtype == want_ids.dtype and ids.tolist() == want_ids.tolist()
+    assert pts.shape == want_pts.shape == (len(chunk.elements), chunk.dim)
+    assert pts.dtype == np.float64
+    assert pts.tobytes() == want_pts.tobytes()
+
+
+@pytest.mark.parametrize("mesh", [tet_box(4, 3, 2), triangle_grid(6, 5)],
+                         ids=["tet", "tri"])
+def test_centroids_equal_per_element_mean_on_generated_meshes(mesh):
+    assert mesh.centroids()[1].tobytes() == oracle_centroids(mesh)[1].tobytes()
+
+
 # -- sequential dual graph vs oracle ----------------------------------------------
 
 
@@ -141,6 +187,38 @@ def test_adjacency_two_triangles_one_shared_edge():
     assert adjacency_from_elements(elements, "triangle") == {0: [1], 1: [0]}
 
 
+def oracle_adjacency_from_elements(elements, kind):
+    """The face-hash dual graph as first written: every face of every
+    element sorted on its own, single-user faces included."""
+    face_users = {}
+    for eid in sorted(elements):
+        for face in element_faces(elements[eid], kind):
+            face_users.setdefault(face, []).append(eid)
+    adj = {int(e): set() for e in elements}
+    for users in face_users.values():
+        for a in users:
+            for b in users:
+                if a != b:
+                    adj[a].add(b)
+    return {e: sorted(nbrs) for e, nbrs in adj.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_adjacency_from_elements_matches_oracle_with_key_order(data):
+    # Few nodes and unordered ids give faces with one, two or more users
+    # (non-manifold) and elements with repeated nodes.
+    kind = data.draw(st.sampled_from(sorted(KINDS)))
+    npe = kind_info(kind)[2]
+    eids = data.draw(st.lists(st.integers(-50, 50), max_size=25, unique=True))
+    node = st.integers(0, 7)
+    elements = {e: tuple(data.draw(st.lists(node, min_size=npe, max_size=npe)))
+                for e in eids}
+    got = adjacency_from_elements(elements, kind)
+    want = oracle_adjacency_from_elements(elements, kind)
+    assert list(got.items()) == list(want.items())
+
+
 # -- wire form ---------------------------------------------------------------------
 
 
@@ -158,6 +236,37 @@ def test_pack_unpack_tets_with_boundary():
     back = unpack_chunk(pack_chunk(mesh))
     assert back.elements == mesh.elements
     assert sorted(back.boundary) == sorted(mesh.boundary)
+
+
+def assert_python_scalars(chunk):
+    """Every id, tag and coordinate is a Python int or float, never numpy."""
+    for nid, xyz in chunk.nodes.items():
+        assert type(nid) is int and type(xyz) is tuple
+        assert all(type(c) is float for c in xyz)
+    for eid, conn in chunk.elements.items():
+        assert type(eid) is int and type(conn) is tuple
+        assert all(type(n) is int for n in conn)
+    for tag, conn in chunk.boundary:
+        assert type(tag) is int and type(conn) is tuple
+        assert all(type(n) is int for n in conn)
+
+
+@pytest.mark.parametrize("mesh", [tet_box(2, 2, 1), triangle_grid(3, 2)],
+                         ids=["tet", "tri"])
+def test_unpack_chunk_gives_python_scalars(mesh):
+    back = unpack_chunk(pack_chunk(mesh))
+    assert back.boundary and back == mesh.sorted_copy()
+    assert_python_scalars(back)
+
+
+def test_unpack_payload_gives_python_scalars():
+    mesh = tet_box(2, 1, 1)
+    weights = {e: 1.5 + e for e in mesh.elements}
+    chunk, back = _unpack_payload(_pack_payload(mesh, weights))
+    assert_python_scalars(chunk)
+    assert back == weights
+    assert all(type(e) is int and type(w) is float for e, w in back.items())
+    assert _unpack_payload(_pack_payload(mesh, None))[1] is None
 
 
 # -- splitting -----------------------------------------------------------------------

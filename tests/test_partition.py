@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from hierpart.mesh import local_dual_graph, split_contiguous
 from hierpart.meshgen import triangle_grid
-from hierpart.partition import (HierarchicalPlan, graph_partition,
-                                hierarchical_partition, rcb)
+from hierpart.partition import (HierarchicalPlan, _refine_once,
+                                graph_partition, hierarchical_partition, rcb)
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
@@ -166,6 +166,26 @@ def test_rcb_skewed_weights_fill_every_part(data):
     assert set(part.values()) == set(range(k))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rcb_minimum_count_fills_every_part(data):
+    m = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(k * m, k * m + 20))
+    exps = data.draw(st.lists(st.floats(0.0, 6.0), min_size=n, max_size=n))
+    coords = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * n,
+                                max_size=2 * n))
+    part = rcb(np.arange(n), np.array(coords).reshape(n, 2),
+               10.0 ** np.array(exps), k, m)
+    assert sorted(part) == list(range(n))
+    assert min(loads_of(part, k=k)) >= m
+
+
+def test_rcb_minimum_count_needs_enough_points():
+    with pytest.raises(ValueError, match="empty point set"):
+        rcb(np.arange(5), np.zeros((5, 2)), None, 2, m=3)
+
+
 # -- graph growing -----------------------------------------------------------------
 
 
@@ -227,6 +247,40 @@ def test_graph_partition_disconnected_graph_still_covers():
     assert sorted(part) == [0, 1, 2, 3, 4]
     loads = loads_of(part, k=2)
     assert min(loads) >= 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_graph_partition_minimum_count_fills_every_part(data):
+    mesh = triangle_grid(data.draw(st.integers(1, 6)),
+                         data.draw(st.integers(1, 4)))
+    adj = local_dual_graph(mesh)
+    n = len(adj)
+    m = data.draw(st.integers(1, max(1, n // 2)))
+    k = data.draw(st.integers(1, n // m))
+    exps = data.draw(st.lists(st.floats(-3.0, 6.0), min_size=n, max_size=n))
+    wgt = {v: 10.0 ** x for v, x in zip(sorted(adj), exps)}
+    part = graph_partition(adj, wgt, k, m=m)
+    assert sorted(part) == sorted(adj)
+    assert min(loads_of(part, k=k)) >= m
+
+
+def test_graph_partition_minimum_count_needs_enough_vertices():
+    with pytest.raises(ValueError, match=r"part count 3 outside 1\.\.2"):
+        graph_partition(grid_graph(2), None, 3, m=2)
+
+
+@pytest.mark.parametrize("m, moved", [(1, True), (2, False)])
+def test_refinement_keeps_minimum_count(m, moved):
+    # Vertex 1 links once into its own part and three times into part 1, so
+    # the sweep moves it unless that leaves part 0 below m vertices.
+    adj = [[1], [0, 2, 3, 4], [1], [1], [1]]
+    part = [0, 0, 1, 1, 1]
+    w = [1.0] * 5
+    count = [2, 3]
+    _refine_once(range(5), adj, part, w, [2.0, 3.0], count, 2, 10.0, m)
+    assert (part[1] == 1) == moved
+    assert min(count) >= m and count == [part.count(0), part.count(1)]
 
 
 def test_graph_partition_rejects_asymmetric_adjacency():
@@ -369,3 +423,35 @@ def test_hierarchical_error_carries_context():
 
     with pytest.raises(ValueError, match="bootstrap split|level"):
         Runtime(tree, seed=0).run(prog)
+
+
+@st.composite
+def skewed_instances(draw):
+    """A topology of up to three levels, a triangle grid with at least one
+    element per leaf, and log-uniform weights spanning up to 1e6."""
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    tree = build_topology([(f"l{i}", a) for i, a in enumerate(arities)])
+    ranks = tree.total_ranks
+    nx = draw(st.integers(1, 6))
+    ny = draw(st.integers(max(1, -(-ranks // (2 * nx))), 6))
+    mesh = triangle_grid(nx, ny)
+    exps = draw(st.lists(st.floats(0.0, 6.0), min_size=mesh.n_elements,
+                         max_size=mesh.n_elements))
+    weights = {e: 10.0 ** x for e, x in zip(sorted(mesh.elements), exps)}
+    plan = HierarchicalPlan(method=draw(st.sampled_from(["rcb", "graph"])),
+                            approach=draw(st.sampled_from([1, 2])))
+    return mesh, tree, weights, plan
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=skewed_instances())
+def test_hierarchical_skewed_weights_leave_no_rank_empty(case):
+    mesh, tree, weights, plan = case
+    res, rt = run_hierarchical(mesh, tree, plan, weights=weights, seed=0)
+    assert all(r.n_elements > 0 for r in res)
+    assert sorted(e for r in res for e in r.elements) == sorted(mesh.elements)
+    for row in rt.ledger.phase_totals():
+        if row["phase"].startswith("level"):
+            assert row["internode_bytes"] == 0, row
+    again, _ = run_hierarchical(mesh, tree, plan, weights=weights, seed=7)
+    assert [r.elements for r in again] == [r.elements for r in res]
