@@ -84,8 +84,6 @@ def rebalance(ctx: RankContext, tree: TopologyTree, chunk: MeshChunk,
         raise ValueError(f"level {level} outside 0..{tree.n_levels - 1}")
     ctx.set_phase(f"rebalance_level{level}")
     group = level_groups(tree, level).group_of(ctx.rank)
-    if len(group) == 1:
-        return chunk, dict(weights) if weights is not None else None
     return _team_partition(
-        ctx, group, chunk, weights, len(group), method, tolerance,
+        ctx, group, chunk, weights, method, tolerance,
         where=f"rebalance at {tree.level_name(level)} level", remap_overlap=True)

@@ -112,8 +112,8 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
             out.update(dict.fromkeys(ids[sel].tolist(), offset))
             return
         if sel.size < parts * m:
-            raise ValueError(f"empty point set with {parts} parts remaining "
-                             f"({sel.size} points left)")
+            raise ValueError(f"too few points: {sel.size} left for {parts} "
+                             f"parts of at least {m} each")
         low_parts = parts // 2
         coords = points[sel]
         extents = coords.max(axis=0) - coords.min(axis=0)
@@ -388,7 +388,7 @@ def _backend(kind: str, method: str, ids: list[int], rows: Sequence,
 
 
 def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
-                    weights: Mapping[int, float] | None, k: int, method: str,
+                    weights: Mapping[int, float] | None, method: str,
                     tolerance: float, where: str, remap_overlap: bool = False,
                     m: int = 1) -> tuple[MeshChunk, dict[int, float] | None]:
     """K-way split of the union of the team's chunks, one part per team rank.
@@ -403,14 +403,12 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     team = tuple(sorted(team))
     if len(team) == 1:
         return chunk, dict(weights) if weights is not None else None
-    if k != len(team):
-        raise ValueError(f"need one part per team rank: k={k}, team={team}")
 
     # The summaries, gathered payloads and replies are freed with
     # _team_assignment's frame, so none of them is held through the
     # migration, where the team's memory peaks.
-    dest_of = _team_assignment(ctx, team, chunk, weights, k, method,
-                               tolerance, where, remap_overlap, m)
+    dest_of = _team_assignment(ctx, team, chunk, weights, method, tolerance,
+                               where, remap_overlap, m)
     new_chunk = migrate(ctx, chunk, dest_of, team=team)
     new_weights = None
     if weights is not None:
@@ -420,7 +418,7 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     return new_chunk, new_weights
 
 
-def _team_assignment(ctx, team, chunk, weights, k, method, tolerance, where,
+def _team_assignment(ctx, team, chunk, weights, method, tolerance, where,
                      remap_overlap, m) -> dict[int, int]:
     """New owner of each local element: the rank's summary goes to the team
     leader, which runs the back-end on the union and replies to each rank."""
@@ -433,16 +431,17 @@ def _team_assignment(ctx, team, chunk, weights, k, method, tolerance, where,
     ]))
     replies = None
     if gathered is not None:
-        replies = _leader_assign(gathered, team, chunk, weights is not None, k,
+        replies = _leader_assign(gathered, team, chunk, weights is not None,
                                  method, tolerance, where, remap_overlap, m)
     rids_raw, rdest_raw = _codec.unpack_blocks(cascade(ctx, team, replies))
     return dict(zip(_codec.unpack_i64(rids_raw).tolist(),
                     _codec.unpack_i64(rdest_raw).tolist()))
 
 
-def _leader_assign(gathered, team, chunk, has_weights, k, method, tolerance,
+def _leader_assign(gathered, team, chunk, has_weights, method, tolerance,
                    where, remap_overlap, m) -> list[bytes]:
-    """Compute the k-way assignment at the team leader; one reply per member."""
+    """Split the union at the team leader, one part per member; one reply
+    per member."""
     id_blocks, rows, wvec = [], [], []
     for payload in gathered:
         ids_raw, rows_raw, w_raw = _codec.unpack_blocks(payload.data)
@@ -457,14 +456,15 @@ def _leader_assign(gathered, team, chunk, has_weights, k, method, tolerance,
         rows = np.concatenate(rows)
     ids = [e for block in id_blocks for e in block]
     part_of = _backend(chunk.kind, method, ids, rows,
-                       wvec if has_weights else None, k, tolerance, where, m)
+                       wvec if has_weights else None, len(team), tolerance,
+                       where, m)
 
     # aggregate returns one payload per member, in member order.
     if remap_overlap:
         holder_of = {e: r for r, block in zip(team, id_blocks) for e in block}
         rank_of_part = _overlap_remap(part_of, holder_of, team)
     else:
-        rank_of_part = {p: team[p] for p in range(k)}
+        rank_of_part = dict(enumerate(team))
     return [
         _codec.pack_blocks([
             _codec.pack_i64(block),
@@ -527,10 +527,10 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
     # Every split gives each child group at least one element per leaf.
     ctx.set_phase("bootstrap")
     leaders = lg.leaders
-    if ctx.rank in leaders and len(leaders) > 1:
+    if ctx.rank in leaders:
         chunk, weights = _team_partition(
-            ctx, leaders, chunk, weights, len(leaders), plan.method_for(0),
-            plan.tolerance, where="bootstrap split", m=tree.group_size(bpl))
+            ctx, leaders, chunk, weights, plan.method_for(0), plan.tolerance,
+            where="bootstrap split", m=tree.group_size(bpl))
 
     for level in range(bpl, tree.n_levels - 1):
         ctx.set_phase(f"level{level + 1}")
@@ -561,7 +561,6 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
                         for sub in split_chunk(chunk, groups)]
         chunk, weights = _unpack_payload(cascade(ctx, kids, payloads))
         if plan.approach == 1:
-            chunk, weights = _team_partition(ctx, kids, chunk, weights,
-                                             len(kids), method, plan.tolerance,
-                                             where, m=leaves)
+            chunk, weights = _team_partition(ctx, kids, chunk, weights, method,
+                                             plan.tolerance, where, m=leaves)
     return chunk, weights

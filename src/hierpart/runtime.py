@@ -8,6 +8,12 @@ point-to-point messages with per-(source, tag) FIFO ordering, one-sided
 accumulate windows with fence synchronization, a same-node copy channel that
 bypasses the network, and a traffic ledger that classifies every byte sent.
 
+Each rank has one mailbox.  A queued message records its channel, network
+(``msg``) or same-node copy (``copy``); both channels are posted and taken
+by the same code, and a receive only matches messages of its own channel.
+``RankContext`` implements every primitive; ``Runtime`` owns the threads, the
+scheduler and the state the ranks share.
+
 Deadlock is detected, not hung on: if every unfinished rank is blocked, the
 run aborts with a report naming each blocked rank and what it waits for.
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 ANY_SOURCE = -1
@@ -50,6 +56,7 @@ class _Message:
     source: int
     tag: int
     data: bytes
+    channel: str  # "msg" for the network, "copy" for the same-node channel
 
 
 class Window:
@@ -132,15 +139,17 @@ class TrafficLedger:
     def phases(self) -> list[str]:
         return sorted({ph for (_, ph, _, _) in self._records})
 
-    def phase_totals(self) -> list[dict[str, Any]]:
-        """Per-phase traffic summary, sorted by phase name.
+    def _grouped(self, key: Callable[[str, int, int], Any]
+                 ) -> list[tuple[Any, dict[str, int]]]:
+        """Counter rows summed over the records, grouped by ``key(phase, src, dst)``.
 
         ``messages`` counts network messages only, as ``message_count`` does;
-        one-sided accumulates add to the byte columns, as in ``bytes_total``.
+        one-sided accumulates add to the byte columns, as in ``bytes_total``;
+        copies add to ``copy_bytes`` only.  Rows are sorted by key.
         """
-        acc: dict[str, dict[str, int]] = {}
+        rows: dict[Any, dict[str, int]] = {}
         for (kind, ph, src, dst), (msgs, nbytes) in self._records.items():
-            row = acc.setdefault(ph, {
+            row = rows.setdefault(key(ph, src, dst), {
                 "messages": 0, "internode_bytes": 0, "intranode_bytes": 0,
                 "copy_bytes": 0,
             })
@@ -149,29 +158,25 @@ class TrafficLedger:
                 continue
             if kind == "msg":
                 row["messages"] += msgs
-            if self.locality(src, dst) == "internode":
-                row["internode_bytes"] += nbytes
-            else:
-                row["intranode_bytes"] += nbytes
-        return [{"phase": ph, **acc[ph]} for ph in sorted(acc)]
+            row[f"{self.locality(src, dst)}_bytes"] += nbytes
+        return sorted(rows.items())
+
+    def phase_totals(self) -> list[dict[str, Any]]:
+        """Per-phase traffic summary, sorted by phase name."""
+        return [{"phase": ph, **row}
+                for ph, row in self._grouped(lambda ph, src, dst: ph)]
 
     def export(self) -> dict[str, Any]:
         """Stable dictionary form for reports; sorted, seed-independent."""
-        pairs: dict[tuple[int, int], dict[str, int]] = {}
-        for (kind, _, src, dst), (msgs, nbytes) in self._records.items():
-            row = pairs.setdefault((src, dst), {"messages": 0, "bytes": 0, "copy_bytes": 0})
-            if kind == "copy":
-                row["copy_bytes"] += nbytes
-                continue
-            if kind == "msg":
-                row["messages"] += msgs
-            row["bytes"] += nbytes
         phases = self.phase_totals()
         return {
             "phases": phases,
             "pairs": [
-                {"source": s, "dest": d, "locality": self.locality(s, d), **row}
-                for (s, d), row in sorted(pairs.items())
+                {"source": s, "dest": d, "locality": self.locality(s, d),
+                 "messages": row["messages"],
+                 "bytes": row["internode_bytes"] + row["intranode_bytes"],
+                 "copy_bytes": row["copy_bytes"]}
+                for (s, d), row in self._grouped(lambda ph, src, dst: (src, dst))
             ],
             **{f"total_{name}": sum(row[name] for row in phases)
                for name in ("internode_bytes", "intranode_bytes", "copy_bytes",
@@ -180,7 +185,11 @@ class TrafficLedger:
 
 
 class RankContext:
-    """Per-rank handle passed to the function executed by ``Runtime.run``."""
+    """Per-rank handle passed to the function executed by ``Runtime.run``.
+
+    Every runtime primitive is implemented here, on the shared state that
+    the ``Runtime`` owns: its inboxes, windows and ledger.
+    """
 
     def __init__(self, runtime: "Runtime", rank: int):
         self._rt = runtime
@@ -199,48 +208,118 @@ class RankContext:
     def phase(self) -> str:
         return self._phase
 
+    def _check_rank(self, r: int, what: str) -> None:
+        if not (0 <= r < self.size):
+            raise ProtocolError(f"{what} rank {r} outside 0..{self.size - 1}")
+
     # -- messaging ---------------------------------------------------------
 
     def send(self, dest: int, data: bytes, tag: int = 0) -> None:
-        self._rt._send(self.rank, dest, data, tag, self._phase)
+        self._post(dest, data, tag, "msg")
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[int, int, bytes]:
-        return self._rt._recv(self.rank, source, tag)
+        msg = self._take(source, tag, "msg", consume=True)
+        return (msg.source, msg.tag, msg.data)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[int, int, int]:
         """Block until a matching message is pending; return (source, tag, nbytes)."""
-        return self._rt._probe(self.rank, source, tag)
+        msg = self._take(source, tag, "msg", consume=False)
+        return (msg.source, msg.tag, len(msg.data))
 
     # -- same-node copy channel ---------------------------------------------
 
     def copy_to(self, dest: int, data: bytes, tag: int = 0) -> None:
         """Hand a buffer to a rank on the same node without network traffic."""
-        self._rt._copy_to(self.rank, dest, data, tag, self._phase)
+        self._post(dest, data, tag, "copy")
 
     def copy_from(self, source: int, tag: int = ANY_TAG) -> bytes:
-        return self._rt._copy_from(self.rank, source, tag)
+        return self._take(source, tag, "copy", consume=True).data
+
+    def _post(self, dest: int, data: bytes, tag: int, channel: str) -> None:
+        # ``channel`` is "msg" or "copy", and doubles as the ledger kind.
+        self._check_rank(dest, "destination")
+        if channel == "copy" and not self.tree.same_node(self.rank, dest):
+            raise ProtocolError(
+                f"copy_to between ranks {self.rank} and {dest} which share no node")
+        payload = bytes(data)
+        rt = self._rt
+        with rt._mutex:
+            if rt._abort:
+                raise _Aborted()
+            rt._inbox[dest].append(_Message(self.rank, tag, payload, channel))
+            rt.ledger._bump(channel, self._phase, self.rank, dest, len(payload))
+        rt._yield_control(self.rank)
+
+    def _take(self, source: int, tag: int, channel: str, consume: bool) -> _Message:
+        # A copy always names its source; only messages take ANY_SOURCE.
+        if source != ANY_SOURCE or channel == "copy":
+            self._check_rank(source, "source")
+        rt = self._rt
+        rt._yield_control(self.rank, wait=(channel, source, tag))
+        with rt._mutex:
+            msg = rt._find_message(self.rank, channel, source, tag)
+            assert msg is not None
+            if consume:
+                rt._inbox[self.rank].remove(msg)
+        return msg
 
     # -- synchronization and one-sided ops -----------------------------------
 
     def barrier(self, team: Sequence[int] | None = None) -> None:
         """Synchronize the team: a fence on its persistent window (default: all)."""
-        self._rt._fence(self.rank, self.window(team), "barrier")
+        self._fence(self.window(team), "barrier")
 
     def window(self, team: Sequence[int] | None = None) -> Window:
         """The persistent accumulate window shared by ``team`` (default: all)."""
-        return self._rt._persistent_window(_normalize_team(team, self.size))
+        members = _normalize_team(team, self.size)
+        rt = self._rt
+        with rt._mutex:
+            win = rt._windows.get(members)
+            if win is None:
+                win = rt._windows[members] = Window(members)
+            return win
 
     def fence(self, window: Window) -> None:
-        self._rt._fence(self.rank, window, "fence")
+        self._fence(window, "fence")
+
+    def _fence(self, win: Window, kind: str) -> None:
+        # ``kind`` ("fence" or "barrier") only labels the wait in reports.
+        rt = self._rt
+        with rt._mutex:
+            if rt._abort:
+                raise _Aborted()
+            if self.rank not in win.cells:
+                raise ProtocolError(f"rank {self.rank} in {kind} of {win.members}")
+            gen0 = win.generation
+            win.arrived.add(self.rank)
+            if len(win.arrived) == len(win.members):
+                win.arrived.clear()
+                win.generation += 1
+        rt._yield_control(self.rank, wait=(kind, win, gen0))
 
     def accumulate(self, window: Window, target: int, value: int = 1) -> None:
-        self._rt._accumulate(self.rank, window, target, value, self._phase)
+        rt = self._rt
+        with rt._mutex:
+            if rt._abort:
+                raise _Aborted()
+            if window.generation == 0:
+                raise EpochError(
+                    f"rank {self.rank} accumulate before the window's first fence")
+            if target not in window.cells:
+                raise ProtocolError(f"accumulate target {target} outside window "
+                                    f"members {window.members}")
+            window.cells[target] += value
+            if target != self.rank:
+                rt.ledger._bump("acc", self._phase, self.rank, target, ACC_BYTES)
+        rt._yield_control(self.rank)
 
     def read_cell(self, window: Window) -> int:
-        return self._rt._read_cell(self.rank, window)
+        with self._rt._mutex:
+            return window.cells[self.rank]
 
     def reset_cell(self, window: Window, value: int = 0) -> None:
-        self._rt._reset_cell(self.rank, window, value)
+        with self._rt._mutex:
+            window.cells[self.rank] = value
 
     def blind_count(self, targets: Iterable[int],
                     team: Sequence[int] | None = None) -> int:
@@ -277,7 +356,8 @@ def _normalize_team(team: Sequence[int] | None, size: int) -> tuple[int, ...]:
 
 
 class Runtime:
-    """Owns the rank threads, scheduler, windows, and traffic ledger.
+    """Owns the rank threads, the scheduler, deadlock detection and the
+    state the ranks share: their inboxes, the windows and the traffic ledger.
 
     One-shot: a Runtime instance executes a single ``run`` so that its
     ledger describes exactly one SPMD program.
@@ -309,8 +389,8 @@ class Runtime:
         self._main_event = threading.Event()
         self._state = ["ready"] * P
         self._wait: list[tuple | None] = [None] * P
+        # One mailbox per rank; each message records its channel.
         self._inbox: list[deque[_Message]] = [deque() for _ in range(P)]
-        self._copy_inbox: list[deque[_Message]] = [deque() for _ in range(P)]
         self._results: list[Any] = [None] * P
         self._error: BaseException | None = None
         self._deadlock: BaseException | None = None
@@ -335,11 +415,8 @@ class Runtime:
             raise self._error
         if self._deadlock is not None:
             raise self._deadlock
-        leftovers = [
-            (dst, m.source, m.tag, len(m.data))
-            for dst in range(P)
-            for m in list(self._inbox[dst]) + list(self._copy_inbox[dst])
-        ]
+        leftovers = [(dst, m.source, m.tag, len(m.data))
+                     for dst in range(P) for m in self._inbox[dst]]
         if leftovers:
             raise ProtocolError(f"unconsumed messages at end of run: {leftovers}")
         return list(self._results)
@@ -437,140 +514,32 @@ class Runtime:
         if wait is None:
             return True
         kind = wait[0]
-        if kind == "recv":
-            _, source, tag = wait
-            return self._find_message(self._inbox[rank], source, tag) is not None
-        if kind == "copy":
-            _, source, tag = wait
-            return self._find_message(self._copy_inbox[rank], source, tag) is not None
         if kind in ("fence", "barrier"):
             _, win, gen0 = wait
             return win.generation > gen0
-        raise AssertionError(f"unknown wait descriptor {wait!r}")
+        # Otherwise the rank waits on a message of channel ``kind``.
+        _, source, tag = wait
+        return self._find_message(rank, kind, source, tag) is not None
 
-    @staticmethod
-    def _find_message(box: deque[_Message], source: int, tag: int) -> _Message | None:
-        for m in box:
-            if (source == ANY_SOURCE or m.source == source) and \
+    def _find_message(self, rank: int, channel: str, source: int, tag: int
+                      ) -> _Message | None:
+        for m in self._inbox[rank]:
+            if m.channel == channel and \
+               (source == ANY_SOURCE or m.source == source) and \
                (tag == ANY_TAG or m.tag == tag):
                 return m
         return None
-
-    # -- messaging internals ------------------------------------------------------
-
-    def _check_rank(self, r: int, what: str) -> None:
-        if not (0 <= r < self.size):
-            raise ProtocolError(f"{what} rank {r} outside 0..{self.size - 1}")
-
-    def _send(self, rank: int, dest: int, data: bytes, tag: int, phase: str) -> None:
-        self._check_rank(dest, "destination")
-        payload = bytes(data)
-        with self._mutex:
-            if self._abort:
-                raise _Aborted()
-            self._inbox[dest].append(_Message(rank, tag, payload))
-            self.ledger._bump("msg", phase, rank, dest, len(payload))
-        self._yield_control(rank)
-
-    def _recv(self, rank: int, source: int, tag: int) -> tuple[int, int, bytes]:
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        self._yield_control(rank, wait=("recv", source, tag))
-        with self._mutex:
-            msg = self._find_message(self._inbox[rank], source, tag)
-            assert msg is not None
-            self._inbox[rank].remove(msg)
-        return (msg.source, msg.tag, msg.data)
-
-    def _probe(self, rank: int, source: int, tag: int) -> tuple[int, int, int]:
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        self._yield_control(rank, wait=("recv", source, tag))
-        with self._mutex:
-            msg = self._find_message(self._inbox[rank], source, tag)
-            assert msg is not None
-        return (msg.source, msg.tag, len(msg.data))
-
-    def _copy_to(self, rank: int, dest: int, data: bytes, tag: int, phase: str) -> None:
-        self._check_rank(dest, "destination")
-        if not self.tree.same_node(rank, dest):
-            raise ProtocolError(
-                f"copy_to between ranks {rank} and {dest} which share no node")
-        payload = bytes(data)
-        with self._mutex:
-            if self._abort:
-                raise _Aborted()
-            self._copy_inbox[dest].append(_Message(rank, tag, payload))
-            self.ledger._bump("copy", phase, rank, dest, len(payload))
-        self._yield_control(rank)
-
-    def _copy_from(self, rank: int, source: int, tag: int) -> bytes:
-        self._check_rank(source, "source")
-        self._yield_control(rank, wait=("copy", source, tag))
-        with self._mutex:
-            msg = self._find_message(self._copy_inbox[rank], source, tag)
-            assert msg is not None
-            self._copy_inbox[rank].remove(msg)
-        return msg.data
-
-    # -- windows and fences ------------------------------------------------------
-
-    def _persistent_window(self, team: tuple[int, ...]) -> Window:
-        with self._mutex:
-            win = self._windows.get(team)
-            if win is None:
-                win = Window(team)
-                self._windows[team] = win
-            return win
-
-    def _fence(self, rank: int, win: Window, kind: str) -> None:
-        # ``kind`` ("fence" or "barrier") only labels the wait in reports.
-        with self._mutex:
-            if self._abort:
-                raise _Aborted()
-            if rank not in win.cells:
-                raise ProtocolError(f"rank {rank} in {kind} of {win.members}")
-            gen0 = win.generation
-            win.arrived.add(rank)
-            if len(win.arrived) == len(win.members):
-                win.arrived.clear()
-                win.generation += 1
-        self._yield_control(rank, wait=(kind, win, gen0))
-
-    def _accumulate(self, rank: int, win: Window, target: int, value: int,
-                    phase: str) -> None:
-        with self._mutex:
-            if self._abort:
-                raise _Aborted()
-            if win.generation == 0:
-                raise EpochError(
-                    f"rank {rank} accumulate before the window's first fence")
-            if target not in win.cells:
-                raise ProtocolError(f"accumulate target {target} outside window "
-                                    f"members {win.members}")
-            win.cells[target] += value
-            if target != rank:
-                self.ledger._bump("acc", phase, rank, target, ACC_BYTES)
-        self._yield_control(rank)
-
-    def _read_cell(self, rank: int, win: Window) -> int:
-        with self._mutex:
-            return win.cells[rank]
-
-    def _reset_cell(self, rank: int, win: Window, value: int) -> None:
-        with self._mutex:
-            win.cells[rank] = value
 
 
 def _describe_wait(wait: tuple | None) -> str:
     if wait is None:
         return "nothing (not yet scheduled)"
     kind = wait[0]
-    if kind in ("recv", "copy"):
+    if kind in ("msg", "copy"):
         _, source, tag = wait
         src = "any" if source == ANY_SOURCE else source
         tg = "any" if tag == ANY_TAG else tag
-        chan = "recv" if kind == "recv" else "copy_from"
+        chan = "recv" if kind == "msg" else "copy_from"
         return f"{chan}(source={src}, tag={tg})"
     if kind == "fence":
         _, win, _ = wait

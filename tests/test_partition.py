@@ -140,7 +140,7 @@ def test_rcb_deterministic_under_coordinate_ties():
 def test_rcb_rejects_bad_input():
     with pytest.raises(ValueError, match="non-positive weight"):
         rcb([0, 1], np.zeros((2, 2)), np.array([1.0, 0.0]), 2)
-    with pytest.raises(ValueError, match="empty point set"):
+    with pytest.raises(ValueError, match="too few points"):
         rcb([0], np.zeros((1, 2)), None, 2)
 
 
@@ -182,7 +182,8 @@ def test_rcb_minimum_count_fills_every_part(data):
 
 
 def test_rcb_minimum_count_needs_enough_points():
-    with pytest.raises(ValueError, match="empty point set"):
+    with pytest.raises(ValueError,
+                       match="too few points: 5 left for 2 parts of at least 3 each"):
         rcb(np.arange(5), np.zeros((5, 2)), None, 2, m=3)
 
 
@@ -433,7 +434,8 @@ def skewed_instances(draw):
     tree = build_topology([(f"l{i}", a) for i, a in enumerate(arities)])
     ranks = tree.total_ranks
     nx = draw(st.integers(1, 6))
-    ny = draw(st.integers(max(1, -(-ranks // (2 * nx))), 6))
+    lo = max(1, -(-ranks // (2 * nx)))
+    ny = draw(st.integers(lo, max(lo, 6)))
     mesh = triangle_grid(nx, ny)
     exps = draw(st.lists(st.floats(0.0, 6.0), min_size=mesh.n_elements,
                          max_size=mesh.n_elements))

@@ -98,6 +98,14 @@ def test_unconsumed_message_is_a_protocol_error():
     with pytest.raises(ProtocolError, match="unconsumed"):
         Runtime(TREE2, seed=0).run(prog)
 
+    def copy_prog(ctx):
+        if ctx.rank == 0:
+            ctx.copy_to(1, b"orphan")
+        return None
+
+    with pytest.raises(ProtocolError, match=r"unconsumed messages .*\(1, 0, 0, 6\)"):
+        Runtime(TREE4, seed=0).run(copy_prog)
+
 
 def test_runtime_is_one_shot():
     rt = Runtime(TREE2, seed=0)
@@ -132,6 +140,24 @@ def test_copy_channel_same_node_only():
     assert rt.run(prog)[1] == b"handoff"
     assert rt.ledger.bytes_total(kinds=("copy",)) == 7
     assert rt.ledger.bytes_total(kinds=("msg",)) == 0
+
+
+def test_copy_and_network_messages_match_only_their_own_channel():
+    # Both channels queue into one mailbox per rank; a copy posted first
+    # must stay invisible to probe and recv, and the message to copy_from.
+    def prog(ctx):
+        if ctx.rank == 0:
+            ctx.copy_to(1, b"c", tag=5)
+            ctx.send(1, b"n", tag=7)
+        elif ctx.rank == 1:
+            probed = ctx.probe()
+            received = ctx.recv()
+            return probed, received, ctx.copy_from(0)
+        return None
+
+    for seed in range(4):
+        res = Runtime(TREE4, seed=seed).run(prog)
+        assert res[1] == ((0, 7, 1), (0, 7, b"n"), b"c")
 
 
 def test_copy_across_nodes_rejected():
@@ -317,22 +343,39 @@ def test_accumulate_ledger_four_bytes_each_and_self_free():
 
 
 def test_ledger_message_totals_agree():
-    # Accumulates carry bytes but are not messages in any view of the ledger.
+    # Accumulates carry bytes but are not messages in any view of the ledger;
+    # copies count only as copy bytes.
     def prog(ctx):
         for phase in ("alpha", "beta"):
             ctx.set_phase(phase)
             peer = (ctx.rank + 1) % 4
+            buddy = ctx.rank ^ 1  # the other rank on this node of TREE4
+            ctx.copy_to(buddy, b"yy")
             for _ in range(ctx.blind_count([peer])):
                 ctx.send(peer, b"x")
                 ctx.recv()
+            assert ctx.copy_from(buddy) == b"yy"
 
     rt = Runtime(TREE4, seed=0)
     rt.run(prog)
     out = rt.ledger.export()
+    phases, pairs = out["phases"], out["pairs"]
     assert rt.ledger.message_count(kinds=("acc",)) == 8
-    assert (sum(row["messages"] for row in out["phases"])
-            == sum(row["messages"] for row in out["pairs"])
+    assert (sum(row["messages"] for row in phases)
+            == sum(row["messages"] for row in pairs)
             == out["total_messages"] == 8)
+    # 8 one-byte messages and 8 four-byte accumulates.
+    assert (sum(row["internode_bytes"] + row["intranode_bytes"] for row in phases)
+            == sum(row["bytes"] for row in pairs)
+            == out["total_internode_bytes"] + out["total_intranode_bytes"]
+            == rt.ledger.bytes_total() == 8 + 8 * ACC_BYTES)
+    assert (sum(row["copy_bytes"] for row in phases)
+            == sum(row["copy_bytes"] for row in pairs)
+            == out["total_copy_bytes"]
+            == rt.ledger.bytes_total(kinds=("copy",)) == 16)
+    for row in pairs:
+        if row["locality"] == "internode":
+            assert row["copy_bytes"] == 0, row
 
 
 def test_ledger_locality_split():
