@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Mapping, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Mapping, NoReturn, Sequence
 
 from .mesh import KINDS, MeshChunk
 from .topology import TopologyTree, build_topology
@@ -64,11 +66,13 @@ def _render(value: Any, indent: str) -> str:
             return json.dumps(value)
         inner = indent + "  "
         if all(isinstance(v, (list, tuple)) for v in value):
-            body = (",\n" + inner).join(map(json.dumps, value))
-            # Each row opens one bracket; any other bracket or brace is a
-            # nested container, which takes the general path below.
-            if body.count("[") == len(value) and "{" not in body:
-                return "[\n" + inner + body + "\n" + indent + "]"
+            text = json.dumps(value)
+            # The list and each row open one bracket; any other bracket or
+            # brace is a nested container, which takes the general path
+            # below.  Without one, "], [" only ever separates two rows.
+            if text.count("[") == len(value) + 1 and "{" not in text:
+                rows = text[1:-1].replace("], [", "],\n" + inner + "[")
+                return "[\n" + inner + rows + "\n" + indent + "]"
         rows = [inner + _render(v, inner) for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
     return json.dumps(value)
@@ -98,10 +102,21 @@ def load_mesh(path) -> MeshChunk:
 
 
 def mesh_from_payload(raw: Mapping[str, Any]) -> MeshChunk:
+    """Build and check a chunk from a mesh document's payload.
+
+    Each section is checked a whole column at a time; only when a check
+    fails is the section scanned record by record, to name the first
+    offending record.
+    """
+    if not isinstance(raw, Mapping):
+        raise ValueError("mesh must be an object")
     elements = raw.get("elements", [])
+    if not isinstance(elements, list):
+        raise ValueError("element records must be a list")
     if not elements:
         raise ValueError("mesh has no elements")
-    kind = elements[0][1] if len(elements[0]) > 1 else None
+    first = elements[0]
+    kind = first[1] if isinstance(first, list) and len(first) > 1 else None
     if kind not in KINDS:
         raise ValueError(f"unknown element kind {kind!r}; "
                          f"expected one of {sorted(KINDS)}")
@@ -109,31 +124,106 @@ def mesh_from_payload(raw: Mapping[str, Any]) -> MeshChunk:
     dim = chunk.dim
     npe = chunk.nodes_per_element
     npf = chunk.nodes_per_face
-    for i, rec in enumerate(elements):
-        if len(rec) != 2 + npe or rec[1] != kind:
-            raise ValueError(f"element record {i}: expected "
-                             f"[id, {kind!r}, {npe} node ids]")
-        eid = int(rec[0])
-        if eid < 0 or eid in chunk.elements:
-            raise ValueError(f"element record {i}: "
-                             f"{'negative' if eid < 0 else 'duplicate'} "
-                             f"element id {eid}")
-        chunk.elements[eid] = tuple(int(x) for x in rec[2:])
-    for i, rec in enumerate(raw.get("nodes", [])):
-        if len(rec) != 1 + dim:
-            raise ValueError(f"node record {i}: expected [id, {dim} coordinates]")
-        nid = int(rec[0])
-        if nid < 0 or nid in chunk.nodes:
-            raise ValueError(f"node record {i}: "
-                             f"{'negative' if nid < 0 else 'duplicate'} "
-                             f"node id {nid}")
-        chunk.nodes[nid] = tuple(float(x) for x in rec[1:])
-    for i, rec in enumerate(raw.get("boundary", [])):
-        if len(rec) != 1 + npf:
-            raise ValueError(f"boundary record {i}: expected [tag, {npf} node ids]")
-        chunk.boundary.append((int(rec[0]), tuple(int(x) for x in rec[1:])))
-    chunk.validate()
+
+    cols = _columns(elements, 2 + npe)
+    if (cols and cols[1].count(kind) == len(elements)
+            and _ints(cols[0], *cols[2:]) and min(cols[0]) >= 0):
+        chunk.elements = dict(zip(cols[0], zip(*cols[2:])))
+    if len(chunk.elements) != len(elements):  # a failed check or a repeated id
+        _first_bad("element", elements, _element_problem, kind, npe)
+    element_nodes = cols[2:]
+
+    nodes = raw.get("nodes", [])
+    cols = _columns(nodes, 1 + dim)
+    if (cols and _ints(cols[0]) and min(cols[0], default=0) >= 0
+            and _numbers(*cols[1:])):
+        coords = zip(*(map(float, c) for c in cols[1:]))
+        chunk.nodes = dict(zip(cols[0], coords))
+    if len(chunk.nodes) != len(nodes):
+        _first_bad("node", nodes, _node_problem, dim)
+
+    boundary = raw.get("boundary", [])
+    cols = _columns(boundary, 1 + npf)
+    if not (cols and _ints(*cols)):
+        _first_bad("boundary", boundary, _boundary_problem, npf)
+    tags, *face_nodes = cols
+    chunk.boundary = list(zip(tags, zip(*face_nodes)))
+
+    # Reference integrity; validate() names the offender when it fails.
+    used = set().union(*element_nodes, *face_nodes)
+    repeats = set(map(len, map(set, chunk.elements.values()))) != {npe}
+    if repeats or not chunk.nodes.keys() >= used:
+        chunk.validate()
     return chunk
+
+
+def _columns(records, width: int) -> list[list] | None:
+    """The records' columns, or None unless every record is a list of
+    ``width`` items."""
+    if not (isinstance(records, list) and set(map(type, records)) <= {list}
+            and set(map(len, records)) <= {width}):
+        return None
+    # One pass per column; zip(*records) would make a GC-tracked iterator
+    # per record.
+    return [list(map(itemgetter(i), records)) for i in range(width)]
+
+
+def _ints(*columns) -> bool:
+    """Every item is a JSON integer (a bool is not)."""
+    return set(map(type, chain(*columns))) <= {int}
+
+
+def _numbers(*columns) -> bool:
+    return set(map(type, chain(*columns))) <= {int, float}
+
+
+def _first_bad(section: str, records, problem, *args) -> NoReturn:
+    """Raise ValueError naming the first record ``problem`` objects to.
+
+    ``problem(record, seen, *args)`` returns a message or None; ``seen`` is
+    a set it may use to spot repeated ids.  Loaders call this only after a
+    whole-column check failed, so some record is at fault.
+    """
+    if not isinstance(records, list):
+        raise ValueError(f"{section} records must be a list")
+    seen: set = set()
+    for i, rec in enumerate(records):
+        message = problem(rec, seen, *args)
+        if message:
+            raise ValueError(f"{section} record {i}: {message}")
+    raise AssertionError(f"a column check failed on {section} records, "
+                         f"but no record is at fault")
+
+
+def _id_problem(noun: str, rid, seen: set) -> str | None:
+    if type(rid) is not int:
+        return f"{noun} id must be an integer, got {rid!r}"
+    if rid < 0 or rid in seen:
+        return f"{'negative' if rid < 0 else 'duplicate'} {noun} id {rid}"
+    seen.add(rid)
+    return None
+
+
+def _element_problem(rec, seen, kind, npe) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 2 + npe and rec[1] == kind):
+        return f"expected [id, {kind!r}, {npe} node ids]"
+    if problem := _id_problem("element", rec[0], seen):
+        return problem
+    return None if _ints(rec[2:]) else f"node ids must be integers, got {rec[2:]}"
+
+
+def _node_problem(rec, seen, dim) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 1 + dim):
+        return f"expected [id, {dim} coordinates]"
+    if problem := _id_problem("node", rec[0], seen):
+        return problem
+    return None if _numbers(rec[1:]) else f"coordinates must be numbers, got {rec[1:]}"
+
+
+def _boundary_problem(rec, seen, npf) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 1 + npf):
+        return f"expected [tag, {npf} node ids]"
+    return None if _ints(rec) else f"tag and node ids must be integers, got {rec}"
 
 
 # -- topology ------------------------------------------------------------------
@@ -159,17 +249,32 @@ def save_assignment(path, assignment: Mapping[int, int]) -> None:
 
 def load_assignment(path) -> dict[int, int]:
     raw = _load_doc(path, "assignment")
-    out: dict[int, int] = {}
-    for i, rec in enumerate(raw):
-        if not (isinstance(rec, list) and len(rec) == 2):
-            raise FormatError(path, f"assignment record {i}: expected [element, part]")
-        e, p = int(rec[0]), int(rec[1])
-        if e in out:
-            raise FormatError(path, f"element {e} assigned twice")
-        out[e] = p
+    cols = _columns(raw, 2)
+    out = dict(zip(*cols)) if cols and _ints(*cols) else {}
+    if not (cols and len(out) == len(raw)):
+        _first_bad_in(path, "assignment", raw, _assignment_problem)
     if not out:
         raise FormatError(path, "assignment is empty")
     return out
+
+
+def _assignment_problem(rec, seen) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 2):
+        return "expected [element, part]"
+    if not _ints(rec):
+        return f"element and part must be integers, got {rec}"
+    if rec[0] in seen:
+        return f"element {rec[0]} assigned twice"
+    seen.add(rec[0])
+    return None
+
+
+def _first_bad_in(path, section: str, records, problem) -> NoReturn:
+    """:func:`_first_bad` for a whole document: the error names ``path``."""
+    try:
+        _first_bad(section, records, problem)
+    except ValueError as err:
+        raise FormatError(path, str(err)) from err
 
 
 def save_weights(path, weights: Mapping[int, float]) -> None:
@@ -179,32 +284,56 @@ def save_weights(path, weights: Mapping[int, float]) -> None:
 
 def load_weights(path) -> dict[int, float]:
     raw = _load_doc(path, "weights")
-    out: dict[int, float] = {}
-    for i, rec in enumerate(raw):
-        if not (isinstance(rec, list) and len(rec) == 2):
-            raise FormatError(path, f"weight record {i}: expected [element, weight]")
-        e, w = int(rec[0]), float(rec[1])
-        if not math.isfinite(w):
-            raise FormatError(path, f"weight record {i}: non-finite weight {w}")
-        if w <= 0:
-            raise FormatError(path, f"weight record {i}: non-positive weight {w}")
-        if e in out:
-            raise FormatError(path, f"weight record {i}: element {e} weighted twice")
-        out[e] = w
+    cols = _columns(raw, 2)
+    out = {}
+    if cols and _ints(cols[0]) and _numbers(cols[1]):
+        w = list(map(float, cols[1]))
+        if all(map(math.isfinite, w)) and min(w, default=1.0) > 0:
+            out = dict(zip(cols[0], w))
+    if not (cols and len(out) == len(raw)):
+        _first_bad_in(path, "weight", raw, _weight_problem)
     return out
+
+
+def _weight_problem(rec, seen) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 2):
+        return "expected [element, weight]"
+    e, w = rec
+    if type(e) is not int:
+        return f"element id must be an integer, got {e!r}"
+    if not _numbers([w]):
+        return f"weight must be a number, got {w!r}"
+    w = float(w)
+    if not math.isfinite(w):
+        return f"non-finite weight {w}"
+    if w <= 0:
+        return f"non-positive weight {w}"
+    if e in seen:
+        return f"element {e} weighted twice"
+    seen.add(e)
+    return None
 
 
 def load_timing(path) -> list[tuple[list[int], float]]:
     raw = _load_doc(path, "timing")
+    if not isinstance(raw, list):
+        raise FormatError(path, "timing records must be a list")
     out = []
     for i, rec in enumerate(raw):
         if not (isinstance(rec, dict) and "elems" in rec and "seconds" in rec):
             raise FormatError(path,
                               f"timing record {i}: expected {{elems, seconds}}")
+        if not _numbers([rec["seconds"]]):
+            raise FormatError(path, f"timing record {i}: seconds must be a "
+                                    f"number, got {rec['seconds']!r}")
         seconds = float(rec["seconds"])
         if not math.isfinite(seconds):
             raise FormatError(path, f"timing record {i}: non-finite seconds {seconds}")
-        out.append(([int(e) for e in rec["elems"]], seconds))
+        elems = rec["elems"]
+        if not (isinstance(elems, list) and _ints(elems)):
+            raise FormatError(path, f"timing record {i}: elems must be a list "
+                                    f"of integer element ids")
+        out.append((elems, seconds))
     return out
 
 

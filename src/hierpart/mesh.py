@@ -317,9 +317,11 @@ def migrate(ctx: RankContext, chunk: MeshChunk, assignment: Mapping[int, int],
     """Redistribute elements so each lands on its assigned rank.
 
     Collective over the team.  Every local element must appear in
-    ``assignment``.  Node records are replicated onto each receiving rank,
-    boundary faces travel with their carrying element, and the rebuilt chunk
-    is ordered by global id so the result is independent of arrival order.
+    ``assignment``.  Only elements whose owner changes are packed and sent;
+    the rank's own sub-chunk is merged as carved.  Node records are
+    replicated onto each receiving rank, boundary faces travel with their
+    carrying element, and the rebuilt chunk is ordered by global id so the
+    result is independent of arrival order.
     """
     team_t = _normalize_team(team, ctx.size)
     by_dest: dict[int, list[int]] = {}
@@ -333,12 +335,15 @@ def migrate(ctx: RankContext, chunk: MeshChunk, assignment: Mapping[int, int],
                              f"team {team_t}")
         by_dest.setdefault(dest, []).append(eid)
 
-    outgoing = {
-        dest: pack_chunk(sub)
-        for dest, sub in zip(by_dest, split_chunk(chunk, by_dest.values()))
-    }
+    pieces, outgoing = [], {}
+    for dest, sub in zip(by_dest, split_chunk(chunk, by_dest.values())):
+        if dest == ctx.rank:
+            pieces.append(sub)
+        else:
+            outgoing[dest] = pack_chunk(sub)
     received = blind_exchange(ctx, outgoing, team=team_t)
-    return merge_chunks(chunk.kind, [unpack_chunk(blob) for _, blob in received])
+    pieces.extend(unpack_chunk(blob) for _, blob in received)
+    return merge_chunks(chunk.kind, pieces)
 
 
 def exchange_keyed_values(ctx: RankContext, values: Mapping[int, bytes],

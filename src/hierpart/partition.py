@@ -412,9 +412,12 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     new_chunk = migrate(ctx, chunk, dest_of, team=team)
     new_weights = None
     if weights is not None:
-        packed = {e: _codec.pack_one_f64(weights[e]) for e in dest_of}
-        moved = exchange_keyed_values(ctx, packed, dest_of, team=team)
-        new_weights = {e: _codec.unpack_one_f64(v) for e, v in moved.items()}
+        # Only leaving weights travel; a staying element keeps its own.
+        leaving = {e: _codec.pack_one_f64(weights[e])
+                   for e, dest in dest_of.items() if dest != ctx.rank}
+        moved = exchange_keyed_values(ctx, leaving, dest_of, team=team)
+        new_weights = {e: _codec.unpack_one_f64(moved[e]) if e in moved
+                       else float(weights[e]) for e in new_chunk.elements}
     return new_chunk, new_weights
 
 

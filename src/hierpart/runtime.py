@@ -233,6 +233,9 @@ class RankContext:
         self._post(dest, data, tag, "copy")
 
     def copy_from(self, source: int, tag: int = ANY_TAG) -> bytes:
+        if source == ANY_SOURCE:
+            raise ProtocolError("copy_from must name its source rank; only "
+                                "recv and probe take ANY_SOURCE")
         return self._take(source, tag, "copy", consume=True).data
 
     def _post(self, dest: int, data: bytes, tag: int, channel: str) -> None:
@@ -251,8 +254,7 @@ class RankContext:
         rt._yield_control(self.rank)
 
     def _take(self, source: int, tag: int, channel: str, consume: bool) -> _Message:
-        # A copy always names its source; only messages take ANY_SOURCE.
-        if source != ANY_SOURCE or channel == "copy":
+        if source != ANY_SOURCE:
             self._check_rank(source, "source")
         rt = self._rt
         rt._yield_control(self.rank, wait=(channel, source, tag))

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from hierpart.cli import main
-from hierpart.formats import (load_assignment, load_mesh, save_assignment,
-                              save_mesh, save_timing, save_topology,
-                              save_weights)
+from hierpart.cli import _GC_GEN0_THRESHOLD, main
+from hierpart.formats import (load_assignment, load_mesh, load_topology,
+                              save_assignment, save_mesh, save_timing,
+                              save_topology, save_weights)
 from hierpart.meshgen import triangle_grid
 from hierpart.topology import build_topology
 
@@ -280,11 +281,50 @@ def _negative_node(mesh):
         rec[2:] = [-1 if n == old else n for n in rec[2:]]
 
 
+def _fractional_element(mesh):
+    mesh["elements"][0][0] = 0.9
+    mesh["elements"][0][4] = str(mesh["elements"][0][4])
+
+
+def _boolean_element(mesh):
+    mesh["elements"][1][0] = True
+
+
+def _string_element_node(mesh):
+    mesh["elements"][3][4] = str(mesh["elements"][3][4])
+
+
+def _float_node(mesh):
+    mesh["nodes"][2][0] = 2.0
+
+
+def _string_boundary_node(mesh):
+    mesh["boundary"][1][2] = str(mesh["boundary"][1][2])
+
+
+def _string_coordinate(mesh):
+    mesh["nodes"][4][1] = "0.5"
+
+
+def _element_object(mesh):
+    mesh["elements"] = {str(rec[0]): rec[1:] for rec in mesh["elements"]}
+
+
 @pytest.mark.parametrize("edit, message", [
     (_repeat_element, "element record 5: duplicate element id 4"),
     (_negative_element, "element record 5: negative element id -3"),
     (_repeat_node, "node record 7: duplicate node id 6"),
     (_negative_node, "node record 7: negative node id -1"),
+    (_fractional_element, "element record 0: element id must be an integer, "
+                          "got 0.9"),
+    (_boolean_element, "element record 1: element id must be an integer, "
+                       "got True"),
+    (_string_element_node, "element record 3: node ids must be integers"),
+    (_float_node, "node record 2: node id must be an integer, got 2.0"),
+    (_string_boundary_node,
+     "boundary record 1: tag and node ids must be integers"),
+    (_string_coordinate, "node record 4: coordinates must be numbers"),
+    (_element_object, "element records must be a list"),
 ])
 def test_bad_mesh_ids_exit_2_naming_the_record(inputs, capsys, edit, message):
     mesh_path = _edit_mesh(inputs, edit)
@@ -314,6 +354,14 @@ def _timing_with_unknown(elements):
      "timing record 0: non-finite seconds nan"),
     ([{"elems": [0], "seconds": 1.0}, {"elems": [1], "seconds": float("inf")}],
      "timing record 1: non-finite seconds inf"),
+    ([[0, 1.0], [1.5, 1.0]],
+     "weight record 1: element id must be an integer, got 1.5"),
+    ([[False, 1.0]], "weight record 0: element id must be an integer, got False"),
+    ([[0, "1.0"]], "weight record 0: weight must be a number, got '1.0'"),
+    ([{"elems": [0, 1.0], "seconds": 1.0}],
+     "timing record 0: elems must be a list of integer element ids"),
+    ([{"elems": [0], "seconds": None}],
+     "timing record 0: seconds must be a number, got None"),
 ])
 def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
                                                      message):
@@ -327,6 +375,45 @@ def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
     code = run_partition(inputs, inputs["tmp"] / "x", (f"--{kind}", str(path)))
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, message", [
+    ([0.5, 0], "assignment record 3: element and part must be integers, "
+               "got [0.5, 0]"),
+    ([3, 1.0], "assignment record 3: element and part must be integers, "
+               "got [3, 1.0]"),
+    ([3, True], "assignment record 3: element and part must be integers"),
+    ([3, "1"], "assignment record 3: element and part must be integers"),
+    ([3], "assignment record 3: expected [element, part]"),
+    ([2, 0], "assignment record 3: element 2 assigned twice"),
+])
+def test_bad_assignment_records_exit_2_naming_the_record(inputs, capsys,
+                                                         record, message):
+    records = [[e, e % 4] for e in sorted(inputs["mesh"].elements)]
+    records[3] = record
+    path = inputs["tmp"] / "assignment.json"
+    path.write_text(json.dumps({"schema": "treepart-1",
+                                "assignment": records}))
+    code = main(["metrics", "--mesh", str(inputs["mesh_path"]),
+                 "--topo", str(inputs["topo_path"]), "--assignment", str(path),
+                 "--out", str(inputs["tmp"] / "x")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_gc_threshold_raised_for_the_verb_and_restored(inputs, monkeypatch):
+    seen = []
+    monkeypatch.setattr("hierpart.cli.load_topology", lambda path: (
+        seen.append(gc.get_threshold()) or load_topology(path)))
+    before = gc.get_threshold()
+    out = inputs["tmp"] / "x"
+    assert run_partition(inputs, out) == 0                      # success
+    assert gc.get_threshold() == before
+    assert seen == [(_GC_GEN0_THRESHOLD, *before[1:])]
+    assert run_partition(inputs, out, ("--method", "spectral")) == 1  # usage
+    assert gc.get_threshold() == before
+    assert run_partition(inputs, out, ("--bpl", "9")) == 2      # input
+    assert gc.get_threshold() == before
 
 
 @pytest.mark.parametrize("method", ["rcb", "graph"])

@@ -5,14 +5,16 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart.formats import (SCHEMA, FormatError, _render, dump_doc,
                               load_assignment, load_mesh, load_timing,
-                              load_topology, load_weights, save_assignment,
-                              save_mesh, save_part, save_report, save_timing,
+                              load_topology, load_weights, mesh_from_payload,
+                              mesh_payload, save_assignment, save_mesh,
+                              save_part, save_report, save_timing,
                               save_topology, save_weights)
+from hierpart.mesh import KINDS, MeshChunk
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.topology import build_topology
 
@@ -122,6 +124,10 @@ def test_assignment_round_trip_and_checks(tmp_path):
     with pytest.raises(FormatError, match="empty"):
         load_assignment(path)
 
+    path.write_text(json.dumps({"schema": SCHEMA, "assignment": {"0": 0}}))
+    with pytest.raises(FormatError, match="assignment records must be a list"):
+        load_assignment(path)
+
 
 def test_weights_round_trip_and_positivity(tmp_path):
     path = tmp_path / "weights.json"
@@ -130,6 +136,11 @@ def test_weights_round_trip_and_positivity(tmp_path):
 
     path.write_text(json.dumps({"schema": SCHEMA, "weights": [[0, 0.0]]}))
     with pytest.raises(FormatError, match="non-positive"):
+        load_weights(path)
+
+    path.write_text(json.dumps({"schema": SCHEMA, "weights": [[0, 1], [1, 0]]}))
+    with pytest.raises(FormatError,
+                       match="weight record 1: non-positive weight 0.0"):
         load_weights(path)
 
 
@@ -141,6 +152,10 @@ def test_timing_round_trip(tmp_path):
     path.write_text(json.dumps({"schema": SCHEMA,
                                 "timing": [{"elements": [0], "seconds": 1}]}))
     with pytest.raises(FormatError, match="elems"):
+        load_timing(path)
+
+    path.write_text(json.dumps({"schema": SCHEMA, "timing": 5}))
+    with pytest.raises(FormatError, match="timing records must be a list"):
         load_timing(path)
 
 
@@ -219,6 +234,128 @@ def test_render_matches_recursive_renderer(value):
     [[], [1]],
     [[0, {"a": 1}], [1]],
     [[0], {"a": [1, 2]}],
+    [[0, float("nan")], [1, float("inf")], [2, -float("inf")]],
+    [[-0.0, 0.0], [0, -0.0]],
+    [[1e16, 1.5e-7], [-1e16, 123456789012345678]],
+    [(0, 1.0), (2, "b")],
+    [(0, (1, 2)), (3,)],
 ])
 def test_render_rows_hand_cases(rows):
     assert _render({"rows": rows}, "") == oracle_render({"rows": rows}, "")
+
+
+def test_integer_coordinates_and_weights_load_as_floats(tmp_path):
+    mesh = triangle_grid(2, 1)
+    payload = mesh_payload(mesh)
+    payload["nodes"] = [[n, *map(int, xyz)] for n, *xyz in payload["nodes"]]
+    back = mesh_from_payload(payload)
+    assert back.nodes == mesh.nodes
+    assert {type(c) for xyz in back.nodes.values() for c in xyz} == {float}
+
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"schema": SCHEMA, "weights": [[0, 2], [1, 1.5]]}))
+    weights = load_weights(path)
+    assert weights == {0: 2.0, 1: 1.5}
+    assert type(weights[0]) is float
+
+
+def test_mesh_payload_must_be_an_object(tmp_path):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"schema": SCHEMA, "mesh": [1]}))
+    with pytest.raises(FormatError, match="mesh must be an object"):
+        load_mesh(path)
+
+
+def oracle_mesh_from_payload(raw):
+    """The loader as first written: every record converted and checked
+    field by field, then the chunk validated."""
+    elements = raw.get("elements", [])
+    if not elements:
+        raise ValueError("mesh has no elements")
+    kind = elements[0][1] if len(elements[0]) > 1 else None
+    if kind not in KINDS:
+        raise ValueError(f"unknown element kind {kind!r}; "
+                         f"expected one of {sorted(KINDS)}")
+    chunk = MeshChunk(kind)
+    dim = chunk.dim
+    npe = chunk.nodes_per_element
+    npf = chunk.nodes_per_face
+    for i, rec in enumerate(elements):
+        if len(rec) != 2 + npe or rec[1] != kind:
+            raise ValueError(f"element record {i}: expected "
+                             f"[id, {kind!r}, {npe} node ids]")
+        eid = int(rec[0])
+        if eid < 0 or eid in chunk.elements:
+            raise ValueError(f"element record {i}: "
+                             f"{'negative' if eid < 0 else 'duplicate'} "
+                             f"element id {eid}")
+        chunk.elements[eid] = tuple(int(x) for x in rec[2:])
+    for i, rec in enumerate(raw.get("nodes", [])):
+        if len(rec) != 1 + dim:
+            raise ValueError(f"node record {i}: expected [id, {dim} coordinates]")
+        nid = int(rec[0])
+        if nid < 0 or nid in chunk.nodes:
+            raise ValueError(f"node record {i}: "
+                             f"{'negative' if nid < 0 else 'duplicate'} "
+                             f"node id {nid}")
+        chunk.nodes[nid] = tuple(float(x) for x in rec[1:])
+    for i, rec in enumerate(raw.get("boundary", [])):
+        if len(rec) != 1 + npf:
+            raise ValueError(f"boundary record {i}: expected [tag, {npf} node ids]")
+        chunk.boundary.append((int(rec[0]), tuple(int(x) for x in rec[1:])))
+    chunk.validate()
+    return chunk
+
+
+# One edit of a mesh payload: (section, record, field, new value), where the
+# value may also drop, copy over or lengthen the record.  New values are
+# JSON integers, or element kinds put in an element's kind field: inputs the
+# first loader read the way the column checks do.
+_EDITS = st.tuples(
+    st.sampled_from(["elements", "nodes", "boundary"]),
+    st.integers(0, 40), st.integers(0, 4),
+    st.integers(-2, 30) | st.sampled_from(["triangle", "tetrahedron",
+                                           "drop", "append", "copy"]))
+
+
+def _apply(payload, edit):
+    section, r, f, value = edit
+    records = payload[section]
+    if not records:
+        return
+    r %= len(records)
+    if value == "copy":
+        records[r] = list(records[(r + 1) % len(records)])
+    elif value == "drop":
+        del records[r]
+    elif value == "append":
+        records[r].append(records[r][-1])
+    elif isinstance(value, str):
+        elements = payload["elements"]
+        elements[r % len(elements)][1] = value
+    else:
+        records[r][f % len(records[r])] = value
+
+
+def _outcome(load, payload):
+    try:
+        return "ok", _items(load(payload))
+    except ValueError as err:
+        return "error", str(err)
+
+
+def _items(chunk):
+    return (chunk.kind, list(chunk.nodes.items()),
+            list(chunk.elements.items()), chunk.boundary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mesh=st.sampled_from([triangle_grid(3, 2), tet_box(1, 1, 1)]),
+       edits=st.lists(_EDITS, max_size=3))
+def test_block_checks_report_what_the_record_loop_reported(mesh, edits):
+    payload = mesh_payload(mesh)
+    for edit in edits:
+        _apply(payload, edit)
+    copy = json.loads(json.dumps(payload))
+    assert (_outcome(mesh_from_payload, payload)
+            == _outcome(oracle_mesh_from_payload, copy))

@@ -17,6 +17,8 @@ from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
                            split_contiguous, split_ids_evenly, subset_chunk,
                            unpack_chunk, build_dual_graph,
                            exchange_keyed_values)
+from hierpart import mesh as mesh_module
+from hierpart.directory import blind_exchange
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.partition import _pack_payload, _unpack_payload
 from hierpart.runtime import Runtime
@@ -534,3 +536,68 @@ def test_migrate_randomized_conservation():
         whole = merge_chunks(mesh.kind, res)
         assert whole.elements == mesh.elements
         assert len(whole.boundary) == n_boundary
+
+
+def migrate_through_codec(ctx, chunk, assignment, team=None):
+    """Oracle: migrate as first written, packing every destination's
+    sub-chunk, the rank's own included, and merging what arrives."""
+    by_dest: dict[int, list[int]] = {}
+    for eid in sorted(chunk.elements):
+        by_dest.setdefault(assignment[eid], []).append(eid)
+    outgoing = {dest: pack_chunk(sub) for dest, sub
+                in zip(by_dest, split_chunk(chunk, by_dest.values()))}
+    received = blind_exchange(ctx, outgoing, team=team)
+    return merge_chunks(chunk.kind, [unpack_chunk(b) for _, b in received])
+
+
+def test_migrate_packs_nothing_when_every_element_stays(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(mesh_module, name, wrapped)
+
+    spy("pack_chunk", pack_chunk)
+    spy("unpack_chunk", unpack_chunk)
+    chunks = split_contiguous(tet_box(2, 2, 1), 3)
+
+    def prog(ctx):
+        chunk = chunks[ctx.rank]
+        return migrate(ctx, chunk, {e: ctx.rank for e in chunk.elements})
+
+    assert Runtime(tree_of(3), seed=1).run(prog) == chunks
+    assert calls == []
+
+
+def _items(chunk):
+    return (chunk.kind, list(chunk.nodes.items()),
+            list(chunk.elements.items()), chunk.boundary)
+
+
+@pytest.mark.parametrize("mesh", [triangle_grid(5, 3), tet_box(2, 2, 2)],
+                         ids=["triangles", "tets"])
+def test_migrate_equals_the_pack_everything_path(mesh):
+    # Ranks 1-3 of four migrate among themselves; rank 0 sits out.  Each
+    # rank keeps some elements and sends the rest, or keeps all of them.
+    team = (1, 2, 3)
+    rng = random.Random(4)
+    for trial in range(6):
+        chunks = dict(zip(team, split_contiguous(mesh, len(team))))
+        assignment = {e: rng.choice(team) for e in mesh.elements}
+        if trial == 0:
+            assignment.update((e, 2) for e in chunks[2].elements)
+
+        def prog(ctx, migrate_fn):
+            if ctx.rank not in team:
+                return None
+            chunk = chunks[ctx.rank]
+            local = {e: assignment[e] for e in chunk.elements}
+            return _items(migrate_fn(ctx, chunk, local, team=team))
+
+        got = Runtime(tree_of(4), seed=trial).run(
+            lambda ctx: prog(ctx, migrate))
+        want = Runtime(tree_of(4), seed=trial).run(
+            lambda ctx: prog(ctx, migrate_through_codec))
+        assert got == want

@@ -169,6 +169,16 @@ def test_copy_across_nodes_rejected():
         Runtime(TREE4, seed=0).run(prog)
 
 
+def test_copy_from_any_source_rejected():
+    # A copy is matched by its named source; ANY_SOURCE is for messages.
+    def prog(ctx):
+        if ctx.rank == 1:
+            ctx.copy_from(ANY_SOURCE)
+
+    with pytest.raises(ProtocolError, match="copy_from must name its source"):
+        Runtime(TREE4, seed=0).run(prog)
+
+
 # -- deadlock and epoch reporting ---------------------------------------------------
 
 
