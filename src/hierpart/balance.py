@@ -14,19 +14,18 @@ from typing import Mapping, Sequence
 from .mesh import MeshChunk
 from .partition import _team_partition
 from .runtime import RankContext
-from .topology import TopologyTree, level_groups
+from .topology import TopologyTree
 
 WEIGHT_FLOOR = 1e-9
 
 
 def derive_weights(blocks: Sequence[tuple[Sequence[int], float]],
-                   elements: Sequence[int] | None = None,
-                   floor: float = WEIGHT_FLOOR) -> dict[int, float]:
+                   elements: Sequence[int] | None = None) -> dict[int, float]:
     """Per-element weights from per-block compute times.
 
     Each block is (element ids, measured seconds); every element in a block
     gets seconds / block size.  Zero or tiny measurements are clamped to
-    ``floor`` so downstream partitioners never see a zero weight.  When
+    ``WEIGHT_FLOOR`` so downstream partitioners never see a zero weight.  When
     ``elements`` is given, every listed element must appear in exactly one
     block.
     """
@@ -36,7 +35,7 @@ def derive_weights(blocks: Sequence[tuple[Sequence[int], float]],
             raise ValueError(f"timing block {i} lists no elements")
         if seconds < 0:
             raise ValueError(f"timing block {i} has negative time {seconds}")
-        per = max(seconds / len(eids), floor)
+        per = max(seconds / len(eids), WEIGHT_FLOOR)
         for e in eids:
             e = int(e)
             if e in weights:
@@ -80,10 +79,8 @@ def rebalance(ctx: RankContext, tree: TopologyTree, chunk: MeshChunk,
     the leaves already holding the bulk of each part, so a group that is
     still balanced sees little or no element movement.
     """
-    if not (0 <= level < tree.n_levels):
-        raise ValueError(f"level {level} outside 0..{tree.n_levels - 1}")
+    group = tree.group_of(ctx.rank, level)
     ctx.set_phase(f"rebalance_level{level}")
-    group = level_groups(tree, level).group_of(ctx.rank)
     return _team_partition(
         ctx, group, chunk, weights, method, tolerance,
         where=f"rebalance at {tree.level_name(level)} level", remap_overlap=True)

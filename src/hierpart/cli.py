@@ -209,6 +209,7 @@ def _cmd_partition(args) -> int:
                             approach=args.approach, tolerance=args.tolerance)
     if not (0 <= args.bpl < tree.n_levels):
         raise ValueError(f"--bpl {args.bpl} outside 0..{tree.n_levels - 1}")
+    model = CostModel(intranode=args.cost_intra)
     n_nodes = max(mesh.nodes) + 1
     initial = split_contiguous(mesh, nparts)
     runtime = Runtime(tree, seed=args.seed)
@@ -229,7 +230,6 @@ def _cmd_partition(args) -> int:
     if len(assignment) != mesh.n_elements:
         raise ProtocolError("partition lost or duplicated elements")
 
-    model = CostModel(intranode=args.cost_intra)
     adjacency = local_dual_graph(mesh)
     report = {
         "config": _config_echo("partition", args,
@@ -268,6 +268,7 @@ def _cmd_rebalance(args) -> int:
     if not isinstance(method, str):
         raise UsageError("rebalance takes a single --method")
     check_tolerance(args.tolerance)  # HierarchicalPlan checks it for partition
+    model = CostModel(intranode=args.cost_intra)
 
     pre_imb = imbalance(assignment, weights, nparts)
     pre_loads = partition_loads(assignment, nparts, weights)
@@ -291,7 +292,6 @@ def _cmd_rebalance(args) -> int:
     post_loads = partition_loads(new_assignment, nparts, weights)
     moved = sum(1 for e, p in new_assignment.items() if assignment[e] != p)
 
-    model = CostModel(intranode=args.cost_intra)
     report = {
         "config": _config_echo("rebalance", args,
                                ("level", "method", "tolerance", "cost_intra")),
@@ -326,6 +326,7 @@ def _cmd_metrics(args) -> int:
     weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
     _check_assignment(assignment, mesh, nparts)
+    model = CostModel(intranode=args.cost_intra)
 
     n_nodes = max(mesh.nodes) + 1
     initial = _chunks_from_assignment(mesh, assignment, nparts)
@@ -334,7 +335,6 @@ def _cmd_metrics(args) -> int:
     schedules = dict(enumerate(
         runtime.run(lambda ctx: tail(ctx, initial[ctx.rank]))))
 
-    model = CostModel(intranode=args.cost_intra)
     adjacency = local_dual_graph(mesh)
     report = {
         "config": _config_echo("metrics", args, ("cost_intra",)),

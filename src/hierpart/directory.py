@@ -34,14 +34,6 @@ def owner(key: int, key_space: int, nranks: int) -> int:
     return min(key // block_size(key_space, nranks), nranks - 1)
 
 
-def owner_interval(index: int, key_space: int, nranks: int) -> tuple[int, int]:
-    """Half-open key interval [lo, hi) held by owner ``index``."""
-    b = block_size(key_space, nranks)
-    lo = index * b
-    hi = key_space if index == nranks - 1 else min((index + 1) * b, key_space)
-    return lo, max(lo, hi)
-
-
 # One fixed tag for blind data and one for replies.  Blind drains are safe
 # with a fixed tag because every exchange instance is bracketed by
 # blind_count fences: nobody can inject data for the next instance before

@@ -28,20 +28,6 @@ class HaloSchedule:
     # (neighbor rank, shared node ids ascending, "intranode" | "internode")
     neighbors: tuple[tuple[int, tuple[int, ...], str], ...]
 
-    def sharers_of(self, node: int) -> list[int]:
-        """All ranks holding this node, this rank included, ascending."""
-        out = [self.rank]
-        for other, nodes, _ in self.neighbors:
-            if node in nodes:
-                out.append(other)
-        return sorted(out)
-
-    def shared_nodes(self) -> list[int]:
-        seen: set[int] = set()
-        for _, nodes, _ in self.neighbors:
-            seen.update(nodes)
-        return sorted(seen)
-
 
 def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
                       rank: int) -> HaloSchedule:
@@ -54,24 +40,6 @@ def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
         channel = "intranode" if tree.same_node(rank, other) else "internode"
         neighbors.append((other, nodes, channel))
     return HaloSchedule(rank=rank, neighbors=tuple(neighbors))
-
-
-def build_schedules(table: Mapping[tuple[int, int], Sequence[int]],
-                    tree: TopologyTree) -> dict[int, HaloSchedule]:
-    """Schedules for every rank from a full (p, q) -> shared nodes table.
-
-    The table must be symmetric: (p, q) and (q, p) name the same node set.
-    """
-    per_rank: dict[int, dict[int, Sequence[int]]] = {}
-    for (p, q), nodes in table.items():
-        if p == q:
-            raise ValueError(f"rank {p} paired with itself")
-        mirror = table.get((q, p))
-        if mirror is None or sorted(mirror) != sorted(nodes):
-            raise ValueError(f"shared-node table asymmetric for pair ({p}, {q})")
-        per_rank.setdefault(p, {})[q] = nodes
-    return {p: schedule_for_rank(rows, tree, p)
-            for p, rows in sorted(per_rank.items())}
 
 
 def exchange(ctx: RankContext, schedule: HaloSchedule,
@@ -111,7 +79,8 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
         else:
             ctx.send(other, data, tag=_TAG_HALO)
 
-    contrib: dict[int, dict[int, np.ndarray]] = {}
+    # Each shared node's (rank, value) pairs, this rank's own included.
+    pairs: dict[int, list[tuple[int, np.ndarray]]] = {}
     for other, nodes, channel in schedule.neighbors:
         if channel == "intranode":
             data = ctx.copy_from(other)
@@ -122,18 +91,17 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
             raise ValueError(f"halo payload from rank {other} holds "
                              f"{values.size} values, expected {len(nodes) * arity}")
         for i, n in enumerate(nodes):
-            contrib.setdefault(n, {})[other] = values[i * arity:(i + 1) * arity]
+            pairs.setdefault(n, [(ctx.rank, vecs[n])]).append(
+                (other, values[i * arity:(i + 1) * arity]))
 
     result = {n: v.copy() for n, v in vecs.items()}
-    for n in schedule.shared_nodes():
-        sharers = schedule.sharers_of(n)
+    for n, got in pairs.items():
+        got.sort(key=lambda rv: rv[0])
         if mode == "replicate_owner":
-            owner = sharers[0]
-            result[n] = vecs[n].copy() if owner == ctx.rank else \
-                contrib[n][owner].copy()
+            result[n] = got[0][1].copy()
         else:
             total = np.zeros(arity, dtype=np.float64)
-            for r in sharers:
-                total = total + (vecs[n] if r == ctx.rank else contrib[n][r])
+            for _, v in got:
+                total = total + v
             result[n] = total
     return result

@@ -410,18 +410,6 @@ def split_contiguous(chunk: MeshChunk, parts: int) -> list[MeshChunk]:
 
 # -- local measures -------------------------------------------------------------
 
-def cache_block_groups(element_ids: Sequence[int], block_size: int) -> list[list[int]]:
-    """Contiguous groups of ``block_size`` elements in local storage order.
-
-    The final group keeps the remainder.  Mirrors cache-blocked assembly
-    loops, so the grouping follows local order, not global ids.
-    """
-    if block_size < 1:
-        raise ValueError(f"block size must be >= 1, got {block_size}")
-    ids = list(element_ids)
-    return [ids[i:i + block_size] for i in range(0, len(ids), block_size)]
-
-
 def halo_growth(adjacency: Mapping[int, Sequence[int]],
                 assignment: Mapping[int, int], layers: int) -> float:
     """Replication overhead, in percent, of growing each part by k layers.

@@ -10,7 +10,11 @@ from .balance import imbalance
 from .halo import HaloSchedule
 from .mesh import halo_growth
 
-FLOAT_WIDTH = 8
+# Halo bytes per shared node: one float64 value, the field the CLI's survey
+# exchange sends.
+NODE_BYTES = 8
+# Dual-graph layers each part is grown by in the halo-growth figures.
+GROWTH_LAYERS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -46,32 +50,30 @@ def edge_cut(adjacency: Mapping[int, Sequence[int]],
 
 
 def partition_comm_costs(schedules: Mapping[int, HaloSchedule],
-                         model: CostModel, arity: int = 1,
-                         width: int = FLOAT_WIDTH) -> dict[int, float]:
+                         model: CostModel) -> dict[int, float]:
     """Cost-weighted halo bytes each partition sends per exchange."""
     out: dict[int, float] = {}
     for rank, sched in schedules.items():
         total = 0.0
         for _, nodes, channel in sched.neighbors:
-            total += len(nodes) * arity * width * model.cost(channel)
+            total += len(nodes) * NODE_BYTES * model.cost(channel)
         out[rank] = total
     return out
 
 
-def comm_imbalance(schedules: Mapping[int, HaloSchedule], model: CostModel,
-                   arity: int = 1, width: int = FLOAT_WIDTH) -> float:
+def comm_imbalance(schedules: Mapping[int, HaloSchedule], model: CostModel
+                   ) -> float:
     """Max over mean of per-partition exchange cost; 1.0 when nobody talks."""
     if not schedules:
         return 1.0
-    costs = partition_comm_costs(schedules, model, arity, width)
+    costs = partition_comm_costs(schedules, model)
     mean = sum(costs.values()) / len(costs)
     if mean == 0:
         return 1.0
     return max(costs.values()) / mean
 
 
-def halo_pairs(schedules: Mapping[int, HaloSchedule], arity: int = 1,
-               width: int = FLOAT_WIDTH) -> list[dict[str, Any]]:
+def halo_pairs(schedules: Mapping[int, HaloSchedule]) -> list[dict[str, Any]]:
     """One row per unordered neighbor pair: shared nodes and one-way bytes."""
     rows = []
     for rank in sorted(schedules):
@@ -81,15 +83,15 @@ def halo_pairs(schedules: Mapping[int, HaloSchedule], arity: int = 1,
             rows.append({
                 "a": rank, "b": other, "channel": channel,
                 "shared_nodes": len(nodes),
-                "bytes_each_way": len(nodes) * arity * width,
+                "bytes_each_way": len(nodes) * NODE_BYTES,
             })
     return rows
 
 
 def quality_metrics(adjacency: Mapping[int, Sequence[int]],
                     assignment: Mapping[int, int], nparts: int,
-                    weights: Mapping[int, float] | None = None,
-                    growth_layers: Sequence[int] = (1, 2)) -> dict[str, Any]:
+                    weights: Mapping[int, float] | None = None
+                    ) -> dict[str, Any]:
     """The sequential partition-quality block of a report."""
     out: dict[str, Any] = {
         "elements": len(assignment),
@@ -97,7 +99,7 @@ def quality_metrics(adjacency: Mapping[int, Sequence[int]],
         "edge_cut": edge_cut(adjacency, assignment),
         "element_imbalance": imbalance(assignment, None, nparts),
         "halo_growth_pct": {
-            str(k): halo_growth(adjacency, assignment, k) for k in growth_layers
+            str(k): halo_growth(adjacency, assignment, k) for k in GROWTH_LAYERS
         },
     }
     if weights is not None:
@@ -105,14 +107,14 @@ def quality_metrics(adjacency: Mapping[int, Sequence[int]],
     return out
 
 
-def comm_metrics(schedules: Mapping[int, HaloSchedule], model: CostModel,
-                 arity: int = 1) -> dict[str, Any]:
+def comm_metrics(schedules: Mapping[int, HaloSchedule], model: CostModel
+                 ) -> dict[str, Any]:
     """The halo-communication block of a report."""
     return {
         "cost_internode": model.internode,
         "cost_intranode": model.intranode,
-        "imbalance": comm_imbalance(schedules, model, arity),
-        "pairs": halo_pairs(schedules, arity),
+        "imbalance": comm_imbalance(schedules, model),
+        "pairs": halo_pairs(schedules),
     }
 
 

@@ -30,10 +30,10 @@ import numpy as np
 
 from . import _codec
 from .mesh import (MeshChunk, adjacency_from_elements, exchange_keyed_values,
-                   merge_chunks, migrate, pack_chunk, split_chunk,
+                   kind_info, merge_chunks, migrate, pack_chunk, split_chunk,
                    split_ids_evenly, unpack_chunk)
 from .runtime import RankContext
-from .topology import TopologyTree, aggregate, cascade, child_leaders, level_groups
+from .topology import TopologyTree, aggregate, cascade
 
 METHODS = ("rcb", "graph")
 
@@ -51,7 +51,8 @@ class HierarchicalPlan:
 
     ``method`` is a single back-end name or one name per step, step 0 being
     the bootstrap split and step i the split producing level
-    ``bootstrap_level + i`` groups.  ``approach`` 1 spreads equal element
+    ``bootstrap_level + i`` groups; a shorter list repeats its last name, and
+    ``hierarchical_partition`` rejects a list longer than its splits.  ``approach`` 1 spreads equal element
     blocks over the next level's leaders and partitions among them; approach
     2 partitions at the current leader and hands finished parts down, which
     keeps sub-level phases free of partitioning messages entirely.
@@ -335,26 +336,26 @@ _WEIGHTS_SOME = 1
 
 
 def _pack_payload(chunk: MeshChunk, weights: Mapping[int, float] | None) -> bytes:
+    """The chunk and its weights in the chunk's wire order, ascending id."""
     if weights is None:
-        wflag, wids, wvals = _WEIGHTS_NONE, [], []
+        wflag, wvals = _WEIGHTS_NONE, []
     else:
         wflag = _WEIGHTS_SOME
-        wids = sorted(int(e) for e in chunk.elements)
-        wvals = [float(weights[e]) for e in wids]
+        wvals = [float(weights[e]) for e in sorted(chunk.elements)]
     return _codec.pack_blocks([
         pack_chunk(chunk),
         _codec.pack_i64([wflag]),
-        _codec.pack_i64(wids),
         _codec.pack_f64(wvals),
     ])
 
 
 def _unpack_payload(data: bytes) -> tuple[MeshChunk, dict[int, float] | None]:
-    chunk_raw, flag_raw, wids_raw, wvals_raw = _codec.unpack_blocks(data)
+    chunk_raw, flag_raw, wvals_raw = _codec.unpack_blocks(data)
     chunk = unpack_chunk(chunk_raw)
     if _codec.unpack_one_i64(flag_raw) == _WEIGHTS_NONE:
         return chunk, None
-    return chunk, dict(zip(_codec.unpack_i64(wids_raw).tolist(),
+    # unpack_chunk keeps the wire's ascending id order.
+    return chunk, dict(zip(chunk.elements,
                            _codec.unpack_f64(wvals_raw).tolist()))
 
 
@@ -434,31 +435,34 @@ def _team_assignment(ctx, team, chunk, weights, method, tolerance, where,
     ]))
     replies = None
     if gathered is not None:
-        replies = _leader_assign(gathered, team, chunk, weights is not None,
-                                 method, tolerance, where, remap_overlap, m)
-    rids_raw, rdest_raw = _codec.unpack_blocks(cascade(ctx, team, replies))
-    return dict(zip(_codec.unpack_i64(rids_raw).tolist(),
-                    _codec.unpack_i64(rdest_raw).tolist()))
+        replies = _leader_assign(gathered, team, chunk.kind,
+                                 weights is not None, method, tolerance,
+                                 where, remap_overlap, m)
+    # The reply holds the new owners in the order of this rank's ids.
+    return dict(zip(ids, _codec.unpack_i64(cascade(ctx, team, replies))
+                    .tolist()))
 
 
-def _leader_assign(gathered, team, chunk, has_weights, method, tolerance,
+def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
                    where, remap_overlap, m) -> list[bytes]:
-    """Split the union at the team leader, one part per member; one reply
-    per member."""
+    """Split the union at the team leader, one part per member; each
+    member's reply is the new owner of each of its elements, in the order
+    the member sent them."""
+    _, dim, npe, _ = kind_info(kind)
     id_blocks, rows, wvec = [], [], []
     for payload in gathered:
-        ids_raw, rows_raw, w_raw = _codec.unpack_blocks(payload.data)
+        ids_raw, rows_raw, w_raw = _codec.unpack_blocks(payload)
         id_blocks.append(_codec.unpack_i64(ids_raw).tolist())
         if method == "rcb":
-            rows.append(_codec.unpack_f64(rows_raw).reshape(-1, chunk.dim))
+            rows.append(_codec.unpack_f64(rows_raw).reshape(-1, dim))
         else:
             rows.extend(map(tuple, _codec.unpack_i64(rows_raw).reshape(
-                -1, chunk.nodes_per_element).tolist()))
+                -1, npe).tolist()))
         wvec.extend(_codec.unpack_f64(w_raw).tolist())
     if method == "rcb":
         rows = np.concatenate(rows)
     ids = [e for block in id_blocks for e in block]
-    part_of = _backend(chunk.kind, method, ids, rows,
+    part_of = _backend(kind, method, ids, rows,
                        wvec if has_weights else None, len(team), tolerance,
                        where, m)
 
@@ -468,13 +472,8 @@ def _leader_assign(gathered, team, chunk, has_weights, method, tolerance,
         rank_of_part = _overlap_remap(part_of, holder_of, team)
     else:
         rank_of_part = dict(enumerate(team))
-    return [
-        _codec.pack_blocks([
-            _codec.pack_i64(block),
-            _codec.pack_i64([rank_of_part[part_of[e]] for e in block]),
-        ])
-        for block in id_blocks
-    ]
+    return [_codec.pack_i64([rank_of_part[part_of[e]] for e in block])
+            for block in id_blocks]
 
 
 def _overlap_remap(part_of: Mapping[int, int], holder_of: Mapping[int, int],
@@ -511,17 +510,18 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
     element weights.
     """
     bpl = plan.bootstrap_level
-    if not (0 <= bpl < tree.n_levels):
-        raise ValueError(f"bootstrap level {bpl} outside 0..{tree.n_levels - 1}")
+    my_group = tree.group_of(ctx.rank, bpl)
+    splits = tree.n_levels - bpl
+    if not isinstance(plan.method, str) and len(plan.method) > splits:
+        raise ValueError(f"method lists {len(plan.method)} back-ends, one per "
+                         f"split, but the hierarchy makes only {splits}")
     kind = chunk.kind
 
     ctx.set_phase("collect")
-    lg = level_groups(tree, bpl)
-    my_group = lg.group_of(ctx.rank)
     gathered = aggregate(ctx, my_group, _pack_payload(chunk, weights))
     chunk, weights = MeshChunk(kind), None
     if gathered is not None:
-        parts = [_unpack_payload(p.data) for p in gathered]
+        parts = [_unpack_payload(p) for p in gathered]
         chunk = merge_chunks(kind, [c for c, _ in parts])
         if any(w is not None for _, w in parts):
             weights = {e: w for _, wmap in parts
@@ -529,7 +529,7 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
 
     # Every split gives each child group at least one element per leaf.
     ctx.set_phase("bootstrap")
-    leaders = lg.leaders
+    leaders = range(0, tree.total_ranks, tree.group_size(bpl))
     if ctx.rank in leaders:
         chunk, weights = _team_partition(
             ctx, leaders, chunk, weights, plan.method_for(0), plan.tolerance,
@@ -539,12 +539,12 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
         ctx.set_phase(f"level{level + 1}")
         step = level - bpl + 1
         method = plan.method_for(step)
-        gidx = tree.group_index(ctx.rank, level)
-        kids = child_leaders(tree, level, gidx)
+        leaves = tree.group_size(level + 1)
+        kids = tree.group_of(ctx.rank, level)[::leaves]
         if ctx.rank not in kids:
             continue
-        where = f"level {level + 1} split of {tree.level_name(level)} group {gidx}"
-        leaves = tree.group_size(level + 1)
+        where = (f"level {level + 1} split of {tree.level_name(level)} "
+                 f"group {tree.group_index(ctx.rank, level)}")
 
         # The group leader carves its chunk into one group per child leader:
         # finished parts (approach 2) or equal id blocks the child leaders

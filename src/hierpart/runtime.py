@@ -75,9 +75,6 @@ class Window:
         self.generation = 0
         self.arrived: set[int] = set()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Window(members={self.members}, gen={self.generation})"
-
 
 class TrafficLedger:
     """Byte and message accounting for a single runtime execution.

@@ -50,6 +50,12 @@ class TopologyTree:
         size = self.group_size(level)
         return range(index * size, (index + 1) * size)
 
+    def group_of(self, rank: int, level: int) -> range:
+        """The ranks of ``rank``'s level-``level`` group, leader first."""
+        if not (0 <= level < self.n_levels):
+            raise ValueError(f"level {level} outside 0..{self.n_levels - 1}")
+        return self.group_members(level, self.group_index(rank, level))
+
     def same_node(self, a: int, b: int) -> bool:
         """True when both ranks sit under the same level-0 vertex."""
         return self.group_index(a, 0) == self.group_index(b, 0)
@@ -60,9 +66,10 @@ class TopologyTree:
 
 def build_topology(spec: Any) -> TopologyTree:
     """Build a TopologyTree from ``{"levels": [{"name", "arity"}...]}``
-    or a plain sequence of (name, arity) pairs.
+    or a list of [name, arity] pairs.
 
-    Rejects empty trees and non-positive arities, naming the offending level.
+    Rejects any other shape, empty trees and non-positive arities, naming
+    the offending level.
     """
     if isinstance(spec, TopologyTree):
         return spec
@@ -75,8 +82,16 @@ def build_topology(spec: Any) -> TopologyTree:
             if not isinstance(entry, dict) or "name" not in entry or "arity" not in entry:
                 raise ValueError(f"topology level {i} must have 'name' and 'arity'")
             pairs.append((entry["name"], entry["arity"]))
+    elif isinstance(spec, (list, tuple)):
+        pairs = spec
+        for i, entry in enumerate(pairs):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise ValueError(f"topology level {i} must be a [name, arity] "
+                                 f"pair, got {entry!r}")
     else:
-        pairs = [(n, a) for n, a in spec]
+        raise ValueError(f"topology must be an object with a 'levels' list "
+                         f"or a list of [name, arity] pairs, got "
+                         f"{type(spec).__name__}")
     if not pairs:
         raise ValueError("topology must have at least one level")
     levels = []
@@ -90,50 +105,6 @@ def build_topology(spec: Any) -> TopologyTree:
     return TopologyTree(tuple(levels))
 
 
-@dataclass(frozen=True)
-class LevelGroup:
-    """All rank groups at one tree level."""
-
-    level: int
-    groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def leaders(self) -> tuple[int, ...]:
-        return tuple(g[0] for g in self.groups)
-
-    def group_of(self, rank: int) -> tuple[int, ...]:
-        for g in self.groups:
-            if g[0] <= rank <= g[-1]:
-                return g
-        raise ValueError(f"rank {rank} not in any group")
-
-
-def level_groups(tree: TopologyTree, level: int) -> LevelGroup:
-    """Contiguous rank groups at ``level``; leader is each group's lowest rank."""
-    if not (0 <= level < tree.n_levels):
-        raise ValueError(f"level {level} outside 0..{tree.n_levels - 1}")
-    groups = tuple(
-        tuple(tree.group_members(level, i)) for i in range(tree.group_count(level))
-    )
-    return LevelGroup(level, groups)
-
-
-def child_leaders(tree: TopologyTree, level: int, group_index: int) -> tuple[int, ...]:
-    """Leaders of the level+1 groups under the given level-``level`` group."""
-    arity = tree.arity(level + 1)
-    first_child = group_index * arity
-    return tuple(tree.group_members(level + 1, first_child + j)[0]
-                 for j in range(arity))
-
-
-@dataclass(frozen=True)
-class Payload:
-    """A byte payload attributed to the member rank that contributed it."""
-
-    owner: int
-    data: bytes
-
-
 # Messages between a fixed rank pair with a fixed tag arrive in send order,
 # so each collective kind can reuse one tag without cross-talk.
 _TAG_AGGREGATE = 11
@@ -141,25 +112,19 @@ _TAG_CASCADE = 12
 
 
 def aggregate(ctx: RankContext, members: Sequence[int], data: bytes,
-              ) -> list[Payload] | None:
+              ) -> list[bytes] | None:
     """Move every member's payload to the group leader.
 
-    Collective over ``members``.  The leader returns payloads in member rank
-    order; everyone else returns None.  A missing member leaves the leader
-    blocked and is named by the deadlock report.
+    Collective over ``members``.  The leader returns the payloads in member
+    rank order; everyone else returns None.  A missing member leaves the
+    leader blocked and is named by the deadlock report.
     """
     members = sorted(members)
     leader = members[0]
     tag = _TAG_AGGREGATE
     if ctx.rank == leader:
-        out = []
-        for m in members:
-            if m == ctx.rank:
-                out.append(Payload(m, bytes(data)))
-            else:
-                _, _, got = ctx.recv(source=m, tag=tag)
-                out.append(Payload(m, got))
-        return out
+        return [bytes(data) if m == ctx.rank else
+                ctx.recv(source=m, tag=tag)[2] for m in members]
     ctx.send(leader, data, tag)
     return None
 

@@ -9,7 +9,7 @@ from hierpart.balance import (WEIGHT_FLOOR, derive_weights, imbalance,
 from hierpart.mesh import merge_chunks, split_contiguous
 from hierpart.meshgen import triangle_grid
 from hierpart.runtime import Runtime
-from hierpart.topology import build_topology, level_groups
+from hierpart.topology import build_topology
 
 
 def group_imbalance(res, weights, group) -> float:
@@ -92,7 +92,7 @@ def test_rebalance_flattens_skewed_group():
     heavy = set(chunks[0].elements)
     weights_of = lambda e: 4.0 if e in heavy else 1.0
 
-    groups = level_groups(tree, 0).groups
+    groups = [tree.group_members(0, g) for g in range(tree.group_count(0))]
     wgt_all = {e: weights_of(e) for e in mesh.elements}
     pre = [0.0, 0.0, 0.0, 0.0]
     for r, ch in enumerate(chunks):
@@ -111,7 +111,8 @@ def test_rebalance_keeps_elements_inside_their_group():
     chunks = split_contiguous(mesh, 4)
     before = [set(ch.elements) for ch in chunks]
     res, _ = run_rebalance(chunks, tree, 0, lambda e: 1.0 + (e % 7))
-    for group in level_groups(tree, 0).groups:
+    for g in range(tree.group_count(0)):
+        group = tree.group_members(0, g)
         had = set().union(*(before[r] for r in group))
         have = set().union(*(set(res[r].elements) for r in group))
         assert have == had

@@ -469,3 +469,59 @@ def test_timestamp_present_by_default(inputs):
     assert code == 0
     report = json.loads((out / "report.json").read_text())["report"]
     assert "timestamp" in report
+
+
+@pytest.mark.parametrize("payload, message", [
+    (5, "topology must be an object with a 'levels' list or a list of "
+        "[name, arity] pairs, got int"),
+    ("node", "topology must be an object with a 'levels' list or a list of "
+             "[name, arity] pairs, got str"),
+    ([["node"]], "topology level 0 must be a [name, arity] pair, "
+                 "got ['node']"),
+], ids=["number", "string", "short-pair"])
+def test_bad_topology_shape_exits_2_naming_it(inputs, capsys, payload,
+                                              message):
+    topo = inputs["tmp"] / "bad_topo.json"
+    topo.write_text(json.dumps({"schema": "treepart-1", "topology": payload}))
+    code = main(["partition", "--mesh", str(inputs["mesh_path"]),
+                 "--topo", str(topo), "--out", str(inputs["tmp"] / "x")])
+    assert code == 2
+    assert f"{topo}: {message}" in capsys.readouterr().err
+
+
+def test_method_list_longer_than_the_hierarchy_exits_2(inputs, capsys):
+    # The 2x2 tree makes two splits from the root: a third entry is an
+    # error, while a single entry repeats for every split.
+    out = inputs["tmp"] / "x"
+    assert run_partition(inputs, out, ("--method", "graph,rcb,graph")) == 2
+    assert ("method lists 3 back-ends, one per split, but the hierarchy "
+            "makes only 2\n" in capsys.readouterr().err)
+    assert run_partition(inputs, out, ("--method", "graph,rcb,graph",
+                                       "--bpl", "1")) == 2
+    assert "lists 3 back-ends, one per split, but the hierarchy makes " \
+        "only 1\n" in capsys.readouterr().err
+    assert run_partition(inputs, out, ("--method", "graph,rcb")) == 0
+    assert run_partition(inputs, out, ("--method", "graph")) == 0
+
+
+@pytest.mark.parametrize("verb", ["partition", "rebalance", "metrics"])
+@pytest.mark.parametrize("cost", ["0", "nan", "2"])
+def test_bad_cost_intra_exits_2_before_the_run(inputs, capsys, monkeypatch,
+                                               verb, cost):
+    runs = []
+    monkeypatch.setattr("hierpart.cli.Runtime.run",
+                        lambda self, program: runs.append(program))
+    args = [verb, "--mesh", str(inputs["mesh_path"]),
+            "--topo", str(inputs["topo_path"]),
+            "--out", str(inputs["tmp"] / "x"), "--cost-intra", cost]
+    if verb != "partition":
+        start = inputs["tmp"] / "start.json"
+        save_assignment(start, {e: e % 4 for e in inputs["mesh"].elements})
+        args += ["--assignment", str(start)]
+    if verb == "rebalance":
+        args += ["--level", "0"]
+    assert main(args) == 2
+    assert (f"need 0 < intranode <= internode, got intranode={float(cost)}"
+            in capsys.readouterr().err)
+    assert runs == []
+    assert not (inputs["tmp"] / "x").exists()

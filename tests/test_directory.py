@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierpart.directory import (Directory, blind_exchange, block_size, owner,
-                                owner_interval)
+from hierpart.directory import Directory, blind_exchange, block_size, owner
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
@@ -56,14 +55,29 @@ def test_owner_last_rank_absorbs_remainder():
     assert [owner(k, 10, 4) for k in range(10)] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
 
 
+def owner_block(index: int, key_space: int, p: int) -> tuple[int, int]:
+    """Oracle: half-open key interval [lo, hi) that ``owner`` gives rank ``index``.
+
+    Blocks of block_size keys in rank order; the last rank takes whatever
+    remains, and ranks past the end of the key space hold nothing.
+    """
+    b = block_size(key_space, p)
+    lo = index * b
+    hi = key_space if index == p - 1 else min((index + 1) * b, key_space)
+    return lo, max(lo, hi)
+
+
 def test_owner_interval_covers_space_exactly():
     for key_space in (1, 7, 10, 16, 100):
         for p in (1, 2, 3, 4, 8):
-            spans = [owner_interval(i, key_space, p) for i in range(p)]
+            spans = [owner_block(i, key_space, p) for i in range(p)]
             got = []
             for lo, hi in spans:
                 got.extend(range(lo, hi))
             assert got == list(range(key_space))
+            owners = [owner(k, key_space, p) for k in range(key_space)]
+            assert owners == [i for i, (lo, hi) in enumerate(spans)
+                              for _ in range(lo, hi)]
 
 
 @given(key_space=st.integers(1, 10_000), p=st.integers(1, 64),
@@ -72,7 +86,7 @@ def test_owner_agrees_with_interval(key_space, p, key):
     if key >= key_space:
         key %= key_space
     o = owner(key, key_space, p)
-    lo, hi = owner_interval(o, key_space, p)
+    lo, hi = owner_block(o, key_space, p)
     assert lo <= key < hi
 
 

@@ -158,7 +158,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            'dd2518a06785d0b74bde7953810439ae5036891b3fe474b2d2d8ed7878614fec',
+            '436b9340c2e65ab6bbadf4eb18ce5cc84312258ccb659184c888b8505cd2a5a8',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -168,13 +168,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            '3c0222681c3408af33d0c72ccf63cd5b5083f99d2dd135d442215142385013e9',
+            '83b13c22cba767957edfbc090d3fc7b68be9de733c28331fde92849ebfda8cab',
     },
     'partition-topo_2x2-rcb-a2': {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            'e07ca2a1576717efe97bce5162d480fb657a67e1ab43ec1fdd4e0416c8437c44',
+            '13dfcdca64822bca4ea58c6110433e5d2854ec1ed1e19035dd0be89ff1c61ccb',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -184,13 +184,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            '00ddcda9e132d7ddd68c43bb6ae1a24bb0835189c2e6b70c1483545b58236bcb',
+            '9b91e5580683c7d8dee910d73ffde77267321d9e795faf5b2ba1cc6757b53533',
     },
     'partition-topo_2x2-graph-a1': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            '58009237d211cd9dbdd1f472472de360380859651be125c4ef430f48c89fcc45',
+            '0fc92e0df43d2fb6d227d51c61e0839ae086006861904a0c941cd7aac8b8552e',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -200,13 +200,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '395523c9ceb76299dc569db092c1ad1294f35cd4b066b55f11d91587e0aa53c9',
+            'a31bb5e02674d0c5458874f09504b3b2765ff540ea4589bd68ce41916c65ddbe',
     },
     'partition-topo_2x2-graph-a2': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            '17a97b4d43c489021daca9acc293a3ddb7b8250556e2f78eecfa25cfe0c5febc',
+            'd030344bea7b811e55b4ad1873e9ea8504c314a8c21bcde737ff81e75ef4b761',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -216,13 +216,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            'f30444e5b5e3c2d030b79f6f387e8d6cf63428cfcebc806f4128418fa793580e',
+            '09490708ef8897bcf4331a63475ad62ded00b2e609e5647fff3f8e9d13f19239',
     },
     'partition-topo_2x2-graph,rcb-a1': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '26ced93217958f2aee5a284518fac703859342fa47ddeef2019f0a52b0478488',
+            '0ff4a4c0e6b6b48f2f2dca2ae0cd5f4be29e057870e91cd7cc668b064ee3301c',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -232,13 +232,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            'f5f3cb1cedfbe946492bcc87275a45a6f7a6ecaa98084f3ae0394c27483b5055',
+            '31395efe0d8fb1f97aa721619e15b06b94ab2c43e0886c803099fdf89646b755',
     },
     'partition-topo_2x2-graph,rcb-a2': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '54e21dc5523a22e9fc3243c3497ac7eb87cee141300d6e195f18bbfd10326332',
+            '2111aecd11e903727c1b56d130d2c059e575eb594eb76076dcee99ab6d694648',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -248,13 +248,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            '287fd86cf756293939cd8dcad884ccb94d7a40d3b4010c59b4471b63f2902469',
+            'de361371fb6f228b5e39bf02de7c04aad52a6d7f44d8c6d569fc15e81e40cbf9',
     },
     'partition-topo_2x2x2-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '173d1550f3f3fa12c7d3630a63aabacdde045d2419953df8cfc84a64a6cdd0ea',
+            '12901b48ff06f92b2156d1072fb9600aa8dde64d1bb4e22d4e4375e98142dfe2',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -272,13 +272,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '9b37e545d66f704b902b5f2f18196847e615336d97b5fb6167450c80c9ea34d4',
+            'e93baf361206b7acacaa3235f65f26cdfc2bdabac726810a1e3ab7d404a0007d',
     },
     'partition-topo_2x2x2-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'c6a1b70eaa28987b921cdf36e5fa1668683ede89635b2f3c4bb6b5679818f9a3',
+            '5a99bcdd1b058d6ee6bdaf9b8609111bb128ac3b7ad7aa336e1d921e491771b6',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -296,13 +296,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '169350960356e569f32312c93fdcf3241370d543fa62a02c93f7e428e3d6918f',
+            'a48baf470354bdc61f75368c1476c412fd462efa5ac9d11eeb9e48bd37155159',
     },
     'partition-topo_2x2x2-graph-a1': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            '40a680a6b05c88e3f75112452594ac6a9d8f99ab412f7715c9c11522fb8e289c',
+            '93d1052c350c7de16b8e15f9e8f04bba45181d448363e2b9d4968c6df95f5f0c',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -320,13 +320,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            '5ee2dadf1bd253453516153a653cc88649ab97da3886e93c947771053150c885',
+            'dbc8a31e9175ca3b101fa1f09786cfac634321db9ed4931242cb5a63f0770324',
     },
     'partition-topo_2x2x2-graph-a2': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            '4ec57225bdae1dbc0efefbf8f60407d048511ced725438eeca2fd6c1892fb005',
+            '1aff953c0381a3306c0a071e67767430ba01da9f28484bf170a231e0c725b5a0',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -344,13 +344,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            '6efea9faf740e5b8e91c1ab9a3490860385a72094fb44995f2e3ff49fe9aebd1',
+            'da7558cf38bbbbabbe42e9e48be3bd78bcf6302a901c64cf1c37955d3424d4a2',
     },
     'partition-topo_2x2x2-graph,rcb-a1': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            'b83c5619013185f43cadb64a427c283611797b32c4e1c402f64acf682191343f',
+            'd5772b543c3897d299c6ac0dddc4d6a95e77b40bf190ad4781917cfaf517b2fb',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -368,13 +368,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            'b3f4188dfbc316d8bba5aac32e4b73bb0b5da2c7d8118211412fb584a0e54647',
+            '40f38b28d9f1dd88d085ff4016a654ba6919e8cd87b8c99c6b647edf497fc46c',
     },
     'partition-topo_2x2x2-graph,rcb-a2': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            'ff5793a2e0fbbc9fb0e7af3fb4ea8f8bc8f39b3fedb4095b68235b03b82eb20e',
+            '3539eefd870fd2b3792ca1161d029f50617ca46a7716e95e0a76e34ab29bfbe2',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -392,7 +392,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            'f128d46a895a7e74037d69654b942f1be78e2a7a56d844c950980e1e3e1432b2',
+            '722bb7831d166c30591a7b738a4036e7c57eb5a09a1cb287eaf62c42cddcb13d',
     },
     'rebalance-rcb': {
         'assignment.json':
@@ -400,9 +400,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '5c2dca82240906e3d4bb7b4dc05fe81b5734626f7ef77b94f9a8a2567393b8b5',
         'levels.csv':
-            'cbf6eb6888f3ba5a12f5e06d29b330b7010260529daca54b87325ff8c6738405',
+            '2135d696780191ae73c3a80950f94cdbf6ce8f9dcf0ed1b086a55faa09fd69de',
         'report.json':
-            'ec0b7124bbfa7b0a695bae0f3de11e2c01ce2e9f1c8bcb1be335dd9fab73fe92',
+            '41ea15216d2d9ba1faa3c683be4219744556c8fcd2001fe912753b95e5ce37b8',
     },
     'rebalance-graph': {
         'assignment.json':
@@ -410,9 +410,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'a52d659f05e7f524decddc57b5f78d99c13258d568910dd5dfaf5430c399eb81',
         'levels.csv':
-            'd3aa6efee6284a1103cd80d80b0e205fe8ce4efbb0f9875d1864674a6ed2df82',
+            'ab463929cc2081f9659bd251a4347f1313338f80edb88b08db75b09aa1d35dbb',
         'report.json':
-            'cf7d2318dec7e4b6cba1e6037361a5a253d55059e34a6dd1599f4a2afbe13159',
+            '5246e5cb7ffc9b4e9b4e51acf054ec774969fef23915d003d22a7f32ea2a312c',
     },
     'metrics': {
         'levels.csv':
@@ -424,7 +424,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
         'levels.csv':
-            '965e13e16064b00bdbcb5d4cbbc7a05c89cbcd9e2debe7e2467c616b76017d32',
+            '6cf5be40e5d0423fbabd79e2511fb0518f5b0030a3cfc201ab54164745a3eef0',
         'part-0000.json':
             'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
         'part-0001.json':
@@ -442,7 +442,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
         'report.json':
-            '6845c00b7eea1e7e46be75c65cc366ef3682baf8567d22dd6ded7aaaf9b6cc41',
+            '12bb4dc27f4ce782e008ba293aeea9f472d6c4a7f13830f9a4d920cfcb57e56b',
     },
     'tet-rebalance-rcb': {
         'assignment.json':
@@ -450,9 +450,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '3e96fe4c21331d1e7d24c228440a75cb3509702469cf3d321bc2493e88fde3e1',
         'levels.csv':
-            '1cf7fa7294b0812023e17e9fd1fc49ccf30a65a5a5cc342d37bb53cae713e305',
+            '4f6b65a2620f68afc5ff58f8f0a5cdcb319c8e1ddfddfa701cef824d1a1affe0',
         'report.json':
-            '8695e67b469e5eaa7b6c66ddddb23c3850ae07ecaa2b16c935f788ec6e7ce753',
+            'd9d14925fb5a227023bbd4bf675937c6b82e300ed5c350a9f4899dacb74cfc11',
     },
 }
 

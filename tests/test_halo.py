@@ -7,8 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from hierpart.halo import (HaloSchedule, build_schedules, exchange,
-                           schedule_for_rank)
+from hierpart.halo import HaloSchedule, exchange, schedule_for_rank
 from hierpart.mesh import find_shared_nodes, split_contiguous
 from hierpart.meshgen import triangle_grid
 from hierpart.runtime import Runtime
@@ -81,29 +80,6 @@ def test_schedule_drops_empty_neighbor_rows():
     assert sched.neighbors == ()
 
 
-def test_sharers_of_includes_self_sorted():
-    sched = HaloSchedule(rank=2, neighbors=((0, (9,), "internode"),
-                                            (3, (9, 11), "internode")))
-    assert sched.sharers_of(9) == [0, 2, 3]
-    assert sched.sharers_of(11) == [2, 3]
-    assert sched.shared_nodes() == [9, 11]
-
-
-def test_build_schedules_validates_symmetry():
-    tree = build_topology([("node", 2)])
-    with pytest.raises(ValueError, match="asymmetric"):
-        build_schedules({(0, 1): [4], (1, 0): [4, 5]}, tree)
-    with pytest.raises(ValueError, match="paired with itself"):
-        build_schedules({(0, 0): [4]}, tree)
-
-
-def test_build_schedules_round_trip():
-    tree = build_topology([("node", 2)])
-    scheds = build_schedules({(0, 1): [4, 5], (1, 0): [5, 4]}, tree)
-    assert scheds[0].neighbors == ((1, (4, 5), "internode"),)
-    assert scheds[1].neighbors == ((0, (4, 5), "internode"),)
-
-
 # -- exchange ---------------------------------------------------------------------
 
 
@@ -124,6 +100,40 @@ def test_exchange_two_rank_hand_case():
         assert set(res[r]) == set(expect[r])
         for n in res[r]:
             assert res[r][n] == pytest.approx(expect[r][n])
+
+
+def test_exchange_three_sharers_resolved_in_rank_order():
+    # Node 9 is held by ranks 0, 2 and 3, node 11 by ranks 2 and 3; rank 2
+    # resolves node 9 with its own value between two received ones.  The
+    # sum is order-sensitive: adding 1.0 before -1e16 loses it (0.0), while
+    # adding this rank's value last would keep it (1.0).
+    tree = build_topology([("node", 2), ("core", 2)])
+    neighbors = {
+        0: ((2, (9,)), (3, (9,))),
+        1: (),
+        2: ((0, (9,)), (3, (9, 11))),
+        3: ((0, (9,)), (2, (9, 11))),
+    }
+    schedules = [HaloSchedule(r, tuple(
+        (other, nodes, "intranode" if tree.same_node(r, other) else "internode")
+        for other, nodes in neighbors[r])) for r in range(4)]
+    fields = [{9: np.array([1e16])}, {4: np.array([5.0])},
+              {9: np.array([1.0]), 11: np.array([2.0])},
+              {9: np.array([-1e16]), 11: np.array([3.0])}]
+    expect = {
+        "replicate_owner": {9: 1e16, 11: 2.0},
+        "accumulate_sum": {9: 0.0, 11: 5.0},
+    }
+    for mode, resolved in expect.items():
+        oracle = sequential_halo(fields, mode)
+        res = Runtime(tree, seed=0).run(
+            lambda ctx: exchange(ctx, schedules[ctx.rank], fields[ctx.rank],
+                                 mode))
+        assert {n: v.tolist() for n, v in res[2].items()} == \
+            {n: [v] for n, v in resolved.items()}
+        for r in range(4):
+            assert {n: v.tobytes() for n, v in res[r].items()} == \
+                {n: v.tobytes() for n, v in oracle[r].items()}, (mode, r)
 
 
 @pytest.mark.parametrize("mode", ["replicate_owner", "accumulate_sum"])

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
-                           cache_block_groups, element_faces, find_shared_nodes,
-                           halo_growth, kind_info, local_dual_graph,
+                           element_faces, find_shared_nodes, halo_growth,
+                           kind_info, local_dual_graph,
                            merge_chunks, migrate, pack_chunk, split_chunk,
                            split_contiguous, split_ids_evenly, subset_chunk,
                            unpack_chunk, build_dual_graph,
@@ -411,12 +411,6 @@ def test_split_chunk_degenerate_face_goes_to_lowest_containing_id():
     assert (9, (3, 0)) in second.boundary
     assert_same_carve(mesh, [[1], [0]])
     assert_same_carve(mesh, [[1, 0]])
-
-
-def test_cache_block_groups_remainder():
-    assert cache_block_groups([4, 7, 1, 9, 3], 2) == [[4, 7], [1, 9], [3]]
-    with pytest.raises(ValueError):
-        cache_block_groups([1], 0)
 
 
 # -- halo growth -------------------------------------------------------------------

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierpart.mesh import local_dual_graph, split_contiguous
-from hierpart.meshgen import triangle_grid
-from hierpart.partition import (HierarchicalPlan, _refine_once,
-                                graph_partition, hierarchical_partition, rcb)
+from hierpart import partition
+from hierpart.mesh import local_dual_graph, split_chunk, split_contiguous
+from hierpart.meshgen import tet_box, triangle_grid
+from hierpart.partition import (HierarchicalPlan, _pack_payload,
+                                _refine_once, _team_partition,
+                                _unpack_payload, graph_partition,
+                                hierarchical_partition, rcb)
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
@@ -412,6 +415,24 @@ def test_hierarchical_bootstrap_below_root():
     assert max(sizes) - min(sizes) <= 2
 
 
+def test_hierarchical_rejects_more_methods_than_splits():
+    # Three levels from bootstrap level 0 make three splits; a fourth entry
+    # would never be used.  A shorter list repeats its last entry.
+    mesh = triangle_grid(8, 4)
+    tree = build_topology([("node", 2), ("socket", 2), ("core", 2)])
+    too_long = HierarchicalPlan(method=("graph", "rcb", "graph", "rcb"))
+    with pytest.raises(ValueError, match="method lists 4 back-ends, one per "
+                                         "split, but the hierarchy makes only "
+                                         "3$"):
+        run_hierarchical(mesh, tree, too_long)
+    below = HierarchicalPlan(bootstrap_level=1, method=("rcb",) * 3)
+    with pytest.raises(ValueError, match="lists 3 back-ends.*makes only 2$"):
+        run_hierarchical(mesh, tree, below)
+    res, _ = run_hierarchical(mesh, tree, HierarchicalPlan(
+        method=("graph", "rcb", "graph")))
+    assert sum(r.n_elements for r in res) == mesh.n_elements
+
+
 def test_hierarchical_error_carries_context():
     # 3 elements cannot fill 4 ranks: the level split must name its location.
     mesh = triangle_grid(1, 1)
@@ -457,3 +478,56 @@ def test_hierarchical_skewed_weights_leave_no_rank_empty(case):
             assert row["internode_bytes"] == 0, row
     again, _ = run_hierarchical(mesh, tree, plan, weights=weights, seed=7)
     assert [r.elements for r in again] == [r.elements for r in res]
+
+
+# -- wire sizes ---------------------------------------------------------------------
+
+
+def test_weighted_payload_adds_one_float_per_element():
+    # The weights follow the chunk's own ascending id order, so a weighted
+    # payload carries no second copy of the element ids.
+    chunk = split_chunk(tet_box(2, 2, 1), [[9, 2, 5, 14, 0]])[0]
+    weights = {e: 1.0 + e / 4 for e in chunk.elements}
+    plain = _pack_payload(chunk, None)
+    weighted = _pack_payload(chunk, weights)
+    assert len(weighted) - len(plain) == 8 * chunk.n_elements
+    back, back_w = _unpack_payload(weighted)
+    assert back == chunk and _unpack_payload(plain) == (chunk, None)
+    assert list(back_w.items()) == sorted(weights.items())
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_leader_reply_is_one_owner_per_member_element(monkeypatch, method,
+                                                      weighted):
+    # Each member already holds its element ids, so the leader's reply is
+    # the new owner of each of them (one int64 apiece) and nothing else.
+    replies = []
+    real = partition._leader_assign
+
+    def spy(*args):
+        out = real(*args)
+        replies.extend(out)
+        return out
+
+    monkeypatch.setattr(partition, "_leader_assign", spy)
+    mesh = triangle_grid(6, 4)
+    tree = build_topology([("node", 1), ("core", 3)])
+    ids = sorted(mesh.elements)
+    chunks = split_chunk(mesh, [ids[:5], ids[5:22], ids[22:]])
+    weights = {e: 1.0 + (e % 5) for e in ids} if weighted else None
+
+    def prog(ctx):
+        chunk = chunks[ctx.rank]
+        wgt = None if weights is None else \
+            {e: weights[e] for e in chunk.elements}
+        return _team_partition(ctx, range(3), chunk, wgt, method, 1.02,
+                               where="test split")
+
+    res = Runtime(tree, seed=0).run(prog)
+    assert [len(r) for r in replies] == [8 * c.n_elements for c in chunks]
+    # Decoded in each member's id order, the owners route every element.
+    owners = [np.frombuffer(r, dtype="<i8").tolist() for r in replies]
+    for chunk, dest in zip(chunks, owners):
+        for e, d in zip(sorted(chunk.elements), dest):
+            assert e in res[d][0].elements

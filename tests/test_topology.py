@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart.runtime import Runtime
-from hierpart.topology import (aggregate, build_topology, cascade,
-                               child_leaders, level_groups)
+from hierpart.topology import aggregate, build_topology, cascade
 
 
 def test_build_topology_from_pairs():
@@ -24,6 +23,17 @@ def test_build_topology_rejects_bad_arity():
         build_topology([("node", 0)])
     with pytest.raises(ValueError):
         build_topology([])
+
+
+@pytest.mark.parametrize("spec, message", [
+    ((("node", 2), ("core", 2, 1)), r"topology level 1 must be a "
+                                    r"\[name, arity\] pair"),
+    ({"levels": [{"name": "node"}]}, "topology level 0 must have"),
+    ({"levels": 2}, "must contain a 'levels' list"),
+])
+def test_build_topology_rejects_bad_shapes(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_topology(spec)
 
 
 def test_group_sizes_and_indices():
@@ -42,32 +52,49 @@ def test_same_node_is_level_zero_ancestry():
     assert tree.same_node(3, 3)
 
 
+def groups_at(tree, level):
+    return [tuple(tree.group_members(level, g))
+            for g in range(tree.group_count(level))]
+
+
+def leaders_at(tree, level):
+    """The hierarchical driver's bootstrap leaders at ``level``."""
+    return tuple(range(0, tree.total_ranks, tree.group_size(level)))
+
+
 def test_level_groups_nodes_of_quads():
     tree = build_topology([("node", 2), ("socket", 2), ("core", 2)])
-    lg = level_groups(tree, 0)
-    assert lg.groups == ((0, 1, 2, 3), (4, 5, 6, 7))
-    assert lg.leaders == (0, 4)
-    assert lg.group_of(6) == (4, 5, 6, 7)
+    assert groups_at(tree, 0) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert leaders_at(tree, 0) == (0, 4)
+    assert tuple(tree.group_of(6, 0)) == (4, 5, 6, 7)
 
 
 def test_level_groups_leaf_singletons():
     tree = build_topology([("node", 3), ("core", 2)])
-    lg = level_groups(tree, 1)
-    assert lg.groups == ((0,), (1,), (2,), (3,), (4,), (5,))
-    assert lg.leaders == (0, 1, 2, 3, 4, 5)
+    assert groups_at(tree, 1) == [(0,), (1,), (2,), (3,), (4,), (5,)]
+    assert leaders_at(tree, 1) == (0, 1, 2, 3, 4, 5)
+    assert [tuple(tree.group_of(r, 1)) for r in range(6)] == groups_at(tree, 1)
 
 
 def test_level_groups_rejects_bad_level():
     tree = build_topology([("node", 2)])
-    with pytest.raises(ValueError):
-        level_groups(tree, 1)
+    with pytest.raises(ValueError, match="level 1 outside 0..0"):
+        tree.group_of(0, 1)
+    with pytest.raises(ValueError, match="level -1 outside 0..0"):
+        tree.group_of(0, -1)
 
 
 def test_child_leaders():
+    # A group's child leaders: every group_size(level + 1)-th member.
     tree = build_topology([("node", 2), ("socket", 2), ("core", 2)])
-    assert child_leaders(tree, 0, 0) == (0, 2)
-    assert child_leaders(tree, 0, 1) == (4, 6)
-    assert child_leaders(tree, 1, 3) == (6, 7)
+
+    def kids(level, g):
+        return tuple(tree.group_members(level, g)[::tree.group_size(level + 1)])
+
+    assert kids(0, 0) == (0, 2)
+    assert kids(0, 1) == (4, 6)
+    assert kids(1, 3) == (6, 7)
+    assert tuple(tree.group_of(5, 0)[::tree.group_size(1)]) == (4, 6)
 
 
 # -- collectives ----------------------------------------------------------------
@@ -81,11 +108,11 @@ def test_aggregate_gathers_in_member_order():
         if ctx.rank != 0:
             assert got is None
             return None
-        return [(p.owner, p.data) for p in got]
+        return got
 
     res = Runtime(tree, seed=0).run(prog)
-    assert res[0] == [(0, b"\x00"), (1, b"\x01\x01"), (2, b"\x02\x02\x02"),
-                      (3, b"\x03\x03\x03\x03")]
+    assert res[0] == [b"\x00", b"\x01\x01", b"\x02\x02\x02",
+                      b"\x03\x03\x03\x03"]
 
 
 def test_cascade_distributes_per_member():
@@ -131,12 +158,7 @@ def test_aggregate_cascade_roundtrip(blobs, seed):
 
     def prog(ctx):
         gathered = aggregate(ctx, range(p), blobs[ctx.rank])
-        if ctx.rank == 0:
-            assert [g.owner for g in gathered] == list(range(p))
-            back = [g.data for g in gathered]
-        else:
-            back = None
-        return cascade(ctx, range(p), back)
+        return cascade(ctx, range(p), gathered)
 
     assert Runtime(tree, seed=seed).run(prog) == blobs
 
@@ -147,8 +169,7 @@ def test_collectives_within_a_node_stay_off_the_network():
     def prog(ctx):
         members = tree.group_members(0, ctx.rank // 4)
         got = aggregate(ctx, members, b"w" * 100)
-        parts = [p.data for p in got] if got else None
-        cascade(ctx, members, parts)
+        cascade(ctx, members, got)
 
     rt = Runtime(tree, seed=0)
     rt.run(prog)
