@@ -15,6 +15,8 @@ import os
 import sys
 from typing import Any, Mapping
 
+import numpy as np
+
 from .balance import derive_weights, imbalance, rebalance
 from .formats import (FormatError, load_assignment, load_mesh, load_timing,
                       load_topology, load_weights, save_assignment, save_part,
@@ -121,15 +123,16 @@ def _load_weight_input(args, mesh: MeshChunk) -> dict[int, float] | None:
     if args.timing:
         source = "timing data"
         weights = derive_weights(load_timing(args.timing),
-                                 elements=sorted(mesh.elements))
+                                 elements=mesh.element_ids.tolist())
     elif args.weights:
         source = "weights"
         weights = load_weights(args.weights)
     else:
         return None
     # derive_weights already names elements without timing data.
-    for what, ids in (("missing for", mesh.elements.keys() - weights.keys()),
-                      ("given for unknown", weights.keys() - mesh.elements.keys())):
+    elements = set(mesh.element_ids.tolist())
+    for what, ids in (("missing for", elements - weights.keys()),
+                      ("given for unknown", weights.keys() - elements)):
         if ids:
             ids = sorted(ids)
             raise ValueError(f"{source} {what} elements {ids[:5]}"
@@ -139,9 +142,10 @@ def _load_weight_input(args, mesh: MeshChunk) -> dict[int, float] | None:
 
 def _check_assignment(assignment: Mapping[int, int], mesh: MeshChunk,
                       nparts: int) -> None:
-    if set(assignment) != set(mesh.elements):
-        missing = sorted(set(mesh.elements) - set(assignment))[:5]
-        extra = sorted(set(assignment) - set(mesh.elements))[:5]
+    elements = set(mesh.element_ids.tolist())
+    if assignment.keys() != elements:
+        missing = sorted(elements - assignment.keys())[:5]
+        extra = sorted(assignment.keys() - elements)[:5]
         raise ValueError(f"assignment does not match mesh elements "
                          f"(missing {missing}, unknown {extra})")
     for e, p in assignment.items():
@@ -152,10 +156,13 @@ def _check_assignment(assignment: Mapping[int, int], mesh: MeshChunk,
 
 def _chunks_from_assignment(mesh: MeshChunk, assignment: Mapping[int, int],
                             nparts: int) -> list[MeshChunk]:
-    by_rank: list[list[int]] = [[] for _ in range(nparts)]
-    for e, p in assignment.items():
-        by_rank[p].append(e)
-    return split_chunk(mesh, by_rank)
+    """One chunk per rank; ``assignment`` covers exactly the mesh's
+    elements (see ``_check_assignment``)."""
+    n = len(assignment)
+    ids = np.fromiter(assignment.keys(), dtype=np.int64, count=n)
+    ranks = np.fromiter(assignment.values(), dtype=np.int64, count=n)
+    # Sorted by id, the assignment lines up with the mesh's element order.
+    return split_chunk(mesh, ranks[np.argsort(ids)], nparts)
 
 
 def _config_echo(command: str, args, keys) -> dict[str, Any]:
@@ -189,7 +196,7 @@ def _survey_program(tree: TopologyTree, n_nodes: int):
         rows = find_shared_nodes(ctx, chunk, n_nodes)
         sched = schedule_for_rank(rows, tree, ctx.rank)
         ctx.set_phase("halo_exchange")
-        field = {n: (xyz[0],) for n, xyz in chunk.nodes.items()}
+        field = dict(zip(chunk.node_ids.tolist(), chunk.coords[:, :1].tolist()))
         exchange(ctx, sched, field, "replicate_owner")
         return sched
 
@@ -210,7 +217,7 @@ def _cmd_partition(args) -> int:
     if not (0 <= args.bpl < tree.n_levels):
         raise ValueError(f"--bpl {args.bpl} outside 0..{tree.n_levels - 1}")
     model = CostModel(intranode=args.cost_intra)
-    n_nodes = max(mesh.nodes) + 1
+    n_nodes = int(mesh.node_ids[-1]) + 1
     initial = split_contiguous(mesh, nparts)
     runtime = Runtime(tree, seed=args.seed)
     tail = _survey_program(tree, n_nodes)
@@ -218,7 +225,7 @@ def _cmd_partition(args) -> int:
     def program(ctx):
         chunk = initial[ctx.rank]
         local_w = None if weights is None else \
-            {e: weights[e] for e in chunk.elements}
+            {e: weights[e] for e in chunk.element_ids.tolist()}
         chunk, local_w = hierarchical_partition(ctx, tree, chunk, plan, local_w)
         return chunk, tail(ctx, chunk)
 
@@ -226,7 +233,7 @@ def _cmd_partition(args) -> int:
     chunks = [chunk for chunk, _ in results]
     schedules = {rank: sched for rank, (_, sched) in enumerate(results)}
     assignment = {e: rank for rank, chunk in enumerate(chunks)
-                  for e in chunk.elements}
+                  for e in chunk.element_ids.tolist()}
     if len(assignment) != mesh.n_elements:
         raise ProtocolError("partition lost or duplicated elements")
 
@@ -278,14 +285,14 @@ def _cmd_rebalance(args) -> int:
     def program(ctx):
         chunk = initial[ctx.rank]
         local_w = None if weights is None else \
-            {e: weights[e] for e in chunk.elements}
+            {e: weights[e] for e in chunk.element_ids.tolist()}
         chunk, _ = rebalance(ctx, tree, chunk, args.level, method, local_w,
                              args.tolerance)
         return chunk
 
     chunks = runtime.run(program)
     new_assignment = {e: rank for rank, chunk in enumerate(chunks)
-                      for e in chunk.elements}
+                      for e in chunk.element_ids.tolist()}
     if len(new_assignment) != mesh.n_elements:
         raise ProtocolError("rebalance lost or duplicated elements")
     post_imb = imbalance(new_assignment, weights, nparts)
@@ -328,7 +335,7 @@ def _cmd_metrics(args) -> int:
     _check_assignment(assignment, mesh, nparts)
     model = CostModel(intranode=args.cost_intra)
 
-    n_nodes = max(mesh.nodes) + 1
+    n_nodes = int(mesh.node_ids[-1]) + 1
     initial = _chunks_from_assignment(mesh, assignment, nparts)
     runtime = Runtime(tree, seed=args.seed)
     tail = _survey_program(tree, n_nodes)

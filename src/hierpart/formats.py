@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from operator import itemgetter
 from typing import Any, Mapping, NoReturn, Sequence
 
-from .mesh import KINDS, MeshChunk
+import numpy as np
+
+from .mesh import KINDS, MeshChunk, reference_problem
 from .topology import TopologyTree, build_topology
 
 SCHEMA = "treepart-1"
@@ -82,10 +83,12 @@ def _render(value: Any, indent: str) -> str:
 
 def mesh_payload(chunk: MeshChunk) -> dict[str, Any]:
     return {
-        "nodes": [[n, *map(float, xyz)] for n, xyz in sorted(chunk.nodes.items())],
-        "elements": [[e, chunk.kind, *conn]
-                     for e, conn in sorted(chunk.elements.items())],
-        "boundary": [[tag, *conn] for tag, conn in sorted(chunk.boundary)],
+        "nodes": [[n, *xyz] for n, xyz in zip(chunk.node_ids.tolist(),
+                                               chunk.coords.tolist())],
+        "elements": [[e, chunk.kind, *conn] for e, conn in
+                     zip(chunk.element_ids.tolist(), chunk.conn.tolist())],
+        "boundary": np.column_stack((chunk.boundary_tags,
+                                     chunk.boundary_conn)).tolist(),
     }
 
 
@@ -104,9 +107,10 @@ def load_mesh(path) -> MeshChunk:
 def mesh_from_payload(raw: Mapping[str, Any]) -> MeshChunk:
     """Build and check a chunk from a mesh document's payload.
 
-    Each section is checked a whole column at a time; only when a check
-    fails is the section scanned record by record, to name the first
-    offending record.
+    Each section is checked a whole column at a time and converted to an
+    array; only when a check fails is the section scanned record by record,
+    to name the first offending record.  References are checked last, on
+    the sorted chunk.
     """
     if not isinstance(raw, Mapping):
         raise ValueError("mesh must be an object")
@@ -120,41 +124,70 @@ def mesh_from_payload(raw: Mapping[str, Any]) -> MeshChunk:
     if kind not in KINDS:
         raise ValueError(f"unknown element kind {kind!r}; "
                          f"expected one of {sorted(KINDS)}")
-    chunk = MeshChunk(kind)
-    dim = chunk.dim
-    npe = chunk.nodes_per_element
-    npf = chunk.nodes_per_face
+    _, dim, npe, npf = KINDS[kind]
 
-    cols = _columns(elements, 2 + npe)
-    if (cols and cols[1].count(kind) == len(elements)
-            and _ints(cols[0], *cols[2:]) and min(cols[0]) >= 0):
-        chunk.elements = dict(zip(cols[0], zip(*cols[2:])))
-    if len(chunk.elements) != len(elements):  # a failed check or a repeated id
+    ecols = _columns(elements, 2 + npe)
+    eids = None
+    if (ecols and ecols[1].count(kind) == len(elements)
+            and _ints(ecols[0], *ecols[2:]) and min(ecols[0]) >= 0):
+        eids = _distinct_ids(ecols[0])
+    if eids is None:  # a failed check, a repeated id or one beyond int64
         _first_bad("element", elements, _element_problem, kind, npe)
-    element_nodes = cols[2:]
 
     nodes = raw.get("nodes", [])
-    cols = _columns(nodes, 1 + dim)
-    if (cols and _ints(cols[0]) and min(cols[0], default=0) >= 0
-            and _numbers(*cols[1:])):
-        coords = zip(*(map(float, c) for c in cols[1:]))
-        chunk.nodes = dict(zip(cols[0], coords))
-    if len(chunk.nodes) != len(nodes):
+    ncols = _columns(nodes, 1 + dim)
+    nids = coords = None
+    if (ncols and _ints(ncols[0]) and min(ncols[0], default=0) >= 0
+            and _numbers(*ncols[1:])):
+        nids = _distinct_ids(ncols[0])
+        coords = _finite(ncols[1:])
+    if nids is None or coords is None:
         _first_bad("node", nodes, _node_problem, dim)
 
     boundary = raw.get("boundary", [])
-    cols = _columns(boundary, 1 + npf)
-    if not (cols and _ints(*cols)):
+    bcols = _columns(boundary, 1 + npf)
+    tags = _int64(bcols[0]) if bcols and _ints(*bcols) else None
+    if tags is None:
         _first_bad("boundary", boundary, _boundary_problem, npf)
-    tags, *face_nodes = cols
-    chunk.boundary = list(zip(tags, zip(*face_nodes)))
 
-    # Reference integrity; validate() names the offender when it fails.
-    used = set().union(*element_nodes, *face_nodes)
-    repeats = set(map(len, map(set, chunk.elements.values()))) != {npe}
-    if repeats or not chunk.nodes.keys() >= used:
-        chunk.validate()
-    return chunk
+    conn, bconn = _int64(ecols[2:]), _int64(bcols[1:])
+    if conn is not None and bconn is not None:
+        chunk = MeshChunk.from_arrays(kind, eids, conn.T, nids, coords.T,
+                                      tags, bconn.T)
+        if chunk.references_resolve():
+            return chunk
+    # Named in file order.  A node id beyond int64 names no node, like any
+    # other unknown one.
+    raise ValueError(reference_problem(
+        zip(ecols[0], zip(*ecols[2:])), ncols[0],
+        zip(bcols[0], zip(*bcols[1:])), npe))
+
+
+def _int64(values) -> np.ndarray | None:
+    """Integers (a column, columns or one) as int64, or None if one is
+    beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _distinct_ids(column) -> np.ndarray | None:
+    """The id column as int64, or None if an id repeats or is beyond int64."""
+    ids = _int64(column)
+    if ids is None:
+        return None
+    ordered = np.sort(ids)
+    return None if (ordered[1:] == ordered[:-1]).any() else ids
+
+
+def _finite(columns) -> np.ndarray | None:
+    """Number columns as one float64 array, or None if one is not finite."""
+    try:
+        values = np.array(columns, dtype=np.float64)
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _columns(records, width: int) -> list[list] | None:
@@ -163,9 +196,9 @@ def _columns(records, width: int) -> list[list] | None:
     if not (isinstance(records, list) and set(map(type, records)) <= {list}
             and set(map(len, records)) <= {width}):
         return None
-    # One pass per column; zip(*records) would make a GC-tracked iterator
-    # per record.
-    return [list(map(itemgetter(i), records)) for i in range(width)]
+    # One flat list, then one slice per column: both run in C.
+    items = list(chain.from_iterable(records))
+    return [items[i::width] for i in range(width)]
 
 
 def _ints(*columns) -> bool:
@@ -200,6 +233,8 @@ def _id_problem(noun: str, rid, seen: set) -> str | None:
         return f"{noun} id must be an integer, got {rid!r}"
     if rid < 0 or rid in seen:
         return f"{'negative' if rid < 0 else 'duplicate'} {noun} id {rid}"
+    if _int64(rid) is None:
+        return f"{noun} id {rid} beyond the int64 range"
     seen.add(rid)
     return None
 
@@ -217,13 +252,19 @@ def _node_problem(rec, seen, dim) -> str | None:
         return f"expected [id, {dim} coordinates]"
     if problem := _id_problem("node", rec[0], seen):
         return problem
-    return None if _numbers(rec[1:]) else f"coordinates must be numbers, got {rec[1:]}"
+    if not _numbers(rec[1:]):
+        return f"coordinates must be numbers, got {rec[1:]}"
+    return None if _finite([rec[1:]]) is not None else \
+        f"coordinates must be finite, got {rec[1:]}"
 
 
 def _boundary_problem(rec, seen, npf) -> str | None:
     if not (isinstance(rec, list) and len(rec) == 1 + npf):
         return f"expected [tag, {npf} node ids]"
-    return None if _ints(rec) else f"tag and node ids must be integers, got {rec}"
+    if not _ints(rec):
+        return f"tag and node ids must be integers, got {rec}"
+    return None if _int64(rec[0]) is not None else \
+        f"tag {rec[0]} beyond the int64 range"
 
 
 # -- topology ------------------------------------------------------------------
@@ -243,8 +284,15 @@ def load_topology(path) -> TopologyTree:
 # -- assignment, weights, timing -------------------------------------------------
 
 def save_assignment(path, assignment: Mapping[int, int]) -> None:
-    dump_doc(path, "assignment",
-             [[int(e), int(p)] for e, p in sorted(assignment.items())])
+    """The document ``dump_doc`` renders for the [element, part] rows,
+    formatted in one call rather than through a list per row."""
+    items = sorted(assignment.items())
+    rows = ",\n    ".join(["[%d, %d]"] * len(items)) % tuple(
+        chain.from_iterable(items))
+    body = "[\n    " + rows + "\n  ]" if items else "[]"
+    with open(path, "w") as fh:
+        fh.write('{\n  "assignment": ' + body + ',\n  "schema": '
+                 + json.dumps(SCHEMA) + "\n}\n")
 
 
 def load_assignment(path) -> dict[int, int]:

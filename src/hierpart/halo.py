@@ -24,7 +24,6 @@ MODES = ("replicate_owner", "accumulate_sum")
 
 @dataclass(frozen=True)
 class HaloSchedule:
-    rank: int
     # (neighbor rank, shared node ids ascending, "intranode" | "internode")
     neighbors: tuple[tuple[int, tuple[int, ...], str], ...]
 
@@ -39,7 +38,7 @@ def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
             continue
         channel = "intranode" if tree.same_node(rank, other) else "internode"
         neighbors.append((other, nodes, channel))
-    return HaloSchedule(rank=rank, neighbors=tuple(neighbors))
+    return HaloSchedule(neighbors=tuple(neighbors))
 
 
 def exchange(ctx: RankContext, schedule: HaloSchedule,

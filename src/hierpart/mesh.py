@@ -6,6 +6,13 @@ elements, the node records those elements reference (nodes on part
 boundaries are replicated, elements never are), and the boundary faces
 carried by its elements.
 
+A chunk is stored the way array-based mesh databases store topology: sorted
+element ids with one connectivity row each, sorted node ids with one
+coordinate row each, and boundary tags with one face row each.  Carving,
+merging, centroids, the wire form and the dual graph are whole-array
+operations over these; nothing on those paths builds a Python object per
+element.
+
 The distributed operations (dual graph, migration, shared-node discovery)
 ride on the rendezvous directory, so none of them needs an all-to-all step.
 """
@@ -13,7 +20,7 @@ ride on the rendezvous directory, so none of them needs an all-to-all step.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -41,14 +48,105 @@ def kind_info(kind: str) -> tuple[int, int, int, int]:
                          f"{sorted(KINDS)}") from None
 
 
-@dataclass
+@dataclass(eq=False)
 class MeshChunk:
-    """One rank's share of a mesh (or, on a single rank, the whole mesh)."""
+    """One rank's share of a mesh (or, on a single rank, the whole mesh).
+
+    Elements and nodes are in ascending id order, boundary faces in
+    ascending (tag, face node ids) order.  ``from_arrays`` and
+    ``from_records`` sort their input; every operation in this module keeps
+    the order and never writes into a chunk's arrays.
+    """
 
     kind: str
-    nodes: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    elements: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    boundary: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    element_ids: np.ndarray     # int64[n]
+    conn: np.ndarray            # int64[n, nodes per element]
+    node_ids: np.ndarray        # int64[m]
+    coords: np.ndarray          # float64[m, dim]
+    boundary_tags: np.ndarray   # int64[b]
+    boundary_conn: np.ndarray   # int64[b, nodes per face]
+
+    @classmethod
+    def from_arrays(cls, kind: str, element_ids, conn, node_ids, coords,
+                    boundary_tags, boundary_conn) -> "MeshChunk":
+        """Chunk from record arrays in any order.  Ids must be distinct."""
+        _, dim, npe, npf = kind_info(kind)
+        eids = np.asarray(element_ids, dtype=np.int64).reshape(-1)
+        nids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+        tags = np.asarray(boundary_tags, dtype=np.int64).reshape(-1)
+        bconn = np.asarray(boundary_conn, dtype=np.int64).reshape(
+            len(tags), npf)
+        e = np.argsort(eids, kind="stable")
+        n = np.argsort(nids, kind="stable")
+        b = _face_order(tags, bconn)
+        return cls(kind, eids[e],
+                   np.asarray(conn, dtype=np.int64).reshape(len(eids), npe)[e],
+                   nids[n],
+                   np.asarray(coords, dtype=np.float64).reshape(
+                       len(nids), dim)[n],
+                   tags[b], bconn[b])
+
+    @classmethod
+    def from_records(cls, kind: str,
+                     nodes: Mapping[int, Sequence[float]] | None = None,
+                     elements: Mapping[int, Sequence[int]] | None = None,
+                     boundary: Iterable[tuple[int, Sequence[int]]] = (),
+                     ) -> "MeshChunk":
+        """Chunk from records: node id -> coordinates, element id -> node
+        ids, and (tag, face node ids) pairs.  A record of the wrong length
+        raises ValueError naming it."""
+        _, dim, npe, npf = kind_info(kind)
+        nodes = nodes or {}
+        elements = elements or {}
+        boundary = list(boundary)
+        for nid, xyz in nodes.items():
+            if len(xyz) != dim:
+                raise ValueError(f"node {nid}: expected {dim} coordinates, "
+                                 f"got {len(xyz)}")
+        for eid, conn in elements.items():
+            if len(conn) != npe:
+                raise ValueError(f"element {eid}: expected {npe} nodes, "
+                                 f"got {len(conn)}")
+        for i, (tag, conn) in enumerate(boundary):
+            if len(conn) != npf:
+                raise ValueError(f"boundary face {i} (tag {tag}): expected "
+                                 f"{npf} nodes, got {len(conn)}")
+        return cls.from_arrays(kind, list(elements), list(elements.values()),
+                               list(nodes), list(nodes.values()),
+                               [t for t, _ in boundary],
+                               [c for _, c in boundary])
+
+    @classmethod
+    def empty(cls, kind: str) -> "MeshChunk":
+        return cls.from_arrays(kind, [], [], [], [], [], [])
+
+    # Record views, built on demand for tests and tools; no verb builds one.
+
+    @property
+    def elements(self) -> dict[int, tuple[int, ...]]:
+        return dict(zip(self.element_ids.tolist(),
+                        map(tuple, self.conn.tolist())))
+
+    @property
+    def nodes(self) -> dict[int, tuple[float, ...]]:
+        return dict(zip(self.node_ids.tolist(),
+                        map(tuple, self.coords.tolist())))
+
+    @property
+    def boundary(self) -> list[tuple[int, tuple[int, ...]]]:
+        return list(zip(self.boundary_tags.tolist(),
+                        map(tuple, self.boundary_conn.tolist())))
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.element_ids, self.conn, self.node_ids, self.coords,
+                self.boundary_tags, self.boundary_conn)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeshChunk):
+            return NotImplemented
+        return self.kind == other.kind and all(
+            np.array_equal(a, b)
+            for a, b in zip(self._arrays(), other._arrays()))
 
     @property
     def dim(self) -> int:
@@ -64,60 +162,77 @@ class MeshChunk:
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return len(self.element_ids)
+
+    def _rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row of each node id in ``node_ids``, and whether it is there."""
+        m = len(self.node_ids)
+        if not m:
+            return (np.zeros(ids.shape, dtype=np.intp),
+                    np.zeros(ids.shape, dtype=bool))
+        rows = np.minimum(np.searchsorted(self.node_ids, ids), m - 1)
+        return rows, self.node_ids[rows] == ids
+
+    def _node_rows(self) -> np.ndarray:
+        """``conn`` as rows of ``node_ids`` and ``coords``; raises
+        ValueError naming an element that references an unknown node."""
+        rows, found = self._rows(self.conn)
+        if not found.all():
+            i, j = np.argwhere(~found)[0]
+            raise ValueError(f"element {self.element_ids[i]} references "
+                             f"unknown node {self.conn[i, j]}")
+        return rows
+
+    def references_resolve(self) -> bool:
+        """Every element and boundary node is a known node, and no element
+        repeats a node."""
+        return bool(self._rows(self.conn)[1].all()
+                    and self._rows(self.boundary_conn)[1].all()
+                    and not any((self.conn[:, i] == self.conn[:, j]).any()
+                                for i, j in combinations(
+                                    range(self.nodes_per_element), 2)))
 
     def validate(self) -> None:
         """Check reference integrity; raises ValueError naming the offender."""
-        npe = self.nodes_per_element
-        npf = self.nodes_per_face
-        dim = self.dim
-        for nid, coords in self.nodes.items():
-            if len(coords) != dim:
-                raise ValueError(f"node {nid}: expected {dim} coordinates, "
-                                 f"got {len(coords)}")
-        for eid, conn in self.elements.items():
-            if len(conn) != npe:
-                raise ValueError(f"element {eid}: expected {npe} nodes, "
-                                 f"got {len(conn)}")
-            if len(set(conn)) != npe:
-                raise ValueError(f"element {eid}: repeated node in {conn}")
-            for n in conn:
-                if n not in self.nodes:
-                    raise ValueError(f"element {eid} references unknown node {n}")
-        for i, (tag, conn) in enumerate(self.boundary):
-            if len(conn) != npf:
-                raise ValueError(f"boundary face {i} (tag {tag}): expected "
-                                 f"{npf} nodes, got {len(conn)}")
-            for n in conn:
-                if n not in self.nodes:
-                    raise ValueError(f"boundary face {i} (tag {tag}) references "
-                                     f"unknown node {n}")
+        if self.references_resolve():
+            return
+        raise ValueError(reference_problem(
+            zip(self.element_ids.tolist(), map(tuple, self.conn.tolist())),
+            self.node_ids.tolist(), self.boundary, self.nodes_per_element))
 
     def centroids(self) -> tuple[np.ndarray, np.ndarray]:
         """(element ids, centroid coordinates), sorted by element id.
 
-        One gather-mean over an (elements, nodes per element) row-index
-        array; it sums each element's nodes in connectivity order, so every
-        centroid equals ``np.mean`` of that element's coordinates bit for bit.
+        One gather-mean over the (elements, nodes per element) row array; it
+        sums each element's nodes in connectivity order, so every centroid
+        equals ``np.mean`` of that element's coordinates bit for bit.
         """
-        eids = sorted(self.elements)
-        ids = np.array(eids, dtype=np.int64)
-        if not eids:
-            return ids, np.empty((0, self.dim), dtype=np.float64)
-        row = {n: i for i, n in enumerate(self.nodes)}
-        xyz = np.array(list(self.nodes.values()), dtype=np.float64)
-        conn = np.array([[row[n] for n in self.elements[e]] for e in eids],
-                        dtype=np.intp)
-        return ids, xyz[conn].mean(axis=1)
+        return self.element_ids, self.coords[self._node_rows()].mean(axis=1)
 
-    def sorted_copy(self) -> "MeshChunk":
-        """Same chunk with elements and nodes in ascending global id order."""
-        return MeshChunk(
-            kind=self.kind,
-            nodes={n: self.nodes[n] for n in sorted(self.nodes)},
-            elements={e: self.elements[e] for e in sorted(self.elements)},
-            boundary=sorted(self.boundary),
-        )
+
+def reference_problem(elements: Iterable[tuple[int, tuple]],
+                      node_ids: Iterable[int],
+                      boundary: Iterable[tuple[int, tuple]],
+                      npe: int) -> str | None:
+    """The first broken reference, in the order given, as a message.
+
+    Elements come first, each checked for a repeated node and then for its
+    first unknown node; then boundary faces, numbered in the order given.
+    None when every reference resolves.
+    """
+    known = set(node_ids)
+    for eid, conn in elements:
+        if len(set(conn)) != npe:
+            return f"element {eid}: repeated node in {conn}"
+        for n in conn:
+            if n not in known:
+                return f"element {eid} references unknown node {n}"
+    for i, (tag, conn) in enumerate(boundary):
+        for n in conn:
+            if n not in known:
+                return (f"boundary face {i} (tag {tag}) references unknown "
+                        f"node {n}")
+    return None
 
 
 def element_faces(conn: Sequence[int], kind: str) -> list[tuple[int, ...]]:
@@ -126,112 +241,228 @@ def element_faces(conn: Sequence[int], kind: str) -> list[tuple[int, ...]]:
     return [tuple(sorted(c)) for c in combinations(conn, npf)]
 
 
-def adjacency_from_elements(elements: Mapping[int, Sequence[int]],
-                            kind: str) -> dict[int, list[int]]:
-    """Dual graph of an in-memory element table: neighbors share a full face."""
-    npf = kind_info(kind)[3]
-    face_users: dict[tuple[int, ...], list[int]] = {}
-    for eid in sorted(elements):
-        # Combinations of the sorted connectivity are sorted faces.
-        for face in combinations(sorted(elements[eid]), npf):
-            face_users.setdefault(face, []).append(eid)
-    adj: dict[int, set[int]] = {int(e): set() for e in elements}
-    for users in face_users.values():
-        if len(users) > 1:
-            for a in users:
-                for b in users:
-                    if a != b:
-                        adj[a].add(b)
-    return {e: sorted(nbrs) for e, nbrs in adj.items()}
+# -- face keys ------------------------------------------------------------------
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array (a sort, which is several
+    times faster here than ``np.unique``'s hash table)."""
+    ordered = np.sort(values, axis=None)
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    return ordered[fresh]
+
+
+def _face_order(tags: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Indices putting boundary faces in ascending (tag, node ids) order."""
+    return np.lexsort((*faces.T[::-1], tags))
+
+
+def _element_faces(conn: np.ndarray, npf: int) -> np.ndarray:
+    """(elements, faces per element, npf): each element's faces, the
+    npf-combinations of its sorted connectivity row."""
+    combos = list(combinations(range(conn.shape[1]), npf))
+    return np.sort(conn, axis=1)[:, combos]
+
+
+def _face_keys(*faces: np.ndarray) -> list[np.ndarray]:
+    """One int64 key per row of each (rows, npf) array of sorted node ids.
+
+    Keys are computed jointly, so two rows of any of the arrays get equal
+    keys exactly when they are equal.  A row is read as a number in base
+    (id span) when that fits in int64, and ranked by ``np.unique`` when not.
+    """
+    every = np.concatenate(faces)
+    keys = np.zeros(len(every), dtype=np.int64)
+    if len(every):
+        lo = int(every.min())
+        span = int(every.max()) - lo + 1
+        if span ** every.shape[1] <= np.iinfo(np.int64).max:
+            for column in (every - lo).T:
+                keys = keys * span + column
+        else:
+            keys = np.unique(every, axis=0, return_inverse=True)[1].reshape(-1)
+    return np.split(keys, np.cumsum([len(f) for f in faces])[:-1])
+
+
+def adjacency_from_elements(element_ids, conn, kind: str
+                            ) -> dict[int, list[int]]:
+    """Dual graph of an element table: neighbors share a full face.
+
+    ``element_ids`` are distinct, one ``conn`` row each.  The result maps
+    every id, in the order given, to its neighbors in ascending id order.
+    One sort of all element faces by key: each run of equal keys is one
+    face, and its elements are pairwise neighbors.
+    """
+    _, _, npe, npf = kind_info(kind)
+    ids = np.asarray(element_ids, dtype=np.int64).reshape(-1)
+    faces = _element_faces(
+        np.asarray(conn, dtype=np.int64).reshape(len(ids), npe), npf)
+    per = faces.shape[1]
+    (key,) = _face_keys(faces.reshape(-1, npf))
+    order = np.argsort(key, kind="stable")
+    key, elem = key[order], order // per
+    # Sorted by (face, element); an element lists a face twice only when
+    # it repeats a node.
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = (key[1:] != key[:-1]) | (elem[1:] != elem[:-1])
+    key, elem = key[fresh], elem[fresh]
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    gap = 1
+    # Pairs gap apart in one run; a run longer than two is a face of a
+    # non-manifold mesh.
+    while (same := key[gap:] == key[:-gap]).any():
+        a, b = elem[:-gap][same], elem[gap:][same]
+        src += (a, b)
+        dst += (b, a)
+        gap += 1
+    src = np.concatenate(src)
+    nbr = ids[np.concatenate(dst)]
+    order = np.lexsort((nbr, src))
+    src, nbr = src[order], nbr[order]
+    fresh = np.ones(len(src), dtype=bool)
+    fresh[1:] = (src[1:] != src[:-1]) | (nbr[1:] != nbr[:-1])
+    ends = np.cumsum(np.bincount(src[fresh], minlength=len(ids))).tolist()
+    flat = nbr[fresh].tolist()
+    return dict(zip(ids.tolist(), [flat[a:b] for a, b
+                                   in zip([0] + ends[:-1], ends)]))
 
 
 def local_dual_graph(chunk: MeshChunk) -> dict[int, list[int]]:
     """Sequential dual graph of one chunk, for whole-mesh or leader-local use."""
-    return adjacency_from_elements(chunk.elements, chunk.kind)
+    return adjacency_from_elements(chunk.element_ids, chunk.conn, chunk.kind)
 
 
-def merge_chunks(kind: str, chunks: Iterable[MeshChunk]) -> MeshChunk:
-    out = MeshChunk(kind)
-    for ch in chunks:
-        if ch.kind != kind:
-            raise ValueError(f"cannot merge {ch.kind} chunk into {kind} mesh")
-        out.nodes.update(ch.nodes)
-        out.elements.update(ch.elements)
-        out.boundary.extend(ch.boundary)
-    return out.sorted_copy()
+# -- carve and merge ------------------------------------------------------------
 
+def _boundary_carriers(chunk: MeshChunk) -> np.ndarray:
+    """Position of the element carrying each boundary face.
 
-def _boundary_carriers(chunk: MeshChunk) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
-    """Map each local element to the boundary faces it carries.
-
-    A boundary face travels with the unique element containing all its
-    nodes; if the input is degenerate and several match, the lowest element
-    id wins so migration stays deterministic.
+    A boundary face travels with the element containing all its nodes; if
+    the input is degenerate and several do, the lowest element id wins so
+    migration stays deterministic.  A face of distinct nodes is contained
+    exactly when it is one of the element's faces, so one join of sorted
+    face keys finds its carrier; a face repeating a node is checked against
+    every element.
     """
-    node_elems: dict[int, list[int]] = {}
-    for eid in sorted(chunk.elements):
-        for n in chunk.elements[eid]:
-            node_elems.setdefault(n, []).append(eid)
-    carriers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for tag, conn in chunk.boundary:
-        candidates = None
-        for n in conn:
-            owners = set(node_elems.get(n, ()))
-            candidates = owners if candidates is None else candidates & owners
-            if not candidates:
-                break
-        if not candidates:
-            raise ValueError(f"boundary face {conn} (tag {tag}) has no local "
-                             f"containing element")
-        carriers.setdefault(min(candidates), []).append((tag, conn))
-    return carriers
+    npf = chunk.nodes_per_face
+    faces = np.sort(chunk.boundary_conn, axis=1)
+    efaces = _element_faces(chunk.conn, npf)
+    per = efaces.shape[1]
+    ekey, bkey = _face_keys(efaces.reshape(-1, npf), faces)
+    # Stable, so the lowest element comes first among equal keys.
+    order = np.argsort(ekey, kind="stable")
+    ekey = ekey[order]
+    carrier = np.full(len(faces), -1, dtype=np.int64)
+    if len(ekey):
+        at = np.minimum(np.searchsorted(ekey, bkey), len(ekey) - 1)
+        hit = ekey[at] == bkey
+        carrier[hit] = order[at[hit]] // per
+    for i in np.flatnonzero((faces[:, 1:] == faces[:, :-1]).any(axis=1)):
+        holds = np.ones(chunk.n_elements, dtype=bool)
+        for n in _unique(faces[i]):
+            holds &= (chunk.conn == n).any(axis=1)
+        carrier[i] = np.argmax(holds) if holds.any() else -1
+    missing = np.flatnonzero(carrier < 0)
+    if len(missing):
+        i = missing[0]
+        face = tuple(chunk.boundary_conn[i].tolist())
+        raise ValueError(f"boundary face {face} (tag {chunk.boundary_tags[i]}) "
+                         f"has no local containing element")
+    return carrier
 
 
-def split_chunk(chunk: MeshChunk, groups: Iterable[Iterable[int]]
-                ) -> list[MeshChunk]:
-    """Carve a chunk into one sub-chunk per group of element ids.
+def split_chunk(chunk: MeshChunk, owner, parts: int) -> list[MeshChunk]:
+    """Carve a chunk into ``parts`` sub-chunks.
 
-    Each sub-chunk holds its group's elements, the nodes they reference and
-    the boundary faces they carry, all in ascending order.  The carrier map
-    is built once for all groups.
+    ``owner[i]`` is the sub-chunk of the chunk's i-th element (in id order),
+    or -1 to leave it out.  Each sub-chunk holds its elements, the nodes
+    they reference and the boundary faces they carry, all in ascending
+    order: a stable sort by owner keeps each group's elements and faces in
+    order, and one sort of (owner, node row) pairs gives each group's nodes.
     """
-    carriers = _boundary_carriers(chunk)
+    owner = np.asarray(owner, dtype=np.int64).reshape(-1)
+    if len(owner) != chunk.n_elements:
+        raise ValueError(f"{len(owner)} owners for {chunk.n_elements} elements")
+    if len(owner) and not (-1 <= owner.min() and owner.max() < parts):
+        raise ValueError(f"owners must lie in -1..{parts - 1}")
+    rows = chunk._node_rows()
+    carrier = _boundary_carriers(chunk)
+
+    def spans(labels: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        # Slot 0 ends the left-out records, slot g + 1 group g.
+        ends = np.cumsum(np.bincount(labels + 1, minlength=parts + 1))
+        return np.argsort(labels, kind="stable"), ends.tolist()
+
+    e_order, e_end = spans(owner)
+    f_order, f_end = spans(owner[carrier])
+    m = max(len(chunk.node_ids), 1)
+    pairs = _unique((owner[:, None] * m + rows)[owner >= 0])
+    n_end = [0] + np.searchsorted(pairs // m, np.arange(parts),
+                                  side="right").tolist()
+    eids, conn = chunk.element_ids[e_order], chunk.conn[e_order]
+    nrow = pairs % m
+    nids, coords = chunk.node_ids[nrow], chunk.coords[nrow]
+    tags = chunk.boundary_tags[f_order]
+    bconn = chunk.boundary_conn[f_order]
     out = []
-    for ids in groups:
-        eids = sorted(ids)
-        elements = {e: chunk.elements[e] for e in eids}
-        nids = sorted({n for conn in elements.values() for n in conn})
-        out.append(MeshChunk(
-            chunk.kind,
-            nodes={n: chunk.nodes[n] for n in nids},
-            elements=elements,
-            boundary=sorted(f for e in eids for f in carriers.get(e, ())),
-        ))
+    for g in range(parts):
+        e = slice(e_end[g], e_end[g + 1])
+        n = slice(n_end[g], n_end[g + 1])
+        f = slice(f_end[g], f_end[g + 1])
+        out.append(MeshChunk(chunk.kind, eids[e], conn[e], nids[n],
+                             coords[n], tags[f], bconn[f]))
     return out
 
 
 def subset_chunk(chunk: MeshChunk, element_ids: Iterable[int]) -> MeshChunk:
     """Chunk restricted to the given elements, their nodes and boundary faces."""
-    return split_chunk(chunk, [element_ids])[0]
+    ids = np.fromiter(element_ids, dtype=np.int64)
+    at = np.searchsorted(chunk.element_ids, ids)
+    known = at < chunk.n_elements
+    known[known] = chunk.element_ids[at[known]] == ids[known]
+    if not known.all():
+        raise ValueError(f"element {ids[np.argmin(known)]} not in chunk")
+    owner = np.full(chunk.n_elements, -1, dtype=np.int64)
+    owner[at] = 0
+    return split_chunk(chunk, owner, 1)[0]
+
+
+def _last_per_id(ids: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Records sorted by id; of several with one id, the last one given."""
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    last = np.ones(len(ids), dtype=bool)
+    last[:-1] = ids[1:] != ids[:-1]
+    keep = order[last]
+    return (ids[last], *(c[keep] for c in columns))
+
+
+def merge_chunks(kind: str, chunks: Iterable[MeshChunk]) -> MeshChunk:
+    """One chunk holding every record of the given chunks; where several
+    hold the same element or node id, the last one's record is kept."""
+    chunks = list(chunks)
+    for ch in chunks:
+        if ch.kind != kind:
+            raise ValueError(f"cannot merge {ch.kind} chunk into {kind} mesh")
+    if not chunks:
+        return MeshChunk.empty(kind)
+    eids, conn, nids, coords, tags, bconn = (
+        np.concatenate(arrays) for arrays in zip(*(ch._arrays()
+                                                   for ch in chunks)))
+    b = _face_order(tags, bconn)
+    return MeshChunk(kind, *_last_per_id(eids, conn),
+                     *_last_per_id(nids, coords), tags[b], bconn[b])
 
 
 # -- wire form ----------------------------------------------------------------
 
 def pack_chunk(chunk: MeshChunk) -> bytes:
-    code, dim, npe, npf = kind_info(chunk.kind)
-    eids = sorted(chunk.elements)
-    nids = sorted(chunk.nodes)
-    conn = [n for e in eids for n in chunk.elements[e]]
-    coords = [c for n in nids for c in chunk.nodes[n]]
-    bnd = sorted(chunk.boundary)
+    i64, f64 = _codec.pack_i64, _codec.pack_f64
     return _codec.pack_blocks([
-        _codec.pack_i64([code]),
-        _codec.pack_i64(eids),
-        _codec.pack_i64(conn),
-        _codec.pack_i64(nids),
-        _codec.pack_f64(coords),
-        _codec.pack_i64([t for t, _ in bnd]),
-        _codec.pack_i64([n for _, c in bnd for n in c]),
+        i64([kind_info(chunk.kind)[0]]),
+        i64(chunk.element_ids), i64(chunk.conn),
+        i64(chunk.node_ids), f64(chunk.coords),
+        i64(chunk.boundary_tags), i64(chunk.boundary_conn),
     ])
 
 
@@ -240,20 +471,11 @@ def unpack_chunk(data: bytes) -> MeshChunk:
      tags_raw, bconn_raw) = _codec.unpack_blocks(data)
     kind = _KIND_BY_CODE[_codec.unpack_one_i64(code_raw)]
     _, dim, npe, npf = kind_info(kind)
-
-    def rows(raw: bytes, unpack, width: int):
-        # One .tolist() per block gives Python ints and floats directly.
-        return map(tuple, unpack(raw).reshape(-1, width).tolist())
-
-    return MeshChunk(
-        kind,
-        nodes=dict(zip(_codec.unpack_i64(nids_raw).tolist(),
-                       rows(coords_raw, _codec.unpack_f64, dim))),
-        elements=dict(zip(_codec.unpack_i64(eids_raw).tolist(),
-                          rows(conn_raw, _codec.unpack_i64, npe))),
-        boundary=list(zip(_codec.unpack_i64(tags_raw).tolist(),
-                          rows(bconn_raw, _codec.unpack_i64, npf))),
-    )
+    i64 = _codec.unpack_i64
+    return MeshChunk(kind, i64(eids_raw), i64(conn_raw).reshape(-1, npe),
+                     i64(nids_raw),
+                     _codec.unpack_f64(coords_raw).reshape(-1, dim),
+                     i64(tags_raw), i64(bconn_raw).reshape(-1, npf))
 
 
 # -- distributed operations -------------------------------------------------------
@@ -268,38 +490,35 @@ def build_dual_graph(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
     triangles, 3 for tetrahedra).  Returns adjacency for local elements only.
     """
     npf = chunk.nodes_per_face
-    pairs = [
-        (n, _codec.pack_one_i64(eid))
-        for eid in sorted(chunk.elements)
-        for n in chunk.elements[eid]
-    ]
+    rows = list(zip(chunk.element_ids.tolist(), chunk.conn.tolist()))
+    pairs = [(n, _codec.pack_one_i64(eid)) for eid, conn in rows for n in conn]
     directory = Directory.build(ctx, pairs, n_nodes, team=team)
-    my_nodes = sorted({n for conn in chunk.elements.values() for n in conn})
-    incidence_raw = directory.query(my_nodes)
+    incidence_raw = directory.query(_unique(chunk.conn).tolist())
     incidence = {
         n: list(map(_codec.unpack_one_i64, vals))
         for n, vals in incidence_raw.items()
     }
 
     adjacency: dict[int, list[int]] = {}
-    for eid in sorted(chunk.elements):
+    for eid, conn in rows:
         shared: dict[int, int] = {}
-        for n in chunk.elements[eid]:
+        for n in conn:
             for other in incidence[n]:
                 if other != eid:
                     shared[other] = shared.get(other, 0) + 1
         adjacency[eid] = sorted(f for f, c in shared.items() if c >= npf)
 
-    _warn_nonmanifold(chunk, incidence)
+    _warn_nonmanifold(rows, chunk.kind, incidence)
     return adjacency
 
 
-def _warn_nonmanifold(chunk: MeshChunk, incidence: Mapping[int, list[int]]) -> None:
+def _warn_nonmanifold(rows: Sequence[tuple[int, Sequence[int]]], kind: str,
+                      incidence: Mapping[int, list[int]]) -> None:
     # A face shared by more than two elements breaks manifoldness; report it
     # once per face but keep going.
     seen: set[tuple[int, ...]] = set()
-    for eid in sorted(chunk.elements):
-        for face in element_faces(chunk.elements[eid], chunk.kind):
+    for _, conn in rows:
+        for face in element_faces(conn, kind):
             if face in seen:
                 continue
             seen.add(face)
@@ -324,22 +543,22 @@ def migrate(ctx: RankContext, chunk: MeshChunk, assignment: Mapping[int, int],
     result is independent of arrival order.
     """
     team_t = _normalize_team(team, ctx.size)
-    by_dest: dict[int, list[int]] = {}
-    for eid in sorted(chunk.elements):
-        try:
-            dest = assignment[eid]
-        except KeyError:
-            raise ValueError(f"element {eid} missing from migration assignment") from None
-        if dest not in team_t:
-            raise ValueError(f"element {eid} assigned to rank {dest} outside "
-                             f"team {team_t}")
-        by_dest.setdefault(dest, []).append(eid)
+    slot = {r: i for i, r in enumerate(team_t)}
+    ids = chunk.element_ids.tolist()
+    owner = np.array([slot.get(assignment.get(e), -1) for e in ids],
+                     dtype=np.int64)
+    if len(owner) and owner.min() < 0:
+        eid = ids[int(np.argmin(owner))]
+        if eid not in assignment:
+            raise ValueError(f"element {eid} missing from migration assignment")
+        raise ValueError(f"element {eid} assigned to rank {assignment[eid]} "
+                         f"outside team {team_t}")
 
     pieces, outgoing = [], {}
-    for dest, sub in zip(by_dest, split_chunk(chunk, by_dest.values())):
+    for dest, sub in zip(team_t, split_chunk(chunk, owner, len(team_t))):
         if dest == ctx.rank:
             pieces.append(sub)
-        else:
+        elif sub.n_elements:
             outgoing[dest] = pack_chunk(sub)
     received = blind_exchange(ctx, outgoing, team=team_t)
     pieces.extend(unpack_chunk(blob) for _, blob in received)
@@ -374,7 +593,7 @@ def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
     sharer sets of local nodes.  Returns {other rank: sorted node ids}; a
     node held by k ranks shows up in every one of their pairwise lists.
     """
-    my_nodes = sorted({n for conn in chunk.elements.values() for n in conn})
+    my_nodes = _unique(chunk.conn).tolist()
     me = _codec.pack_one_i64(ctx.rank)
     directory = Directory.build(ctx, [(n, me) for n in my_nodes], n_nodes,
                                 team=team)
@@ -388,16 +607,24 @@ def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
     return {r: sorted(ns) for r, ns in sorted(rows.items())}
 
 
-def split_ids_evenly(ids: Sequence[int], parts: int) -> list[list[int]]:
-    """Split sorted ids into ``parts`` contiguous, near-equal blocks."""
+def _even_sizes(n: int, parts: int) -> list[int]:
+    """Sizes of ``parts`` contiguous, near-equal blocks of n items."""
     if parts < 1:
         raise ValueError("parts must be >= 1")
+    sizes, left = [], n
+    for p in range(parts):
+        size = -(-left // (parts - p))
+        sizes.append(size)
+        left -= size
+    return sizes
+
+
+def split_ids_evenly(ids: Sequence[int], parts: int) -> list[list[int]]:
+    """Split sorted ids into ``parts`` contiguous, near-equal blocks."""
     ordered = sorted(ids)
-    n = len(ordered)
     out = []
     start = 0
-    for p in range(parts):
-        size = -(-(n - start) // (parts - p))
+    for size in _even_sizes(len(ordered), parts):
         out.append(ordered[start:start + size])
         start += size
     return out
@@ -405,7 +632,8 @@ def split_ids_evenly(ids: Sequence[int], parts: int) -> list[list[int]]:
 
 def split_contiguous(chunk: MeshChunk, parts: int) -> list[MeshChunk]:
     """Carve a chunk into contiguous element-id blocks, one per part."""
-    return split_chunk(chunk, split_ids_evenly(list(chunk.elements), parts))
+    owner = np.repeat(np.arange(parts), _even_sizes(chunk.n_elements, parts))
+    return split_chunk(chunk, owner, parts)
 
 
 # -- local measures -------------------------------------------------------------

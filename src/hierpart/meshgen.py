@@ -19,10 +19,10 @@ def triangle_grid(nx: int, ny: int, *, spacing: float = 1.0) -> MeshChunk:
     """2*nx*ny right triangles tiling an nx-by-ny rectangle."""
     if nx < 1 or ny < 1:
         raise ValueError("grid needs nx >= 1 and ny >= 1")
-    chunk = MeshChunk("triangle")
+    nodes, elements, boundary = {}, {}, []
     for j in range(ny + 1):
         for i in range(nx + 1):
-            chunk.nodes[j * (nx + 1) + i] = (i * spacing, j * spacing)
+            nodes[j * (nx + 1) + i] = (i * spacing, j * spacing)
     for j in range(ny):
         for i in range(nx):
             v00 = j * (nx + 1) + i
@@ -30,17 +30,17 @@ def triangle_grid(nx: int, ny: int, *, spacing: float = 1.0) -> MeshChunk:
             v01 = v00 + (nx + 1)
             v11 = v01 + 1
             cell = j * nx + i
-            chunk.elements[2 * cell] = (v00, v10, v11)
-            chunk.elements[2 * cell + 1] = (v00, v11, v01)
+            elements[2 * cell] = (v00, v10, v11)
+            elements[2 * cell + 1] = (v00, v11, v01)
             if j == 0:
-                chunk.boundary.append((1, (v00, v10)))
+                boundary.append((1, (v00, v10)))
             if i == nx - 1:
-                chunk.boundary.append((2, (v10, v11)))
+                boundary.append((2, (v10, v11)))
             if j == ny - 1:
-                chunk.boundary.append((3, (v11, v01)))
+                boundary.append((3, (v11, v01)))
             if i == 0:
-                chunk.boundary.append((4, (v01, v00)))
-    return chunk
+                boundary.append((4, (v01, v00)))
+    return MeshChunk.from_records("triangle", nodes, elements, boundary)
 
 
 def tet_box(nx: int, ny: int, nz: int, *, spacing: float = 1.0) -> MeshChunk:
@@ -51,7 +51,7 @@ def tet_box(nx: int, ny: int, nz: int, *, spacing: float = 1.0) -> MeshChunk:
     """
     if nx < 1 or ny < 1 or nz < 1:
         raise ValueError("box needs nx, ny, nz >= 1")
-    chunk = MeshChunk("tetrahedron")
+    nodes, elements = {}, {}
 
     def nid(i: int, j: int, k: int) -> int:
         return (k * (ny + 1) + j) * (nx + 1) + i
@@ -59,7 +59,7 @@ def tet_box(nx: int, ny: int, nz: int, *, spacing: float = 1.0) -> MeshChunk:
     for k in range(nz + 1):
         for j in range(ny + 1):
             for i in range(nx + 1):
-                chunk.nodes[nid(i, j, k)] = (i * spacing, j * spacing, k * spacing)
+                nodes[nid(i, j, k)] = (i * spacing, j * spacing, k * spacing)
 
     perms = list(permutations((0, 1, 2)))
     for k in range(nz):
@@ -73,21 +73,22 @@ def tet_box(nx: int, ny: int, nz: int, *, spacing: float = 1.0) -> MeshChunk:
                     for ax in axes:
                         corner[ax] += 1
                         verts.append(nid(*corner))
-                    chunk.elements[cell * 6 + p] = tuple(verts)
+                    elements[cell * 6 + p] = tuple(verts)
 
-    _attach_box_boundary(chunk, nx, ny, nz, spacing)
-    return chunk
+    boundary = _box_boundary(nodes, elements, nx, ny, nz, spacing)
+    return MeshChunk.from_records("tetrahedron", nodes, elements, boundary)
 
 
-def _attach_box_boundary(chunk: MeshChunk, nx: int, ny: int, nz: int,
-                         spacing: float) -> None:
+def _box_boundary(nodes: dict, elements: dict, nx: int, ny: int, nz: int,
+                  spacing: float) -> list[tuple[int, tuple[int, ...]]]:
     counts: dict[tuple[int, ...], int] = {}
-    for conn in chunk.elements.values():
-        for face in element_faces(conn, chunk.kind):
+    for conn in elements.values():
+        for face in element_faces(conn, "tetrahedron"):
             counts[face] = counts.get(face, 0) + 1
     extents = (nx * spacing, ny * spacing, nz * spacing)
+    boundary = []
     for face in sorted(f for f, c in counts.items() if c == 1):
-        coords = [chunk.nodes[n] for n in face]
+        coords = [nodes[n] for n in face]
         tag = None
         for axis in range(3):
             if all(c[axis] == 0.0 for c in coords):
@@ -97,4 +98,5 @@ def _attach_box_boundary(chunk: MeshChunk, nx: int, ny: int, nz: int,
                 tag = 2 * axis + 2
                 break
         assert tag is not None, f"open face {face} not on the box surface"
-        chunk.boundary.append((tag, face))
+        boundary.append((tag, face))
+    return boundary

@@ -31,7 +31,7 @@ import numpy as np
 from . import _codec
 from .mesh import (MeshChunk, adjacency_from_elements, exchange_keyed_values,
                    kind_info, merge_chunks, migrate, pack_chunk, split_chunk,
-                   split_ids_evenly, unpack_chunk)
+                   split_contiguous, unpack_chunk)
 from .runtime import RankContext
 from .topology import TopologyTree, aggregate, cascade
 
@@ -341,7 +341,7 @@ def _pack_payload(chunk: MeshChunk, weights: Mapping[int, float] | None) -> byte
         wflag, wvals = _WEIGHTS_NONE, []
     else:
         wflag = _WEIGHTS_SOME
-        wvals = [float(weights[e]) for e in sorted(chunk.elements)]
+        wvals = [float(weights[e]) for e in chunk.element_ids.tolist()]
     return _codec.pack_blocks([
         pack_chunk(chunk),
         _codec.pack_i64([wflag]),
@@ -354,26 +354,22 @@ def _unpack_payload(data: bytes) -> tuple[MeshChunk, dict[int, float] | None]:
     chunk = unpack_chunk(chunk_raw)
     if _codec.unpack_one_i64(flag_raw) == _WEIGHTS_NONE:
         return chunk, None
-    # unpack_chunk keeps the wire's ascending id order.
-    return chunk, dict(zip(chunk.elements,
+    return chunk, dict(zip(chunk.element_ids.tolist(),
                            _codec.unpack_f64(wvals_raw).tolist()))
 
 
 def _summary(chunk: MeshChunk, weights: Mapping[int, float] | None,
-             method: str) -> tuple[list[int], Sequence, list[float] | None]:
+             method: str) -> tuple[list[int], np.ndarray, list[float] | None]:
     """What a back-end needs of a chunk: sorted ids, one row per element
-    (a centroid array for rcb, connectivity tuples for graph) and the
-    weights in id order."""
-    ids = sorted(chunk.elements)
-    if method == "rcb":
-        rows = chunk.centroids()[1]
-    else:
-        rows = [chunk.elements[e] for e in ids]
+    (the centroids for rcb, the connectivity for graph) and the weights in
+    id order."""
+    ids = chunk.element_ids.tolist()
+    rows = chunk.centroids()[1] if method == "rcb" else chunk.conn
     wvec = None if weights is None else [weights[e] for e in ids]
     return ids, rows, wvec
 
 
-def _backend(kind: str, method: str, ids: list[int], rows: Sequence,
+def _backend(kind: str, method: str, ids: list[int], rows: np.ndarray,
              wvec: list[float] | None, k: int, tolerance: float, where: str,
              m: int) -> dict[int, int]:
     """Run the named back-end on a summary, at least ``m`` elements per
@@ -381,7 +377,7 @@ def _backend(kind: str, method: str, ids: list[int], rows: Sequence,
     try:
         if method == "rcb":
             return rcb(ids, rows, wvec, k, m)
-        adjacency = adjacency_from_elements(dict(zip(ids, rows)), kind)
+        adjacency = adjacency_from_elements(ids, rows, kind)
         wmap = None if wvec is None else dict(zip(ids, wvec))
         return graph_partition(adjacency, wmap, k, tolerance, m)
     except ValueError as err:
@@ -418,7 +414,8 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
                    for e, dest in dest_of.items() if dest != ctx.rank}
         moved = exchange_keyed_values(ctx, leaving, dest_of, team=team)
         new_weights = {e: _codec.unpack_one_f64(moved[e]) if e in moved
-                       else float(weights[e]) for e in new_chunk.elements}
+                       else float(weights[e])
+                       for e in new_chunk.element_ids.tolist()}
     return new_chunk, new_weights
 
 
@@ -429,8 +426,7 @@ def _team_assignment(ctx, team, chunk, weights, method, tolerance, where,
     ids, rows, wvec = _summary(chunk, weights, method)
     gathered = aggregate(ctx, team, _codec.pack_blocks([
         _codec.pack_i64(ids),
-        _codec.pack_f64(rows.ravel()) if method == "rcb" else
-        _codec.pack_i64(n for row in rows for n in row),
+        _codec.pack_f64(rows) if method == "rcb" else _codec.pack_i64(rows),
         _codec.pack_f64(wvec or []),
     ]))
     replies = None
@@ -456,11 +452,9 @@ def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
         if method == "rcb":
             rows.append(_codec.unpack_f64(rows_raw).reshape(-1, dim))
         else:
-            rows.extend(map(tuple, _codec.unpack_i64(rows_raw).reshape(
-                -1, npe).tolist()))
+            rows.append(_codec.unpack_i64(rows_raw).reshape(-1, npe))
         wvec.extend(_codec.unpack_f64(w_raw).tolist())
-    if method == "rcb":
-        rows = np.concatenate(rows)
+    rows = np.concatenate(rows)
     ids = [e for block in id_blocks for e in block]
     part_of = _backend(kind, method, ids, rows,
                        wvec if has_weights else None, len(team), tolerance,
@@ -519,7 +513,7 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
 
     ctx.set_phase("collect")
     gathered = aggregate(ctx, my_group, _pack_payload(chunk, weights))
-    chunk, weights = MeshChunk(kind), None
+    chunk, weights = MeshChunk.empty(kind), None
     if gathered is not None:
         parts = [_unpack_payload(p) for p in gathered]
         chunk = merge_chunks(kind, [c for c, _ in parts])
@@ -555,13 +549,11 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
                 ids, rows, wvec = _summary(chunk, weights, method)
                 part_of = _backend(kind, method, ids, rows, wvec, len(kids),
                                    plan.tolerance, where, leaves)
-                groups: list[list[int]] = [[] for _ in kids]
-                for e in ids:
-                    groups[part_of[e]].append(e)
+                subs = split_chunk(chunk, [part_of[e] for e in ids],
+                                   len(kids))
             else:
-                groups = split_ids_evenly(list(chunk.elements), len(kids))
-            payloads = [_pack_payload(sub, weights)
-                        for sub in split_chunk(chunk, groups)]
+                subs = split_contiguous(chunk, len(kids))
+            payloads = [_pack_payload(sub, weights) for sub in subs]
         chunk, weights = _unpack_payload(cascade(ctx, kids, payloads))
         if plan.approach == 1:
             chunk, weights = _team_partition(ctx, kids, chunk, weights, method,

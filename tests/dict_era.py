@@ -1,0 +1,369 @@
+"""The dict-era mesh chunk and its kernels, kept verbatim as test oracles.
+
+Before chunks were stored as arrays, ``MeshChunk`` was a dict of node
+tuples, a dict of element tuples and a list of (tag, face) pairs, and every
+kernel looped over them in Python.  The code below is that version, with
+the class renamed ``DictChunk``: the array kernels must give the same
+chunks, bytes, graphs and error messages.  ``dict_chunk`` converts an array
+chunk through its record views.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from itertools import chain, combinations
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, NoReturn, Sequence
+
+import numpy as np
+
+from hierpart import _codec
+from hierpart.mesh import _KIND_BY_CODE, KINDS, kind_info
+
+
+def dict_chunk(chunk) -> "DictChunk":
+    """The dict-era form of an array chunk, through its record views."""
+    return DictChunk(chunk.kind, chunk.nodes, chunk.elements, chunk.boundary)
+
+
+@dataclass
+class DictChunk:
+    """One rank's share of a mesh (or, on a single rank, the whole mesh)."""
+
+    kind: str
+    nodes: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    elements: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    boundary: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+
+    @property
+    def dim(self) -> int:
+        return kind_info(self.kind)[1]
+
+    @property
+    def nodes_per_element(self) -> int:
+        return kind_info(self.kind)[2]
+
+    @property
+    def nodes_per_face(self) -> int:
+        return kind_info(self.kind)[3]
+
+    @property
+    def n_elements(self) -> int:
+        return len(self.elements)
+
+    def validate(self) -> None:
+        """Check reference integrity; raises ValueError naming the offender."""
+        npe = self.nodes_per_element
+        npf = self.nodes_per_face
+        dim = self.dim
+        for nid, coords in self.nodes.items():
+            if len(coords) != dim:
+                raise ValueError(f"node {nid}: expected {dim} coordinates, "
+                                 f"got {len(coords)}")
+        for eid, conn in self.elements.items():
+            if len(conn) != npe:
+                raise ValueError(f"element {eid}: expected {npe} nodes, "
+                                 f"got {len(conn)}")
+            if len(set(conn)) != npe:
+                raise ValueError(f"element {eid}: repeated node in {conn}")
+            for n in conn:
+                if n not in self.nodes:
+                    raise ValueError(f"element {eid} references unknown node {n}")
+        for i, (tag, conn) in enumerate(self.boundary):
+            if len(conn) != npf:
+                raise ValueError(f"boundary face {i} (tag {tag}): expected "
+                                 f"{npf} nodes, got {len(conn)}")
+            for n in conn:
+                if n not in self.nodes:
+                    raise ValueError(f"boundary face {i} (tag {tag}) references "
+                                     f"unknown node {n}")
+
+    def centroids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(element ids, centroid coordinates), sorted by element id.
+
+        One gather-mean over an (elements, nodes per element) row-index
+        array; it sums each element's nodes in connectivity order, so every
+        centroid equals ``np.mean`` of that element's coordinates bit for bit.
+        """
+        eids = sorted(self.elements)
+        ids = np.array(eids, dtype=np.int64)
+        if not eids:
+            return ids, np.empty((0, self.dim), dtype=np.float64)
+        row = {n: i for i, n in enumerate(self.nodes)}
+        xyz = np.array(list(self.nodes.values()), dtype=np.float64)
+        conn = np.array([[row[n] for n in self.elements[e]] for e in eids],
+                        dtype=np.intp)
+        return ids, xyz[conn].mean(axis=1)
+
+    def sorted_copy(self) -> "DictChunk":
+        """Same chunk with elements and nodes in ascending global id order."""
+        return DictChunk(
+            kind=self.kind,
+            nodes={n: self.nodes[n] for n in sorted(self.nodes)},
+            elements={e: self.elements[e] for e in sorted(self.elements)},
+            boundary=sorted(self.boundary),
+        )
+
+
+def element_faces(conn: Sequence[int], kind: str) -> list[tuple[int, ...]]:
+    """The element's faces as sorted node tuples (edges in 2D)."""
+    npf = kind_info(kind)[3]
+    return [tuple(sorted(c)) for c in combinations(conn, npf)]
+
+
+def adjacency_from_elements(elements: Mapping[int, Sequence[int]],
+                            kind: str) -> dict[int, list[int]]:
+    """Dual graph of an in-memory element table: neighbors share a full face."""
+    npf = kind_info(kind)[3]
+    face_users: dict[tuple[int, ...], list[int]] = {}
+    for eid in sorted(elements):
+        # Combinations of the sorted connectivity are sorted faces.
+        for face in combinations(sorted(elements[eid]), npf):
+            face_users.setdefault(face, []).append(eid)
+    adj: dict[int, set[int]] = {int(e): set() for e in elements}
+    for users in face_users.values():
+        if len(users) > 1:
+            for a in users:
+                for b in users:
+                    if a != b:
+                        adj[a].add(b)
+    return {e: sorted(nbrs) for e, nbrs in adj.items()}
+
+
+def local_dual_graph(chunk: DictChunk) -> dict[int, list[int]]:
+    """Sequential dual graph of one chunk, for whole-mesh or leader-local use."""
+    return adjacency_from_elements(chunk.elements, chunk.kind)
+
+
+def merge_chunks(kind: str, chunks: Iterable[DictChunk]) -> DictChunk:
+    out = DictChunk(kind)
+    for ch in chunks:
+        if ch.kind != kind:
+            raise ValueError(f"cannot merge {ch.kind} chunk into {kind} mesh")
+        out.nodes.update(ch.nodes)
+        out.elements.update(ch.elements)
+        out.boundary.extend(ch.boundary)
+    return out.sorted_copy()
+
+
+def _boundary_carriers(chunk: DictChunk) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+    """Map each local element to the boundary faces it carries.
+
+    A boundary face travels with the unique element containing all its
+    nodes; if the input is degenerate and several match, the lowest element
+    id wins so migration stays deterministic.
+    """
+    node_elems: dict[int, list[int]] = {}
+    for eid in sorted(chunk.elements):
+        for n in chunk.elements[eid]:
+            node_elems.setdefault(n, []).append(eid)
+    carriers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for tag, conn in chunk.boundary:
+        candidates = None
+        for n in conn:
+            owners = set(node_elems.get(n, ()))
+            candidates = owners if candidates is None else candidates & owners
+            if not candidates:
+                break
+        if not candidates:
+            raise ValueError(f"boundary face {conn} (tag {tag}) has no local "
+                             f"containing element")
+        carriers.setdefault(min(candidates), []).append((tag, conn))
+    return carriers
+
+
+def split_chunk(chunk: DictChunk, groups: Iterable[Iterable[int]]
+                ) -> list[DictChunk]:
+    """Carve a chunk into one sub-chunk per group of element ids.
+
+    Each sub-chunk holds its group's elements, the nodes they reference and
+    the boundary faces they carry, all in ascending order.  The carrier map
+    is built once for all groups.
+    """
+    carriers = _boundary_carriers(chunk)
+    out = []
+    for ids in groups:
+        eids = sorted(ids)
+        elements = {e: chunk.elements[e] for e in eids}
+        nids = sorted({n for conn in elements.values() for n in conn})
+        out.append(DictChunk(
+            chunk.kind,
+            nodes={n: chunk.nodes[n] for n in nids},
+            elements=elements,
+            boundary=sorted(f for e in eids for f in carriers.get(e, ())),
+        ))
+    return out
+
+
+def subset_chunk(chunk: DictChunk, element_ids: Iterable[int]) -> DictChunk:
+    """Chunk restricted to the given elements, their nodes and boundary faces."""
+    return split_chunk(chunk, [element_ids])[0]
+
+
+# -- wire form ----------------------------------------------------------------
+
+def pack_chunk(chunk: DictChunk) -> bytes:
+    code, dim, npe, npf = kind_info(chunk.kind)
+    eids = sorted(chunk.elements)
+    nids = sorted(chunk.nodes)
+    conn = [n for e in eids for n in chunk.elements[e]]
+    coords = [c for n in nids for c in chunk.nodes[n]]
+    bnd = sorted(chunk.boundary)
+    return _codec.pack_blocks([
+        _codec.pack_i64([code]),
+        _codec.pack_i64(eids),
+        _codec.pack_i64(conn),
+        _codec.pack_i64(nids),
+        _codec.pack_f64(coords),
+        _codec.pack_i64([t for t, _ in bnd]),
+        _codec.pack_i64([n for _, c in bnd for n in c]),
+    ])
+
+
+def unpack_chunk(data: bytes) -> DictChunk:
+    (code_raw, eids_raw, conn_raw, nids_raw, coords_raw,
+     tags_raw, bconn_raw) = _codec.unpack_blocks(data)
+    kind = _KIND_BY_CODE[_codec.unpack_one_i64(code_raw)]
+    _, dim, npe, npf = kind_info(kind)
+
+    def rows(raw: bytes, unpack, width: int):
+        # One .tolist() per block gives Python ints and floats directly.
+        return map(tuple, unpack(raw).reshape(-1, width).tolist())
+
+    return DictChunk(
+        kind,
+        nodes=dict(zip(_codec.unpack_i64(nids_raw).tolist(),
+                       rows(coords_raw, _codec.unpack_f64, dim))),
+        elements=dict(zip(_codec.unpack_i64(eids_raw).tolist(),
+                          rows(conn_raw, _codec.unpack_i64, npe))),
+        boundary=list(zip(_codec.unpack_i64(tags_raw).tolist(),
+                          rows(bconn_raw, _codec.unpack_i64, npf))),
+    )
+
+
+
+# -- loader ------------------------------------------------------------------------
+
+def mesh_from_payload(raw: Mapping[str, Any]) -> DictChunk:
+    """Build and check a chunk from a mesh document's payload.
+
+    Each section is checked a whole column at a time; only when a check
+    fails is the section scanned record by record, to name the first
+    offending record.
+    """
+    if not isinstance(raw, Mapping):
+        raise ValueError("mesh must be an object")
+    elements = raw.get("elements", [])
+    if not isinstance(elements, list):
+        raise ValueError("element records must be a list")
+    if not elements:
+        raise ValueError("mesh has no elements")
+    first = elements[0]
+    kind = first[1] if isinstance(first, list) and len(first) > 1 else None
+    if kind not in KINDS:
+        raise ValueError(f"unknown element kind {kind!r}; "
+                         f"expected one of {sorted(KINDS)}")
+    chunk = DictChunk(kind)
+    dim = chunk.dim
+    npe = chunk.nodes_per_element
+    npf = chunk.nodes_per_face
+
+    cols = _columns(elements, 2 + npe)
+    if (cols and cols[1].count(kind) == len(elements)
+            and _ints(cols[0], *cols[2:]) and min(cols[0]) >= 0):
+        chunk.elements = dict(zip(cols[0], zip(*cols[2:])))
+    if len(chunk.elements) != len(elements):  # a failed check or a repeated id
+        _first_bad("element", elements, _element_problem, kind, npe)
+    element_nodes = cols[2:]
+
+    nodes = raw.get("nodes", [])
+    cols = _columns(nodes, 1 + dim)
+    if (cols and _ints(cols[0]) and min(cols[0], default=0) >= 0
+            and _numbers(*cols[1:])):
+        coords = zip(*(map(float, c) for c in cols[1:]))
+        chunk.nodes = dict(zip(cols[0], coords))
+    if len(chunk.nodes) != len(nodes):
+        _first_bad("node", nodes, _node_problem, dim)
+
+    boundary = raw.get("boundary", [])
+    cols = _columns(boundary, 1 + npf)
+    if not (cols and _ints(*cols)):
+        _first_bad("boundary", boundary, _boundary_problem, npf)
+    tags, *face_nodes = cols
+    chunk.boundary = list(zip(tags, zip(*face_nodes)))
+
+    # Reference integrity; validate() names the offender when it fails.
+    used = set().union(*element_nodes, *face_nodes)
+    repeats = set(map(len, map(set, chunk.elements.values()))) != {npe}
+    if repeats or not chunk.nodes.keys() >= used:
+        chunk.validate()
+    return chunk
+
+
+def _columns(records, width: int) -> list[list] | None:
+    """The records' columns, or None unless every record is a list of
+    ``width`` items."""
+    if not (isinstance(records, list) and set(map(type, records)) <= {list}
+            and set(map(len, records)) <= {width}):
+        return None
+    # One pass per column; zip(*records) would make a GC-tracked iterator
+    # per record.
+    return [list(map(itemgetter(i), records)) for i in range(width)]
+
+
+def _ints(*columns) -> bool:
+    """Every item is a JSON integer (a bool is not)."""
+    return set(map(type, chain(*columns))) <= {int}
+
+
+def _numbers(*columns) -> bool:
+    return set(map(type, chain(*columns))) <= {int, float}
+
+
+def _first_bad(section: str, records, problem, *args) -> NoReturn:
+    """Raise ValueError naming the first record ``problem`` objects to.
+
+    ``problem(record, seen, *args)`` returns a message or None; ``seen`` is
+    a set it may use to spot repeated ids.  Loaders call this only after a
+    whole-column check failed, so some record is at fault.
+    """
+    if not isinstance(records, list):
+        raise ValueError(f"{section} records must be a list")
+    seen: set = set()
+    for i, rec in enumerate(records):
+        message = problem(rec, seen, *args)
+        if message:
+            raise ValueError(f"{section} record {i}: {message}")
+    raise AssertionError(f"a column check failed on {section} records, "
+                         f"but no record is at fault")
+
+
+def _id_problem(noun: str, rid, seen: set) -> str | None:
+    if type(rid) is not int:
+        return f"{noun} id must be an integer, got {rid!r}"
+    if rid < 0 or rid in seen:
+        return f"{'negative' if rid < 0 else 'duplicate'} {noun} id {rid}"
+    seen.add(rid)
+    return None
+
+
+def _element_problem(rec, seen, kind, npe) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 2 + npe and rec[1] == kind):
+        return f"expected [id, {kind!r}, {npe} node ids]"
+    if problem := _id_problem("element", rec[0], seen):
+        return problem
+    return None if _ints(rec[2:]) else f"node ids must be integers, got {rec[2:]}"
+
+
+def _node_problem(rec, seen, dim) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 1 + dim):
+        return f"expected [id, {dim} coordinates]"
+    if problem := _id_problem("node", rec[0], seen):
+        return problem
+    return None if _numbers(rec[1:]) else f"coordinates must be numbers, got {rec[1:]}"
+
+
+def _boundary_problem(rec, seen, npf) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 1 + npf):
+        return f"expected [tag, {npf} node ids]"
+    return None if _ints(rec) else f"tag and node ids must be integers, got {rec}"

@@ -525,3 +525,104 @@ def test_bad_cost_intra_exits_2_before_the_run(inputs, capsys, monkeypatch,
             in capsys.readouterr().err)
     assert runs == []
     assert not (inputs["tmp"] / "x").exists()
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_coordinate_exits_2_naming_the_node(tmp_path, capsys,
+                                                       value):
+    # json reads NaN, Infinity and -Infinity as floats; a part file must
+    # never carry them.
+    doc = json.loads((FIXTURES / "demo_mesh.json").read_text())
+    doc["mesh"]["nodes"][1][2] = value
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps(doc))
+    code = main(["partition", "--mesh", str(mesh_path),
+                 "--topo", str(FIXTURES / "topo_2x2x2.json"),
+                 "--out", str(tmp_path / "out"), "--no-timestamp"])
+    assert code == 2
+    assert (f"node record 1: coordinates must be finite, got [1.0, {value}]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def _huge_element_id(mesh):
+    mesh["elements"][6][0] = 2**63
+
+
+def _huge_node_id(mesh):
+    mesh["nodes"][3][0] = 2**70
+
+
+def _huge_tag(mesh):
+    mesh["boundary"][2][0] = -2**64
+
+
+def _huge_element_node(mesh):
+    mesh["elements"][4][3] = 2**64
+
+
+def _huge_coordinate(mesh):
+    mesh["nodes"][5][2] = 10**400
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_huge_element_id,
+     "element record 6: element id 9223372036854775808 beyond the int64 range"),
+    (_huge_node_id,
+     "node record 3: node id 1180591620717411303424 beyond the int64 range"),
+    (_huge_tag, "boundary record 2: tag -18446744073709551616 beyond the "
+                "int64 range"),
+    (_huge_element_node, "element 4 references unknown node "
+                         "18446744073709551616"),
+    (_huge_coordinate, "node record 5: coordinates must be finite"),
+], ids=["element-id", "node-id", "tag", "element-node", "coordinate"])
+def test_integers_beyond_int64_exit_2_naming_the_record(inputs, capsys, edit,
+                                                        message):
+    mesh_path = _edit_mesh(inputs, edit)
+    code = main(["partition", "--mesh", str(mesh_path),
+                 "--topo", str(inputs["topo_path"]),
+                 "--out", str(inputs["tmp"] / "x")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verbs_never_build_record_views(tmp_path, monkeypatch):
+    # The verbs read a chunk's arrays only: the per-element dict and tuple
+    # views exist for tests and tools.
+    from hierpart.mesh import MeshChunk
+
+    def forbidden(self):
+        raise AssertionError("a verb built a record view")
+
+    for view in ("elements", "nodes", "boundary"):
+        monkeypatch.setattr(MeshChunk, view, property(forbidden))
+    mesh = str(FIXTURES / "demo_mesh.json")
+    topo = str(FIXTURES / "topo_2x2x2.json")
+    weights = tmp_path / "weights.json"
+    save_weights(weights, {e: 1.0 + e % 3 for e in range(512)})
+    timing = tmp_path / "timing.json"
+    save_timing(timing, [(range(b, b + 64), 0.5 + b / 512)
+                         for b in range(0, 512, 64)])
+    common = ["--mesh", mesh, "--topo", topo, "--no-timestamp"]
+    start = tmp_path / "start"
+    runs = [["partition", "--out", str(start)]]
+    for method in ("rcb", "graph", "graph,rcb"):
+        for approach in ("1", "2"):
+            runs.append(["partition", "--method", method, "--approach",
+                         approach, "--weights", str(weights)])
+    runs += [
+        ["partition", "--bpl", "1", "--timing", str(timing)],
+        ["rebalance", "--assignment", str(start / "assignment.json"),
+         "--level", "0", "--weights", str(weights)],
+        ["rebalance", "--assignment", str(start / "assignment.json"),
+         "--level", "1", "--method", "graph", "--timing", str(timing)],
+        ["metrics", "--assignment", str(start / "assignment.json"),
+         "--weights", str(weights)],
+    ]
+    for i, run in enumerate(runs):
+        out = [] if "--out" in run else ["--out", str(tmp_path / f"o{i}")]
+        assert main([*run, *common, *out]) == 0, run

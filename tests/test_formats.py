@@ -14,9 +14,12 @@ from hierpart.formats import (SCHEMA, FormatError, _render, dump_doc,
                               mesh_payload, save_assignment, save_mesh,
                               save_part, save_report, save_timing,
                               save_topology, save_weights)
-from hierpart.mesh import KINDS, MeshChunk
+from hierpart.mesh import KINDS
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.topology import build_topology
+
+import dict_era
+from dict_era import DictChunk
 
 
 def test_mesh_round_trip_triangles(tmp_path):
@@ -276,7 +279,7 @@ def oracle_mesh_from_payload(raw):
     if kind not in KINDS:
         raise ValueError(f"unknown element kind {kind!r}; "
                          f"expected one of {sorted(KINDS)}")
-    chunk = MeshChunk(kind)
+    chunk = DictChunk(kind)
     dim = chunk.dim
     npe = chunk.nodes_per_element
     npf = chunk.nodes_per_face
@@ -345,17 +348,59 @@ def _outcome(load, payload):
 
 
 def _items(chunk):
-    return (chunk.kind, list(chunk.nodes.items()),
-            list(chunk.elements.items()), chunk.boundary)
+    # An array chunk holds its records in id order, a dict-era chunk in
+    # file order.
+    return (chunk.kind, sorted(chunk.nodes.items()),
+            sorted(chunk.elements.items()), sorted(chunk.boundary))
 
 
 @settings(max_examples=300, deadline=None)
 @given(mesh=st.sampled_from([triangle_grid(3, 2), tet_box(1, 1, 1)]),
        edits=st.lists(_EDITS, max_size=3))
 def test_block_checks_report_what_the_record_loop_reported(mesh, edits):
+    # Against the first loader and the dict-era column loader: the array
+    # loader keeps both the records and the first error message.
     payload = mesh_payload(mesh)
     for edit in edits:
         _apply(payload, edit)
-    copy = json.loads(json.dumps(payload))
-    assert (_outcome(mesh_from_payload, payload)
-            == _outcome(oracle_mesh_from_payload, copy))
+    got = _outcome(mesh_from_payload, json.loads(json.dumps(payload)))
+    assert got == _outcome(oracle_mesh_from_payload,
+                           json.loads(json.dumps(payload)))
+    assert got == _outcome(dict_era.mesh_from_payload, payload)
+
+
+def oracle_save_assignment(path, assignment):
+    """save_assignment as first written: one [e, p] list per row, rendered
+    by dump_doc."""
+    dump_doc(path, "assignment",
+             [[int(e), int(p)] for e, p in sorted(assignment.items())])
+
+
+@settings(max_examples=100, deadline=None)
+@given(assignment=st.dictionaries(st.integers(-10**12, 10**12),
+                                  st.integers(-5, 10**6), max_size=40))
+def test_save_assignment_writes_the_row_list_document(tmp_path_factory,
+                                                      assignment):
+    d = tmp_path_factory.mktemp("assign")
+    save_assignment(d / "new.json", assignment)
+    oracle_save_assignment(d / "old.json", assignment)
+    assert (d / "new.json").read_bytes() == (d / "old.json").read_bytes()
+    if assignment:
+        assert load_assignment(d / "new.json") == assignment
+
+
+def test_non_finite_coordinates_name_the_node_record():
+    payload = mesh_payload(triangle_grid(2, 1))
+    for bad in (float("nan"), float("inf"), float("-inf"), 10**400):
+        edited = json.loads(json.dumps(payload))
+        edited["nodes"][3][1] = bad
+        with pytest.raises(ValueError, match="node record 3: coordinates "
+                                             "must be finite"):
+            mesh_from_payload(edited)
+
+
+def test_negative_node_reference_is_an_unknown_node():
+    payload = mesh_payload(triangle_grid(2, 1))
+    payload["elements"][1][3] = -1
+    with pytest.raises(ValueError, match="element 1 references unknown node -1"):
+        mesh_from_payload(payload)

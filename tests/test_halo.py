@@ -114,7 +114,7 @@ def test_exchange_three_sharers_resolved_in_rank_order():
         2: ((0, (9,)), (3, (9, 11))),
         3: ((0, (9,)), (2, (9, 11))),
     }
-    schedules = [HaloSchedule(r, tuple(
+    schedules = [HaloSchedule(tuple(
         (other, nodes, "intranode" if tree.same_node(r, other) else "internode")
         for other, nodes in neighbors[r])) for r in range(4)]
     fields = [{9: np.array([1e16])}, {4: np.array([5.0])},
@@ -187,7 +187,7 @@ def test_exchange_intranode_neighbors_use_copy_channel():
 
 def test_exchange_rejects_bad_input():
     tree = build_topology([("node", 2)])
-    sched = HaloSchedule(rank=0, neighbors=((1, (7,), "internode"),))
+    sched = HaloSchedule(neighbors=((1, (7,), "internode"),))
 
     def prog_missing(ctx):
         if ctx.rank == 0:
@@ -197,14 +197,14 @@ def test_exchange_rejects_bad_input():
         Runtime(tree, seed=0).run(prog_missing)
 
     def prog_mode(ctx):
-        exchange(ctx, HaloSchedule(rank=ctx.rank, neighbors=()), {},
+        exchange(ctx, HaloSchedule(neighbors=()), {},
                  "average")
 
     with pytest.raises(ValueError, match="unknown exchange mode"):
         Runtime(tree, seed=0).run(prog_mode)
 
     def prog_arity(ctx):
-        exchange(ctx, HaloSchedule(rank=ctx.rank, neighbors=()),
+        exchange(ctx, HaloSchedule(neighbors=()),
                  {0: np.array([1.0]), 1: np.array([1.0, 2.0])},
                  "replicate_owner")
 

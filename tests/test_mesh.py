@@ -24,6 +24,8 @@ from hierpart.partition import _pack_payload, _unpack_payload
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
+from dict_era import DictChunk, dict_chunk
+
 
 def pairwise_adjacency(elements: dict[int, tuple[int, ...]], npf: int) -> dict[int, list[int]]:
     """Oracle: quadratic all-pairs test for a full shared face.
@@ -94,16 +96,17 @@ def test_kind_info_rejects_unknown():
 
 
 def test_validate_catches_bad_references():
-    bad = MeshChunk("triangle", nodes={0: (0.0, 0.0), 1: (1.0, 0.0)},
-                    elements={7: (0, 1, 2)})
+    bad = MeshChunk.from_records("triangle",
+                                 nodes={0: (0.0, 0.0), 1: (1.0, 0.0)},
+                                 elements={7: (0, 1, 2)})
     with pytest.raises(ValueError, match="element 7 references unknown node 2"):
         bad.validate()
 
 
 def test_validate_catches_repeated_node():
-    bad = MeshChunk("triangle",
-                    nodes={0: (0.0, 0.0), 1: (1.0, 0.0)},
-                    elements={0: (0, 1, 1)})
+    bad = MeshChunk.from_records("triangle",
+                                 nodes={0: (0.0, 0.0), 1: (1.0, 0.0)},
+                                 elements={0: (0, 1, 1)})
     with pytest.raises(ValueError, match="repeated node"):
         bad.validate()
 
@@ -149,7 +152,7 @@ def scattered_chunks(draw):
              for n in nids}
     eids = draw(st.lists(st.integers(-10**6, 10**6), max_size=30, unique=True))
     elements = {e: tuple(draw(st.permutations(nids))[:npe]) for e in eids}
-    return MeshChunk(kind, nodes=nodes, elements=elements)
+    return MeshChunk.from_records(kind, nodes=nodes, elements=elements)
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,7 +189,8 @@ def test_local_dual_graph_matches_pairwise_oracle_tets():
 
 def test_adjacency_two_triangles_one_shared_edge():
     elements = {0: (0, 1, 2), 1: (1, 2, 3)}
-    assert adjacency_from_elements(elements, "triangle") == {0: [1], 1: [0]}
+    assert adjacency_from_elements(list(elements), list(elements.values()),
+                                   "triangle") == {0: [1], 1: [0]}
 
 
 def oracle_adjacency_from_elements(elements, kind):
@@ -216,7 +220,8 @@ def test_adjacency_from_elements_matches_oracle_with_key_order(data):
     node = st.integers(0, 7)
     elements = {e: tuple(data.draw(st.lists(node, min_size=npe, max_size=npe)))
                 for e in eids}
-    got = adjacency_from_elements(elements, kind)
+    got = adjacency_from_elements(list(elements),
+                                  list(elements.values()), kind)
     want = oracle_adjacency_from_elements(elements, kind)
     assert list(got.items()) == list(want.items())
 
@@ -257,7 +262,7 @@ def assert_python_scalars(chunk):
                          ids=["tet", "tri"])
 def test_unpack_chunk_gives_python_scalars(mesh):
     back = unpack_chunk(pack_chunk(mesh))
-    assert back.boundary and back == mesh.sorted_copy()
+    assert back.boundary and back == mesh
     assert_python_scalars(back)
 
 
@@ -338,7 +343,7 @@ def oracle_boundary_carriers(chunk):
 def oracle_subset_chunk(chunk, element_ids, carriers=None):
     if carriers is None:
         carriers = oracle_boundary_carriers(chunk)
-    sub = MeshChunk(chunk.kind)
+    sub = DictChunk(chunk.kind)
     for eid in sorted(element_ids):
         conn = chunk.elements[eid]
         sub.elements[eid] = conn
@@ -357,10 +362,21 @@ def carve_outcome(fn, *args):
         return (type(err).__name__, str(err))
 
 
+def split_groups(chunk, groups):
+    """split_chunk for disjoint groups of element ids."""
+    slot = {e: i for i, e in enumerate(chunk.element_ids.tolist())}
+    owner = [-1] * chunk.n_elements
+    for g, ids in enumerate(groups):
+        for e in ids:
+            owner[slot[e]] = g
+    return split_chunk(chunk, owner, len(groups))
+
+
 def assert_same_carve(chunk, groups):
-    got = carve_outcome(split_chunk, chunk, groups)
+    got = carve_outcome(split_groups, chunk, groups)
     want = carve_outcome(
-        lambda ch, gs: [oracle_subset_chunk(ch, g) for g in gs], chunk, groups)
+        lambda ch, gs: [oracle_subset_chunk(ch, g) for g in gs],
+        dict_chunk(chunk), groups)
     assert got == want
 
 
@@ -374,7 +390,8 @@ def test_split_chunk_matches_per_group_carve(data):
     # Faces of random elements tagged as boundary too: an interior one is
     # contained by two elements, and the lower id must carry it.
     extra = data.draw(st.lists(st.sampled_from(eids), max_size=3))
-    mesh = MeshChunk(mesh.kind, mesh.nodes, mesh.elements, mesh.boundary + [
+    mesh = MeshChunk.from_records(mesh.kind, mesh.nodes, mesh.elements,
+                                  mesh.boundary + [
         (9, element_faces(mesh.elements[e], mesh.kind)[-1]) for e in extra])
     n_groups = data.draw(st.integers(1, 6))
     # -1 leaves an element out; groups may come out empty.
@@ -387,16 +404,17 @@ def test_split_chunk_matches_per_group_carve(data):
     # A chunk that lost some elements but kept every boundary face fails
     # both carves with the same message whenever a face lost its carrier.
     kept = {e for e, g in zip(eids, owner) if g >= 0}
-    part = MeshChunk(mesh.kind, dict(mesh.nodes),
-                     {e: mesh.elements[e] for e in kept}, list(mesh.boundary))
+    part = MeshChunk.from_records(mesh.kind, mesh.nodes,
+                                  {e: mesh.elements[e] for e in kept},
+                                  mesh.boundary)
     assert_same_carve(part, [sorted(kept)[::2], sorted(kept)[1::2]])
 
 
 def test_split_chunk_empty_groups():
     mesh = triangle_grid(2, 2)
-    empty = split_chunk(mesh, [[], [], []])
+    empty = split_groups(mesh, [[], [], []])
     assert [(c.nodes, c.elements, c.boundary) for c in empty] == [({}, {}, [])] * 3
-    assert split_chunk(mesh, []) == []
+    assert split_groups(mesh, []) == []
     assert_same_carve(mesh, [[], sorted(mesh.elements), []])
 
 
@@ -404,9 +422,10 @@ def test_split_chunk_degenerate_face_goes_to_lowest_containing_id():
     # Elements 0 and 1 of the 1x1 grid share the diagonal (0, 3).  Tagged
     # as a boundary face, it is contained by both, and element 0 carries it
     # whatever group order or id order the caller uses.
-    mesh = triangle_grid(1, 1)
-    mesh.boundary.append((9, (3, 0)))
-    first, second = split_chunk(mesh, [[1], [0]])
+    grid = triangle_grid(1, 1)
+    mesh = MeshChunk.from_records(grid.kind, grid.nodes, grid.elements,
+                                  grid.boundary + [(9, (3, 0))])
+    first, second = split_groups(mesh, [[1], [0]])
     assert (9, (3, 0)) not in first.boundary
     assert (9, (3, 0)) in second.boundary
     assert_same_carve(mesh, [[1], [0]])
@@ -538,8 +557,8 @@ def migrate_through_codec(ctx, chunk, assignment, team=None):
     by_dest: dict[int, list[int]] = {}
     for eid in sorted(chunk.elements):
         by_dest.setdefault(assignment[eid], []).append(eid)
-    outgoing = {dest: pack_chunk(sub) for dest, sub
-                in zip(by_dest, split_chunk(chunk, by_dest.values()))}
+    outgoing = {dest: pack_chunk(subset_chunk(chunk, ids))
+                for dest, ids in by_dest.items()}
     received = blind_exchange(ctx, outgoing, team=team)
     return merge_chunks(chunk.kind, [unpack_chunk(b) for _, b in received])
 

@@ -52,8 +52,8 @@ def test_comm_imbalance_arithmetic_example():
     # Two partitions: one sends 24 cost units, the other 8; mean 16 -> 1.5.
     model = CostModel(internode=1.0, intranode=1.0)
     schedules = {
-        0: HaloSchedule(rank=0, neighbors=((1, (0, 1, 2), "internode"),)),
-        1: HaloSchedule(rank=1, neighbors=((0, (5,), "internode"),)),
+        0: HaloSchedule(neighbors=((1, (0, 1, 2), "internode"),)),
+        1: HaloSchedule(neighbors=((0, (5,), "internode"),)),
     }
     # widths: 3 nodes * 8 bytes = 24 vs 1 node * 8 bytes = 8.
     assert comm_imbalance(schedules, model) == pytest.approx(1.5)
@@ -61,14 +61,14 @@ def test_comm_imbalance_arithmetic_example():
 
 def test_comm_imbalance_conventions():
     assert comm_imbalance({}, CostModel()) == 1.0
-    silent = {0: HaloSchedule(rank=0, neighbors=())}
+    silent = {0: HaloSchedule(neighbors=())}
     assert comm_imbalance(silent, CostModel()) == 1.0
 
 
 def test_partition_comm_costs_weight_channels():
     model = CostModel(internode=1.0, intranode=0.25)
     schedules = {
-        0: HaloSchedule(rank=0, neighbors=(
+        0: HaloSchedule(neighbors=(
             (1, (4, 5), "intranode"), (2, (9,), "internode"))),
     }
     costs = partition_comm_costs(schedules, model)
@@ -77,8 +77,8 @@ def test_partition_comm_costs_weight_channels():
 
 def test_halo_pairs_deduplicate():
     schedules = {
-        0: HaloSchedule(rank=0, neighbors=((1, (4, 5), "internode"),)),
-        1: HaloSchedule(rank=1, neighbors=((0, (4, 5), "internode"),)),
+        0: HaloSchedule(neighbors=((1, (4, 5), "internode"),)),
+        1: HaloSchedule(neighbors=((0, (4, 5), "internode"),)),
     }
     rows = halo_pairs(schedules)
     assert rows == [{"a": 0, "b": 1, "channel": "internode",
@@ -104,8 +104,8 @@ def test_quality_metrics_block():
 
 def test_comm_metrics_block():
     schedules = {
-        0: HaloSchedule(rank=0, neighbors=((1, (4,), "internode"),)),
-        1: HaloSchedule(rank=1, neighbors=((0, (4,), "internode"),)),
+        0: HaloSchedule(neighbors=((1, (4,), "internode"),)),
+        1: HaloSchedule(neighbors=((0, (4,), "internode"),)),
     }
     out = comm_metrics(schedules, CostModel())
     assert out["cost_internode"] == 1.0

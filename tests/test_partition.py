@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart import partition
-from hierpart.mesh import local_dual_graph, split_chunk, split_contiguous
+from hierpart.mesh import (local_dual_graph, split_chunk, split_contiguous,
+                           subset_chunk)
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.partition import (HierarchicalPlan, _pack_payload,
                                 _refine_once, _team_partition,
@@ -486,7 +487,7 @@ def test_hierarchical_skewed_weights_leave_no_rank_empty(case):
 def test_weighted_payload_adds_one_float_per_element():
     # The weights follow the chunk's own ascending id order, so a weighted
     # payload carries no second copy of the element ids.
-    chunk = split_chunk(tet_box(2, 2, 1), [[9, 2, 5, 14, 0]])[0]
+    chunk = subset_chunk(tet_box(2, 2, 1), [9, 2, 5, 14, 0])
     weights = {e: 1.0 + e / 4 for e in chunk.elements}
     plain = _pack_payload(chunk, None)
     weighted = _pack_payload(chunk, weights)
@@ -514,7 +515,7 @@ def test_leader_reply_is_one_owner_per_member_element(monkeypatch, method,
     mesh = triangle_grid(6, 4)
     tree = build_topology([("node", 1), ("core", 3)])
     ids = sorted(mesh.elements)
-    chunks = split_chunk(mesh, [ids[:5], ids[5:22], ids[22:]])
+    chunks = split_chunk(mesh, [0] * 5 + [1] * 17 + [2] * (len(ids) - 22), 3)
     weights = {e: 1.0 + (e % 5) for e in ids} if weighted else None
 
     def prog(ctx):
