@@ -2,9 +2,9 @@
 
 Messages on the simulated network are raw bytes; these helpers give the
 protocols a compact, deterministic packed form (little-endian int64/float64
-arrays with explicit length framing).  A single value shipped on its own
-(one weight, one rank, one element id) packs through a ``struct`` into the
-same 8 bytes a one-element array gives, without building an array.
+arrays with explicit length framing).  A single int64 shipped on its own
+(one rank, one element id) packs through a ``struct`` into the same 8 bytes
+a one-element array gives, without building an array.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 _I64 = np.dtype("<i8")
 _F64 = np.dtype("<f8")
 _LEN = struct.Struct("<q")
-_ONE_F64 = struct.Struct("<d")
 
 
 def _seq(values):
@@ -41,18 +40,12 @@ def unpack_f64(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=_F64)
 
 
-# One value: the bytes of pack_i64([x]) / pack_f64([x]), and back to a
-# Python int / float.
+# One value: the bytes of pack_i64([x]), and back to a Python int.
 pack_one_i64 = _LEN.pack
-pack_one_f64 = _ONE_F64.pack
 
 
 def unpack_one_i64(data: bytes) -> int:
     return _LEN.unpack(data)[0]
-
-
-def unpack_one_f64(data: bytes) -> float:
-    return _ONE_F64.unpack(data)[0]
 
 
 def pack_blocks(blocks: Sequence[bytes]) -> bytes:
@@ -86,3 +79,25 @@ def pack_kv(pairs: Sequence[tuple[int, bytes]]) -> bytes:
 def unpack_kv(data: bytes) -> list[tuple[int, bytes]]:
     keys_raw, values_raw = unpack_blocks(data)
     return list(zip(unpack_i64(keys_raw).tolist(), unpack_blocks(values_raw)))
+
+
+def pack_kv_f64(keys: np.ndarray, values: np.ndarray) -> bytes:
+    """``pack_kv`` of (key, ``pack_f64([value])``) pairs, built as one
+    int64 array: the block count 2, the keys' length and the keys, then the
+    value blocks' length, their count, and one (8, value bits) pair each."""
+    n = len(keys)
+    pairs = np.empty((n, 2), dtype=_I64)
+    pairs[:, 0] = _F64.itemsize
+    pairs[:, 1] = np.asarray(values, dtype=_F64).view(_I64)
+    return np.concatenate((
+        [2, 8 * n], np.asarray(keys, dtype=_I64), [8 + 16 * n, n],
+        pairs.reshape(-1))).astype(_I64, copy=False).tobytes()
+
+
+def unpack_kv_f64(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, values) of a ``pack_kv_f64`` message, in the order packed."""
+    words = np.frombuffer(data, dtype=_I64)
+    n = int(words[1]) // 8
+    if len(words) != 4 + 3 * n or words[0] != 2 or words[3 + n] != n:
+        raise ValueError("malformed key/value message")
+    return words[2:2 + n], np.frombuffer(data, dtype=_F64)[5 + n::2]

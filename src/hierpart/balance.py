@@ -5,14 +5,19 @@ level-L group: summaries go to the group leader, the leader computes a fresh
 assignment over the group's leaves, and only elements whose owner changed
 actually move.  Elements never leave their level-L group, so all rebalance
 traffic stays below that tree vertex.
+
+Each rank carries its weights as one float64 column aligned with its chunk's
+element ids, and part loads are sums over owner and weight arrays.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .mesh import MeshChunk
-from .partition import _team_partition
+from .partition import Weights, _as_given, _team_partition, _weight_column
 from .runtime import RankContext
 from .topology import TopologyTree
 
@@ -49,38 +54,73 @@ def derive_weights(blocks: Sequence[tuple[Sequence[int], float]],
     return weights
 
 
-def imbalance(assignment: Mapping[int, int],
-              weights: Mapping[int, float] | None = None,
-              nparts: int | None = None) -> float:
-    """Max part load over mean part load; 1.0 is perfect."""
-    if not assignment:
-        raise ValueError("empty assignment")
-    if nparts is None:
-        nparts = max(assignment.values()) + 1
-    loads = [0.0] * nparts
-    for e, p in assignment.items():
-        if not (0 <= p < nparts):
-            raise ValueError(f"element {e} assigned to part {p}, outside 0..{nparts - 1}")
-        loads[p] += 1.0 if weights is None else float(weights[e])
-    mean = sum(loads) / nparts
+def part_loads(owner: np.ndarray, weights: np.ndarray | None,
+               nparts: int) -> np.ndarray:
+    """Load of each part 0..nparts-1: the weights of its elements added in
+    array order, or its element count.  ``owner`` and ``weights`` are
+    aligned, with owners in 0..nparts-1."""
+    if weights is None:
+        return np.bincount(owner, minlength=nparts).astype(np.float64)
+    return np.bincount(owner, weights=weights, minlength=nparts)
+
+
+def load_imbalance(loads: np.ndarray) -> float:
+    """Max part load over mean part load; 1.0 is perfect.  The mean adds
+    the loads in part order, as Python's ``sum`` does."""
+    loads = loads.tolist()
+    mean = sum(loads) / len(loads)
     if mean <= 0:
         raise ValueError("total weight is zero")
     return max(loads) / mean
 
 
-def rebalance(ctx: RankContext, tree: TopologyTree, chunk: MeshChunk,
-              level: int, method: str = "rcb",
+def assignment_columns(assignment: Mapping[int, int],
+                       weights: Mapping[int, float] | np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """An element -> part mapping's parts as an int64 array in its
+    iteration order, and the weights aligned with them: a mapping is read
+    once per element, an array is taken as aligned already."""
+    n = len(assignment)
+    owner = np.fromiter(assignment.values(), dtype=np.int64, count=n)
+    if isinstance(weights, Mapping):
+        weights = np.fromiter(map(weights.__getitem__, assignment),
+                              dtype=np.float64, count=n)
+    return owner, weights
+
+
+def imbalance(assignment: Mapping[int, int],
               weights: Mapping[int, float] | None = None,
-              tolerance: float = 1.02,
-              ) -> tuple[MeshChunk, dict[int, float] | None]:
+              nparts: int | None = None) -> float:
+    """Max part load over mean part load; 1.0 is perfect.  Each part's
+    weights are added in the assignment's order."""
+    if not assignment:
+        raise ValueError("empty assignment")
+    owner, weights = assignment_columns(assignment, weights)
+    if nparts is None:
+        nparts = int(owner.max()) + 1
+    outside = (owner < 0) | (owner >= nparts)
+    if outside.any():
+        i = int(np.argmax(outside))
+        e = list(assignment)[i]
+        raise ValueError(f"element {e} assigned to part {owner[i]}, "
+                         f"outside 0..{nparts - 1}")
+    return load_imbalance(part_loads(owner, weights, nparts))
+
+
+def rebalance(ctx: RankContext, tree: TopologyTree, chunk: MeshChunk,
+              level: int, method: str = "rcb", weights: Weights = None,
+              tolerance: float = 1.02) -> tuple[MeshChunk, Weights]:
     """Repartition within this rank's level-``level`` group; collective.
 
-    Returns the rank's new chunk and weights.  Part labels are matched to
-    the leaves already holding the bulk of each part, so a group that is
-    still balanced sees little or no element movement.
+    ``weights`` is a float64 column aligned with the chunk's element ids, a
+    mapping from element id to weight, or None for unit weights.  Returns
+    the rank's new chunk and its weights in the same form.  Part labels are
+    matched to the leaves already holding the bulk of each part, so a group
+    that is still balanced sees little or no element movement.
     """
     group = tree.group_of(ctx.rank, level)
     ctx.set_phase(f"rebalance_level{level}")
-    return _team_partition(
-        ctx, group, chunk, weights, method, tolerance,
+    new_chunk, new_weights = _team_partition(
+        ctx, group, chunk, _weight_column(chunk, weights), method, tolerance,
         where=f"rebalance at {tree.level_name(level)} level", remap_overlap=True)
+    return new_chunk, _as_given(new_chunk, new_weights, weights)

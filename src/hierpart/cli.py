@@ -13,21 +13,21 @@ import datetime
 import gc
 import os
 import sys
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
-from .balance import derive_weights, imbalance, rebalance
-from .formats import (FormatError, load_assignment, load_mesh, load_timing,
-                      load_topology, load_weights, save_assignment, save_part,
-                      save_report)
+from .balance import derive_weights, load_imbalance, part_loads, rebalance
+from .formats import (FormatError, id_array, load_mesh, load_timing,
+                      load_topology, read_assignment, read_weights, save_part,
+                      save_report, write_assignment)
 from .halo import exchange, schedule_for_rank
 from .mesh import (MeshChunk, find_shared_nodes, local_dual_graph,
                    split_chunk, split_contiguous)
-from .metrics import (CostModel, comm_metrics, partition_loads,
-                      quality_metrics, write_balance_csv, write_levels_csv)
-from .partition import (METHODS, HierarchicalPlan, check_tolerance,
-                        hierarchical_partition)
+from .metrics import (CostModel, comm_metrics, quality_metrics,
+                      write_balance_csv, write_levels_csv)
+from .partition import (METHODS, HierarchicalPlan, _weights_of,
+                        check_tolerance, hierarchical_partition)
 from .runtime import DeadlockError, EpochError, ProtocolError, Runtime
 from .topology import TopologyTree
 
@@ -117,52 +117,70 @@ def _parse_method(text: str):
     return methods[0] if len(methods) == 1 else methods
 
 
-def _load_weight_input(args, mesh: MeshChunk) -> dict[int, float] | None:
+def _load_weight_input(args, mesh: MeshChunk) -> np.ndarray | None:
+    """The --weights or --timing input as a float64 column aligned with the
+    mesh's element ids, or None when neither is given."""
     if args.weights and args.timing:
         raise UsageError("--weights and --timing are mutually exclusive")
     if args.timing:
         source = "timing data"
-        weights = derive_weights(load_timing(args.timing),
-                                 elements=mesh.element_ids.tolist())
+        table = derive_weights(load_timing(args.timing),
+                               elements=mesh.element_ids.tolist())
+        ids = id_array(list(table))
+        weights = np.fromiter(table.values(), dtype=np.float64,
+                              count=len(table))
     elif args.weights:
         source = "weights"
-        weights = load_weights(args.weights)
+        ids, weights = read_weights(args.weights)
     else:
         return None
-    # derive_weights already names elements without timing data.
-    elements = set(mesh.element_ids.tolist())
-    for what, ids in (("missing for", elements - weights.keys()),
-                      ("given for unknown", weights.keys() - elements)):
-        if ids:
-            ids = sorted(ids)
-            raise ValueError(f"{source} {what} elements {ids[:5]}"
-                             + ("..." if len(ids) > 5 else ""))
-    return weights
+    order = np.argsort(ids, kind="stable")
+    if np.array_equal(ids[order], mesh.element_ids):
+        return weights[order]
+    # The ids have no repeats, so some mesh element is missing or some id
+    # is unknown; derive_weights already names elements without timing data.
+    elements, keys = set(mesh.element_ids.tolist()), set(ids.tolist())
+    what, bad = ("missing for", elements - keys) if elements - keys else \
+        ("given for unknown", keys - elements)
+    bad = sorted(bad)
+    raise ValueError(f"{source} {what} elements {bad[:5]}"
+                     + ("..." if len(bad) > 5 else ""))
 
 
-def _check_assignment(assignment: Mapping[int, int], mesh: MeshChunk,
-                      nparts: int) -> None:
-    elements = set(mesh.element_ids.tolist())
-    if assignment.keys() != elements:
-        missing = sorted(elements - assignment.keys())[:5]
-        extra = sorted(assignment.keys() - elements)[:5]
+def _check_assignment(ids: np.ndarray, parts: np.ndarray, mesh: MeshChunk,
+                      nparts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mesh position of each assignment record, in file order, and the
+    rank of each mesh element, in id order.
+
+    Raises ValueError unless the records cover exactly the mesh's elements
+    with ranks in 0..nparts-1, naming the first bad rank in file order.
+    """
+    order = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], mesh.element_ids):
+        elements, keys = set(mesh.element_ids.tolist()), set(ids.tolist())
+        missing = sorted(elements - keys)[:5]
+        extra = sorted(keys - elements)[:5]
         raise ValueError(f"assignment does not match mesh elements "
                          f"(missing {missing}, unknown {extra})")
-    for e, p in assignment.items():
-        if not (0 <= p < nparts):
-            raise ValueError(f"element {e} assigned to rank {p}, "
-                             f"but the topology has {nparts} ranks")
+    outside = (parts < 0) | (parts >= nparts)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"element {ids[i]} assigned to rank {parts[i]}, "
+                         f"but the topology has {nparts} ranks")
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    return position, parts[order].astype(np.int64)
 
 
-def _chunks_from_assignment(mesh: MeshChunk, assignment: Mapping[int, int],
-                            nparts: int) -> list[MeshChunk]:
-    """One chunk per rank; ``assignment`` covers exactly the mesh's
-    elements (see ``_check_assignment``)."""
-    n = len(assignment)
-    ids = np.fromiter(assignment.keys(), dtype=np.int64, count=n)
-    ranks = np.fromiter(assignment.values(), dtype=np.int64, count=n)
-    # Sorted by id, the assignment lines up with the mesh's element order.
-    return split_chunk(mesh, ranks[np.argsort(ids)], nparts)
+def _owners(mesh: MeshChunk, chunks: list[MeshChunk], verb: str
+            ) -> np.ndarray:
+    """The rank holding each of the mesh's elements, in id order."""
+    ids = np.concatenate([c.element_ids for c in chunks])
+    order = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], mesh.element_ids):
+        raise ProtocolError(f"{verb} lost or duplicated elements")
+    ranks = np.repeat(np.arange(len(chunks)), [c.n_elements for c in chunks])
+    return ranks[order]
 
 
 def _config_echo(command: str, args, keys) -> dict[str, Any]:
@@ -196,7 +214,7 @@ def _survey_program(tree: TopologyTree, n_nodes: int):
         rows = find_shared_nodes(ctx, chunk, n_nodes)
         sched = schedule_for_rank(rows, tree, ctx.rank)
         ctx.set_phase("halo_exchange")
-        field = dict(zip(chunk.node_ids.tolist(), chunk.coords[:, :1].tolist()))
+        field = dict(zip(chunk.node_ids.tolist(), chunk.coords[:, 0].tolist()))
         exchange(ctx, sched, field, "replicate_owner")
         return sched
 
@@ -219,23 +237,27 @@ def _cmd_partition(args) -> int:
     model = CostModel(intranode=args.cost_intra)
     n_nodes = int(mesh.node_ids[-1]) + 1
     initial = split_contiguous(mesh, nparts)
+    local_w = [_weights_of(c, mesh, weights) for c in initial]
     runtime = Runtime(tree, seed=args.seed)
     tail = _survey_program(tree, n_nodes)
 
     def program(ctx):
-        chunk = initial[ctx.rank]
-        local_w = None if weights is None else \
-            {e: weights[e] for e in chunk.element_ids.tolist()}
-        chunk, local_w = hierarchical_partition(ctx, tree, chunk, plan, local_w)
-        return chunk, tail(ctx, chunk)
+        chunk, w = hierarchical_partition(ctx, tree, initial[ctx.rank], plan,
+                                          local_w[ctx.rank])
+        return chunk, w, tail(ctx, chunk)
 
     results = runtime.run(program)
-    chunks = [chunk for chunk, _ in results]
-    schedules = {rank: sched for rank, (_, sched) in enumerate(results)}
+    # The initial split is dead once the ranks hold their parts; freeing it
+    # lets the work below reuse its memory instead of raising the peak.
+    del initial, local_w
+    chunks = [chunk for chunk, _, _ in results]
+    schedules = {rank: sched for rank, (_, _, sched) in enumerate(results)}
+    owner = _owners(mesh, chunks, "partition")
+    # Rank by rank, each in id order, as the quality block adds weights.
     assignment = {e: rank for rank, chunk in enumerate(chunks)
                   for e in chunk.element_ids.tolist()}
-    if len(assignment) != mesh.n_elements:
-        raise ProtocolError("partition lost or duplicated elements")
+    if weights is not None:
+        weights = np.concatenate([w for _, w, _ in results])
 
     adjacency = local_dual_graph(mesh)
     report = {
@@ -247,7 +269,8 @@ def _cmd_partition(args) -> int:
         "traffic": runtime.ledger.export(),
     }
     os.makedirs(args.out, exist_ok=True)
-    save_assignment(os.path.join(args.out, "assignment.json"), assignment)
+    write_assignment(os.path.join(args.out, "assignment.json"),
+                     mesh.element_ids, owner)
     save_report(os.path.join(args.out, "report.json"),
                 _finish_report(report, args))
     write_levels_csv(os.path.join(args.out, "levels.csv"),
@@ -265,10 +288,10 @@ def _cmd_partition(args) -> int:
 def _cmd_rebalance(args) -> int:
     tree = load_topology(args.topo)
     mesh = load_mesh(args.mesh)
-    assignment = load_assignment(args.assignment)
+    ids, parts = read_assignment(args.assignment)
     weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
-    _check_assignment(assignment, mesh, nparts)
+    position, owner = _check_assignment(ids, parts, mesh, nparts)
     if not (0 <= args.level < tree.n_levels):
         raise ValueError(f"--level {args.level} outside 0..{tree.n_levels - 1}")
     args.method = method = _parse_method(args.method)
@@ -277,27 +300,24 @@ def _cmd_rebalance(args) -> int:
     check_tolerance(args.tolerance)  # HierarchicalPlan checks it for partition
     model = CostModel(intranode=args.cost_intra)
 
-    pre_imb = imbalance(assignment, weights, nparts)
-    pre_loads = partition_loads(assignment, nparts, weights)
-    initial = _chunks_from_assignment(mesh, assignment, nparts)
+    # Loads before add each part's weights in file order, loads after in
+    # id order.
+    pre_loads = part_loads(
+        parts, None if weights is None else weights[position], nparts)
+    initial = split_chunk(mesh, owner, nparts)
+    local_w = [_weights_of(c, mesh, weights) for c in initial]
     runtime = Runtime(tree, seed=args.seed)
 
     def program(ctx):
-        chunk = initial[ctx.rank]
-        local_w = None if weights is None else \
-            {e: weights[e] for e in chunk.element_ids.tolist()}
-        chunk, _ = rebalance(ctx, tree, chunk, args.level, method, local_w,
-                             args.tolerance)
+        chunk, _ = rebalance(ctx, tree, initial[ctx.rank], args.level, method,
+                             local_w[ctx.rank], args.tolerance)
         return chunk
 
-    chunks = runtime.run(program)
-    new_assignment = {e: rank for rank, chunk in enumerate(chunks)
-                      for e in chunk.element_ids.tolist()}
-    if len(new_assignment) != mesh.n_elements:
-        raise ProtocolError("rebalance lost or duplicated elements")
-    post_imb = imbalance(new_assignment, weights, nparts)
-    post_loads = partition_loads(new_assignment, nparts, weights)
-    moved = sum(1 for e, p in new_assignment.items() if assignment[e] != p)
+    new_owner = _owners(mesh, runtime.run(program), "rebalance")
+    del initial, local_w  # dead once the ranks hold their parts
+    post_loads = part_loads(new_owner, weights, nparts)
+    pre_imb, post_imb = load_imbalance(pre_loads), load_imbalance(post_loads)
+    moved = int(np.count_nonzero(new_owner != owner))
 
     report = {
         "config": _config_echo("rebalance", args,
@@ -311,13 +331,15 @@ def _cmd_rebalance(args) -> int:
         "traffic": runtime.ledger.export(),
     }
     os.makedirs(args.out, exist_ok=True)
-    save_assignment(os.path.join(args.out, "assignment.json"), new_assignment)
+    write_assignment(os.path.join(args.out, "assignment.json"),
+                     mesh.element_ids, new_owner)
     save_report(os.path.join(args.out, "report.json"),
                 _finish_report(report, args))
     write_levels_csv(os.path.join(args.out, "levels.csv"),
                      runtime.ledger.phase_totals(), model)
     write_balance_csv(os.path.join(args.out, "balance.csv"),
-                      pre_loads, post_loads)
+                      dict(enumerate(pre_loads.tolist())),
+                      dict(enumerate(post_loads.tolist())))
 
     print(f"rebalanced level {args.level}: imbalance {pre_imb:.3f} -> "
           f"{post_imb:.3f}, moved {moved}/{mesh.n_elements} elements")
@@ -329,20 +351,25 @@ def _cmd_rebalance(args) -> int:
 def _cmd_metrics(args) -> int:
     tree = load_topology(args.topo)
     mesh = load_mesh(args.mesh)
-    assignment = load_assignment(args.assignment)
+    ids, parts = read_assignment(args.assignment)
     weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
-    _check_assignment(assignment, mesh, nparts)
+    position, owner = _check_assignment(ids, parts, mesh, nparts)
     model = CostModel(intranode=args.cost_intra)
 
     n_nodes = int(mesh.node_ids[-1]) + 1
-    initial = _chunks_from_assignment(mesh, assignment, nparts)
+    initial = split_chunk(mesh, owner, nparts)
     runtime = Runtime(tree, seed=args.seed)
     tail = _survey_program(tree, n_nodes)
     schedules = dict(enumerate(
         runtime.run(lambda ctx: tail(ctx, initial[ctx.rank]))))
+    del initial  # dead once the ranks hold their parts
 
     adjacency = local_dual_graph(mesh)
+    # In file order, as the quality block adds weights.
+    assignment = dict(zip(ids.tolist(), parts.tolist()))
+    if weights is not None:
+        weights = weights[position]
     report = {
         "config": _config_echo("metrics", args, ("cost_intra",)),
         "quality": quality_metrics(adjacency, assignment, nparts, weights),

@@ -175,10 +175,7 @@ def _int64(values) -> np.ndarray | None:
 def _distinct_ids(column) -> np.ndarray | None:
     """The id column as int64, or None if an id repeats or is beyond int64."""
     ids = _int64(column)
-    if ids is None:
-        return None
-    ordered = np.sort(ids)
-    return None if (ordered[1:] == ordered[:-1]).any() else ids
+    return None if ids is None or _repeats(ids) else ids
 
 
 def _finite(columns) -> np.ndarray | None:
@@ -284,18 +281,60 @@ def load_topology(path) -> TopologyTree:
 # -- assignment, weights, timing -------------------------------------------------
 
 def save_assignment(path, assignment: Mapping[int, int]) -> None:
-    """The document ``dump_doc`` renders for the [element, part] rows,
-    formatted in one call rather than through a list per row."""
-    items = sorted(assignment.items())
-    rows = ",\n    ".join(["[%d, %d]"] * len(items)) % tuple(
-        chain.from_iterable(items))
-    body = "[\n    " + rows + "\n  ]" if items else "[]"
+    """The assignment document of an element -> part mapping."""
+    _write_assignment_rows(path, list(chain.from_iterable(
+        sorted(assignment.items()))))
+
+
+def write_assignment(path, ids: np.ndarray, parts: np.ndarray) -> None:
+    """The assignment document of aligned ``ids``, ascending, and
+    ``parts``."""
+    _write_assignment_rows(path, np.column_stack((ids, parts)).ravel().tolist())
+
+
+def _write_assignment_rows(path, flat: list[int]) -> None:
+    """The document ``dump_doc`` renders for the [element, part] rows
+    ``flat`` lists one after another, formatted in one call rather than
+    through a list per row."""
+    rows = ",\n    ".join(["[%d, %d]"] * (len(flat) // 2)) % tuple(flat)
+    body = "[\n    " + rows + "\n  ]" if flat else "[]"
     with open(path, "w") as fh:
         fh.write('{\n  "assignment": ' + body + ',\n  "schema": '
                  + json.dumps(SCHEMA) + "\n}\n")
 
 
+def id_array(values) -> np.ndarray:
+    """Integer ids as an int64 array; when one is beyond int64, as Python
+    ints in an object array, so that the check naming it as unknown can
+    still print it."""
+    ids = _int64(values)
+    return np.array(values, dtype=object) if ids is None else ids
+
+
+def _repeats(ids: np.ndarray) -> bool:
+    """Some id appears twice."""
+    ordered = np.sort(ids)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def read_assignment(path) -> tuple[np.ndarray, np.ndarray]:
+    """(element ids, parts) of an assignment document, in file order;
+    ``id_array`` arrays."""
+    raw = _load_doc(path, "assignment")
+    cols = _columns(raw, 2)
+    if cols and _ints(*cols):
+        ids = id_array(cols[0])
+        if not _repeats(ids):
+            if not len(ids):
+                raise FormatError(path, "assignment is empty")
+            return ids, id_array(cols[1])
+    _first_bad_in(path, "assignment", raw, _assignment_problem)
+
+
 def load_assignment(path) -> dict[int, int]:
+    """The assignment document as an element -> part dict in file order,
+    built straight from the checked columns; the same checks and messages
+    as :func:`read_assignment`."""
     raw = _load_doc(path, "assignment")
     cols = _columns(raw, 2)
     out = dict(zip(*cols)) if cols and _ints(*cols) else {}
@@ -330,14 +369,29 @@ def save_weights(path, weights: Mapping[int, float]) -> None:
              [[int(e), float(w)] for e, w in sorted(weights.items())])
 
 
+def read_weights(path) -> tuple[np.ndarray, np.ndarray]:
+    """(element ids, weights) of a weights document, in file order: an
+    ``id_array`` and a float64 array of finite, positive weights."""
+    raw = _load_doc(path, "weights")
+    cols = _columns(raw, 2)
+    if cols and _ints(cols[0]) and _numbers(cols[1]):
+        ids, weights = id_array(cols[0]), _finite(cols[1])
+        if weights is not None and (weights > 0).all() and not _repeats(ids):
+            return ids, weights
+    _first_bad_in(path, "weight", raw, _weight_problem)
+
+
 def load_weights(path) -> dict[int, float]:
+    """The weights document as an element -> weight dict in file order,
+    built straight from the checked columns; the same checks and messages
+    as :func:`read_weights`."""
     raw = _load_doc(path, "weights")
     cols = _columns(raw, 2)
     out = {}
     if cols and _ints(cols[0]) and _numbers(cols[1]):
-        w = list(map(float, cols[1]))
-        if all(map(math.isfinite, w)) and min(w, default=1.0) > 0:
-            out = dict(zip(cols[0], w))
+        weights = _finite(cols[1])
+        if weights is not None and weights.min(initial=1.0) > 0:
+            out = dict(zip(cols[0], weights.tolist()))
     if not (cols and len(out) == len(raw)):
         _first_bad_in(path, "weight", raw, _weight_problem)
     return out
@@ -351,7 +405,10 @@ def _weight_problem(rec, seen) -> str | None:
         return f"element id must be an integer, got {e!r}"
     if not _numbers([w]):
         return f"weight must be a number, got {w!r}"
-    w = float(w)
+    try:
+        w = float(w)
+    except OverflowError:
+        return "weight beyond the float64 range"
     if not math.isfinite(w):
         return f"non-finite weight {w}"
     if w <= 0:

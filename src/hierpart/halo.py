@@ -45,62 +45,91 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
              field: Mapping[int, object], mode: str) -> dict[int, np.ndarray]:
     """One halo update of a per-node field; collective over all sharers.
 
-    ``field`` maps every local node id to a fixed-arity float vector.  Mode
-    ``replicate_owner`` overwrites each shared node with the lowest sharing
-    rank's value; ``accumulate_sum`` replaces it with the sum of all sharers'
-    values, added in ascending rank order so every replica is bitwise
-    identical.  Returns a full copy of the field with shared nodes updated.
+    ``field`` maps every local node id to a fixed-arity float vector (or a
+    number, arity 1).  Mode ``replicate_owner`` overwrites each shared node
+    with the lowest sharing rank's value; ``accumulate_sum`` replaces it
+    with the sum of all sharers' values, added in ascending rank order so
+    every replica is bitwise identical.  Returns a full copy of the field
+    with shared nodes updated.
+
+    The field is stacked into one (nodes, arity) array; each neighbor's
+    payload is one gather of its rows, and each received payload is applied
+    to its rows in one step.
     """
     if mode not in MODES:
         raise ValueError(f"unknown exchange mode {mode!r}; expected one of {MODES}")
-    vecs = {int(n): np.asarray(v, dtype=np.float64).ravel()
-            for n, v in field.items()}
-    arity = None
-    for n, v in vecs.items():
-        if arity is None:
-            arity = v.size
-        elif v.size != arity:
-            raise ValueError(f"field arity mismatch at node {n}: "
-                             f"{v.size} values, expected {arity}")
-    for _, nodes, _ in schedule.neighbors:
-        for n in nodes:
-            if n not in vecs:
-                raise ValueError(f"no field value for shared node {n}")
+    nodes = np.fromiter(field.keys(), dtype=np.int64, count=len(field))
+    values = _stack(field)
+    order = np.argsort(nodes, kind="stable")
+    ordered = nodes[order]
+
+    def rows_of(shared: tuple[int, ...]) -> np.ndarray:
+        want = np.array(shared, dtype=np.int64)
+        at = np.searchsorted(ordered, want)
+        hit = at < len(ordered)
+        hit[hit] = ordered[at[hit]] == want[hit]
+        if not hit.all():
+            raise ValueError(f"no field value for shared node "
+                             f"{want[np.argmin(hit)]}")
+        return order[at]
+
+    rows = [rows_of(shared) for _, shared, _ in schedule.neighbors]
 
     # Post everything outbound first; both channels buffer, so no rank can
     # stall another by receiving in a different order than it sends.
-    for other, nodes, channel in schedule.neighbors:
-        payload = np.concatenate([vecs[n] for n in nodes]) if nodes else \
-            np.empty(0, dtype=np.float64)
-        data = payload.tobytes()
+    for (other, _, channel), idx in zip(schedule.neighbors, rows):
+        data = values[idx].tobytes()
         if channel == "intranode":
             ctx.copy_to(other, data)
         else:
             ctx.send(other, data, tag=_TAG_HALO)
 
-    # Each shared node's (rank, value) pairs, this rank's own included.
-    pairs: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for other, nodes, channel in schedule.neighbors:
+    arity = values.shape[1]
+    received = []
+    for (other, shared, channel), idx in zip(schedule.neighbors, rows):
         if channel == "intranode":
             data = ctx.copy_from(other)
         else:
             _, _, data = ctx.recv(source=other, tag=_TAG_HALO)
-        values = np.frombuffer(data, dtype=np.float64)
-        if values.size != len(nodes) * arity:
+        got = np.frombuffer(data, dtype=np.float64)
+        if got.size != len(shared) * arity:
             raise ValueError(f"halo payload from rank {other} holds "
-                             f"{values.size} values, expected {len(nodes) * arity}")
-        for i, n in enumerate(nodes):
-            pairs.setdefault(n, [(ctx.rank, vecs[n])]).append(
-                (other, values[i * arity:(i + 1) * arity]))
+                             f"{got.size} values, expected {len(shared) * arity}")
+        received.append((other, idx, got.reshape(len(shared), arity)))
+    received.sort(key=lambda r: r[0])
 
-    result = {n: v.copy() for n, v in vecs.items()}
-    for n, got in pairs.items():
-        got.sort(key=lambda rv: rv[0])
-        if mode == "replicate_owner":
-            result[n] = got[0][1].copy()
-        else:
-            total = np.zeros(arity, dtype=np.float64)
-            for _, v in got:
-                total = total + v
-            result[n] = total
-    return result
+    result = values.copy()
+    if mode == "replicate_owner":
+        # Lower ranks applied last win; higher ranks never beat this one.
+        for other, idx, got in reversed(received):
+            if other < ctx.rank:
+                result[idx] = got
+    elif received:
+        shared = np.unique(np.concatenate([idx for _, idx, _ in received]))
+        total = np.zeros_like(values)
+        mine = [(ctx.rank, shared, values[shared])]
+        for _, idx, got in sorted(received + mine, key=lambda r: r[0]):
+            total[idx] += got
+        result[shared] = total[shared]
+    return dict(zip(nodes.tolist(), result))
+
+
+def _stack(field: Mapping[int, object]) -> np.ndarray:
+    """The field's values as one (nodes, arity) float64 array; raises
+    ValueError naming the first node whose arity differs from the first."""
+    try:
+        values = np.array(list(field.values()), dtype=np.float64)
+        return values.reshape(len(values), -1 if len(values) else 0)
+    except ValueError:
+        pass  # ragged: stack node by node, naming the first that differs
+    arity = None
+    vecs = []
+    for n, v in field.items():
+        v = np.asarray(v, dtype=np.float64).ravel()
+        if arity is None:
+            arity = v.size
+        elif v.size != arity:
+            raise ValueError(f"field arity mismatch at node {n}: "
+                             f"{v.size} values, expected {arity}")
+        vecs.append(v)
+    return np.array(vecs)

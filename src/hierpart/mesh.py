@@ -531,58 +531,80 @@ def _warn_nonmanifold(rows: Sequence[tuple[int, Sequence[int]]], kind: str,
                             "manifold", face, len(users), sorted(users))
 
 
-def migrate(ctx: RankContext, chunk: MeshChunk, assignment: Mapping[int, int],
+def migrate(ctx: RankContext, chunk: MeshChunk,
+            assignment: Mapping[int, int] | np.ndarray,
             team: Sequence[int] | None = None) -> MeshChunk:
     """Redistribute elements so each lands on its assigned rank.
 
-    Collective over the team.  Every local element must appear in
-    ``assignment``.  Only elements whose owner changes are packed and sent;
-    the rank's own sub-chunk is merged as carved.  Node records are
-    replicated onto each receiving rank, boundary faces travel with their
-    carrying element, and the rebuilt chunk is ordered by global id so the
-    result is independent of arrival order.
+    Collective over the team.  ``assignment`` is the destination rank of
+    each local element, either as an int64 array aligned with the chunk's
+    element ids or as a mapping that must cover every local element.  Only
+    elements whose owner changes are packed and sent; the rank's own
+    sub-chunk is merged as carved.  Node records are replicated onto each
+    receiving rank, boundary faces travel with their carrying element, and
+    the rebuilt chunk is ordered by global id so the result is independent
+    of arrival order.
     """
     team_t = _normalize_team(team, ctx.size)
-    slot = {r: i for i, r in enumerate(team_t)}
-    ids = chunk.element_ids.tolist()
-    owner = np.array([slot.get(assignment.get(e), -1) for e in ids],
-                     dtype=np.int64)
-    if len(owner) and owner.min() < 0:
-        eid = ids[int(np.argmin(owner))]
-        if eid not in assignment:
+    if isinstance(assignment, Mapping):
+        # -1 is no rank, so a missing element falls outside every team.
+        dest = np.fromiter((assignment.get(e, -1)
+                            for e in chunk.element_ids.tolist()),
+                           dtype=np.int64, count=chunk.n_elements)
+    else:
+        dest = np.asarray(assignment, dtype=np.int64).reshape(-1)
+        if len(dest) != chunk.n_elements:
+            raise ValueError(f"{len(dest)} destinations for "
+                             f"{chunk.n_elements} elements")
+    members = np.array(team_t, dtype=np.int64)
+    owner = np.minimum(np.searchsorted(members, dest), len(members) - 1)
+    inside = members[owner] == dest
+    if not inside.all():
+        i = int(np.argmin(inside))
+        eid = int(chunk.element_ids[i])
+        if isinstance(assignment, Mapping) and eid not in assignment:
             raise ValueError(f"element {eid} missing from migration assignment")
-        raise ValueError(f"element {eid} assigned to rank {assignment[eid]} "
+        raise ValueError(f"element {eid} assigned to rank {dest[i]} "
                          f"outside team {team_t}")
 
     pieces, outgoing = [], {}
-    for dest, sub in zip(team_t, split_chunk(chunk, owner, len(team_t))):
-        if dest == ctx.rank:
+    for rank, sub in zip(team_t, split_chunk(chunk, owner, len(team_t))):
+        if rank == ctx.rank:
             pieces.append(sub)
         elif sub.n_elements:
-            outgoing[dest] = pack_chunk(sub)
+            outgoing[rank] = pack_chunk(sub)
     received = blind_exchange(ctx, outgoing, team=team_t)
     pieces.extend(unpack_chunk(blob) for _, blob in received)
     return merge_chunks(chunk.kind, pieces)
 
 
-def exchange_keyed_values(ctx: RankContext, values: Mapping[int, bytes],
-                          dest_of: Mapping[int, int],
-                          team: Sequence[int] | None = None) -> dict[int, bytes]:
-    """Ship per-key byte values to each key's destination rank.
+def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
+                          values: np.ndarray, dest: np.ndarray,
+                          team: Sequence[int] | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Ship one float64 value per key to the key's destination rank.
 
-    Companion to :func:`migrate` for side data keyed by element id (weights,
-    adjacency rows) that must follow the elements.
+    Companion to :func:`migrate` for side data keyed by element id, such as
+    weights, that must follow the elements; collective over the team.
+    ``keys``, ``values`` and ``dest`` are aligned arrays.  Each destination
+    gets one message holding its keys in ascending order.  Returns the
+    (keys, values) that arrived here, sorted by key.
     """
-    by_dest: dict[int, list[tuple[int, bytes]]] = {}
-    for key in sorted(values):
-        by_dest.setdefault(dest_of[key], []).append((key, values[key]))
-    outgoing = {dest: _codec.pack_kv(kvs) for dest, kvs in by_dest.items()}
-    received = blind_exchange(ctx, outgoing, team=team)
-    out: dict[int, bytes] = {}
-    for _, blob in received:
-        for key, value in _codec.unpack_kv(blob):
-            out[key] = value
-    return dict(sorted(out.items()))
+    keys = np.asarray(keys, dtype=np.int64)
+    dest = np.asarray(dest, dtype=np.int64)
+    order = np.lexsort((keys, dest))
+    keys, values, dest = keys[order], np.asarray(values)[order], dest[order]
+    dests, starts = np.unique(dest, return_index=True)
+    outgoing = {d: _codec.pack_kv_f64(k, v) for d, k, v in zip(
+        dests.tolist(), np.split(keys, starts[1:]),
+        np.split(values, starts[1:]))}
+    received = [_codec.unpack_kv_f64(blob)
+                for _, blob in blind_exchange(ctx, outgoing, team=team)]
+    if not received:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    got_keys = np.concatenate([k for k, _ in received])
+    order = np.argsort(got_keys, kind="stable")
+    return got_keys[order], np.concatenate([v for _, v in received])[order]
 
 
 def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,

@@ -6,7 +6,9 @@ import csv
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .balance import imbalance
+import numpy as np
+
+from .balance import assignment_columns, load_imbalance, part_loads
 from .halo import HaloSchedule
 from .mesh import halo_growth
 
@@ -90,20 +92,27 @@ def halo_pairs(schedules: Mapping[int, HaloSchedule]) -> list[dict[str, Any]]:
 
 def quality_metrics(adjacency: Mapping[int, Sequence[int]],
                     assignment: Mapping[int, int], nparts: int,
-                    weights: Mapping[int, float] | None = None
+                    weights: Mapping[int, float] | np.ndarray | None = None
                     ) -> dict[str, Any]:
-    """The sequential partition-quality block of a report."""
+    """The sequential partition-quality block of a report.
+
+    Parts lie in 0..nparts-1.  ``weights`` maps element ids to weights, or
+    is a float64 column aligned with the assignment's iteration order; each
+    part's weights are added in that order.
+    """
+    owner, weights = assignment_columns(assignment, weights)
     out: dict[str, Any] = {
         "elements": len(assignment),
         "partitions": nparts,
         "edge_cut": edge_cut(adjacency, assignment),
-        "element_imbalance": imbalance(assignment, None, nparts),
+        "element_imbalance": load_imbalance(part_loads(owner, None, nparts)),
         "halo_growth_pct": {
             str(k): halo_growth(adjacency, assignment, k) for k in GROWTH_LAYERS
         },
     }
     if weights is not None:
-        out["weight_imbalance"] = imbalance(assignment, weights, nparts)
+        out["weight_imbalance"] = load_imbalance(
+            part_loads(owner, weights, nparts))
     return out
 
 
@@ -149,7 +158,7 @@ def write_balance_csv(path, pre_loads: Mapping[int, float],
 def partition_loads(assignment: Mapping[int, int], nparts: int,
                     weights: Mapping[int, float] | None = None
                     ) -> dict[int, float]:
-    loads = {p: 0.0 for p in range(nparts)}
-    for e, p in assignment.items():
-        loads[p] += 1.0 if weights is None else float(weights[e])
-    return loads
+    """Load of each part 0..nparts-1, its weights added in the
+    assignment's order."""
+    owner, weights = assignment_columns(assignment, weights)
+    return dict(enumerate(part_loads(owner, weights, nparts).tolist()))

@@ -3,9 +3,18 @@
 Two sequential back-ends are built in: recursive coordinate bisection over
 element centroids, and a greedy graph-growing partitioner with one boundary
 refinement sweep.  The pipeline reaches them through one call, ``_backend``,
-on one summary of the elements to split (``_summary``: sorted ids, one
-centroid or connectivity row per element, and the weight vector), so another
-back-end slots in at that one place.
+on one summary of the elements to split (``_summary``: sorted ids and one
+centroid or connectivity row per element) and their weight column; it
+returns the part of each element as an owner array, so another back-end
+slots in at that one place.
+
+Each rank carries its weights as one float64 column aligned with its
+chunk's element ids (None for unit weights).  The column travels beside the
+chunk in every payload, is taken apart with the chunk's carve and put
+together by element id after a merge or a migration; in a team split only
+the weights of leaving elements move, through ``exchange_keyed_values``.
+The public entry points also take and give back an element -> weight
+mapping, converted once at the boundary.
 
 The hierarchical pipeline mirrors the machine tree: mesh payloads are
 collected up to the bootstrap level, split across the bootstrap groups, and
@@ -88,7 +97,8 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
     weight fraction floor(k/2)/k to the low side.  Points are ordered by
     (coordinate, id) so equal coordinates break toward lower ids on the low
     side, making the split a pure function of the input set.  Every part
-    gets at least ``m`` points, whatever the weights.
+    gets at least ``m`` points, whatever the weights.  The result maps each
+    id to its part, in the order of ``ids``.
     """
     ids = np.asarray(ids, dtype=np.int64)
     points = np.asarray(points, dtype=np.float64)
@@ -106,11 +116,11 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
             bad = int(ids[np.argmax(weights <= 0)])
             raise ValueError(f"non-positive weight on element {bad}")
 
-    out: dict[int, int] = {}
+    part = np.zeros(len(ids), dtype=np.int64)
 
     def recurse(sel: np.ndarray, parts: int, offset: int) -> None:
         if parts == 1:
-            out.update(dict.fromkeys(ids[sel].tolist(), offset))
+            part[sel] = offset
             return
         if sel.size < parts * m:
             raise ValueError(f"too few points: {sel.size} left for {parts} "
@@ -134,7 +144,8 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
         recurse(s[count:], parts - low_parts, offset + low_parts)
 
     recurse(np.arange(len(ids)), k, 0)
-    return out
+    # Keyed in ids order, which _backend relies on.
+    return dict(zip(ids.tolist(), part.tolist()))
 
 
 # -- greedy graph growing --------------------------------------------------------
@@ -334,60 +345,106 @@ def _refine_once(vertices, adj, part, w, load, count, k, tolerance,
 _WEIGHTS_NONE = 0
 _WEIGHTS_SOME = 1
 
+Weights = Mapping[int, float] | np.ndarray | None
 
-def _pack_payload(chunk: MeshChunk, weights: Mapping[int, float] | None) -> bytes:
-    """The chunk and its weights in the chunk's wire order, ascending id."""
+
+def _weight_column(chunk: MeshChunk, weights: Weights) -> np.ndarray | None:
+    """``weights`` as a float64 column aligned with the chunk's element ids:
+    an array is taken as aligned already, a mapping is read once per
+    element."""
     if weights is None:
-        wflag, wvals = _WEIGHTS_NONE, []
-    else:
-        wflag = _WEIGHTS_SOME
-        wvals = [float(weights[e]) for e in chunk.element_ids.tolist()]
+        return None
+    if isinstance(weights, Mapping):
+        return np.fromiter(map(weights.__getitem__, chunk.element_ids.tolist()),
+                           dtype=np.float64, count=chunk.n_elements)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != chunk.element_ids.shape:
+        raise ValueError(f"{weights.shape} weights for {chunk.n_elements} "
+                         f"elements")
+    return weights
+
+
+def _as_given(chunk: MeshChunk, weights: np.ndarray | None, given: Weights
+              ) -> Weights:
+    """A result column in the form ``given`` came in: a mapping becomes a
+    dict in ascending id order."""
+    if weights is None or not isinstance(given, Mapping):
+        return weights
+    return dict(zip(chunk.element_ids.tolist(), weights.tolist()))
+
+
+def _weights_of(sub: MeshChunk, chunk: MeshChunk,
+                weights: np.ndarray | None) -> np.ndarray | None:
+    """The entries of ``chunk``'s weight column for ``sub``'s elements."""
+    if weights is None:
+        return None
+    return weights[np.searchsorted(chunk.element_ids, sub.element_ids)]
+
+
+def _merged_weights(chunk: MeshChunk, pieces) -> np.ndarray:
+    """One column aligned with ``chunk`` from (element ids, weights) pieces
+    that hold each of its elements exactly once."""
+    ids = np.concatenate([ids for ids, _ in pieces])
+    out = np.empty(chunk.n_elements, dtype=np.float64)
+    out[np.searchsorted(chunk.element_ids, ids)] = \
+        np.concatenate([w for _, w in pieces])
+    return out
+
+
+def _pack_payload(chunk: MeshChunk, weights: np.ndarray | None) -> bytes:
+    """The chunk and its weight column in the chunk's wire order, ascending
+    id."""
     return _codec.pack_blocks([
         pack_chunk(chunk),
-        _codec.pack_i64([wflag]),
-        _codec.pack_f64(wvals),
+        _codec.pack_i64([_WEIGHTS_NONE if weights is None else _WEIGHTS_SOME]),
+        _codec.pack_f64([] if weights is None else weights),
     ])
 
 
-def _unpack_payload(data: bytes) -> tuple[MeshChunk, dict[int, float] | None]:
+def _unpack_payload(data: bytes) -> tuple[MeshChunk, np.ndarray | None]:
     chunk_raw, flag_raw, wvals_raw = _codec.unpack_blocks(data)
     chunk = unpack_chunk(chunk_raw)
     if _codec.unpack_one_i64(flag_raw) == _WEIGHTS_NONE:
         return chunk, None
-    return chunk, dict(zip(chunk.element_ids.tolist(),
-                           _codec.unpack_f64(wvals_raw).tolist()))
+    return chunk, _codec.unpack_f64(wvals_raw)
 
 
-def _summary(chunk: MeshChunk, weights: Mapping[int, float] | None,
-             method: str) -> tuple[list[int], np.ndarray, list[float] | None]:
-    """What a back-end needs of a chunk: sorted ids, one row per element
-    (the centroids for rcb, the connectivity for graph) and the weights in
-    id order."""
-    ids = chunk.element_ids.tolist()
+def _summary(chunk: MeshChunk, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """What a back-end needs of a chunk besides its weight column: sorted
+    ids and one row per element (the centroids for rcb, the connectivity
+    for graph)."""
     rows = chunk.centroids()[1] if method == "rcb" else chunk.conn
-    wvec = None if weights is None else [weights[e] for e in ids]
-    return ids, rows, wvec
+    return chunk.element_ids, rows
 
 
-def _backend(kind: str, method: str, ids: list[int], rows: np.ndarray,
-             wvec: list[float] | None, k: int, tolerance: float, where: str,
-             m: int) -> dict[int, int]:
+def _backend(kind: str, method: str, ids: np.ndarray, rows: np.ndarray,
+             weights: np.ndarray | None, k: int, tolerance: float, where: str,
+             m: int) -> np.ndarray:
     """Run the named back-end on a summary, at least ``m`` elements per
-    part; errors are prefixed ``where``."""
+    part; returns the part of each element, aligned with ``ids``.  Errors
+    are prefixed ``where``."""
     try:
         if method == "rcb":
-            return rcb(ids, rows, wvec, k, m)
+            part_of = rcb(ids, rows, weights, k, m)
+            return np.fromiter(part_of.values(), dtype=np.int64,
+                               count=len(ids))
         adjacency = adjacency_from_elements(ids, rows, kind)
-        wmap = None if wvec is None else dict(zip(ids, wvec))
-        return graph_partition(adjacency, wmap, k, tolerance, m)
+        wmap = None if weights is None else \
+            dict(zip(ids.tolist(), weights.tolist()))
+        part_of = graph_partition(adjacency, wmap, k, tolerance, m)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from err
+    # graph_partition keys its result in ascending id order.
+    part = np.empty(len(ids), dtype=np.int64)
+    part[np.argsort(ids, kind="stable")] = np.fromiter(
+        part_of.values(), dtype=np.int64, count=len(ids))
+    return part
 
 
 def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
-                    weights: Mapping[int, float] | None, method: str,
+                    weights: np.ndarray | None, method: str,
                     tolerance: float, where: str, remap_overlap: bool = False,
-                    m: int = 1) -> tuple[MeshChunk, dict[int, float] | None]:
+                    m: int = 1) -> tuple[MeshChunk, np.ndarray | None]:
     """K-way split of the union of the team's chunks, one part per team rank.
 
     Stand-in for a distributed partitioner back-end: each rank's summary
@@ -395,39 +452,40 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     and each rank migrates its elements straight to their new owners.  With
     ``remap_overlap`` the part labels are matched to the ranks already
     holding most of each part, which keeps already-good distributions in
-    place.  Each part gets at least ``m`` elements.
+    place.  Each part gets at least ``m`` elements.  ``weights`` and the
+    returned weights are columns aligned with the element ids.
     """
     team = tuple(sorted(team))
     if len(team) == 1:
-        return chunk, dict(weights) if weights is not None else None
+        return chunk, weights
 
     # The summaries, gathered payloads and replies are freed with
     # _team_assignment's frame, so none of them is held through the
     # migration, where the team's memory peaks.
-    dest_of = _team_assignment(ctx, team, chunk, weights, method, tolerance,
-                               where, remap_overlap, m)
-    new_chunk = migrate(ctx, chunk, dest_of, team=team)
-    new_weights = None
-    if weights is not None:
-        # Only leaving weights travel; a staying element keeps its own.
-        leaving = {e: _codec.pack_one_f64(weights[e])
-                   for e, dest in dest_of.items() if dest != ctx.rank}
-        moved = exchange_keyed_values(ctx, leaving, dest_of, team=team)
-        new_weights = {e: _codec.unpack_one_f64(moved[e]) if e in moved
-                       else float(weights[e])
-                       for e in new_chunk.element_ids.tolist()}
-    return new_chunk, new_weights
+    dest = _team_assignment(ctx, team, chunk, weights, method, tolerance,
+                            where, remap_overlap, m)
+    new_chunk = migrate(ctx, chunk, dest, team=team)
+    if weights is None:
+        return new_chunk, None
+    # Only leaving weights travel; a staying element keeps its own.
+    stay = dest == ctx.rank
+    leave = ~stay
+    moved = exchange_keyed_values(ctx, chunk.element_ids[leave],
+                                  weights[leave], dest[leave], team=team)
+    return new_chunk, _merged_weights(
+        new_chunk, [(chunk.element_ids[stay], weights[stay]), moved])
 
 
 def _team_assignment(ctx, team, chunk, weights, method, tolerance, where,
-                     remap_overlap, m) -> dict[int, int]:
-    """New owner of each local element: the rank's summary goes to the team
-    leader, which runs the back-end on the union and replies to each rank."""
-    ids, rows, wvec = _summary(chunk, weights, method)
+                     remap_overlap, m) -> np.ndarray:
+    """New owner of each local element, aligned with its ids: the rank's
+    summary goes to the team leader, which runs the back-end on the union
+    and replies to each rank."""
+    ids, rows = _summary(chunk, method)
     gathered = aggregate(ctx, team, _codec.pack_blocks([
         _codec.pack_i64(ids),
         _codec.pack_f64(rows) if method == "rcb" else _codec.pack_i64(rows),
-        _codec.pack_f64(wvec or []),
+        _codec.pack_f64([] if weights is None else weights),
     ]))
     replies = None
     if gathered is not None:
@@ -435,8 +493,7 @@ def _team_assignment(ctx, team, chunk, weights, method, tolerance, where,
                                  weights is not None, method, tolerance,
                                  where, remap_overlap, m)
     # The reply holds the new owners in the order of this rank's ids.
-    return dict(zip(ids, _codec.unpack_i64(cascade(ctx, team, replies))
-                    .tolist()))
+    return _codec.unpack_i64(cascade(ctx, team, replies))
 
 
 def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
@@ -445,64 +502,73 @@ def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
     member's reply is the new owner of each of its elements, in the order
     the member sent them."""
     _, dim, npe, _ = kind_info(kind)
-    id_blocks, rows, wvec = [], [], []
-    for payload in gathered:
-        ids_raw, rows_raw, w_raw = _codec.unpack_blocks(payload)
-        id_blocks.append(_codec.unpack_i64(ids_raw).tolist())
-        if method == "rcb":
-            rows.append(_codec.unpack_f64(rows_raw).reshape(-1, dim))
-        else:
-            rows.append(_codec.unpack_i64(rows_raw).reshape(-1, npe))
-        wvec.extend(_codec.unpack_f64(w_raw).tolist())
-    rows = np.concatenate(rows)
-    ids = [e for block in id_blocks for e in block]
-    part_of = _backend(kind, method, ids, rows,
-                       wvec if has_weights else None, len(team), tolerance,
-                       where, m)
+    width = dim if method == "rcb" else npe
+    blocks = [_codec.unpack_blocks(payload) for payload in gathered]
+    id_blocks = [_codec.unpack_i64(b[0]) for b in blocks]
+    ids = np.concatenate(id_blocks)
+    unpack_rows = _codec.unpack_f64 if method == "rcb" else _codec.unpack_i64
+    rows = np.concatenate([unpack_rows(b[1]) for b in blocks]).reshape(
+        -1, width)
+    weights = np.concatenate([_codec.unpack_f64(b[2]) for b in blocks]) \
+        if has_weights else None
+    part = _backend(kind, method, ids, rows, weights, len(team), tolerance,
+                    where, m)
 
     # aggregate returns one payload per member, in member order.
+    sizes = [len(block) for block in id_blocks]
     if remap_overlap:
-        holder_of = {e: r for r, block in zip(team, id_blocks) for e in block}
-        rank_of_part = _overlap_remap(part_of, holder_of, team)
+        holder = np.repeat(np.arange(len(team)), sizes)
+        rank_of_part = _overlap_remap(part, holder, team)
     else:
-        rank_of_part = dict(enumerate(team))
-    return [_codec.pack_i64([rank_of_part[part_of[e]] for e in block])
-            for block in id_blocks]
+        rank_of_part = np.array(team, dtype=np.int64)
+    dest = rank_of_part[part]
+    return [_codec.pack_i64(d)
+            for d in np.split(dest, np.cumsum(sizes)[:-1])]
 
 
-def _overlap_remap(part_of: Mapping[int, int], holder_of: Mapping[int, int],
-                   team: Sequence[int]) -> dict[int, int]:
-    """Match part labels to team ranks so overlapping pairs stay together."""
-    overlap: dict[tuple[int, int], int] = {}
-    for e, p in part_of.items():
-        key = (p, holder_of[e])
-        overlap[key] = overlap.get(key, 0) + 1
-    order = sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0]))
+def _overlap_remap(part: np.ndarray, holder: np.ndarray,
+                   team: Sequence[int]) -> np.ndarray:
+    """Match part labels to team ranks so overlapping pairs stay together.
+
+    ``part`` and ``holder`` give each element's part label and the team
+    index of the rank holding it now, both in 0..k-1.  Pairs are matched
+    greedily by falling overlap, ties to the lower (part, rank); parts and
+    ranks left over pair up in ascending order.  Returns the rank of each
+    part label.
+    """
+    k = len(team)
+    overlap = np.bincount(part * k + holder, minlength=k * k)
+    pairs = np.flatnonzero(overlap)
+    order = pairs[np.lexsort((pairs, -overlap[pairs]))]
     assigned: dict[int, int] = {}
     used: set[int] = set()
-    for (p, r), _ in order:
+    for p, r in zip((order // k).tolist(), (order % k).tolist()):
         if p not in assigned and r not in used:
             assigned[p] = r
             used.add(r)
-    free_parts = [p for p in range(len(team)) if p not in assigned]
-    free_ranks = [r for r in team if r not in used]
-    for p, r in zip(sorted(free_parts), sorted(free_ranks)):
-        assigned[p] = r
-    return assigned
+    free_parts = [p for p in range(k) if p not in assigned]
+    free_ranks = [r for r in range(k) if r not in used]
+    assigned.update(zip(free_parts, free_ranks))
+    members = np.array(team, dtype=np.int64)
+    return members[[assigned[p] for p in range(k)]]
 
 
 def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
                            chunk: MeshChunk, plan: HierarchicalPlan,
-                           weights: Mapping[int, float] | None = None,
-                           ) -> tuple[MeshChunk, dict[int, float] | None]:
+                           weights: Weights = None,
+                           ) -> tuple[MeshChunk, Weights]:
     """Partition the global mesh over all leaf ranks, level by level.
 
     Collective over all ranks.  Phase labels on the ledger: ``collect``
     (payloads move up to the bootstrap groups' leaders), ``bootstrap`` (the
     first split, across bootstrap leaders), then ``level<i>`` for the split
-    that creates level-i groups.  Returns this rank's final chunk and its
-    element weights.
+    that creates level-i groups.  ``weights`` is a float64 column aligned
+    with the chunk's element ids, a mapping from element id to weight, or
+    None for unit weights.  Returns this rank's final chunk and its element
+    weights in the same form: a column aligned with the final chunk, or a
+    dict in ascending id order.
     """
+    given, weights = weights, _weight_column(chunk, weights)
     bpl = plan.bootstrap_level
     my_group = tree.group_of(ctx.rank, bpl)
     splits = tree.n_levels - bpl
@@ -517,9 +583,12 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
     if gathered is not None:
         parts = [_unpack_payload(p) for p in gathered]
         chunk = merge_chunks(kind, [c for c, _ in parts])
-        if any(w is not None for _, w in parts):
-            weights = {e: w for _, wmap in parts
-                       for e, w in (wmap or {}).items()}
+        has_w = [w is not None for _, w in parts]
+        if any(has_w):
+            if not all(has_w):
+                raise ValueError("weights given on some ranks but not all")
+            weights = _merged_weights(
+                chunk, [(c.element_ids, w) for c, w in parts])
 
     # Every split gives each child group at least one element per leaf.
     ctx.set_phase("bootstrap")
@@ -546,16 +615,16 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
         payloads = None
         if ctx.rank == kids[0]:
             if plan.approach == 2:
-                ids, rows, wvec = _summary(chunk, weights, method)
-                part_of = _backend(kind, method, ids, rows, wvec, len(kids),
-                                   plan.tolerance, where, leaves)
-                subs = split_chunk(chunk, [part_of[e] for e in ids],
-                                   len(kids))
+                ids, rows = _summary(chunk, method)
+                part = _backend(kind, method, ids, rows, weights, len(kids),
+                                plan.tolerance, where, leaves)
+                subs = split_chunk(chunk, part, len(kids))
             else:
                 subs = split_contiguous(chunk, len(kids))
-            payloads = [_pack_payload(sub, weights) for sub in subs]
+            payloads = [_pack_payload(sub, _weights_of(sub, chunk, weights))
+                        for sub in subs]
         chunk, weights = _unpack_payload(cascade(ctx, kids, payloads))
         if plan.approach == 1:
             chunk, weights = _team_partition(ctx, kids, chunk, weights, method,
                                              plan.tolerance, where, m=leaves)
-    return chunk, weights
+    return chunk, _as_given(chunk, weights, given)

@@ -6,10 +6,17 @@ kernel looped over them in Python.  The code below is that version, with
 the class renamed ``DictChunk``: the array kernels must give the same
 chunks, bytes, graphs and error messages.  ``dict_chunk`` converts an array
 chunk through its record views.
+
+The second part keeps the dict-era weight and owner code: the loaders of
+assignment and weights documents, the part loads and imbalance, the
+overlap remap and the keyed-value exchange, from before weights and owners
+became id-aligned arrays.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from operator import itemgetter
@@ -18,6 +25,9 @@ from typing import Any, Iterable, Mapping, NoReturn, Sequence
 import numpy as np
 
 from hierpart import _codec
+from hierpart.directory import blind_exchange
+from hierpart.formats import (FormatError, _assignment_problem, _first_bad_in,
+                              _load_doc, _weight_problem)
 from hierpart.mesh import _KIND_BY_CODE, KINDS, kind_info
 
 
@@ -367,3 +377,104 @@ def _boundary_problem(rec, seen, npf) -> str | None:
     if not (isinstance(rec, list) and len(rec) == 1 + npf):
         return f"expected [tag, {npf} node ids]"
     return None if _ints(rec) else f"tag and node ids must be integers, got {rec}"
+
+
+# -- weights and owners as dicts ---------------------------------------------------
+
+def load_assignment(path) -> dict[int, int]:
+    raw = _load_doc(path, "assignment")
+    cols = _columns(raw, 2)
+    out = dict(zip(*cols)) if cols and _ints(*cols) else {}
+    if not (cols and len(out) == len(raw)):
+        _first_bad_in(path, "assignment", raw, _assignment_problem)
+    if not out:
+        raise FormatError(path, "assignment is empty")
+    return out
+
+
+def load_weights(path) -> dict[int, float]:
+    raw = _load_doc(path, "weights")
+    cols = _columns(raw, 2)
+    out = {}
+    if cols and _ints(cols[0]) and _numbers(cols[1]):
+        w = list(map(float, cols[1]))
+        if all(map(math.isfinite, w)) and min(w, default=1.0) > 0:
+            out = dict(zip(cols[0], w))
+    if not (cols and len(out) == len(raw)):
+        _first_bad_in(path, "weight", raw, _weight_problem)
+    return out
+
+
+def imbalance(assignment: Mapping[int, int],
+              weights: Mapping[int, float] | None = None,
+              nparts: int | None = None) -> float:
+    """Max part load over mean part load; 1.0 is perfect."""
+    if not assignment:
+        raise ValueError("empty assignment")
+    if nparts is None:
+        nparts = max(assignment.values()) + 1
+    loads = [0.0] * nparts
+    for e, p in assignment.items():
+        if not (0 <= p < nparts):
+            raise ValueError(f"element {e} assigned to part {p}, outside 0..{nparts - 1}")
+        loads[p] += 1.0 if weights is None else float(weights[e])
+    mean = sum(loads) / nparts
+    if mean <= 0:
+        raise ValueError("total weight is zero")
+    return max(loads) / mean
+
+
+def partition_loads(assignment: Mapping[int, int], nparts: int,
+                    weights: Mapping[int, float] | None = None
+                    ) -> dict[int, float]:
+    loads = {p: 0.0 for p in range(nparts)}
+    for e, p in assignment.items():
+        loads[p] += 1.0 if weights is None else float(weights[e])
+    return loads
+
+
+def _overlap_remap(part_of: Mapping[int, int], holder_of: Mapping[int, int],
+                   team: Sequence[int]) -> dict[int, int]:
+    """Match part labels to team ranks so overlapping pairs stay together."""
+    overlap: dict[tuple[int, int], int] = {}
+    for e, p in part_of.items():
+        key = (p, holder_of[e])
+        overlap[key] = overlap.get(key, 0) + 1
+    order = sorted(overlap.items(), key=lambda kv: (-kv[1], kv[0]))
+    assigned: dict[int, int] = {}
+    used: set[int] = set()
+    for (p, r), _ in order:
+        if p not in assigned and r not in used:
+            assigned[p] = r
+            used.add(r)
+    free_parts = [p for p in range(len(team)) if p not in assigned]
+    free_ranks = [r for r in team if r not in used]
+    for p, r in zip(sorted(free_parts), sorted(free_ranks)):
+        assigned[p] = r
+    return assigned
+
+
+def pack_one_f64(value: float) -> bytes:
+    """One weight as the dict-era hand-off packed it: the 8 bytes of
+    ``pack_f64([value])`` through one ``struct`` call."""
+    return struct.pack("<d", value)
+
+
+def unpack_one_f64(data: bytes) -> float:
+    return struct.unpack("<d", data)[0]
+
+
+def exchange_keyed_values(ctx, values: Mapping[int, bytes],
+                          dest_of: Mapping[int, int],
+                          team: Sequence[int] | None = None) -> dict[int, bytes]:
+    """Ship per-key byte values to each key's destination rank."""
+    by_dest: dict[int, list[tuple[int, bytes]]] = {}
+    for key in sorted(values):
+        by_dest.setdefault(dest_of[key], []).append((key, values[key]))
+    outgoing = {dest: _codec.pack_kv(kvs) for dest, kvs in by_dest.items()}
+    received = blind_exchange(ctx, outgoing, team=team)
+    out: dict[int, bytes] = {}
+    for _, blob in received:
+        for key, value in _codec.unpack_kv(blob):
+            out[key] = value
+    return dict(sorted(out.items()))

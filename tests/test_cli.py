@@ -626,3 +626,55 @@ def test_verbs_never_build_record_views(tmp_path, monkeypatch):
     for i, run in enumerate(runs):
         out = [] if "--out" in run else ["--out", str(tmp_path / f"o{i}")]
         assert main([*run, *common, *out]) == 0, run
+
+
+def test_verbs_never_use_the_dict_front_ends(tmp_path, monkeypatch):
+    # The verbs read assignments and weights as id-aligned arrays and add
+    # loads with the array cores; the dict front-ends exist for callers
+    # that hold dicts.  Each front-end is replaced wherever a module holds
+    # it.
+    import sys
+
+    from hierpart import balance, formats, metrics
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a verb called a dict front-end")
+
+    for home, name in ((formats, "load_assignment"), (formats, "load_weights"),
+                       (metrics, "partition_loads"), (balance, "imbalance")):
+        original = getattr(home, name)
+        for module in [m for n, m in sys.modules.items()
+                       if n == "hierpart" or n.startswith("hierpart.")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+    mesh = str(FIXTURES / "demo_mesh.json")
+    topo = str(FIXTURES / "topo_2x2x2.json")
+    weights = tmp_path / "weights.json"
+    save_weights(weights, {e: 1.0 + (e % 7) / 10 for e in range(512)})
+    timing = tmp_path / "timing.json"
+    save_timing(timing, [(range(b, b + 64), 0.5 + b / 512)
+                         for b in range(0, 512, 64)])
+    common = ["--mesh", mesh, "--topo", topo, "--no-timestamp"]
+    start = tmp_path / "start"
+    assignment = str(start / "assignment.json")
+    runs = [["partition", "--out", str(start)]]
+    for approach in ("1", "2"):
+        runs.append(["partition", "--approach", approach,
+                     "--weights", str(weights)])
+    runs += [["partition", "--timing", str(timing)]]
+    for method in ("rcb", "graph"):
+        for level in ("0", "1"):
+            runs.append(["rebalance", "--assignment", assignment, "--level",
+                         level, "--method", method, "--weights", str(weights)])
+    runs += [
+        ["rebalance", "--assignment", assignment, "--level", "0"],
+        ["rebalance", "--assignment", assignment, "--level", "0",
+         "--timing", str(timing)],
+        ["metrics", "--assignment", assignment],
+        ["metrics", "--assignment", assignment, "--weights", str(weights)],
+        ["metrics", "--assignment", assignment, "--timing", str(timing)],
+    ]
+    for i, run in enumerate(runs):
+        out = [] if "--out" in run else ["--out", str(tmp_path / f"o{i}")]
+        assert main([*run, *common, *out]) == 0, run

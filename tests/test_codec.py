@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,18 +21,19 @@ def test_one_i64_packs_like_a_one_element_array(x):
 
 @given(x=st.floats(width=64))
 def test_one_f64_packs_like_a_one_element_array(x):
-    data = _codec.pack_one_f64(x)
-    assert data == _codec.pack_f64([x])
-    back = _codec.unpack_one_f64(_codec.pack_f64([x]))
-    assert type(back) is float
-    assert back == x or (math.isnan(back) and math.isnan(x))
-    assert _codec.pack_one_f64(back) == data  # sign of zero and NaN bits kept
+    # A weight travels as one value of a pack_kv_f64 message.
+    data = _codec.pack_kv_f64(np.array([7]), np.array([x]))
+    assert data == _codec.pack_kv([(7, _codec.pack_f64([x]))])
+    _, back = _codec.unpack_kv_f64(data)
+    assert back.tobytes() == _codec.pack_f64([x])  # sign of zero and NaN bits kept
 
 
 def test_one_value_packers_take_numpy_scalars_and_ints():
     assert _codec.pack_one_i64(np.int64(-5)) == _codec.pack_i64([-5])
-    assert _codec.pack_one_f64(np.float64(2.5)) == _codec.pack_f64([2.5])
-    assert _codec.pack_one_f64(4) == _codec.pack_f64([4])
+    assert _codec.pack_kv_f64(np.array([1]), [np.float64(2.5)]) == \
+        _codec.pack_kv([(1, _codec.pack_f64([2.5]))])
+    assert _codec.pack_kv_f64([1], [4]) == \
+        _codec.pack_kv([(1, _codec.pack_f64([4]))])
 
 
 @given(values=st.lists(I64, max_size=20))

@@ -3,7 +3,10 @@
 Each case runs one verb on ``fixtures/demo_mesh.json`` (or, for the
 ``tet-*`` cases, on ``meshgen.tet_box(6, 6, 6)`` written to a temporary
 file) with ``--no-timestamp`` and compares the sha256 of every file it
-writes with the digest recorded in ``GOLDEN``.  A refactor must leave all
+writes with the digest recorded in ``GOLDEN``.  The ``frac-*`` cases use
+weights with a fractional part, read from files written in shuffled
+order: their sums depend on the order the weights are added in, which the
+4.0/1.0 weights of the other cases cannot show.  A refactor must leave all
 of them unchanged; a change that is meant to alter an output updates its
 digests in the same commit and says why.
 
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -23,7 +27,8 @@ from pathlib import Path
 import pytest
 
 from hierpart.cli import main
-from hierpart.formats import load_assignment, save_mesh, save_weights
+from hierpart.formats import (dump_doc, load_assignment, save_mesh,
+                              save_timing, save_weights)
 from hierpart.meshgen import tet_box
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -109,6 +114,71 @@ def _metrics(tmp: Path) -> Path:
     return out
 
 
+FRAC_PARTITION_CASES = [(m, a) for m in ("rcb", "graph") for a in ("1", "2")]
+FRAC_REBALANCE_CASES = [(m, lv) for m in ("rcb", "graph") for lv in ("0", "1")]
+
+
+def _shuffled_doc(path: Path, kind: str, rows: list) -> Path:
+    rows = list(rows)
+    random.Random(5).shuffle(rows)
+    dump_doc(path, kind, rows)
+    return path
+
+
+def _frac_weights(tmp: Path) -> Path:
+    """Weights 1 + (e % 7) / 10 for the demo mesh, in shuffled order."""
+    tmp.mkdir(parents=True, exist_ok=True)
+    return _shuffled_doc(tmp / "frac-weights.json", "weights",
+                         [[e, 1 + (e % 7) / 10] for e in range(512)])
+
+
+def _frac_start(tmp: Path) -> list[str]:
+    """The start partition's assignment rewritten in shuffled order, and
+    the fractional weights, as arguments."""
+    start = _partition(tmp, *START) / "assignment.json"
+    shuffled = _shuffled_doc(tmp / "shuffled-assignment.json", "assignment",
+                             sorted(load_assignment(start).items()))
+    return ["--mesh", str(MESH), "--topo", str(FIXTURES / f"{START[0]}.json"),
+            "--assignment", str(shuffled),
+            "--weights", str(_frac_weights(tmp))]
+
+
+def _frac_partition(tmp: Path, method, approach) -> Path:
+    out = tmp / f"frac-partition-{method}-a{approach}"
+    _cli("partition", "--mesh", str(MESH), "--topo",
+         str(FIXTURES / f"{START[0]}.json"), "--method", method,
+         "--approach", approach, "--weights", str(_frac_weights(tmp)),
+         "--out", str(out))
+    return out
+
+
+def _frac_rebalance(tmp: Path, method, level) -> Path:
+    out = tmp / f"frac-rebalance-{method}-l{level}"
+    _cli("rebalance", *_frac_start(tmp), "--level", level, "--method", method,
+         "--out", str(out))
+    return out
+
+
+def _frac_metrics(tmp: Path) -> Path:
+    out = tmp / "frac-metrics"
+    _cli("metrics", *_frac_start(tmp), "--out", str(out))
+    return out
+
+
+def _timing_partition(tmp: Path) -> Path:
+    """A partition from timing blocks of interleaved ids (e % 8), listed
+    out of order, each timed at a non-integer number of seconds."""
+    tmp.mkdir(parents=True, exist_ok=True)
+    timing = tmp / "timing.json"
+    save_timing(timing, [([e for e in range(511, -1, -1) if e % 8 == g],
+                          0.5 + g / 7) for g in (3, 0, 6, 1, 7, 2, 5, 4)])
+    out = tmp / "timing-partition"
+    _cli("partition", "--mesh", str(MESH), "--topo",
+         str(FIXTURES / f"{START[0]}.json"), "--timing", str(timing),
+         "--out", str(out))
+    return out
+
+
 @pytest.mark.parametrize("topo, method, approach", PARTITION_CASES)
 def test_partition_outputs(tmp_path, topo, method, approach):
     out = _partition(tmp_path, topo, method, approach)
@@ -133,6 +203,26 @@ def test_tet_rebalance_outputs(tmp_path):
     assert _digests(_tet_rebalance(tmp_path)) == GOLDEN["tet-rebalance-rcb"]
 
 
+@pytest.mark.parametrize("method, approach", FRAC_PARTITION_CASES)
+def test_frac_partition_outputs(tmp_path, method, approach):
+    assert _digests(_frac_partition(tmp_path, method, approach)) == \
+        GOLDEN[f"frac-partition-{method}-a{approach}"]
+
+
+@pytest.mark.parametrize("method, level", FRAC_REBALANCE_CASES)
+def test_frac_rebalance_outputs(tmp_path, method, level):
+    assert _digests(_frac_rebalance(tmp_path, method, level)) == \
+        GOLDEN[f"frac-rebalance-{method}-l{level}"]
+
+
+def test_frac_metrics_outputs(tmp_path):
+    assert _digests(_frac_metrics(tmp_path)) == GOLDEN["frac-metrics"]
+
+
+def test_timing_partition_outputs(tmp_path):
+    assert _digests(_timing_partition(tmp_path)) == GOLDEN["timing-partition"]
+
+
 def _all_digests() -> dict[str, dict[str, str]]:
     with tempfile.TemporaryDirectory() as tmp, \
             open(os.devnull, "w") as quiet:
@@ -147,6 +237,14 @@ def _all_digests() -> dict[str, dict[str, str]]:
             out["metrics"] = _digests(_metrics(tmp / "m"))
             out["tet-partition-rcb"] = _digests(_tet_partition(tmp / "tp")[1])
             out["tet-rebalance-rcb"] = _digests(_tet_rebalance(tmp / "tr"))
+            for m, a in FRAC_PARTITION_CASES:
+                out[f"frac-partition-{m}-a{a}"] = _digests(
+                    _frac_partition(tmp / f"fp{m}{a}", m, a))
+            for m, lv in FRAC_REBALANCE_CASES:
+                out[f"frac-rebalance-{m}-l{lv}"] = _digests(
+                    _frac_rebalance(tmp / f"fr{m}{lv}", m, lv))
+            out["frac-metrics"] = _digests(_frac_metrics(tmp / "fm"))
+            out["timing-partition"] = _digests(_timing_partition(tmp / "tm"))
         finally:
             sys.stdout = stdout
     return out
@@ -453,6 +551,172 @@ GOLDEN: dict[str, dict[str, str]] = {
             '4f6b65a2620f68afc5ff58f8f0a5cdcb319c8e1ddfddfa701cef824d1a1affe0',
         'report.json':
             'd9d14925fb5a227023bbd4bf675937c6b82e300ed5c350a9f4899dacb74cfc11',
+    },
+    'frac-partition-rcb-a1': {
+        'assignment.json':
+            '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
+        'levels.csv':
+            '51902c91d3d220381cf7be645b9e3847b32994ad9e4dbcb1d24bf477e621eaf9',
+        'part-0000.json':
+            '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
+        'part-0001.json':
+            '7c60835852c097096416ffaf46632ef98e5f0beba3f19bb9bf9122fe5cf0fc7e',
+        'part-0002.json':
+            'a4222b64ff43fdb405f5f040fab2523a6d788187412f877bfd439f0ac979e912',
+        'part-0003.json':
+            '94630b54f58271ffc5a95efe677d94419393eec5236cd1b58b6ff7f95a5a4e42',
+        'part-0004.json':
+            '9b15c9d57495ac877d637c43d100c74b383aed136d13697ebc8dbc473e9c2ef8',
+        'part-0005.json':
+            '976c270402c076e555183105192db3d5f8b3caa8f9e389eee81a1fbf3ec836a8',
+        'part-0006.json':
+            '1ada67345aaafc9c7e204d4dc372dffe310eaed9e8b7572351ad4e36325be11e',
+        'part-0007.json':
+            '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
+        'report.json':
+            '1daa6a1e1d4127ecc970c9e11394cb8c2d690c81a43b62e0cfc05d32e8c045f3',
+    },
+    'frac-partition-rcb-a2': {
+        'assignment.json':
+            '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
+        'levels.csv':
+            'de9e6a924b4eb3f97a00158464566eae0fc0188607521af85dc3d3c9760282fe',
+        'part-0000.json':
+            '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
+        'part-0001.json':
+            '7c60835852c097096416ffaf46632ef98e5f0beba3f19bb9bf9122fe5cf0fc7e',
+        'part-0002.json':
+            'a4222b64ff43fdb405f5f040fab2523a6d788187412f877bfd439f0ac979e912',
+        'part-0003.json':
+            '94630b54f58271ffc5a95efe677d94419393eec5236cd1b58b6ff7f95a5a4e42',
+        'part-0004.json':
+            '9b15c9d57495ac877d637c43d100c74b383aed136d13697ebc8dbc473e9c2ef8',
+        'part-0005.json':
+            '976c270402c076e555183105192db3d5f8b3caa8f9e389eee81a1fbf3ec836a8',
+        'part-0006.json':
+            '1ada67345aaafc9c7e204d4dc372dffe310eaed9e8b7572351ad4e36325be11e',
+        'part-0007.json':
+            '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
+        'report.json':
+            'eb10fcc9ecc6d8d1b2cb6243da4348038db98e4f03374e13953173f519a6bedc',
+    },
+    'frac-partition-graph-a1': {
+        'assignment.json':
+            '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
+        'levels.csv':
+            '2f10c58dc19d5bc688ba223c7df9661f1fce46047c026e22a3c25bdac774b3b0',
+        'part-0000.json':
+            'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
+        'part-0001.json':
+            '582d29f9cebb8ac4e8c1eae9dc0234e29ecd859fbd5a3aa137abf39d863259f2',
+        'part-0002.json':
+            '3830b4d380fd9f8ec01b033698088118f579466880783ff90d3f6489620fc952',
+        'part-0003.json':
+            '8a3b5a51e0b13131e8ba2642fd9ae3f33c63a78d0d7700fe3fe7c05b7b76fbd8',
+        'part-0004.json':
+            '3b15852ba820b7989d527b480866260eb522d3481f683c783dd3e1c68a8836a0',
+        'part-0005.json':
+            '0b2c73017f918771afde7ed10e8ad0516ef13d6c499f82b5d3b9c4fcaec48107',
+        'part-0006.json':
+            '97373c58882aef24bae6b5f570746ab30ddb8a8aa63d5ea385997d07608c0239',
+        'part-0007.json':
+            'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
+        'report.json':
+            'd96bca0e7d1ce16b7ac1cec8872938e1506d8868d882fa1b3f86ba0c65ca751a',
+    },
+    'frac-partition-graph-a2': {
+        'assignment.json':
+            '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
+        'levels.csv':
+            '33b14d857b98a9dbb657458c6f1784091439bf2dddf25faa52b920e9f1c523a3',
+        'part-0000.json':
+            'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
+        'part-0001.json':
+            '582d29f9cebb8ac4e8c1eae9dc0234e29ecd859fbd5a3aa137abf39d863259f2',
+        'part-0002.json':
+            '3830b4d380fd9f8ec01b033698088118f579466880783ff90d3f6489620fc952',
+        'part-0003.json':
+            '8a3b5a51e0b13131e8ba2642fd9ae3f33c63a78d0d7700fe3fe7c05b7b76fbd8',
+        'part-0004.json':
+            '3b15852ba820b7989d527b480866260eb522d3481f683c783dd3e1c68a8836a0',
+        'part-0005.json':
+            '0b2c73017f918771afde7ed10e8ad0516ef13d6c499f82b5d3b9c4fcaec48107',
+        'part-0006.json':
+            '97373c58882aef24bae6b5f570746ab30ddb8a8aa63d5ea385997d07608c0239',
+        'part-0007.json':
+            'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
+        'report.json':
+            'b7061382a8e0da1290c3aa325857e0193a252935568ff5816f1cb2ea27220dca',
+    },
+    'frac-rebalance-rcb-l0': {
+        'assignment.json':
+            '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
+        'balance.csv':
+            '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
+        'levels.csv':
+            'f1fd2c88fad249f9d837f1445ef36f9275ab6570baf8872850326b953b3bd203',
+        'report.json':
+            'd793e527f18c972bc16f223c5e2b3f51ebfda754b0a512a98a4d584778dc3245',
+    },
+    'frac-rebalance-rcb-l1': {
+        'assignment.json':
+            '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
+        'balance.csv':
+            '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
+        'levels.csv':
+            'b50c0d849101978e0045372516fbd4e697dca6884312e320f4765330e858c758',
+        'report.json':
+            '0a190d4d3d385f2f170b63cbe3e26a4941859931f33ebc353a49edca87c50fd1',
+    },
+    'frac-rebalance-graph-l0': {
+        'assignment.json':
+            '9b305eca4dc0a18764b318fbebfba3412760bb67eadd4f9c862e85563fd361ee',
+        'balance.csv':
+            '1433574a856920e99a3d70e8702fc2ab2d2bd3a50adb3770d72d41c243bd8c68',
+        'levels.csv':
+            '521383ea086fca75fa4cfb8c9fe20427765d1f74d2f076cd54c0ffac2b5b9e8c',
+        'report.json':
+            '1588c5b75b40ee493fdb25c0dcfaab0b47d68be8c38b61fb33ed99954664b5f0',
+    },
+    'frac-rebalance-graph-l1': {
+        'assignment.json':
+            'f7f59dfc831c044fa4d434f1c53471432a94c88044cbe52f36661da5706cf5d3',
+        'balance.csv':
+            'dfa51e59eda49f74795f86a3d9c8070c778afef239bf25b72a81507c08f6b723',
+        'levels.csv':
+            'bb7d1c62d7b5c42e869a82a46c5fbecebf01e2d55afdba113b57a41ad7abd3f9',
+        'report.json':
+            '59ab539b0bcbbf4ee13b979c32b6b2c72e2e11b424bc5df2f592470285b0306e',
+    },
+    'frac-metrics': {
+        'levels.csv':
+            '0a507e7c96bea2e264966de554b6bc05a87fa6d02ea84753cb5f80f162593eb0',
+        'report.json':
+            '5488beb4939a5d577ca83fde8c87f1cfc8252a6a0ff2686c8aa90b613289ac3f',
+    },
+    'timing-partition': {
+        'assignment.json':
+            '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
+        'levels.csv':
+            'de9e6a924b4eb3f97a00158464566eae0fc0188607521af85dc3d3c9760282fe',
+        'part-0000.json':
+            '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
+        'part-0001.json':
+            '7c60835852c097096416ffaf46632ef98e5f0beba3f19bb9bf9122fe5cf0fc7e',
+        'part-0002.json':
+            'a4222b64ff43fdb405f5f040fab2523a6d788187412f877bfd439f0ac979e912',
+        'part-0003.json':
+            '94630b54f58271ffc5a95efe677d94419393eec5236cd1b58b6ff7f95a5a4e42',
+        'part-0004.json':
+            '9b15c9d57495ac877d637c43d100c74b383aed136d13697ebc8dbc473e9c2ef8',
+        'part-0005.json':
+            '976c270402c076e555183105192db3d5f8b3caa8f9e389eee81a1fbf3ec836a8',
+        'part-0006.json':
+            '1ada67345aaafc9c7e204d4dc372dffe310eaed9e8b7572351ad4e36325be11e',
+        'part-0007.json':
+            '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
+        'report.json':
+            'b08c98431e60329237dae501d21334a3180219e91fe03dbf2ad99f12ac90697f',
     },
 }
 

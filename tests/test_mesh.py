@@ -267,12 +267,13 @@ def test_unpack_chunk_gives_python_scalars(mesh):
 
 
 def test_unpack_payload_gives_python_scalars():
+    # The chunk's records are Python scalars; the weights come back as the
+    # float64 column they were sent as.
     mesh = tet_box(2, 1, 1)
-    weights = {e: 1.5 + e for e in mesh.elements}
+    weights = 1.5 + mesh.element_ids
     chunk, back = _unpack_payload(_pack_payload(mesh, weights))
     assert_python_scalars(chunk)
-    assert back == weights
-    assert all(type(e) is int and type(w) is float for e, w in back.items())
+    assert back.dtype == np.float64 and back.tobytes() == weights.tobytes()
     assert _unpack_payload(_pack_payload(mesh, None))[1] is None
 
 
@@ -523,13 +524,14 @@ def test_migrate_missing_assignment_is_an_error():
 
 def test_exchange_keyed_values_follows_destinations():
     def prog(ctx):
-        values = {ctx.rank * 10: bytes([ctx.rank])}
-        dest_of = {0: 1, 10: 0}
-        return exchange_keyed_values(ctx, values, dest_of)
+        keys = np.array([ctx.rank * 10], dtype=np.int64)
+        dest = np.array([1 - ctx.rank], dtype=np.int64)
+        got = exchange_keyed_values(ctx, keys, keys + 0.5, dest)
+        return [a.tolist() for a in got]
 
     res = Runtime(tree_of(2), seed=0).run(prog)
-    assert res[0] == {10: b"\x01"}
-    assert res[1] == {0: b"\x00"}
+    assert res[0] == [[10], [10.5]]
+    assert res[1] == [[0], [0.5]]
 
 
 def test_migrate_randomized_conservation():

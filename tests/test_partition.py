@@ -403,6 +403,34 @@ def test_hierarchical_weighted_balance():
     assert max(loads) / mean <= 1.35  # element granularity limits exactness
 
 
+@pytest.mark.parametrize("bpl", [0, 1])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_hierarchical_gives_weights_back_in_the_form_given(bpl, as_array):
+    # Every rank, the group leaders included, gets a dict keyed by its final
+    # chunk's ids for a mapping and an aligned column for an array.
+    mesh = triangle_grid(8, 4)
+    weights = {e: 1 + (e % 7) / 10 for e in mesh.elements}
+    tree = build_topology([("node", 2), ("core", 2)])
+    plan = HierarchicalPlan(bootstrap_level=bpl)
+    chunks = split_contiguous(mesh, tree.total_ranks)
+
+    def prog(ctx):
+        chunk = chunks[ctx.rank]
+        ids = chunk.element_ids.tolist()
+        given = np.array([weights[e] for e in ids]) if as_array else \
+            {e: weights[e] for e in ids}
+        return hierarchical_partition(ctx, tree, chunk, plan, given)
+
+    for out_chunk, out_w in Runtime(tree, seed=0).run(prog):
+        ids = out_chunk.element_ids.tolist()
+        want = [weights[e] for e in ids]
+        if as_array:
+            assert isinstance(out_w, np.ndarray) and out_w.tolist() == want
+        else:
+            assert type(out_w) is dict and list(out_w) == ids
+            assert list(out_w.values()) == want
+
+
 def test_hierarchical_bootstrap_below_root():
     mesh = triangle_grid(8, 4)
     tree = build_topology([("node", 2), ("core", 2)])
@@ -488,13 +516,13 @@ def test_weighted_payload_adds_one_float_per_element():
     # The weights follow the chunk's own ascending id order, so a weighted
     # payload carries no second copy of the element ids.
     chunk = subset_chunk(tet_box(2, 2, 1), [9, 2, 5, 14, 0])
-    weights = {e: 1.0 + e / 4 for e in chunk.elements}
+    weights = 1.0 + chunk.element_ids / 4
     plain = _pack_payload(chunk, None)
     weighted = _pack_payload(chunk, weights)
     assert len(weighted) - len(plain) == 8 * chunk.n_elements
     back, back_w = _unpack_payload(weighted)
     assert back == chunk and _unpack_payload(plain) == (chunk, None)
-    assert list(back_w.items()) == sorted(weights.items())
+    assert back_w.tolist() == [1.0 + e / 4 for e in (0, 2, 5, 9, 14)]
 
 
 @pytest.mark.parametrize("method", ["rcb", "graph"])
@@ -521,7 +549,7 @@ def test_leader_reply_is_one_owner_per_member_element(monkeypatch, method,
     def prog(ctx):
         chunk = chunks[ctx.rank]
         wgt = None if weights is None else \
-            {e: weights[e] for e in chunk.elements}
+            np.array([weights[e] for e in chunk.element_ids.tolist()])
         return _team_partition(ctx, range(3), chunk, wgt, method, 1.02,
                                where="test split")
 
