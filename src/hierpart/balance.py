@@ -74,20 +74,6 @@ def load_imbalance(loads: np.ndarray) -> float:
     return max(loads) / mean
 
 
-def assignment_columns(assignment: Mapping[int, int],
-                       weights: Mapping[int, float] | np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
-    """An element -> part mapping's parts as an int64 array in its
-    iteration order, and the weights aligned with them: a mapping is read
-    once per element, an array is taken as aligned already."""
-    n = len(assignment)
-    owner = np.fromiter(assignment.values(), dtype=np.int64, count=n)
-    if isinstance(weights, Mapping):
-        weights = np.fromiter(map(weights.__getitem__, assignment),
-                              dtype=np.float64, count=n)
-    return owner, weights
-
-
 def imbalance(assignment: Mapping[int, int],
               weights: Mapping[int, float] | None = None,
               nparts: int | None = None) -> float:
@@ -95,7 +81,9 @@ def imbalance(assignment: Mapping[int, int],
     weights are added in the assignment's order."""
     if not assignment:
         raise ValueError("empty assignment")
-    owner, weights = assignment_columns(assignment, weights)
+    owner = np.array(list(assignment.values()), dtype=np.int64)
+    if weights is not None:
+        weights = np.array([weights[e] for e in assignment], dtype=np.float64)
     if nparts is None:
         nparts = int(owner.max()) + 1
     outside = (owner < 0) | (owner >= nparts)

@@ -22,8 +22,8 @@ from .formats import (FormatError, id_array, load_mesh, load_timing,
                       load_topology, read_assignment, read_weights, save_part,
                       save_report, write_assignment)
 from .halo import exchange, schedule_for_rank
-from .mesh import (MeshChunk, find_shared_nodes, local_dual_graph,
-                   split_chunk, split_contiguous)
+from .mesh import (MeshChunk, adjacency_from_elements, find_shared_nodes,
+                   local_dual_graph, split_chunk, split_contiguous)
 from .metrics import (CostModel, comm_metrics, quality_metrics,
                       write_balance_csv, write_levels_csv)
 from .partition import (METHODS, HierarchicalPlan, _weights_of,
@@ -193,17 +193,18 @@ def _config_echo(command: str, args, keys) -> dict[str, Any]:
     return cfg
 
 
-def _finish_report(report: dict[str, Any], args) -> dict[str, Any]:
+def _write_report(args, report: dict[str, Any], runtime: Runtime,
+                  model: CostModel) -> None:
+    """Create --out, and write report.json there with the run's traffic
+    (and, unless --no-timestamp, the time) and levels.csv."""
+    report["traffic"] = runtime.ledger.export()
     if not args.no_timestamp:
         report["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds")
-    return report
-
-
-def _write_parts(out_dir: str, chunks, schedules) -> None:
-    for rank, chunk in enumerate(chunks):
-        save_part(os.path.join(out_dir, f"part-{rank:04d}.json"),
-                  rank, chunk, schedules[rank].neighbors)
+    os.makedirs(args.out, exist_ok=True)
+    save_report(os.path.join(args.out, "report.json"), report)
+    write_levels_csv(os.path.join(args.out, "levels.csv"),
+                     runtime.ledger.phase_totals(), model)
 
 
 def _survey_program(tree: TopologyTree, n_nodes: int):
@@ -242,40 +243,33 @@ def _cmd_partition(args) -> int:
     tail = _survey_program(tree, n_nodes)
 
     def program(ctx):
-        chunk, w = hierarchical_partition(ctx, tree, initial[ctx.rank], plan,
+        chunk, _ = hierarchical_partition(ctx, tree, initial[ctx.rank], plan,
                                           local_w[ctx.rank])
-        return chunk, w, tail(ctx, chunk)
+        return chunk, tail(ctx, chunk)
 
     results = runtime.run(program)
     # The initial split is dead once the ranks hold their parts; freeing it
     # lets the work below reuse its memory instead of raising the peak.
     del initial, local_w
-    chunks = [chunk for chunk, _, _ in results]
-    schedules = {rank: sched for rank, (_, _, sched) in enumerate(results)}
+    chunks = [chunk for chunk, _ in results]
+    schedules = {rank: sched for rank, (_, sched) in enumerate(results)}
     owner = _owners(mesh, chunks, "partition")
-    # Rank by rank, each in id order, as the quality block adds weights.
-    assignment = {e: rank for rank, chunk in enumerate(chunks)
-                  for e in chunk.element_ids.tolist()}
-    if weights is not None:
-        weights = np.concatenate([w for _, w, _ in results])
 
-    adjacency = local_dual_graph(mesh)
     report = {
         "config": _config_echo("partition", args,
                                ("method", "approach", "bpl", "tolerance",
                                 "cost_intra")),
-        "quality": quality_metrics(adjacency, assignment, nparts, weights),
+        # Each part's weights add in id order, as its rank holds them.
+        "quality": quality_metrics(local_dual_graph(mesh), owner, nparts,
+                                   weights),
         "comm": comm_metrics(schedules, model),
-        "traffic": runtime.ledger.export(),
     }
-    os.makedirs(args.out, exist_ok=True)
+    _write_report(args, report, runtime, model)
     write_assignment(os.path.join(args.out, "assignment.json"),
                      mesh.element_ids, owner)
-    save_report(os.path.join(args.out, "report.json"),
-                _finish_report(report, args))
-    write_levels_csv(os.path.join(args.out, "levels.csv"),
-                     runtime.ledger.phase_totals(), model)
-    _write_parts(args.out, chunks, schedules)
+    for rank, chunk in enumerate(chunks):
+        save_part(os.path.join(args.out, f"part-{rank:04d}.json"),
+                  rank, chunk, schedules[rank].neighbors)
 
     q = report["quality"]
     print(f"partitioned {q['elements']} elements into {nparts} parts: "
@@ -328,18 +322,12 @@ def _cmd_rebalance(args) -> int:
             "moved_elements": moved,
             "elements": mesh.n_elements,
         },
-        "traffic": runtime.ledger.export(),
     }
-    os.makedirs(args.out, exist_ok=True)
+    _write_report(args, report, runtime, model)
     write_assignment(os.path.join(args.out, "assignment.json"),
                      mesh.element_ids, new_owner)
-    save_report(os.path.join(args.out, "report.json"),
-                _finish_report(report, args))
-    write_levels_csv(os.path.join(args.out, "levels.csv"),
-                     runtime.ledger.phase_totals(), model)
-    write_balance_csv(os.path.join(args.out, "balance.csv"),
-                      dict(enumerate(pre_loads.tolist())),
-                      dict(enumerate(post_loads.tolist())))
+    write_balance_csv(os.path.join(args.out, "balance.csv"), pre_loads,
+                      post_loads)
 
     print(f"rebalanced level {args.level}: imbalance {pre_imb:.3f} -> "
           f"{post_imb:.3f}, moved {moved}/{mesh.n_elements} elements")
@@ -365,22 +353,16 @@ def _cmd_metrics(args) -> int:
         runtime.run(lambda ctx: tail(ctx, initial[ctx.rank]))))
     del initial  # dead once the ranks hold their parts
 
-    adjacency = local_dual_graph(mesh)
-    # In file order, as the quality block adds weights.
-    assignment = dict(zip(ids.tolist(), parts.tolist()))
+    # Vertices in file order, so each part's weights add in file order.
+    graph = adjacency_from_elements(ids, mesh.conn[position], mesh.kind)
     if weights is not None:
         weights = weights[position]
     report = {
         "config": _config_echo("metrics", args, ("cost_intra",)),
-        "quality": quality_metrics(adjacency, assignment, nparts, weights),
+        "quality": quality_metrics(graph, parts, nparts, weights),
         "comm": comm_metrics(schedules, model),
-        "traffic": runtime.ledger.export(),
     }
-    os.makedirs(args.out, exist_ok=True)
-    save_report(os.path.join(args.out, "report.json"),
-                _finish_report(report, args))
-    write_levels_csv(os.path.join(args.out, "levels.csv"),
-                     runtime.ledger.phase_totals(), model)
+    _write_report(args, report, runtime, model)
 
     q = report["quality"]
     print(f"metrics for {q['elements']} elements in {nparts} parts: "

@@ -13,6 +13,9 @@ merging, centroids, the wire form and the dual graph are whole-array
 operations over these; nothing on those paths builds a Python object per
 element.
 
+The sequential dual graph is one CSR type, ``DualGraph``, built by one
+sorted face-key pass; its id -> neighbours mapping view is for tests.
+
 The distributed operations (dual graph, migration, shared-node discovery)
 ride on the rendezvous directory, so none of them needs an all-to-all step.
 """
@@ -20,9 +23,10 @@ ride on the rendezvous directory, so none of them needs an all-to-all step.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -284,14 +288,61 @@ def _face_keys(*faces: np.ndarray) -> list[np.ndarray]:
     return np.split(keys, np.cumsum([len(f) for f in faces])[:-1])
 
 
-def adjacency_from_elements(element_ids, conn, kind: str
-                            ) -> dict[int, list[int]]:
+@dataclass(eq=False)
+class DualGraph(Mapping):
+    """An element dual graph in METIS's compressed sparse row form: vertex
+    i has id ``ids[i]``, in the order the graph was built in, and
+    neighbours at positions ``adjncy[xadj[i]:xadj[i + 1]]``, ascending by
+    id.  Symmetric, without self-loops.  As a ``Mapping`` it is a read-only
+    view, id -> neighbour ids, for tests and tools; no verb reads it."""
+
+    ids: np.ndarray         # int64[n]
+    xadj: np.ndarray        # int64[n + 1]
+    adjncy: np.ndarray      # intp[xadj[-1]]
+
+    @classmethod
+    def of(cls, adjacency: Mapping[int, Sequence[int]]) -> "DualGraph":
+        """A DualGraph as it is, any other mapping in ascending id order,
+        without self-loops and repeats.  The first (v, u) pair, in sorted
+        order, whose u is no vertex or does not list v back is an error."""
+        if isinstance(adjacency, DualGraph):
+            return adjacency
+        vertices = sorted(adjacency)
+        index = {v: i for i, v in enumerate(vertices)}
+        nbr_sets = [set(adjacency[v]) - {v} for v in vertices]
+        rows = [sorted(nbrs) for nbrs in nbr_sets]
+        for v, row in zip(vertices, rows):
+            for u in row:
+                if u not in index or v not in nbr_sets[index[u]]:
+                    raise ValueError(f"adjacency not symmetric at edge "
+                                     f"({v}, {u})")
+        return cls(np.array(vertices, dtype=np.int64),
+                   np.cumsum([0, *map(len, rows)]),
+                   np.array([index[u] for row in rows for u in row],
+                            dtype=np.intp))
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return {e: i for i, e in enumerate(self.ids.tolist())}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __getitem__(self, v) -> list[int]:
+        i = self._position[v]
+        return self.ids[self.adjncy[self.xadj[i]:self.xadj[i + 1]]].tolist()
+
+
+def adjacency_from_elements(element_ids, conn, kind: str) -> DualGraph:
     """Dual graph of an element table: neighbors share a full face.
 
-    ``element_ids`` are distinct, one ``conn`` row each.  The result maps
-    every id, in the order given, to its neighbors in ascending id order.
-    One sort of all element faces by key: each run of equal keys is one
-    face, and its elements are pairwise neighbors.
+    ``element_ids`` are distinct, one ``conn`` row each; the graph's
+    vertices are in the order given.  One sort of all element faces by key:
+    each run of equal keys is one face, and its elements are pairwise
+    neighbors.
     """
     _, _, npe, npf = kind_info(kind)
     ids = np.asarray(element_ids, dtype=np.int64).reshape(-1)
@@ -315,19 +366,16 @@ def adjacency_from_elements(element_ids, conn, kind: str
         src += (a, b)
         dst += (b, a)
         gap += 1
-    src = np.concatenate(src)
-    nbr = ids[np.concatenate(dst)]
-    order = np.lexsort((nbr, src))
-    src, nbr = src[order], nbr[order]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    order = np.lexsort((ids[dst], src))
+    src, dst = src[order], dst[order]
     fresh = np.ones(len(src), dtype=bool)
-    fresh[1:] = (src[1:] != src[:-1]) | (nbr[1:] != nbr[:-1])
-    ends = np.cumsum(np.bincount(src[fresh], minlength=len(ids))).tolist()
-    flat = nbr[fresh].tolist()
-    return dict(zip(ids.tolist(), [flat[a:b] for a, b
-                                   in zip([0] + ends[:-1], ends)]))
+    fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    counts = np.bincount(src[fresh], minlength=len(ids))
+    return DualGraph(ids, np.concatenate(([0], np.cumsum(counts))), dst[fresh])
 
 
-def local_dual_graph(chunk: MeshChunk) -> dict[int, list[int]]:
+def local_dual_graph(chunk: MeshChunk) -> DualGraph:
     """Sequential dual graph of one chunk, for whole-mesh or leader-local use."""
     return adjacency_from_elements(chunk.element_ids, chunk.conn, chunk.kind)
 
@@ -660,28 +708,44 @@ def split_contiguous(chunk: MeshChunk, parts: int) -> list[MeshChunk]:
 
 # -- local measures -------------------------------------------------------------
 
+def _graph_and_owner(adjacency: Mapping[int, Sequence[int]],
+                     assignment: Mapping[int, int] | np.ndarray
+                     ) -> tuple[DualGraph, np.ndarray]:
+    """``DualGraph.of(adjacency)`` and the part of each of its vertices."""
+    graph = DualGraph.of(adjacency)
+    if isinstance(assignment, Mapping):
+        assignment = [assignment[v] for v in graph.ids.tolist()]
+    return graph, np.asarray(assignment, dtype=np.int64)
+
+
 def halo_growth(adjacency: Mapping[int, Sequence[int]],
-                assignment: Mapping[int, int], layers: int) -> float:
+                assignment: Mapping[int, int] | np.ndarray,
+                layers: int) -> float:
     """Replication overhead, in percent, of growing each part by k layers.
 
     Each part's element set is expanded ``layers`` times by its dual-graph
     neighborhood; the overhead is (sum of grown sizes - N) / N * 100.
+    ``adjacency`` is a DualGraph or a mapping ``DualGraph.of`` converts, and
+    ``assignment`` maps its ids to parts or is an owner array aligned with
+    them.  The grown sets are one sorted array of part * N + vertex keys;
+    each layer expands only the keys the last one added.
     """
     if layers < 0:
         raise ValueError("layers must be >= 0")
-    n = len(assignment)
-    if n == 0:
+    if len(assignment) == 0:
         raise ValueError("empty assignment")
-    parts: dict[int, set[int]] = {}
-    for eid, part in assignment.items():
-        parts.setdefault(part, set()).add(eid)
-    total = 0
-    for members in parts.values():
-        grown = set(members)
-        for _ in range(layers):
-            frontier = set()
-            for e in grown:
-                frontier.update(adjacency.get(e, ()))
-            grown |= frontier
-        total += len(grown)
-    return (total - n) / n * 100.0
+    graph, owner = _graph_and_owner(adjacency, assignment)
+    n = len(graph)
+    grown = frontier = np.sort(owner * n + np.arange(n))
+    for _ in range(layers):
+        part, vertex = np.divmod(frontier, n)
+        start = graph.xadj[vertex]
+        counts = graph.xadj[vertex + 1] - start
+        # Each frontier key's neighbour positions, row after row.
+        at = np.repeat(start - np.cumsum(counts) + counts, counts) + \
+            np.arange(counts.sum())
+        reached = _unique(np.repeat(part * n, counts) + graph.adjncy[at])
+        at = np.minimum(np.searchsorted(grown, reached), len(grown) - 1)
+        frontier = reached[grown[at] != reached]
+        grown = np.sort(np.concatenate((grown, frontier)))
+    return (len(grown) - n) / n * 100.0

@@ -1,4 +1,5 @@
-"""Partition quality metrics and report assembly."""
+"""Partition quality metrics, as array passes over a ``mesh.DualGraph`` and
+the verbs' owner and weight columns, and report assembly."""
 
 from __future__ import annotations
 
@@ -8,9 +9,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .balance import assignment_columns, load_imbalance, part_loads
+from .balance import load_imbalance, part_loads
 from .halo import HaloSchedule
-from .mesh import halo_growth
+from .mesh import DualGraph, _graph_and_owner, halo_growth
 
 # Halo bytes per shared node: one float64 value, the field the CLI's survey
 # exchange sends.
@@ -41,14 +42,12 @@ class CostModel:
 
 
 def edge_cut(adjacency: Mapping[int, Sequence[int]],
-             assignment: Mapping[int, int]) -> int:
-    """Dual-graph edges whose endpoints live in different parts."""
-    cut = 0
-    for v, nbrs in adjacency.items():
-        for u in nbrs:
-            if u > v and assignment[u] != assignment[v]:
-                cut += 1
-    return cut
+             assignment: Mapping[int, int] | np.ndarray) -> int:
+    """Dual-graph edges whose endpoints live in different parts, counted
+    over the CSR entries, two per edge; arguments as ``halo_growth``'s."""
+    graph, owner = _graph_and_owner(adjacency, assignment)
+    crossing = np.repeat(owner, np.diff(graph.xadj)) != owner[graph.adjncy]
+    return int(np.count_nonzero(crossing)) // 2
 
 
 def partition_comm_costs(schedules: Mapping[int, HaloSchedule],
@@ -90,24 +89,18 @@ def halo_pairs(schedules: Mapping[int, HaloSchedule]) -> list[dict[str, Any]]:
     return rows
 
 
-def quality_metrics(adjacency: Mapping[int, Sequence[int]],
-                    assignment: Mapping[int, int], nparts: int,
-                    weights: Mapping[int, float] | np.ndarray | None = None
-                    ) -> dict[str, Any]:
-    """The sequential partition-quality block of a report.
-
-    Parts lie in 0..nparts-1.  ``weights`` maps element ids to weights, or
-    is a float64 column aligned with the assignment's iteration order; each
-    part's weights are added in that order.
-    """
-    owner, weights = assignment_columns(assignment, weights)
+def quality_metrics(graph: DualGraph, owner: np.ndarray, nparts: int,
+                    weights: np.ndarray | None = None) -> dict[str, Any]:
+    """The sequential partition-quality block of a report.  ``owner``
+    (parts 0..nparts-1) and ``weights`` align with the graph's ids, and
+    each part's weights are added in that order."""
     out: dict[str, Any] = {
-        "elements": len(assignment),
+        "elements": len(owner),
         "partitions": nparts,
-        "edge_cut": edge_cut(adjacency, assignment),
+        "edge_cut": edge_cut(graph, owner),
         "element_imbalance": load_imbalance(part_loads(owner, None, nparts)),
         "halo_growth_pct": {
-            str(k): halo_growth(adjacency, assignment, k) for k in GROWTH_LAYERS
+            str(k): halo_growth(graph, owner, k) for k in GROWTH_LAYERS
         },
     }
     if weights is not None:
@@ -140,25 +133,15 @@ def write_levels_csv(path, phase_rows: Sequence[Mapping[str, Any]],
             writer.writerow([row["phase"], raw, f"{proxy:.6g}"])
 
 
-def write_balance_csv(path, pre_loads: Mapping[int, float],
-                      post_loads: Mapping[int, float]) -> None:
-    """Per-partition normalized load before and after a rebalance."""
-    parts = sorted(set(pre_loads) | set(post_loads))
-    pre_mean = sum(pre_loads.values()) / max(len(pre_loads), 1)
-    post_mean = sum(post_loads.values()) / max(len(post_loads), 1)
+def write_balance_csv(path, pre_loads: np.ndarray,
+                      post_loads: np.ndarray) -> None:
+    """Per-partition normalized load before and after a rebalance, from
+    the loads of parts 0..k-1; each mean adds the loads in part order."""
+    columns = []
+    for loads in (pre_loads.tolist(), post_loads.tolist()):
+        mean = sum(loads) / max(len(loads), 1)
+        columns.append([f"{x / mean if mean else 0.0:.6g}" for x in loads])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["partition", "pre", "post"])
-        for p in parts:
-            pre = pre_loads.get(p, 0.0) / pre_mean if pre_mean else 0.0
-            post = post_loads.get(p, 0.0) / post_mean if post_mean else 0.0
-            writer.writerow([p, f"{pre:.6g}", f"{post:.6g}"])
-
-
-def partition_loads(assignment: Mapping[int, int], nparts: int,
-                    weights: Mapping[int, float] | None = None
-                    ) -> dict[int, float]:
-    """Load of each part 0..nparts-1, its weights added in the
-    assignment's order."""
-    owner, weights = assignment_columns(assignment, weights)
-    return dict(enumerate(part_loads(owner, weights, nparts).tolist()))
+        writer.writerows(zip(range(len(pre_loads)), *columns))

@@ -6,7 +6,8 @@ refinement sweep.  The pipeline reaches them through one call, ``_backend``,
 on one summary of the elements to split (``_summary``: sorted ids and one
 centroid or connectivity row per element) and their weight column; it
 returns the part of each element as an owner array, so another back-end
-slots in at that one place.
+slots in at that one place.  The graph back-end reads the CSR arrays of
+the ``mesh.DualGraph`` the connectivity rows give.
 
 Each rank carries its weights as one float64 column aligned with its
 chunk's element ids (None for unit weights).  The column travels beside the
@@ -38,9 +39,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _codec
-from .mesh import (MeshChunk, adjacency_from_elements, exchange_keyed_values,
-                   kind_info, merge_chunks, migrate, pack_chunk, split_chunk,
-                   split_contiguous, unpack_chunk)
+from .mesh import (DualGraph, MeshChunk, adjacency_from_elements,
+                   exchange_keyed_values, kind_info, merge_chunks, migrate,
+                   pack_chunk, split_chunk, split_contiguous, unpack_chunk)
 from .runtime import RankContext
 from .topology import TopologyTree, aggregate, cascade
 
@@ -144,14 +145,13 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
         recurse(s[count:], parts - low_parts, offset + low_parts)
 
     recurse(np.arange(len(ids)), k, 0)
-    # Keyed in ids order, which _backend relies on.
     return dict(zip(ids.tolist(), part.tolist()))
 
 
 # -- greedy graph growing --------------------------------------------------------
 
 def graph_partition(adjacency: Mapping[int, Sequence[int]],
-                    weights: Mapping[int, float] | None,
+                    weights: Mapping[int, float] | np.ndarray | None,
                     k: int, tolerance: float = 1.02, m: int = 1
                     ) -> dict[int, int]:
     """Greedy graph growing into k parts plus one boundary refinement sweep.
@@ -171,29 +171,40 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     the target part within tolerance and leaves the source part at least
     ``m`` vertices, so the cut never increases.
 
-    Vertex ids are integers.  They are mapped once to indices 0..n-1 in id
-    order, with sorted, deduplicated neighbor index lists.  Each part grows
-    from a fresh min-heap keyed (degree - 2 * neighbours in p, index), whose
-    minimum is the maximum above; a vertex joining p re-pushes only its
-    unassigned neighbours, and taken or outdated entries are dropped when
-    popped, so growth costs O(E log V) overall.  Distances come from level
-    BFS over the index lists: k - 1 passes place the seeds, each expanding
-    only where the new seed is closer than all earlier ones, and one more
-    pass runs per taken seed, at most O(k (V + E)) in all.
+    ``adjacency`` is a DualGraph or a mapping ``DualGraph.of`` converts;
+    ``weights`` map ids to weights or align with a DualGraph's ids.  The
+    result maps ids, ascending, to parts.  The grower runs on the graph's
+    rows as index lists in id order (one argsort when the ids are not).
+    Each part grows from a fresh min-heap keyed (degree - 2 * neighbours in
+    p, index); a vertex joining p re-pushes only its unassigned neighbours,
+    and stale entries are dropped when popped: O(E log V) in all.  Level
+    BFS gives distances: k - 1 passes place the seeds, each expanding only
+    where the new seed is closer, plus one per taken seed, O(k (V + E)).
     """
-    vertices = sorted(adjacency)
-    n = len(vertices)
+    n = len(adjacency)
     if k < 1 or k * m > n:
         raise ValueError(f"part count {k} outside 1..{n // m}")
-    adj = _index_lists(adjacency, vertices)
+    graph = DualGraph.of(adjacency)
+    order, nbrs = np.arange(n), graph.adjncy
+    if (graph.ids[1:] < graph.ids[:-1]).any():
+        # Neighbour positions become id-order indices, so rows stay sorted.
+        order = np.argsort(graph.ids, kind="stable")
+        index = np.empty_like(order)
+        index[order] = np.arange(n)
+        nbrs = index[nbrs]
+    vertices = graph.ids[order].tolist()
     if weights is None:
         w = [1.0] * n
-    else:
+    elif isinstance(weights, Mapping):
         w = [float(weights[v]) for v in vertices]
+    else:
+        w = np.asarray(weights, dtype=np.float64)[order].tolist()
     if k == 1:
         return {v: 0 for v in vertices}
 
-    deg = [len(nbrs) for nbrs in adj]
+    ends, flat = graph.xadj.tolist(), nbrs.tolist()
+    adj = [flat[ends[i]:ends[i + 1]] for i in order.tolist()]
+    deg = [len(row) for row in adj]
     seeds = _spread_seeds(adj, k)
     part = [-1] * n
     load = [0.0] * k
@@ -240,29 +251,6 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
 
     _refine_once(range(n), adj, part, w, load, count, k, tolerance, m)
     return dict(zip(vertices, part))
-
-
-def _index_lists(adjacency: Mapping[int, Sequence[int]], vertices: list[int]
-                 ) -> list[list[int]]:
-    """Sorted neighbor index lists over ``vertices``, self-loops dropped.
-
-    The first (v, u) pair, in sorted order, whose u is no vertex or does not
-    list v back is an error.
-    """
-    index = {v: i for i, v in enumerate(vertices)}
-    nbr_sets = [set(adjacency[v]) for v in vertices]
-    adj = []
-    for v, nbrs in zip(vertices, nbr_sets):
-        row = []
-        for u in sorted(nbrs):
-            if u == v:
-                continue
-            j = index.get(u)
-            if j is None or v not in nbr_sets[j]:
-                raise ValueError(f"adjacency not symmetric at edge ({v}, {u})")
-            row.append(j)
-        adj.append(row)
-    return adj
 
 
 def _bfs(adj: list[list[int]], sources: list[int], dist: list[float]) -> None:
@@ -426,19 +414,13 @@ def _backend(kind: str, method: str, ids: np.ndarray, rows: np.ndarray,
     try:
         if method == "rcb":
             part_of = rcb(ids, rows, weights, k, m)
-            return np.fromiter(part_of.values(), dtype=np.int64,
-                               count=len(ids))
-        adjacency = adjacency_from_elements(ids, rows, kind)
-        wmap = None if weights is None else \
-            dict(zip(ids.tolist(), weights.tolist()))
-        part_of = graph_partition(adjacency, wmap, k, tolerance, m)
+        else:
+            part_of = graph_partition(adjacency_from_elements(ids, rows, kind),
+                                      weights, k, tolerance, m)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from err
-    # graph_partition keys its result in ascending id order.
-    part = np.empty(len(ids), dtype=np.int64)
-    part[np.argsort(ids, kind="stable")] = np.fromiter(
-        part_of.values(), dtype=np.int64, count=len(ids))
-    return part
+    return np.fromiter(map(part_of.__getitem__, ids.tolist()), dtype=np.int64,
+                       count=len(ids))
 
 
 def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,

@@ -11,6 +11,10 @@ The second part keeps the dict-era weight and owner code: the loaders of
 assignment and weights documents, the part loads and imbalance, the
 overlap remap and the keyed-value exchange, from before weights and owners
 became id-aligned arrays.
+
+The third part keeps the quality block from before the dual graph became
+one CSR type: the loop edge cut, the set-based halo growth and the
+quality block over an element -> part dict.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from typing import Any, Iterable, Mapping, NoReturn, Sequence
 import numpy as np
 
 from hierpart import _codec
+from hierpart.balance import load_imbalance, part_loads
 from hierpart.directory import blind_exchange
 from hierpart.formats import (FormatError, _assignment_problem, _first_bad_in,
                               _load_doc, _weight_problem)
 from hierpart.mesh import _KIND_BY_CODE, KINDS, kind_info
+from hierpart.metrics import GROWTH_LAYERS
 
 
 def dict_chunk(chunk) -> "DictChunk":
@@ -478,3 +484,64 @@ def exchange_keyed_values(ctx, values: Mapping[int, bytes],
         for key, value in _codec.unpack_kv(blob):
             out[key] = value
     return dict(sorted(out.items()))
+
+
+def edge_cut(adjacency: Mapping[int, Sequence[int]],
+             assignment: Mapping[int, int]) -> int:
+    """Dual-graph edges whose endpoints live in different parts."""
+    cut = 0
+    for v, nbrs in adjacency.items():
+        for u in nbrs:
+            if u > v and assignment[u] != assignment[v]:
+                cut += 1
+    return cut
+
+
+def halo_growth(adjacency: Mapping[int, Sequence[int]],
+                assignment: Mapping[int, int], layers: int) -> float:
+    """Replication overhead, in percent, of growing each part by k layers."""
+    if layers < 0:
+        raise ValueError("layers must be >= 0")
+    n = len(assignment)
+    if n == 0:
+        raise ValueError("empty assignment")
+    parts: dict[int, set[int]] = {}
+    for eid, part in assignment.items():
+        parts.setdefault(part, set()).add(eid)
+    total = 0
+    for members in parts.values():
+        grown = set(members)
+        for _ in range(layers):
+            frontier = set()
+            for e in grown:
+                frontier.update(adjacency.get(e, ()))
+            grown |= frontier
+        total += len(grown)
+    return (total - n) / n * 100.0
+
+
+def quality_metrics(adjacency: Mapping[int, Sequence[int]],
+                    assignment: Mapping[int, int], nparts: int,
+                    weights: Mapping[int, float] | np.ndarray | None = None
+                    ) -> dict[str, Any]:
+    """The quality block; ``weights`` maps element ids to weights or is a
+    column aligned with the assignment's iteration order, and each part's
+    weights are added in that order."""
+    n = len(assignment)
+    owner = np.fromiter(assignment.values(), dtype=np.int64, count=n)
+    if isinstance(weights, Mapping):
+        weights = np.fromiter(map(weights.__getitem__, assignment),
+                              dtype=np.float64, count=n)
+    out: dict[str, Any] = {
+        "elements": len(assignment),
+        "partitions": nparts,
+        "edge_cut": edge_cut(adjacency, assignment),
+        "element_imbalance": load_imbalance(part_loads(owner, None, nparts)),
+        "halo_growth_pct": {
+            str(k): halo_growth(adjacency, assignment, k) for k in GROWTH_LAYERS
+        },
+    }
+    if weights is not None:
+        out["weight_imbalance"] = load_imbalance(
+            part_loads(owner, weights, nparts))
+    return out

@@ -628,6 +628,38 @@ def test_verbs_never_build_record_views(tmp_path, monkeypatch):
         assert main([*run, *common, *out]) == 0, run
 
 
+def test_verbs_never_read_the_dual_graph_mapping_view(tmp_path, monkeypatch):
+    # The graph back-end and the quality block read a DualGraph's CSR
+    # arrays; its id -> neighbours view exists for tests and tools.
+    from hierpart.mesh import DualGraph
+
+    def forbidden(*args):
+        raise AssertionError("a verb read the dual graph's mapping view")
+
+    for method in ("__getitem__", "__iter__"):
+        monkeypatch.setattr(DualGraph, method, forbidden)
+    mesh = str(FIXTURES / "demo_mesh.json")
+    topo = str(FIXTURES / "topo_2x2x2.json")
+    weights = tmp_path / "weights.json"
+    save_weights(weights, {e: 1.0 + (e % 7) / 10 for e in range(512)})
+    common = ["--mesh", mesh, "--topo", topo, "--no-timestamp"]
+    start = tmp_path / "start"
+    assignment = str(start / "assignment.json")
+    runs = [["partition", "--method", "graph", "--out", str(start)]]
+    for method in ("rcb", "graph", "graph,rcb"):
+        for approach in ("1", "2"):
+            runs.append(["partition", "--method", method, "--approach",
+                         approach, "--weights", str(weights)])
+    runs += [["metrics", "--assignment", assignment],
+             ["metrics", "--assignment", assignment, "--weights", str(weights)]]
+    for level in ("0", "1"):
+        runs.append(["rebalance", "--assignment", assignment, "--level", level,
+                     "--method", "graph", "--weights", str(weights)])
+    for i, run in enumerate(runs):
+        out = [] if "--out" in run else ["--out", str(tmp_path / f"o{i}")]
+        assert main([*run, *common, *out]) == 0, run
+
+
 def test_verbs_never_use_the_dict_front_ends(tmp_path, monkeypatch):
     # The verbs read assignments and weights as id-aligned arrays and add
     # loads with the array cores; the dict front-ends exist for callers
@@ -635,13 +667,13 @@ def test_verbs_never_use_the_dict_front_ends(tmp_path, monkeypatch):
     # it.
     import sys
 
-    from hierpart import balance, formats, metrics
+    from hierpart import balance, formats
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a verb called a dict front-end")
 
     for home, name in ((formats, "load_assignment"), (formats, "load_weights"),
-                       (metrics, "partition_loads"), (balance, "imbalance")):
+                       (balance, "imbalance")):
         original = getattr(home, name)
         for module in [m for n, m in sys.modules.items()
                        if n == "hierpart" or n.startswith("hierpart.")]:

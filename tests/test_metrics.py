@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import csv
 
+import numpy as np
 import pytest
 
+from hierpart.balance import part_loads
 from hierpart.halo import HaloSchedule
 from hierpart.mesh import local_dual_graph
 from hierpart.meshgen import triangle_grid
 from hierpart.metrics import (CostModel, comm_imbalance, comm_metrics,
                               edge_cut, halo_pairs, partition_comm_costs,
-                              partition_loads, quality_metrics,
-                              write_balance_csv, write_levels_csv)
+                              quality_metrics, write_balance_csv,
+                              write_levels_csv)
 
 
 def brute_edge_cut(adjacency, assignment) -> int:
@@ -88,17 +90,17 @@ def test_halo_pairs_deduplicate():
 def test_quality_metrics_block():
     mesh = triangle_grid(4, 4)
     adj = local_dual_graph(mesh)
-    assignment = {e: (0 if e < 16 else 1) for e in adj}
-    out = quality_metrics(adj, assignment, 2)
+    owner = (adj.ids >= 16).astype(np.int64)
+    out = quality_metrics(adj, owner, 2)
     assert out["elements"] == 32
     assert out["partitions"] == 2
-    assert out["edge_cut"] == brute_edge_cut(adj, assignment)
+    assert out["edge_cut"] == brute_edge_cut(
+        adj, dict(zip(adj.ids.tolist(), owner.tolist())))
     assert out["element_imbalance"] == pytest.approx(1.0)
     assert set(out["halo_growth_pct"]) == {"1", "2"}
     assert out["halo_growth_pct"]["1"] > 0
     assert "weight_imbalance" not in out
-    weighted = quality_metrics(adj, assignment, 2,
-                               weights={e: float(1 + e % 2) for e in adj})
+    weighted = quality_metrics(adj, owner, 2, weights=1.0 + adj.ids % 2)
     assert "weight_imbalance" in weighted
 
 
@@ -113,12 +115,12 @@ def test_comm_metrics_block():
     assert len(out["pairs"]) == 1
 
 
-def test_partition_loads_counts_and_weights():
-    assignment = {0: 0, 1: 0, 2: 1}
-    assert partition_loads(assignment, 2) == {0: 2.0, 1: 1.0}
-    assert partition_loads(assignment, 3) == {0: 2.0, 1: 1.0, 2: 0.0}
-    wgt = {0: 0.5, 1: 0.5, 2: 4.0}
-    assert partition_loads(assignment, 2, wgt) == {0: 1.0, 1: 4.0}
+def test_part_loads_counts_and_weights():
+    owner = np.array([0, 0, 1])
+    assert part_loads(owner, None, 2).tolist() == [2.0, 1.0]
+    assert part_loads(owner, None, 3).tolist() == [2.0, 1.0, 0.0]
+    wgt = np.array([0.5, 0.5, 4.0])
+    assert part_loads(owner, wgt, 2).tolist() == [1.0, 4.0]
 
 
 def test_write_levels_csv(tmp_path):
@@ -138,7 +140,7 @@ def test_write_levels_csv(tmp_path):
 
 def test_write_balance_csv(tmp_path):
     path = tmp_path / "balance.csv"
-    write_balance_csv(path, {0: 4.0, 1: 1.0}, {0: 2.4, 1: 2.6})
+    write_balance_csv(path, np.array([4.0, 1.0]), np.array([2.4, 2.6]))
     got = list(csv.reader(path.open()))
     assert got[0] == ["partition", "pre", "post"]
     assert [row[0] for row in got[1:]] == ["0", "1"]

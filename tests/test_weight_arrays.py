@@ -29,7 +29,6 @@ from hierpart.cli import _check_assignment
 from hierpart.formats import (FormatError, SCHEMA, load_assignment,
                               load_weights, read_assignment, read_weights)
 from hierpart.mesh import exchange_keyed_values
-from hierpart.metrics import partition_loads
 from hierpart.partition import _overlap_remap
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
@@ -134,11 +133,12 @@ def weighted_assignments(draw):
 @given(case=weighted_assignments())
 def test_loads_and_imbalance_are_bit_equal_to_the_dict_versions(case):
     assignment, nparts, weights = case
+    owner = np.array(list(assignment.values()), dtype=np.int64)
     for w in (None, weights):
         want = dict_era.partition_loads(assignment, nparts, w)
-        got = partition_loads(assignment, nparts, w)
-        assert list(got) == list(want)
-        assert list(map(bits, got.values())) == list(map(bits, want.values()))
+        column = None if w is None else np.array([w[e] for e in assignment])
+        got = part_loads(owner, column, nparts).tolist()
+        assert list(map(bits, got)) == list(map(bits, want.values()))
         assert bits(imbalance(assignment, w, nparts)) == \
             bits(dict_era.imbalance(assignment, w, nparts))
 
