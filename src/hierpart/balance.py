@@ -6,8 +6,9 @@ assignment over the group's leaves, and only elements whose owner changed
 actually move.  Elements never leave their level-L group, so all rebalance
 traffic stays below that tree vertex.
 
-Each rank carries its weights as one float64 column aligned with its chunk's
-element ids, and part loads are sums over owner and weight arrays.
+Each rank's weights are its chunk's own column (``MeshChunk.weights``),
+which the migration keeps with the elements, and part loads are sums over
+owner and weight arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .mesh import MeshChunk
-from .partition import Weights, _as_given, _team_partition, _weight_column
+from .partition import Weights, _as_given, _team_partition, _with_weights
 from .runtime import RankContext
 from .topology import TopologyTree
 
@@ -100,15 +101,16 @@ def rebalance(ctx: RankContext, tree: TopologyTree, chunk: MeshChunk,
               tolerance: float = 1.02) -> tuple[MeshChunk, Weights]:
     """Repartition within this rank's level-``level`` group; collective.
 
-    ``weights`` is a float64 column aligned with the chunk's element ids, a
-    mapping from element id to weight, or None for unit weights.  Returns
-    the rank's new chunk and its weights in the same form.  Part labels are
+    ``weights`` is a float64 column aligned with the chunk's element ids or
+    a mapping from element id to weight, and becomes the chunk's column;
+    None keeps the chunk's own column (None for unit weights).  Returns the
+    rank's new chunk and its column in the form given.  Part labels are
     matched to the leaves already holding the bulk of each part, so a group
     that is still balanced sees little or no element movement.
     """
     group = tree.group_of(ctx.rank, level)
     ctx.set_phase(f"rebalance_level{level}")
-    new_chunk, new_weights = _team_partition(
-        ctx, group, chunk, _weight_column(chunk, weights), method, tolerance,
+    new_chunk = _team_partition(
+        ctx, group, _with_weights(chunk, weights), method, tolerance,
         where=f"rebalance at {tree.level_name(level)} level", remap_overlap=True)
-    return new_chunk, _as_given(new_chunk, new_weights, weights)
+    return new_chunk, _as_given(new_chunk, weights)

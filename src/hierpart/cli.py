@@ -26,8 +26,8 @@ from .mesh import (MeshChunk, adjacency_from_elements, find_shared_nodes,
                    local_dual_graph, split_chunk, split_contiguous)
 from .metrics import (CostModel, comm_metrics, quality_metrics,
                       write_balance_csv, write_levels_csv)
-from .partition import (METHODS, HierarchicalPlan, _weights_of,
-                        check_tolerance, hierarchical_partition)
+from .partition import (METHODS, HierarchicalPlan, check_tolerance,
+                        hierarchical_partition)
 from .runtime import DeadlockError, EpochError, ProtocolError, Runtime
 from .topology import TopologyTree
 
@@ -225,7 +225,7 @@ def _survey_program(tree: TopologyTree, n_nodes: int):
 def _cmd_partition(args) -> int:
     tree = load_topology(args.topo)
     mesh = load_mesh(args.mesh)
-    weights = _load_weight_input(args, mesh)
+    mesh.weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
     if mesh.n_elements < nparts:
         raise ValueError(f"mesh has {mesh.n_elements} elements; "
@@ -233,24 +233,21 @@ def _cmd_partition(args) -> int:
     args.method = _parse_method(args.method)
     plan = HierarchicalPlan(bootstrap_level=args.bpl, method=args.method,
                             approach=args.approach, tolerance=args.tolerance)
-    if not (0 <= args.bpl < tree.n_levels):
-        raise ValueError(f"--bpl {args.bpl} outside 0..{tree.n_levels - 1}")
+    tree.check_level(args.bpl, "--bpl")
     model = CostModel(intranode=args.cost_intra)
     n_nodes = int(mesh.node_ids[-1]) + 1
     initial = split_contiguous(mesh, nparts)
-    local_w = [_weights_of(c, mesh, weights) for c in initial]
     runtime = Runtime(tree, seed=args.seed)
     tail = _survey_program(tree, n_nodes)
 
     def program(ctx):
-        chunk, _ = hierarchical_partition(ctx, tree, initial[ctx.rank], plan,
-                                          local_w[ctx.rank])
+        chunk, _ = hierarchical_partition(ctx, tree, initial[ctx.rank], plan)
         return chunk, tail(ctx, chunk)
 
     results = runtime.run(program)
     # The initial split is dead once the ranks hold their parts; freeing it
     # lets the work below reuse its memory instead of raising the peak.
-    del initial, local_w
+    del initial
     chunks = [chunk for chunk, _ in results]
     schedules = {rank: sched for rank, (_, sched) in enumerate(results)}
     owner = _owners(mesh, chunks, "partition")
@@ -261,7 +258,7 @@ def _cmd_partition(args) -> int:
                                 "cost_intra")),
         # Each part's weights add in id order, as its rank holds them.
         "quality": quality_metrics(local_dual_graph(mesh), owner, nparts,
-                                   weights),
+                                   mesh.weights),
         "comm": comm_metrics(schedules, model),
     }
     _write_report(args, report, runtime, model)
@@ -283,11 +280,10 @@ def _cmd_rebalance(args) -> int:
     tree = load_topology(args.topo)
     mesh = load_mesh(args.mesh)
     ids, parts = read_assignment(args.assignment)
-    weights = _load_weight_input(args, mesh)
+    mesh.weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
     position, owner = _check_assignment(ids, parts, mesh, nparts)
-    if not (0 <= args.level < tree.n_levels):
-        raise ValueError(f"--level {args.level} outside 0..{tree.n_levels - 1}")
+    tree.check_level(args.level, "--level")
     args.method = method = _parse_method(args.method)
     if not isinstance(method, str):
         raise UsageError("rebalance takes a single --method")
@@ -297,19 +293,19 @@ def _cmd_rebalance(args) -> int:
     # Loads before add each part's weights in file order, loads after in
     # id order.
     pre_loads = part_loads(
-        parts, None if weights is None else weights[position], nparts)
+        parts, None if mesh.weights is None else mesh.weights[position],
+        nparts)
     initial = split_chunk(mesh, owner, nparts)
-    local_w = [_weights_of(c, mesh, weights) for c in initial]
     runtime = Runtime(tree, seed=args.seed)
 
     def program(ctx):
         chunk, _ = rebalance(ctx, tree, initial[ctx.rank], args.level, method,
-                             local_w[ctx.rank], args.tolerance)
+                             tolerance=args.tolerance)
         return chunk
 
     new_owner = _owners(mesh, runtime.run(program), "rebalance")
-    del initial, local_w  # dead once the ranks hold their parts
-    post_loads = part_loads(new_owner, weights, nparts)
+    del initial  # dead once the ranks hold their parts
+    post_loads = part_loads(new_owner, mesh.weights, nparts)
     pre_imb, post_imb = load_imbalance(pre_loads), load_imbalance(post_loads)
     moved = int(np.count_nonzero(new_owner != owner))
 

@@ -8,7 +8,10 @@ carried by its elements.
 
 A chunk is stored the way array-based mesh databases store topology: sorted
 element ids with one connectivity row each, sorted node ids with one
-coordinate row each, and boundary tags with one face row each.  Carving,
+coordinate row each, and boundary tags with one face row each.  An optional
+float64 weight column, aligned with the element ids, holds each element's
+compute weight (None means unit weights); carve, merge and migration keep
+it aligned, so a weight always travels with its element.  Carving,
 merging, centroids, the wire form and the dual graph are whole-array
 operations over these; nothing on those paths builds a Python object per
 element.
@@ -59,7 +62,8 @@ class MeshChunk:
     Elements and nodes are in ascending id order, boundary faces in
     ascending (tag, face node ids) order.  ``from_arrays`` and
     ``from_records`` sort their input; every operation in this module keeps
-    the order and never writes into a chunk's arrays.
+    the order and never writes into a chunk's arrays.  ``weights`` is
+    None for unit weights or one float64 per element, in element order.
     """
 
     kind: str
@@ -69,11 +73,13 @@ class MeshChunk:
     coords: np.ndarray          # float64[m, dim]
     boundary_tags: np.ndarray   # int64[b]
     boundary_conn: np.ndarray   # int64[b, nodes per face]
+    weights: np.ndarray | None = None   # float64[n]
 
     @classmethod
     def from_arrays(cls, kind: str, element_ids, conn, node_ids, coords,
-                    boundary_tags, boundary_conn) -> "MeshChunk":
-        """Chunk from record arrays in any order.  Ids must be distinct."""
+                    boundary_tags, boundary_conn, weights=None) -> "MeshChunk":
+        """Chunk from record arrays in any order, the weights (if given)
+        aligned with the element ids.  Ids must be distinct."""
         _, dim, npe, npf = kind_info(kind)
         eids = np.asarray(element_ids, dtype=np.int64).reshape(-1)
         nids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
@@ -88,7 +94,9 @@ class MeshChunk:
                    nids[n],
                    np.asarray(coords, dtype=np.float64).reshape(
                        len(nids), dim)[n],
-                   tags[b], bconn[b])
+                   tags[b], bconn[b],
+                   None if weights is None else np.asarray(
+                       weights, dtype=np.float64).reshape(len(eids))[e])
 
     @classmethod
     def from_records(cls, kind: str,
@@ -148,9 +156,12 @@ class MeshChunk:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeshChunk):
             return NotImplemented
-        return self.kind == other.kind and all(
-            np.array_equal(a, b)
-            for a, b in zip(self._arrays(), other._arrays()))
+        return (self.kind == other.kind
+                and (self.weights is None) == (other.weights is None)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self._arrays(), other._arrays()))
+                and (self.weights is None
+                     or np.array_equal(self.weights, other.weights)))
 
     @property
     def dim(self) -> int:
@@ -425,8 +436,9 @@ def split_chunk(chunk: MeshChunk, owner, parts: int) -> list[MeshChunk]:
     ``owner[i]`` is the sub-chunk of the chunk's i-th element (in id order),
     or -1 to leave it out.  Each sub-chunk holds its elements, the nodes
     they reference and the boundary faces they carry, all in ascending
-    order: a stable sort by owner keeps each group's elements and faces in
-    order, and one sort of (owner, node row) pairs gives each group's nodes.
+    order: a stable sort by owner keeps each group's elements, weights and
+    faces in order, and one sort of (owner, node row) pairs gives each
+    group's nodes.
     """
     owner = np.asarray(owner, dtype=np.int64).reshape(-1)
     if len(owner) != chunk.n_elements:
@@ -448,6 +460,7 @@ def split_chunk(chunk: MeshChunk, owner, parts: int) -> list[MeshChunk]:
     n_end = [0] + np.searchsorted(pairs // m, np.arange(parts),
                                   side="right").tolist()
     eids, conn = chunk.element_ids[e_order], chunk.conn[e_order]
+    w = None if chunk.weights is None else chunk.weights[e_order]
     nrow = pairs % m
     nids, coords = chunk.node_ids[nrow], chunk.coords[nrow]
     tags = chunk.boundary_tags[f_order]
@@ -458,7 +471,8 @@ def split_chunk(chunk: MeshChunk, owner, parts: int) -> list[MeshChunk]:
         n = slice(n_end[g], n_end[g + 1])
         f = slice(f_end[g], f_end[g + 1])
         out.append(MeshChunk(chunk.kind, eids[e], conn[e], nids[n],
-                             coords[n], tags[f], bconn[f]))
+                             coords[n], tags[f], bconn[f],
+                             None if w is None else w[e]))
     return out
 
 
@@ -487,24 +501,33 @@ def _last_per_id(ids: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...
 
 def merge_chunks(kind: str, chunks: Iterable[MeshChunk]) -> MeshChunk:
     """One chunk holding every record of the given chunks; where several
-    hold the same element or node id, the last one's record is kept."""
+    hold the same element or node id, the last one's record (and weight)
+    is kept.  The chunks must be all weighted or all unweighted."""
     chunks = list(chunks)
     for ch in chunks:
         if ch.kind != kind:
             raise ValueError(f"cannot merge {ch.kind} chunk into {kind} mesh")
     if not chunks:
         return MeshChunk.empty(kind)
+    weighted = [ch.weights is not None for ch in chunks]
+    if any(weighted) and not all(weighted):
+        raise ValueError("weights given on some ranks but not all")
     eids, conn, nids, coords, tags, bconn = (
         np.concatenate(arrays) for arrays in zip(*(ch._arrays()
                                                    for ch in chunks)))
+    columns = [conn]
+    if weighted[0]:
+        columns.append(np.concatenate([ch.weights for ch in chunks]))
+    eids, conn, *weights = _last_per_id(eids, *columns)
     b = _face_order(tags, bconn)
-    return MeshChunk(kind, *_last_per_id(eids, conn),
-                     *_last_per_id(nids, coords), tags[b], bconn[b])
+    return MeshChunk(kind, eids, conn, *_last_per_id(nids, coords),
+                     tags[b], bconn[b], *weights)
 
 
 # -- wire form ----------------------------------------------------------------
 
 def pack_chunk(chunk: MeshChunk) -> bytes:
+    """The chunk's geometry; the weight column is not part of it."""
     i64, f64 = _codec.pack_i64, _codec.pack_f64
     return _codec.pack_blocks([
         i64([kind_info(chunk.kind)[0]]),
@@ -591,7 +614,9 @@ def migrate(ctx: RankContext, chunk: MeshChunk,
     sub-chunk is merged as carved.  Node records are replicated onto each
     receiving rank, boundary faces travel with their carrying element, and
     the rebuilt chunk is ordered by global id so the result is independent
-    of arrival order.
+    of arrival order.  A weighted chunk's leaving weights follow in a
+    second round, one ``exchange_keyed_values`` call, so the result carries
+    each element's weight; every team member must be weighted alike.
     """
     team_t = _normalize_team(team, ctx.size)
     if isinstance(assignment, Mapping):
@@ -621,9 +646,16 @@ def migrate(ctx: RankContext, chunk: MeshChunk,
             pieces.append(sub)
         elif sub.n_elements:
             outgoing[rank] = pack_chunk(sub)
-    received = blind_exchange(ctx, outgoing, team=team_t)
-    pieces.extend(unpack_chunk(blob) for _, blob in received)
-    return merge_chunks(chunk.kind, pieces)
+    received = [unpack_chunk(blob)
+                for _, blob in blind_exchange(ctx, outgoing, team=team_t)]
+    if chunk.weights is not None:
+        leave = dest != ctx.rank
+        keys, values = exchange_keyed_values(
+            ctx, chunk.element_ids[leave], chunk.weights[leave], dest[leave],
+            team=team_t)
+        for piece in received:
+            piece.weights = values[np.searchsorted(keys, piece.element_ids)]
+    return merge_chunks(chunk.kind, pieces + received)
 
 
 def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
@@ -632,8 +664,8 @@ def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Ship one float64 value per key to the key's destination rank.
 
-    Companion to :func:`migrate` for side data keyed by element id, such as
-    weights, that must follow the elements; collective over the team.
+    :func:`migrate` sends a weighted chunk's leaving weights with it;
+    collective over the team.
     ``keys``, ``values`` and ``dest`` are aligned arrays.  Each destination
     gets one message holding its keys in ascending order.  Returns the
     (keys, values) that arrived here, sorted by key.

@@ -9,13 +9,11 @@ returns the part of each element as an owner array, so another back-end
 slots in at that one place.  The graph back-end reads the CSR arrays of
 the ``mesh.DualGraph`` the connectivity rows give.
 
-Each rank carries its weights as one float64 column aligned with its
-chunk's element ids (None for unit weights).  The column travels beside the
-chunk in every payload, is taken apart with the chunk's carve and put
-together by element id after a merge or a migration; in a team split only
-the weights of leaving elements move, through ``exchange_keyed_values``.
-The public entry points also take and give back an element -> weight
-mapping, converted once at the boundary.
+Each rank's weights are its chunk's own column (``MeshChunk.weights``,
+None for unit weights), so the carve, the merge, every payload and the
+migration of a team split keep each weight with its element.  The public
+entry points also take a column or an element -> weight mapping, set on
+the chunk once, and give the result back in the form given.
 
 The hierarchical pipeline mirrors the machine tree: mesh payloads are
 collected up to the bootstrap level, split across the bootstrap groups, and
@@ -33,15 +31,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _codec
-from .mesh import (DualGraph, MeshChunk, adjacency_from_elements,
-                   exchange_keyed_values, kind_info, merge_chunks, migrate,
-                   pack_chunk, split_chunk, split_contiguous, unpack_chunk)
+from .mesh import (DualGraph, MeshChunk, adjacency_from_elements, kind_info,
+                   merge_chunks, migrate, pack_chunk, split_chunk,
+                   split_contiguous, unpack_chunk)
 from .runtime import RankContext
 from .topology import TopologyTree, aggregate, cascade
 
@@ -336,65 +334,49 @@ _WEIGHTS_SOME = 1
 Weights = Mapping[int, float] | np.ndarray | None
 
 
-def _weight_column(chunk: MeshChunk, weights: Weights) -> np.ndarray | None:
-    """``weights`` as a float64 column aligned with the chunk's element ids:
-    an array is taken as aligned already, a mapping is read once per
-    element."""
+def _with_weights(chunk: MeshChunk, weights: Weights) -> MeshChunk:
+    """The chunk with ``weights`` as its column, or as it is for None: an
+    array is taken as aligned with the element ids already, a mapping is
+    read once per element."""
     if weights is None:
-        return None
+        return chunk
     if isinstance(weights, Mapping):
-        return np.fromiter(map(weights.__getitem__, chunk.element_ids.tolist()),
-                           dtype=np.float64, count=chunk.n_elements)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != chunk.element_ids.shape:
-        raise ValueError(f"{weights.shape} weights for {chunk.n_elements} "
-                         f"elements")
-    return weights
+        column = np.fromiter(map(weights.__getitem__,
+                                 chunk.element_ids.tolist()),
+                             dtype=np.float64, count=chunk.n_elements)
+    else:
+        column = np.asarray(weights, dtype=np.float64)
+        if column.shape != chunk.element_ids.shape:
+            raise ValueError(f"{column.shape} weights for {chunk.n_elements} "
+                             f"elements")
+    return replace(chunk, weights=column)
 
 
-def _as_given(chunk: MeshChunk, weights: np.ndarray | None, given: Weights
-              ) -> Weights:
-    """A result column in the form ``given`` came in: a mapping becomes a
+def _as_given(chunk: MeshChunk, given: Weights) -> Weights:
+    """The chunk's column in the form ``given`` came in: a mapping becomes a
     dict in ascending id order."""
-    if weights is None or not isinstance(given, Mapping):
-        return weights
-    return dict(zip(chunk.element_ids.tolist(), weights.tolist()))
+    if chunk.weights is None or not isinstance(given, Mapping):
+        return chunk.weights
+    return dict(zip(chunk.element_ids.tolist(), chunk.weights.tolist()))
 
 
-def _weights_of(sub: MeshChunk, chunk: MeshChunk,
-                weights: np.ndarray | None) -> np.ndarray | None:
-    """The entries of ``chunk``'s weight column for ``sub``'s elements."""
-    if weights is None:
-        return None
-    return weights[np.searchsorted(chunk.element_ids, sub.element_ids)]
-
-
-def _merged_weights(chunk: MeshChunk, pieces) -> np.ndarray:
-    """One column aligned with ``chunk`` from (element ids, weights) pieces
-    that hold each of its elements exactly once."""
-    ids = np.concatenate([ids for ids, _ in pieces])
-    out = np.empty(chunk.n_elements, dtype=np.float64)
-    out[np.searchsorted(chunk.element_ids, ids)] = \
-        np.concatenate([w for _, w in pieces])
-    return out
-
-
-def _pack_payload(chunk: MeshChunk, weights: np.ndarray | None) -> bytes:
+def _pack_payload(chunk: MeshChunk) -> bytes:
     """The chunk and its weight column in the chunk's wire order, ascending
     id."""
     return _codec.pack_blocks([
         pack_chunk(chunk),
-        _codec.pack_i64([_WEIGHTS_NONE if weights is None else _WEIGHTS_SOME]),
-        _codec.pack_f64([] if weights is None else weights),
+        _codec.pack_i64([_WEIGHTS_NONE if chunk.weights is None
+                         else _WEIGHTS_SOME]),
+        _codec.pack_f64([] if chunk.weights is None else chunk.weights),
     ])
 
 
-def _unpack_payload(data: bytes) -> tuple[MeshChunk, np.ndarray | None]:
+def _unpack_payload(data: bytes) -> MeshChunk:
     chunk_raw, flag_raw, wvals_raw = _codec.unpack_blocks(data)
     chunk = unpack_chunk(chunk_raw)
-    if _codec.unpack_one_i64(flag_raw) == _WEIGHTS_NONE:
-        return chunk, None
-    return chunk, _codec.unpack_f64(wvals_raw)
+    if _codec.unpack_one_i64(flag_raw) == _WEIGHTS_SOME:
+        chunk.weights = _codec.unpack_f64(wvals_raw)
+    return chunk
 
 
 def _summary(chunk: MeshChunk, method: str) -> tuple[np.ndarray, np.ndarray]:
@@ -424,9 +406,8 @@ def _backend(kind: str, method: str, ids: np.ndarray, rows: np.ndarray,
 
 
 def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
-                    weights: np.ndarray | None, method: str,
-                    tolerance: float, where: str, remap_overlap: bool = False,
-                    m: int = 1) -> tuple[MeshChunk, np.ndarray | None]:
+                    method: str, tolerance: float, where: str,
+                    remap_overlap: bool = False, m: int = 1) -> MeshChunk:
     """K-way split of the union of the team's chunks, one part per team rank.
 
     Stand-in for a distributed partitioner back-end: each rank's summary
@@ -434,31 +415,21 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     and each rank migrates its elements straight to their new owners.  With
     ``remap_overlap`` the part labels are matched to the ranks already
     holding most of each part, which keeps already-good distributions in
-    place.  Each part gets at least ``m`` elements.  ``weights`` and the
-    returned weights are columns aligned with the element ids.
+    place.  Each part gets at least ``m`` elements.
     """
     team = tuple(sorted(team))
     if len(team) == 1:
-        return chunk, weights
+        return chunk
 
     # The summaries, gathered payloads and replies are freed with
     # _team_assignment's frame, so none of them is held through the
     # migration, where the team's memory peaks.
-    dest = _team_assignment(ctx, team, chunk, weights, method, tolerance,
-                            where, remap_overlap, m)
-    new_chunk = migrate(ctx, chunk, dest, team=team)
-    if weights is None:
-        return new_chunk, None
-    # Only leaving weights travel; a staying element keeps its own.
-    stay = dest == ctx.rank
-    leave = ~stay
-    moved = exchange_keyed_values(ctx, chunk.element_ids[leave],
-                                  weights[leave], dest[leave], team=team)
-    return new_chunk, _merged_weights(
-        new_chunk, [(chunk.element_ids[stay], weights[stay]), moved])
+    dest = _team_assignment(ctx, team, chunk, method, tolerance, where,
+                            remap_overlap, m)
+    return migrate(ctx, chunk, dest, team=team)
 
 
-def _team_assignment(ctx, team, chunk, weights, method, tolerance, where,
+def _team_assignment(ctx, team, chunk, method, tolerance, where,
                      remap_overlap, m) -> np.ndarray:
     """New owner of each local element, aligned with its ids: the rank's
     summary goes to the team leader, which runs the back-end on the union
@@ -467,12 +438,12 @@ def _team_assignment(ctx, team, chunk, weights, method, tolerance, where,
     gathered = aggregate(ctx, team, _codec.pack_blocks([
         _codec.pack_i64(ids),
         _codec.pack_f64(rows) if method == "rcb" else _codec.pack_i64(rows),
-        _codec.pack_f64([] if weights is None else weights),
+        _codec.pack_f64([] if chunk.weights is None else chunk.weights),
     ]))
     replies = None
     if gathered is not None:
         replies = _leader_assign(gathered, team, chunk.kind,
-                                 weights is not None, method, tolerance,
+                                 chunk.weights is not None, method, tolerance,
                                  where, remap_overlap, m)
     # The reply holds the new owners in the order of this rank's ids.
     return _codec.unpack_i64(cascade(ctx, team, replies))
@@ -545,12 +516,12 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
     (payloads move up to the bootstrap groups' leaders), ``bootstrap`` (the
     first split, across bootstrap leaders), then ``level<i>`` for the split
     that creates level-i groups.  ``weights`` is a float64 column aligned
-    with the chunk's element ids, a mapping from element id to weight, or
-    None for unit weights.  Returns this rank's final chunk and its element
-    weights in the same form: a column aligned with the final chunk, or a
-    dict in ascending id order.
+    with the chunk's element ids or a mapping from element id to weight,
+    and becomes the chunk's column; None keeps the chunk's own column (None
+    for unit weights).  Returns this rank's final chunk and its column in
+    the form given: the array itself, or a dict in ascending id order.
     """
-    given, weights = weights, _weight_column(chunk, weights)
+    given, chunk = weights, _with_weights(chunk, weights)
     bpl = plan.bootstrap_level
     my_group = tree.group_of(ctx.rank, bpl)
     splits = tree.n_levels - bpl
@@ -560,24 +531,17 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
     kind = chunk.kind
 
     ctx.set_phase("collect")
-    gathered = aggregate(ctx, my_group, _pack_payload(chunk, weights))
-    chunk, weights = MeshChunk.empty(kind), None
+    gathered = aggregate(ctx, my_group, _pack_payload(chunk))
+    chunk = MeshChunk.empty(kind)
     if gathered is not None:
-        parts = [_unpack_payload(p) for p in gathered]
-        chunk = merge_chunks(kind, [c for c, _ in parts])
-        has_w = [w is not None for _, w in parts]
-        if any(has_w):
-            if not all(has_w):
-                raise ValueError("weights given on some ranks but not all")
-            weights = _merged_weights(
-                chunk, [(c.element_ids, w) for c, w in parts])
+        chunk = merge_chunks(kind, map(_unpack_payload, gathered))
 
     # Every split gives each child group at least one element per leaf.
     ctx.set_phase("bootstrap")
     leaders = range(0, tree.total_ranks, tree.group_size(bpl))
     if ctx.rank in leaders:
-        chunk, weights = _team_partition(
-            ctx, leaders, chunk, weights, plan.method_for(0), plan.tolerance,
+        chunk = _team_partition(
+            ctx, leaders, chunk, plan.method_for(0), plan.tolerance,
             where="bootstrap split", m=tree.group_size(bpl))
 
     for level in range(bpl, tree.n_levels - 1):
@@ -598,15 +562,14 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
         if ctx.rank == kids[0]:
             if plan.approach == 2:
                 ids, rows = _summary(chunk, method)
-                part = _backend(kind, method, ids, rows, weights, len(kids),
-                                plan.tolerance, where, leaves)
+                part = _backend(kind, method, ids, rows, chunk.weights,
+                                len(kids), plan.tolerance, where, leaves)
                 subs = split_chunk(chunk, part, len(kids))
             else:
                 subs = split_contiguous(chunk, len(kids))
-            payloads = [_pack_payload(sub, _weights_of(sub, chunk, weights))
-                        for sub in subs]
-        chunk, weights = _unpack_payload(cascade(ctx, kids, payloads))
+            payloads = [_pack_payload(sub) for sub in subs]
+        chunk = _unpack_payload(cascade(ctx, kids, payloads))
         if plan.approach == 1:
-            chunk, weights = _team_partition(ctx, kids, chunk, weights, method,
-                                             plan.tolerance, where, m=leaves)
-    return chunk, _as_given(chunk, weights, given)
+            chunk = _team_partition(ctx, kids, chunk, method, plan.tolerance,
+                                    where, m=leaves)
+    return chunk, _as_given(chunk, given)

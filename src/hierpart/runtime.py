@@ -125,17 +125,6 @@ class TrafficLedger:
         return sum(row[4] for row in self._select(kinds, None, phase, None)
                    if row[2] == rank)
 
-    def pair_bytes(self, *, kinds=("msg", "acc"), phase=None, phase_prefix=None
-                   ) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for row in self._select(kinds, None, phase, phase_prefix):
-            key = (row[2], row[3])
-            out[key] = out.get(key, 0) + row[5]
-        return out
-
-    def phases(self) -> list[str]:
-        return sorted({ph for (_, ph, _, _) in self._records})
-
     def _grouped(self, key: Callable[[str, int, int], Any]
                  ) -> list[tuple[Any, dict[str, int]]]:
         """Counter rows summed over the records, grouped by ``key(phase, src, dst)``.

@@ -30,9 +30,6 @@ class TopologyTree:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def arity(self, level: int) -> int:
-        return self.levels[level][1]
-
     def level_name(self, level: int) -> str:
         return self.levels[level][0]
 
@@ -50,10 +47,14 @@ class TopologyTree:
         size = self.group_size(level)
         return range(index * size, (index + 1) * size)
 
+    def check_level(self, level: int, name: str = "level") -> None:
+        """Reject a level outside the tree; the message calls it ``name``."""
+        if not (0 <= level < self.n_levels):
+            raise ValueError(f"{name} {level} outside 0..{self.n_levels - 1}")
+
     def group_of(self, rank: int, level: int) -> range:
         """The ranks of ``rank``'s level-``level`` group, leader first."""
-        if not (0 <= level < self.n_levels):
-            raise ValueError(f"level {level} outside 0..{self.n_levels - 1}")
+        self.check_level(level)
         return self.group_members(level, self.group_index(rank, level))
 
     def same_node(self, a: int, b: int) -> bool:

@@ -462,6 +462,29 @@ def test_bad_level_exits_2(inputs):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb, flag", [("partition", "--bpl"),
+                                        ("rebalance", "--level")])
+@pytest.mark.parametrize("value", ["2", "-1"])
+def test_level_outside_the_tree_is_named_by_its_flag(inputs, capsys,
+                                                     monkeypatch, verb, flag,
+                                                     value):
+    # The tree's one level check runs before the ranks start.
+    def no_run(*args, **kwargs):
+        raise AssertionError("runtime started")
+
+    monkeypatch.setattr("hierpart.cli.Runtime", no_run)
+    args = [verb, "--mesh", str(inputs["mesh_path"]),
+            "--topo", str(inputs["topo_path"]),
+            "--out", str(inputs["tmp"] / "x"), flag, value]
+    if verb == "rebalance":
+        start = inputs["tmp"] / "start.json"
+        save_assignment(start, {e: e % 4 for e in inputs["mesh"].elements})
+        args += ["--assignment", str(start)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == \
+        f"input error: {flag} {value} outside 0..1\n"
+
+
 def test_timestamp_present_by_default(inputs):
     out = inputs["tmp"] / "stamped"
     code = main(["partition", "--mesh", str(inputs["mesh_path"]),

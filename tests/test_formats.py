@@ -110,7 +110,7 @@ def test_topology_round_trip(tmp_path):
     back = load_topology(path)
     assert back.total_ranks == 24
     assert [back.level_name(i) for i in range(3)] == ["node", "socket", "core"]
-    assert [back.arity(i) for i in range(3)] == [2, 3, 4]
+    assert [arity for _, arity in back.levels] == [2, 3, 4]
 
 
 def test_assignment_round_trip_and_checks(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -267,14 +268,15 @@ def test_unpack_chunk_gives_python_scalars(mesh):
 
 
 def test_unpack_payload_gives_python_scalars():
-    # The chunk's records are Python scalars; the weights come back as the
+    # The chunk's records are Python scalars; its weights come back as the
     # float64 column they were sent as.
     mesh = tet_box(2, 1, 1)
     weights = 1.5 + mesh.element_ids
-    chunk, back = _unpack_payload(_pack_payload(mesh, weights))
+    chunk = _unpack_payload(_pack_payload(replace(mesh, weights=weights)))
     assert_python_scalars(chunk)
+    back = chunk.weights
     assert back.dtype == np.float64 and back.tobytes() == weights.tobytes()
-    assert _unpack_payload(_pack_payload(mesh, None))[1] is None
+    assert _unpack_payload(_pack_payload(mesh)).weights is None
 
 
 # -- splitting -----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -370,7 +371,8 @@ def test_hierarchical_phases_labeled():
     mesh = triangle_grid(8, 4)
     tree = build_topology([("node", 2), ("core", 2)])
     _, rt = run_hierarchical(mesh, tree, HierarchicalPlan())
-    assert rt.ledger.phases() == sorted(["collect", "bootstrap", "level1"])
+    assert [row["phase"] for row in rt.ledger.phase_totals()] == \
+        sorted(["collect", "bootstrap", "level1"])
 
 
 def test_hierarchical_approach2_sub_levels_off_network():
@@ -439,7 +441,8 @@ def test_hierarchical_bootstrap_below_root():
     assert sorted(e for r in res for e in r.elements) == sorted(mesh.elements)
     # Leaf-level bootstrap degenerates to one flat split over all ranks: the
     # collect phase moves nothing and no per-level phases remain.
-    assert rt.ledger.phases() == ["bootstrap"]
+    assert [row["phase"] for row in rt.ledger.phase_totals()] == \
+        ["bootstrap"]
     sizes = [r.n_elements for r in res]
     assert max(sizes) - min(sizes) <= 2
 
@@ -516,13 +519,13 @@ def test_weighted_payload_adds_one_float_per_element():
     # The weights follow the chunk's own ascending id order, so a weighted
     # payload carries no second copy of the element ids.
     chunk = subset_chunk(tet_box(2, 2, 1), [9, 2, 5, 14, 0])
-    weights = 1.0 + chunk.element_ids / 4
-    plain = _pack_payload(chunk, None)
-    weighted = _pack_payload(chunk, weights)
-    assert len(weighted) - len(plain) == 8 * chunk.n_elements
-    back, back_w = _unpack_payload(weighted)
-    assert back == chunk and _unpack_payload(plain) == (chunk, None)
-    assert back_w.tolist() == [1.0 + e / 4 for e in (0, 2, 5, 9, 14)]
+    weighted = replace(chunk, weights=1.0 + chunk.element_ids / 4)
+    plain = _pack_payload(chunk)
+    packed = _pack_payload(weighted)
+    assert len(packed) - len(plain) == 8 * chunk.n_elements
+    back = _unpack_payload(packed)
+    assert back == weighted and _unpack_payload(plain) == chunk
+    assert back.weights.tolist() == [1.0 + e / 4 for e in (0, 2, 5, 9, 14)]
 
 
 @pytest.mark.parametrize("method", ["rcb", "graph"])
@@ -541,16 +544,14 @@ def test_leader_reply_is_one_owner_per_member_element(monkeypatch, method,
 
     monkeypatch.setattr(partition, "_leader_assign", spy)
     mesh = triangle_grid(6, 4)
+    if weighted:
+        mesh = replace(mesh, weights=1.0 + mesh.element_ids % 5)
     tree = build_topology([("node", 1), ("core", 3)])
-    ids = sorted(mesh.elements)
-    chunks = split_chunk(mesh, [0] * 5 + [1] * 17 + [2] * (len(ids) - 22), 3)
-    weights = {e: 1.0 + (e % 5) for e in ids} if weighted else None
+    n = mesh.n_elements
+    chunks = split_chunk(mesh, [0] * 5 + [1] * 17 + [2] * (n - 22), 3)
 
     def prog(ctx):
-        chunk = chunks[ctx.rank]
-        wgt = None if weights is None else \
-            np.array([weights[e] for e in chunk.element_ids.tolist()])
-        return _team_partition(ctx, range(3), chunk, wgt, method, 1.02,
+        return _team_partition(ctx, range(3), chunks[ctx.rank], method, 1.02,
                                where="test split")
 
     res = Runtime(tree, seed=0).run(prog)
@@ -559,4 +560,4 @@ def test_leader_reply_is_one_owner_per_member_element(monkeypatch, method,
     owners = [np.frombuffer(r, dtype="<i8").tolist() for r in replies]
     for chunk, dest in zip(chunks, owners):
         for e, d in zip(sorted(chunk.elements), dest):
-            assert e in res[d][0].elements
+            assert e in res[d].elements

@@ -332,7 +332,8 @@ def test_ledger_counts_messages_and_bytes_by_phase():
     assert rt.ledger.bytes_total(kinds=("msg",), phase="alpha") == 5
     assert rt.ledger.bytes_total(kinds=("msg",), phase="beta") == 3
     assert rt.ledger.message_count(phase="alpha") == 1
-    assert rt.ledger.phases() == ["alpha", "beta"]
+    assert [row["phase"] for row in rt.ledger.phase_totals()] == \
+        ["alpha", "beta"]
 
 
 def test_accumulate_ledger_four_bytes_each_and_self_free():

@@ -15,7 +15,7 @@ def test_build_topology_from_pairs():
     assert tree.total_ranks == 6
     assert tree.n_levels == 2
     assert tree.level_name(0) == "node"
-    assert tree.arity(1) == 3
+    assert tree.levels[1] == ("socket", 3)
 
 
 def test_build_topology_rejects_bad_arity():
@@ -82,6 +82,9 @@ def test_level_groups_rejects_bad_level():
         tree.group_of(0, 1)
     with pytest.raises(ValueError, match="level -1 outside 0..0"):
         tree.group_of(0, -1)
+    tree.check_level(0)
+    with pytest.raises(ValueError, match="^--bpl 1 outside 0..0$"):
+        tree.check_level(1, "--bpl")
 
 
 def test_child_leaders():
