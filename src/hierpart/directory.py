@@ -2,19 +2,28 @@
 
 Keys from a dense space [0, key_space) are spread over the participating
 ranks in closed-form contiguous blocks, so any rank can compute a key's
-owner without communication.  Inserts and lookups all ride on one
-rendezvous, ``blind_exchange``, built from ``blind_count`` plus
-point-to-point messages: no rank ever needs an all-to-all exchange to learn
-who talks to it.  Lookups then answer each asker with an addressed reply.
+owner without communication.  Every operation rides on one rendezvous,
+``blind_exchange``, built from ``blind_count`` plus point-to-point
+messages: no rank ever needs an all-to-all exchange to learn who talks to
+it.  Lookups then answer each asker with an addressed reply.
 
-The dictionary is a multimap: inserting the same key from several ranks
-keeps every value, ordered by source rank (then insertion order within a
-source), which keeps results independent of message arrival order.
+``co_holders`` is the whole survey in one such round: each rank sends its
+keys to their owners as int64 arrays, and each owner answers every sender
+with the other ranks that hold the same keys (the rendezvous of Plimpton,
+Hendrickson & Stewart, 2004).  ``mesh.find_shared_nodes`` uses it.
+
+``Directory`` is the byte-valued multimap (``build``, then ``query`` or
+``range_query``), which ``mesh.build_dual_graph`` uses: inserting the same
+key from several ranks keeps every value, ordered by source rank (then
+insertion order within a source), which keeps results independent of
+message arrival order.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import _codec
 from .runtime import ANY_SOURCE, RankContext, _normalize_team
@@ -79,6 +88,86 @@ def blind_exchange(ctx: RankContext, outgoing: dict[int, bytes],
     return received
 
 
+def _rendezvous(ctx: RankContext, team: tuple[int, ...],
+                requests: dict[int, bytes],
+                answer: Callable[[list[tuple[int, bytes]]], list[bytes]]
+                ) -> dict[int, bytes]:
+    """Send each owner its request, answer every asker, collect replies.
+
+    Collective over the team.  ``answer(received)`` gets the (source,
+    request) pairs that reached this rank, ascending by source, and returns
+    one reply for each; replies go out in that order, and the caller's own
+    stays local.  Returns the reply of every owner in ``requests``.
+    """
+    received = blind_exchange(ctx, requests, team=team)
+    replies: dict[int, bytes] = {}
+    for (source, _), reply in zip(received, answer(received)):
+        if source == ctx.rank:
+            replies[source] = reply
+        else:
+            ctx.send(source, reply, _TAG_REPLY)
+    for dest in sorted(requests):
+        if dest != ctx.rank:
+            replies[dest] = ctx.recv(source=dest, tag=_TAG_REPLY)[2]
+    return replies
+
+
+def co_holders(ctx: RankContext, keys: Sequence[int], key_space: int,
+               team: Sequence[int] | None = None) -> dict[int, list[int]]:
+    """The keys this rank holds together with each other rank.
+
+    Collective over the team, in one rendezvous: each rank sends its
+    distinct keys to their owners, one int64 array per owner; each owner
+    sorts the (key, source) pairs it received and answers every sender with
+    one int64 array of (key, other holder) pairs for that sender's keys.
+    Returns {other rank: ascending keys}; a key held by k ranks shows up in
+    every one of their pairwise lists.
+    """
+    team_t = _normalize_team(team, ctx.size)
+    if ctx.rank not in team_t:
+        raise ValueError(f"rank {ctx.rank} not in directory team {team_t}")
+    mine = np.unique(np.asarray(keys, dtype=np.int64))
+    outside = mine[(mine < 0) | (mine >= key_space)]
+    if len(outside):
+        raise KeyError(f"key {outside[0]} outside key space [0, {key_space})")
+    requests = {}
+    if len(mine):
+        P = len(team_t)
+        owners = np.minimum(mine // block_size(key_space, P), P - 1)
+        cuts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+        for o, part in zip(owners[np.r_[0, cuts]].tolist(), np.split(mine, cuts)):
+            requests[team_t[o]] = _codec.pack_i64(part)
+    replies = _rendezvous(ctx, team_t, requests, _match_holders)
+    # Owners in team order hold ascending key blocks, so this is key order.
+    pairs = _codec.unpack_i64(
+        b"".join(replies[dest] for dest in sorted(replies))).reshape(-1, 2)
+    pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
+    holders, starts = np.unique(pairs[:, 1], return_index=True)
+    return {h: part.tolist() for h, part in
+            zip(holders.tolist(), np.split(pairs[:, 0], starts[1:]))}
+
+
+def _match_holders(received: list[tuple[int, bytes]]) -> list[bytes]:
+    # Each source's (key, other holder) pairs, ascending by key, then holder.
+    sources = np.array([source for source, _ in received], dtype=np.int64)
+    counts = [len(blob) // 8 for _, blob in received]
+    keys = _codec.unpack_i64(b"".join(blob for _, blob in received))
+    order = np.argsort(keys, kind="stable")
+    keys, src = keys[order], np.repeat(sources, counts)[order]
+    # Pair every item i with each item j in its run of equal keys, i != j.
+    first = np.searchsorted(keys, keys, "left")
+    length = np.searchsorted(keys, keys, "right") - first
+    i = np.repeat(np.arange(len(keys)), length)
+    j = np.repeat(first - np.cumsum(length) + length, length) + np.arange(len(i))
+    i, j = i[i != j], j[i != j]
+    by_source = np.argsort(src[i], kind="stable")
+    i, j = i[by_source], j[by_source]
+    flat = np.stack([keys[i], src[j]], axis=1)
+    lo = np.searchsorted(src[i], sources, "left")
+    hi = np.searchsorted(src[i], sources, "right")
+    return [_codec.pack_i64(flat[a:b].ravel()) for a, b in zip(lo, hi)]
+
+
 class Directory:
     """Distributed multimap handle returned by :meth:`Directory.build`.
 
@@ -125,24 +214,10 @@ class Directory:
 
     def _rendezvous(self, requests: dict[int, bytes],
                     serve: Callable[[bytes], bytes]) -> dict[int, bytes]:
-        """Send each owner its request, answer every asker, collect replies.
-
-        Collective over the team.  ``serve(request) -> reply`` answers one
-        request from this rank's shard, for the caller itself and for remote
-        askers alike.  Returns the reply of every owner in ``requests``.
-        """
-        ctx = self._ctx
-        replies: dict[int, bytes] = {}
-        for source, request in blind_exchange(ctx, requests, team=self.team):
-            reply = serve(request)
-            if source == ctx.rank:
-                replies[source] = reply
-            else:
-                ctx.send(source, reply, _TAG_REPLY)
-        for dest in sorted(requests):
-            if dest != ctx.rank:
-                replies[dest] = ctx.recv(source=dest, tag=_TAG_REPLY)[2]
-        return replies
+        # ``serve(request) -> reply`` answers one request from this rank's
+        # shard, for the caller itself and for remote askers alike.
+        return _rendezvous(self._ctx, self.team, requests,
+                           lambda received: [serve(r) for _, r in received])
 
     def query(self, keys: Sequence[int]) -> dict[int, list[bytes]]:
         """Fetch value lists for the given keys; collective over the team.

@@ -34,7 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _codec
-from .directory import Directory, blind_exchange
+from .directory import Directory, blind_exchange, co_holders
 from .runtime import RankContext, _normalize_team
 
 log = logging.getLogger(__name__)
@@ -691,22 +691,13 @@ def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
                       team: Sequence[int] | None = None) -> dict[int, list[int]]:
     """Nodes this rank shares with each other rank; collective over the team.
 
-    Publishes (node -> this rank) into a directory and queries back the
-    sharer sets of local nodes.  Returns {other rank: sorted node ids}; a
-    node held by k ranks shows up in every one of their pairwise lists.
+    One rendezvous (``directory.co_holders``): each rank sends its node ids
+    to their owners in the node-id space, and each owner answers every
+    sender with the other ranks holding the same nodes.  Returns
+    {other rank: sorted node ids}; a node held by k ranks shows up in every
+    one of their pairwise lists.
     """
-    my_nodes = _unique(chunk.conn).tolist()
-    me = _codec.pack_one_i64(ctx.rank)
-    directory = Directory.build(ctx, [(n, me) for n in my_nodes], n_nodes,
-                                team=team)
-    sharers_raw = directory.query(my_nodes)
-    rows: dict[int, list[int]] = {}
-    for n in my_nodes:
-        sharers = sorted(map(_codec.unpack_one_i64, sharers_raw[n]))
-        for r in sharers:
-            if r != ctx.rank:
-                rows.setdefault(r, []).append(n)
-    return {r: sorted(ns) for r, ns in sorted(rows.items())}
+    return co_holders(ctx, _unique(chunk.conn), n_nodes, team)
 
 
 def _even_sizes(n: int, parts: int) -> list[int]:

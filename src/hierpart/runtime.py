@@ -14,12 +14,20 @@ by the same code, and a receive only matches messages of its own channel.
 ``RankContext`` implements every primitive; ``Runtime`` owns the threads, the
 scheduler and the state the ranks share.
 
+The scheduler keeps an ascending list of the ranks that can run and draws
+the next one from it.  A rank that blocks records what it waits for; the
+post that delivers a matching message, or the fence arrival that completes
+its window's epoch, puts it back on the list, so a yield costs nothing per
+idle rank.  Each rank thread parks on its own lock: the scheduler wakes a
+rank by releasing it.
+
 Deadlock is detected, not hung on: if every unfinished rank is blocked, the
 run aborts with a report naming each blocked rank and what it waits for.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 import threading
 from collections import deque
@@ -64,16 +72,18 @@ class Window:
 
     Accumulates are only legal inside an epoch, i.e. after the window's first
     fence.  A fence is a barrier over the member ranks; sums accumulated
-    before a fence are visible to the owner after it.
+    before a fence are visible to the owner after it.  ``waiting`` lists the
+    ranks parked on the current fence, which its completion readies.
     """
 
-    __slots__ = ("members", "cells", "generation", "arrived")
+    __slots__ = ("members", "cells", "generation", "arrived", "waiting")
 
     def __init__(self, members: tuple[int, ...]):
         self.members = members
         self.cells = {r: 0 for r in members}
         self.generation = 0
         self.arrived: set[int] = set()
+        self.waiting: list[int] = []
 
 
 class TrafficLedger:
@@ -237,6 +247,12 @@ class RankContext:
                 raise _Aborted()
             rt._inbox[dest].append(_Message(self.rank, tag, payload, channel))
             rt.ledger._bump(channel, self._phase, self.rank, dest, len(payload))
+            # A blocked destination waited for no queued message, so only
+            # this one can satisfy it.
+            wait = rt._wait[dest]
+            if wait is not None and wait[0] == channel and \
+               wait[1] in (ANY_SOURCE, self.rank) and wait[2] in (ANY_TAG, tag):
+                rt._ready_locked(dest)
         rt._yield_control(self.rank)
 
     def _take(self, source: int, tag: int, channel: str, consume: bool) -> _Message:
@@ -283,6 +299,9 @@ class RankContext:
             if len(win.arrived) == len(win.members):
                 win.arrived.clear()
                 win.generation += 1
+                for r in win.waiting:
+                    rt._ready_locked(r)
+                win.waiting.clear()
         rt._yield_control(self.rank, wait=(kind, win, gen0))
 
     def accumulate(self, window: Window, target: int, value: int = 1) -> None:
@@ -373,10 +392,15 @@ class Runtime:
         self._used = True
 
         P = self.size
-        self._events = [threading.Event() for _ in range(P)]
-        self._main_event = threading.Event()
+        # A rank parks by acquiring its own held lock; waking it releases it.
+        self._locks = [threading.Lock() for _ in range(P)]
+        for lock in self._locks:
+            lock.acquire()
         self._state = ["ready"] * P
         self._wait: list[tuple | None] = [None] * P
+        # The ranks that may run, ascending; the running rank stays on it.
+        self._ready = list(range(P))
+        self._done = 0
         # One mailbox per rank; each message records its channel.
         self._inbox: list[deque[_Message]] = [deque() for _ in range(P)]
         self._results: list[Any] = [None] * P
@@ -395,7 +419,7 @@ class Runtime:
             t.start()
         with self._mutex:
             self._dispatch_locked()
-        self._main_event.wait()
+        # Every thread ends: its rank finished, failed or was aborted.
         for t in threads:
             t.join()
 
@@ -414,8 +438,7 @@ class Runtime:
     def _rank_main(self, fn, ctx: RankContext) -> None:
         rank = ctx.rank
         # Wait to be scheduled for the first time.
-        self._events[rank].wait()
-        self._events[rank].clear()
+        self._locks[rank].acquire()
         if self._abort:
             return
         try:
@@ -431,7 +454,8 @@ class Runtime:
         with self._mutex:
             self._results[rank] = result
             self._state[rank] = "done"
-            self._wait[rank] = None
+            self._unready_locked(rank)
+            self._done += 1
             self._dispatch_locked()
 
     # -- scheduler ---------------------------------------------------------------
@@ -443,30 +467,32 @@ class Runtime:
             if wait is not None and not self._wait_satisfied(rank, wait):
                 self._state[rank] = "blocked"
                 self._wait[rank] = wait
-            else:
-                self._state[rank] = "ready"
-                self._wait[rank] = None
+                self._unready_locked(rank)
+                if wait[0] in ("fence", "barrier"):
+                    wait[1].waiting.append(rank)
             self._dispatch_locked()
-        self._events[rank].wait()
-        self._events[rank].clear()
+        self._locks[rank].acquire()
         if self._abort:
             raise _Aborted()
 
+    def _ready_locked(self, rank: int) -> None:
+        # Called by the post or the fence completion that satisfies the
+        # blocked rank's wait.  Conditions are monotone (messages only
+        # appear, generations only grow), so it stays runnable until it
+        # consumes the event itself.
+        self._state[rank] = "ready"
+        self._wait[rank] = None
+        bisect.insort(self._ready, rank)
+
+    def _unready_locked(self, rank: int) -> None:
+        del self._ready[bisect.bisect_left(self._ready, rank)]
+
     def _dispatch_locked(self) -> None:
-        # Wake any blocked rank whose condition now holds.  Conditions are
-        # monotone (messages only appear, generations only grow), so a rank
-        # readied here stays runnable until it consumes the event itself.
-        for r in range(self.size):
-            if self._state[r] == "blocked" and self._wait_satisfied(r, self._wait[r]):
-                self._state[r] = "ready"
-                self._wait[r] = None
-        ready = [r for r in range(self.size) if self._state[r] == "ready"]
+        ready = self._ready
         if ready:
-            nxt = ready[self._rng.randrange(len(ready))]
-            self._events[nxt].set()
+            self._locks[ready[self._rng.randrange(len(ready))]].release()
             return
-        if all(s == "done" for s in self._state):
-            self._main_event.set()
+        if self._done == self.size:
             return
         # Everyone alive is blocked: deadlock.
         self._deadlock = self._deadlock_report_locked()
@@ -474,9 +500,9 @@ class Runtime:
 
     def _abort_locked(self) -> None:
         self._abort = True
-        for ev in self._events:
-            ev.set()
-        self._main_event.set()
+        for lock in self._locks:
+            if lock.locked():
+                lock.release()
 
     def _deadlock_report_locked(self) -> BaseException:
         lines = []

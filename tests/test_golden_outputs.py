@@ -256,7 +256,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            '436b9340c2e65ab6bbadf4eb18ce5cc84312258ccb659184c888b8505cd2a5a8',
+            '92d8e56ffc969054ff21aaf59d625eb44033ca5e7daffa790c1bb533700afc80',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -266,13 +266,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            '83b13c22cba767957edfbc090d3fc7b68be9de733c28331fde92849ebfda8cab',
+            '71449b84d4fe04782445587552540aef956fd6ac31030cd6283b95134d9e6676',
     },
     'partition-topo_2x2-rcb-a2': {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            '13dfcdca64822bca4ea58c6110433e5d2854ec1ed1e19035dd0be89ff1c61ccb',
+            'b980d0fad690096d07f1d749a3976c568a8dea8f35d95a2bda5f3113042a1684',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -282,13 +282,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            '9b91e5580683c7d8dee910d73ffde77267321d9e795faf5b2ba1cc6757b53533',
+            'df4745ffe24da11245c6ea10bc7bf643bcf0a3aad9ccf7ba6e63f8dd3d1246e3',
     },
     'partition-topo_2x2-graph-a1': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            '0fc92e0df43d2fb6d227d51c61e0839ae086006861904a0c941cd7aac8b8552e',
+            '195504ef7690a7533bb53b18df59ec3ea4accaa2a754ba17dfe183575e5206cb',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -298,13 +298,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            'a31bb5e02674d0c5458874f09504b3b2765ff540ea4589bd68ce41916c65ddbe',
+            '258b2969bb44364c9db0c20443983ac596eab3f78e8bb14cfaab9fb2fae83a29',
     },
     'partition-topo_2x2-graph-a2': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            'd030344bea7b811e55b4ad1873e9ea8504c314a8c21bcde737ff81e75ef4b761',
+            'f7d2ca36992947056436904c28645b5a4304fa0170da2ea73a910f42aa169faa',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -314,13 +314,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '09490708ef8897bcf4331a63475ad62ded00b2e609e5647fff3f8e9d13f19239',
+            '19e3bd73b75c2816c6db4381004b79d3707b6d16cd2f2be1e7440125fecd98d8',
     },
     'partition-topo_2x2-graph,rcb-a1': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '0ff4a4c0e6b6b48f2f2dca2ae0cd5f4be29e057870e91cd7cc668b064ee3301c',
+            'dca4517892395d73289f9c52676171b196224b28bb2a62dd506bd3cddf89c9ec',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -330,13 +330,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            '31395efe0d8fb1f97aa721619e15b06b94ab2c43e0886c803099fdf89646b755',
+            '34c43747a90c72b109252c49e28cc73d97e4e9e12144533e1353f38443c207fc',
     },
     'partition-topo_2x2-graph,rcb-a2': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '2111aecd11e903727c1b56d130d2c059e575eb594eb76076dcee99ab6d694648',
+            '2957ce734b4b4c85ded651c34cdd9a9701234ab79c5febbc36ebdd1189f6aaeb',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -346,13 +346,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            'de361371fb6f228b5e39bf02de7c04aad52a6d7f44d8c6d569fc15e81e40cbf9',
+            'e432c4d7976e5ee22c60d51fdf795623a330c0144bc69e63e30b39765ccd992a',
     },
     'partition-topo_2x2x2-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '12901b48ff06f92b2156d1072fb9600aa8dde64d1bb4e22d4e4375e98142dfe2',
+            '0e6cd327e96d1c5b0025ac916261a025c2600cbde1d524c185ad77c3980620fe',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -370,13 +370,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'e93baf361206b7acacaa3235f65f26cdfc2bdabac726810a1e3ab7d404a0007d',
+            '8c66c380a1b668778cb47827dd1fe86ffeaeb8ccbb35e46050b2019ee17094c8',
     },
     'partition-topo_2x2x2-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '5a99bcdd1b058d6ee6bdaf9b8609111bb128ac3b7ad7aa336e1d921e491771b6',
+            '69b75d38da7b5652e26859843f756621ff9b31edf01858f79349859087f923d3',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -394,13 +394,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'a48baf470354bdc61f75368c1476c412fd462efa5ac9d11eeb9e48bd37155159',
+            '7414af0de8247c08d2def3a4f7c332f0b6fd3f490ad8916c300aae1628cb7f4f',
     },
     'partition-topo_2x2x2-graph-a1': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            '93d1052c350c7de16b8e15f9e8f04bba45181d448363e2b9d4968c6df95f5f0c',
+            '33f2ee802bcb6689e88bc79de8cb4e5a8d10f5dd18750ece909ac92d97c8d962',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -418,13 +418,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            'dbc8a31e9175ca3b101fa1f09786cfac634321db9ed4931242cb5a63f0770324',
+            'deda9b6019de2aed91c6d35630bb5f805b37134bdd4f4099363f1b8d07c8fbf8',
     },
     'partition-topo_2x2x2-graph-a2': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            '1aff953c0381a3306c0a071e67767430ba01da9f28484bf170a231e0c725b5a0',
+            'c1cbdcb6b5433e8a97583edc0b51139da2ab9adfe4e311b8bf3c752d9842fa3d',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -442,13 +442,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            'da7558cf38bbbbabbe42e9e48be3bd78bcf6302a901c64cf1c37955d3424d4a2',
+            'dcfe66bfc6320cc71db2e2b261688181a894464074d34f146fd56e1c9d94f4b6',
     },
     'partition-topo_2x2x2-graph,rcb-a1': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            'd5772b543c3897d299c6ac0dddc4d6a95e77b40bf190ad4781917cfaf517b2fb',
+            '3596e1595c7037da1742fd6e601f89653d9792377104942610d8bc1cf5a13633',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -466,13 +466,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            '40f38b28d9f1dd88d085ff4016a654ba6919e8cd87b8c99c6b647edf497fc46c',
+            'c264954e03d1c4ffbde2cb07a975e955c324dc283570c71dcb995e4c402da0b0',
     },
     'partition-topo_2x2x2-graph,rcb-a2': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            '3539eefd870fd2b3792ca1161d029f50617ca46a7716e95e0a76e34ab29bfbe2',
+            'ab55ae5807ae4256583c360f227882cd928231f991469415bb7e23be4393ce38',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -490,7 +490,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            '722bb7831d166c30591a7b738a4036e7c57eb5a09a1cb287eaf62c42cddcb13d',
+            '88b45d40db68191c4fc09d0cfc1cfd3b2a527b1c815f24bb71c5ceca38bb5d9a',
     },
     'rebalance-rcb': {
         'assignment.json':
@@ -514,15 +514,15 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     'metrics': {
         'levels.csv':
-            '0a507e7c96bea2e264966de554b6bc05a87fa6d02ea84753cb5f80f162593eb0',
+            'a744f383ffd4fdbfa07cd97d0b930e82e62cbec3f1be6a98a5cbb6a70a686573',
         'report.json':
-            '97892dc7241bc360aed027334254a642c6cd1e6dc8be6464053be33279f31687',
+            '8c4d470b178a7284df3cfb83cd361f1471803e6fd3025b241dfff6e42755d61d',
     },
     'tet-partition-rcb': {
         'assignment.json':
             'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
         'levels.csv':
-            '6cf5be40e5d0423fbabd79e2511fb0518f5b0030a3cfc201ab54164745a3eef0',
+            'be398b9185dc775afccdfeb774aae325f44afb2f9c5b85046991572d1d964fe4',
         'part-0000.json':
             'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
         'part-0001.json':
@@ -540,7 +540,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
         'report.json':
-            '12bb4dc27f4ce782e008ba293aeea9f472d6c4a7f13830f9a4d920cfcb57e56b',
+            'd38ed9f56085b310d9be8f47df2a9ebab1e964b14ef73a3989bfd5ed1196950a',
     },
     'tet-rebalance-rcb': {
         'assignment.json':
@@ -556,7 +556,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '51902c91d3d220381cf7be645b9e3847b32994ad9e4dbcb1d24bf477e621eaf9',
+            '390435b0879191659213975c4d386ff1bcd990e2cd2fe0c51f14dc1e6ae7d6a3',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -574,13 +574,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '1daa6a1e1d4127ecc970c9e11394cb8c2d690c81a43b62e0cfc05d32e8c045f3',
+            '5dcb5aecc09568d3ba23a577e7503f44c9fe75336e961422ecc6ab75f574ef62',
     },
     'frac-partition-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'de9e6a924b4eb3f97a00158464566eae0fc0188607521af85dc3d3c9760282fe',
+            '59b6009f9f95d1d72628f3a3f65992d9a0e0644c108e5e3a5972c945933fc907',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -598,13 +598,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'eb10fcc9ecc6d8d1b2cb6243da4348038db98e4f03374e13953173f519a6bedc',
+            'baf772cdce690cf46594a7a77da661a55d8ffda6a6d6fb1f022ec37a25eb9cfb',
     },
     'frac-partition-graph-a1': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            '2f10c58dc19d5bc688ba223c7df9661f1fce46047c026e22a3c25bdac774b3b0',
+            'cee6e035e30396fdaefbfa91fce81d03e7ec6f73a671337e030b2502b4569da2',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -622,13 +622,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'd96bca0e7d1ce16b7ac1cec8872938e1506d8868d882fa1b3f86ba0c65ca751a',
+            'ee3ebfa0b88940eb695a7820bdb2bf000f8578d39885a42ea2fd123ffae73748',
     },
     'frac-partition-graph-a2': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            '33b14d857b98a9dbb657458c6f1784091439bf2dddf25faa52b920e9f1c523a3',
+            '3332ebda6ecf6bcf162a340e2784cb8316e0d2ccfea799607a46bc748c17c7a9',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -646,7 +646,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'b7061382a8e0da1290c3aa325857e0193a252935568ff5816f1cb2ea27220dca',
+            'b5070d14f26df1baddcd1d92ae0dba57343a820a543b2622eb5647f274b9d2cf',
     },
     'frac-rebalance-rcb-l0': {
         'assignment.json':
@@ -690,15 +690,15 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     'frac-metrics': {
         'levels.csv':
-            '0a507e7c96bea2e264966de554b6bc05a87fa6d02ea84753cb5f80f162593eb0',
+            'a744f383ffd4fdbfa07cd97d0b930e82e62cbec3f1be6a98a5cbb6a70a686573',
         'report.json':
-            '5488beb4939a5d577ca83fde8c87f1cfc8252a6a0ff2686c8aa90b613289ac3f',
+            '84e4f4b1ade8ea4a0ec93c3da3afb8ff3d87125ec028c2a2b9a86b6fba5c680e',
     },
     'timing-partition': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'de9e6a924b4eb3f97a00158464566eae0fc0188607521af85dc3d3c9760282fe',
+            '59b6009f9f95d1d72628f3a3f65992d9a0e0644c108e5e3a5972c945933fc907',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -716,7 +716,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'b08c98431e60329237dae501d21334a3180219e91fe03dbf2ad99f12ac90697f',
+            '09be55f4b53c605e4b9e0d3799e4ad12524ec0f16fd9ceac37d1eda28fbd66a5',
     },
 }
 

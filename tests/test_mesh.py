@@ -19,7 +19,7 @@ from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
                            unpack_chunk, build_dual_graph,
                            exchange_keyed_values)
 from hierpart import mesh as mesh_module
-from hierpart.directory import blind_exchange
+from hierpart.directory import blind_exchange, block_size, co_holders
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.partition import _pack_payload, _unpack_payload
 from hierpart.runtime import Runtime
@@ -487,6 +487,87 @@ def test_find_shared_nodes_matches_oracle():
 
     res = Runtime(tree_of(4), seed=2).run(prog)
     assert res == [expect[r] for r in range(4)]
+
+
+@st.composite
+def shared_node_cases(draw):
+    """A small triangle or tet mesh, a team of ranks and random owners."""
+    if draw(st.booleans()):
+        mesh = triangle_grid(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    else:
+        mesh = tet_box(*(draw(st.integers(1, 3)) for _ in range(3)))
+    p = draw(st.integers(1, 16))
+    team = draw(st.lists(st.integers(0, p - 1), min_size=1, unique=True))
+    owner = draw(st.lists(st.sampled_from(team), min_size=mesh.n_elements,
+                          max_size=mesh.n_elements))
+    passed = None if len(team) == p and draw(st.booleans()) else team
+    return mesh, p, passed, split_chunk(mesh, owner, p)
+
+
+def remote_rendezvous_traffic(chunks, team, n_nodes):
+    """Oracle: (messages, bytes) co_holders must put on the ledger."""
+    team = sorted(team)
+    bs = block_size(n_nodes, len(team))
+    holders: dict[int, set[int]] = {}
+    for r in team:
+        for n in set(chunks[r].conn.ravel().tolist()):
+            holders.setdefault(n, set()).add(r)
+    pairs = published = replied = 0
+    for r in team:
+        nodes = set(chunks[r].conn.ravel().tolist())
+        owners = {n: team[min(n // bs, len(team) - 1)] for n in nodes}
+        remote = {n for n in nodes if owners[n] != r}
+        pairs += len({owners[n] for n in remote})
+        published += len(remote)
+        replied += sum(len(holders[n]) - 1 for n in remote)
+    # A request and a reply per (rank, remote owner) pair, 8 bytes per
+    # published key, 16 per replied (key, holder) pair, and one blind_count
+    # accumulate per pair.
+    return 2 * pairs, 8 * published + 16 * replied + 4 * pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shared_node_cases(), seed=st.integers(0, 3))
+def test_find_shared_nodes_matches_oracle_on_random_owners(case, seed):
+    mesh, p, team, chunks = case
+    members = range(p) if team is None else team
+    n_nodes = int(mesh.node_ids[-1]) + 1
+    expect = node_sharers(chunks)
+
+    def prog(ctx):
+        ctx.set_phase("shared_nodes")
+        if ctx.rank in members:
+            return find_shared_nodes(ctx, chunks[ctx.rank], n_nodes, team=team)
+        return None
+
+    rt = Runtime(tree_of(p), seed=seed)
+    res = rt.run(prog)
+    for r in range(p):
+        assert res[r] == (expect[r] if r in members else None)
+    messages, nbytes = remote_rendezvous_traffic(chunks, members, n_nodes)
+    assert rt.ledger.message_count(phase="shared_nodes") == messages
+    assert rt.ledger.bytes_total(phase="shared_nodes") == nbytes
+
+
+def test_co_holders_error_texts_unchanged():
+    def outside(ctx):
+        co_holders(ctx, [3, 12, -1, 40], 10)
+
+    with pytest.raises(KeyError, match=r"key -1 outside key space \[0, 10\)"):
+        Runtime(tree_of(2), seed=0).run(outside)
+
+    def beyond(ctx):
+        co_holders(ctx, [3, 40, 12], 10)
+
+    with pytest.raises(KeyError, match=r"key 12 outside key space \[0, 10\)"):
+        Runtime(tree_of(2), seed=0).run(beyond)
+
+    def not_member(ctx):
+        co_holders(ctx, [1], 10, team=(0, 1))
+
+    with pytest.raises(ValueError,
+                       match=r"rank 2 not in directory team \(0, 1\)"):
+        Runtime(tree_of(3), seed=0).run(not_member)
 
 
 def test_migrate_round_robin_conserves_mesh():

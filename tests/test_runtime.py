@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -406,3 +409,192 @@ def test_ledger_locality_split():
 def test_results_ordered_by_rank():
     res = Runtime(TREE4, seed=9).run(lambda ctx: ctx.rank * 10)
     assert res == [0, 10, 20, 30]
+
+
+# -- interleaving golden hashes ---------------------------------------------------
+#
+# The scheduler's draw must stay a pure function of the seed: each program
+# logs (rank, step) after every primitive, and the hash of that log pins the
+# exact interleaving a seed gives.  A scheduler change that readies the same
+# ranks at the same yields reproduces every hash.
+
+TREE32 = build_topology([("node", 4), ("socket", 2), ("core", 4)])
+
+
+def _log_hash(log: list[tuple[int, str]]) -> str:
+    return hashlib.sha256(repr(log).encode()).hexdigest()
+
+
+def _mixed_program(log):
+    def prog(ctx):
+        r, p = ctx.rank, ctx.size
+        buddy = r ^ 1  # same core pair, so same node
+        ring = (r + 1) % p
+        ctx.send(ring, bytes([r]), tag=1)
+        log.append((r, "send"))
+        src, _, _ = ctx.recv(source=ANY_SOURCE, tag=1)
+        log.append((r, f"recv {src}"))
+        ctx.send((r + 3) % p, b"pp", tag=2)
+        log.append((r, "send 2"))
+        src, _, nbytes = ctx.probe(source=ANY_SOURCE, tag=2)
+        log.append((r, f"probe {src} {nbytes}"))
+        ctx.recv(source=src, tag=2)
+        log.append((r, "recv 2"))
+        ctx.copy_to(buddy, b"c" * (r % 3 + 1), tag=3)
+        log.append((r, "copy_to"))
+        ctx.copy_from(buddy, tag=3)
+        log.append((r, "copy_from"))
+        ctx.barrier(team=ctx.tree.group_of(r, 0))
+        log.append((r, "node barrier"))
+        targets = [(r * 5 + k) % p for k in range(r % 4)]
+        n = ctx.blind_count(targets)
+        log.append((r, f"blind_count {n}"))
+        for t in targets:
+            ctx.send(t, b"b", tag=4)
+        for _ in range(n):
+            src, _, _ = ctx.recv(source=ANY_SOURCE, tag=4)
+            log.append((r, f"drain {src}"))
+        ctx.barrier(team=ctx.tree.group_of(r, 1))
+        log.append((r, "socket barrier"))
+
+    return prog
+
+
+def _blind_rounds_program(log, rounds=5):
+    def prog(ctx):
+        r, p = ctx.rank, ctx.size
+        for i in range(rounds):
+            n = ctx.blind_count([(r * (i + 3) + k) % p for k in range(3)])
+            log.append((r, i, n))
+
+    return prog
+
+
+MIXED_P32_HASHES = [
+    'eda6ad94c4467d36cd96db79964a38e908f8f34ffef55d26a06d222d95395a22',
+    'b3c5db1c075fff800e41682b8613a5903b6dbc0f1a45bb9ba44b315cbf38fbac',
+    'd9e7c1825df299b8f05f897d0c0050a9d79e0a4e9363be24b1527478299a65b4',
+    '75f4126f46e7c0e19d0e758d1d87e9f6645aca992c9f2c505a7a0d27cf337e10',
+    '218515b4e775b16c77d82d8fb37a8860bc65cfb8723914f36cf95e963746f86e',
+]
+BLIND_P256_HASHES = [
+    '5a25a651b5e4f1a66823645bfa34feb497cada4d012bdcb30df83cd3c49ee8e0',
+    '0f5bdfc8bf92ea9e4503a5a4d9c1e594874548b2247b5c1533cea35034ffa117',
+    'd62f2ff3c8b67b1cbd456c646e63f4f2ac4e131dd293748d48dbc5d649f22fb7',
+    '4e1300b924bca8e45d56579b47c70f6042fa9df7916386ff04b5f95f59ac4418',
+    'ab023fccd390d3c6f8f368a2b36339450d5b05826c2c9a0d5fb5ab29f0bfa53a',
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mixed_program_interleaving_is_pinned(seed):
+    log: list = []
+    Runtime(TREE32, seed=seed).run(_mixed_program(log))
+    assert _log_hash(log) == MIXED_P32_HASHES[seed]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_blind_count_rounds_interleaving_is_pinned(seed):
+    log: list = []
+    Runtime(tree_of(256), seed=seed).run(_blind_rounds_program(log))
+    assert _log_hash(log) == BLIND_P256_HASHES[seed]
+
+
+def test_interleaving_holds_under_a_short_switch_interval():
+    # Rank threads hand over through their own locks; with the interpreter
+    # switching threads every microsecond a lost or doubled wake-up would
+    # hang the run or change the pinned order.
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        log: list = []
+        runner = threading.Thread(
+            target=lambda: Runtime(TREE32, seed=3).run(_mixed_program(log)))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "Runtime.run did not return"
+    finally:
+        sys.setswitchinterval(old)
+    assert _log_hash(log) == MIXED_P32_HASHES[3]
+
+
+# -- abort paths ------------------------------------------------------------------
+#
+# Each run goes on its own thread under a join timeout, so a lost wake-up
+# fails the test instead of hanging it; afterwards no rank thread may be
+# left alive.
+
+
+def _run_to_error(tree, prog, seed) -> BaseException:
+    box: dict[str, BaseException] = {}
+
+    def target():
+        try:
+            Runtime(tree, seed=seed).run(prog)
+        except BaseException as exc:  # noqa: BLE001 - inspected below
+            box["error"] = exc
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "Runtime.run did not return"
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("rank-")]
+    return box["error"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_abort_after_rank_exception(seed):
+    def prog(ctx):
+        # Ranks block on a barrier, a receive and a fence when rank 5 fails.
+        if ctx.rank == 5:
+            ctx.send(6, b"x")
+            raise RuntimeError("boom on rank 5")
+        if ctx.rank == 6:
+            ctx.recv(source=5)
+        if ctx.rank == 7:
+            ctx.recv(source=0, tag=3)
+        ctx.barrier()
+
+    err = _run_to_error(TREE32, prog, seed)
+    assert type(err) is RuntimeError and str(err) == "boom on rank 5"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_abort_after_deadlock(seed):
+    def prog(ctx):
+        if ctx.rank == 0:
+            ctx.recv(source=1, tag=99)
+        elif ctx.rank == 2:
+            ctx.copy_from(3, tag=4)
+        elif ctx.rank == 3:
+            ctx.probe(source=ANY_SOURCE, tag=ANY_TAG)
+
+    err = _run_to_error(TREE4, prog, seed)
+    assert type(err) is DeadlockError
+    assert str(err) == (
+        "no runnable rank; blocked state:\n"
+        "  rank 0: blocked on recv(source=1, tag=99)\n"
+        "  rank 1: finished\n"
+        "  rank 2: blocked on copy_from(source=3, tag=4)\n"
+        "  rank 3: blocked on recv(source=any, tag=any)")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_abort_after_fence_mismatch(seed):
+    def prog(ctx):
+        win = ctx.window(team=(0, 1, 2))
+        if ctx.rank < 3:
+            ctx.fence(win)
+            if ctx.rank != 1:
+                ctx.fence(win)  # rank 1 already finished
+
+    err = _run_to_error(TREE4, prog, seed)
+    assert type(err) is EpochError
+    assert str(err) == (
+        "mismatched fence counts across ranks; "
+        "no runnable rank; blocked state:\n"
+        "  rank 0: blocked on fence(window members=[0, 1, 2])\n"
+        "  rank 1: finished\n"
+        "  rank 2: blocked on fence(window members=[0, 1, 2])\n"
+        "  rank 3: finished")
