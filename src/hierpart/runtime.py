@@ -72,18 +72,16 @@ class Window:
 
     Accumulates are only legal inside an epoch, i.e. after the window's first
     fence.  A fence is a barrier over the member ranks; sums accumulated
-    before a fence are visible to the owner after it.  ``waiting`` lists the
-    ranks parked on the current fence, which its completion readies.
+    before a fence are visible to the owner after it.
     """
 
-    __slots__ = ("members", "cells", "generation", "arrived", "waiting")
+    __slots__ = ("members", "cells", "generation", "arrived")
 
     def __init__(self, members: tuple[int, ...]):
         self.members = members
         self.cells = {r: 0 for r in members}
         self.generation = 0
         self.arrived: set[int] = set()
-        self.waiting: list[int] = []
 
 
 class TrafficLedger:
@@ -299,9 +297,10 @@ class RankContext:
             if len(win.arrived) == len(win.members):
                 win.arrived.clear()
                 win.generation += 1
-                for r in win.waiting:
-                    rt._ready_locked(r)
-                win.waiting.clear()
+                # Every other member arrived earlier and is parked here.
+                for r in win.members:
+                    if r != self.rank:
+                        rt._ready_locked(r)
         rt._yield_control(self.rank, wait=(kind, win, gen0))
 
     def accumulate(self, window: Window, target: int, value: int = 1) -> None:
@@ -468,8 +467,6 @@ class Runtime:
                 self._state[rank] = "blocked"
                 self._wait[rank] = wait
                 self._unready_locked(rank)
-                if wait[0] in ("fence", "barrier"):
-                    wait[1].waiting.append(rank)
             self._dispatch_locked()
         self._locks[rank].acquire()
         if self._abort:
