@@ -2,9 +2,8 @@
 
 Messages on the simulated network are raw bytes; these helpers give the
 protocols a compact, deterministic packed form (little-endian int64/float64
-arrays with explicit length framing).  A single int64 shipped on its own
-(one rank, one element id) packs through a ``struct`` into the same 8 bytes
-a one-element array gives, without building an array.
+arrays with explicit length framing).  A single int64 read on its own (a
+kind code or a flag) unpacks through a ``struct`` to a Python int.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ def pack_f64(values: Iterable[float]) -> bytes:
 
 def unpack_f64(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=_F64)
-
-
-# One value: the bytes of pack_i64([x]), and back to a Python int.
-pack_one_i64 = _LEN.pack
 
 
 def unpack_one_i64(data: bytes) -> int:

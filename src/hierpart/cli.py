@@ -123,15 +123,18 @@ def _load_weight_input(args, mesh: MeshChunk) -> np.ndarray | None:
     if args.weights and args.timing:
         raise UsageError("--weights and --timing are mutually exclusive")
     if args.timing:
-        source = "timing data"
-        table = derive_weights(load_timing(args.timing),
-                               elements=mesh.element_ids.tolist())
+        path, source = args.timing, "timing data"
+        try:
+            table = derive_weights(load_timing(path),
+                                   elements=mesh.element_ids.tolist())
+        except ValueError as err:
+            raise FormatError(path, str(err)) from err
         ids = id_array(list(table))
         weights = np.fromiter(table.values(), dtype=np.float64,
                               count=len(table))
     elif args.weights:
-        source = "weights"
-        ids, weights = read_weights(args.weights)
+        path, source = args.weights, "weights"
+        ids, weights = read_weights(path)
     else:
         return None
     order = np.argsort(ids, kind="stable")
@@ -143,8 +146,8 @@ def _load_weight_input(args, mesh: MeshChunk) -> np.ndarray | None:
     what, bad = ("missing for", elements - keys) if elements - keys else \
         ("given for unknown", keys - elements)
     bad = sorted(bad)
-    raise ValueError(f"{source} {what} elements {bad[:5]}"
-                     + ("..." if len(bad) > 5 else ""))
+    raise FormatError(path, f"{source} {what} elements {bad[:5]}"
+                      + ("..." if len(bad) > 5 else ""))
 
 
 def _check_assignment(ids: np.ndarray, parts: np.ndarray, mesh: MeshChunk,

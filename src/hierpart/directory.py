@@ -7,16 +7,16 @@ owner without communication.  Every operation rides on one rendezvous,
 messages: no rank ever needs an all-to-all exchange to learn who talks to
 it.  Lookups then answer each asker with an addressed reply.
 
-``co_holders`` is the whole survey in one such round: each rank sends its
-keys to their owners as int64 arrays, and each owner answers every sender
-with the other ranks that hold the same keys (the rendezvous of Plimpton,
-Hendrickson & Stewart, 2004).  ``mesh.find_shared_nodes`` uses it.
+``_ask_owners`` is one such round of int64 arrays (the rendezvous of
+Plimpton, Hendrickson & Stewart, 2004): rows go to the owners of their
+first keys, and each owner answers every sender with pairs, as a rule the
+items of each run of equal keys (``_run_pairs``).  ``co_holders`` (the
+shared-key survey) and ``mesh.build_dual_graph`` are such rounds.
 
 ``Directory`` is the byte-valued multimap (``build``, then ``query`` or
-``range_query``), which ``mesh.build_dual_graph`` uses: inserting the same
-key from several ranks keeps every value, ordered by source rank (then
-insertion order within a source), which keeps results independent of
-message arrival order.
+``range_query``): inserting the same key from several ranks keeps every
+value, ordered by source rank (then insertion order within a source),
+which keeps results independent of message arrival order.
 """
 
 from __future__ import annotations
@@ -116,56 +116,83 @@ def co_holders(ctx: RankContext, keys: Sequence[int], key_space: int,
                team: Sequence[int] | None = None) -> dict[int, list[int]]:
     """The keys this rank holds together with each other rank.
 
-    Collective over the team, in one rendezvous: each rank sends its
-    distinct keys to their owners, one int64 array per owner; each owner
-    sorts the (key, source) pairs it received and answers every sender with
-    one int64 array of (key, other holder) pairs for that sender's keys.
-    Returns {other rank: ascending keys}; a key held by k ranks shows up in
-    every one of their pairwise lists.
+    Collective over the team, in one ``_ask_owners`` round: each rank sends
+    its distinct keys to their owners, and each owner answers with (key,
+    other holder) pairs.  Returns {other rank: ascending keys}; a key held
+    by k ranks shows up in every one of their pairwise lists.
     """
-    team_t = _normalize_team(team, ctx.size)
-    if ctx.rank not in team_t:
-        raise ValueError(f"rank {ctx.rank} not in directory team {team_t}")
     mine = np.unique(np.asarray(keys, dtype=np.int64))
-    outside = mine[(mine < 0) | (mine >= key_space)]
-    if len(outside):
-        raise KeyError(f"key {outside[0]} outside key space [0, {key_space})")
-    requests = {}
-    if len(mine):
-        P = len(team_t)
-        owners = np.minimum(mine // block_size(key_space, P), P - 1)
-        cuts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
-        for o, part in zip(owners[np.r_[0, cuts]].tolist(), np.split(mine, cuts)):
-            requests[team_t[o]] = _codec.pack_i64(part)
-    replies = _rendezvous(ctx, team_t, requests, _match_holders)
     # Owners in team order hold ascending key blocks, so this is key order.
-    pairs = _codec.unpack_i64(
-        b"".join(replies[dest] for dest in sorted(replies))).reshape(-1, 2)
+    pairs = _ask_owners(ctx, mine, key_space, team, _match_holders)
     pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
     holders, starts = np.unique(pairs[:, 1], return_index=True)
     return {h: part.tolist() for h, part in
             zip(holders.tolist(), np.split(pairs[:, 0], starts[1:]))}
 
 
-def _match_holders(received: list[tuple[int, bytes]]) -> list[bytes]:
-    # Each source's (key, other holder) pairs, ascending by key, then holder.
-    sources = np.array([source for source, _ in received], dtype=np.int64)
-    counts = [len(blob) // 8 for _, blob in received]
-    keys = _codec.unpack_i64(b"".join(blob for _, blob in received))
+def _match_holders(src: np.ndarray, keys: np.ndarray) -> tuple:
+    # Each key with each other holder of it.
     order = np.argsort(keys, kind="stable")
-    keys, src = keys[order], np.repeat(sources, counts)[order]
-    # Pair every item i with each item j in its run of equal keys, i != j.
-    first = np.searchsorted(keys, keys, "left")
-    length = np.searchsorted(keys, keys, "right") - first
-    i = np.repeat(np.arange(len(keys)), length)
-    j = np.repeat(first - np.cumsum(length) + length, length) + np.arange(len(i))
-    i, j = i[i != j], j[i != j]
-    by_source = np.argsort(src[i], kind="stable")
-    i, j = i[by_source], j[by_source]
-    flat = np.stack([keys[i], src[j]], axis=1)
-    lo = np.searchsorted(src[i], sources, "left")
-    hi = np.searchsorted(src[i], sources, "right")
-    return [_codec.pack_i64(flat[a:b].ravel()) for a, b in zip(lo, hi)]
+    i, j = _run_pairs(keys[order])
+    return order[i], order[j], keys, src
+
+
+def _ask_owners(ctx: RankContext, rows: np.ndarray, key_space: int,
+                team: Sequence[int] | None,
+                pair: Callable[[np.ndarray, np.ndarray], tuple]) -> np.ndarray:
+    """Send each row to the owner of its first key, in one rendezvous;
+    return the int64 pairs the owners answer, in team order.
+
+    ``rows`` ascend by their first column; every entry but a 2-D array's
+    last column is a key in [0, key_space).  ``pair(src, rows)`` gets the
+    rows that reached an owner, and each row's source, and returns (i, j,
+    left, right): each sender gets the (left[i], right[j]) pairs of its
+    rows i, ascending by i, then j.
+    """
+    team_t = _normalize_team(team, ctx.size)
+    if ctx.rank not in team_t:
+        raise ValueError(f"rank {ctx.rank} not in directory team {team_t}")
+    width = 1 if rows.ndim == 1 else rows.shape[1]
+    keys = rows if width == 1 else rows[:, :-1]
+    outside = keys[(keys < 0) | (keys >= key_space)]
+    if len(outside):
+        raise KeyError(f"key {outside[0]} outside key space [0, {key_space})")
+    requests = {}
+    if len(rows):
+        P = len(team_t)
+        first = rows if width == 1 else rows[:, 0]
+        owners = np.minimum(first // block_size(key_space, P), P - 1)
+        cuts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+        for o, part in zip(owners[np.r_[0, cuts]].tolist(), np.split(rows, cuts)):
+            requests[team_t[o]] = _codec.pack_i64(part)
+
+    def answer(received: list[tuple[int, bytes]]) -> list[bytes]:
+        sources = np.array([source for source, _ in received], dtype=np.int64)
+        src = np.repeat(sources, [len(blob) // (8 * width) for _, blob in received])
+        got = _codec.unpack_i64(b"".join(blob for _, blob in received))
+        i, j, left, right = pair(src, got.reshape(-1, *rows.shape[1:]))
+        order = np.lexsort((j, i, src[i]))
+        i, j = i[order], j[order]
+        flat = np.stack([left[i], right[j]], axis=1)
+        cuts = np.searchsorted(src[i], sources[1:])
+        return [_codec.pack_i64(part) for part in np.split(flat, cuts)]
+
+    replies = _rendezvous(ctx, team_t, requests, answer)
+    return _codec.unpack_i64(
+        b"".join(replies[dest] for dest in sorted(replies))).reshape(-1, 2)
+
+
+def _run_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j), i != j, of positions in one run of equal values of the
+    sorted array ``key``: the pairs one apart, then two apart, and so on."""
+    i, j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    gap = 1
+    while (same := key[gap:] == key[:-gap]).any():
+        a = np.flatnonzero(same)
+        i += (a, a + gap)
+        j += (a + gap, a)
+        gap += 1
+    return np.concatenate(i), np.concatenate(j)
 
 
 class Directory:
@@ -195,8 +222,7 @@ class Directory:
         """
         team_t = _normalize_team(team, ctx.size)
         P = len(team_t)
-        rank_pos = {r: i for i, r in enumerate(team_t)}
-        if ctx.rank not in rank_pos:
+        if ctx.rank not in team_t:
             raise ValueError(f"rank {ctx.rank} not in directory team {team_t}")
         by_owner: dict[int, list[tuple[int, bytes]]] = {}
         for key, value in pairs:
@@ -211,13 +237,6 @@ class Directory:
         return cls(ctx, key_space, team_t, shard)
 
     # -- lookups ------------------------------------------------------------
-
-    def _rendezvous(self, requests: dict[int, bytes],
-                    serve: Callable[[bytes], bytes]) -> dict[int, bytes]:
-        # ``serve(request) -> reply`` answers one request from this rank's
-        # shard, for the caller itself and for remote askers alike.
-        return _rendezvous(self._ctx, self.team, requests,
-                           lambda received: [serve(r) for _, r in received])
 
     def query(self, keys: Sequence[int]) -> dict[int, list[bytes]]:
         """Fetch value lists for the given keys; collective over the team.
@@ -239,9 +258,10 @@ class Directory:
                 for k in _codec.unpack_i64(request).tolist()
             ])
 
-        replies = self._rendezvous(
+        replies = _rendezvous(
+            self._ctx, self.team,
             {dest: _codec.pack_i64(asked) for dest, asked in by_owner.items()},
-            serve)
+            lambda received: [serve(r) for _, r in received])
         result: dict[int, list[bytes]] = {}
         for dest, asked in by_owner.items():
             for key, block in zip(asked, _codec.unpack_blocks(replies[dest])):
@@ -272,7 +292,9 @@ class Directory:
             ])
 
         request = _codec.pack_i64([lo, hi])
-        replies = self._rendezvous({dest: request for dest in targets}, serve)
+        replies = _rendezvous(self._ctx, self.team,
+                              {dest: request for dest in targets},
+                              lambda received: [serve(r) for _, r in received])
         # Owners in team order hold ascending key blocks, so this is key order.
         result: dict[int, list[bytes]] = {}
         for dest in targets:

@@ -19,8 +19,10 @@ element.
 The sequential dual graph is one CSR type, ``DualGraph``, built by one
 sorted face-key pass; its id -> neighbours mapping view is for tests.
 
-The distributed operations (dual graph, migration, shared-node discovery)
-ride on the rendezvous directory, so none of them needs an all-to-all step.
+The distributed operations need no all-to-all step.  The dual graph is
+the sequential face pass run at the faces' owners, and shared-node
+discovery asks the nodes' owners: each is one rendezvous of int64 arrays.
+Migration rides on blind exchanges.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _codec
-from .directory import Directory, blind_exchange, co_holders
+from .directory import _ask_owners, _run_pairs, blind_exchange, co_holders
 from .runtime import RankContext, _normalize_team
 
 log = logging.getLogger(__name__)
@@ -250,21 +252,20 @@ def reference_problem(elements: Iterable[tuple[int, tuple]],
     return None
 
 
-def element_faces(conn: Sequence[int], kind: str) -> list[tuple[int, ...]]:
-    """The element's faces as sorted node tuples (edges in 2D)."""
-    npf = kind_info(kind)[3]
-    return [tuple(sorted(c)) for c in combinations(conn, npf)]
-
-
 # -- face keys ------------------------------------------------------------------
 
 def _unique(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an integer array (a sort, which is several
     times faster here than ``np.unique``'s hash table)."""
     ordered = np.sort(values, axis=None)
-    fresh = np.ones(len(ordered), dtype=bool)
-    fresh[1:] = ordered[1:] != ordered[:-1]
-    return ordered[fresh]
+    return ordered[_fresh(ordered)]
+
+
+def _fresh(*columns: np.ndarray) -> np.ndarray:
+    """Where a row of sorted, aligned columns differs from the row before."""
+    fresh = np.ones(len(columns[0]), dtype=bool)
+    fresh[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+    return fresh
 
 
 def _face_order(tags: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -297,6 +298,17 @@ def _face_keys(*faces: np.ndarray) -> list[np.ndarray]:
         else:
             keys = np.unique(every, axis=0, return_inverse=True)[1].reshape(-1)
     return np.split(keys, np.cumsum([len(f) for f in faces])[:-1])
+
+
+def _face_runs(faces: np.ndarray, elem: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The face pass's sort: (face keys, positions) of the distinct (face,
+    element) rows, ascending, so each run of equal keys is one face and its
+    elements.  An element lists a face twice only when it repeats a node."""
+    (key,) = _face_keys(faces)
+    order = np.lexsort((elem, key))
+    fresh = _fresh(key[order], elem[order])
+    return key[order][fresh], order[fresh]
 
 
 @dataclass(eq=False)
@@ -360,28 +372,13 @@ def adjacency_from_elements(element_ids, conn, kind: str) -> DualGraph:
     faces = _element_faces(
         np.asarray(conn, dtype=np.int64).reshape(len(ids), npe), npf)
     per = faces.shape[1]
-    (key,) = _face_keys(faces.reshape(-1, npf))
-    order = np.argsort(key, kind="stable")
-    key, elem = key[order], order // per
-    # Sorted by (face, element); an element lists a face twice only when
-    # it repeats a node.
-    fresh = np.ones(len(key), dtype=bool)
-    fresh[1:] = (key[1:] != key[:-1]) | (elem[1:] != elem[:-1])
-    key, elem = key[fresh], elem[fresh]
-    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    gap = 1
-    # Pairs gap apart in one run; a run longer than two is a face of a
-    # non-manifold mesh.
-    while (same := key[gap:] == key[:-gap]).any():
-        a, b = elem[:-gap][same], elem[gap:][same]
-        src += (a, b)
-        dst += (b, a)
-        gap += 1
-    src, dst = np.concatenate(src), np.concatenate(dst)
+    key, at = _face_runs(faces.reshape(-1, npf),
+                         np.arange(len(ids) * per) // per)
+    a, b = _run_pairs(key)
+    src, dst = at[a] // per, at[b] // per
     order = np.lexsort((ids[dst], src))
     src, dst = src[order], dst[order]
-    fresh = np.ones(len(src), dtype=bool)
-    fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    fresh = _fresh(src, dst)
     counts = np.bincount(src[fresh], minlength=len(ids))
     return DualGraph(ids, np.concatenate(([0], np.cumsum(counts))), dst[fresh])
 
@@ -555,51 +552,41 @@ def build_dual_graph(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
                      team: Sequence[int] | None = None) -> dict[int, list[int]]:
     """Element adjacency across full shared faces; collective over the team.
 
-    Each rank publishes (node -> incident element) into a directory keyed by
-    node id, queries back the incidence lists of its own nodes, and keeps as
-    neighbors the element pairs sharing a whole face (2 common nodes for
-    triangles, 3 for tetrahedra).  Returns adjacency for local elements only.
+    The face pass of ``adjacency_from_elements``, run at the faces' owners
+    in one rendezvous: each rank sends every face of its elements (sorted
+    node ids, then the element id) to the owner of the face's lowest node
+    in [0, n_nodes), and each owner answers every sender with the (its
+    element, neighbour) pairs of the faces it sent.  Returns {local element:
+    ascending neighbour ids} for every local element.
     """
     npf = chunk.nodes_per_face
-    rows = list(zip(chunk.element_ids.tolist(), chunk.conn.tolist()))
-    pairs = [(n, _codec.pack_one_i64(eid)) for eid, conn in rows for n in conn]
-    directory = Directory.build(ctx, pairs, n_nodes, team=team)
-    incidence_raw = directory.query(_unique(chunk.conn).tolist())
-    incidence = {
-        n: list(map(_codec.unpack_one_i64, vals))
-        for n, vals in incidence_raw.items()
-    }
-
-    adjacency: dict[int, list[int]] = {}
-    for eid, conn in rows:
-        shared: dict[int, int] = {}
-        for n in conn:
-            for other in incidence[n]:
-                if other != eid:
-                    shared[other] = shared.get(other, 0) + 1
-        adjacency[eid] = sorted(f for f, c in shared.items() if c >= npf)
-
-    _warn_nonmanifold(rows, chunk.kind, incidence)
-    return adjacency
+    faces = _element_faces(chunk.conn, npf)
+    rows = np.column_stack((faces.reshape(-1, npf),
+                            np.repeat(chunk.element_ids, faces.shape[1])))
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    pairs = _ask_owners(ctx, rows, n_nodes, team, _pair_faces)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    # Elements sharing several faces are paired at each face's owner.
+    fresh = _fresh(pairs[:, 0], pairs[:, 1])
+    ends = np.searchsorted(pairs[fresh, 0], chunk.element_ids, "right").tolist()
+    nbrs = pairs[fresh, 1].tolist()
+    return {e: nbrs[a:b] for e, a, b in
+            zip(chunk.element_ids.tolist(), [0, *ends], ends)}
 
 
-def _warn_nonmanifold(rows: Sequence[tuple[int, Sequence[int]]], kind: str,
-                      incidence: Mapping[int, list[int]]) -> None:
-    # A face shared by more than two elements breaks manifoldness; report it
-    # once per face but keep going.
-    seen: set[tuple[int, ...]] = set()
-    for _, conn in rows:
-        for face in element_faces(conn, kind):
-            if face in seen:
-                continue
-            seen.add(face)
-            users: set[int] | None = None
-            for n in face:
-                inc = set(incidence[n])
-                users = inc if users is None else users & inc
-            if users is not None and len(users) > 2:
-                log.warning("face %s shared by %d elements %s; mesh is not "
-                            "manifold", face, len(users), sorted(users))
+def _pair_faces(src: np.ndarray, rows: np.ndarray) -> tuple:
+    # At a face owner: each element with each other element of every face
+    # it sent.
+    elem = rows[:, -1]
+    key, at = _face_runs(rows[:, :-1], elem)
+    # A run longer than two is a face of a non-manifold mesh.
+    for k in _unique(key[2:][key[2:] == key[:-2]]):
+        a, b = np.searchsorted(key, k, "left"), np.searchsorted(key, k, "right")
+        log.warning("face %s shared by %d elements %s; mesh is not manifold",
+                    tuple(rows[at[a], :-1].tolist()), b - a,
+                    elem[at[a:b]].tolist())
+    i, j = _run_pairs(key)
+    return at[i], at[j], elem, elem
 
 
 def migrate(ctx: RankContext, chunk: MeshChunk,
@@ -689,14 +676,9 @@ def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
 
 def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
                       team: Sequence[int] | None = None) -> dict[int, list[int]]:
-    """Nodes this rank shares with each other rank; collective over the team.
-
-    One rendezvous (``directory.co_holders``): each rank sends its node ids
-    to their owners in the node-id space, and each owner answers every
-    sender with the other ranks holding the same nodes.  Returns
-    {other rank: sorted node ids}; a node held by k ranks shows up in every
-    one of their pairwise lists.
-    """
+    """Nodes this rank shares with each other rank, {other rank: sorted
+    node ids}: ``directory.co_holders`` of its node ids, one rendezvous
+    collective over the team."""
     return co_holders(ctx, _unique(chunk.conn), n_nodes, team)
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .mesh import MeshChunk, element_faces
+import numpy as np
+
+from .mesh import MeshChunk, _element_faces
 
 # Boundary tags: 2D uses 1..4 (bottom, right, top, left), 3D uses 1..6
 # (xmin, xmax, ymin, ymax, zmin, zmax).
@@ -81,22 +83,14 @@ def tet_box(nx: int, ny: int, nz: int, *, spacing: float = 1.0) -> MeshChunk:
 
 def _box_boundary(nodes: dict, elements: dict, nx: int, ny: int, nz: int,
                   spacing: float) -> list[tuple[int, tuple[int, ...]]]:
-    counts: dict[tuple[int, ...], int] = {}
-    for conn in elements.values():
-        for face in element_faces(conn, "tetrahedron"):
-            counts[face] = counts.get(face, 0) + 1
-    extents = (nx * spacing, ny * spacing, nz * spacing)
-    boundary = []
-    for face in sorted(f for f, c in counts.items() if c == 1):
-        coords = [nodes[n] for n in face]
-        tag = None
-        for axis in range(3):
-            if all(c[axis] == 0.0 for c in coords):
-                tag = 2 * axis + 1
-                break
-            if all(c[axis] == extents[axis] for c in coords):
-                tag = 2 * axis + 2
-                break
-        assert tag is not None, f"open face {face} not on the box surface"
-        boundary.append((tag, face))
-    return boundary
+    # The faces one tet alone holds, each tagged by the side it lies on.
+    faces = _element_faces(np.array(list(elements.values())), 3)
+    faces, users = np.unique(faces.reshape(-1, 3), axis=0, return_counts=True)
+    faces = faces[users == 1]
+    xyz = np.array(list(nodes.values()))[faces]  # nodes are in id order
+    tags = np.zeros(len(faces), dtype=np.int64)
+    for axis, n in enumerate((nx, ny, nz)):
+        tags[(xyz[:, :, axis] == 0.0).all(axis=1)] = 2 * axis + 1
+        tags[(xyz[:, :, axis] == n * spacing).all(axis=1)] = 2 * axis + 2
+    assert tags.all(), f"open face {faces[tags == 0][0]} not on the box surface"
+    return list(zip(tags.tolist(), map(tuple, faces.tolist())))

@@ -273,12 +273,16 @@ class RankContext:
 
     def window(self, team: Sequence[int] | None = None) -> Window:
         """The persistent accumulate window shared by ``team`` (default: all)."""
-        members = _normalize_team(team, self.size)
         rt = self._rt
         with rt._mutex:
-            win = rt._windows.get(members)
+            # The collectives hand their team on normalized, so a tuple is
+            # looked up as given first.
+            win = rt._windows.get(team) if isinstance(team, tuple) else None
             if win is None:
-                win = rt._windows[members] = Window(members)
+                members = _normalize_team(team, self.size)
+                win = rt._windows.get(members)
+                if win is None:
+                    win = rt._windows[members] = Window(members)
             return win
 
     def fence(self, window: Window) -> None:

@@ -51,7 +51,7 @@ def test_partition_writes_all_outputs(inputs, capsys):
     assert report["quality"]["element_imbalance"] <= 1.02 + 1e-9
     assert report["traffic"]["total_messages"] > 0
 
-    rows = list(csv.reader((out / "levels.csv").open()))
+    rows = list(csv.reader((out / "levels.csv").read_text().splitlines()))
     assert rows[0] == ["level", "bytes", "seconds_proxy"]
     assert {r[0] for r in rows[1:]} >= {"bootstrap", "collect"}
 
@@ -115,7 +115,7 @@ def test_rebalance_flow(inputs, capsys):
     assert rb["imbalance_after"] < rb["imbalance_before"]
     assert 0 < rb["moved_elements"] <= rb["elements"]
 
-    rows = list(csv.reader((out2 / "balance.csv").open()))
+    rows = list(csv.reader((out2 / "balance.csv").read_text().splitlines()))
     assert rows[0] == ["partition", "pre", "post"]
     assert len(rows) == 5
     post = [float(r[2]) for r in rows[1:]]
@@ -362,6 +362,21 @@ def _timing_with_unknown(elements):
      "timing record 0: elems must be a list of integer element ids"),
     ([{"elems": [0], "seconds": None}],
      "timing record 0: seconds must be a number, got None"),
+    ([{"elems": [], "seconds": 1.0}], "timing block 0 lists no elements"),
+    ([{"elems": list(range(128)), "seconds": 1.0},
+      {"elems": [], "seconds": -1.0}], "timing block 1 lists no elements"),
+    ([{"elems": list(range(128)), "seconds": -1.0}],
+     "timing block 0 has negative time -1.0"),
+    ([{"elems": list(range(128)), "seconds": 1.0},
+      {"elems": [5], "seconds": 1.0}],
+     "element 5 appears in more than one timing block"),
+    ([{"elems": list(range(3, 128)), "seconds": 1.0}],
+     "no timing data for elements [0, 1, 2]"),
+    ([{"elems": list(range(100, 128)), "seconds": 1.0}],
+     "no timing data for elements [0, 1, 2, 3, 4]..."),
+    ([[e, 1.0] for e in range(1, 128)], "weights missing for elements [0]"),
+    ([[e, 1.0] for e in range(120)],
+     "weights missing for elements [120, 121, 122, 123, 124]..."),
 ])
 def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
                                                      message):
@@ -374,7 +389,8 @@ def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
     path.write_text(json.dumps({"schema": "treepart-1", kind: records}))
     code = run_partition(inputs, inputs["tmp"] / "x", (f"--{kind}", str(path)))
     assert code == 2
-    assert message in capsys.readouterr().err
+    # Every message names the file it is about.
+    assert f"input error: {path}: {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("record, message", [

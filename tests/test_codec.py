@@ -1,4 +1,4 @@
-"""Wire packing: array packers, one-value packers and key/value blocks."""
+"""Wire packing: array packers, one-value codecs and key/value blocks."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ I64 = st.integers(-2**63, 2**63 - 1)
 
 
 @given(x=I64)
-def test_one_i64_packs_like_a_one_element_array(x):
-    data = _codec.pack_one_i64(x)
-    assert data == _codec.pack_i64([x])
+def test_one_i64_unpacks_from_a_one_element_array(x):
     back = _codec.unpack_one_i64(_codec.pack_i64([x]))
     assert type(back) is int and back == x
 
@@ -29,7 +27,6 @@ def test_one_f64_packs_like_a_one_element_array(x):
 
 
 def test_one_value_packers_take_numpy_scalars_and_ints():
-    assert _codec.pack_one_i64(np.int64(-5)) == _codec.pack_i64([-5])
     assert _codec.pack_kv_f64(np.array([1]), [np.float64(2.5)]) == \
         _codec.pack_kv([(1, _codec.pack_f64([2.5]))])
     assert _codec.pack_kv_f64([1], [4]) == \

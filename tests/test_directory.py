@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierpart.directory import Directory, blind_exchange, block_size, owner
-from hierpart.runtime import Runtime
+from hierpart.directory import (Directory, blind_exchange, block_size,
+                                co_holders, owner)
+from hierpart.runtime import Runtime, _normalize_team
 from hierpart.topology import build_topology
 
 
@@ -255,3 +258,28 @@ def test_per_rank_request_traffic_bounded_by_distinct_owners():
     for r in range(p):
         owners = {owner(k, key_space, p) for k, _ in per_rank[r]} - {r}
         assert rt.ledger.rank_message_count(r, kinds=("msg",)) <= len(owners)
+
+
+def test_a_collective_normalizes_its_team_once_per_call():
+    # blind_exchange hands its normalized team on to blind_count, whose
+    # window finds that tuple as given: only the window's creation
+    # normalizes in the runtime.
+    counts = Counter()
+
+    def counting(module):
+        def normalize(team, size):
+            counts[module] += 1
+            return _normalize_team(team, size)
+        return mock.patch(f"hierpart.{module}._normalize_team", normalize)
+
+    p, team = 4, [3, 1, 0, 2, 1]
+
+    def prog(ctx):
+        for _ in range(3):
+            blind_exchange(ctx, {(ctx.rank + 1) % p: b"x"}, team=team)
+        co_holders(ctx, [ctx.rank, 7], 8, team=team)
+
+    with counting("directory"), counting("runtime"):
+        Runtime(tree_of(p), seed=0).run(prog)
+    # Three exchanges, and co_holders normalizes before its own exchange.
+    assert counts == {"directory": 5 * p, "runtime": 1}

@@ -1,4 +1,5 @@
-"""The CSR dual graph against its dict form and the dict-era quality block.
+"""The CSR dual graph against its dict form and the dict-era quality block,
+and the distributed dual graph against the sequential one.
 
 ``adjacency_from_elements`` returns a ``DualGraph``; the graph back-end and
 the quality block read its arrays, while tests and tools may read it as an
@@ -11,8 +12,11 @@ cut, halo growth and quality block must equal the dict-era code in
 
 from __future__ import annotations
 
+import logging
 import random
 import struct
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,11 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dict_era
-from hierpart.mesh import (KINDS, DualGraph, adjacency_from_elements,
+from hierpart.directory import block_size
+from hierpart.mesh import (KINDS, DualGraph, MeshChunk,
+                           adjacency_from_elements, build_dual_graph,
                            halo_growth, kind_info)
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.metrics import edge_cut, quality_metrics
 from hierpart.partition import _backend, graph_partition
+from hierpart.runtime import RankContext, Runtime
+from hierpart.topology import build_topology
 
 
 def bits(x: float) -> bytes:
@@ -200,3 +208,124 @@ def test_halo_growth_rejects_what_the_dict_era_rejected():
         halo_growth(graph, np.array([0, 1]), -1)
     with pytest.raises(ValueError, match="empty assignment"):
         halo_growth(graph, {}, 1)
+
+
+# -- the distributed dual graph -------------------------------------------------------
+
+
+def chunk_of(kind, ids, conn):
+    """A chunk of the given elements; the dual graph reads no coordinates."""
+    conn = np.asarray(conn, dtype=np.int64).reshape(len(ids), kind_info(kind)[2])
+    nodes = np.unique(conn)
+    return MeshChunk.from_arrays(kind, ids, conn, nodes,
+                                 np.zeros((len(nodes), kind_info(kind)[1])),
+                                 [], [])
+
+
+def run_dual_graph(chunks, p, n_nodes, team=None, seed=0):
+    """(per-rank results, blind_count calls per rank, the runtime) of
+    ``build_dual_graph`` on the ranks of ``team``; the others return None."""
+    members = range(p) if team is None else team
+    rounds = Counter()
+    blind_count = RankContext.blind_count
+
+    def counting(ctx, targets, team=None):
+        rounds[ctx.rank] += 1
+        return blind_count(ctx, targets, team)
+
+    def prog(ctx):
+        if ctx.rank in members:
+            return build_dual_graph(ctx, chunks[ctx.rank], n_nodes, team=team)
+        return None
+
+    rt = Runtime(build_topology([("node", p)]), seed=seed)
+    with mock.patch.object(RankContext, "blind_count", counting):
+        res = rt.run(prog)
+    return res, rounds, rt
+
+
+@st.composite
+def distributed_cases(draw):
+    """An element table spread over the members of a team of P ranks."""
+    kind, ids, conn = draw(element_tables())
+    p = draw(st.integers(1, 8))
+    team = sorted(draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                unique=True)))
+    owner = draw(st.lists(st.sampled_from(team), min_size=len(ids),
+                          max_size=len(ids)))
+    passed = None if len(team) == p and draw(st.booleans()) else team
+    chunks = {r: chunk_of(kind, [e for e, o in zip(ids, owner) if o == r],
+                          [c for c, o in zip(conn, owner) if o == r])
+              for r in range(p)}
+    return kind, ids, conn, p, team, passed, chunks
+
+
+def face_owners(chunk, n_nodes, team):
+    """Oracle: the team ranks owning the lowest node of the chunk's faces."""
+    bs = block_size(n_nodes, len(team))
+    return {team[min(face[0] // bs, len(team) - 1)]
+            for conn in chunk.conn.tolist()
+            for face in dict_era.element_faces(conn, chunk.kind)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=distributed_cases(), seed=st.integers(0, 3))
+def test_distributed_dual_graph_equals_the_sequential_one(case, seed):
+    # Meshes with repeated nodes, faces of three or more elements and
+    # shuffled (also negative) element ids.
+    kind, ids, conn, p, team, passed, chunks = case
+    n_nodes = int(np.max(conn)) + 1
+    res, rounds, rt = run_dual_graph(chunks, p, n_nodes, passed, seed)
+    want = dict(adjacency_from_elements(ids, conn, kind))
+    merged = {}
+    for r in range(p):
+        if r not in team:
+            assert res[r] is None and rounds[r] == 0
+            continue
+        assert list(res[r]) == chunks[r].element_ids.tolist()
+        merged.update(res[r])
+        # One rendezvous: one blind_count round.
+        assert rounds[r] == 1
+    assert merged == want
+    asks = {r: face_owners(chunks[r], n_nodes, team) - {r} for r in team}
+    for r in team:
+        owed = sum(r in asks[s] for s in team)
+        assert rt.ledger.rank_message_count(r) <= len(asks[r]) + owed
+
+
+def test_a_node_outside_the_key_space_is_named():
+    chunks = {0: chunk_of("triangle", [0], [(0, 1, 2)]),
+              1: chunk_of("triangle", [1], [(1, 2, 12)])}
+    with pytest.raises(KeyError, match=r"key 12 outside key space \[0, 10\)"):
+        run_dual_graph(chunks, 2, 10)
+    chunks[1] = chunk_of("triangle", [1], [(-1, 2, 3)])
+    with pytest.raises(KeyError, match=r"key -1 outside key space \[0, 10\)"):
+        run_dual_graph(chunks, 2, 10)
+
+
+def test_a_rank_outside_the_team_is_rejected():
+    chunk = chunk_of("triangle", [0], [(0, 1, 2)])
+
+    def prog(ctx):
+        build_dual_graph(ctx, chunk, 3, team=(0, 1))
+
+    with pytest.raises(ValueError,
+                       match=r"rank 2 not in directory team \(0, 1\)"):
+        Runtime(build_topology([("node", 3)]), seed=0).run(prog)
+
+
+@pytest.mark.parametrize("kind, conn, face", [
+    ("triangle", [(0, 1, 2), (1, 0, 3), (4, 1, 0), (2, 1, 3)], (0, 1)),
+    ("tetrahedron", [(0, 1, 2, 3), (2, 1, 0, 4), (5, 0, 1, 2), (1, 2, 3, 4)],
+     (0, 1, 2)),
+])
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_face_of_three_elements_is_warned_about_once(caplog, kind, conn,
+                                                       face, p):
+    # Elements 10, 11 and 12 share one face and lie on different ranks.
+    ids = [10, 11, 12, 13]
+    chunks = {r: chunk_of(kind, ids[r::p], conn[r::p]) for r in range(p)}
+    with caplog.at_level(logging.WARNING, logger="hierpart.mesh"):
+        run_dual_graph(chunks, p, 6)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"face {face} shared by 3 elements [10, 11, 12]; mesh is not manifold"]

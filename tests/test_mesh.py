@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
-                           element_faces, find_shared_nodes, halo_growth,
+                           find_shared_nodes, halo_growth,
                            kind_info, local_dual_graph,
                            merge_chunks, migrate, pack_chunk, split_chunk,
                            split_contiguous, split_ids_evenly, subset_chunk,
@@ -25,7 +25,7 @@ from hierpart.partition import _pack_payload, _unpack_payload
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
-from dict_era import DictChunk, dict_chunk
+from dict_era import DictChunk, dict_chunk, element_faces
 
 
 def pairwise_adjacency(elements: dict[int, tuple[int, ...]], npf: int) -> dict[int, list[int]]:

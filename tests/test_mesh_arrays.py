@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dict_era
-from dict_era import dict_chunk
+from dict_era import dict_chunk, element_faces
 from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
-                           element_faces, kind_info, local_dual_graph,
+                           kind_info, local_dual_graph,
                            merge_chunks, pack_chunk, split_chunk, unpack_chunk)
 
 

@@ -132,7 +132,7 @@ def test_write_levels_csv(tmp_path):
     ]
     path = tmp_path / "levels.csv"
     write_levels_csv(path, rows, CostModel(internode=1.0, intranode=0.5))
-    got = list(csv.reader(path.open()))
+    got = list(csv.reader(path.read_text().splitlines()))
     assert got[0] == ["level", "bytes", "seconds_proxy"]
     assert got[1] == ["bootstrap", "130", "115"]
     assert got[2] == ["level1", "60", "30"]
@@ -141,7 +141,7 @@ def test_write_levels_csv(tmp_path):
 def test_write_balance_csv(tmp_path):
     path = tmp_path / "balance.csv"
     write_balance_csv(path, np.array([4.0, 1.0]), np.array([2.4, 2.6]))
-    got = list(csv.reader(path.open()))
+    got = list(csv.reader(path.read_text().splitlines()))
     assert got[0] == ["partition", "pre", "post"]
     assert [row[0] for row in got[1:]] == ["0", "1"]
     assert float(got[1][1]) == pytest.approx(1.6)   # 4 / 2.5

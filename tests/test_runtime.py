@@ -305,6 +305,17 @@ def test_blind_count_team_scoped():
     assert Runtime(TREE4, seed=0).run(prog) == [1, 1, 1, 1]
 
 
+def test_window_is_one_per_member_set():
+    # A tuple is looked up as given first; any other spelling of the same
+    # members, an unsorted tuple included, finds the same window.
+    def prog(ctx):
+        win = ctx.window()
+        return [ctx.window(team) is win
+                for team in ((0, 1, 2, 3), (3, 1, 2, 0), [2, 0, 3, 1, 1])]
+
+    assert Runtime(TREE4, seed=0).run(prog) == [[True] * 3] * 4
+
+
 def test_blind_count_target_outside_window_rejected():
     def prog(ctx):
         ctx.blind_count([3], team=(0, 1))
