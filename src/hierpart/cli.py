@@ -150,12 +150,13 @@ def _load_weight_input(args, mesh: MeshChunk) -> np.ndarray | None:
                       + ("..." if len(bad) > 5 else ""))
 
 
-def _check_assignment(ids: np.ndarray, parts: np.ndarray, mesh: MeshChunk,
-                      nparts: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mesh position of each assignment record, in file order, and the
-    rank of each mesh element, in id order.
+def _check_assignment(path, ids: np.ndarray, parts: np.ndarray,
+                      mesh: MeshChunk, nparts: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The mesh position of each record of the assignment file ``path``, in
+    file order, and the rank of each mesh element, in id order.
 
-    Raises ValueError unless the records cover exactly the mesh's elements
+    Raises FormatError unless the records cover exactly the mesh's elements
     with ranks in 0..nparts-1, naming the first bad rank in file order.
     """
     order = np.argsort(ids, kind="stable")
@@ -163,16 +164,26 @@ def _check_assignment(ids: np.ndarray, parts: np.ndarray, mesh: MeshChunk,
         elements, keys = set(mesh.element_ids.tolist()), set(ids.tolist())
         missing = sorted(elements - keys)[:5]
         extra = sorted(keys - elements)[:5]
-        raise ValueError(f"assignment does not match mesh elements "
-                         f"(missing {missing}, unknown {extra})")
+        raise FormatError(path, f"assignment does not match mesh elements "
+                                f"(missing {missing}, unknown {extra})")
     outside = (parts < 0) | (parts >= nparts)
     if outside.any():
         i = int(np.argmax(outside))
-        raise ValueError(f"element {ids[i]} assigned to rank {parts[i]}, "
-                         f"but the topology has {nparts} ranks")
+        raise FormatError(path, f"element {ids[i]} assigned to rank "
+                                f"{parts[i]}, but the topology has {nparts} "
+                                f"ranks")
     position = np.empty(len(order), dtype=np.intp)
     position[order] = np.arange(len(order))
     return position, parts[order].astype(np.int64)
+
+
+def _carve(path, split, *args) -> list[MeshChunk]:
+    """``split(*args)``: a verb's first carve of the mesh file ``path``,
+    which is where a boundary face that no element holds shows."""
+    try:
+        return split(*args)
+    except ValueError as err:
+        raise FormatError(path, str(err)) from err
 
 
 def _owners(mesh: MeshChunk, chunks: list[MeshChunk], verb: str
@@ -239,7 +250,7 @@ def _cmd_partition(args) -> int:
     tree.check_level(args.bpl, "--bpl")
     model = CostModel(intranode=args.cost_intra)
     n_nodes = int(mesh.node_ids[-1]) + 1
-    initial = split_contiguous(mesh, nparts)
+    initial = _carve(args.mesh, split_contiguous, mesh, nparts)
     runtime = Runtime(tree, seed=args.seed)
     tail = _survey_program(tree, n_nodes)
 
@@ -285,7 +296,8 @@ def _cmd_rebalance(args) -> int:
     ids, parts = read_assignment(args.assignment)
     mesh.weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
-    position, owner = _check_assignment(ids, parts, mesh, nparts)
+    position, owner = _check_assignment(args.assignment, ids, parts, mesh,
+                                        nparts)
     tree.check_level(args.level, "--level")
     args.method = method = _parse_method(args.method)
     if not isinstance(method, str):
@@ -298,7 +310,7 @@ def _cmd_rebalance(args) -> int:
     pre_loads = part_loads(
         parts, None if mesh.weights is None else mesh.weights[position],
         nparts)
-    initial = split_chunk(mesh, owner, nparts)
+    initial = _carve(args.mesh, split_chunk, mesh, owner, nparts)
     runtime = Runtime(tree, seed=args.seed)
 
     def program(ctx):
@@ -341,11 +353,12 @@ def _cmd_metrics(args) -> int:
     ids, parts = read_assignment(args.assignment)
     weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
-    position, owner = _check_assignment(ids, parts, mesh, nparts)
+    position, owner = _check_assignment(args.assignment, ids, parts, mesh,
+                                        nparts)
     model = CostModel(intranode=args.cost_intra)
 
     n_nodes = int(mesh.node_ids[-1]) + 1
-    initial = split_chunk(mesh, owner, nparts)
+    initial = _carve(args.mesh, split_chunk, mesh, owner, nparts)
     runtime = Runtime(tree, seed=args.seed)
     tail = _survey_program(tree, n_nodes)
     schedules = dict(enumerate(

@@ -332,17 +332,9 @@ def read_assignment(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_assignment(path) -> dict[int, int]:
-    """The assignment document as an element -> part dict in file order,
-    built straight from the checked columns; the same checks and messages
-    as :func:`read_assignment`."""
-    raw = _load_doc(path, "assignment")
-    cols = _columns(raw, 2)
-    out = dict(zip(*cols)) if cols and _ints(*cols) else {}
-    if not (cols and len(out) == len(raw)):
-        _first_bad_in(path, "assignment", raw, _assignment_problem)
-    if not out:
-        raise FormatError(path, "assignment is empty")
-    return out
+    """:func:`read_assignment` as an element -> part dict in file order."""
+    ids, parts = read_assignment(path)
+    return dict(zip(ids.tolist(), parts.tolist()))
 
 
 def _assignment_problem(rec, seen) -> str | None:
@@ -382,19 +374,9 @@ def read_weights(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_weights(path) -> dict[int, float]:
-    """The weights document as an element -> weight dict in file order,
-    built straight from the checked columns; the same checks and messages
-    as :func:`read_weights`."""
-    raw = _load_doc(path, "weights")
-    cols = _columns(raw, 2)
-    out = {}
-    if cols and _ints(cols[0]) and _numbers(cols[1]):
-        weights = _finite(cols[1])
-        if weights is not None and weights.min(initial=1.0) > 0:
-            out = dict(zip(cols[0], weights.tolist()))
-    if not (cols and len(out) == len(raw)):
-        _first_bad_in(path, "weight", raw, _weight_problem)
-    return out
+    """:func:`read_weights` as an element -> weight dict in file order."""
+    ids, weights = read_weights(path)
+    return dict(zip(ids.tolist(), weights.tolist()))
 
 
 def _weight_problem(rec, seen) -> str | None:

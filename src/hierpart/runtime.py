@@ -109,28 +109,26 @@ class TrafficLedger:
 
     # -- queries ----------------------------------------------------------
 
-    def _select(self, kinds, locality=None, phase=None, phase_prefix=None):
+    def _select(self, kinds, locality=None, phase=None):
         for (kind, ph, src, dst), (msgs, nbytes) in self._records.items():
             if kind not in kinds:
                 continue
             if phase is not None and ph != phase:
                 continue
-            if phase_prefix is not None and not ph.startswith(phase_prefix):
-                continue
             if locality is not None and self.locality(src, dst) != locality:
                 continue
             yield (kind, ph, src, dst, msgs, nbytes)
 
-    def bytes_total(self, *, kinds=("msg", "acc"), locality=None, phase=None,
-                    phase_prefix=None) -> int:
-        return sum(row[5] for row in self._select(kinds, locality, phase, phase_prefix))
+    def bytes_total(self, *, kinds=("msg", "acc"), locality=None,
+                    phase=None) -> int:
+        return sum(row[5] for row in self._select(kinds, locality, phase))
 
-    def message_count(self, *, kinds=("msg",), locality=None, phase=None,
-                      phase_prefix=None) -> int:
-        return sum(row[4] for row in self._select(kinds, locality, phase, phase_prefix))
+    def message_count(self, *, kinds=("msg",), locality=None,
+                      phase=None) -> int:
+        return sum(row[4] for row in self._select(kinds, locality, phase))
 
     def rank_message_count(self, rank: int, *, kinds=("msg",), phase=None) -> int:
-        return sum(row[4] for row in self._select(kinds, None, phase, None)
+        return sum(row[4] for row in self._select(kinds, None, phase)
                    if row[2] == rank)
 
     def _grouped(self, key: Callable[[str, int, int], Any]

@@ -310,6 +310,12 @@ def _element_object(mesh):
     mesh["elements"] = {str(rec[0]): rec[1:] for rec in mesh["elements"]}
 
 
+def _unheld_boundary_face(mesh):
+    # Triangles (0, 1, 10) and (0, 10, 9) share the diagonal (0, 10); the
+    # other diagonal is a face of neither.
+    mesh["boundary"][0] = [1, 1, 9]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_repeat_element, "element record 5: duplicate element id 4"),
     (_negative_element, "element record 5: negative element id -3"),
@@ -325,6 +331,8 @@ def _element_object(mesh):
      "boundary record 1: tag and node ids must be integers"),
     (_string_coordinate, "node record 4: coordinates must be numbers"),
     (_element_object, "element records must be a list"),
+    (_unheld_boundary_face,
+     "boundary face (1, 9) (tag 1) has no local containing element"),
 ])
 def test_bad_mesh_ids_exit_2_naming_the_record(inputs, capsys, edit, message):
     mesh_path = _edit_mesh(inputs, edit)
@@ -332,7 +340,7 @@ def test_bad_mesh_ids_exit_2_naming_the_record(inputs, capsys, edit, message):
                  "--topo", str(inputs["topo_path"]),
                  "--out", str(inputs["tmp"] / "x")])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert f"input error: {mesh_path}: {message}" in capsys.readouterr().err
 
 
 def _weights_with_unknown(elements):
@@ -415,6 +423,41 @@ def test_bad_assignment_records_exit_2_naming_the_record(inputs, capsys,
                  "--out", str(inputs["tmp"] / "x")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def _without_element_0(records):
+    return records[1:]
+
+
+def _with_unknown_element(records):
+    return records + [[999, 0]]
+
+
+def _with_rank_beyond_the_tree(records):
+    records[3] = [3, 4]
+    return records
+
+
+@pytest.mark.parametrize("verb", [["rebalance", "--level", "0"], ["metrics"]])
+@pytest.mark.parametrize("edit, message", [
+    (_without_element_0,
+     "assignment does not match mesh elements (missing [0], unknown [])"),
+    (_with_unknown_element,
+     "assignment does not match mesh elements (missing [], unknown [999])"),
+    (_with_rank_beyond_the_tree,
+     "element 3 assigned to rank 4, but the topology has 4 ranks"),
+])
+def test_assignment_off_the_mesh_or_tree_exits_2_naming_the_file(
+        inputs, capsys, verb, edit, message):
+    records = edit([[e, e % 4] for e in sorted(inputs["mesh"].elements)])
+    path = inputs["tmp"] / "assignment.json"
+    path.write_text(json.dumps({"schema": "treepart-1",
+                                "assignment": records}))
+    code = main([*verb, "--mesh", str(inputs["mesh_path"]),
+                 "--topo", str(inputs["topo_path"]), "--assignment", str(path),
+                 "--out", str(inputs["tmp"] / "x")])
+    assert code == 2
+    assert f"input error: {path}: {message}" in capsys.readouterr().err
 
 
 def test_gc_threshold_raised_for_the_verb_and_restored(inputs, monkeypatch):

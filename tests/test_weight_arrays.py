@@ -155,7 +155,8 @@ def test_the_cli_loads_add_in_file_then_id_order(case):
     mesh_ids = np.sort(ids)
     column = np.array([weights[e] for e in mesh_ids.tolist()])
     mesh = mock.Mock(element_ids=mesh_ids)
-    position, owner = _check_assignment(ids, parts, mesh, nparts)
+    position, owner = _check_assignment("assignment.json", ids, parts, mesh,
+                                        nparts)
     before = part_loads(parts, column[position], nparts)
     want = dict_era.partition_loads(assignment, nparts, weights)
     assert list(map(bits, before.tolist())) == list(map(bits, want.values()))
