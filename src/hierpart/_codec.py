@@ -1,9 +1,16 @@
 """Packing helpers for protocol payloads.
 
 Messages on the simulated network are raw bytes; these helpers give the
-protocols a compact, deterministic packed form (little-endian int64/float64
-arrays with explicit length framing).  A single int64 read on its own (a
-kind code or a flag) unpacks through a ``struct`` to a Python int.
+protocols a compact, deterministic packed form with explicit length
+framing.  Floats travel as little-endian float64.  An integer block travels
+in frame-of-reference form (Lemire & Boytsov, 2015): a one-byte width, the
+block's minimum as a little-endian int64, then each value minus that
+minimum as a little-endian unsigned integer of the narrowest width of 1, 2,
+4 or 8 bytes that holds the block's span; an empty block is no bytes.
+Ids, connectivity and owner replies span a few thousand values per block,
+so most of them travel in 2 bytes instead of 8.  ``unpack_i64`` gives the
+int64 array back, whatever the width; a single int read on its own (a kind
+code or a flag) unpacks to a Python int.
 """
 
 from __future__ import annotations
@@ -16,6 +23,9 @@ import numpy as np
 _I64 = np.dtype("<i8")
 _F64 = np.dtype("<f8")
 _LEN = struct.Struct("<q")
+# Width in bytes, then the block minimum.
+_FRAME = struct.Struct("<Bq")
+_OFFSET = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
 
 
 def _seq(values):
@@ -24,11 +34,29 @@ def _seq(values):
 
 
 def pack_i64(values: Iterable[int]) -> bytes:
-    return np.asarray(_seq(values), dtype=_I64).tobytes()
+    """Frame-of-reference form of the values, in order (a 2-D array row
+    by row)."""
+    a = np.asarray(_seq(values), dtype=_I64).reshape(-1)
+    if not len(a):
+        return b""
+    lo = int(a.min())
+    span = int(a.max()) - lo
+    width = 1 if span < 1 << 8 else 2 if span < 1 << 16 else \
+        4 if span < 1 << 32 else 8
+    # At width 8 the int64 difference wraps; as uint64 it is exact.
+    return _FRAME.pack(width, lo) + (a - lo).astype(_OFFSET[width]).tobytes()
 
 
 def unpack_i64(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, dtype=_I64)
+    """The int64 values of a ``pack_i64`` block, flat."""
+    if not data:
+        return np.empty(0, dtype=_I64)
+    width, lo = _FRAME.unpack_from(data)
+    if width not in _OFFSET:
+        raise ValueError(f"malformed int block: width {width}")
+    # Wraps back at width 8, as in pack_i64.
+    return np.frombuffer(data, dtype=_OFFSET[width],
+                         offset=_FRAME.size).astype(_I64) + lo
 
 
 def pack_f64(values: Iterable[float]) -> bytes:
@@ -40,7 +68,9 @@ def unpack_f64(data: bytes) -> np.ndarray:
 
 
 def unpack_one_i64(data: bytes) -> int:
-    return _LEN.unpack(data)[0]
+    """The one value of a one-value ``pack_i64`` block."""
+    (value,) = unpack_i64(data).tolist()
+    return value
 
 
 def pack_blocks(blocks: Sequence[bytes]) -> bytes:
@@ -77,22 +107,23 @@ def unpack_kv(data: bytes) -> list[tuple[int, bytes]]:
 
 
 def pack_kv_f64(keys: np.ndarray, values: np.ndarray) -> bytes:
-    """``pack_kv`` of (key, ``pack_f64([value])``) pairs, built as one
-    int64 array: the block count 2, the keys' length and the keys, then the
-    value blocks' length, their count, and one (8, value bits) pair each."""
+    """``pack_kv`` of (key, ``pack_f64([value])``) pairs: the keys' block,
+    then the value blocks built as one int64 array, their count and one
+    (8, value bits) pair each."""
     n = len(keys)
     pairs = np.empty((n, 2), dtype=_I64)
     pairs[:, 0] = _F64.itemsize
     pairs[:, 1] = np.asarray(values, dtype=_F64).view(_I64)
-    return np.concatenate((
-        [2, 8 * n], np.asarray(keys, dtype=_I64), [8 + 16 * n, n],
-        pairs.reshape(-1))).astype(_I64, copy=False).tobytes()
+    blocks = np.concatenate(([n], pairs.reshape(-1))).astype(_I64, copy=False)
+    return pack_blocks([pack_i64(keys), blocks.tobytes()])
 
 
 def unpack_kv_f64(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """(keys, values) of a ``pack_kv_f64`` message, in the order packed."""
-    words = np.frombuffer(data, dtype=_I64)
-    n = int(words[1]) // 8
-    if len(words) != 4 + 3 * n or words[0] != 2 or words[3 + n] != n:
+    keys_raw, values_raw = unpack_blocks(data)
+    keys = unpack_i64(keys_raw)
+    words = np.frombuffer(values_raw, dtype=_I64)
+    n = len(keys)
+    if len(words) != 1 + 2 * n or words[0] != n:
         raise ValueError("malformed key/value message")
-    return words[2:2 + n], np.frombuffer(data, dtype=_F64)[5 + n::2]
+    return keys, words[2::2].view(_F64)

@@ -242,8 +242,8 @@ def _cmd_partition(args) -> int:
     mesh.weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
     if mesh.n_elements < nparts:
-        raise ValueError(f"mesh has {mesh.n_elements} elements; "
-                         f"need at least one per rank ({nparts})")
+        raise FormatError(args.mesh, f"mesh has {mesh.n_elements} elements; "
+                          f"need at least one per rank ({nparts})")
     args.method = _parse_method(args.method)
     plan = HierarchicalPlan(bootstrap_level=args.bpl, method=args.method,
                             approach=args.approach, tolerance=args.tolerance)

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .directory import _unique
 from .runtime import RankContext
 from .topology import TopologyTree
 
@@ -105,7 +106,7 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
             if other < ctx.rank:
                 result[idx] = got
     elif received:
-        shared = np.unique(np.concatenate([idx for _, idx, _ in received]))
+        shared = _unique(np.concatenate([idx for _, idx, _ in received]))
         total = np.zeros_like(values)
         mine = [(ctx.rank, shared, values[shared])]
         for _, idx, got in sorted(received + mine, key=lambda r: r[0]):

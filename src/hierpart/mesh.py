@@ -36,7 +36,8 @@ from itertools import combinations
 import numpy as np
 
 from . import _codec
-from .directory import _ask_owners, _run_pairs, blind_exchange, co_holders
+from .directory import (_ask_owners, _fresh, _run_pairs, _unique,
+                        blind_exchange, co_holders)
 from .runtime import RankContext, _normalize_team
 
 log = logging.getLogger(__name__)
@@ -253,20 +254,6 @@ def reference_problem(elements: Iterable[tuple[int, tuple]],
 
 
 # -- face keys ------------------------------------------------------------------
-
-def _unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an integer array (a sort, which is several
-    times faster here than ``np.unique``'s hash table)."""
-    ordered = np.sort(values, axis=None)
-    return ordered[_fresh(ordered)]
-
-
-def _fresh(*columns: np.ndarray) -> np.ndarray:
-    """Where a row of sorted, aligned columns differs from the row before."""
-    fresh = np.ones(len(columns[0]), dtype=bool)
-    fresh[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
-    return fresh
-
 
 def _face_order(tags: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Indices putting boundary faces in ascending (tag, node ids) order."""

@@ -5,10 +5,15 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import hierpart
 from hierpart.cli import _GC_GEN0_THRESHOLD, main
 from hierpart.formats import (load_assignment, load_mesh, load_topology,
                               save_assignment, save_mesh, save_timing,
@@ -228,14 +233,17 @@ def test_bad_inputs_exit_2(inputs, capsys, tmp_path):
                  "--topo", str(inputs["topo_path"]), "--out", str(out)])
     assert code == 2
 
-    # Too few elements for the rank count.
+    # Too few elements for the rank count: the mesh file is named.
     tiny = tmp_path / "tiny.json"
     save_mesh(tiny, triangle_grid(1, 1))
     save_topology(tmp_path / "topo8.json",
                   build_topology([("node", 8)]))
+    capsys.readouterr()
     code = main(["partition", "--mesh", str(tiny),
                  "--topo", str(tmp_path / "topo8.json"), "--out", str(out)])
     assert code == 2
+    assert (f"input error: {tiny}: mesh has 2 elements; need at least one "
+            f"per rank (8)" in capsys.readouterr().err)
 
     # Assignment referencing ranks beyond the topology.
     save_assignment(tmp_path / "assign.json",
@@ -792,3 +800,50 @@ def test_verbs_never_use_the_dict_front_ends(tmp_path, monkeypatch):
     for i, run in enumerate(runs):
         out = [] if "--out" in run else ["--out", str(tmp_path / f"o{i}")]
         assert main([*run, *common, *out]) == 0, run
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+@pytest.mark.parametrize("to_wire, back", [
+    (lambda ids: ids + 2**40, lambda e: e - 2**40),
+    (lambda ids: ids * 2**33, lambda e: e // 2**33),
+], ids=["shifted", "scaled"])
+def test_far_ids_partition_like_the_plain_demo(tmp_path, method, to_wire,
+                                               back):
+    # Ids near 2^40 travel as small offsets from a large block minimum;
+    # ids spread by 2^33 need the 8-byte offsets.  Neither changes where
+    # an element goes.
+    mesh = load_mesh(FIXTURES / "demo_mesh.json")
+    far = replace(mesh, element_ids=to_wire(mesh.element_ids),
+                  conn=to_wire(mesh.conn), node_ids=to_wire(mesh.node_ids),
+                  boundary_conn=to_wire(mesh.boundary_conn))
+    save_mesh(tmp_path / "far.json", far)
+    got = {}
+    for name, path in (("plain", FIXTURES / "demo_mesh.json"),
+                       ("far", tmp_path / "far.json")):
+        assert main(["partition", "--mesh", str(path),
+                     "--topo", str(FIXTURES / "topo_2x2x2.json"),
+                     "--method", method, "--out", str(tmp_path / name),
+                     "--no-timestamp"]) == 0
+        got[name] = load_assignment(tmp_path / name / "assignment.json")
+    assert {back(e): p for e, p in got["far"].items()} == got["plain"]
+
+
+def test_a_partition_leaves_numpy_ma_unimported(tmp_path):
+    # On numpy >= 2 a plain np.unique imports numpy.ma on its first call,
+    # some 15 ms.  A fresh interpreter shows what a run loads.
+    script = f"""
+import sys
+from hierpart.cli import main
+before = set(sys.modules)
+assert main(["partition", "--mesh", {str(FIXTURES / "demo_mesh.json")!r},
+             "--topo", {str(FIXTURES / "topo_2x2x2.json")!r},
+             "--out", {str(tmp_path / "out")!r}, "--no-timestamp"]) == 0
+print(sorted(m for m in set(sys.modules) - before
+             if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    src = Path(hierpart.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -3,12 +3,63 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hierpart import _codec
 
 I64 = st.integers(-2**63, 2**63 - 1)
+# The largest span each offset width holds, and the width after it.
+EDGES = [(2**8 - 1, 1), (2**8, 2), (2**16 - 1, 2), (2**16, 4),
+         (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)]
+
+
+def assert_round_trip(values, shape=None):
+    data = _codec.pack_i64(np.array(values, dtype=np.int64).reshape(
+        shape or -1))
+    back = _codec.unpack_i64(data)
+    assert back.dtype == np.int64 and back.tolist() == list(values)
+    return data
+
+
+@given(values=st.lists(I64, max_size=40))
+def test_i64_blocks_round_trip(values):
+    assert_round_trip(values)
+
+
+@given(base=I64, offsets=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+       edge=st.sampled_from(EDGES))
+def test_i64_blocks_take_the_narrowest_width_of_their_span(base, offsets,
+                                                           edge):
+    span, width = edge
+    lo = min(base, 2**63 - 1 - span)
+    values = [lo, lo + span] + [lo + o % (span + 1) for o in offsets]
+    data = assert_round_trip(values)
+    # A width byte, the minimum as int64, then one offset per value.
+    assert len(data) == 1 + 8 + width * len(values)
+    assert data[0] == width
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [-2**63], [2**63 - 1], [-2**63, 2**63 - 1],
+    [2**63 - 1, -2**63, 0, -1, 1], [5] * 7])
+def test_i64_extremes_round_trip(values):
+    data = assert_round_trip(values)
+    assert (data == b"") == (values == [])
+
+
+def test_two_dimensional_blocks_pack_row_by_row():
+    rows = np.array([[7, -3, 2**40], [0, 9, -2**40]], dtype=np.int64)
+    assert _codec.pack_i64(rows) == _codec.pack_i64(rows.reshape(-1))
+    assert _codec.unpack_i64(_codec.pack_i64(rows)).reshape(2, 3).tolist() \
+        == rows.tolist()
+    assert_round_trip([], shape=(0, 3))
+
+
+def test_an_unknown_width_is_refused():
+    with pytest.raises(ValueError, match="width 3"):
+        _codec.unpack_i64(b"\x03" + bytes(8) + bytes(3))
 
 
 @given(x=I64)

@@ -263,7 +263,8 @@ def test_per_rank_request_traffic_bounded_by_distinct_owners():
 def test_a_collective_normalizes_its_team_once_per_call():
     # blind_exchange hands its normalized team on to blind_count, whose
     # window finds that tuple as given: only the window's creation
-    # normalizes in the runtime.
+    # normalizes in the runtime.  co_holders hands its own normalized team
+    # on to blind_exchange the same way.
     counts = Counter()
 
     def counting(module):
@@ -281,5 +282,5 @@ def test_a_collective_normalizes_its_team_once_per_call():
 
     with counting("directory"), counting("runtime"):
         Runtime(tree_of(p), seed=0).run(prog)
-    # Three exchanges, and co_holders normalizes before its own exchange.
-    assert counts == {"directory": 5 * p, "runtime": 1}
+    # Three exchanges, and co_holders once for its own exchange.
+    assert counts == {"directory": 4 * p, "runtime": 1}

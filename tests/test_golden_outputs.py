@@ -256,7 +256,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            '92d8e56ffc969054ff21aaf59d625eb44033ca5e7daffa790c1bb533700afc80',
+            '1bc3681aa919d2e20120ee8e53e71d2159cab6ea1ca90255308fa86c0fc1f30d',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -266,13 +266,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            '71449b84d4fe04782445587552540aef956fd6ac31030cd6283b95134d9e6676',
+            'd148ad19bf1188af10de7ca4519516b4a3d0f737a7c51a1be6adbda155a22ef5',
     },
     'partition-topo_2x2-rcb-a2': {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            'b980d0fad690096d07f1d749a3976c568a8dea8f35d95a2bda5f3113042a1684',
+            '7c0287baadf92005f9c24b9fe91e0528b8db4e67054205d2443e9432c31d9d2d',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -282,13 +282,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            'df4745ffe24da11245c6ea10bc7bf643bcf0a3aad9ccf7ba6e63f8dd3d1246e3',
+            'a385d40b8c60a641e703e9c9d90c3c712ea87432b72689e874c972aa855aacea',
     },
     'partition-topo_2x2-graph-a1': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            '195504ef7690a7533bb53b18df59ec3ea4accaa2a754ba17dfe183575e5206cb',
+            '2133d10433e8ff95d052a4a8bc107e3338b6bab9a909a81efe7029b39c267908',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -298,13 +298,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '258b2969bb44364c9db0c20443983ac596eab3f78e8bb14cfaab9fb2fae83a29',
+            '0c3ab69b89700f89ad86960d50526d915a0d4863fc5426e56d3c1682715b5de6',
     },
     'partition-topo_2x2-graph-a2': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            'f7d2ca36992947056436904c28645b5a4304fa0170da2ea73a910f42aa169faa',
+            'e66eb4bfbf9618bb75ef42467c28c997cbc797979d7bef7228e84020c05c058b',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -314,13 +314,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '19e3bd73b75c2816c6db4381004b79d3707b6d16cd2f2be1e7440125fecd98d8',
+            '8ec023609f714910f2ffb4d651efe465f509422716daddb83c961d18ce560147',
     },
     'partition-topo_2x2-graph,rcb-a1': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            'dca4517892395d73289f9c52676171b196224b28bb2a62dd506bd3cddf89c9ec',
+            '4fd85f879df07c4ecdcbaf5515b1b5ad452ddcfcb108c3d13bae5310575f83f0',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -330,13 +330,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            '34c43747a90c72b109252c49e28cc73d97e4e9e12144533e1353f38443c207fc',
+            '9bca04aa968c151822480ac477340234e519f05f8badf34820b6572e9e8dc2b1',
     },
     'partition-topo_2x2-graph,rcb-a2': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '2957ce734b4b4c85ded651c34cdd9a9701234ab79c5febbc36ebdd1189f6aaeb',
+            '0acec1c789a83feb604b0f11e12a712ef2130e31fd73b80caddcb81a0a400197',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -346,13 +346,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            'e432c4d7976e5ee22c60d51fdf795623a330c0144bc69e63e30b39765ccd992a',
+            '4d36883a7312149b6f3303670c48e81fcc9ac3467233d78d59a5caf43e4094a5',
     },
     'partition-topo_2x2x2-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '0e6cd327e96d1c5b0025ac916261a025c2600cbde1d524c185ad77c3980620fe',
+            'b68673d7dcfdc5928993e73fad4683e9a6181d8a9d77624fbfc666974795888e',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -370,13 +370,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '8c66c380a1b668778cb47827dd1fe86ffeaeb8ccbb35e46050b2019ee17094c8',
+            'bddac88c8ffbc10dacb6dce8e6b8e6bd44575cd4dbecfa4f1adff03df0e467ee',
     },
     'partition-topo_2x2x2-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '69b75d38da7b5652e26859843f756621ff9b31edf01858f79349859087f923d3',
+            '04ee793deb888ee14d30bf2f125afc829e1afe3ac80f8f7c2a4de483788b6d14',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -394,13 +394,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '7414af0de8247c08d2def3a4f7c332f0b6fd3f490ad8916c300aae1628cb7f4f',
+            'c15da2e7931706c7d7ede74b97ce5e63935402589a18f4bc76add93d2f4720c4',
     },
     'partition-topo_2x2x2-graph-a1': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            '33f2ee802bcb6689e88bc79de8cb4e5a8d10f5dd18750ece909ac92d97c8d962',
+            '25972f64593f3763c42258fce9a0daf5d15869f1e1445ab9221c21653ba77d61',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -418,13 +418,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            'deda9b6019de2aed91c6d35630bb5f805b37134bdd4f4099363f1b8d07c8fbf8',
+            '975a89193b0d104aec75d0c6cd44284d8dbd8fa273a0671182cad01dbb7d2667',
     },
     'partition-topo_2x2x2-graph-a2': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            'c1cbdcb6b5433e8a97583edc0b51139da2ab9adfe4e311b8bf3c752d9842fa3d',
+            'f02797da97eaaa16ad959416e51f9e6407b08d92da8fa4d8793837fe240205db',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -442,13 +442,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            'dcfe66bfc6320cc71db2e2b261688181a894464074d34f146fd56e1c9d94f4b6',
+            'ce9869bc529ac79f5ad4072d8aa09681fa411a732a61118303c12b000152a226',
     },
     'partition-topo_2x2x2-graph,rcb-a1': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            '3596e1595c7037da1742fd6e601f89653d9792377104942610d8bc1cf5a13633',
+            'f5e70c79583b2c6ed786b8970e81a019e70492d18f6f656079bb05f4200a6469',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -466,13 +466,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            'c264954e03d1c4ffbde2cb07a975e955c324dc283570c71dcb995e4c402da0b0',
+            'af271fa6fb8295290b03fbca50742bd6fba319e30e399bdd07bb71c2b9528f1e',
     },
     'partition-topo_2x2x2-graph,rcb-a2': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            'ab55ae5807ae4256583c360f227882cd928231f991469415bb7e23be4393ce38',
+            'ddbc38e4c8bdb7eda762603a13ff5768a5dac9cb695b4d071c913539ec3a8949',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -490,7 +490,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            '88b45d40db68191c4fc09d0cfc1cfd3b2a527b1c815f24bb71c5ceca38bb5d9a',
+            '67bb43cec4005f4a3f3f3d9d75a5d00d2cbd9aa78c28c14f90eb22b3a21b51a1',
     },
     'rebalance-rcb': {
         'assignment.json':
@@ -498,9 +498,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '5c2dca82240906e3d4bb7b4dc05fe81b5734626f7ef77b94f9a8a2567393b8b5',
         'levels.csv':
-            '2135d696780191ae73c3a80950f94cdbf6ce8f9dcf0ed1b086a55faa09fd69de',
+            '6e80f517e64dcb3df7864681b874bb91b3b5ca978b188e08f7e4f0857e17b747',
         'report.json':
-            '41ea15216d2d9ba1faa3c683be4219744556c8fcd2001fe912753b95e5ce37b8',
+            'afc08bf909ef11dc7d2195ce8d9b87d1ce13ae9195de24e1799570fd5943aa1d',
     },
     'rebalance-graph': {
         'assignment.json':
@@ -508,21 +508,21 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'a52d659f05e7f524decddc57b5f78d99c13258d568910dd5dfaf5430c399eb81',
         'levels.csv':
-            'ab463929cc2081f9659bd251a4347f1313338f80edb88b08db75b09aa1d35dbb',
+            '53813214cc6eacac334788add7a61081e6e2d56da64057ebf56e09bc74291d69',
         'report.json':
-            '5246e5cb7ffc9b4e9b4e51acf054ec774969fef23915d003d22a7f32ea2a312c',
+            '49a338fa4bcce655d5886cd161a58d46e6f70e56ddbd62bb6c13a4c018a6aa2e',
     },
     'metrics': {
         'levels.csv':
-            'a744f383ffd4fdbfa07cd97d0b930e82e62cbec3f1be6a98a5cbb6a70a686573',
+            '4f8ce93bc30cf7d7ce89e6527ffb3b32986e1c5ddf426cb75b0373095dab1838',
         'report.json':
-            '8c4d470b178a7284df3cfb83cd361f1471803e6fd3025b241dfff6e42755d61d',
+            'd83c0a35af2d7587ce748fc3f3d85967095a3a50e09b59e52fa3e452848f3dc4',
     },
     'tet-partition-rcb': {
         'assignment.json':
             'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
         'levels.csv':
-            'be398b9185dc775afccdfeb774aae325f44afb2f9c5b85046991572d1d964fe4',
+            '83988de5d193220b793bf9a1b23cce8f53aed2886aaffe78564f0746409426ad',
         'part-0000.json':
             'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
         'part-0001.json':
@@ -540,7 +540,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
         'report.json':
-            'd38ed9f56085b310d9be8f47df2a9ebab1e964b14ef73a3989bfd5ed1196950a',
+            '36172422f86bb2fb5664301444d8947c27a8d5453306c5f7b7962a623edf55f3',
     },
     'tet-rebalance-rcb': {
         'assignment.json':
@@ -548,15 +548,15 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '3e96fe4c21331d1e7d24c228440a75cb3509702469cf3d321bc2493e88fde3e1',
         'levels.csv':
-            '4f6b65a2620f68afc5ff58f8f0a5cdcb319c8e1ddfddfa701cef824d1a1affe0',
+            '189a929a5a30d45d5c0928f7fb38b3ecbf7c23eba0161654312c0280433a9fcd',
         'report.json':
-            'd9d14925fb5a227023bbd4bf675937c6b82e300ed5c350a9f4899dacb74cfc11',
+            '9b3ac18f0a41716f8d20c58dbb2128ef2378277dba2e09688cb169be60affd30',
     },
     'frac-partition-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '390435b0879191659213975c4d386ff1bcd990e2cd2fe0c51f14dc1e6ae7d6a3',
+            '3838aafd34690f452c841fceefddacb98744ba1a52badc97e54323c3687497f1',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -574,13 +574,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '5dcb5aecc09568d3ba23a577e7503f44c9fe75336e961422ecc6ab75f574ef62',
+            '720aef1a55dbf5725713d99098f9c6e9a3943204d279b8c1fc9c466496d8e01e',
     },
     'frac-partition-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '59b6009f9f95d1d72628f3a3f65992d9a0e0644c108e5e3a5972c945933fc907',
+            '0e097652d504a48cda51c54fac50377327885f2554413c72e73360faaa11c343',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -598,13 +598,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'baf772cdce690cf46594a7a77da661a55d8ffda6a6d6fb1f022ec37a25eb9cfb',
+            '75dbdd1a0460c517c48cff5a89a76e0209b50f6996f0cdc8813bf17d5c8924e7',
     },
     'frac-partition-graph-a1': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            'cee6e035e30396fdaefbfa91fce81d03e7ec6f73a671337e030b2502b4569da2',
+            '336e70124cdf9ff40a313e28cd4a2d1fb790c099f6d6153058cf81ddd2863229',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -622,13 +622,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'ee3ebfa0b88940eb695a7820bdb2bf000f8578d39885a42ea2fd123ffae73748',
+            'caef73cfcae6a5f273a2ac9e9dc2e1f7bb64bd9b7b800acf3a29f63bfcbea80b',
     },
     'frac-partition-graph-a2': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            '3332ebda6ecf6bcf162a340e2784cb8316e0d2ccfea799607a46bc748c17c7a9',
+            'f84b2e0beae86d43bb3d7d7173b15952a26574a4d3bdb189802134ef7114eb6f',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -646,7 +646,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'b5070d14f26df1baddcd1d92ae0dba57343a820a543b2622eb5647f274b9d2cf',
+            '748d475df8d38a9251ff5b66597bc218589a77c4efb4d92d72801c989e1179db',
     },
     'frac-rebalance-rcb-l0': {
         'assignment.json':
@@ -654,9 +654,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            'f1fd2c88fad249f9d837f1445ef36f9275ab6570baf8872850326b953b3bd203',
+            '8ec46afdaf0f85e8d6de382dd56d8e182a2b6bbcde468a36dc6bcb16aeab8cb9',
         'report.json':
-            'd793e527f18c972bc16f223c5e2b3f51ebfda754b0a512a98a4d584778dc3245',
+            '515ee7797a30129559d074608d9260636bb060940941d455d3de92acf2b2ed8d',
     },
     'frac-rebalance-rcb-l1': {
         'assignment.json':
@@ -664,9 +664,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            'b50c0d849101978e0045372516fbd4e697dca6884312e320f4765330e858c758',
+            'f829f1160cb8a3ffb7b14daab4b0401a9c93226e03f1d700df3ad2f7d8d8650d',
         'report.json':
-            '0a190d4d3d385f2f170b63cbe3e26a4941859931f33ebc353a49edca87c50fd1',
+            '0a5da00d1164174e991d9814fe70d8366e7e028e492cf6e7884da11065d220e5',
     },
     'frac-rebalance-graph-l0': {
         'assignment.json':
@@ -674,9 +674,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '1433574a856920e99a3d70e8702fc2ab2d2bd3a50adb3770d72d41c243bd8c68',
         'levels.csv':
-            '521383ea086fca75fa4cfb8c9fe20427765d1f74d2f076cd54c0ffac2b5b9e8c',
+            'f3eeb5766abc82734c2c1e975a503f38040478229217041194488252eea3724b',
         'report.json':
-            '1588c5b75b40ee493fdb25c0dcfaab0b47d68be8c38b61fb33ed99954664b5f0',
+            'dbf3ddb6b07e62cb2a0520f1ef20f55e2fda3f6ca1da7114b92781142a912653',
     },
     'frac-rebalance-graph-l1': {
         'assignment.json':
@@ -684,21 +684,21 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'dfa51e59eda49f74795f86a3d9c8070c778afef239bf25b72a81507c08f6b723',
         'levels.csv':
-            'bb7d1c62d7b5c42e869a82a46c5fbecebf01e2d55afdba113b57a41ad7abd3f9',
+            '3ea2ecdcd62e986afa7c93a37196eba9dc3fb7a5eeb9f7b79afe1df8fcabe682',
         'report.json':
-            '59ab539b0bcbbf4ee13b979c32b6b2c72e2e11b424bc5df2f592470285b0306e',
+            'e9d673ff8b1cdd50ce7f8c4788d3910976b6c957bce9be8115f621a48f1c201e',
     },
     'frac-metrics': {
         'levels.csv':
-            'a744f383ffd4fdbfa07cd97d0b930e82e62cbec3f1be6a98a5cbb6a70a686573',
+            '4f8ce93bc30cf7d7ce89e6527ffb3b32986e1c5ddf426cb75b0373095dab1838',
         'report.json':
-            '84e4f4b1ade8ea4a0ec93c3da3afb8ff3d87125ec028c2a2b9a86b6fba5c680e',
+            '91708cc1319ae6b1f4d65e41979a6a6e775ddb243c420e21b0f6fe0a46c6c44c',
     },
     'timing-partition': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '59b6009f9f95d1d72628f3a3f65992d9a0e0644c108e5e3a5972c945933fc907',
+            '0e097652d504a48cda51c54fac50377327885f2554413c72e73360faaa11c343',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -716,7 +716,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '09be55f4b53c605e4b9e0d3799e4ad12524ec0f16fd9ceac37d1eda28fbd66a5',
+            '51dc417b3e8cd29d47e43622ae6baf3e36aca25a1895ac6e3d8ce972989169ba',
     },
 }
 

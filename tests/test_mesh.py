@@ -18,6 +18,7 @@ from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
                            split_contiguous, split_ids_evenly, subset_chunk,
                            unpack_chunk, build_dual_graph,
                            exchange_keyed_values)
+from hierpart import _codec
 from hierpart import mesh as mesh_module
 from hierpart.directory import blind_exchange, block_size, co_holders
 from hierpart.meshgen import tet_box, triangle_grid
@@ -512,18 +513,23 @@ def remote_rendezvous_traffic(chunks, team, n_nodes):
     for r in team:
         for n in set(chunks[r].conn.ravel().tolist()):
             holders.setdefault(n, set()).add(r)
-    pairs = published = replied = 0
+    messages = nbytes = 0
     for r in team:
-        nodes = set(chunks[r].conn.ravel().tolist())
-        owners = {n: team[min(n // bs, len(team) - 1)] for n in nodes}
-        remote = {n for n in nodes if owners[n] != r}
-        pairs += len({owners[n] for n in remote})
-        published += len(remote)
-        replied += sum(len(holders[n]) - 1 for n in remote)
-    # A request and a reply per (rank, remote owner) pair, 8 bytes per
-    # published key, 16 per replied (key, holder) pair, and one blind_count
-    # accumulate per pair.
-    return 2 * pairs, 8 * published + 16 * replied + 4 * pairs
+        asked: dict[int, list[int]] = {}
+        for n in sorted(set(chunks[r].conn.ravel().tolist())):
+            o = team[min(n // bs, len(team) - 1)]
+            if o != r:
+                asked.setdefault(o, []).append(n)
+        # A request of the keys and a reply of their (key, other holder)
+        # pairs per (rank, remote owner) pair, and one blind_count
+        # accumulate per pair.
+        for keys in asked.values():
+            replied = [v for n in keys for h in sorted(holders[n] - {r})
+                       for v in (n, h)]
+            messages += 2
+            nbytes += (len(_codec.pack_i64(keys))
+                       + len(_codec.pack_i64(replied)) + 4)
+    return messages, nbytes
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierpart import partition
+from hierpart import _codec, partition
 from hierpart.mesh import (local_dual_graph, split_chunk, split_contiguous,
                            subset_chunk)
 from hierpart.meshgen import tet_box, triangle_grid
@@ -555,9 +555,11 @@ def test_leader_reply_is_one_owner_per_member_element(monkeypatch, method,
                                where="test split")
 
     res = Runtime(tree, seed=0).run(prog)
-    assert [len(r) for r in replies] == [8 * c.n_elements for c in chunks]
+    owners = [_codec.unpack_i64(r).tolist() for r in replies]
+    assert [len(d) for d in owners] == [c.n_elements for c in chunks]
+    assert [len(r) for r in replies] == [len(_codec.pack_i64(d))
+                                         for d in owners]
     # Decoded in each member's id order, the owners route every element.
-    owners = [np.frombuffer(r, dtype="<i8").tolist() for r in replies]
     for chunk, dest in zip(chunks, owners):
         for e, d in zip(sorted(chunk.elements), dest):
             assert e in res[d].elements
