@@ -177,6 +177,20 @@ def _check_assignment(path, ids: np.ndarray, parts: np.ndarray,
     return position, parts[order].astype(np.int64)
 
 
+def _check_groups(path, owner: np.ndarray, tree: TopologyTree,
+                  level: int) -> None:
+    """Raise FormatError naming the assignment file ``path`` when a
+    level-``level`` group of several ranks holds fewer elements than ranks,
+    which the group's repartition cannot give one element each."""
+    size = tree.group_size(level)
+    held = np.bincount(owner // size, minlength=tree.group_count(level))
+    if size > 1 and (held < size).any():
+        g = int(np.argmax(held < size))
+        raise FormatError(path, f"level-{level} group {g} holds {held[g]} "
+                                f"elements for its {size} ranks; rebalance "
+                                f"needs at least one element per rank")
+
+
 def _carve(path, split, *args) -> list[MeshChunk]:
     """``split(*args)``: a verb's first carve of the mesh file ``path``,
     which is where a boundary face that no element holds shows."""
@@ -299,6 +313,7 @@ def _cmd_rebalance(args) -> int:
     position, owner = _check_assignment(args.assignment, ids, parts, mesh,
                                         nparts)
     tree.check_level(args.level, "--level")
+    _check_groups(args.assignment, owner, tree, args.level)
     args.method = method = _parse_method(args.method)
     if not isinstance(method, str):
         raise UsageError("rebalance takes a single --method")

@@ -11,8 +11,11 @@ it.  Lookups then answer each asker with an addressed reply.
 Plimpton, Hendrickson & Stewart, 2004), each travelling in ``_codec``'s
 narrowest integer width: rows go to the owners of their first keys, and
 each owner answers every sender with pairs, as a rule the items of each
-run of equal keys (``_run_pairs``).  ``co_holders`` (the shared-key
-survey) and ``mesh.build_dual_graph`` are such rounds.
+run of equal keys (``_run_pairs``).  ``mesh.build_dual_graph`` is such a
+round.  ``co_holders`` (the shared-key survey) runs it among node leaders
+only: the ranks of a node hand their keys to their leader, and take their
+answers back, over the same-node copy channel (Hoefler et al., "MPI+MPI",
+2013), so the network carries one round between nodes.
 
 ``Directory`` is the byte-valued multimap (``build``, then ``query`` or
 ``range_query``): inserting the same key from several ranks keeps every
@@ -51,6 +54,8 @@ def owner(key: int, key_space: int, nranks: int) -> int:
 # per-pair FIFO order.
 _TAG_DATA = 21
 _TAG_REPLY = 22
+# The survey's hand-offs between a node's ranks and its leader, both ways.
+_TAG_SURVEY = 23
 
 
 def blind_exchange(ctx: RankContext, outgoing: dict[int, bytes],
@@ -116,36 +121,113 @@ def _rendezvous(ctx: RankContext, team: tuple[int, ...],
     return replies
 
 
+class CoHolders(dict):
+    """{other rank: ascending keys}, as ``co_holders`` returns it, and how
+    the survey ran on this rank's node.
+
+    ``leaders`` maps the index of every level-0 vertex with team ranks to
+    its lowest team rank, the leader that spoke for it.  At a leader,
+    ``node`` maps every team rank of its vertex, itself first, to that
+    rank's own table; elsewhere it is None.
+    """
+
+    def __init__(self, pairs, leaders: dict[int, int],
+                 node: dict[int, dict[int, list[int]]] | None = None):
+        super().__init__(pairs)
+        self.leaders = leaders
+        self.node = node
+
+
 def co_holders(ctx: RankContext, keys: Sequence[int], key_space: int,
-               team: Sequence[int] | None = None) -> dict[int, list[int]]:
+               team: Sequence[int] | None = None) -> CoHolders:
     """The keys this rank holds together with each other rank.
 
-    Collective over the team, in one ``_ask_owners`` round: each rank sends
-    its distinct keys to their owners, and each owner answers with (key,
-    other holder) pairs.  Returns {other rank: ascending keys}; a key held
-    by k ranks shows up in every one of their pairwise lists.
+    Collective over the team.  Each rank checks its distinct keys and hands
+    them to its node's leader, the lowest team rank on its level-0 vertex,
+    over the copy channel.  The leaders run one ``_ask_owners`` round of
+    (key, holder) rows, in which each owner answers a leader with every
+    holder on other nodes of the keys it sent, and then hand each rank of
+    their node its (key, other holder) pairs back.  Returns {other rank:
+    ascending keys}; a key held by k ranks shows up in every one of their
+    pairwise lists.
     """
+    team_t = _team_of(ctx, team)
     mine = _unique(np.asarray(keys, dtype=np.int64))
-    # Owners in team order hold ascending key blocks, so this is key order.
-    pairs = _ask_owners(ctx, mine, key_space, team, _match_holders)
+    _check_keys(mine, key_space)
+    size = ctx.tree.group_size(0)
+    leaders: dict[int, int] = {}
+    for r in reversed(team_t):
+        leaders[r // size] = r
+    vertex = ctx.rank // size
+    if ctx.rank != leaders[vertex]:
+        ctx.copy_to(leaders[vertex], _codec.pack_i64(mine), _TAG_SURVEY)
+        pairs = _codec.unpack_i64(ctx.copy_from(leaders[vertex], _TAG_SURVEY))
+        return CoHolders(_by_holder(pairs.reshape(-1, 2)), leaders)
+
+    members = [r for r in team_t if r // size == vertex]
+    held = [mine] + [_codec.unpack_i64(ctx.copy_from(m, _TAG_SURVEY))
+                     for m in members[1:]]
+    rows = np.stack([np.concatenate(held),
+                     np.repeat(members, [len(h) for h in held])], axis=1)
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    remote = _ask_owners(ctx, rows, key_space, tuple(sorted(leaders.values())),
+                         _match_nodes)
+    # Every member's key with each other holder, on this node or elsewhere.
+    both = np.concatenate([rows, remote])
+    order = np.argsort(both[:, 0], kind="stable")
+    i, j = _run_pairs(both[order, 0])
+    i, j = order[i], order[j]
+    i, j = i[i < len(rows)], j[i < len(rows)]
+    triples = np.stack([both[i, 1], both[i, 0], both[j, 1]], axis=1)
+    triples = triples[np.lexsort((triples[:, 1], triples[:, 2], triples[:, 0]))]
+    cuts = np.searchsorted(triples[:, 0], members[1:])
+    node = {}
+    for m, part in zip(members, np.split(triples[:, 1:], cuts)):
+        if m != ctx.rank:
+            ctx.copy_to(m, _codec.pack_i64(part), _TAG_SURVEY)
+        node[m] = _by_holder(part)
+    return CoHolders(node[ctx.rank], leaders, node)
+
+
+def _by_holder(pairs: np.ndarray) -> dict[int, list[int]]:
+    # (key, holder) pairs ascending by key -> {holder: ascending keys}.
     pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
     holders, starts = np.unique(pairs[:, 1], return_index=True)
     return {h: part.tolist() for h, part in
             zip(holders.tolist(), np.split(pairs[:, 0], starts[1:]))}
 
 
-def _match_holders(src: np.ndarray, keys: np.ndarray) -> tuple:
-    # Each key with each other holder of it.
+def _match_nodes(src: np.ndarray, rows: np.ndarray) -> tuple:
+    # Each leader's first (key, holder) row of a key with every row of the
+    # key from another leader: the holders of the key on other nodes.
+    keys = rows[:, 0]
     order = np.argsort(keys, kind="stable")
+    first = _fresh(keys[order], src[order])
     i, j = _run_pairs(keys[order])
-    return order[i], order[j], keys, src
+    keep = first[i] & (src[order[i]] != src[order[j]])
+    return order[i[keep]], order[j[keep]], keys, rows[:, 1]
+
+
+def _team_of(ctx: RankContext, team: Sequence[int] | None) -> tuple[int, ...]:
+    """The normalized team, which must hold the calling rank."""
+    team_t = _normalize_team(team, ctx.size)
+    if ctx.rank not in team_t:
+        raise ValueError(f"rank {ctx.rank} not in directory team {team_t}")
+    return team_t
+
+
+def _check_keys(keys: np.ndarray, key_space: int) -> None:
+    outside = keys[(keys < 0) | (keys >= key_space)]
+    if len(outside):
+        raise KeyError(f"key {outside[0]} outside key space [0, {key_space})")
 
 
 def _ask_owners(ctx: RankContext, rows: np.ndarray, key_space: int,
-                team: Sequence[int] | None,
+                team: tuple[int, ...],
                 pair: Callable[[np.ndarray, np.ndarray], tuple]) -> np.ndarray:
-    """Send each row to the owner of its first key, in one rendezvous;
-    return the int64 pairs the owners answer, in team order.
+    """Send each row to the owner of its first key, in one rendezvous over
+    the normalized ``team``; return the int64 pairs the owners answer, in
+    team order.
 
     ``rows`` ascend by their first column; every entry but a 2-D array's
     last column is a key in [0, key_space).  ``pair(src, rows)`` gets the
@@ -153,22 +235,16 @@ def _ask_owners(ctx: RankContext, rows: np.ndarray, key_space: int,
     left, right): each sender gets the (left[i], right[j]) pairs of its
     rows i, ascending by i, then j.
     """
-    team_t = _normalize_team(team, ctx.size)
-    if ctx.rank not in team_t:
-        raise ValueError(f"rank {ctx.rank} not in directory team {team_t}")
     width = 1 if rows.ndim == 1 else rows.shape[1]
-    keys = rows if width == 1 else rows[:, :-1]
-    outside = keys[(keys < 0) | (keys >= key_space)]
-    if len(outside):
-        raise KeyError(f"key {outside[0]} outside key space [0, {key_space})")
+    _check_keys(rows if width == 1 else rows[:, :-1], key_space)
     requests = {}
     if len(rows):
-        P = len(team_t)
+        P = len(team)
         first = rows if width == 1 else rows[:, 0]
         owners = np.minimum(first // block_size(key_space, P), P - 1)
         cuts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
         for o, part in zip(owners[np.r_[0, cuts]].tolist(), np.split(rows, cuts)):
-            requests[team_t[o]] = _codec.pack_i64(part)
+            requests[team[o]] = _codec.pack_i64(part)
 
     def answer(received: list[tuple[int, bytes]]) -> list[bytes]:
         sources = np.array([source for source, _ in received], dtype=np.int64)
@@ -182,7 +258,7 @@ def _ask_owners(ctx: RankContext, rows: np.ndarray, key_space: int,
         cuts = np.searchsorted(src[i], sources[1:])
         return [_codec.pack_i64(part) for part in np.split(flat, cuts)]
 
-    replies = _rendezvous(ctx, team_t, requests, answer)
+    replies = _rendezvous(ctx, team, requests, answer)
     return _concat([_codec.unpack_i64(replies[dest])
                     for dest in sorted(replies)]).reshape(-1, 2)
 
@@ -244,10 +320,8 @@ class Directory:
         Values for one key end up on its owner, ordered by source rank and,
         within a source, by the order the source listed them.
         """
-        team_t = _normalize_team(team, ctx.size)
+        team_t = _team_of(ctx, team)
         P = len(team_t)
-        if ctx.rank not in team_t:
-            raise ValueError(f"rank {ctx.rank} not in directory team {team_t}")
         by_owner: dict[int, list[tuple[int, bytes]]] = {}
         for key, value in pairs:
             o = owner(int(key), key_space, P)

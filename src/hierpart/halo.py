@@ -3,8 +3,16 @@
 Partitions replicate only node records, so the halo consists of nodes that
 appear on more than one rank.  A schedule lists, per neighbor rank, the
 shared node ids in ascending order; both sides hold the identical list, which
-fixes the wire layout without any per-message header.  Neighbors on the same
-tree node use the buffer-handoff channel instead of network sends.
+fixes the wire layout without any per-message header.
+
+Traffic goes through the node, as in the shared-memory halo communicators
+of Hoefler et al. ("MPI+MPI", 2013) and Bienz, Gropp & Olson (2019):
+neighbors on the same tree node hand each other their rows over the copy
+channel, and every rank hands its rows for other nodes to its node's
+leader, the rank that led its node in the shared-node survey.  The leaders
+send one network message per node pair, holding one value per sending rank
+and node, and hand each member the rows its remote neighbors sent.  Each
+rank then resolves the same per-neighbor rows as a direct exchange would.
 """
 
 from __future__ import annotations
@@ -14,24 +22,46 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .directory import _unique
+from .directory import _concat, _unique
 from .runtime import RankContext
 from .topology import TopologyTree
 
+# Same-node rows between neighbors, and the leaders' network messages.
 _TAG_HALO = 41
+# Rows for other nodes handed to the leader, and the leader's hand-on.
+_TAG_ROUTE = 42
 
 MODES = ("replicate_owner", "accumulate_sum")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaloSchedule:
     # (neighbor rank, shared node ids ascending, "intranode" | "internode")
     neighbors: tuple[tuple[int, tuple[int, ...], str], ...]
+    # The rank that carries this rank's internode rows: its node's leader
+    # (None: itself).
+    leader: int | None = None
+    # At a leader only, how its node's internode rows travel.  The pool is
+    # the leader's own internode rows, then those of each (member, rows)
+    # of ``gather``; each (leader, pool positions) of ``sends`` is one
+    # network message, and each (leader, rows) of ``recvs`` one incoming.
+    # Their concatenation in leader order is the inbound pool, and each
+    # (member, inbound positions) of ``hands`` is what the member gets.
+    gather: tuple[tuple[int, int], ...] = ()
+    sends: tuple[tuple[int, np.ndarray], ...] = ()
+    recvs: tuple[tuple[int, int], ...] = ()
+    hands: tuple[tuple[int, np.ndarray], ...] = ()
 
 
 def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
                       rank: int) -> HaloSchedule:
-    """Schedule from this rank's shared-node table (other rank -> node ids)."""
+    """Schedule from this rank's shared-node table (other rank -> node ids).
+
+    A table from ``find_shared_nodes`` names the rank's leader and, at a
+    leader, holds its node's tables, from which the leader's routes are
+    built; a plain mapping stands for a rank that routes its own rows, as
+    if every rank were alone on its node.
+    """
     neighbors = []
     for other in sorted(rows):
         nodes = tuple(sorted(int(n) for n in rows[other]))
@@ -39,12 +69,68 @@ def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
             continue
         channel = "intranode" if tree.same_node(rank, other) else "internode"
         neighbors.append((other, nodes, channel))
-    return HaloSchedule(neighbors=tuple(neighbors))
+    leaders = getattr(rows, "leaders", None)
+    size = tree.group_size(0)
+    leader = rank if leaders is None else leaders[rank // size]
+    if leader != rank:
+        return HaloSchedule(tuple(neighbors), leader)
+    node = getattr(rows, "node", None) or {rank: rows}
+    return HaloSchedule(tuple(neighbors), leader, *_routes(
+        node, rank // size, size,
+        (lambda o: o) if leaders is None else (lambda o: leaders[o // size])))
+
+
+def _routes(node: Mapping[int, Mapping[int, Sequence[int]]], vertex: int,
+            size: int, leader_of) -> tuple:
+    """``gather``, ``sends``, ``recvs`` and ``hands`` of a leader whose
+    level-0 vertex ``vertex`` holds the ranks of ``node``, which maps each
+    to its shared-node table."""
+    members = sorted(node)
+    # Each member's internode rows by remote rank.
+    inter = [{o: _unique(np.asarray(keys, dtype=np.int64))
+              for o, keys in sorted(node[m].items())
+              if o // size != vertex and len(keys)} for m in members]
+    pool = [_union(rows.values()) for rows in inter]
+    offsets = np.cumsum([0] + [len(x) for x in pool])
+    sends: dict[int, list[np.ndarray]] = {}
+    for rows, own, at in zip(inter, pool, offsets.tolist()):
+        by_leader: dict[int, list[np.ndarray]] = {}
+        for o, keys in rows.items():
+            by_leader.setdefault(leader_of(o), []).append(keys)
+        for lead, parts in by_leader.items():
+            sends.setdefault(lead, []).append(
+                at + np.searchsorted(own, _union(parts)))
+    # What each remote rank sends this node: the union of its rows with
+    # the members.  Remote ranks ascend with their leaders, so in
+    # ascending rank order these sit as the inbound pool holds them.
+    remote: dict[int, list[np.ndarray]] = {}
+    for rows in inter:
+        for o, keys in rows.items():
+            remote.setdefault(o, []).append(keys)
+    inbound = {o: _union(remote[o]) for o in sorted(remote)}
+    start = dict(zip(inbound, np.cumsum(
+        [0] + [len(x) for x in inbound.values()]).tolist()))
+    recvs: dict[int, int] = {}
+    for o, keys in inbound.items():
+        recvs[leader_of(o)] = recvs.get(leader_of(o), 0) + len(keys)
+    hands = tuple(
+        (m, np.concatenate([start[o] + np.searchsorted(inbound[o], keys)
+                            for o, keys in rows.items()]))
+        for m, rows in zip(members, inter) if rows)
+    return (tuple((m, len(x)) for m, x in zip(members[1:], pool[1:]) if len(x)),
+            tuple((lead, np.concatenate(parts))
+                  for lead, parts in sorted(sends.items())),
+            tuple(sorted(recvs.items())), hands)
+
+
+def _union(blocks) -> np.ndarray:
+    return _unique(_concat(list(blocks)))
 
 
 def exchange(ctx: RankContext, schedule: HaloSchedule,
              field: Mapping[int, object], mode: str) -> dict[int, np.ndarray]:
-    """One halo update of a per-node field; collective over all sharers.
+    """One halo update of a per-node field; collective over all sharers and
+    their node leaders.
 
     ``field`` maps every local node id to a fixed-arity float vector (or a
     number, arity 1).  Mode ``replicate_owner`` overwrites each shared node
@@ -53,9 +139,11 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
     every replica is bitwise identical.  Returns a full copy of the field
     with shared nodes updated.
 
-    The field is stacked into one (nodes, arity) array; each neighbor's
-    payload is one gather of its rows, and each received payload is applied
-    to its rows in one step.
+    The field is stacked into one (nodes, arity) array; each payload is
+    one gather of its rows, and each neighbor's rows are applied in one
+    step.  Rows for other nodes travel through the leaders (see the
+    module docstring), which forward every sending rank's values, so both
+    modes see exactly the values a direct exchange delivers.
     """
     if mode not in MODES:
         raise ValueError(f"unknown exchange mode {mode!r}; expected one of {MODES}")
@@ -64,8 +152,8 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
     order = np.argsort(nodes, kind="stable")
     ordered = nodes[order]
 
-    def rows_of(shared: tuple[int, ...]) -> np.ndarray:
-        want = np.array(shared, dtype=np.int64)
+    def rows_of(shared) -> np.ndarray:
+        want = np.asarray(shared, dtype=np.int64)
         at = np.searchsorted(ordered, want)
         hit = at < len(ordered)
         hit[hit] = ordered[at[hit]] == want[hit]
@@ -75,28 +163,35 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
         return order[at]
 
     rows = [rows_of(shared) for _, shared, _ in schedule.neighbors]
+    inter = [(other, shared) for other, shared, channel in schedule.neighbors
+             if channel == "internode"]
+    outbound = values[rows_of(_union(shared for _, shared in inter))]
+    counts = [len(shared) for _, shared in inter]
+    leader = ctx.rank if schedule.leader is None else schedule.leader
+    arity = values.shape[1]
 
     # Post everything outbound first; both channels buffer, so no rank can
     # stall another by receiving in a different order than it sends.
     for (other, _, channel), idx in zip(schedule.neighbors, rows):
-        data = values[idx].tobytes()
         if channel == "intranode":
-            ctx.copy_to(other, data)
-        else:
-            ctx.send(other, data, tag=_TAG_HALO)
+            ctx.copy_to(other, values[idx].tobytes(), _TAG_HALO)
+    if leader == ctx.rank:
+        routed = _lead(ctx, schedule, outbound, arity if len(values) else None)
+    elif inter:
+        ctx.copy_to(leader, outbound.tobytes(), _TAG_ROUTE)
+        routed = _rows(leader, ctx.copy_from(leader, _TAG_ROUTE), sum(counts),
+                       arity)
+    remote = dict(zip((other for other, _ in inter),
+                      np.split(routed, np.cumsum(counts)[:-1]))) if inter else {}
 
-    arity = values.shape[1]
     received = []
     for (other, shared, channel), idx in zip(schedule.neighbors, rows):
         if channel == "intranode":
-            data = ctx.copy_from(other)
+            got = _rows(other, ctx.copy_from(other, _TAG_HALO), len(shared),
+                        arity)
         else:
-            _, _, data = ctx.recv(source=other, tag=_TAG_HALO)
-        got = np.frombuffer(data, dtype=np.float64)
-        if got.size != len(shared) * arity:
-            raise ValueError(f"halo payload from rank {other} holds "
-                             f"{got.size} values, expected {len(shared) * arity}")
-        received.append((other, idx, got.reshape(len(shared), arity)))
+            got = remote[other]
+        received.append((other, idx, got))
     received.sort(key=lambda r: r[0])
 
     result = values.copy()
@@ -113,6 +208,41 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
             total[idx] += got
         result[shared] = total[shared]
     return dict(zip(nodes.tolist(), result))
+
+
+def _lead(ctx: RankContext, schedule: HaloSchedule, own: np.ndarray,
+          arity: int | None) -> np.ndarray:
+    """A leader's part of one exchange: send its node's internode rows,
+    one message per remote leader, and hand each member what arrives for
+    it; returns its own share.  ``arity`` None: the leader holds no
+    nodes, and its members' rows set the width."""
+    handed = [(m, ctx.copy_from(m, _TAG_ROUTE), count)
+              for m, count in schedule.gather]
+    if arity is None:
+        arity = len(handed[0][1]) // (8 * handed[0][2]) if handed else 0
+    pool = np.concatenate([own.reshape(len(own), arity)] + [
+        _rows(m, data, count, arity) for m, data, count in handed])
+    for other, at in schedule.sends:
+        ctx.send(other, pool[at].tobytes(), _TAG_HALO)
+    pool = np.concatenate([np.empty((0, arity))] + [
+        _rows(other, ctx.recv(source=other, tag=_TAG_HALO)[2], count, arity)
+        for other, count in schedule.recvs])
+    own_share = pool[:0]
+    for m, at in schedule.hands:
+        if m == ctx.rank:
+            own_share = pool[at]
+        else:
+            ctx.copy_to(m, pool[at].tobytes(), _TAG_ROUTE)
+    return own_share
+
+
+def _rows(source: int, data: bytes, count: int, arity: int) -> np.ndarray:
+    """A payload from ``source`` as its (count, arity) rows."""
+    got = np.frombuffer(data, dtype=np.float64)
+    if got.size != count * arity:
+        raise ValueError(f"halo payload from rank {source} holds "
+                         f"{got.size} values, expected {count * arity}")
+    return got.reshape(count, arity)
 
 
 def _stack(field: Mapping[int, object]) -> np.ndarray:

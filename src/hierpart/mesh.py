@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _codec
-from .directory import (_ask_owners, _fresh, _run_pairs, _unique,
+from .directory import (_ask_owners, _fresh, _run_pairs, _team_of, _unique,
                         blind_exchange, co_holders)
 from .runtime import RankContext, _normalize_team
 
@@ -551,7 +551,7 @@ def build_dual_graph(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
     rows = np.column_stack((faces.reshape(-1, npf),
                             np.repeat(chunk.element_ids, faces.shape[1])))
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    pairs = _ask_owners(ctx, rows, n_nodes, team, _pair_faces)
+    pairs = _ask_owners(ctx, rows, n_nodes, _team_of(ctx, team), _pair_faces)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     # Elements sharing several faces are paired at each face's owner.
     fresh = _fresh(pairs[:, 0], pairs[:, 1])
@@ -664,8 +664,10 @@ def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
 def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
                       team: Sequence[int] | None = None) -> dict[int, list[int]]:
     """Nodes this rank shares with each other rank, {other rank: sorted
-    node ids}: ``directory.co_holders`` of its node ids, one rendezvous
-    collective over the team."""
+    node ids}: ``directory.co_holders`` of its node ids, collective over
+    the team, whose node leaders alone use the network.  The result also
+    names the rank's leader and, at a leader, its node's tables, from
+    which ``halo.schedule_for_rank`` builds the leader's routes."""
     return co_holders(ctx, _unique(chunk.conn), n_nodes, team)
 
 

@@ -468,6 +468,34 @@ def test_assignment_off_the_mesh_or_tree_exits_2_naming_the_file(
     assert f"input error: {path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+@pytest.mark.parametrize("on_node_1, held", [(set(), 0), ({7}, 1)],
+                         ids=["none", "one"])
+def test_rebalance_of_a_group_with_fewer_elements_than_ranks_exits_2(
+        tmp_path, capsys, method, on_node_1, held):
+    # Every element but ``on_node_1`` on rank 0 of topo_2x2: node 1's
+    # level-0 group cannot give each of its 2 ranks an element.  metrics
+    # takes the same file, and so does a rebalance at the leaf level, whose
+    # groups hold one rank each.
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    mesh = load_mesh(fixtures / "demo_mesh.json")
+    path = tmp_path / "assignment.json"
+    save_assignment(path, {e: (2 if e in on_node_1 else 0)
+                           for e in mesh.elements})
+    args = ["--mesh", str(fixtures / "demo_mesh.json"),
+            "--topo", str(fixtures / "topo_2x2.json"),
+            "--assignment", str(path), "--no-timestamp"]
+    assert main(["rebalance", *args, "--level", "0", "--method", method,
+                 "--out", str(tmp_path / "r0")]) == 2
+    assert (f"input error: {path}: level-0 group 1 holds {held} elements "
+            f"for its 2 ranks; rebalance needs at least one element per rank"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r0").exists()
+    assert main(["rebalance", *args, "--level", "1", "--method", method,
+                 "--out", str(tmp_path / "r1")]) == 0
+    assert main(["metrics", *args, "--out", str(tmp_path / "m")]) == 0
+
+
 def test_gc_threshold_raised_for_the_verb_and_restored(inputs, monkeypatch):
     seen = []
     monkeypatch.setattr("hierpart.cli.load_topology", lambda path: (

@@ -256,7 +256,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            '1bc3681aa919d2e20120ee8e53e71d2159cab6ea1ca90255308fa86c0fc1f30d',
+            '8dcde7e3eda90f21cf4d03ed7d092fee8b997a8a22f71d58a71c7f39b3fa0c4e',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -266,13 +266,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            'd148ad19bf1188af10de7ca4519516b4a3d0f737a7c51a1be6adbda155a22ef5',
+            'b956caf60ccca923080b24bed1d7905521353e4665a1527d65cbadcbe376eab9',
     },
     'partition-topo_2x2-rcb-a2': {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            '7c0287baadf92005f9c24b9fe91e0528b8db4e67054205d2443e9432c31d9d2d',
+            'a80fab892dc1e0cb9c0fb3d70d176bd3e2e6ca02a7eabaa2badb4a02ab29e52c',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -282,13 +282,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            'a385d40b8c60a641e703e9c9d90c3c712ea87432b72689e874c972aa855aacea',
+            'bd97811627531cb81a8a7cdf15c873b4f996bf96ee4bce6f928b68f4dd4945f5',
     },
     'partition-topo_2x2-graph-a1': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            '2133d10433e8ff95d052a4a8bc107e3338b6bab9a909a81efe7029b39c267908',
+            '4d13724d23f3d134bdcb6b4c97d2a0b68d245fe27a8c78acd081c42165d95f1f',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -298,13 +298,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '0c3ab69b89700f89ad86960d50526d915a0d4863fc5426e56d3c1682715b5de6',
+            '5697b8d613587562e1415c56862345f3061f1b5d3518bb53d5880fb496b9addb',
     },
     'partition-topo_2x2-graph-a2': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            'e66eb4bfbf9618bb75ef42467c28c997cbc797979d7bef7228e84020c05c058b',
+            'f7619d3d83739d877aabee6cdd421782ea7263f485b4f7d536dd8b055152bc94',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -314,13 +314,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '8ec023609f714910f2ffb4d651efe465f509422716daddb83c961d18ce560147',
+            '68fafe83f858bb888faf4500d35911be008d02c7f1a8b19d712df14aec1fd0e0',
     },
     'partition-topo_2x2-graph,rcb-a1': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '4fd85f879df07c4ecdcbaf5515b1b5ad452ddcfcb108c3d13bae5310575f83f0',
+            'adccaf29014cdcaccbdb647684e6c945d8cf8104b5449205ac84dd25af49aa4a',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -330,13 +330,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            '9bca04aa968c151822480ac477340234e519f05f8badf34820b6572e9e8dc2b1',
+            'da372f54e4c82ad31ec88a4297586fe66cc5e4bb070ccba76ffe4731fc071f61',
     },
     'partition-topo_2x2-graph,rcb-a2': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '0acec1c789a83feb604b0f11e12a712ef2130e31fd73b80caddcb81a0a400197',
+            '4629946302471fb996f29d8485302316b0f07e10ca49d272de81b295f30b18d5',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -346,13 +346,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            '4d36883a7312149b6f3303670c48e81fcc9ac3467233d78d59a5caf43e4094a5',
+            '0a7ac31e0fe069eb97aa537ea41b59ffa06b9512554889548215da7a870042a6',
     },
     'partition-topo_2x2x2-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'b68673d7dcfdc5928993e73fad4683e9a6181d8a9d77624fbfc666974795888e',
+            '3d64ba3f34c9906bc9655d145e7989e40a445a5a5ff4d29f836cd0f74694570c',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -370,13 +370,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'bddac88c8ffbc10dacb6dce8e6b8e6bd44575cd4dbecfa4f1adff03df0e467ee',
+            '1a06774ad0d0c98d10e5dde8bc20ce33a31cecfe37aa4219680cdc742aeaae3b',
     },
     'partition-topo_2x2x2-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '04ee793deb888ee14d30bf2f125afc829e1afe3ac80f8f7c2a4de483788b6d14',
+            '7a2445fb6ed4a15422ed8afd12f32a10268b2e5667573c8242470668c8cfbff7',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -394,13 +394,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'c15da2e7931706c7d7ede74b97ce5e63935402589a18f4bc76add93d2f4720c4',
+            '542e8af8fbab6f717633ff60b58afbe3877d28a61cf3a7bf8da32508d6605c2b',
     },
     'partition-topo_2x2x2-graph-a1': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            '25972f64593f3763c42258fce9a0daf5d15869f1e1445ab9221c21653ba77d61',
+            'dd3885fdb20e3b27513e5a9770105ced8a80437af095d756595e5674073269f9',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -418,13 +418,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            '975a89193b0d104aec75d0c6cd44284d8dbd8fa273a0671182cad01dbb7d2667',
+            '49bd08355e291bb3a7317ff486fb2425ce12a15d006123ea727119deb4b59de9',
     },
     'partition-topo_2x2x2-graph-a2': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            'f02797da97eaaa16ad959416e51f9e6407b08d92da8fa4d8793837fe240205db',
+            'a88361098d8f74c7d145d032df489101fa80d2fa1383ee721403bcd00f44fb16',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -442,13 +442,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            'ce9869bc529ac79f5ad4072d8aa09681fa411a732a61118303c12b000152a226',
+            '27ddf1b911397d8528dc238c0317abcf6df80362d60621528b5ea297036dde69',
     },
     'partition-topo_2x2x2-graph,rcb-a1': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            'f5e70c79583b2c6ed786b8970e81a019e70492d18f6f656079bb05f4200a6469',
+            'b502713087b2029286a542d38fd23df1a2d4c5409d34c25a8226d1ff6261a290',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -466,13 +466,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            'af271fa6fb8295290b03fbca50742bd6fba319e30e399bdd07bb71c2b9528f1e',
+            '8a577a503a2e7f056715ffe7b089eac9a8f31d7cbf7554cc8c5b08dc2ea27c0c',
     },
     'partition-topo_2x2x2-graph,rcb-a2': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            'ddbc38e4c8bdb7eda762603a13ff5768a5dac9cb695b4d071c913539ec3a8949',
+            '588cf4b00dcc74774e6ce54470db4769d9c646a6b094a3fccc2bf765dae9cb05',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -490,7 +490,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            '67bb43cec4005f4a3f3f3d9d75a5d00d2cbd9aa78c28c14f90eb22b3a21b51a1',
+            'c85a84197925d89663288e64eca525d3586d753aa3b3ce79ccf4d303430d13f4',
     },
     'rebalance-rcb': {
         'assignment.json':
@@ -514,15 +514,15 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     'metrics': {
         'levels.csv':
-            '4f8ce93bc30cf7d7ce89e6527ffb3b32986e1c5ddf426cb75b0373095dab1838',
+            '909150f3bd98eee854734f3cb6e03e978f2e2bc2e8ac5dcb198f562797a0b640',
         'report.json':
-            'd83c0a35af2d7587ce748fc3f3d85967095a3a50e09b59e52fa3e452848f3dc4',
+            '70aaf28646d8af1ba562f0f465323ceea445d055540f22ac77350b492dc97c1b',
     },
     'tet-partition-rcb': {
         'assignment.json':
             'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
         'levels.csv':
-            '83988de5d193220b793bf9a1b23cce8f53aed2886aaffe78564f0746409426ad',
+            '54f742d6cb0d200e103846b248d3df4e99d359acbac88336c8d2cc1a27f1ee98',
         'part-0000.json':
             'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
         'part-0001.json':
@@ -540,7 +540,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
         'report.json':
-            '36172422f86bb2fb5664301444d8947c27a8d5453306c5f7b7962a623edf55f3',
+            '0052675eecc15ea1e12faf85bf6a06138cbd76899a12d3baa8ac2503fbd78ab5',
     },
     'tet-rebalance-rcb': {
         'assignment.json':
@@ -556,7 +556,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '3838aafd34690f452c841fceefddacb98744ba1a52badc97e54323c3687497f1',
+            'c011d4270a4b4eb71896bdc4fd0f1a71830bda08fd6b2dc9e90750edaf43673e',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -574,13 +574,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '720aef1a55dbf5725713d99098f9c6e9a3943204d279b8c1fc9c466496d8e01e',
+            'cb06b03a17107e640537341d76b42719f8e87e0f00d835ec7b1032833a1653d5',
     },
     'frac-partition-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '0e097652d504a48cda51c54fac50377327885f2554413c72e73360faaa11c343',
+            'c3a0a2cd51f52f340c99a65f29afe1d5f56327e969c6ce1f83626da0711d4688',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -598,13 +598,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '75dbdd1a0460c517c48cff5a89a76e0209b50f6996f0cdc8813bf17d5c8924e7',
+            '56d2be631863c926df9ec17bf6cea15275a2f0163a2b1f49c5797ce33843477f',
     },
     'frac-partition-graph-a1': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            '336e70124cdf9ff40a313e28cd4a2d1fb790c099f6d6153058cf81ddd2863229',
+            '492a97f447e69d71f0d2a5b9e5b96ed97cef825254175051b83fd3571e091954',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -622,13 +622,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'caef73cfcae6a5f273a2ac9e9dc2e1f7bb64bd9b7b800acf3a29f63bfcbea80b',
+            'c202eac7af435bbdbda5e5430895d482b852dd8b4174c955ad9cd62968e305fe',
     },
     'frac-partition-graph-a2': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            'f84b2e0beae86d43bb3d7d7173b15952a26574a4d3bdb189802134ef7114eb6f',
+            '62b7455d48dcb1baf26483f396c0a50bf5143dbdb68f2e1600eb9ea9631b8969',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -646,7 +646,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            '748d475df8d38a9251ff5b66597bc218589a77c4efb4d92d72801c989e1179db',
+            'bb872daf66c0e91ff3847e80e6c263627615dc4217a3e2c41849b1d5b6166c7b',
     },
     'frac-rebalance-rcb-l0': {
         'assignment.json':
@@ -690,15 +690,15 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     'frac-metrics': {
         'levels.csv':
-            '4f8ce93bc30cf7d7ce89e6527ffb3b32986e1c5ddf426cb75b0373095dab1838',
+            '909150f3bd98eee854734f3cb6e03e978f2e2bc2e8ac5dcb198f562797a0b640',
         'report.json':
-            '91708cc1319ae6b1f4d65e41979a6a6e775ddb243c420e21b0f6fe0a46c6c44c',
+            '3d5b7d1b2c468ff3420db3cb505e320abea2346ec817a5a273005a503c50c50a',
     },
     'timing-partition': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '0e097652d504a48cda51c54fac50377327885f2554413c72e73360faaa11c343',
+            'c3a0a2cd51f52f340c99a65f29afe1d5f56327e969c6ce1f83626da0711d4688',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -716,7 +716,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '51dc417b3e8cd29d47e43622ae6baf3e36aca25a1895ac6e3d8ce972989169ba',
+            'c11eda697fb99c185e4496fe38b87fd2f9baaa5eadfcd9947c9a5a67687a8119',
     },
 }
 

@@ -7,9 +7,10 @@ import random
 import numpy as np
 import pytest
 
+from hierpart.directory import co_holders
 from hierpart.halo import HaloSchedule, exchange, schedule_for_rank
-from hierpart.mesh import find_shared_nodes, split_contiguous
-from hierpart.meshgen import triangle_grid
+from hierpart.mesh import find_shared_nodes, split_chunk, split_contiguous
+from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
@@ -106,7 +107,8 @@ def test_exchange_three_sharers_resolved_in_rank_order():
     # Node 9 is held by ranks 0, 2 and 3, node 11 by ranks 2 and 3; rank 2
     # resolves node 9 with its own value between two received ones.  The
     # sum is order-sensitive: adding 1.0 before -1e16 loses it (0.0), while
-    # adding this rank's value last would keep it (1.0).
+    # adding this rank's value last would keep it (1.0).  Rank 0's value
+    # reaches ranks 2 and 3 through the node leaders 0 and 2.
     tree = build_topology([("node", 2), ("core", 2)])
     neighbors = {
         0: ((2, (9,)), (3, (9,))),
@@ -114,9 +116,6 @@ def test_exchange_three_sharers_resolved_in_rank_order():
         2: ((0, (9,)), (3, (9, 11))),
         3: ((0, (9,)), (2, (9, 11))),
     }
-    schedules = [HaloSchedule(tuple(
-        (other, nodes, "intranode" if tree.same_node(r, other) else "internode")
-        for other, nodes in neighbors[r])) for r in range(4)]
     fields = [{9: np.array([1e16])}, {4: np.array([5.0])},
               {9: np.array([1.0]), 11: np.array([2.0])},
               {9: np.array([-1e16]), 11: np.array([3.0])}]
@@ -126,9 +125,15 @@ def test_exchange_three_sharers_resolved_in_rank_order():
     }
     for mode, resolved in expect.items():
         oracle = sequential_halo(fields, mode)
-        res = Runtime(tree, seed=0).run(
-            lambda ctx: exchange(ctx, schedules[ctx.rank], fields[ctx.rank],
-                                 mode))
+
+        def prog(ctx):
+            rows = co_holders(ctx, list(fields[ctx.rank]), 12)
+            sched = schedule_for_rank(rows, tree, ctx.rank)
+            assert tuple((o, n) for o, n, _ in sched.neighbors) == \
+                neighbors[ctx.rank]
+            return exchange(ctx, sched, fields[ctx.rank], mode)
+
+        res = Runtime(tree, seed=0).run(prog)
         assert {n: v.tolist() for n, v in res[2].items()} == \
             {n: [v] for n, v in resolved.items()}
         for r in range(4):
@@ -151,6 +156,65 @@ def test_exchange_matches_oracle_bitwise(mode):
             for n, v in res[r].items():
                 # Bitwise equality, not approx: summation order is pinned.
                 assert v.tobytes() == expect[r][n].tobytes(), (r, n)
+
+
+def node_pairs(tree, fields):
+    """Ordered pairs of tree nodes whose ranks share a mesh node."""
+    pairs = set()
+    for a, fa in enumerate(fields):
+        for b, fb in enumerate(fields):
+            if not tree.same_node(a, b) and fa.keys() & fb.keys():
+                pairs.add((tree.group_index(a, 0), tree.group_index(b, 0)))
+    return pairs
+
+
+@pytest.mark.parametrize("levels", [[("node", 3), ("core", 2)],
+                                    [("node", 3), ("socket", 2), ("core", 2)]])
+@pytest.mark.parametrize("placement", ["contiguous", "random", "no leaders"])
+@pytest.mark.parametrize("mode", ["replicate_owner", "accumulate_sum"])
+def test_three_node_exchange_matches_oracle_with_one_message_per_node_pair(
+        levels, placement, mode):
+    # "no leaders": every element sits on a rank that does not lead its
+    # node, so the leaders route rows while holding no nodes themselves.
+    tree = build_topology(levels)
+    p = tree.total_ranks
+    mesh = tet_box(3, 3, 2)
+    n_nodes = 1 + max(mesh.nodes)
+    rng = random.Random(f"{p}{placement}")
+    if placement == "contiguous":
+        chunks = split_contiguous(mesh, p)
+    else:
+        ranks = [r for r in range(p)
+                 if placement == "random" or r % tree.group_size(0)]
+        chunks = split_chunk(mesh, [rng.choice(ranks)
+                                    for _ in range(mesh.n_elements)], p)
+    for seed in range(3):
+        fields = make_fields(chunks, rng, arity=2)
+        expect = sequential_halo(fields, mode)
+
+        def prog(ctx):
+            rows = find_shared_nodes(ctx, chunks[ctx.rank], n_nodes)
+            sched = schedule_for_rank(rows, tree, ctx.rank)
+            ctx.set_phase("halo_exchange")
+            return exchange(ctx, sched, fields[ctx.rank], mode)
+
+        rt = Runtime(tree, seed=seed)
+        res = rt.run(prog)
+        for r in range(p):
+            assert {n: v.tobytes() for n, v in res[r].items()} == \
+                {n: v.tobytes() for n, v in expect[r].items()}, (seed, r)
+        pairs = node_pairs(tree, fields)
+        assert len(pairs) >= 2
+        assert rt.ledger.message_count(phase="halo_exchange") == len(pairs)
+        assert rt.ledger.message_count(phase="halo_exchange",
+                                       locality="intranode") == 0
+        # Only the leaders, each node's lowest rank, send: one message to
+        # each node that shares a mesh node with theirs.
+        size = tree.group_size(0)
+        for r in range(p):
+            sent = sum(a == r // size for a, _ in pairs) if r % size == 0 else 0
+            assert rt.ledger.rank_message_count(
+                r, phase="halo_exchange") == sent, r
 
 
 def test_exchange_replicas_identical_across_ranks():
@@ -181,8 +245,9 @@ def test_exchange_intranode_neighbors_use_copy_channel():
     for row in rt.ledger.phase_totals():
         halo_msg += row["copy_bytes"]
     assert halo_msg > 0
-    # The only point-to-point traffic is the shared-node discovery, which
-    # rides the directory; the halo payloads themselves moved by copy.
+    # Both ranks share one node, so neither the shared-node survey nor the
+    # halo payloads touch the network.
+    assert rt.ledger.message_count() == 0
 
 
 def test_exchange_rejects_bad_input():

@@ -492,42 +492,57 @@ def test_find_shared_nodes_matches_oracle():
 
 @st.composite
 def shared_node_cases(draw):
-    """A small triangle or tet mesh, a team of ranks and random owners."""
+    """A small triangle or tet mesh on a two-level tree, a team of ranks
+    (which may leave out a node's lowest rank) and random owners."""
     if draw(st.booleans()):
         mesh = triangle_grid(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
     else:
         mesh = tet_box(*(draw(st.integers(1, 3)) for _ in range(3)))
-    p = draw(st.integers(1, 16))
+    tree = build_topology([("node", draw(st.integers(1, 4))),
+                           ("core", draw(st.integers(1, 4)))])
+    p = tree.total_ranks
     team = draw(st.lists(st.integers(0, p - 1), min_size=1, unique=True))
     owner = draw(st.lists(st.sampled_from(team), min_size=mesh.n_elements,
                           max_size=mesh.n_elements))
     passed = None if len(team) == p and draw(st.booleans()) else team
-    return mesh, p, passed, split_chunk(mesh, owner, p)
+    return mesh, tree, passed, split_chunk(mesh, owner, p)
 
 
-def remote_rendezvous_traffic(chunks, team, n_nodes):
-    """Oracle: (messages, bytes) co_holders must put on the ledger."""
-    team = sorted(team)
-    bs = block_size(n_nodes, len(team))
+def remote_rendezvous_traffic(chunks, team, n_nodes, tree):
+    """Oracle: (messages, bytes) co_holders must put on the ledger.
+
+    Only the node leaders, the lowest team rank on each node, talk over
+    the network: each sends its node's (key, holder) rows to the key
+    owners among the leaders, and each owner replies with every holder of
+    those keys on other nodes.
+    """
+    size = tree.group_size(0)
+    members: dict[int, list[int]] = {}
+    for r in sorted(team):
+        members.setdefault(r // size, []).append(r)
+    leaders = sorted(ranks[0] for ranks in members.values())
+    bs = block_size(n_nodes, len(leaders))
+    held = {r: sorted(set(chunks[r].conn.ravel().tolist())) for r in team}
     holders: dict[int, set[int]] = {}
     for r in team:
-        for n in set(chunks[r].conn.ravel().tolist()):
+        for n in held[r]:
             holders.setdefault(n, set()).add(r)
     messages = nbytes = 0
-    for r in team:
-        asked: dict[int, list[int]] = {}
-        for n in sorted(set(chunks[r].conn.ravel().tolist())):
-            o = team[min(n // bs, len(team) - 1)]
-            if o != r:
-                asked.setdefault(o, []).append(n)
-        # A request of the keys and a reply of their (key, other holder)
-        # pairs per (rank, remote owner) pair, and one blind_count
+    for vertex, ranks in members.items():
+        asked: dict[int, list[tuple[int, int]]] = {}
+        for n, r in sorted((n, r) for r in ranks for n in held[r]):
+            o = leaders[min(n // bs, len(leaders) - 1)]
+            if o != ranks[0]:
+                asked.setdefault(o, []).append((n, r))
+        # A request of the rows and a reply of (key, holder elsewhere)
+        # pairs per (leader, remote owner) pair, and one blind_count
         # accumulate per pair.
-        for keys in asked.values():
-            replied = [v for n in keys for h in sorted(holders[n] - {r})
+        for rows in asked.values():
+            replied = [v for n in sorted({n for n, _ in rows})
+                       for h in sorted(holders[n]) if h // size != vertex
                        for v in (n, h)]
             messages += 2
-            nbytes += (len(_codec.pack_i64(keys))
+            nbytes += (len(_codec.pack_i64([v for row in rows for v in row]))
                        + len(_codec.pack_i64(replied)) + 4)
     return messages, nbytes
 
@@ -535,7 +550,8 @@ def remote_rendezvous_traffic(chunks, team, n_nodes):
 @settings(max_examples=60, deadline=None)
 @given(case=shared_node_cases(), seed=st.integers(0, 3))
 def test_find_shared_nodes_matches_oracle_on_random_owners(case, seed):
-    mesh, p, team, chunks = case
+    mesh, tree, team, chunks = case
+    p = tree.total_ranks
     members = range(p) if team is None else team
     n_nodes = int(mesh.node_ids[-1]) + 1
     expect = node_sharers(chunks)
@@ -546,13 +562,15 @@ def test_find_shared_nodes_matches_oracle_on_random_owners(case, seed):
             return find_shared_nodes(ctx, chunks[ctx.rank], n_nodes, team=team)
         return None
 
-    rt = Runtime(tree_of(p), seed=seed)
+    rt = Runtime(tree, seed=seed)
     res = rt.run(prog)
     for r in range(p):
         assert res[r] == (expect[r] if r in members else None)
-    messages, nbytes = remote_rendezvous_traffic(chunks, members, n_nodes)
+    messages, nbytes = remote_rendezvous_traffic(chunks, members, n_nodes, tree)
     assert rt.ledger.message_count(phase="shared_nodes") == messages
     assert rt.ledger.bytes_total(phase="shared_nodes") == nbytes
+    assert rt.ledger.message_count(phase="shared_nodes",
+                                   locality="intranode") == 0
 
 
 def test_co_holders_error_texts_unchanged():
