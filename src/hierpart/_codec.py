@@ -11,6 +11,10 @@ Ids, connectivity and owner replies span a few thousand values per block,
 so most of them travel in 2 bytes instead of 8.  ``unpack_i64`` gives the
 int64 array back, whatever the width; a single int read on its own (a kind
 code or a flag) unpacks to a Python int.
+
+Keyed data travels as a keys block and a values block: ``pack_kv`` takes
+byte values, one framed block each, and ``pack_kv_f64`` float64 values,
+8 bytes each with no framing.
 """
 
 from __future__ import annotations
@@ -106,24 +110,17 @@ def unpack_kv(data: bytes) -> list[tuple[int, bytes]]:
     return list(zip(unpack_i64(keys_raw).tolist(), unpack_blocks(values_raw)))
 
 
-def pack_kv_f64(keys: np.ndarray, values: np.ndarray) -> bytes:
-    """``pack_kv`` of (key, ``pack_f64([value])``) pairs: the keys' block,
-    then the value blocks built as one int64 array, their count and one
-    (8, value bits) pair each."""
-    n = len(keys)
-    pairs = np.empty((n, 2), dtype=_I64)
-    pairs[:, 0] = _F64.itemsize
-    pairs[:, 1] = np.asarray(values, dtype=_F64).view(_I64)
-    blocks = np.concatenate(([n], pairs.reshape(-1))).astype(_I64, copy=False)
-    return pack_blocks([pack_i64(keys), blocks.tobytes()])
+def pack_kv_f64(keys: Sequence[int], values: Sequence[float]) -> bytes:
+    """Aligned int keys and float64 values as two blocks: the keys' block,
+    then the values, 8 bytes each."""
+    return pack_blocks([pack_i64(keys), pack_f64(values)])
 
 
 def unpack_kv_f64(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """(keys, values) of a ``pack_kv_f64`` message, in the order packed."""
     keys_raw, values_raw = unpack_blocks(data)
-    keys = unpack_i64(keys_raw)
-    words = np.frombuffer(values_raw, dtype=_I64)
-    n = len(keys)
-    if len(words) != 1 + 2 * n or words[0] != n:
-        raise ValueError("malformed key/value message")
-    return keys, words[2::2].view(_F64)
+    keys, values = unpack_i64(keys_raw), unpack_f64(values_raw)
+    if len(keys) != len(values):
+        raise ValueError(f"malformed key/value message: {len(keys)} keys, "
+                         f"{len(values)} values")
+    return keys, values

@@ -117,7 +117,8 @@ def _parse_method(text: str):
     return methods[0] if len(methods) == 1 else methods
 
 
-def _load_weight_input(args, mesh: MeshChunk) -> np.ndarray | None:
+def _load_weight_input(args, mesh: MeshChunk, nparts: int
+                       ) -> np.ndarray | None:
     """The --weights or --timing input as a float64 column aligned with the
     mesh's element ids, or None when neither is given."""
     if args.weights and args.timing:
@@ -137,6 +138,15 @@ def _load_weight_input(args, mesh: MeshChunk) -> np.ndarray | None:
         ids, weights = read_weights(path)
     else:
         return None
+    # Every load and imbalance adds weights up, and an rcb cut aims at a
+    # team's total times a part count below nparts, so total * nparts must
+    # be a float64 too.
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+        if not np.isfinite(total * nparts):
+            raise FormatError(path, f"{source} total {total:g} beyond the "
+                                    f"float64 range when split {nparts} "
+                                    f"ways")
     order = np.argsort(ids, kind="stable")
     if np.array_equal(ids[order], mesh.element_ids):
         return weights[order]
@@ -253,8 +263,8 @@ def _survey_program(tree: TopologyTree, n_nodes: int):
 def _cmd_partition(args) -> int:
     tree = load_topology(args.topo)
     mesh = load_mesh(args.mesh)
-    mesh.weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
+    mesh.weights = _load_weight_input(args, mesh, nparts)
     if mesh.n_elements < nparts:
         raise FormatError(args.mesh, f"mesh has {mesh.n_elements} elements; "
                           f"need at least one per rank ({nparts})")
@@ -308,8 +318,8 @@ def _cmd_rebalance(args) -> int:
     tree = load_topology(args.topo)
     mesh = load_mesh(args.mesh)
     ids, parts = read_assignment(args.assignment)
-    mesh.weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
+    mesh.weights = _load_weight_input(args, mesh, nparts)
     position, owner = _check_assignment(args.assignment, ids, parts, mesh,
                                         nparts)
     tree.check_level(args.level, "--level")
@@ -366,8 +376,8 @@ def _cmd_metrics(args) -> int:
     tree = load_topology(args.topo)
     mesh = load_mesh(args.mesh)
     ids, parts = read_assignment(args.assignment)
-    weights = _load_weight_input(args, mesh)
     nparts = tree.total_ranks
+    weights = _load_weight_input(args, mesh, nparts)
     position, owner = _check_assignment(args.assignment, ids, parts, mesh,
                                         nparts)
     model = CostModel(intranode=args.cost_intra)

@@ -219,13 +219,20 @@ class MeshChunk:
             self.node_ids.tolist(), self.boundary, self.nodes_per_element))
 
     def centroids(self) -> tuple[np.ndarray, np.ndarray]:
-        """(element ids, centroid coordinates), sorted by element id.
+        """(element ids, centroid coordinates), sorted by element id: the
+        ``gather_mean`` of the chunk's coordinates over its node rows."""
+        return self.element_ids, gather_mean(self.coords, self._node_rows())
 
-        One gather-mean over the (elements, nodes per element) row array; it
-        sums each element's nodes in connectivity order, so every centroid
-        equals ``np.mean`` of that element's coordinates bit for bit.
-        """
-        return self.element_ids, self.coords[self._node_rows()].mean(axis=1)
+
+def gather_mean(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Centroid of each (elements, nodes per element) row of indices into
+    ``coords``.
+
+    One gather-mean over the row array; it sums each element's nodes in
+    connectivity order, so every centroid equals ``np.mean`` of that
+    element's coordinates bit for bit, whoever computes it.
+    """
+    return coords[rows].mean(axis=1)
 
 
 def reference_problem(elements: Iterable[tuple[int, tuple]],

@@ -8,9 +8,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hierpart
@@ -407,6 +409,56 @@ def test_bad_weight_records_exit_2_naming_the_record(inputs, capsys, records,
     assert code == 2
     # Every message names the file it is about.
     assert f"input error: {path}: {message}\n" in capsys.readouterr().err
+
+
+def _weights_of(weight):
+    return lambda elements: [[e, weight] for e in elements]
+
+
+def _timing_of(seconds):
+    return lambda elements: [{"elems": [e], "seconds": seconds}
+                             for e in elements]
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+@pytest.mark.parametrize("records, message", [
+    # Each value is finite, but their total is not.
+    (_weights_of(1e308), "weights total inf"),
+    (_timing_of(1e308), "timing data total inf"),
+    # The total, 2^1023, is finite, but an rcb cut's target (the total
+    # times the parts on its low side) would not be on 4 ranks.
+    (_weights_of(2.0 ** 1016), f"weights total {2.0 ** 1023:g}"),
+], ids=["weights-1e308", "timing-1e308", "weights-2^1016"])
+def test_a_weight_total_beyond_float64_exits_2(inputs, capsys, method,
+                                               records, message):
+    records = records(sorted(inputs["mesh"].elements))
+    assert len(records) == 2 ** 7
+    kind = "timing" if isinstance(records[0], dict) else "weights"
+    path = inputs["tmp"] / f"{kind}.json"
+    path.write_text(json.dumps({"schema": "treepart-1", kind: records}))
+    out = inputs["tmp"] / "x"
+    code = run_partition(inputs, out, (f"--{kind}", str(path),
+                                       "--method", method))
+    assert code == 2
+    assert (f"input error: {path}: {message} beyond the float64 range when "
+            f"split 4 ways\n") in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+def test_a_weight_total_within_float64_when_split_runs_clean(inputs, method):
+    # 2^1021 times the 4 ranks is 2^1023, the largest power of two a float64
+    # holds; the run must not overflow anywhere.
+    path = inputs["tmp"] / "weights.json"
+    path.write_text(json.dumps({"schema": "treepart-1", "weights": _weights_of(
+        2.0 ** 1014)(sorted(inputs["mesh"].elements))}))
+    out = inputs["tmp"] / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_partition(inputs, out, ("--weights", str(path),
+                                           "--method", method)) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert np.isfinite(report["quality"]["weight_imbalance"])
 
 
 @pytest.mark.parametrize("record, message", [

@@ -68,20 +68,36 @@ def test_one_i64_unpacks_from_a_one_element_array(x):
     assert type(back) is int and back == x
 
 
+def kv_f64_length(keys) -> int:
+    """Exact size of a ``pack_kv_f64`` message: the block count, the keys'
+    block and 8 bytes per value, each block with its length."""
+    return 8 + 8 + len(_codec.pack_i64(keys)) + 8 + 8 * len(keys)
+
+
 @given(x=st.floats(width=64))
-def test_one_f64_packs_like_a_one_element_array(x):
+def test_one_f64_round_trips_in_eight_bytes(x):
     # A weight travels as one value of a pack_kv_f64 message.
     data = _codec.pack_kv_f64(np.array([7]), np.array([x]))
-    assert data == _codec.pack_kv([(7, _codec.pack_f64([x]))])
-    _, back = _codec.unpack_kv_f64(data)
+    assert len(data) == kv_f64_length([7]) == 42
+    keys, back = _codec.unpack_kv_f64(data)
+    assert keys.tolist() == [7]
     assert back.tobytes() == _codec.pack_f64([x])  # sign of zero and NaN bits kept
 
 
 def test_one_value_packers_take_numpy_scalars_and_ints():
-    assert _codec.pack_kv_f64(np.array([1]), [np.float64(2.5)]) == \
-        _codec.pack_kv([(1, _codec.pack_f64([2.5]))])
+    want = _codec.pack_kv_f64(np.array([1]), np.array([2.5]))
+    assert _codec.pack_kv_f64(np.array([1]), [np.float64(2.5)]) == want
+    assert _codec.pack_kv_f64([1], [2.5]) == want
     assert _codec.pack_kv_f64([1], [4]) == \
-        _codec.pack_kv([(1, _codec.pack_f64([4]))])
+        _codec.pack_kv_f64([1], [4.0])
+    keys, values = _codec.unpack_kv_f64(_codec.pack_kv_f64([1], [4]))
+    assert keys.tolist() == [1] and values.tolist() == [4.0]
+
+
+def test_a_kv_f64_message_with_unequal_lengths_is_refused():
+    data = _codec.pack_blocks([_codec.pack_i64([1, 2]), _codec.pack_f64([1.0])])
+    with pytest.raises(ValueError, match="2 keys, 1 values"):
+        _codec.unpack_kv_f64(data)
 
 
 @given(values=st.lists(I64, max_size=20))

@@ -256,7 +256,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            '8dcde7e3eda90f21cf4d03ed7d092fee8b997a8a22f71d58a71c7f39b3fa0c4e',
+            'd1baba9ee2b0c4b9e6a70805e307ec93f3ca5c3787f126978994e48343844912',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -266,13 +266,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            'b956caf60ccca923080b24bed1d7905521353e4665a1527d65cbadcbe376eab9',
+            '06ed1ca3cd9cce318246a1ce94487d09b0372b7181b0c40e04eef44ef426b736',
     },
     'partition-topo_2x2-rcb-a2': {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            'a80fab892dc1e0cb9c0fb3d70d176bd3e2e6ca02a7eabaa2badb4a02ab29e52c',
+            '84fb69e181c0b4b4b19d6f3f6f8fa0cd531292cad297852c86e47bc57bd4d7dd',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -282,7 +282,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            'bd97811627531cb81a8a7cdf15c873b4f996bf96ee4bce6f928b68f4dd4945f5',
+            'b3267488f8adc44e07c890102f46cc4874c5f80e5fdcf7e5d44637b5fef78d23',
     },
     'partition-topo_2x2-graph-a1': {
         'assignment.json':
@@ -320,7 +320,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            'adccaf29014cdcaccbdb647684e6c945d8cf8104b5449205ac84dd25af49aa4a',
+            '91a7c6f9bd16660a5e01443acb54fd3e1187ee5304864c968a1a4cb63b541d48',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -330,7 +330,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            'da372f54e4c82ad31ec88a4297586fe66cc5e4bb070ccba76ffe4731fc071f61',
+            '507ef341f30a78220f479f368e2db81f51af78dcca1f8441cf4d81113ef509e9',
     },
     'partition-topo_2x2-graph,rcb-a2': {
         'assignment.json':
@@ -352,7 +352,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '3d64ba3f34c9906bc9655d145e7989e40a445a5a5ff4d29f836cd0f74694570c',
+            '9be505edc015c9afc53f4e583641fd99bfa1aba8fe189f316a7dcffb24f5b70d',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -370,13 +370,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '1a06774ad0d0c98d10e5dde8bc20ce33a31cecfe37aa4219680cdc742aeaae3b',
+            'cadeb3a93bebf164b8d5c9dbe3cf302ec706925daa3eb6de4e58d72415f13b44',
     },
     'partition-topo_2x2x2-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '7a2445fb6ed4a15422ed8afd12f32a10268b2e5667573c8242470668c8cfbff7',
+            'a2069904841f6eab99a54b6f5fd5343d03e1c7d6dbdc3212d76cc7e7eecdbb77',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -394,7 +394,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '542e8af8fbab6f717633ff60b58afbe3877d28a61cf3a7bf8da32508d6605c2b',
+            '9c0cf71dc539c67e97653b66bf957e237ff58c50b3f860d9ddb1dc18b4924b0e',
     },
     'partition-topo_2x2x2-graph-a1': {
         'assignment.json':
@@ -448,7 +448,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            'b502713087b2029286a542d38fd23df1a2d4c5409d34c25a8226d1ff6261a290',
+            '6748e731b031160a0629cb3688c496bb3a2330d07480fe64f0286d3402e42835',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -466,7 +466,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            '8a577a503a2e7f056715ffe7b089eac9a8f31d7cbf7554cc8c5b08dc2ea27c0c',
+            '11a4076c874ac5ac4f72cb13793b851052488cfeeb611b8809e57f4c914202e5',
     },
     'partition-topo_2x2x2-graph,rcb-a2': {
         'assignment.json':
@@ -498,9 +498,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '5c2dca82240906e3d4bb7b4dc05fe81b5734626f7ef77b94f9a8a2567393b8b5',
         'levels.csv':
-            '6e80f517e64dcb3df7864681b874bb91b3b5ca978b188e08f7e4f0857e17b747',
+            '89b3ee6a32a16b8be25ca4c72cf39bf03fcb379c2cd9a58eb36da6b728fe4463',
         'report.json':
-            'afc08bf909ef11dc7d2195ce8d9b87d1ce13ae9195de24e1799570fd5943aa1d',
+            'fe77fcf25db3c3254f30929606f84ddfd1ad338e89fbf6c4034f20c0cb663320',
     },
     'rebalance-graph': {
         'assignment.json':
@@ -508,9 +508,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'a52d659f05e7f524decddc57b5f78d99c13258d568910dd5dfaf5430c399eb81',
         'levels.csv':
-            '53813214cc6eacac334788add7a61081e6e2d56da64057ebf56e09bc74291d69',
+            'd234d943d2eb35a4c29010d114275476ed5dcfc4e99c796677f27b41a5cab64c',
         'report.json':
-            '49a338fa4bcce655d5886cd161a58d46e6f70e56ddbd62bb6c13a4c018a6aa2e',
+            '07e434826fd545418a93dd9843591c6a953e8b689bb6042731df236b57951c31',
     },
     'metrics': {
         'levels.csv':
@@ -522,7 +522,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
         'levels.csv':
-            '54f742d6cb0d200e103846b248d3df4e99d359acbac88336c8d2cc1a27f1ee98',
+            'c5cf902911628fd79f496ab85862d504e1af9f4f0d4a7bea052bbf08610ff3b1',
         'part-0000.json':
             'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
         'part-0001.json':
@@ -540,7 +540,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
         'report.json':
-            '0052675eecc15ea1e12faf85bf6a06138cbd76899a12d3baa8ac2503fbd78ab5',
+            '2d96a1dabf6c5223a36df8a43d237db81b50742e92e29e7fa785b0942d77aff0',
     },
     'tet-rebalance-rcb': {
         'assignment.json':
@@ -548,15 +548,15 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '3e96fe4c21331d1e7d24c228440a75cb3509702469cf3d321bc2493e88fde3e1',
         'levels.csv':
-            '189a929a5a30d45d5c0928f7fb38b3ecbf7c23eba0161654312c0280433a9fcd',
+            '164a06dc98cdabd72bd1190051c60fe0d2d9451ec0185a5204dff955d51f45a3',
         'report.json':
-            '9b3ac18f0a41716f8d20c58dbb2128ef2378277dba2e09688cb169be60affd30',
+            '693474af4684deaaeeff7eecaa1e08cd39325a9cea3a9236c88249177e142ae3',
     },
     'frac-partition-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'c011d4270a4b4eb71896bdc4fd0f1a71830bda08fd6b2dc9e90750edaf43673e',
+            '43b4ff1e56f58c65d8b0813feb6e4512ede9eb01e8061c5d0f1eac275fd2354f',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -574,13 +574,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'cb06b03a17107e640537341d76b42719f8e87e0f00d835ec7b1032833a1653d5',
+            '2ce8fee86f104103964dd32fc540ace3e99668f249bced077e14d5536dea9308',
     },
     'frac-partition-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'c3a0a2cd51f52f340c99a65f29afe1d5f56327e969c6ce1f83626da0711d4688',
+            'd2e09f9ab890983122d3a28df4ffbd78544d19aaf0e878ab85cbc46fc5aafeea',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -598,13 +598,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '56d2be631863c926df9ec17bf6cea15275a2f0163a2b1f49c5797ce33843477f',
+            '2f5828cc7203d92afbc4b308dd039bd232ae0ac1a5bdf63ae19243eeca73accb',
     },
     'frac-partition-graph-a1': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            '492a97f447e69d71f0d2a5b9e5b96ed97cef825254175051b83fd3571e091954',
+            '9e6cd66d15ed146f7748f51c30daee695fd2215cf40c6f1002500449dda486f1',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -622,13 +622,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'c202eac7af435bbdbda5e5430895d482b852dd8b4174c955ad9cd62968e305fe',
+            'cff5f5a1dc26a85664f3f0919ab207cf430548fa7efdd81cbb622f005185f3a7',
     },
     'frac-partition-graph-a2': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            '62b7455d48dcb1baf26483f396c0a50bf5143dbdb68f2e1600eb9ea9631b8969',
+            '14a0521a6b3df4c7086e93dcd9bec3b5f08819fad574e14d8fc18b56d6c465a2',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -646,7 +646,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'bb872daf66c0e91ff3847e80e6c263627615dc4217a3e2c41849b1d5b6166c7b',
+            'd96b2d62d7908c9e7ee6cd8abd1f46d58c273f74cb7dedfbb6c53a3d9771a6f2',
     },
     'frac-rebalance-rcb-l0': {
         'assignment.json':
@@ -654,9 +654,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            '8ec46afdaf0f85e8d6de382dd56d8e182a2b6bbcde468a36dc6bcb16aeab8cb9',
+            'b55bade180e256b757230e9c78b12618a0c88a5580998bd823566d1b84dda044',
         'report.json':
-            '515ee7797a30129559d074608d9260636bb060940941d455d3de92acf2b2ed8d',
+            'd4de429ff86ed639fe918a1cf6d96f730335ca4d0f06af5adac529f88a8e4a9a',
     },
     'frac-rebalance-rcb-l1': {
         'assignment.json':
@@ -664,9 +664,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            'f829f1160cb8a3ffb7b14daab4b0401a9c93226e03f1d700df3ad2f7d8d8650d',
+            '11165309a774db17b986897fe6b45e46018ffa9c7206a353fd1da78c987bfc63',
         'report.json':
-            '0a5da00d1164174e991d9814fe70d8366e7e028e492cf6e7884da11065d220e5',
+            '01ac07189b57304325facd74f7a2e811db1d8f8e90eb64723f4eeb9dd5761b94',
     },
     'frac-rebalance-graph-l0': {
         'assignment.json':
@@ -674,9 +674,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '1433574a856920e99a3d70e8702fc2ab2d2bd3a50adb3770d72d41c243bd8c68',
         'levels.csv':
-            'f3eeb5766abc82734c2c1e975a503f38040478229217041194488252eea3724b',
+            '382bd27f249722ca470b9a86d7ad76ce114ff9dd2c634bb6c71cfff10a4182be',
         'report.json':
-            'dbf3ddb6b07e62cb2a0520f1ef20f55e2fda3f6ca1da7114b92781142a912653',
+            'c3e91730b41d7f488965c60425b26687699c9f6d34f48463f98d0cc1ff17bfff',
     },
     'frac-rebalance-graph-l1': {
         'assignment.json':
@@ -684,9 +684,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'dfa51e59eda49f74795f86a3d9c8070c778afef239bf25b72a81507c08f6b723',
         'levels.csv':
-            '3ea2ecdcd62e986afa7c93a37196eba9dc3fb7a5eeb9f7b79afe1df8fcabe682',
+            '8cf408d7ff3e0a4b50138d66197b406546701e4cc9ce9582f665521f3a3e5fe7',
         'report.json':
-            'e9d673ff8b1cdd50ce7f8c4788d3910976b6c957bce9be8115f621a48f1c201e',
+            '5123377548c9eb898daf004f164a0ac65785612761553879acef4bd17ceea7ff',
     },
     'frac-metrics': {
         'levels.csv':
@@ -698,7 +698,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'c3a0a2cd51f52f340c99a65f29afe1d5f56327e969c6ce1f83626da0711d4688',
+            'd2e09f9ab890983122d3a28df4ffbd78544d19aaf0e878ab85cbc46fc5aafeea',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -716,7 +716,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'c11eda697fb99c185e4496fe38b87fd2f9baaa5eadfcd9947c9a5a67687a8119',
+            'ca02546d8cfa5db230a337fd7e068ba6fc40a9649fc74f6830c4a82cd2cc45c5',
     },
 }
 

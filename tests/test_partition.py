@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart import _codec, partition
-from hierpart.mesh import (local_dual_graph, split_chunk, split_contiguous,
-                           subset_chunk)
+from hierpart.mesh import (DualGraph, _even_sizes, local_dual_graph,
+                           split_chunk, split_contiguous, subset_chunk)
 from hierpart.meshgen import tet_box, triangle_grid
-from hierpart.partition import (HierarchicalPlan, _pack_payload,
-                                _refine_once, _team_partition,
-                                _unpack_payload, graph_partition,
-                                hierarchical_partition, rcb)
+from hierpart.partition import (HierarchicalPlan, _backend,
+                                _overlap_remap, _pack_payload,
+                                _refine_once, _team_assignment,
+                                _team_partition, _unpack_payload,
+                                graph_partition, hierarchical_partition, rcb)
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
@@ -147,6 +149,26 @@ def test_rcb_rejects_bad_input():
         rcb([0, 1], np.zeros((2, 2)), np.array([1.0, 0.0]), 2)
     with pytest.raises(ValueError, match="too few points"):
         rcb([0], np.zeros((1, 2)), None, 2)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.0, "non-positive weight 0.0 on element 9"),
+    (-2.0, "non-positive weight -2.0 on element 9"),
+    (float("nan"), "non-finite weight nan on element 9"),
+    (float("inf"), "non-finite weight inf on element 9"),
+])
+def test_backends_name_the_element_of_a_bad_weight(bad, message):
+    ids = [4, 9, 2]
+    weights = np.array([1.0, bad, 1.0])
+    with pytest.raises(ValueError, match=message):
+        rcb(ids, np.zeros((3, 2)), weights, 2)
+    weight_of = dict(zip(ids, weights.tolist()))
+    graph = DualGraph.of({4: [9], 9: [2, 4], 2: [9]})
+    with pytest.raises(ValueError, match=message):
+        graph_partition(graph, weight_of, 2)
+    with pytest.raises(ValueError, match=message):
+        graph_partition(graph, np.array([weight_of[v]
+                                         for v in graph.ids.tolist()]), 2)
 
 
 def test_rcb_heavy_point_leaves_every_part_an_element():
@@ -563,3 +585,117 @@ def test_leader_reply_is_one_owner_per_member_element(monkeypatch, method,
     for chunk, dest in zip(chunks, owners):
         for e, d in zip(sorted(chunk.elements), dest):
             assert e in res[d].elements
+
+
+# -- rcb team summaries -------------------------------------------------------------
+
+
+def scrambled(mesh, rng):
+    """``mesh`` with non-grid float coordinates, and its element and node
+    ids shuffled over a wide range; no boundary faces."""
+    node_ids = rng.permutation(len(mesh.node_ids)) * 7919 + 3
+    conn = node_ids[np.searchsorted(mesh.node_ids, mesh.conn)]
+    coords = (mesh.coords * rng.uniform(0.1, 10.0)
+              + rng.standard_normal(mesh.coords.shape) * 0.3) * \
+        10.0 ** rng.uniform(-3, 3)
+    element_ids = rng.permutation(mesh.n_elements) * 104729 - 5
+    return type(mesh).from_arrays(mesh.kind, element_ids, conn, node_ids,
+                                  coords, [], [])
+
+
+@st.composite
+def team_summaries(draw):
+    """A scrambled tri or tet mesh split among a random team of a 6-rank
+    node, by element id blocks or at random, maybe weighted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mesh = triangle_grid(draw(st.integers(1, 8)), draw(st.integers(2, 8)))
+    else:
+        mesh = tet_box(*(draw(st.integers(1, 4)) for _ in range(3)))
+    mesh = scrambled(mesh, rng)
+    team = tuple(sorted(draw(st.sets(st.integers(0, 5), min_size=1,
+                                     max_size=min(6, mesh.n_elements)))))
+    if draw(st.booleans()):
+        holder = np.repeat(np.arange(len(team)),
+                           _even_sizes(mesh.n_elements, len(team)))
+    else:
+        holder = rng.integers(0, len(team), mesh.n_elements)
+    if draw(st.booleans()):
+        mesh = replace(mesh, weights=rng.uniform(0.1, 10.0, mesh.n_elements))
+    chunks = split_chunk(mesh, holder, len(team))
+    return team, chunks, draw(st.booleans()), draw(st.integers(0, 3))
+
+
+def run_team_assignment(team, chunks, remap, seed):
+    """Each member's new owners, and the centroids the leader split."""
+    seen = []
+
+    def spy(kind, method, ids, rows, *args):
+        seen.append(rows)
+        return _backend(kind, method, ids, rows, *args)
+
+    def prog(ctx):
+        if ctx.rank in team:
+            return _team_assignment(ctx, team, chunks[team.index(ctx.rank)],
+                                    "rcb", 1.02, "test split", remap, 1)
+
+    with mock.patch.object(partition, "_backend", spy):
+        res = Runtime(build_topology([("node", 1), ("core", 6)]),
+                      seed=seed).run(prog)
+    return [res[r] for r in team], seen[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=team_summaries())
+def test_rcb_team_split_equals_the_split_of_the_members_centroids(case):
+    team, chunks, remap, seed = case
+    got, rows = run_team_assignment(team, chunks, remap, seed)
+
+    # The oracle: the back-end on the members' own centroids, in member
+    # order, then the same part-to-rank match.
+    centroids = np.concatenate([c.centroids()[1] for c in chunks])
+    assert rows.tobytes() == centroids.tobytes()
+    weights = None if chunks[0].weights is None else \
+        np.concatenate([c.weights for c in chunks])
+    part = _backend(chunks[0].kind, "rcb",
+                    np.concatenate([c.element_ids for c in chunks]),
+                    centroids, weights, len(team), 1.02, "oracle", 1)
+    sizes = [c.n_elements for c in chunks]
+    holder = np.repeat(np.arange(len(team)), sizes)
+    rank_of_part = _overlap_remap(part, holder, team) if remap else \
+        np.array(team)
+    want = np.split(rank_of_part[part], np.cumsum(sizes)[:-1])
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+def summary_blocks(team, chunks):
+    """Each member's rcb summary blocks, in member order."""
+    sent = {}
+    real = partition.aggregate
+
+    def spy(ctx, members, data):
+        sent[ctx.rank] = _codec.unpack_blocks(data)
+        return real(ctx, members, data)
+
+    with mock.patch.object(partition, "aggregate", spy):
+        run_team_assignment(team, chunks, False, 0)
+    return [sent[r] for r in team]
+
+
+@pytest.mark.parametrize("mesh", [tet_box(4, 4, 4), triangle_grid(8, 8),
+                                  triangle_grid(12, 1)],
+                         ids=["tet", "triangle", "triangle-strip"])
+def test_each_member_sends_its_nodes_and_rows(mesh):
+    team = (0, 1, 2, 3)
+    chunks = split_contiguous(mesh, len(team))
+    for chunk, blocks in zip(chunks, summary_blocks(team, chunks)):
+        ids, geometry, weights = blocks
+        assert ids == _codec.pack_i64(chunk.element_ids) and weights == b""
+        rows = np.searchsorted(chunk.node_ids, chunk.conn)
+        coords_block, rows_block = _codec.unpack_blocks(geometry)
+        assert coords_block == chunk.coords.astype("<f8").tobytes()
+        assert np.array_equal(_codec.unpack_i64(rows_block).reshape(
+            rows.shape), rows)
+        # A block count, then each block's length and bytes.
+        assert len(geometry) == (8 + 8 + 8 * chunk.coords.size
+                                 + 8 + len(_codec.pack_i64(rows)))
