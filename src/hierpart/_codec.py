@@ -2,19 +2,28 @@
 
 Messages on the simulated network are raw bytes; these helpers give the
 protocols a compact, deterministic packed form with explicit length
-framing.  Floats travel as little-endian float64.  An integer block travels
-in frame-of-reference form (Lemire & Boytsov, 2015): a one-byte width, the
-block's minimum as a little-endian int64, then each value minus that
-minimum as a little-endian unsigned integer of the narrowest width of 1, 2,
-4 or 8 bytes that holds the block's span; an empty block is no bytes.
+framing.  An integer block travels in frame-of-reference form (Lemire &
+Boytsov, 2015): a one-byte width, the block's minimum as a little-endian
+int64, then each value minus that minimum as a little-endian unsigned
+integer of the narrowest width of 1, 2, 4 or 8 bytes that holds the
+block's span; an empty block is no bytes.
 Ids, connectivity and owner replies span a few thousand values per block,
 so most of them travel in 2 bytes instead of 8.  ``unpack_i64`` gives the
 int64 array back, whatever the width; a single int read on its own (a kind
 code or a flag) unpacks to a Python int.
 
+A weight column travels in the same form, as its float64 bit patterns read
+as int64 (``pack_weights``), so every bit comes back: the sign of zero, NaN
+payloads, infinities and subnormals.  Weights repeat a few values per
+block, so a column of equal weights costs 9 + n bytes instead of 8n; a
+block whose bit patterns span 2^32 or more costs 9 bytes more than raw.
+Coordinates stay raw little-endian float64 (``pack_f64``): their bit
+patterns span more than 2^32 in every block, so the frame would only add
+those 9 bytes.
+
 Keyed data travels as a keys block and a values block: ``pack_kv`` takes
-byte values, one framed block each, and ``pack_kv_f64`` float64 values,
-8 bytes each with no framing.
+byte values, one framed block each, and ``pack_kv_f64`` float64 values in
+the weight form.
 """
 
 from __future__ import annotations
@@ -71,6 +80,17 @@ def unpack_f64(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=_F64)
 
 
+def pack_weights(values: Iterable[float]) -> bytes:
+    """Frame-of-reference form of a float64 column's bit patterns."""
+    return pack_i64(np.asarray(_seq(values), dtype=_F64).reshape(-1)
+                    .view(_I64))
+
+
+def unpack_weights(data: bytes) -> np.ndarray:
+    """The float64 values of a ``pack_weights`` block, bit for bit."""
+    return unpack_i64(data).view(_F64)
+
+
 def unpack_one_i64(data: bytes) -> int:
     """The one value of a one-value ``pack_i64`` block."""
     (value,) = unpack_i64(data).tolist()
@@ -112,14 +132,14 @@ def unpack_kv(data: bytes) -> list[tuple[int, bytes]]:
 
 def pack_kv_f64(keys: Sequence[int], values: Sequence[float]) -> bytes:
     """Aligned int keys and float64 values as two blocks: the keys' block,
-    then the values, 8 bytes each."""
-    return pack_blocks([pack_i64(keys), pack_f64(values)])
+    then the values' ``pack_weights`` block."""
+    return pack_blocks([pack_i64(keys), pack_weights(values)])
 
 
 def unpack_kv_f64(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """(keys, values) of a ``pack_kv_f64`` message, in the order packed."""
     keys_raw, values_raw = unpack_blocks(data)
-    keys, values = unpack_i64(keys_raw), unpack_f64(values_raw)
+    keys, values = unpack_i64(keys_raw), unpack_weights(values_raw)
     if len(keys) != len(values):
         raise ValueError(f"malformed key/value message: {len(keys)} keys, "
                          f"{len(values)} values")

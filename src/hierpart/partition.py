@@ -86,15 +86,22 @@ class HierarchicalPlan:
         return self.method[min(step, len(self.method) - 1)]
 
 
-def _check_weights(ids: np.ndarray, weights: np.ndarray) -> None:
+def _check_weights(ids: np.ndarray, weights: np.ndarray, k: int) -> None:
     """Raise ValueError naming the first element, in the order given, whose
-    weight is not a finite positive number."""
+    weight is not a finite positive number, or when the total times the
+    part count ``k`` is not a float64: a cut aims at the total times a part
+    count below k."""
     finite = np.isfinite(weights)
     bad = ~finite | (weights <= 0)
     if bad.any():
         i = int(np.argmax(bad))
         what = "non-positive" if finite[i] else "non-finite"
         raise ValueError(f"{what} weight {weights[i]} on element {ids[i]}")
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+        if not np.isfinite(total * k):
+            raise ValueError(f"weights total {total:g} beyond the float64 "
+                             f"range when split {k} ways")
 
 
 # -- recursive coordinate bisection ----------------------------------------------
@@ -122,7 +129,7 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != ids.shape:
             raise ValueError("weights must align with ids")
-        _check_weights(ids, weights)
+        _check_weights(ids, weights, k)
 
     part = np.zeros(len(ids), dtype=np.int64)
 
@@ -207,7 +214,7 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
             column = np.array([weights[v] for v in vertices], dtype=np.float64)
         else:
             column = np.asarray(weights, dtype=np.float64)[order]
-        _check_weights(graph.ids[order], column)
+        _check_weights(graph.ids[order], column, k)
         w = column.tolist()
     if k == 1:
         return {v: 0 for v in vertices}
@@ -379,7 +386,7 @@ def _pack_payload(chunk: MeshChunk) -> bytes:
         pack_chunk(chunk),
         _codec.pack_i64([_WEIGHTS_NONE if chunk.weights is None
                          else _WEIGHTS_SOME]),
-        _codec.pack_f64([] if chunk.weights is None else chunk.weights),
+        _codec.pack_weights([] if chunk.weights is None else chunk.weights),
     ])
 
 
@@ -387,7 +394,7 @@ def _unpack_payload(data: bytes) -> MeshChunk:
     chunk_raw, flag_raw, wvals_raw = _codec.unpack_blocks(data)
     chunk = unpack_chunk(chunk_raw)
     if _codec.unpack_one_i64(flag_raw) == _WEIGHTS_SOME:
-        chunk.weights = _codec.unpack_f64(wvals_raw)
+        chunk.weights = _codec.unpack_weights(wvals_raw)
     return chunk
 
 
@@ -453,7 +460,7 @@ def _team_assignment(ctx, team, chunk, method, tolerance, where,
         rows = _codec.pack_i64(chunk.conn)
     gathered = aggregate(ctx, team, _codec.pack_blocks([
         _codec.pack_i64(chunk.element_ids), rows,
-        _codec.pack_f64([] if chunk.weights is None else chunk.weights),
+        _codec.pack_weights([] if chunk.weights is None else chunk.weights),
     ]))
     replies = None
     if gathered is not None:
@@ -485,7 +492,7 @@ def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
     id_blocks = [_codec.unpack_i64(b[0]) for b in blocks]
     ids = np.concatenate(id_blocks)
     rows = np.concatenate([_unpack_rows(kind, method, b[1]) for b in blocks])
-    weights = np.concatenate([_codec.unpack_f64(b[2]) for b in blocks]) \
+    weights = np.concatenate([_codec.unpack_weights(b[2]) for b in blocks]) \
         if has_weights else None
     part = _backend(kind, method, ids, rows, weights, len(team), tolerance,
                     where, m)

@@ -498,9 +498,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '5c2dca82240906e3d4bb7b4dc05fe81b5734626f7ef77b94f9a8a2567393b8b5',
         'levels.csv':
-            '89b3ee6a32a16b8be25ca4c72cf39bf03fcb379c2cd9a58eb36da6b728fe4463',
+            'd76268470a00bc0f8c02da94bb3c11bb9c46cb6515266b24214f4dd39c3a8547',
         'report.json':
-            'fe77fcf25db3c3254f30929606f84ddfd1ad338e89fbf6c4034f20c0cb663320',
+            '3c4813ebed6702e768a53b2f2264704919e06a1a8148115e9b794853802ebe57',
     },
     'rebalance-graph': {
         'assignment.json':
@@ -508,9 +508,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'a52d659f05e7f524decddc57b5f78d99c13258d568910dd5dfaf5430c399eb81',
         'levels.csv':
-            'd234d943d2eb35a4c29010d114275476ed5dcfc4e99c796677f27b41a5cab64c',
+            'ec5d27554c42cd829de638a62ebfaa10270c8bf657e3bab2b62bc32e4cd3ca49',
         'report.json':
-            '07e434826fd545418a93dd9843591c6a953e8b689bb6042731df236b57951c31',
+            'b4c91ae5fd407629e0ec800a71a40ab3d1e4db8598db278e848506f18a48b216',
     },
     'metrics': {
         'levels.csv':
@@ -548,15 +548,15 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '3e96fe4c21331d1e7d24c228440a75cb3509702469cf3d321bc2493e88fde3e1',
         'levels.csv':
-            '164a06dc98cdabd72bd1190051c60fe0d2d9451ec0185a5204dff955d51f45a3',
+            '33ac96b64c2d80329a763c10e8ee66406ae690dcc7a51d701cc18c82664535c1',
         'report.json':
-            '693474af4684deaaeeff7eecaa1e08cd39325a9cea3a9236c88249177e142ae3',
+            'fa318387593e9f2f66acf63e2120db414e55608ca4577e4913299d67d34065b9',
     },
     'frac-partition-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '43b4ff1e56f58c65d8b0813feb6e4512ede9eb01e8061c5d0f1eac275fd2354f',
+            '18d3ea6032e193e294b226c24a109eeedc96a7d7c0340e7c62e497ca5d3bd525',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -574,13 +574,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '2ce8fee86f104103964dd32fc540ace3e99668f249bced077e14d5536dea9308',
+            '73554a55ddb6427a9242f60bb06b4e9479fa5e276d74e01d2c1d8dbeca0210d1',
     },
     'frac-partition-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'd2e09f9ab890983122d3a28df4ffbd78544d19aaf0e878ab85cbc46fc5aafeea',
+            '6dd2cd0a5f73a581a91d4290aae862bd0cca1ec90f262c92d66f5e80771f14d3',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -598,13 +598,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '2f5828cc7203d92afbc4b308dd039bd232ae0ac1a5bdf63ae19243eeca73accb',
+            '9494f61de8db852b8a96fb698c2d9f90be40245257f98ef93866c171b8c06200',
     },
     'frac-partition-graph-a1': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            '9e6cd66d15ed146f7748f51c30daee695fd2215cf40c6f1002500449dda486f1',
+            'b55b50473ac58200f7ed60791096c4589f00c9522ef8cce972bed43f4f71c0b5',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -622,13 +622,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'cff5f5a1dc26a85664f3f0919ab207cf430548fa7efdd81cbb622f005185f3a7',
+            '1444a2a906c4e554b6f1e3a88f8c3ec825045bbe96dfa889a58f7ae90a019091',
     },
     'frac-partition-graph-a2': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            '14a0521a6b3df4c7086e93dcd9bec3b5f08819fad574e14d8fc18b56d6c465a2',
+            'e8efe739aeb4f9b103c90a7b3c5425e9af6fe63740429c87d9d5da7f9937809e',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -646,7 +646,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            'd96b2d62d7908c9e7ee6cd8abd1f46d58c273f74cb7dedfbb6c53a3d9771a6f2',
+            '86ffcc554af3743f08b0edd6827a717fd905e8ad179451f57ccb9aa07a777137',
     },
     'frac-rebalance-rcb-l0': {
         'assignment.json':
@@ -654,9 +654,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            'b55bade180e256b757230e9c78b12618a0c88a5580998bd823566d1b84dda044',
+            '5cdfd33d42ebd3c16352e06d240655013e89421f19be77abe49582c5c5d515b5',
         'report.json':
-            'd4de429ff86ed639fe918a1cf6d96f730335ca4d0f06af5adac529f88a8e4a9a',
+            '8d35a7e96abbd5c6cf0c6ebeb3f232290beebed3fd48197f458998d65eaf43b9',
     },
     'frac-rebalance-rcb-l1': {
         'assignment.json':
@@ -664,9 +664,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            '11165309a774db17b986897fe6b45e46018ffa9c7206a353fd1da78c987bfc63',
+            '18f8ec3d7d5dbcee6f319f00cdf800cadce5d67348669d006d687a999d7f8893',
         'report.json':
-            '01ac07189b57304325facd74f7a2e811db1d8f8e90eb64723f4eeb9dd5761b94',
+            'e603b16c370f5690ea32af993b915d0848f2c7f01e56e00cb8d64861d3ec031d',
     },
     'frac-rebalance-graph-l0': {
         'assignment.json':
@@ -674,9 +674,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '1433574a856920e99a3d70e8702fc2ab2d2bd3a50adb3770d72d41c243bd8c68',
         'levels.csv':
-            '382bd27f249722ca470b9a86d7ad76ce114ff9dd2c634bb6c71cfff10a4182be',
+            'b86f34fe7a360723f044775274e75693ad1355f2ab4df1dc6b6f73bd07d92f29',
         'report.json':
-            'c3e91730b41d7f488965c60425b26687699c9f6d34f48463f98d0cc1ff17bfff',
+            '1e679049da79d56c9d47a38fde0c20b97879fcfafa07f4b50c9b9b28f61ac777',
     },
     'frac-rebalance-graph-l1': {
         'assignment.json':
@@ -684,9 +684,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'dfa51e59eda49f74795f86a3d9c8070c778afef239bf25b72a81507c08f6b723',
         'levels.csv':
-            '8cf408d7ff3e0a4b50138d66197b406546701e4cc9ce9582f665521f3a3e5fe7',
+            'ce75bc9af0a30ac55600fc0df303d88ec5d1fe4093d20fad06df24a27e8b0912',
         'report.json':
-            '5123377548c9eb898daf004f164a0ac65785612761553879acef4bd17ceea7ff',
+            'c2c181f71d26351d176c14d609c7c8e62ee48586990622f0090b2f1439376449',
     },
     'frac-metrics': {
         'levels.csv':
@@ -698,7 +698,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'd2e09f9ab890983122d3a28df4ffbd78544d19aaf0e878ab85cbc46fc5aafeea',
+            '6dd2cd0a5f73a581a91d4290aae862bd0cca1ec90f262c92d66f5e80771f14d3',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -716,7 +716,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'ca02546d8cfa5db230a337fd7e068ba6fc40a9649fc74f6830c4a82cd2cc45c5',
+            '31b7c2763e6d32744601b6d447ca87444c4ea73cc768f6576937f7b9e97359c2',
     },
 }
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import replace
 from itertools import combinations
 from unittest import mock
@@ -169,6 +171,59 @@ def test_backends_name_the_element_of_a_bad_weight(bad, message):
     with pytest.raises(ValueError, match=message):
         graph_partition(graph, np.array([weight_of[v]
                                          for v in graph.ids.tolist()]), 2)
+
+
+def _split_four_ways(method, weights):
+    """Split a 2x2 point grid, or a 4-cycle graph, 4 ways."""
+    ids = [0, 1, 2, 3]
+    if method == "rcb":
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        return rcb(ids, pts, weights, 4)
+    return graph_partition(DualGraph.of({0: [1, 2], 1: [0, 3], 2: [0, 3],
+                                         3: [1, 2]}), weights, 4)
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+def test_backends_refuse_a_weight_total_beyond_float64(method):
+    # Each weight is finite, but their total is not: a cut would aim at
+    # inf.  The check comes before any sum that warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^weights total inf beyond the "
+                                             "float64 range when split 4 "
+                                             "ways$"):
+            _split_four_ways(method, np.full(4, 1e308))
+        # 2^1022 is finite, but not 4 times it.
+        with pytest.raises(ValueError, match=re.escape(
+                f"weights total {2.0 ** 1022:g} beyond")):
+            _split_four_ways(method, np.full(4, 2.0 ** 1020))
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+def test_a_weight_total_within_float64_when_split_runs_clean(method):
+    # A 2^1021 total on 4 parts: 4 times it is 2^1023, still a float64.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = _split_four_ways(method, np.full(4, 2.0 ** 1019))
+    assert sorted(part.values()) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+def test_hierarchical_refuses_a_weight_total_beyond_float64(method):
+    mesh = triangle_grid(4, 2)
+    tree = build_topology([("node", 2), ("core", 2)])
+    plan = HierarchicalPlan(method=method)
+    heavy = {e: 1e308 for e in mesh.element_ids.tolist()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^bootstrap split: weights total "
+                                             "inf beyond the float64 range "
+                                             "when split 2 ways$"):
+            run_hierarchical(mesh, tree, plan, heavy)
+        # 2^1021 over the 16 elements: every split stays finite.
+        res, _ = run_hierarchical(mesh, tree, plan, {
+            e: 2.0 ** 1017 for e in mesh.element_ids.tolist()})
+    assert sum(r.n_elements for r in res) == mesh.n_elements
 
 
 def test_rcb_heavy_point_leaves_every_part_an_element():
@@ -537,17 +592,25 @@ def test_hierarchical_skewed_weights_leave_no_rank_empty(case):
 # -- wire sizes ---------------------------------------------------------------------
 
 
-def test_weighted_payload_adds_one_float_per_element():
+@pytest.mark.parametrize("weight_of, extra", [
+    # 1.0 to 4.5: bit patterns 2^51 and more apart, 8 bytes a weight.
+    (lambda ids: 1.0 + ids / 4, 9 + 8 * 5),
+    # One value: 1 byte a weight.
+    (lambda ids: np.full(len(ids), 4.0), 9 + 5),
+], ids=["distinct", "equal"])
+def test_weighted_payload_adds_one_weight_block(weight_of, extra):
     # The weights follow the chunk's own ascending id order, so a weighted
-    # payload carries no second copy of the element ids.
+    # payload carries no second copy of the element ids; the block is a
+    # width byte, the minimum bit pattern and one offset per element.
     chunk = subset_chunk(tet_box(2, 2, 1), [9, 2, 5, 14, 0])
-    weighted = replace(chunk, weights=1.0 + chunk.element_ids / 4)
+    weighted = replace(chunk, weights=weight_of(chunk.element_ids))
     plain = _pack_payload(chunk)
     packed = _pack_payload(weighted)
-    assert len(packed) - len(plain) == 8 * chunk.n_elements
+    assert len(packed) - len(plain) == extra
     back = _unpack_payload(packed)
     assert back == weighted and _unpack_payload(plain) == chunk
-    assert back.weights.tolist() == [1.0 + e / 4 for e in (0, 2, 5, 9, 14)]
+    assert back.weights.tobytes() == \
+        weight_of(np.array([0, 2, 5, 9, 14])).tobytes()
 
 
 @pytest.mark.parametrize("method", ["rcb", "graph"])
@@ -627,12 +690,13 @@ def team_summaries(draw):
 
 
 def run_team_assignment(team, chunks, remap, seed):
-    """Each member's new owners, and the centroids the leader split."""
+    """Each member's new owners, and the centroids and weights the leader
+    split."""
     seen = []
 
-    def spy(kind, method, ids, rows, *args):
-        seen.append(rows)
-        return _backend(kind, method, ids, rows, *args)
+    def spy(kind, method, ids, rows, weights, *args):
+        seen.append((rows, weights))
+        return _backend(kind, method, ids, rows, weights, *args)
 
     def prog(ctx):
         if ctx.rank in team:
@@ -649,7 +713,7 @@ def run_team_assignment(team, chunks, remap, seed):
 @given(case=team_summaries())
 def test_rcb_team_split_equals_the_split_of_the_members_centroids(case):
     team, chunks, remap, seed = case
-    got, rows = run_team_assignment(team, chunks, remap, seed)
+    got, (rows, _) = run_team_assignment(team, chunks, remap, seed)
 
     # The oracle: the back-end on the members' own centroids, in member
     # order, then the same part-to-rank match.
@@ -699,3 +763,20 @@ def test_each_member_sends_its_nodes_and_rows(mesh):
         # A block count, then each block's length and bytes.
         assert len(geometry) == (8 + 8 + 8 * chunk.coords.size
                                  + 8 + len(_codec.pack_i64(rows)))
+
+
+def test_each_member_sends_a_hot_leaf_weight_in_one_byte_an_element():
+    # An in-node rebalance of one 4x-weighted leaf: each member's weights
+    # hold one value, so its block is a width byte, that value's bit
+    # pattern and a zero byte per element, and the leader splits on the
+    # members' own columns.
+    team = (0, 1, 2, 3)
+    chunks = [replace(c, weights=np.full(c.n_elements, 4.0 if i == 0 else 1.0))
+              for i, c in enumerate(split_contiguous(tet_box(4, 4, 4), 4))]
+    for chunk, blocks in zip(chunks, summary_blocks(team, chunks)):
+        assert len(blocks[2]) == 9 + chunk.n_elements
+        assert _codec.unpack_weights(blocks[2]).tobytes() == \
+            chunk.weights.tobytes()
+    _, (_, weights) = run_team_assignment(team, chunks, True, 0)
+    assert weights.tobytes() == \
+        np.concatenate([c.weights for c in chunks]).tobytes()

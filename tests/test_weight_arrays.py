@@ -32,6 +32,7 @@ from hierpart.mesh import exchange_keyed_values
 from hierpart.partition import _overlap_remap
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
+from test_codec import kv_f64_length
 
 I64 = st.integers(-2**63, 2**63 - 1)
 # Non-integer weights over many magnitudes, so that sums round.
@@ -191,12 +192,12 @@ def test_overlap_remap_equals_the_dict_count(data, k, n):
 
 @given(keys=st.lists(I64, unique=True, max_size=12),
        values=st.lists(st.floats(width=64), min_size=12, max_size=12))
-def test_kv_f64_messages_round_trip_at_eight_bytes_a_value(keys, values):
+def test_kv_f64_messages_round_trip_in_the_weight_form(keys, values):
     values = values[:len(keys)]
     data = _codec.pack_kv_f64(np.array(keys, dtype=np.int64),
                               np.array(values, dtype=np.float64))
-    # The block count, the keys' block, then 8 bytes per value.
-    assert len(data) == 8 + 8 + len(_codec.pack_i64(keys)) + 8 + 8 * len(keys)
+    # The block count, the keys' block, then the values' weight block.
+    assert len(data) == kv_f64_length(keys, values)
     back_keys, back_values = _codec.unpack_kv_f64(data)
     assert back_keys.tolist() == keys
     # Sign of zero and NaN bits kept.
@@ -251,7 +252,8 @@ def test_exchange_keyed_values_sends_the_dict_era_values(data, nranks, seed):
     got, got_sent = _run_capturing(mesh_module, new, nranks, seed)
     want, want_sent = _run_capturing(dict_era, old, nranks, seed)
     assert got == want
-    # Each message holds the dict-era keys and value bits, 8 bytes a value.
+    # Each message holds the dict-era keys and value bits, the values in
+    # one weight block.
     assert got_sent.keys() == want_sent.keys()
     for rank, outgoing in got_sent.items():
         assert outgoing.keys() == want_sent[rank].keys()
@@ -260,8 +262,7 @@ def test_exchange_keyed_values_sends_the_dict_era_values(data, nranks, seed):
             keys, values = _codec.unpack_kv_f64(blob)
             assert keys.tolist() == [k for k, _ in pairs]
             assert values.tobytes() == b"".join(v for _, v in pairs)
-            assert len(blob) == \
-                8 + 8 + len(_codec.pack_i64(keys)) + 8 + 8 * len(keys)
+            assert len(blob) == kv_f64_length(keys, values)
 
 
 def test_exchange_keyed_values_takes_any_key_order():
