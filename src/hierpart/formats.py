@@ -4,14 +4,22 @@ Every document is a single object ``{"schema": "treepart-1", <kind>: ...}``
 so files are self-describing and the format can grow without breaking old
 readers.  Writers emit sorted keys and a trailing newline, which makes the
 output byte-stable for identical payloads.
+
+Mesh, assignment and weight documents have two read paths.  The fast one
+takes only the layout this module writes (sorted keys, two-space indents,
+one record row per line) and reads each section's rows straight into int64
+or float64 columns.  Any other layout, and any document that fails a check,
+takes the ``json.load`` path, which accepts any JSON spelling and names the
+offending record.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from itertools import chain
-from typing import Any, Mapping, NoReturn, Sequence
+from typing import Any, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -34,7 +42,7 @@ def _load_doc(path, kind: str) -> Any:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise FormatError(path, str(err)) from err
     except json.JSONDecodeError as err:
         raise FormatError(path, f"invalid JSON: {err}") from err
@@ -79,9 +87,180 @@ def _render(value: Any, indent: str) -> str:
     return json.dumps(value)
 
 
+def _row_list(row: str, values: Sequence, indent: str) -> str:
+    """The list of rows that ``_render`` writes at ``indent``: each row is
+    ``row`` %-formatted with the next of ``values``, all in one call rather
+    than through a list per row."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    n = len(values) // row.count("%")
+    rows = (",\n" + inner).join([row] * n) % tuple(values)
+    return "[\n" + inner + rows + "\n" + indent + "]"
+
+
+# -- the fast row reader -------------------------------------------------------
+
+class _Row(NamedTuple):
+    """The record row of one section: ``width`` numbers, the first an
+    integer id, the rest integers, or any JSON numbers if ``numbers``;
+    ``kind``, if given, is a string field after the id."""
+
+    width: int
+    numbers: bool = False
+    kind: str | None = None
+
+    def skeleton(self) -> bytes:
+        """The row as ``_render`` writes it, with its numbers left out."""
+        fields = [""] * self.width
+        if self.kind is not None:
+            fields.insert(1, json.dumps(self.kind))
+        return ("[" + ", ".join(fields) + "]").encode()
+
+
+_INT_BYTES = b"0123456789-"
+_NUMBER_BYTES = _INT_BYTES + b"+.eE"
+# Every byte but those of an integer becomes a space, and those of a
+# string's text go.
+_INTS_ONLY = bytes(c if c in _INT_BYTES else 32 for c in range(256))
+_STRING_BYTES = b'"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ'
+_BRACKETS_BLANK = bytes(32 if c in b"[]\n" else c for c in range(256))
+# The fast path keeps an integer only below this in magnitude, so that it
+# never reaches the int64 limits, where np.fromstring saturates.
+_INT_LIMIT = 10**18
+_SLOT = "\0"
+
+
+def _read_bytes(path) -> bytes | None:
+    """The file's bytes, or None if it cannot be read; the ``json.load``
+    path then reports why."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def _read_rows(data: bytes | None, kind: str,
+               layout: Mapping[str, _Row] | _Row
+               ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The rows of a document in the layout ``dump_doc`` writes, as
+    (int64 ids, rest) per section; rest is an (n, width - 1) int64 or, for
+    ``numbers`` rows, float64 array.
+
+    ``layout`` is the row of the list under ``kind``, or the row of each
+    list in the object under ``kind``.  Returns None for any other layout,
+    any number outside what the column can hold, and an integer not below
+    ``_INT_LIMIT`` in magnitude.  Nothing here builds a Python object per
+    record.
+    """
+    if data is None:
+        return None
+    single = isinstance(layout, _Row)
+    payload = _SLOT if single else dict.fromkeys(layout, _SLOT)
+    # The document rendered with a placeholder for each list: the text
+    # around the lists must match it exactly.
+    frame = (_render({"schema": SCHEMA, kind: payload}, "") + "\n").encode()
+    head, *seps, tail = frame.split(json.dumps(_SLOT).encode())
+    if not (data.startswith(head) and data.endswith(tail)):
+        return None
+    out, pos = [], len(head)
+    for before, after, row in zip([head, *seps], [*seps, None],
+                                  [layout] if single else layout.values()):
+        end = len(data) - len(tail) if after is None else data.find(after, pos)
+        line = before[before.rfind(b"\n") + 1:]
+        indent = len(line) - len(line.lstrip())
+        columns = end >= pos and _section_rows(data, pos, end, indent, row)
+        if not columns:
+            return None
+        out.append(columns)
+        pos = end + len(after or b"")
+    return out
+
+
+def _section_rows(data: bytes, start: int, end: int, indent: int, row: _Row
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_read_rows` for ``data[start:end]``, one list ``_render``
+    wrote at ``indent`` spaces."""
+    if end - start == 2 and data.startswith(b"[]", start):
+        return (np.zeros(0, dtype=np.int64),
+                np.zeros((0, row.width - 1),
+                         dtype=np.float64 if row.numbers else np.int64))
+    opening = b"[\n" + b" " * (indent + 2)
+    closing = b"\n" + b" " * indent + b"]"
+    if not (data.startswith(opening, start)
+            and data.endswith(closing, start, end)
+            and end - start >= len(opening) + len(closing)):
+        return None
+    rows = data[start + len(opening):end - len(closing)]
+    sep = b",\n" + b" " * (indent + 2)
+    bare, skeleton = rows.translate(
+        None, _NUMBER_BYTES if row.numbers else _INT_BYTES), row.skeleton()
+    n, extra = divmod(len(bare) + len(sep), len(skeleton) + len(sep))
+    if extra or bare != (skeleton + sep) * (n - 1) + skeleton:
+        return None
+    if not row.numbers:
+        values = _int_values(rows, n * row.width)
+        if values is None:
+            return None
+        values = values.reshape(n, row.width)
+        return values[:, 0], values[:, 1:]
+    # With the brackets blanked out, the rows are one JSON array of every
+    # number, which json itself parses.  A slot holds only number bytes, so
+    # json reads each as an int or a float, or fails.
+    try:
+        flat = json.loads(b"[" + rows.translate(_BRACKETS_BLANK) + b"]")
+        ids = np.array(flat[::row.width])
+        del flat[::row.width]
+        values = np.array(flat, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if ids.dtype != np.int64 or not _below_limit(ids):   # a float, or huge
+        return None
+    return ids, values.reshape(n, row.width - 1)
+
+
+def _below_limit(values: np.ndarray) -> bool:
+    return bool(((values > -_INT_LIMIT) & (values < _INT_LIMIT)).all())
+
+
+def _int_values(rows: bytes, count: int) -> np.ndarray | None:
+    """The ``count`` integers in ``rows``, whose skeleton is known to
+    match, or None unless each is a JSON integer below ``_INT_LIMIT`` in
+    magnitude.
+
+    np.fromstring also reads 01, -, a sign after a space and numbers past
+    int64, so the integers' spelling is checked on the bytes first: each
+    slot holds one token, a minus sign only opens one, a digit follows it,
+    and a 0 there is the whole number.
+    """
+    spaced = rows.translate(_INTS_ONLY, _STRING_BYTES)
+    b = np.frombuffer(spaced, dtype=np.uint8)
+    gap = b == 32
+    start = np.flatnonzero(gap[:-1] > gap[1:]) + 1
+    if len(start) != count:   # an empty slot
+        return None
+    minus = b[start] == 45
+    lead = b[start + minus]
+    after = b[np.minimum(start + minus + 1, len(b) - 1)]
+    if not (((lead >= 48) & (lead <= 57) & ((lead != 48) | (after == 32))).all()
+            and np.count_nonzero(b == 45) == np.count_nonzero(minus)):
+        return None
+    with warnings.catch_warnings():
+        # numpy 1.x warns and stops at a number it cannot read.
+        warnings.simplefilter("ignore")
+        try:
+            values = np.fromstring(spaced, dtype=np.int64, sep=" ")
+        except ValueError:
+            return None
+    return values if len(values) == count and _below_limit(values) else None
+
+
 # -- mesh --------------------------------------------------------------------
 
 def mesh_payload(chunk: MeshChunk) -> dict[str, Any]:
+    """The payload ``save_mesh`` writes, as lists of records; no verb
+    builds one."""
     return {
         "nodes": [[n, *xyz] for n, xyz in zip(chunk.node_ids.tolist(),
                                                chunk.coords.tolist())],
@@ -93,15 +272,70 @@ def mesh_payload(chunk: MeshChunk) -> dict[str, Any]:
 
 
 def save_mesh(path, chunk: MeshChunk) -> None:
-    dump_doc(path, "mesh", mesh_payload(chunk))
+    """The document ``dump_doc`` writes for ``mesh_payload(chunk)``."""
+    with open(path, "w") as fh:
+        fh.write('{\n  "mesh": ' + _mesh_text(chunk, "  ") + ',\n  "schema": '
+                 + json.dumps(SCHEMA) + "\n}\n")
+
+
+def _mesh_text(chunk: MeshChunk, indent: str) -> str:
+    """``_render(mesh_payload(chunk), indent)``, one format call a section."""
+    _, dim, npe, npf = KINDS[chunk.kind]
+    # Each node id, then its coordinates as json writes them.
+    nodes = [None] * chunk.node_ids.size * (1 + dim)
+    nodes[::1 + dim] = chunk.node_ids.tolist()
+    coords = (json.dumps(chunk.coords.ravel().tolist())[1:-1].split(", ")
+              if chunk.coords.size else [])
+    for k in range(dim):
+        nodes[1 + k::1 + dim] = coords[k::dim]
+    sections = {
+        "boundary": ("[%d" + ", %d" * npf + "]", np.column_stack(
+            (chunk.boundary_tags, chunk.boundary_conn)).ravel().tolist()),
+        "elements": ("[%d, " + json.dumps(chunk.kind) + ", %d" * npe + "]",
+                     np.column_stack((chunk.element_ids,
+                                      chunk.conn)).ravel().tolist()),
+        "nodes": ("[%d" + ", %s" * dim + "]", nodes),
+    }
+    inner = indent + "  "
+    rows = [f'{inner}"{key}": {_row_list(row, values, inner)}'
+            for key, (row, values) in sections.items()]
+    return "{\n" + ",\n".join(rows) + "\n" + indent + "}"
 
 
 def load_mesh(path) -> MeshChunk:
+    chunk = _mesh_from_rows(_read_bytes(path))
+    if chunk is not None:
+        return chunk
     raw = _load_doc(path, "mesh")
     try:
         return mesh_from_payload(raw)
     except (ValueError, TypeError, KeyError) as err:
         raise FormatError(path, str(err)) from err
+
+
+def _mesh_from_rows(data: bytes | None) -> MeshChunk | None:
+    """The chunk of a mesh document in the layout ``save_mesh`` writes, or
+    None unless it passes every check ``mesh_from_payload`` makes."""
+    if data is None:
+        return None
+    # The kind is the first string after a comma: the first element's.
+    at = data.find(b', "') + 3
+    kind = data[at:data.find(b'"', at)].decode("latin-1")
+    if at < 3 or kind not in KINDS:
+        return None
+    _, dim, npe, npf = KINDS[kind]
+    rows = _read_rows(data, "mesh", {"boundary": _Row(1 + npf),
+                                     "elements": _Row(1 + npe, kind=kind),
+                                     "nodes": _Row(1 + dim, numbers=True)})
+    if rows is None:
+        return None
+    (tags, bconn), (eids, conn), (nids, coords) = rows
+    if not (len(eids) and eids.min() >= 0 and nids.min(initial=0) >= 0
+            and not _repeats(eids) and not _repeats(nids)
+            and np.isfinite(coords).all()):
+        return None
+    chunk = MeshChunk.from_arrays(kind, eids, conn, nids, coords, tags, bconn)
+    return chunk if chunk.references_resolve() else None
 
 
 def mesh_from_payload(raw: Mapping[str, Any]) -> MeshChunk:
@@ -294,10 +528,8 @@ def write_assignment(path, ids: np.ndarray, parts: np.ndarray) -> None:
 
 def _write_assignment_rows(path, flat: list[int]) -> None:
     """The document ``dump_doc`` renders for the [element, part] rows
-    ``flat`` lists one after another, formatted in one call rather than
-    through a list per row."""
-    rows = ",\n    ".join(["[%d, %d]"] * (len(flat) // 2)) % tuple(flat)
-    body = "[\n    " + rows + "\n  ]" if flat else "[]"
+    ``flat`` lists one after another."""
+    body = _row_list("[%d, %d]", flat, "  ")
     with open(path, "w") as fh:
         fh.write('{\n  "assignment": ' + body + ',\n  "schema": '
                  + json.dumps(SCHEMA) + "\n}\n")
@@ -313,6 +545,8 @@ def id_array(values) -> np.ndarray:
 
 def _repeats(ids: np.ndarray) -> bool:
     """Some id appears twice."""
+    if (ids[1:] > ids[:-1]).all():   # ascending, as the package writes ids
+        return False
     ordered = np.sort(ids)
     return bool((ordered[1:] == ordered[:-1]).any())
 
@@ -320,6 +554,11 @@ def _repeats(ids: np.ndarray) -> bool:
 def read_assignment(path) -> tuple[np.ndarray, np.ndarray]:
     """(element ids, parts) of an assignment document, in file order;
     ``id_array`` arrays."""
+    rows = _read_rows(_read_bytes(path), "assignment", _Row(2))
+    if rows:
+        (ids, parts), = rows
+        if len(ids) and not _repeats(ids):
+            return ids, parts[:, 0]
     raw = _load_doc(path, "assignment")
     cols = _columns(raw, 2)
     if cols and _ints(*cols):
@@ -364,6 +603,13 @@ def save_weights(path, weights: Mapping[int, float]) -> None:
 def read_weights(path) -> tuple[np.ndarray, np.ndarray]:
     """(element ids, weights) of a weights document, in file order: an
     ``id_array`` and a float64 array of finite, positive weights."""
+    rows = _read_rows(_read_bytes(path), "weights", _Row(2, numbers=True))
+    if rows:
+        (ids, weights), = rows
+        weights = weights[:, 0]
+        if (np.isfinite(weights).all() and (weights > 0).all()
+                and not _repeats(ids)):
+            return ids, weights
     raw = _load_doc(path, "weights")
     cols = _columns(raw, 2)
     if cols and _ints(cols[0]) and _numbers(cols[1]):
@@ -437,12 +683,14 @@ def save_report(path, report: Mapping[str, Any]) -> None:
 
 
 def save_part(path, rank: int, chunk: MeshChunk, neighbors) -> None:
-    """Per-rank output: the rank's mesh piece plus its halo neighbor table."""
-    dump_doc(path, "part", {
-        "rank": rank,
-        "mesh": mesh_payload(chunk),
-        "halo": [
-            {"rank": other, "channel": channel, "nodes": list(nodes)}
-            for other, nodes, channel in neighbors
-        ],
-    })
+    """Per-rank output: the rank's mesh piece plus its halo neighbor table.
+
+    The document ``dump_doc`` writes for ``{"rank": rank, "mesh":
+    mesh_payload(chunk), "halo": [...]}``."""
+    halo = _render([{"rank": other, "channel": channel, "nodes": list(nodes)}
+                    for other, nodes, channel in neighbors], "    ")
+    with open(path, "w") as fh:
+        fh.write('{\n  "part": {\n    "halo": ' + halo + ',\n    "mesh": '
+                 + _mesh_text(chunk, "    ") + ',\n    "rank": '
+                 + json.dumps(rank) + '\n  },\n  "schema": '
+                 + json.dumps(SCHEMA) + "\n}\n")

@@ -14,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hierpart
 from hierpart.cli import _GC_GEN0_THRESHOLD, main
 from hierpart.formats import (load_assignment, load_mesh, load_topology,
                               save_assignment, save_mesh, save_timing,
                               save_topology, save_weights)
-from hierpart.meshgen import triangle_grid
+from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.topology import build_topology
 
 
@@ -261,6 +263,21 @@ def test_bad_inputs_exit_2(inputs, capsys, tmp_path):
     save_weights(wpath, {0: 1.0})
     code = run_partition(inputs, out, ("--weights", str(wpath)))
     assert code == 2
+
+    # A document that is not UTF-8 text: the file is named.
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b"\xff\xfe{\x00}\x00")
+    for argv in (
+            ["partition", "--mesh", str(garbled)],
+            ["metrics", "--mesh", str(inputs["mesh_path"]),
+             "--assignment", str(garbled)],
+            ["partition", "--mesh", str(inputs["mesh_path"]),
+             "--weights", str(garbled)]):
+        capsys.readouterr()
+        code = main([*argv, "--topo", str(inputs["topo_path"]),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"input error: {garbled}: " in capsys.readouterr().err
 
 
 def _edit_mesh(inputs, edit):
@@ -927,3 +944,103 @@ print(sorted(m for m in set(sys.modules) - before
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_importing_formats_loads_neither_partitioner_nor_balancer():
+    script = """
+import sys
+import hierpart
+from hierpart import formats
+print(sorted(m for m in sys.modules if m.startswith("hierpart.")))
+from hierpart import rebalance, HierarchicalPlan
+print(rebalance.__module__, HierarchicalPlan.__module__)
+"""
+    src = Path(hierpart.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded, exports = run.stdout.splitlines()[-2:]
+    assert loaded == str(["hierpart._codec", "hierpart.directory",
+                          "hierpart.formats", "hierpart.mesh",
+                          "hierpart.runtime", "hierpart.topology"])
+    assert exports == "hierpart.balance hierpart.partition"
+
+
+@st.composite
+def _verb_inputs(draw):
+    """A small valid mesh, tree, plan and weight table, as ROADMAP item 11
+    describes them."""
+    if draw(st.booleans()):
+        mesh = triangle_grid(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    else:
+        mesh = tet_box(draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+                       draw(st.integers(1, 2)))
+    shape = draw(st.sampled_from(["plain", "flat", "point", "jitter"]))
+    coords = mesh.coords.copy()
+    if shape == "flat":
+        coords[:, 0] = 0.0
+    elif shape == "point":
+        coords[:] = 1.0
+    elif shape == "jitter":
+        coords += np.random.default_rng(draw(st.integers(0, 99))).uniform(
+            -0.25, 0.25, coords.shape)
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    nparts = int(np.prod(arities))
+    assume(nparts <= mesh.n_elements)
+    n = mesh.n_elements
+    table = draw(st.sampled_from(["unit", "wide", "extreme"]))
+    values = {
+        "unit": None,
+        "wide": draw(st.lists(st.floats(1, 1e6), min_size=n, max_size=n)),
+        "extreme": draw(st.lists(st.sampled_from(
+            [1e-300, 1.0, 1e300 / (n * nparts)]), min_size=n, max_size=n)),
+    }[table]
+    weights = None if values is None else dict(
+        zip(mesh.element_ids.tolist(), values))
+    bpl = draw(st.integers(0, len(arities) - 1))
+    methods = st.sampled_from(["rcb", "graph"])
+    # A single back-end, or one for each split below the bootstrap level.
+    method = draw(st.lists(methods, min_size=1,
+                           max_size=len(arities) - bpl).map(",".join))
+    return {
+        "mesh": replace(mesh, coords=coords),
+        "tree": build_topology([(f"l{i}", a) for i, a in enumerate(arities)]),
+        "weights": weights,
+        "plan": ["--method", method,
+                 "--approach", str(draw(st.sampled_from([1, 2]))),
+                 "--bpl", str(bpl)],
+        "rebalance": ["--method", draw(methods),
+                      "--level", str(draw(st.integers(0, len(arities) - 1)))],
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=_verb_inputs())
+def test_verbs_run_on_any_small_valid_input(tmp_path_factory, case):
+    d = tmp_path_factory.mktemp("verbs")
+    mesh, nparts = case["mesh"], case["tree"].total_ranks
+    save_mesh(d / "mesh.json", mesh)
+    save_topology(d / "topo.json", case["tree"])
+    common = ["--mesh", str(d / "mesh.json"), "--topo", str(d / "topo.json"),
+              "--no-timestamp"]
+    if case["weights"] is not None:
+        save_weights(d / "weights.json", case["weights"])
+        common += ["--weights", str(d / "weights.json")]
+
+    def owned_once_by_every_rank(out):
+        owner = load_assignment(out / "assignment.json")
+        assert sorted(owner) == mesh.element_ids.tolist()
+        assert set(owner.values()) == set(range(nparts))
+
+    assert main(["partition", *common, *case["plan"],
+                 "--out", str(d / "p")]) == 0
+    owned_once_by_every_rank(d / "p")
+    assert main(["rebalance", *common, *case["rebalance"],
+                 "--assignment", str(d / "p" / "assignment.json"),
+                 "--out", str(d / "r")]) == 0
+    owned_once_by_every_rank(d / "r")
+    assert main(["metrics", *common,
+                 "--assignment", str(d / "r" / "assignment.json"),
+                 "--out", str(d / "m")]) == 0
+    assert (d / "m" / "report.json").is_file()

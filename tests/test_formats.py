@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierpart import formats
 from hierpart.formats import (SCHEMA, FormatError, _render, dump_doc,
                               load_assignment, load_mesh, load_timing,
                               load_topology, load_weights, mesh_from_payload,
-                              mesh_payload, save_assignment, save_mesh,
-                              save_part, save_report, save_timing,
-                              save_topology, save_weights)
-from hierpart.mesh import KINDS
+                              mesh_payload, read_assignment, read_weights,
+                              save_assignment, save_mesh, save_part,
+                              save_report, save_timing, save_topology,
+                              save_weights, write_assignment)
+from hierpart.mesh import KINDS, MeshChunk
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.topology import build_topology
 
@@ -404,3 +409,279 @@ def test_negative_node_reference_is_an_unknown_node():
     payload["elements"][1][3] = -1
     with pytest.raises(ValueError, match="element 1 references unknown node -1"):
         mesh_from_payload(payload)
+
+
+# -- the fast row reader against the json.load path -----------------------------
+
+def _bits(value):
+    """Arrays compared bit for bit, dtype and shape included."""
+    if isinstance(value, np.ndarray):
+        # An object array holds ids beyond int64 as Python ints.
+        return (value.dtype.str, value.shape,
+                value.tolist() if value.dtype == object else value.tobytes())
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return (value.kind, _bits(value._arrays()), value.weights is None)
+
+
+def _outcome_of(load, path):
+    try:
+        return "ok", _bits(load(path))
+    except FormatError as err:
+        return "error", str(err)
+
+
+def _both_paths(load, path):
+    """(outcome of ``load``, outcome of its json.load path): with no bytes
+    for the row reader, every loader takes the json.load path."""
+    got = _outcome_of(load, path)
+    with mock.patch.object(formats, "_read_bytes", lambda path: None):
+        return got, _outcome_of(load, path)
+
+
+# Ids of one document come from one of these ranges: small ones, ones on
+# either side of the row reader's 10**18 limit, or any up to 2**62.
+_ID_RANGES = st.sampled_from([(0, 10**6), (10**18 - 10**3, 10**18 - 1),
+                              (10**18 - 10**3, 10**18 + 10**3), (0, 2**62)])
+
+
+def _ids(draw, n, signed=False):
+    low, high = draw(_ID_RANGES)
+    return draw(st.lists(st.integers(-high if signed else low, high),
+                         min_size=n, max_size=n, unique=not signed))
+
+
+@st.composite
+def _meshes(draw):
+    """A small mesh with ids up to 2**62 and any finite coordinates."""
+    if draw(st.booleans()):
+        mesh = triangle_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    else:
+        mesh = tet_box(draw(st.integers(1, 2)), 1, draw(st.integers(1, 2)))
+    n, m, b = mesh.n_elements, len(mesh.node_ids), len(mesh.boundary_tags)
+    eids, nids = np.array(_ids(draw, n)), np.array(_ids(draw, m))
+    coords = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=mesh.coords.size,
+                           max_size=mesh.coords.size))
+    tags = _ids(draw, b, signed=True)
+    rows = np.searchsorted(mesh.node_ids, mesh.conn)
+    faces = np.searchsorted(mesh.node_ids, mesh.boundary_conn)
+    return MeshChunk.from_arrays(mesh.kind, eids, nids[rows], nids,
+                                 np.reshape(coords, mesh.coords.shape),
+                                 tags, nids[faces])
+
+
+def _fast(path, kind, layout) -> bool:
+    return formats._read_rows(formats._read_bytes(path), kind,
+                              layout) is not None
+
+
+def _small(*arrays) -> bool:
+    return all((abs(a) < 10**18).all() for a in arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=_meshes())
+def test_written_meshes_load_as_the_json_path_reads_them(tmp_path_factory,
+                                                         mesh):
+    path = tmp_path_factory.mktemp("mesh") / "mesh.json"
+    save_mesh(path, mesh)
+    got, want = _both_paths(load_mesh, path)
+    assert got == want == ("ok", _bits(mesh))
+    _, dim, npe, npf = KINDS[mesh.kind]
+    layout = {"boundary": formats._Row(1 + npf),
+              "elements": formats._Row(1 + npe, kind=mesh.kind),
+              "nodes": formats._Row(1 + dim, numbers=True)}
+    assert _fast(path, "mesh", layout) == _small(
+        mesh.element_ids, mesh.conn, mesh.node_ids, mesh.boundary_tags)
+
+
+@st.composite
+def _tables(draw, values=None, min_size=0):
+    """An id -> value table, the ids, and the values if ``values`` is None,
+    drawn from one of _ID_RANGES."""
+    n = draw(st.integers(min_size, 30))
+    column = (_ids(draw, n, signed=True) if values is None
+              else draw(st.lists(values, min_size=n, max_size=n)))
+    return dict(zip(_ids(draw, n), column))
+
+
+@settings(max_examples=60, deadline=None)
+@given(assignment=_tables(min_size=1),
+       as_arrays=st.booleans())
+def test_written_assignments_load_as_the_json_path_reads_them(
+        tmp_path_factory, assignment, as_arrays):
+    path = tmp_path_factory.mktemp("assign") / "assignment.json"
+    ids = np.array(sorted(assignment), dtype=np.int64)
+    parts = np.array([assignment[e] for e in ids.tolist()], dtype=np.int64)
+    if as_arrays:
+        write_assignment(path, ids, parts)
+    else:
+        save_assignment(path, assignment)
+    got, want = _both_paths(read_assignment, path)
+    assert got == want == ("ok", _bits((ids, parts)))
+    assert _fast(path, "assignment", formats._Row(2)) == _small(ids, parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=_tables(st.floats(min_value=5e-324, allow_infinity=False)))
+def test_written_weights_load_bit_for_bit(tmp_path_factory, weights):
+    path = tmp_path_factory.mktemp("weights") / "weights.json"
+    save_weights(path, weights)
+    got, want = _both_paths(read_weights, path)
+    ids = np.array(sorted(weights), dtype=np.int64)
+    assert got == want == ("ok", _bits((
+        ids, np.array([weights[e] for e in ids.tolist()], dtype=np.float64))))
+    assert _fast(path, "weights", formats._Row(2, numbers=True)) == _small(ids)
+
+
+# Each edit of one number, or of the text around the rows, that the row
+# reader must either read exactly as json does or leave to the json path.
+_TOKEN_EDITS = {
+    "leading zero": lambda t: "-0" + t[1:] if t[:1] == "-" else "0" + t,
+    "trailing point": lambda t: t + ".",
+    "bare fraction": lambda t: ".5",
+    "plus sign": lambda t: "+" + t,
+    "2**63": lambda t: str(2**63),
+    "-2**63": lambda t: str(-2**63),
+    "10**18": lambda t: str(10**18),
+    "a float": lambda t: t + ".0" if t.lstrip("-").isdigit() else t,
+    "an exponent": lambda t: t + "e0",
+    "NaN": lambda t: "NaN",
+    "-Infinity": lambda t: "-Infinity",
+    "true": lambda t: "true",
+    "a string": lambda t: '"1"',
+    "minus zero": lambda t: "-0",
+    "a lone minus": lambda t: "-",
+    "a double minus": lambda t: "--" + t.lstrip("-"),
+    "a minus inside": lambda t: t + "-1",
+    "no number": lambda t: "",
+    "negative": lambda t: "-" + t.lstrip("-"),
+    "zero": lambda t: "0",
+    "huge float": lambda t: "1e400",
+    "tiny float": lambda t: "5e-325",
+}
+_TEXT_EDITS = ("duplicate id", "CRLF line ends", "an extra space",
+               "missing row comma", "row swap", "one line")
+
+
+def _edit(text: str, edit: str, r: int, f: int) -> str:
+    lines = text.split("\n")
+    rows = [i for i, ln in enumerate(lines) if ln.lstrip().startswith("[")
+            and ln.rstrip(",").endswith("]")]
+    if not rows:   # after "one line"
+        return text
+    i = rows[r % len(rows)]
+    head, row = lines[i][:len(lines[i]) - len(lines[i].lstrip())], \
+        lines[i].strip()
+    comma = row.endswith(",")
+    fields = row.rstrip(",")[1:-1].split(", ")
+    f %= len(fields)
+    if edit in _TOKEN_EDITS:
+        if fields[f].startswith('"'):   # an element's kind
+            fields[f] = _TOKEN_EDITS[edit]("1")
+        else:
+            fields[f] = _TOKEN_EDITS[edit](fields[f])
+    elif edit == "duplicate id":
+        other = lines[rows[(r + 1) % len(rows)]].strip().rstrip(",")
+        fields[0] = other[1:-1].split(", ")[0]
+    elif edit == "CRLF line ends":
+        return text.replace("\n", "\r\n")
+    elif edit == "an extra space":
+        fields[f] = " " + fields[f]
+    elif edit == "missing row comma":
+        comma = False
+    elif edit == "row swap":
+        j = rows[(r + 1) % len(rows)]
+        lines[i], lines[j] = lines[j], lines[i]
+        return "\n".join(lines)
+    elif edit == "one line":
+        try:
+            return json.dumps(json.loads(text))
+        except ValueError:
+            return text
+    lines[i] = head + "[" + ", ".join(fields) + "]" + ("," if comma else "")
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def canonical(tmp_path_factory):
+    d = tmp_path_factory.mktemp("canonical")
+    save_mesh(d / "tri.json", triangle_grid(2, 2))
+    save_mesh(d / "tet.json", tet_box(1, 1, 1))
+    save_assignment(d / "assignment.json", {e: e % 3 for e in range(9)})
+    save_weights(d / "weights.json", {e: 1.5 + e for e in range(9)})
+    return {name: (d / f"{name}.json").read_text()
+            for name in ("tri", "tet", "assignment", "weights")}
+
+
+_LOADERS = {"tri": load_mesh, "tet": load_mesh,
+            "assignment": read_assignment, "weights": read_weights}
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=st.sampled_from(sorted(_LOADERS)),
+       edits=st.lists(st.tuples(st.sampled_from(sorted(_TOKEN_EDITS)
+                                                + list(_TEXT_EDITS)),
+                                st.integers(0, 60), st.integers(0, 6)),
+                      min_size=1, max_size=2))
+def test_edited_documents_load_as_the_json_path_reads_them(
+        tmp_path_factory, canonical, doc, edits):
+    text = canonical[doc]
+    for edit, r, f in edits:
+        text = _edit(text, edit, r, f)
+    path = tmp_path_factory.mktemp("edited") / "doc.json"
+    path.write_text(text, newline="")
+    got, want = _both_paths(_LOADERS[doc], path)
+    assert got == want
+
+
+@pytest.mark.parametrize("edit", sorted(_TOKEN_EDITS) + list(_TEXT_EDITS))
+@pytest.mark.parametrize("doc", sorted(_LOADERS))
+def test_each_edit_loads_as_the_json_path_reads_it(tmp_path, canonical, doc,
+                                                   edit):
+    # Every edit on every document at least once, on an id and a value.
+    for f in (0, 2):
+        path = tmp_path / f"doc{f}.json"
+        path.write_text(_edit(canonical[doc], edit, 3, f), newline="")
+        got, want = _both_paths(_LOADERS[doc], path)
+        assert got == want
+
+
+def _payload_documents(d, mesh):
+    """save_mesh's and save_part's documents, and dump_doc's renderings
+    of their payloads."""
+    halo = [(1, (4, 5), "intranode"), (7, [], "internode")]
+    save_mesh(d / "mesh.json", mesh)
+    dump_doc(d / "mesh_payload.json", "mesh", mesh_payload(mesh))
+    save_part(d / "part.json", 3, mesh, halo)
+    dump_doc(d / "part_payload.json", "part", {
+        "rank": 3, "mesh": mesh_payload(mesh),
+        "halo": [{"rank": r, "channel": c, "nodes": list(n)}
+                 for r, n, c in halo]})
+    return [(d / f"{name}.json").read_bytes()
+            for name in ("mesh", "mesh_payload", "part", "part_payload")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=_meshes())
+def test_mesh_and_part_rows_render_as_the_payload_does(tmp_path_factory,
+                                                       mesh):
+    mesh_doc, mesh_want, part_doc, part_want = _payload_documents(
+        tmp_path_factory.mktemp("payload"), mesh)
+    assert mesh_doc == mesh_want
+    assert part_doc == part_want
+
+
+def test_non_finite_and_empty_rows_render_as_the_payload_does(tmp_path):
+    mesh = triangle_grid(2, 1)
+    coords = mesh.coords * 1e-300 - 0.0
+    coords[0, 0], coords[1, 1], coords[2, 0] = np.nan, np.inf, -np.inf
+    odd = replace(mesh, coords=coords)
+    bare = replace(mesh, boundary_tags=mesh.boundary_tags[:0],
+                   boundary_conn=mesh.boundary_conn[:0])
+    for chunk in (odd, bare, MeshChunk.empty("tetrahedron")):
+        mesh_doc, mesh_want, part_doc, part_want = _payload_documents(
+            tmp_path, chunk)
+        assert mesh_doc == mesh_want
+        assert part_doc == part_want
