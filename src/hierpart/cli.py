@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import gc
 import os
 import sys
 from typing import Any
@@ -35,13 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-# Generation-0 collection threshold while a verb runs.  A verb allocates
-# millions of short-lived tuples, dicts and lists (JSON records, mesh
-# chunks, wire blocks) and almost no reference cycles; at CPython's default
-# of 700 the cyclic collector runs hundreds of times per verb and walks the
-# ever-growing older generations for nothing.
-_GC_GEN0_THRESHOLD = 100_000
 
 
 class UsageError(Exception):
@@ -411,8 +403,6 @@ def _cmd_metrics(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    thresholds = gc.get_threshold()
-    gc.set_threshold(_GC_GEN0_THRESHOLD, *thresholds[1:])
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -425,8 +415,6 @@ def main(argv=None) -> int:
     except (DeadlockError, EpochError, ProtocolError, AssertionError) as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -125,14 +125,14 @@ class CoHolders(dict):
     """{other rank: ascending keys}, as ``co_holders`` returns it, and how
     the survey ran on this rank's node.
 
-    ``leaders`` maps the index of every level-0 vertex with team ranks to
-    its lowest team rank, the leader that spoke for it.  At a leader,
-    ``node`` maps every team rank of its vertex, itself first, to that
-    rank's own table; elsewhere it is None.
+    ``leaders`` holds, by level-0 vertex, its lowest team rank (-1: none),
+    the leader that spoke for it.  At a leader, ``node`` is its node's
+    survey, int64 (rank, key, other holder) rows ascending by rank, other
+    holder, then key; elsewhere it is None.
     """
 
-    def __init__(self, pairs, leaders: dict[int, int],
-                 node: dict[int, dict[int, list[int]]] | None = None):
+    def __init__(self, pairs, leaders: np.ndarray,
+                 node: np.ndarray | None = None):
         super().__init__(pairs)
         self.leaders = leaders
         self.node = node
@@ -154,23 +154,25 @@ def co_holders(ctx: RankContext, keys: Sequence[int], key_space: int,
     team_t = _team_of(ctx, team)
     mine = _unique(np.asarray(keys, dtype=np.int64))
     _check_keys(mine, key_space)
-    size = ctx.tree.group_size(0)
-    leaders: dict[int, int] = {}
-    for r in reversed(team_t):
-        leaders[r // size] = r
-    vertex = ctx.rank // size
-    if ctx.rank != leaders[vertex]:
-        ctx.copy_to(leaders[vertex], _codec.pack_i64(mine), _TAG_SURVEY)
-        pairs = _codec.unpack_i64(ctx.copy_from(leaders[vertex], _TAG_SURVEY))
+    ranks = np.asarray(team_t, dtype=np.int64)
+    vertices = ctx.tree.group_index(ranks, 0)
+    first = _fresh(vertices)
+    leaders = np.full(ctx.tree.group_count(0), -1, dtype=np.int64)
+    leaders[vertices[first]] = ranks[first]
+    vertex = ctx.tree.group_index(ctx.rank, 0)
+    leader = int(leaders[vertex])
+    if ctx.rank != leader:
+        ctx.copy_to(leader, _codec.pack_i64(mine), _TAG_SURVEY)
+        pairs = _codec.unpack_i64(ctx.copy_from(leader, _TAG_SURVEY))
         return CoHolders(_by_holder(pairs.reshape(-1, 2)), leaders)
 
-    members = [r for r in team_t if r // size == vertex]
+    members = ranks[vertices == vertex].tolist()
     held = [mine] + [_codec.unpack_i64(ctx.copy_from(m, _TAG_SURVEY))
                      for m in members[1:]]
     rows = np.stack([np.concatenate(held),
                      np.repeat(members, [len(h) for h in held])], axis=1)
     rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-    remote = _ask_owners(ctx, rows, key_space, tuple(sorted(leaders.values())),
+    remote = _ask_owners(ctx, rows, key_space, tuple(ranks[first].tolist()),
                          _match_nodes)
     # Every member's key with each other holder, on this node or elsewhere.
     both = np.concatenate([rows, remote])
@@ -180,21 +182,17 @@ def co_holders(ctx: RankContext, keys: Sequence[int], key_space: int,
     i, j = i[i < len(rows)], j[i < len(rows)]
     triples = np.stack([both[i, 1], both[i, 0], both[j, 1]], axis=1)
     triples = triples[np.lexsort((triples[:, 1], triples[:, 2], triples[:, 0]))]
-    cuts = np.searchsorted(triples[:, 0], members[1:])
-    node = {}
-    for m, part in zip(members, np.split(triples[:, 1:], cuts)):
-        if m != ctx.rank:
-            ctx.copy_to(m, _codec.pack_i64(part), _TAG_SURVEY)
-        node[m] = _by_holder(part)
-    return CoHolders(node[ctx.rank], leaders, node)
+    parts = np.split(triples[:, 1:], np.searchsorted(triples[:, 0], members[1:]))
+    for m, part in zip(members[1:], parts[1:]):
+        ctx.copy_to(m, _codec.pack_i64(part), _TAG_SURVEY)
+    return CoHolders(_by_holder(parts[0]), leaders, triples)
 
 
 def _by_holder(pairs: np.ndarray) -> dict[int, list[int]]:
-    # (key, holder) pairs ascending by key -> {holder: ascending keys}.
-    pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
-    holders, starts = np.unique(pairs[:, 1], return_index=True)
+    # (key, holder) pairs ascending by holder -> {holder: ascending keys}.
+    cuts = np.flatnonzero(_fresh(pairs[:, 1]))
     return {h: part.tolist() for h, part in
-            zip(holders.tolist(), np.split(pairs[:, 0], starts[1:]))}
+            zip(pairs[cuts, 1].tolist(), np.split(pairs[:, 0], cuts[1:]))}
 
 
 def _match_nodes(src: np.ndarray, rows: np.ndarray) -> tuple:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .directory import _concat, _unique
+from .directory import _concat, _fresh, _unique
 from .runtime import RankContext
 from .topology import TopologyTree
 
@@ -58,9 +58,9 @@ def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
     """Schedule from this rank's shared-node table (other rank -> node ids).
 
     A table from ``find_shared_nodes`` names the rank's leader and, at a
-    leader, holds its node's tables, from which the leader's routes are
-    built; a plain mapping stands for a rank that routes its own rows, as
-    if every rank were alone on its node.
+    leader, holds its node's survey rows, from which the leader's routes
+    are built; a plain mapping stands for a rank that routes its own rows
+    through the same builder, as if every rank were alone on its node.
     """
     neighbors = []
     for other in sorted(rows):
@@ -70,57 +70,57 @@ def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
         channel = "intranode" if tree.same_node(rank, other) else "internode"
         neighbors.append((other, nodes, channel))
     leaders = getattr(rows, "leaders", None)
-    size = tree.group_size(0)
-    leader = rank if leaders is None else leaders[rank // size]
+    leader = rank if leaders is None else \
+        int(leaders[tree.group_index(rank, 0)])
     if leader != rank:
         return HaloSchedule(tuple(neighbors), leader)
-    node = getattr(rows, "node", None) or {rank: rows}
-    return HaloSchedule(tuple(neighbors), leader, *_routes(
-        node, rank // size, size,
-        (lambda o: o) if leaders is None else (lambda o: leaders[o // size])))
+    if leaders is None:  # every other node's rank leads itself
+        table = np.array([(rank, n, other) for other, nodes, channel in
+                          neighbors if channel == "internode"
+                          for n in dict.fromkeys(nodes)],
+                         dtype=np.int64).reshape(-1, 3)
+        leads = table[:, 2]
+    else:
+        table = rows.node
+        leads = leaders[tree.group_index(table[:, 2], 0)]
+    return HaloSchedule(tuple(neighbors), leader, *_routes(table, leads, rank))
 
 
-def _routes(node: Mapping[int, Mapping[int, Sequence[int]]], vertex: int,
-            size: int, leader_of) -> tuple:
-    """``gather``, ``sends``, ``recvs`` and ``hands`` of a leader whose
-    level-0 vertex ``vertex`` holds the ranks of ``node``, which maps each
-    to its shared-node table."""
-    members = sorted(node)
-    # Each member's internode rows by remote rank.
-    inter = [{o: _unique(np.asarray(keys, dtype=np.int64))
-              for o, keys in sorted(node[m].items())
-              if o // size != vertex and len(keys)} for m in members]
-    pool = [_union(rows.values()) for rows in inter]
-    offsets = np.cumsum([0] + [len(x) for x in pool])
-    sends: dict[int, list[np.ndarray]] = {}
-    for rows, own, at in zip(inter, pool, offsets.tolist()):
-        by_leader: dict[int, list[np.ndarray]] = {}
-        for o, keys in rows.items():
-            by_leader.setdefault(leader_of(o), []).append(keys)
-        for lead, parts in by_leader.items():
-            sends.setdefault(lead, []).append(
-                at + np.searchsorted(own, _union(parts)))
-    # What each remote rank sends this node: the union of its rows with
-    # the members.  Remote ranks ascend with their leaders, so in
-    # ascending rank order these sit as the inbound pool holds them.
-    remote: dict[int, list[np.ndarray]] = {}
-    for rows in inter:
-        for o, keys in rows.items():
-            remote.setdefault(o, []).append(keys)
-    inbound = {o: _union(remote[o]) for o in sorted(remote)}
-    start = dict(zip(inbound, np.cumsum(
-        [0] + [len(x) for x in inbound.values()]).tolist()))
-    recvs: dict[int, int] = {}
-    for o, keys in inbound.items():
-        recvs[leader_of(o)] = recvs.get(leader_of(o), 0) + len(keys)
-    hands = tuple(
-        (m, np.concatenate([start[o] + np.searchsorted(inbound[o], keys)
-                            for o, keys in rows.items()]))
-        for m, rows in zip(members, inter) if rows)
-    return (tuple((m, len(x)) for m, x in zip(members[1:], pool[1:]) if len(x)),
-            tuple((lead, np.concatenate(parts))
-                  for lead, parts in sorted(sends.items())),
-            tuple(sorted(recvs.items())), hands)
+def _routes(rows: np.ndarray, leads: np.ndarray, leader: int) -> tuple:
+    """``gather``, ``sends``, ``recvs`` and ``hands`` of ``leader`` from its
+    node's (rank, node id, other holder) rows, ascending by rank, other
+    holder, then node id, and ``leads``, the leader of each other holder."""
+    off = leads != leader
+    rows, leads = rows[off], leads[off]
+    rank, node, other = rows.T
+    # Row positions in the outbound pool, the distinct (rank, node id)
+    # pairs, and in the inbound pool, the distinct (other holder, node id)
+    # pairs: remote ranks ascend with their leaders, so message by message.
+    out, out_first = _pool(rank, node)
+    into, in_first = _pool(other, node)
+    sent = _pool(leads, out)[1]
+    return (tuple((m, len(part)) for m, part in
+                  _split_by(rank[out_first], out_first) if m != leader),
+            _split_by(leads[sent], out[sent]),
+            tuple((lead, len(part)) for lead, part in
+                  _split_by(leads[in_first], in_first)),
+            _split_by(rank, into))
+
+
+def _pool(major: np.ndarray, minor: np.ndarray) -> tuple:
+    """Each row's position among the distinct (major, minor) pairs in
+    ascending order, and the first row of each pair."""
+    order = np.lexsort((minor, major))
+    fresh = _fresh(major[order], minor[order])
+    at = np.empty(len(order), dtype=np.int64)
+    at[order] = np.cumsum(fresh) - 1
+    return at, order[fresh]
+
+
+def _split_by(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """(key, values) of each run of equal entries of the sorted ``keys``."""
+    starts = np.flatnonzero(_fresh(keys))
+    return tuple(zip(keys[starts].tolist(), np.split(values, starts[1:])))
 
 
 def _union(blocks) -> np.ndarray:

@@ -673,8 +673,8 @@ def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
     """Nodes this rank shares with each other rank, {other rank: sorted
     node ids}: ``directory.co_holders`` of its node ids, collective over
     the team, whose node leaders alone use the network.  The result also
-    names the rank's leader and, at a leader, its node's tables, from
-    which ``halo.schedule_for_rank`` builds the leader's routes."""
+    names the rank's leader and, at a leader, its node's survey rows,
+    from which ``halo.schedule_for_rank`` builds the leader's routes."""
     return co_holders(ctx, _unique(chunk.conn), n_nodes, team)
 
 

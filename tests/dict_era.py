@@ -15,6 +15,10 @@ became id-aligned arrays.
 The third part keeps the quality block from before the dual graph became
 one CSR type: the loop edge cut, the set-based halo growth and the
 quality block over an element -> part dict.
+
+The last part keeps a leader's halo routes as they were built from a
+{member: {other rank: node ids}} table per member, before they were built
+from the survey's (rank, node id, other holder) rows.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ import numpy as np
 
 from hierpart import _codec
 from hierpart.balance import load_imbalance, part_loads
-from hierpart.directory import blind_exchange
+from hierpart.directory import _unique, blind_exchange
 from hierpart.formats import (FormatError, _assignment_problem, _first_bad_in,
                               _load_doc, _weight_problem)
+from hierpart.halo import _union
 from hierpart.mesh import _KIND_BY_CODE, KINDS, kind_info
 from hierpart.metrics import GROWTH_LAYERS
 
@@ -545,3 +550,48 @@ def quality_metrics(adjacency: Mapping[int, Sequence[int]],
         out["weight_imbalance"] = load_imbalance(
             part_loads(owner, weights, nparts))
     return out
+
+
+# -- halo routes from per-member tables ---------------------------------------
+
+def _routes(node: Mapping[int, Mapping[int, Sequence[int]]], vertex: int,
+            size: int, leader_of) -> tuple:
+    """``gather``, ``sends``, ``recvs`` and ``hands`` of a leader whose
+    level-0 vertex ``vertex`` holds the ranks of ``node``, which maps each
+    to its shared-node table."""
+    members = sorted(node)
+    # Each member's internode rows by remote rank.
+    inter = [{o: _unique(np.asarray(keys, dtype=np.int64))
+              for o, keys in sorted(node[m].items())
+              if o // size != vertex and len(keys)} for m in members]
+    pool = [_union(rows.values()) for rows in inter]
+    offsets = np.cumsum([0] + [len(x) for x in pool])
+    sends: dict[int, list[np.ndarray]] = {}
+    for rows, own, at in zip(inter, pool, offsets.tolist()):
+        by_leader: dict[int, list[np.ndarray]] = {}
+        for o, keys in rows.items():
+            by_leader.setdefault(leader_of(o), []).append(keys)
+        for lead, parts in by_leader.items():
+            sends.setdefault(lead, []).append(
+                at + np.searchsorted(own, _union(parts)))
+    # What each remote rank sends this node: the union of its rows with
+    # the members.  Remote ranks ascend with their leaders, so in
+    # ascending rank order these sit as the inbound pool holds them.
+    remote: dict[int, list[np.ndarray]] = {}
+    for rows in inter:
+        for o, keys in rows.items():
+            remote.setdefault(o, []).append(keys)
+    inbound = {o: _union(remote[o]) for o in sorted(remote)}
+    start = dict(zip(inbound, np.cumsum(
+        [0] + [len(x) for x in inbound.values()]).tolist()))
+    recvs: dict[int, int] = {}
+    for o, keys in inbound.items():
+        recvs[leader_of(o)] = recvs.get(leader_of(o), 0) + len(keys)
+    hands = tuple(
+        (m, np.concatenate([start[o] + np.searchsorted(inbound[o], keys)
+                            for o, keys in rows.items()]))
+        for m, rows in zip(members, inter) if rows)
+    return (tuple((m, len(x)) for m, x in zip(members[1:], pool[1:]) if len(x)),
+            tuple((lead, np.concatenate(parts))
+                  for lead, parts in sorted(sends.items())),
+            tuple(sorted(recvs.items())), hands)

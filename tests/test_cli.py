@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import os
 import subprocess
@@ -18,10 +17,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hierpart
-from hierpart.cli import _GC_GEN0_THRESHOLD, main
-from hierpart.formats import (load_assignment, load_mesh, load_topology,
-                              save_assignment, save_mesh, save_timing,
-                              save_topology, save_weights)
+from hierpart.cli import main
+from hierpart.formats import (load_assignment, load_mesh, save_assignment,
+                              save_mesh, save_timing, save_topology,
+                              save_weights)
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.topology import build_topology
 
@@ -563,21 +562,6 @@ def test_rebalance_of_a_group_with_fewer_elements_than_ranks_exits_2(
     assert main(["rebalance", *args, "--level", "1", "--method", method,
                  "--out", str(tmp_path / "r1")]) == 0
     assert main(["metrics", *args, "--out", str(tmp_path / "m")]) == 0
-
-
-def test_gc_threshold_raised_for_the_verb_and_restored(inputs, monkeypatch):
-    seen = []
-    monkeypatch.setattr("hierpart.cli.load_topology", lambda path: (
-        seen.append(gc.get_threshold()) or load_topology(path)))
-    before = gc.get_threshold()
-    out = inputs["tmp"] / "x"
-    assert run_partition(inputs, out) == 0                      # success
-    assert gc.get_threshold() == before
-    assert seen == [(_GC_GEN0_THRESHOLD, *before[1:])]
-    assert run_partition(inputs, out, ("--method", "spectral")) == 1  # usage
-    assert gc.get_threshold() == before
-    assert run_partition(inputs, out, ("--bpl", "9")) == 2      # input
-    assert gc.get_threshold() == before
 
 
 @pytest.mark.parametrize("method", ["rcb", "graph"])

@@ -6,8 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hierpart.directory import co_holders
+import dict_era
+from hierpart.directory import CoHolders, co_holders
 from hierpart.halo import HaloSchedule, exchange, schedule_for_rank
 from hierpart.mesh import find_shared_nodes, split_chunk, split_contiguous
 from hierpart.meshgen import tet_box, triangle_grid
@@ -79,6 +82,80 @@ def test_schedule_drops_empty_neighbor_rows():
     tree = build_topology([("node", 2)])
     sched = schedule_for_rank({1: []}, tree, 0)
     assert sched.neighbors == ()
+
+
+@st.composite
+def surveyed_nodes(draw):
+    """A tree of 1-4 vertices of 1-4 ranks, a team on it and the node ids
+    each team rank holds."""
+    tree = build_topology([("node", draw(st.integers(1, 4))),
+                           ("core", draw(st.integers(1, 4)))])
+    team = sorted(draw(st.sets(st.integers(0, tree.total_ranks - 1),
+                               min_size=1)))
+    held = {r: draw(st.frozensets(st.integers(0, 11), max_size=6))
+            for r in team}
+    return tree, team, held
+
+
+def survey_rows(members, team, held):
+    """The (rank, node id, other holder) rows ``co_holders`` keeps at the
+    leader of ``members``, ascending by rank, other holder, then node id."""
+    return np.array([(m, n, o) for m in members for o in team if o != m
+                     for n in sorted(held[m] & held[o])],
+                    dtype=np.int64).reshape(-1, 3)
+
+
+def assert_same_routes(got: HaloSchedule, want: tuple):
+    gather, sends, recvs, hands = want
+    assert got.gather == gather
+    assert got.recvs == recvs
+    for mine, theirs in ((got.sends, sends), (got.hands, hands)):
+        assert [r for r, _ in mine] == [r for r, _ in theirs]
+        for (_, a), (_, b) in zip(mine, theirs):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=surveyed_nodes())
+@example(case=(build_topology([("node", 3), ("core", 3)]), [1, 2, 4, 5, 7, 8],
+               {1: frozenset(), 2: frozenset({0, 1, 2}), 4: frozenset({2}),
+                5: frozenset({1}), 7: frozenset({0, 2}),
+                8: frozenset({9})}))
+def test_routes_match_the_dict_era_builder(case):
+    # Every leader's routes from its node's survey rows equal those the
+    # per-member tables gave, element for element and in order.
+    tree, team, held = case
+    size = tree.group_size(0)
+    leaders = np.full(tree.group_count(0), -1, dtype=np.int64)
+    for r in reversed(team):
+        leaders[r // size] = r
+    for vertex, leader in enumerate(leaders.tolist()):
+        if leader < 0:
+            continue
+        members = [r for r in team if r // size == vertex]
+        tables = {m: {o: sorted(held[m] & held[o]) for o in team
+                      if o != m and held[m] & held[o]} for m in members}
+        rows = CoHolders(tables[leader], leaders,
+                         survey_rows(members, team, held))
+        assert_same_routes(
+            schedule_for_rank(rows, tree, leader),
+            dict_era._routes(tables, vertex, size,
+                             lambda o: int(leaders[o // size])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nodes=st.integers(1, 4), size=st.integers(1, 4))
+def test_plain_mapping_routes_match_the_dict_era_builder(data, nodes, size):
+    # A plain mapping routes its own rows as if every rank were alone on
+    # its node; its lists may be unsorted and repeat node ids.
+    tree = build_topology([("node", nodes), ("core", size)])
+    rank = data.draw(st.integers(0, tree.total_ranks - 1))
+    others = st.integers(0, tree.total_ranks - 1).filter(lambda o: o != rank)
+    rows = data.draw(st.dictionaries(
+        others, st.lists(st.integers(0, 11), max_size=5), max_size=6))
+    assert_same_routes(
+        schedule_for_rank(rows, tree, rank),
+        dict_era._routes({rank: rows}, rank // size, size, lambda o: o))
 
 
 # -- exchange ---------------------------------------------------------------------
@@ -213,6 +290,52 @@ def test_three_node_exchange_matches_oracle_with_one_message_per_node_pair(
         size = tree.group_size(0)
         for r in range(p):
             sent = sum(a == r // size for a, _ in pairs) if r % size == 0 else 0
+            assert rt.ledger.rank_message_count(
+                r, phase="halo_exchange") == sent, r
+
+
+@pytest.mark.parametrize("mode", ["replicate_owner", "accumulate_sum"])
+def test_team_subset_exchange_routes_through_each_nodes_lowest_team_rank(mode):
+    # The team leaves out each node's first rank, so ranks 1, 4 and 7 lead
+    # their nodes; ranks 0, 3 and 6 hold nothing and take no part.
+    tree = build_topology([("node", 3), ("core", 3)])
+    team = [1, 2, 4, 5, 7, 8]
+    mesh = tet_box(3, 3, 2)
+    n_nodes = 1 + max(mesh.nodes)
+    rng = random.Random(7)
+    chunks = split_chunk(mesh, [rng.choice(team)
+                                for _ in range(mesh.n_elements)], 9)
+    held = {r: frozenset(chunks[r].conn.ravel().tolist()) for r in team}
+    for seed in range(3):
+        fields = make_fields(chunks, rng, arity=2)
+        expect = sequential_halo(fields, mode)
+
+        def prog(ctx):
+            if ctx.rank not in team:
+                return {}
+            ctx.set_phase("shared_nodes")
+            rows = find_shared_nodes(ctx, chunks[ctx.rank], n_nodes, team)
+            if ctx.rank % 3 == 1:
+                members = [ctx.rank, ctx.rank + 1]
+                assert rows.node.tolist() == \
+                    survey_rows(members, team, held).tolist()
+            else:
+                assert rows.node is None
+            sched = schedule_for_rank(rows, tree, ctx.rank)
+            assert sched.leader == ctx.rank - (ctx.rank % 3 == 2)
+            ctx.set_phase("halo_exchange")
+            return exchange(ctx, sched, fields[ctx.rank], mode)
+
+        rt = Runtime(tree, seed=seed)
+        res = rt.run(prog)
+        for r in range(9):
+            assert {n: v.tobytes() for n, v in res[r].items()} == \
+                {n: v.tobytes() for n, v in expect[r].items()}, (seed, r)
+        pairs = node_pairs(tree, fields)
+        assert len(pairs) >= 2
+        assert rt.ledger.message_count(phase="halo_exchange") == len(pairs)
+        for r in range(9):
+            sent = sum(a == r // 3 for a, _ in pairs) if r % 3 == 1 else 0
             assert rt.ledger.rank_message_count(
                 r, phase="halo_exchange") == sent, r
 
