@@ -59,17 +59,20 @@ def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
 
     A table from ``find_shared_nodes`` names the rank's leader and, at a
     leader, holds its node's survey rows, from which the leader's routes
-    are built; a plain mapping stands for a rank that routes its own rows
-    through the same builder, as if every rank were alone on its node.
+    are built; its node lists already ascend, so they are taken as they
+    are.  A plain mapping's lists are sorted, and it stands for a rank that
+    routes its own rows through the same builder, as if every rank were
+    alone on its node.
     """
-    neighbors = []
-    for other in sorted(rows):
-        nodes = tuple(sorted(int(n) for n in rows[other]))
-        if not nodes:
-            continue
-        channel = "intranode" if tree.same_node(rank, other) else "internode"
-        neighbors.append((other, nodes, channel))
     leaders = getattr(rows, "leaders", None)
+    others = sorted(rows)
+    lists = [tuple(rows[o]) if leaders is not None else
+             tuple(sorted(int(n) for n in rows[o])) for o in others]
+    same = tree.group_index(np.array(others, dtype=np.int64), 0) == \
+        tree.group_index(rank, 0)
+    neighbors = [(other, nodes, "intranode" if near else "internode")
+                 for other, nodes, near in zip(others, lists, same.tolist())
+                 if nodes]
     leader = rank if leaders is None else \
         int(leaders[tree.group_index(rank, 0)])
     if leader != rank:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -67,6 +67,15 @@ class MeshChunk:
     ``from_records`` sort their input; every operation in this module keeps
     the order and never writes into a chunk's arrays.  ``weights`` is
     None for unit weights or one float64 per element, in element order.
+
+    Two facts derived from the arrays are kept once found: ``conn`` as rows
+    of ``node_ids`` (``_node_rows``) and the position of each boundary
+    face's carrier (``_boundary_carriers``).  ``split_chunk`` hands both
+    down to its sub-chunks, so a carved chunk carves again without
+    searching for either.  They are not init fields: the constructor and
+    ``dataclasses.replace`` start without them, so a chunk built from other
+    arrays derives them afresh, and they stay out of ``==``, ``repr`` and
+    the wire form.
     """
 
     kind: str
@@ -77,6 +86,9 @@ class MeshChunk:
     boundary_tags: np.ndarray   # int64[b]
     boundary_conn: np.ndarray   # int64[b, nodes per face]
     weights: np.ndarray | None = None   # float64[n]
+    # intp[n, nodes per element] and int64[b], or None until derived.
+    _conn_rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _carriers: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_arrays(cls, kind: str, element_ids, conn, node_ids, coords,
@@ -192,23 +204,30 @@ class MeshChunk:
         return rows, self.node_ids[rows] == ids
 
     def _node_rows(self) -> np.ndarray:
-        """``conn`` as rows of ``node_ids`` and ``coords``; raises
-        ValueError naming an element that references an unknown node."""
-        rows, found = self._rows(self.conn)
-        if not found.all():
-            i, j = np.argwhere(~found)[0]
-            raise ValueError(f"element {self.element_ids[i]} references "
-                             f"unknown node {self.conn[i, j]}")
-        return rows
+        """``conn`` as rows of ``node_ids`` and ``coords``, searched for at
+        most once per chunk; raises ValueError naming an element that
+        references an unknown node."""
+        if self._conn_rows is None:
+            rows, found = self._rows(self.conn)
+            if not found.all():
+                i, j = np.argwhere(~found)[0]
+                raise ValueError(f"element {self.element_ids[i]} references "
+                                 f"unknown node {self.conn[i, j]}")
+            self._conn_rows = rows
+        return self._conn_rows
 
     def references_resolve(self) -> bool:
         """Every element and boundary node is a known node, and no element
-        repeats a node."""
-        return bool(self._rows(self.conn)[1].all()
-                    and self._rows(self.boundary_conn)[1].all()
-                    and not any((self.conn[:, i] == self.conn[:, j]).any()
-                                for i, j in combinations(
-                                    range(self.nodes_per_element), 2)))
+        repeats a node.  The element rows it finds are kept as the chunk's
+        ``_node_rows``."""
+        rows, found = self._rows(self.conn)
+        if not (found.all() and self._rows(self.boundary_conn)[1].all()
+                and not any((self.conn[:, i] == self.conn[:, j]).any()
+                            for i, j in combinations(
+                                range(self.nodes_per_element), 2))):
+            return False
+        self._conn_rows = rows
+        return True
 
     def validate(self) -> None:
         """Check reference integrity; raises ValueError naming the offender."""
@@ -385,28 +404,38 @@ def local_dual_graph(chunk: MeshChunk) -> DualGraph:
 # -- carve and merge ------------------------------------------------------------
 
 def _boundary_carriers(chunk: MeshChunk) -> np.ndarray:
-    """Position of the element carrying each boundary face.
+    """Position of the element carrying each boundary face, found at most
+    once per chunk.
 
     A boundary face travels with the element containing all its nodes; if
     the input is degenerate and several do, the lowest element id wins so
     migration stays deterministic.  A face of distinct nodes is contained
-    exactly when it is one of the element's faces, so one join of sorted
-    face keys finds its carrier; a face repeating a node is checked against
-    every element.
+    exactly when it is one of the element's faces, and only an element
+    holding at least nodes-per-face of the boundary faces' nodes can have
+    one, so one join of sorted face keys over those candidates finds its
+    carrier; a face repeating a node is checked against every element.
     """
+    if chunk._carriers is not None:
+        return chunk._carriers
     npf = chunk.nodes_per_face
     faces = np.sort(chunk.boundary_conn, axis=1)
-    efaces = _element_faces(chunk.conn, npf)
-    per = efaces.shape[1]
-    ekey, bkey = _face_keys(efaces.reshape(-1, npf), faces)
-    # Stable, so the lowest element comes first among equal keys.
-    order = np.argsort(ekey, kind="stable")
-    ekey = ekey[order]
     carrier = np.full(len(faces), -1, dtype=np.int64)
-    if len(ekey):
-        at = np.minimum(np.searchsorted(ekey, bkey), len(ekey) - 1)
-        hit = ekey[at] == bkey
-        carrier[hit] = order[at[hit]] // per
+    if len(faces):
+        rows, found = chunk._rows(faces)
+        on_boundary = np.zeros(len(chunk.node_ids), dtype=bool)
+        on_boundary[rows[found]] = True
+        candidates = np.flatnonzero(np.count_nonzero(
+            on_boundary[chunk._node_rows()], axis=1) >= npf)
+        efaces = _element_faces(chunk.conn[candidates], npf)
+        per = efaces.shape[1]
+        ekey, bkey = _face_keys(efaces.reshape(-1, npf), faces)
+        # Stable, so the lowest element comes first among equal keys.
+        order = np.argsort(ekey, kind="stable")
+        ekey = ekey[order]
+        if len(ekey):
+            at = np.minimum(np.searchsorted(ekey, bkey), len(ekey) - 1)
+            hit = ekey[at] == bkey
+            carrier[hit] = candidates[order[at[hit]] // per]
     for i in np.flatnonzero((faces[:, 1:] == faces[:, :-1]).any(axis=1)):
         holds = np.ones(chunk.n_elements, dtype=bool)
         for n in _unique(faces[i]):
@@ -418,6 +447,7 @@ def _boundary_carriers(chunk: MeshChunk) -> np.ndarray:
         face = tuple(chunk.boundary_conn[i].tolist())
         raise ValueError(f"boundary face {face} (tag {chunk.boundary_tags[i]}) "
                          f"has no local containing element")
+    chunk._carriers = carrier
     return carrier
 
 
@@ -430,6 +460,12 @@ def split_chunk(chunk: MeshChunk, owner, parts: int) -> list[MeshChunk]:
     order: a stable sort by owner keeps each group's elements, weights and
     faces in order, and one sort of (owner, node row) pairs gives each
     group's nodes.
+
+    The chunk's node rows and carriers are derived at most once, and each
+    sub-chunk gets its own handed down: its elements' (group, node row)
+    pairs found among the sorted pairs with one ``searchsorted``, and each
+    face's carrier as its position in the sub-chunk.  A carved chunk thus
+    carves again with no node search and no face-key sort.
     """
     owner = np.asarray(owner, dtype=np.int64).reshape(-1)
     if len(owner) != chunk.n_elements:
@@ -447,9 +483,18 @@ def split_chunk(chunk: MeshChunk, owner, parts: int) -> list[MeshChunk]:
     e_order, e_end = spans(owner)
     f_order, f_end = spans(owner[carrier])
     m = max(len(chunk.node_ids), 1)
-    pairs = _unique((owner[:, None] * m + rows)[owner >= 0])
+    kept = e_end[0]     # e_order's first kept element
+    keys = (owner[:, None] * m + rows)[e_order[kept:]]
+    pairs = _unique(keys)
     n_end = [0] + np.searchsorted(pairs // m, np.arange(parts),
                                   side="right").tolist()
+    # Each kept element's node rows in its sub-chunk: the positions of its
+    # pairs, less the first position of its group's.
+    sub_rows = np.searchsorted(pairs, keys) - np.repeat(
+        n_end[:-1], np.diff(e_end))[:, None]
+    at = np.empty(len(owner), dtype=np.int64)
+    at[e_order] = np.arange(len(owner))
+    sub_carrier = at[carrier[f_order]]
     eids, conn = chunk.element_ids[e_order], chunk.conn[e_order]
     w = None if chunk.weights is None else chunk.weights[e_order]
     nrow = pairs % m
@@ -461,9 +506,11 @@ def split_chunk(chunk: MeshChunk, owner, parts: int) -> list[MeshChunk]:
         e = slice(e_end[g], e_end[g + 1])
         n = slice(n_end[g], n_end[g + 1])
         f = slice(f_end[g], f_end[g + 1])
-        out.append(MeshChunk(chunk.kind, eids[e], conn[e], nids[n],
-                             coords[n], tags[f], bconn[f],
-                             None if w is None else w[e]))
+        sub = MeshChunk(chunk.kind, eids[e], conn[e], nids[n], coords[n],
+                        tags[f], bconn[f], None if w is None else w[e])
+        sub._conn_rows = sub_rows[e_end[g] - kept:e_end[g + 1] - kept]
+        sub._carriers = sub_carrier[f] - e_end[g]
+        out.append(sub)
     return out
 
 

@@ -115,12 +115,18 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
     (coordinate, id) so equal coordinates break toward lower ids on the low
     side, making the split a pure function of the input set.  Every part
     gets at least ``m`` points, whatever the weights.  The result maps each
-    id to its part, in the order of ``ids``.
+    (distinct) id to its part, in the order of ``ids``.
+
+    Each axis is sorted once per call, by (coordinate, id).  A bisection
+    stable-filters every axis order into its two sides, so each side keeps
+    the restriction of the call's order, which is the order a sort of the
+    side alone gives; an extent is the last minus the first coordinate of
+    its axis order.
     """
     ids = np.asarray(ids, dtype=np.int64)
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or len(ids) != len(points):
-        raise ValueError("points must be (n, dim) aligned with ids")
+    if points.ndim != 2 or len(ids) != len(points) or not points.shape[1]:
+        raise ValueError("points must be (n, dim) aligned with ids, dim >= 1")
     if k < 1:
         raise ValueError(f"part count must be >= 1, got {k}")
     if weights is None:
@@ -132,20 +138,22 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
         _check_weights(ids, weights, k)
 
     part = np.zeros(len(ids), dtype=np.int64)
+    low = np.zeros(len(ids), dtype=bool)    # the side of the current cut
 
-    def recurse(sel: np.ndarray, parts: int, offset: int) -> None:
+    def recurse(orders: Sequence[np.ndarray], parts: int,
+                offset: int) -> None:
         if parts == 1:
-            part[sel] = offset
+            part[orders[0]] = offset
             return
-        if sel.size < parts * m:
-            raise ValueError(f"too few points: {sel.size} left for {parts} "
+        size = len(orders[0])
+        if size < parts * m:
+            raise ValueError(f"too few points: {size} left for {parts} "
                              f"parts of at least {m} each")
         low_parts = parts // 2
-        coords = points[sel]
-        extents = coords.max(axis=0) - coords.min(axis=0)
+        extents = np.array([points[o[-1], a] - points[o[0], a]
+                            for a, o in enumerate(orders)])
         axis = int(np.argmax(extents))
-        order = np.lexsort((ids[sel], coords[:, axis]))
-        s = sel[order]
+        s = orders[axis]
         cum = np.cumsum(weights[s])
         target = cum[-1] * low_parts / parts
         i = int(np.searchsorted(cum, target, side="left"))
@@ -155,10 +163,17 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
         lo, hi = low_parts * m, s.size - (parts - low_parts) * m
         count = min({min(max(c, lo), hi) for c in (i, i + 1)},
                     key=lambda c: (abs(cum[c - 1] - target), c))
-        recurse(s[:count], low_parts, offset)
-        recurse(s[count:], parts - low_parts, offset + low_parts)
+        low[s[:count]] = True
+        low[s[count:]] = False
+        lows, highs = zip(*((s[:count], s[count:]) if a == axis else
+                            (o[low[o]], o[~low[o]])
+                            for a, o in enumerate(orders)))
+        recurse(lows, low_parts, offset)
+        recurse(highs, parts - low_parts, offset + low_parts)
 
-    recurse(np.arange(len(ids)), k, 0)
+    if k > 1:
+        recurse([np.lexsort((ids, points[:, a]))
+                 for a in range(points.shape[1])], k, 0)
     return dict(zip(ids.tolist(), part.tolist()))
 
 

@@ -16,9 +16,13 @@ The third part keeps the quality block from before the dual graph became
 one CSR type: the loop edge cut, the set-based halo growth and the
 quality block over an element -> part dict.
 
-The last part keeps a leader's halo routes as they were built from a
+The fourth part keeps a leader's halo routes as they were built from a
 {member: {other rank: node ids}} table per member, before they were built
 from the survey's (rank, node id, other holder) rows.
+
+The last part keeps recursive coordinate bisection as it was when every
+bisection sorted its own subset with a two-key ``lexsort``, before each
+axis was sorted once per call.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from hierpart.formats import (FormatError, _assignment_problem, _first_bad_in,
 from hierpart.halo import _union
 from hierpart.mesh import _KIND_BY_CODE, KINDS, kind_info
 from hierpart.metrics import GROWTH_LAYERS
+from hierpart.partition import _check_weights
 
 
 def dict_chunk(chunk) -> "DictChunk":
@@ -595,3 +600,61 @@ def _routes(node: Mapping[int, Mapping[int, Sequence[int]]], vertex: int,
             tuple((lead, np.concatenate(parts))
                   for lead, parts in sorted(sends.items())),
             tuple(sorted(recvs.items())), hands)
+
+
+# -- rcb with a lexsort per bisection -------------------------------------------
+
+def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
+        k: int, m: int = 1) -> dict[int, int]:
+    """Recursive coordinate bisection into parts 0..k-1.
+
+    Splits along the axis of largest extent at the weighted median, sending
+    weight fraction floor(k/2)/k to the low side.  Points are ordered by
+    (coordinate, id) so equal coordinates break toward lower ids on the low
+    side, making the split a pure function of the input set.  Every part
+    gets at least ``m`` points, whatever the weights.  The result maps each
+    id to its part, in the order of ``ids``.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or len(ids) != len(points):
+        raise ValueError("points must be (n, dim) aligned with ids")
+    if k < 1:
+        raise ValueError(f"part count must be >= 1, got {k}")
+    if weights is None:
+        weights = np.ones(len(ids), dtype=np.float64)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != ids.shape:
+            raise ValueError("weights must align with ids")
+        _check_weights(ids, weights, k)
+
+    part = np.zeros(len(ids), dtype=np.int64)
+
+    def recurse(sel: np.ndarray, parts: int, offset: int) -> None:
+        if parts == 1:
+            part[sel] = offset
+            return
+        if sel.size < parts * m:
+            raise ValueError(f"too few points: {sel.size} left for {parts} "
+                             f"parts of at least {m} each")
+        low_parts = parts // 2
+        coords = points[sel]
+        extents = coords.max(axis=0) - coords.min(axis=0)
+        axis = int(np.argmax(extents))
+        order = np.lexsort((ids[sel], coords[:, axis]))
+        s = sel[order]
+        cum = np.cumsum(weights[s])
+        target = cum[-1] * low_parts / parts
+        i = int(np.searchsorted(cum, target, side="left"))
+        # Each side keeps at least m points per part it must fill.  A
+        # prefix's distance to the target falls, then rises, so clamping
+        # the two counts around the target gives the nearest feasible one.
+        lo, hi = low_parts * m, s.size - (parts - low_parts) * m
+        count = min({min(max(c, lo), hi) for c in (i, i + 1)},
+                    key=lambda c: (abs(cum[c - 1] - target), c))
+        recurse(s[:count], low_parts, offset)
+        recurse(s[count:], parts - low_parts, offset + low_parts)
+
+    recurse(np.arange(len(ids)), k, 0)
+    return dict(zip(ids.tolist(), part.tolist()))

@@ -28,8 +28,9 @@ import pytest
 
 from hierpart.cli import main
 from hierpart.formats import (dump_doc, load_assignment, save_mesh,
-                              save_timing, save_weights)
+                              save_timing, save_topology, save_weights)
 from hierpart.meshgen import tet_box
+from hierpart.topology import build_topology
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MESH = FIXTURES / "demo_mesh.json"
@@ -70,12 +71,15 @@ def _start(tmp: Path) -> tuple[list[str], Path]:
     return _start_args(tmp, MESH, start)
 
 
-def _start_args(tmp: Path, mesh: Path, start: Path) -> tuple[list[str], Path]:
-    """Arguments naming ``mesh`` and ``start``, and 4x weights on rank 0."""
+def _start_args(tmp: Path, mesh: Path, start: Path,
+                topo: Path = FIXTURES / f"{START[0]}.json"
+                ) -> tuple[list[str], Path]:
+    """Arguments naming ``mesh``, ``topo`` and ``start``, and 4x weights on
+    rank 0."""
     weights = tmp / "weights.json"
     save_weights(weights, {e: (4.0 if p == 0 else 1.0)
                            for e, p in load_assignment(start).items()})
-    return ["--mesh", str(mesh), "--topo", str(FIXTURES / f"{START[0]}.json"),
+    return ["--mesh", str(mesh), "--topo", str(topo),
             "--assignment", str(start)], weights
 
 
@@ -103,6 +107,34 @@ def _tet_rebalance(tmp: Path) -> Path:
     args, weights = _start_args(tmp, mesh, start / "assignment.json")
     out = tmp / "tet-rebalance-rcb"
     _cli("rebalance", *args, "--level", "0", "--method", "rcb",
+         "--weights", str(weights), "--out", str(out))
+    return out
+
+
+NODE_CORE_CASES = [(m, lv) for m in ("rcb", "graph") for lv in ("0", "1")]
+
+
+def _node_core_partition(tmp: Path) -> tuple[Path, Path, Path]:
+    """The tet box mesh file, a [node 2, core 4] topology file and the
+    box's rcb partition on it."""
+    tmp.mkdir(parents=True, exist_ok=True)
+    mesh, topo = tmp / "tet_box.json", tmp / "node2core4.json"
+    save_mesh(mesh, tet_box(6, 6, 6))
+    save_topology(topo, build_topology([["node", 2], ["core", 4]]))
+    out = tmp / "tet-node-core-partition-rcb"
+    _cli("partition", "--mesh", str(mesh), "--topo", str(topo),
+         "--method", "rcb", "--out", str(out))
+    return mesh, topo, out
+
+
+def _node_core_rebalance(tmp: Path, method, level) -> Path:
+    """A rebalance from ``_node_core_partition`` with rank 0's elements
+    weighted 4: the boundary faces travel through the carve, the team split
+    and the migration on four ranks a node."""
+    mesh, topo, start = _node_core_partition(tmp)
+    args, weights = _start_args(tmp, mesh, start / "assignment.json", topo)
+    out = tmp / f"tet-node-core-rebalance-{method}-l{level}"
+    _cli("rebalance", *args, "--level", level, "--method", method,
          "--weights", str(weights), "--out", str(out))
     return out
 
@@ -223,6 +255,17 @@ def test_timing_partition_outputs(tmp_path):
     assert _digests(_timing_partition(tmp_path)) == GOLDEN["timing-partition"]
 
 
+def test_node_core_partition_outputs(tmp_path):
+    assert _digests(_node_core_partition(tmp_path)[2]) == \
+        GOLDEN["tet-node-core-partition-rcb"]
+
+
+@pytest.mark.parametrize("method, level", NODE_CORE_CASES)
+def test_node_core_rebalance_outputs(tmp_path, method, level):
+    assert _digests(_node_core_rebalance(tmp_path, method, level)) == \
+        GOLDEN[f"tet-node-core-rebalance-{method}-l{level}"]
+
+
 def _all_digests() -> dict[str, dict[str, str]]:
     with tempfile.TemporaryDirectory() as tmp, \
             open(os.devnull, "w") as quiet:
@@ -245,6 +288,11 @@ def _all_digests() -> dict[str, dict[str, str]]:
                     _frac_rebalance(tmp / f"fr{m}{lv}", m, lv))
             out["frac-metrics"] = _digests(_frac_metrics(tmp / "fm"))
             out["timing-partition"] = _digests(_timing_partition(tmp / "tm"))
+            out["tet-node-core-partition-rcb"] = _digests(
+                _node_core_partition(tmp / "ncp")[2])
+            for m, lv in NODE_CORE_CASES:
+                out[f"tet-node-core-rebalance-{m}-l{lv}"] = _digests(
+                    _node_core_rebalance(tmp / f"nc{m}{lv}", m, lv))
         finally:
             sys.stdout = stdout
     return out
@@ -717,6 +765,70 @@ GOLDEN: dict[str, dict[str, str]] = {
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
             '31b7c2763e6d32744601b6d447ca87444c4ea73cc768f6576937f7b9e97359c2',
+    },
+    'tet-node-core-partition-rcb': {
+        'assignment.json':
+            'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
+        'levels.csv':
+            '47126218a95bd969208bb1fb1900477157b3bdb32ea607268c73208db99f6371',
+        'part-0000.json':
+            'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
+        'part-0001.json':
+            '03fc319ade926d6d8c2d325fac3a9ace17e13c4c080848d0486fc514030f51ac',
+        'part-0002.json':
+            'd3bc0fa3bf9a2fed65e2dc8c6a18b55b18f29b243b51f2aefb821895c33a502a',
+        'part-0003.json':
+            '349c2ec084a29fa202d60aa770a9687d55dcb9c71889a625f73cf99e56ac94b9',
+        'part-0004.json':
+            'aa32716c17df7ad8bb67f957eca1e7b439876dd77fae92e38d4ce8d872270986',
+        'part-0005.json':
+            '4d04da5fd867366d0b74d4c3badd05abc2442d47ab53bdce6f70a9d8418b363f',
+        'part-0006.json':
+            '9fe18699091f2b5aa7efcb7500bcc158713573f3a7507d4b25763c7ebd557702',
+        'part-0007.json':
+            '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
+        'report.json':
+            'b49e5fae4592dcf8cabae73f553e4d8b909a982712a4680d9c03fd247a6cbf0f',
+    },
+    'tet-node-core-rebalance-rcb-l0': {
+        'assignment.json':
+            '6df1f3456d570c4ea876792ac8442c5d7ed8192daeec67774b41ae361fc551e9',
+        'balance.csv':
+            '3e96fe4c21331d1e7d24c228440a75cb3509702469cf3d321bc2493e88fde3e1',
+        'levels.csv':
+            '33ac96b64c2d80329a763c10e8ee66406ae690dcc7a51d701cc18c82664535c1',
+        'report.json':
+            'fa318387593e9f2f66acf63e2120db414e55608ca4577e4913299d67d34065b9',
+    },
+    'tet-node-core-rebalance-rcb-l1': {
+        'assignment.json':
+            'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
+        'balance.csv':
+            'c65269caf6eb7652f9d6a65ec66cbd55683bc3daccfbf8d3b6c32927f2f2d6e7',
+        'levels.csv':
+            'f8a53520c6f55ecf1f11324b281281963d879e7f360599b5331291adc3fdebff',
+        'report.json':
+            'bef22a4bdd00da88c1b8499fbec0ec727cef6c1d486a6b3efa5068fbf9bb55a2',
+    },
+    'tet-node-core-rebalance-graph-l0': {
+        'assignment.json':
+            '3ec53ae04a0aada711c1a08d19d446ce5fb4135920ea91918c26690cd393893d',
+        'balance.csv':
+            '7e63f559d1414ab0e0f96acdb3d4829969b08616e9b5490e1f49aedad2a964d7',
+        'levels.csv':
+            'eb34ed7984cf6ac67d2ec422a8022f30062e31e1e761ae9fe537f612efb1066a',
+        'report.json':
+            '49b6bd266883d1b5323ee80e81479491e06674608783726c81fe7c89f2c4ea24',
+    },
+    'tet-node-core-rebalance-graph-l1': {
+        'assignment.json':
+            'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
+        'balance.csv':
+            'c65269caf6eb7652f9d6a65ec66cbd55683bc3daccfbf8d3b6c32927f2f2d6e7',
+        'levels.csv':
+            'f8a53520c6f55ecf1f11324b281281963d879e7f360599b5331291adc3fdebff',
+        'report.json':
+            '6fd65371f0eb0b5541b4ae100066eebde10d2c6ec220d7242aaff4951cbcd710',
     },
 }
 

@@ -105,6 +105,14 @@ def survey_rows(members, team, held):
                     dtype=np.int64).reshape(-1, 3)
 
 
+def old_neighbors(table, tree, rank) -> tuple:
+    """The neighbours as a sort and a ``same_node`` call per neighbour
+    gave them, whatever kind of table."""
+    return tuple((o, tuple(sorted(int(n) for n in table[o])),
+                  "intranode" if tree.same_node(rank, o) else "internode")
+                 for o in sorted(table) if len(table[o]))
+
+
 def assert_same_routes(got: HaloSchedule, want: tuple):
     gather, sends, recvs, hands = want
     assert got.gather == gather
@@ -141,6 +149,13 @@ def test_routes_match_the_dict_era_builder(case):
             schedule_for_rank(rows, tree, leader),
             dict_era._routes(tables, vertex, size,
                              lambda o: int(leaders[o // size])))
+        # Every member's neighbours come from its table as they were.
+        for m in members:
+            table = CoHolders(tables[m], leaders,
+                              rows.node if m == leader else None)
+            got = schedule_for_rank(table, tree, m)
+            assert got.neighbors == old_neighbors(tables[m], tree, m)
+            assert got.leader == leader
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,9 +168,11 @@ def test_plain_mapping_routes_match_the_dict_era_builder(data, nodes, size):
     others = st.integers(0, tree.total_ranks - 1).filter(lambda o: o != rank)
     rows = data.draw(st.dictionaries(
         others, st.lists(st.integers(0, 11), max_size=5), max_size=6))
+    got = schedule_for_rank(rows, tree, rank)
     assert_same_routes(
-        schedule_for_rank(rows, tree, rank),
-        dict_era._routes({rank: rows}, rank // size, size, lambda o: o))
+        got, dict_era._routes({rank: rows}, rank // size, size, lambda o: o))
+    assert got.neighbors == old_neighbors(rows, tree, rank)
+    assert got.leader == rank
 
 
 # -- exchange ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dict_era
 from hierpart import _codec, partition
 from hierpart.mesh import (DualGraph, _even_sizes, local_dual_graph,
                            split_chunk, split_contiguous, subset_chunk)
@@ -267,6 +268,64 @@ def test_rcb_minimum_count_needs_enough_points():
     with pytest.raises(ValueError,
                        match="too few points: 5 left for 2 parts of at least 3 each"):
         rcb(np.arange(5), np.zeros((5, 2)), None, 2, m=3)
+
+
+def _outcome(fn, *args):
+    """The call's result as a list of items, or its ValueError text."""
+    try:
+        return list(fn(*args).items())
+    except ValueError as err:
+        return str(err)
+
+
+# Few values, so coordinates repeat, tie and meet both zeros.
+_TIED = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 5e-324])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_rcb_matches_the_per_bisection_lexsort_oracle(data):
+    n = data.draw(st.integers(1, 16))
+    dim = data.draw(st.integers(1, 3))
+    coords = data.draw(st.lists(_TIED | st.floats(-10.0, 10.0),
+                                min_size=n * dim, max_size=n * dim))
+    points = np.array(coords, dtype=np.float64).reshape(n, dim)
+    ids = np.array(data.draw(st.lists(st.integers(0, 10 ** 6), min_size=n,
+                                      max_size=n, unique=True)))
+    form = data.draw(st.sampled_from(["none", "unit", "integer", "log"]))
+    if form == "none":
+        weights = None
+    elif form == "unit":
+        weights = np.ones(n)
+    elif form == "integer":
+        weights = np.array(data.draw(st.lists(
+            st.integers(1, 9), min_size=n, max_size=n)), dtype=np.float64)
+    else:
+        weights = 10.0 ** np.array(data.draw(st.lists(
+            st.floats(0.0, 6.0), min_size=n, max_size=n)))
+    for k in range(1, n + 1):
+        for m in (1, 2, 3):
+            assert _outcome(rcb, ids, points, weights, k, m) == \
+                _outcome(dict_era.rcb, ids, points, weights, k, m)
+
+
+def test_rcb_refuses_points_without_coordinates():
+    # No axis to sort or cut along, whatever the part count.
+    for k in (1, 2):
+        with pytest.raises(ValueError, match=r"^points must be \(n, dim\) "
+                                             r"aligned with ids, dim >= 1$"):
+            rcb([0, 1], np.zeros((2, 0)), None, k)
+
+
+def test_rcb_sorts_each_axis_once_per_call():
+    mesh = tet_box(4, 4, 4)
+    ids, points = mesh.centroids()
+    with mock.patch.object(partition.np, "lexsort",
+                           wraps=np.lexsort) as lexsort:
+        part = rcb(ids, points, None, 16)
+    assert lexsort.call_count == 3
+    assert list(part.items()) == list(dict_era.rcb(ids, points, None,
+                                                   16).items())
 
 
 # -- graph growing -----------------------------------------------------------------
