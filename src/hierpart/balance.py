@@ -36,6 +36,7 @@ def derive_weights(blocks: Sequence[tuple[Sequence[int], float]],
     block.
     """
     weights: dict[int, float] = {}
+    block_of: dict[int, int] = {}
     for i, (eids, seconds) in enumerate(blocks):
         if not eids:
             raise ValueError(f"timing block {i} lists no elements")
@@ -44,8 +45,12 @@ def derive_weights(blocks: Sequence[tuple[Sequence[int], float]],
         per = max(seconds / len(eids), WEIGHT_FLOOR)
         for e in eids:
             e = int(e)
-            if e in weights:
-                raise ValueError(f"element {e} appears in more than one timing block")
+            if e in block_of:
+                raise ValueError(
+                    f"element {e} repeats in timing block {i}"
+                    if block_of[e] == i else
+                    f"element {e} appears in more than one timing block")
+            block_of[e] = i
             weights[e] = per
     if elements is not None:
         missing = sorted(set(int(e) for e in elements) - weights.keys())

@@ -5,12 +5,17 @@ so files are self-describing and the format can grow without breaking old
 readers.  Writers emit sorted keys and a trailing newline, which makes the
 output byte-stable for identical payloads.
 
+Every writer renders its document through ``_render``; a section of
+record rows is a callable leaf that ``_row_list`` fills with one format
+call.
+
 Mesh, assignment and weight documents have two read paths.  The fast one
 takes only the layout this module writes (sorted keys, two-space indents,
 one record row per line) and reads each section's rows straight into int64
 or float64 columns.  Any other layout, and any document that fails a check,
-takes the ``json.load`` path, which accepts any JSON spelling and names the
-offending record.
+takes the ``json.load`` path, which accepts any JSON spelling: it checks
+each record once, raises naming the first bad one, and only then converts
+the checked records into arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from functools import partial
 from itertools import chain
-from typing import Any, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,7 +68,10 @@ def dump_doc(path, kind: str, payload: Any) -> None:
 
 
 def _render(value: Any, indent: str) -> str:
-    """JSON with record rows kept on one line; keys sorted, byte-stable."""
+    """JSON with record rows kept on one line; keys sorted, byte-stable.
+    A callable leaf is text already rendered: ``value(indent)``."""
+    if callable(value):
+        return value(indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -74,14 +83,6 @@ def _render(value: Any, indent: str) -> str:
         if all(not isinstance(v, (dict, list, tuple)) for v in value):
             return json.dumps(value)
         inner = indent + "  "
-        if all(isinstance(v, (list, tuple)) for v in value):
-            text = json.dumps(value)
-            # The list and each row open one bracket; any other bracket or
-            # brace is a nested container, which takes the general path
-            # below.  Without one, "], [" only ever separates two rows.
-            if text.count("[") == len(value) + 1 and "{" not in text:
-                rows = text[1:-1].replace("], [", "],\n" + inner + "[")
-                return "[\n" + inner + rows + "\n" + indent + "]"
         rows = [inner + _render(v, inner) for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
     return json.dumps(value)
@@ -273,33 +274,33 @@ def mesh_payload(chunk: MeshChunk) -> dict[str, Any]:
 
 def save_mesh(path, chunk: MeshChunk) -> None:
     """The document ``dump_doc`` writes for ``mesh_payload(chunk)``."""
-    with open(path, "w") as fh:
-        fh.write('{\n  "mesh": ' + _mesh_text(chunk, "  ") + ',\n  "schema": '
-                 + json.dumps(SCHEMA) + "\n}\n")
+    dump_doc(path, "mesh", partial(_mesh_text, chunk))
 
 
 def _mesh_text(chunk: MeshChunk, indent: str) -> str:
     """``_render(mesh_payload(chunk), indent)``, one format call a section."""
     _, dim, npe, npf = KINDS[chunk.kind]
-    # Each node id, then its coordinates as json writes them.
-    nodes = [None] * chunk.node_ids.size * (1 + dim)
-    nodes[::1 + dim] = chunk.node_ids.tolist()
-    coords = (json.dumps(chunk.coords.ravel().tolist())[1:-1].split(", ")
-              if chunk.coords.size else [])
-    for k in range(dim):
-        nodes[1 + k::1 + dim] = coords[k::dim]
-    sections = {
-        "boundary": ("[%d" + ", %d" * npf + "]", np.column_stack(
-            (chunk.boundary_tags, chunk.boundary_conn)).ravel().tolist()),
-        "elements": ("[%d, " + json.dumps(chunk.kind) + ", %d" * npe + "]",
-                     np.column_stack((chunk.element_ids,
-                                      chunk.conn)).ravel().tolist()),
-        "nodes": ("[%d" + ", %s" * dim + "]", nodes),
-    }
-    inner = indent + "  "
-    rows = [f'{inner}"{key}": {_row_list(row, values, inner)}'
-            for key, (row, values) in sections.items()]
-    return "{\n" + ",\n".join(rows) + "\n" + indent + "}"
+    coords = _float_texts(chunk.coords.ravel().tolist())
+    boundary = np.column_stack((chunk.boundary_tags, chunk.boundary_conn))
+    elements = np.column_stack((chunk.element_ids, chunk.conn))
+    return _render({
+        "boundary": partial(_row_list, "[%d" + ", %d" * npf + "]",
+                            boundary.ravel().tolist()),
+        "elements": partial(_row_list, "[%d, " + json.dumps(chunk.kind)
+                            + ", %d" * npe + "]", elements.ravel().tolist()),
+        "nodes": partial(_row_list, "[%d" + ", %s" * dim + "]", _flat_rows(
+            chunk.node_ids.tolist(), *(coords[k::dim] for k in range(dim)))),
+    }, indent)
+
+
+def _float_texts(values: list[float]) -> list[str]:
+    """Each float as json writes it, for the ``%s`` slots of a row."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _flat_rows(*columns: list) -> list:
+    """The columns' items row after row, as ``_row_list`` takes them."""
+    return list(chain.from_iterable(zip(*columns)))
 
 
 def load_mesh(path) -> MeshChunk:
@@ -341,10 +342,9 @@ def _mesh_from_rows(data: bytes | None) -> MeshChunk | None:
 def mesh_from_payload(raw: Mapping[str, Any]) -> MeshChunk:
     """Build and check a chunk from a mesh document's payload.
 
-    Each section is checked a whole column at a time and converted to an
-    array; only when a check fails is the section scanned record by record,
-    to name the first offending record.  References are checked last, on
-    the sorted chunk.
+    Each section is scanned record by record, and the first offending
+    record is named; the checked records then become arrays.  References
+    are checked last, on the sorted chunk.
     """
     if not isinstance(raw, Mapping):
         raise ValueError("mesh must be an object")
@@ -355,46 +355,32 @@ def mesh_from_payload(raw: Mapping[str, Any]) -> MeshChunk:
         raise ValueError("mesh has no elements")
     first = elements[0]
     kind = first[1] if isinstance(first, list) and len(first) > 1 else None
-    if kind not in KINDS:
+    kinds = sorted(KINDS)
+    if kind not in kinds:   # a list compares, where a dict would hash
         raise ValueError(f"unknown element kind {kind!r}; "
-                         f"expected one of {sorted(KINDS)}")
+                         f"expected one of {kinds}")
     _, dim, npe, npf = KINDS[kind]
+    nodes, boundary = raw.get("nodes", []), raw.get("boundary", [])
+    _first_bad("element", elements, _element_problem, kind, npe)
+    _first_bad("node", nodes, _node_problem, dim)
+    _first_bad("boundary", boundary, _boundary_problem, npf)
 
-    ecols = _columns(elements, 2 + npe)
-    eids = None
-    if (ecols and ecols[1].count(kind) == len(elements)
-            and _ints(ecols[0], *ecols[2:]) and min(ecols[0]) >= 0):
-        eids = _distinct_ids(ecols[0])
-    if eids is None:  # a failed check, a repeated id or one beyond int64
-        _first_bad("element", elements, _element_problem, kind, npe)
-
-    nodes = raw.get("nodes", [])
-    ncols = _columns(nodes, 1 + dim)
-    nids = coords = None
-    if (ncols and _ints(ncols[0]) and min(ncols[0], default=0) >= 0
-            and _numbers(*ncols[1:])):
-        nids = _distinct_ids(ncols[0])
-        coords = _finite(ncols[1:])
-    if nids is None or coords is None:
-        _first_bad("node", nodes, _node_problem, dim)
-
-    boundary = raw.get("boundary", [])
-    bcols = _columns(boundary, 1 + npf)
-    tags = _int64(bcols[0]) if bcols and _ints(*bcols) else None
-    if tags is None:
-        _first_bad("boundary", boundary, _boundary_problem, npf)
-
-    conn, bconn = _int64(ecols[2:]), _int64(bcols[1:])
-    if conn is not None and bconn is not None:
-        chunk = MeshChunk.from_arrays(kind, eids, conn.T, nids, coords.T,
-                                      tags, bconn.T)
+    eids, _, *conn = _columns(elements, 2 + npe)
+    nids, *coords = _columns(nodes, 1 + dim)
+    tags, *bconn = _columns(boundary, 1 + npf)
+    conn_array, bconn_array = _int64(conn), _int64(bconn)
+    if conn_array is not None and bconn_array is not None:
+        chunk = MeshChunk.from_arrays(
+            kind, np.array(eids, dtype=np.int64), conn_array.T,
+            np.array(nids, dtype=np.int64),
+            np.array(coords, dtype=np.float64).T,
+            np.array(tags, dtype=np.int64), bconn_array.T)
         if chunk.references_resolve():
             return chunk
     # Named in file order.  A node id beyond int64 names no node, like any
     # other unknown one.
-    raise ValueError(reference_problem(
-        zip(ecols[0], zip(*ecols[2:])), ncols[0],
-        zip(bcols[0], zip(*bcols[1:])), npe))
+    raise ValueError(reference_problem(zip(eids, zip(*conn)), nids,
+                                       zip(tags, zip(*bconn)), npe))
 
 
 def _int64(values) -> np.ndarray | None:
@@ -406,27 +392,8 @@ def _int64(values) -> np.ndarray | None:
         return None
 
 
-def _distinct_ids(column) -> np.ndarray | None:
-    """The id column as int64, or None if an id repeats or is beyond int64."""
-    ids = _int64(column)
-    return None if ids is None or _repeats(ids) else ids
-
-
-def _finite(columns) -> np.ndarray | None:
-    """Number columns as one float64 array, or None if one is not finite."""
-    try:
-        values = np.array(columns, dtype=np.float64)
-    except OverflowError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _columns(records, width: int) -> list[list] | None:
-    """The records' columns, or None unless every record is a list of
-    ``width`` items."""
-    if not (isinstance(records, list) and set(map(type, records)) <= {list}
-            and set(map(len, records)) <= {width}):
-        return None
+def _columns(records: list[list], width: int) -> list[list]:
+    """The columns of records that are each a list of ``width`` items."""
     # One flat list, then one slice per column: both run in C.
     items = list(chain.from_iterable(records))
     return [items[i::width] for i in range(width)]
@@ -441,12 +408,24 @@ def _numbers(*columns) -> bool:
     return set(map(type, chain(*columns))) <= {int, float}
 
 
-def _first_bad(section: str, records, problem, *args) -> NoReturn:
-    """Raise ValueError naming the first record ``problem`` objects to.
+def _in_int64(value: int) -> bool:
+    return -2**63 <= value < 2**63
+
+
+def _is_finite(value: int | float) -> bool:
+    """A JSON number is finite; an integer beyond float64 is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _first_bad(section: str, records, problem, *args) -> None:
+    """Raise ValueError naming the first record ``problem`` objects to, if
+    any.
 
     ``problem(record, seen, *args)`` returns a message or None; ``seen`` is
-    a set it may use to spot repeated ids.  Loaders call this only after a
-    whole-column check failed, so some record is at fault.
+    a set it may use to spot repeated ids.
     """
     if not isinstance(records, list):
         raise ValueError(f"{section} records must be a list")
@@ -455,8 +434,6 @@ def _first_bad(section: str, records, problem, *args) -> NoReturn:
         message = problem(rec, seen, *args)
         if message:
             raise ValueError(f"{section} record {i}: {message}")
-    raise AssertionError(f"a column check failed on {section} records, "
-                         f"but no record is at fault")
 
 
 def _id_problem(noun: str, rid, seen: set) -> str | None:
@@ -464,7 +441,7 @@ def _id_problem(noun: str, rid, seen: set) -> str | None:
         return f"{noun} id must be an integer, got {rid!r}"
     if rid < 0 or rid in seen:
         return f"{'negative' if rid < 0 else 'duplicate'} {noun} id {rid}"
-    if _int64(rid) is None:
+    if not _in_int64(rid):
         return f"{noun} id {rid} beyond the int64 range"
     seen.add(rid)
     return None
@@ -485,7 +462,7 @@ def _node_problem(rec, seen, dim) -> str | None:
         return problem
     if not _numbers(rec[1:]):
         return f"coordinates must be numbers, got {rec[1:]}"
-    return None if _finite([rec[1:]]) is not None else \
+    return None if all(map(_is_finite, rec[1:])) else \
         f"coordinates must be finite, got {rec[1:]}"
 
 
@@ -494,7 +471,7 @@ def _boundary_problem(rec, seen, npf) -> str | None:
         return f"expected [tag, {npf} node ids]"
     if not _ints(rec):
         return f"tag and node ids must be integers, got {rec}"
-    return None if _int64(rec[0]) is not None else \
+    return None if _in_int64(rec[0]) else \
         f"tag {rec[0]} beyond the int64 range"
 
 
@@ -516,23 +493,15 @@ def load_topology(path) -> TopologyTree:
 
 def save_assignment(path, assignment: Mapping[int, int]) -> None:
     """The assignment document of an element -> part mapping."""
-    _write_assignment_rows(path, list(chain.from_iterable(
-        sorted(assignment.items()))))
+    dump_doc(path, "assignment", partial(_row_list, "[%d, %d]", list(
+        chain.from_iterable(sorted(assignment.items())))))
 
 
 def write_assignment(path, ids: np.ndarray, parts: np.ndarray) -> None:
     """The assignment document of aligned ``ids``, ascending, and
     ``parts``."""
-    _write_assignment_rows(path, np.column_stack((ids, parts)).ravel().tolist())
-
-
-def _write_assignment_rows(path, flat: list[int]) -> None:
-    """The document ``dump_doc`` renders for the [element, part] rows
-    ``flat`` lists one after another."""
-    body = _row_list("[%d, %d]", flat, "  ")
-    with open(path, "w") as fh:
-        fh.write('{\n  "assignment": ' + body + ',\n  "schema": '
-                 + json.dumps(SCHEMA) + "\n}\n")
+    dump_doc(path, "assignment", partial(
+        _row_list, "[%d, %d]", np.column_stack((ids, parts)).ravel().tolist()))
 
 
 def id_array(values) -> np.ndarray:
@@ -560,14 +529,11 @@ def read_assignment(path) -> tuple[np.ndarray, np.ndarray]:
         if len(ids) and not _repeats(ids):
             return ids, parts[:, 0]
     raw = _load_doc(path, "assignment")
-    cols = _columns(raw, 2)
-    if cols and _ints(*cols):
-        ids = id_array(cols[0])
-        if not _repeats(ids):
-            if not len(ids):
-                raise FormatError(path, "assignment is empty")
-            return ids, id_array(cols[1])
     _first_bad_in(path, "assignment", raw, _assignment_problem)
+    if not raw:
+        raise FormatError(path, "assignment is empty")
+    ids, parts = _columns(raw, 2)
+    return id_array(ids), id_array(parts)
 
 
 def load_assignment(path) -> dict[int, int]:
@@ -587,7 +553,7 @@ def _assignment_problem(rec, seen) -> str | None:
     return None
 
 
-def _first_bad_in(path, section: str, records, problem) -> NoReturn:
+def _first_bad_in(path, section: str, records, problem) -> None:
     """:func:`_first_bad` for a whole document: the error names ``path``."""
     try:
         _first_bad(section, records, problem)
@@ -596,8 +562,9 @@ def _first_bad_in(path, section: str, records, problem) -> NoReturn:
 
 
 def save_weights(path, weights: Mapping[int, float]) -> None:
-    dump_doc(path, "weights",
-             [[int(e), float(w)] for e, w in sorted(weights.items())])
+    ids = sorted(weights)
+    dump_doc(path, "weights", partial(_row_list, "[%d, %s]", _flat_rows(
+        ids, _float_texts([float(weights[e]) for e in ids]))))
 
 
 def read_weights(path) -> tuple[np.ndarray, np.ndarray]:
@@ -611,12 +578,9 @@ def read_weights(path) -> tuple[np.ndarray, np.ndarray]:
                 and not _repeats(ids)):
             return ids, weights
     raw = _load_doc(path, "weights")
-    cols = _columns(raw, 2)
-    if cols and _ints(cols[0]) and _numbers(cols[1]):
-        ids, weights = id_array(cols[0]), _finite(cols[1])
-        if weights is not None and (weights > 0).all() and not _repeats(ids):
-            return ids, weights
     _first_bad_in(path, "weight", raw, _weight_problem)
+    ids, weights = _columns(raw, 2)
+    return id_array(ids), np.array(weights, dtype=np.float64)
 
 
 def load_weights(path) -> dict[int, float]:
@@ -625,22 +589,26 @@ def load_weights(path) -> dict[int, float]:
     return dict(zip(ids.tolist(), weights.tolist()))
 
 
+def _number_problem(noun: str, value) -> str | None:
+    """Why ``value`` is not a finite JSON number, if it is not."""
+    if not _numbers([value]):
+        return f"{noun} must be a number, got {value!r}"
+    if _is_finite(value):
+        return None
+    return (f"non-finite {noun} {value}" if type(value) is float
+            else f"{noun} beyond the float64 range")
+
+
 def _weight_problem(rec, seen) -> str | None:
     if not (isinstance(rec, list) and len(rec) == 2):
         return "expected [element, weight]"
     e, w = rec
     if type(e) is not int:
         return f"element id must be an integer, got {e!r}"
-    if not _numbers([w]):
-        return f"weight must be a number, got {w!r}"
-    try:
-        w = float(w)
-    except OverflowError:
-        return "weight beyond the float64 range"
-    if not math.isfinite(w):
-        return f"non-finite weight {w}"
+    if problem := _number_problem("weight", w):
+        return problem
     if w <= 0:
-        return f"non-positive weight {w}"
+        return f"non-positive weight {float(w)}"
     if e in seen:
         return f"element {e} weighted twice"
     seen.add(e)
@@ -649,25 +617,19 @@ def _weight_problem(rec, seen) -> str | None:
 
 def load_timing(path) -> list[tuple[list[int], float]]:
     raw = _load_doc(path, "timing")
-    if not isinstance(raw, list):
-        raise FormatError(path, "timing records must be a list")
-    out = []
-    for i, rec in enumerate(raw):
-        if not (isinstance(rec, dict) and "elems" in rec and "seconds" in rec):
-            raise FormatError(path,
-                              f"timing record {i}: expected {{elems, seconds}}")
-        if not _numbers([rec["seconds"]]):
-            raise FormatError(path, f"timing record {i}: seconds must be a "
-                                    f"number, got {rec['seconds']!r}")
-        seconds = float(rec["seconds"])
-        if not math.isfinite(seconds):
-            raise FormatError(path, f"timing record {i}: non-finite seconds {seconds}")
-        elems = rec["elems"]
-        if not (isinstance(elems, list) and _ints(elems)):
-            raise FormatError(path, f"timing record {i}: elems must be a list "
-                                    f"of integer element ids")
-        out.append((elems, seconds))
-    return out
+    _first_bad_in(path, "timing", raw, _timing_problem)
+    return [(rec["elems"], float(rec["seconds"])) for rec in raw]
+
+
+def _timing_problem(rec, seen) -> str | None:
+    if not (isinstance(rec, dict) and "elems" in rec and "seconds" in rec):
+        return "expected {elems, seconds}"
+    if problem := _number_problem("seconds", rec["seconds"]):
+        return problem
+    elems = rec["elems"]
+    if not (isinstance(elems, list) and _ints(elems)):
+        return "elems must be a list of integer element ids"
+    return None
 
 
 def save_timing(path, blocks: Sequence[tuple[Sequence[int], float]]) -> None:
@@ -683,14 +645,10 @@ def save_report(path, report: Mapping[str, Any]) -> None:
 
 
 def save_part(path, rank: int, chunk: MeshChunk, neighbors) -> None:
-    """Per-rank output: the rank's mesh piece plus its halo neighbor table.
-
-    The document ``dump_doc`` writes for ``{"rank": rank, "mesh":
-    mesh_payload(chunk), "halo": [...]}``."""
-    halo = _render([{"rank": other, "channel": channel, "nodes": list(nodes)}
-                    for other, nodes, channel in neighbors], "    ")
-    with open(path, "w") as fh:
-        fh.write('{\n  "part": {\n    "halo": ' + halo + ',\n    "mesh": '
-                 + _mesh_text(chunk, "    ") + ',\n    "rank": '
-                 + json.dumps(rank) + '\n  },\n  "schema": '
-                 + json.dumps(SCHEMA) + "\n}\n")
+    """Per-rank output: the rank's mesh piece plus its halo neighbor table."""
+    dump_doc(path, "part", {
+        "halo": [{"rank": other, "channel": channel, "nodes": list(nodes)}
+                 for other, nodes, channel in neighbors],
+        "mesh": partial(_mesh_text, chunk),
+        "rank": rank,
+    })

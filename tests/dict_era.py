@@ -20,13 +20,19 @@ The fourth part keeps a leader's halo routes as they were built from a
 {member: {other rank: node ids}} table per member, before they were built
 from the survey's (rank, node id, other holder) rows.
 
-The last part keeps recursive coordinate bisection as it was when every
+The fifth part keeps recursive coordinate bisection as it was when every
 bisection sorted its own subset with a two-key ``lexsort``, before each
 axis was sorted once per call.
+
+The last part keeps the ``json.load`` readers of assignment, weights and
+timing documents as they were when each column was checked whole and the
+records were scanned only after a column check failed, together with the
+record checks both the dict-era and the column-era readers share.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -39,8 +45,7 @@ import numpy as np
 from hierpart import _codec
 from hierpart.balance import load_imbalance, part_loads
 from hierpart.directory import _unique, blind_exchange
-from hierpart.formats import (FormatError, _assignment_problem, _first_bad_in,
-                              _load_doc, _weight_problem)
+from hierpart.formats import SCHEMA, FormatError
 from hierpart.halo import _union
 from hierpart.mesh import _KIND_BY_CODE, KINDS, kind_info
 from hierpart.metrics import GROWTH_LAYERS
@@ -658,3 +663,144 @@ def rcb(ids: Sequence[int], points: np.ndarray, weights: np.ndarray | None,
 
     recurse(np.arange(len(ids)), k, 0)
     return dict(zip(ids.tolist(), part.tolist()))
+
+
+# -- column-era json.load readers ----------------------------------------------
+
+def _load_doc(path, kind: str) -> Any:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError) as err:
+        raise FormatError(path, str(err)) from err
+    except json.JSONDecodeError as err:
+        raise FormatError(path, f"invalid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise FormatError(path, "top level must be an object")
+    if doc.get("schema") != SCHEMA:
+        raise FormatError(path, f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
+    if kind not in doc:
+        raise FormatError(path, f"missing {kind!r} entry")
+    return doc[kind]
+
+
+def _int64(values) -> np.ndarray | None:
+    """Integers (a column, columns or one) as int64, or None if one is
+    beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _finite(columns) -> np.ndarray | None:
+    """Number columns as one float64 array, or None if one is not finite."""
+    try:
+        values = np.array(columns, dtype=np.float64)
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def id_array(values) -> np.ndarray:
+    """Integer ids as an int64 array; when one is beyond int64, as Python
+    ints in an object array, so that the check naming it as unknown can
+    still print it."""
+    ids = _int64(values)
+    return np.array(values, dtype=object) if ids is None else ids
+
+
+def _repeats(ids: np.ndarray) -> bool:
+    """Some id appears twice."""
+    if (ids[1:] > ids[:-1]).all():   # ascending, as the package writes ids
+        return False
+    ordered = np.sort(ids)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def read_assignment(path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``json.load`` path of the column-era ``read_assignment``."""
+    raw = _load_doc(path, "assignment")
+    cols = _columns(raw, 2)
+    if cols and _ints(*cols):
+        ids = id_array(cols[0])
+        if not _repeats(ids):
+            if not len(ids):
+                raise FormatError(path, "assignment is empty")
+            return ids, id_array(cols[1])
+    _first_bad_in(path, "assignment", raw, _assignment_problem)
+
+
+def _assignment_problem(rec, seen) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 2):
+        return "expected [element, part]"
+    if not _ints(rec):
+        return f"element and part must be integers, got {rec}"
+    if rec[0] in seen:
+        return f"element {rec[0]} assigned twice"
+    seen.add(rec[0])
+    return None
+
+
+def _first_bad_in(path, section: str, records, problem) -> NoReturn:
+    """:func:`_first_bad` for a whole document: the error names ``path``."""
+    try:
+        _first_bad(section, records, problem)
+    except ValueError as err:
+        raise FormatError(path, str(err)) from err
+
+
+def read_weights(path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``json.load`` path of the column-era ``read_weights``."""
+    raw = _load_doc(path, "weights")
+    cols = _columns(raw, 2)
+    if cols and _ints(cols[0]) and _numbers(cols[1]):
+        ids, weights = id_array(cols[0]), _finite(cols[1])
+        if weights is not None and (weights > 0).all() and not _repeats(ids):
+            return ids, weights
+    _first_bad_in(path, "weight", raw, _weight_problem)
+
+
+def _weight_problem(rec, seen) -> str | None:
+    if not (isinstance(rec, list) and len(rec) == 2):
+        return "expected [element, weight]"
+    e, w = rec
+    if type(e) is not int:
+        return f"element id must be an integer, got {e!r}"
+    if not _numbers([w]):
+        return f"weight must be a number, got {w!r}"
+    try:
+        w = float(w)
+    except OverflowError:
+        return "weight beyond the float64 range"
+    if not math.isfinite(w):
+        return f"non-finite weight {w}"
+    if w <= 0:
+        return f"non-positive weight {w}"
+    if e in seen:
+        return f"element {e} weighted twice"
+    seen.add(e)
+    return None
+
+
+def load_timing(path) -> list[tuple[list[int], float]]:
+    raw = _load_doc(path, "timing")
+    if not isinstance(raw, list):
+        raise FormatError(path, "timing records must be a list")
+    out = []
+    for i, rec in enumerate(raw):
+        if not (isinstance(rec, dict) and "elems" in rec and "seconds" in rec):
+            raise FormatError(path,
+                              f"timing record {i}: expected {{elems, seconds}}")
+        if not _numbers([rec["seconds"]]):
+            raise FormatError(path, f"timing record {i}: seconds must be a "
+                                    f"number, got {rec['seconds']!r}")
+        seconds = float(rec["seconds"])
+        if not math.isfinite(seconds):
+            raise FormatError(path, f"timing record {i}: non-finite seconds {seconds}")
+        elems = rec["elems"]
+        if not (isinstance(elems, list) and _ints(elems)):
+            raise FormatError(path, f"timing record {i}: elems must be a list "
+                                    f"of integer element ids")
+        out.append((elems, seconds))
+    return out

@@ -33,6 +33,9 @@ def test_derive_weights_clamps_zero_measurements():
 def test_derive_weights_rejects_duplicates_and_gaps():
     with pytest.raises(ValueError, match="more than one timing block"):
         derive_weights([([0, 1], 1.0), ([1], 1.0)])
+    with pytest.raises(ValueError, match="^element 1 repeats in timing "
+                                         "block 1$"):
+        derive_weights([([0], 1.0), ([2, 1, 3, 1], 1.0)])
     with pytest.raises(ValueError, match="no timing data for elements"):
         derive_weights([([0], 1.0)], elements=[0, 1, 2])
     with pytest.raises(ValueError, match="negative time"):

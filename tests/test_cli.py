@@ -336,6 +336,14 @@ def _element_object(mesh):
     mesh["elements"] = {str(rec[0]): rec[1:] for rec in mesh["elements"]}
 
 
+def _list_kind(mesh):
+    mesh["elements"][0][1] = ["triangle"]
+
+
+def _object_kind(mesh):
+    mesh["elements"][0][1] = {"kind": "triangle"}
+
+
 def _unheld_boundary_face(mesh):
     # Triangles (0, 1, 10) and (0, 10, 9) share the diagonal (0, 10); the
     # other diagonal is a face of neither.
@@ -357,6 +365,10 @@ def _unheld_boundary_face(mesh):
      "boundary record 1: tag and node ids must be integers"),
     (_string_coordinate, "node record 4: coordinates must be numbers"),
     (_element_object, "element records must be a list"),
+    (_list_kind, "unknown element kind ['triangle']; expected one of "
+                 "['tetrahedron', 'triangle']"),
+    (_object_kind, "unknown element kind {'kind': 'triangle'}; expected one "
+                   "of ['tetrahedron', 'triangle']"),
     (_unheld_boundary_face,
      "boundary face (1, 9) (tag 1) has no local containing element"),
 ])
@@ -388,6 +400,8 @@ def _timing_with_unknown(elements):
      "timing record 0: non-finite seconds nan"),
     ([{"elems": [0], "seconds": 1.0}, {"elems": [1], "seconds": float("inf")}],
      "timing record 1: non-finite seconds inf"),
+    ([{"elems": [0], "seconds": 1.0}, {"elems": [1], "seconds": 10**400}],
+     "timing record 1: seconds beyond the float64 range"),
     ([[0, 1.0], [1.5, 1.0]],
      "weight record 1: element id must be an integer, got 1.5"),
     ([[False, 1.0]], "weight record 0: element id must be an integer, got False"),
@@ -404,6 +418,8 @@ def _timing_with_unknown(elements):
     ([{"elems": list(range(128)), "seconds": 1.0},
       {"elems": [5], "seconds": 1.0}],
      "element 5 appears in more than one timing block"),
+    ([{"elems": [*range(128), 5], "seconds": 1.0}],
+     "element 5 repeats in timing block 0"),
     ([{"elems": list(range(3, 128)), "seconds": 1.0}],
      "no timing data for elements [0, 1, 2]"),
     ([{"elems": list(range(100, 128)), "seconds": 1.0}],

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import re
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierpart import formats
@@ -685,3 +687,148 @@ def test_non_finite_and_empty_rows_render_as_the_payload_does(tmp_path):
             tmp_path, chunk)
         assert mesh_doc == mesh_want
         assert part_doc == part_want
+
+
+# -- the json.load path against the column-era readers ----------------------------
+
+_RECORD_LOADERS = {"assignment": (read_assignment, dict_era.read_assignment),
+                   "weights": (read_weights, dict_era.read_weights),
+                   "timing": (load_timing, dict_era.load_timing)}
+# What an edit may put in place of a field, an id or a whole record:
+# bools, floats where ids go, integers beyond int64 and float64, and other
+# JSON values.
+_FIELD_VALUES = st.sampled_from([
+    True, False, 1.5, 2.0, -0.0, 2**63, -2**63 - 1, 10**18, 10**400,
+    -10**400, 1e308, float("nan"), float("-inf"), "1", None, [], {}, 0, -1])
+_RECORD_EDITS = st.tuples(
+    st.sampled_from(["field", "id", "record", "missing key", "extra key",
+                     "duplicate id", "row swap"]),
+    st.integers(0, 30), st.integers(0, 4), _FIELD_VALUES)
+# Edits of the document text: a _TOKEN_EDITS edit of one number, or one of
+# _TEXT_EDITS.  The text is one line, so "one line" leaves it as it is.
+_LINE_EDITS = st.tuples(
+    st.sampled_from(sorted(_TOKEN_EDITS) + list(_TEXT_EDITS)),
+    st.integers(0, 60))
+_NUMBER_TOKENS = re.compile(r'"[^"]*"|(-?[0-9][0-9.eE+-]*)')
+
+
+@st.composite
+def _record_documents(draw):
+    """(kind, records) of an assignment, weights or timing document."""
+    kind = draw(st.sampled_from(sorted(_RECORD_LOADERS)))
+    ids = _ids(draw, draw(st.integers(0, 8)))
+    if kind == "assignment":
+        return kind, [[e, draw(st.integers(-3, 40))] for e in ids]
+    if kind == "weights":
+        return kind, [[e, draw(st.floats(1e-3, 1e3) | st.integers(1, 9))]
+                      for e in ids]
+    cuts = sorted(draw(st.lists(st.integers(0, len(ids)), max_size=3)))
+    blocks = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+    return kind, [{"elems": block, "seconds": draw(st.floats(0, 10))}
+                  for block in blocks]
+
+
+def _edit_record(records, edit):
+    kind, r, f, value = edit
+    if not records:
+        return
+    r %= len(records)
+    rec, other = records[r], records[(r + 1) % len(records)]
+    value = copy.deepcopy(value)
+    if kind == "record":
+        records[r] = value
+    elif kind == "row swap":
+        records[r], records[(r + 1) % len(records)] = other, rec
+    elif not (isinstance(rec, (list, dict)) and rec):
+        return
+    elif kind in ("field", "missing key"):
+        field = sorted(rec)[f % len(rec)] if isinstance(rec, dict) \
+            else f % len(rec)
+        if kind == "field":
+            rec[field] = value
+        else:
+            del rec[field]
+    elif kind == "extra key":
+        if isinstance(rec, dict):
+            rec["x"] = value
+        else:
+            rec.append(value)
+    else:   # "id" or "duplicate id": a record's id, or one of a block's
+        at = 0
+        if isinstance(rec, dict):
+            rec = rec.get("elems")
+            other = other.get("elems") if isinstance(other, dict) else None
+            at = f % len(rec) if isinstance(rec, list) and rec else 0
+        if not (isinstance(rec, list) and rec):
+            return
+        if kind == "id":
+            rec[at] = value
+        elif isinstance(other, list) and other:
+            rec[at] = other[0]
+
+
+def _edit_line(text: str, edit) -> str:
+    name, k = edit
+    if name in _TOKEN_EDITS or name == "an extra space":
+        numbers = [m for m in _NUMBER_TOKENS.finditer(text) if m.group(1)]
+        if not numbers:
+            return text
+        m = numbers[k % len(numbers)]
+        token = (_TOKEN_EDITS[name](m.group(1)) if name in _TOKEN_EDITS
+                 else " " + m.group(1))
+        return text[:m.start()] + token + text[m.end():]
+    if name == "CRLF line ends":
+        return text.replace(", ", ",\r\n")
+    if name == "missing row comma":
+        gaps = [m.start() for m in re.finditer(r"[\]}], [\[{]", text)]
+        if gaps:
+            at = gaps[k % len(gaps)] + 1
+            return text[:at] + text[at + 1:]
+    return text   # "one line"; "duplicate id" and "row swap" edit records
+
+
+def _read_outcome(load, path):
+    try:
+        got = load(path)
+    except FormatError as err:
+        return "error", str(err)
+    return "ok", got if isinstance(got, list) else _bits(got)
+
+
+def _overflows(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@example(doc=("timing", [{"elems": [0], "seconds": 1.0}]),
+         record_edits=[("field", 0, 1, 10**400)], line_edits=[])
+@given(doc=_record_documents(), record_edits=st.lists(_RECORD_EDITS,
+                                                       max_size=3),
+       line_edits=st.lists(_LINE_EDITS, max_size=2))
+def test_one_line_documents_load_as_the_column_era_readers_did(
+        tmp_path_factory, doc, record_edits, line_edits):
+    kind, records = doc
+    for edit in record_edits:
+        _edit_record(records, edit)
+    text = json.dumps({"schema": SCHEMA, kind: records})
+    for edit in line_edits:
+        text = _edit_line(text, edit)
+    path = tmp_path_factory.mktemp("one-line") / f"{kind}.json"
+    path.write_text(text, newline="")
+    load, oracle = _RECORD_LOADERS[kind]
+    got = _read_outcome(load, path)
+    try:
+        want = _read_outcome(oracle, path)
+    except OverflowError:
+        # The column-era timing reader raised on seconds beyond float64, in
+        # the first record whose seconds it read but could not convert.
+        assert kind == "timing"
+        i = next(i for i, rec in enumerate(json.loads(text)["timing"])
+                 if _overflows(rec["seconds"]))
+        want = "error", (f"{path}: timing record {i}: seconds beyond the "
+                         f"float64 range")
+    assert got == want

@@ -6,9 +6,12 @@ file) with ``--no-timestamp`` and compares the sha256 of every file it
 writes with the digest recorded in ``GOLDEN``.  The ``frac-*`` cases use
 weights with a fractional part, read from files written in shuffled
 order: their sums depend on the order the weights are added in, which the
-4.0/1.0 weights of the other cases cannot show.  A refactor must leave all
-of them unchanged; a change that is meant to alter an output updates its
-digests in the same commit and says why.
+4.0/1.0 weights of the other cases cannot show.  The one-line cases run
+each verb on one-line copies of its input documents, which take the
+``json.load`` read path, and compare every output with the run on the
+documents as written.  A refactor must leave all of them unchanged; a
+change that is meant to alter an output updates its digests in the same
+commit and says why.
 
 To print the digests of the code under test (for example to record them):
 
@@ -18,6 +21,7 @@ To print the digests of the code under test (for example to record them):
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 import sys
@@ -197,16 +201,21 @@ def _frac_metrics(tmp: Path) -> Path:
     return out
 
 
-def _timing_partition(tmp: Path) -> Path:
-    """A partition from timing blocks of interleaved ids (e % 8), listed
-    out of order, each timed at a non-integer number of seconds."""
+def _timing(tmp: Path) -> Path:
+    """Timing blocks of interleaved ids (e % 8), listed out of order, each
+    timed at a non-integer number of seconds."""
     tmp.mkdir(parents=True, exist_ok=True)
     timing = tmp / "timing.json"
     save_timing(timing, [([e for e in range(511, -1, -1) if e % 8 == g],
                           0.5 + g / 7) for g in (3, 0, 6, 1, 7, 2, 5, 4)])
+    return timing
+
+
+def _timing_partition(tmp: Path) -> Path:
+    """A partition from the ``_timing`` blocks."""
     out = tmp / "timing-partition"
     _cli("partition", "--mesh", str(MESH), "--topo",
-         str(FIXTURES / f"{START[0]}.json"), "--timing", str(timing),
+         str(FIXTURES / f"{START[0]}.json"), "--timing", str(_timing(tmp)),
          "--out", str(out))
     return out
 
@@ -264,6 +273,38 @@ def test_node_core_partition_outputs(tmp_path):
 def test_node_core_rebalance_outputs(tmp_path, method, level):
     assert _digests(_node_core_rebalance(tmp_path, method, level)) == \
         GOLDEN[f"tet-node-core-rebalance-{method}-l{level}"]
+
+
+# Each verb with the documents it reads and its other arguments.
+ONE_LINE_CASES = {
+    "partition": ("partition", ("--mesh", "--topo"), ()),
+    "rebalance-weights": ("rebalance", ("--mesh", "--topo", "--assignment",
+                                        "--weights"), ("--level", "0")),
+    "rebalance-timing": ("rebalance", ("--mesh", "--topo", "--assignment",
+                                       "--timing"), ("--level", "0")),
+    "metrics-weights": ("metrics", ("--mesh", "--topo", "--assignment",
+                                    "--weights"), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LINE_CASES))
+def test_one_line_inputs_give_the_same_outputs(tmp_path, case):
+    # A document on one line takes the json.load read path: every output
+    # must match the run on the documents as the package writes them.
+    verb, flags, extra = ONE_LINE_CASES[case]
+    args, weights = _start(tmp_path)
+    written = dict(zip(args[::2], map(Path, args[1::2])))
+    written.update({"--weights": weights, "--timing": _timing(tmp_path)})
+    one_line = {}
+    for flag, path in written.items():
+        one_line[flag] = tmp_path / f"one-line-{path.name}"
+        one_line[flag].write_text(json.dumps(json.loads(path.read_text())))
+    outs = []
+    for name, docs in (("written", written), ("one-line", one_line)):
+        outs.append(tmp_path / name)
+        _cli(verb, *(a for f in flags for a in (f, str(docs[f]))), *extra,
+             "--out", str(outs[-1]))
+    assert _digests(outs[0]) == _digests(outs[1])
 
 
 def _all_digests() -> dict[str, dict[str, str]]:
