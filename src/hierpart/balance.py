@@ -13,12 +13,14 @@ owner and weight arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .mesh import MeshChunk
-from .partition import Weights, _as_given, _team_partition, _with_weights
+from .partition import (Weights, _as_given, _team_partition, _with_weights,
+                        check_method, check_tolerance)
 from .runtime import RankContext
 from .topology import TopologyTree
 
@@ -40,6 +42,8 @@ def derive_weights(blocks: Sequence[tuple[Sequence[int], float]],
     for i, (eids, seconds) in enumerate(blocks):
         if not eids:
             raise ValueError(f"timing block {i} lists no elements")
+        if not math.isfinite(seconds):
+            raise ValueError(f"timing block {i} has non-finite time {seconds}")
         if seconds < 0:
             raise ValueError(f"timing block {i} has negative time {seconds}")
         per = max(seconds / len(eids), WEIGHT_FLOOR)
@@ -111,8 +115,11 @@ def rebalance(ctx: RankContext, tree: TopologyTree, chunk: MeshChunk,
     None keeps the chunk's own column (None for unit weights).  Returns the
     rank's new chunk and its column in the form given.  Part labels are
     matched to the leaves already holding the bulk of each part, so a group
-    that is still balanced sees little or no element movement.
+    that is still balanced sees little or no element movement.  The
+    method and tolerance are checked as ``HierarchicalPlan`` checks them.
     """
+    check_method(method)
+    check_tolerance(tolerance)
     group = tree.group_of(ctx.rank, level)
     ctx.set_phase(f"rebalance_level{level}")
     new_chunk = _team_partition(

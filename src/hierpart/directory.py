@@ -142,9 +142,10 @@ def co_holders(ctx: RankContext, keys: Sequence[int], key_space: int,
                team: Sequence[int] | None = None) -> CoHolders:
     """The keys this rank holds together with each other rank.
 
-    Collective over the team.  Each rank checks its distinct keys and hands
-    them to its node's leader, the lowest team rank on its level-0 vertex,
-    over the copy channel.  The leaders run one ``_ask_owners`` round of
+    Collective over the team.  ``keys`` may repeat and take any array
+    shape.  Each rank checks its distinct keys and hands them to its node's
+    leader, the lowest team rank on its level-0 vertex, over the copy
+    channel.  The leaders run one ``_ask_owners`` round of
     (key, holder) rows, in which each owner answers a leader with every
     holder on other nodes of the keys it sent, and then hand each rank of
     their node its (key, other holder) pairs back.  Returns {other rank:

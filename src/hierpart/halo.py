@@ -18,11 +18,11 @@ rank then resolves the same per-neighbor rows as a direct exchange would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .directory import _concat, _fresh, _unique
+from .directory import CoHolders, _concat, _fresh, _unique
 from .runtime import RankContext
 from .topology import TopologyTree
 
@@ -38,9 +38,8 @@ MODES = ("replicate_owner", "accumulate_sum")
 class HaloSchedule:
     # (neighbor rank, shared node ids ascending, "intranode" | "internode")
     neighbors: tuple[tuple[int, tuple[int, ...], str], ...]
-    # The rank that carries this rank's internode rows: its node's leader
-    # (None: itself).
-    leader: int | None = None
+    # Its node's leader (maybe itself), which carries its internode rows.
+    leader: int
     # At a leader only, how its node's internode rows travel.  The pool is
     # the leader's own internode rows, then those of each (member, rows)
     # of ``gather``; each (leader, pool positions) of ``sends`` is one
@@ -53,40 +52,26 @@ class HaloSchedule:
     hands: tuple[tuple[int, np.ndarray], ...] = ()
 
 
-def schedule_for_rank(rows: Mapping[int, Sequence[int]], tree: TopologyTree,
+def schedule_for_rank(rows: CoHolders, tree: TopologyTree,
                       rank: int) -> HaloSchedule:
-    """Schedule from this rank's shared-node table (other rank -> node ids).
+    """Schedule from this rank's shared-node survey (``find_shared_nodes``).
 
-    A table from ``find_shared_nodes`` names the rank's leader and, at a
-    leader, holds its node's survey rows, from which the leader's routes
-    are built; its node lists already ascend, so they are taken as they
-    are.  A plain mapping's lists are sorted, and it stands for a rank that
-    routes its own rows through the same builder, as if every rank were
-    alone on its node.
+    The survey's node lists already ascend and are taken as they are; its
+    ``leaders`` name the rank's leader, which builds its routes from its
+    node's survey rows (``rows.node``).
     """
-    leaders = getattr(rows, "leaders", None)
     others = sorted(rows)
-    lists = [tuple(rows[o]) if leaders is not None else
-             tuple(sorted(int(n) for n in rows[o])) for o in others]
     same = tree.group_index(np.array(others, dtype=np.int64), 0) == \
         tree.group_index(rank, 0)
-    neighbors = [(other, nodes, "intranode" if near else "internode")
-                 for other, nodes, near in zip(others, lists, same.tolist())
-                 if nodes]
-    leader = rank if leaders is None else \
-        int(leaders[tree.group_index(rank, 0)])
+    neighbors = tuple((other, tuple(rows[other]),
+                       "intranode" if near else "internode")
+                      for other, near in zip(others, same.tolist())
+                      if rows[other])
+    leader = int(rows.leaders[tree.group_index(rank, 0)])
     if leader != rank:
-        return HaloSchedule(tuple(neighbors), leader)
-    if leaders is None:  # every other node's rank leads itself
-        table = np.array([(rank, n, other) for other, nodes, channel in
-                          neighbors if channel == "internode"
-                          for n in dict.fromkeys(nodes)],
-                         dtype=np.int64).reshape(-1, 3)
-        leads = table[:, 2]
-    else:
-        table = rows.node
-        leads = leaders[tree.group_index(table[:, 2], 0)]
-    return HaloSchedule(tuple(neighbors), leader, *_routes(table, leads, rank))
+        return HaloSchedule(neighbors, leader)
+    leads = rows.leaders[tree.group_index(rows.node[:, 2], 0)]
+    return HaloSchedule(neighbors, leader, *_routes(rows.node, leads, rank))
 
 
 def _routes(rows: np.ndarray, leads: np.ndarray, leader: int) -> tuple:
@@ -170,7 +155,7 @@ def exchange(ctx: RankContext, schedule: HaloSchedule,
              if channel == "internode"]
     outbound = values[rows_of(_union(shared for _, shared in inter))]
     counts = [len(shared) for _, shared in inter]
-    leader = ctx.rank if schedule.leader is None else schedule.leader
+    leader = schedule.leader
     arity = values.shape[1]
 
     # Post everything outbound first; both channels buffer, so no rank can

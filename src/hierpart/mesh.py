@@ -36,8 +36,8 @@ from itertools import combinations
 import numpy as np
 
 from . import _codec
-from .directory import (_ask_owners, _fresh, _run_pairs, _team_of, _unique,
-                        blind_exchange, co_holders)
+from .directory import (CoHolders, _ask_owners, _fresh, _run_pairs, _team_of,
+                        _unique, blind_exchange, co_holders)
 from .runtime import RankContext, _normalize_team
 
 log = logging.getLogger(__name__)
@@ -716,13 +716,13 @@ def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
 
 
 def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
-                      team: Sequence[int] | None = None) -> dict[int, list[int]]:
-    """Nodes this rank shares with each other rank, {other rank: sorted
-    node ids}: ``directory.co_holders`` of its node ids, collective over
-    the team, whose node leaders alone use the network.  The result also
-    names the rank's leader and, at a leader, its node's survey rows,
-    from which ``halo.schedule_for_rank`` builds the leader's routes."""
-    return co_holders(ctx, _unique(chunk.conn), n_nodes, team)
+                      team: Sequence[int] | None = None) -> CoHolders:
+    """Nodes this rank shares with each other rank, {other rank: ascending
+    node ids}: ``directory.co_holders`` of the chunk's node ids, collective
+    over the team, whose node leaders alone use the network.  The table
+    also names each node's leader and, at a leader, holds its node's survey
+    rows, from which ``halo.schedule_for_rank`` builds the leader's routes."""
+    return co_holders(ctx, chunk.conn, n_nodes, team)
 
 
 def _even_sizes(n: int, parts: int) -> list[int]:

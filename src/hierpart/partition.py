@@ -46,6 +46,12 @@ from .topology import TopologyTree, aggregate, cascade
 METHODS = ("rcb", "graph")
 
 
+def check_method(method: str) -> None:
+    """Reject a back-end name other than those of ``METHODS``."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 def check_tolerance(tolerance: float) -> None:
     """Reject a part weight cap that is not a finite number >= 1.0."""
     if not (math.isfinite(tolerance) and tolerance >= 1.0):
@@ -74,8 +80,7 @@ class HierarchicalPlan:
     def __post_init__(self):
         methods = (self.method,) if isinstance(self.method, str) else tuple(self.method)
         for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+            check_method(m)
         if self.approach not in (1, 2):
             raise ValueError(f"approach must be 1 or 2, got {self.approach}")
         check_tolerance(self.tolerance)
@@ -375,9 +380,12 @@ def _with_weights(chunk: MeshChunk, weights: Weights) -> MeshChunk:
     if weights is None:
         return chunk
     if isinstance(weights, Mapping):
-        column = np.fromiter(map(weights.__getitem__,
-                                 chunk.element_ids.tolist()),
-                             dtype=np.float64, count=chunk.n_elements)
+        ids = chunk.element_ids.tolist()
+        try:
+            column = np.fromiter(map(weights.__getitem__, ids),
+                                 dtype=np.float64, count=len(ids))
+        except KeyError as err:
+            raise ValueError(f"no weight for element {err.args[0]}") from None
     else:
         column = np.asarray(weights, dtype=np.float64)
         if column.shape != chunk.element_ids.shape:

@@ -40,6 +40,12 @@ def test_derive_weights_rejects_duplicates_and_gaps():
         derive_weights([([0], 1.0)], elements=[0, 1, 2])
     with pytest.raises(ValueError, match="negative time"):
         derive_weights([([0], -1.0)])
+    with pytest.raises(ValueError, match="^timing block 0 has non-finite "
+                                         "time nan$"):
+        derive_weights([([0, 1], float("nan"))])
+    with pytest.raises(ValueError, match="^timing block 1 has non-finite "
+                                         "time inf$"):
+        derive_weights([([0], 1.0), ([1], float("inf"))])
     with pytest.raises(ValueError, match="lists no elements"):
         derive_weights([([], 1.0)])
 
@@ -184,3 +190,29 @@ def test_rebalance_rejects_bad_level():
 
     with pytest.raises(ValueError, match="level 5 outside"):
         Runtime(tree, seed=0).run(prog)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"method": "spectral"},
+     "unknown method 'spectral'; expected one of ('rcb', 'graph')"),
+    ({"tolerance": float("nan")},
+     "tolerance must be a finite number >= 1.0, got nan"),
+    ({"tolerance": float("inf")},
+     "tolerance must be a finite number >= 1.0, got inf"),
+    ({"tolerance": 0.5}, "tolerance must be a finite number >= 1.0, got 0.5"),
+    ({"weights": {}}, "no weight for element {first}"),
+], ids=["spectral", "nan", "inf", "0.5", "no-weights"])
+def test_rebalance_rejects_bad_input_before_any_traffic(kwargs, message):
+    mesh = triangle_grid(8, 4)
+    tree = build_topology([("node", 1), ("core", 4)])
+    chunks = split_contiguous(mesh, 4)
+
+    def prog(ctx):
+        with pytest.raises(ValueError) as err:
+            rebalance(ctx, tree, chunks[ctx.rank], 0, **kwargs)
+        return str(err.value)
+
+    rt = Runtime(tree, seed=0)
+    assert rt.run(prog) == [message.format(first=int(ch.element_ids[0]))
+                            for ch in chunks]
+    assert rt.ledger.phase_totals() == []

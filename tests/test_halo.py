@@ -72,16 +72,28 @@ def run_exchange(tree, chunks, fields, mode, n_nodes, seed=0):
 
 
 def test_schedule_channels_follow_topology():
+    # Rank 0 leads ranks 0 and 1; rank 2 leads the other node.
     tree = build_topology([("node", 2), ("core", 2)])
-    rows = {1: [5, 3], 2: [7]}
+    survey = np.array([(0, 3, 1), (0, 5, 1), (0, 7, 2), (1, 3, 0), (1, 5, 0)],
+                      dtype=np.int64)
+    rows = CoHolders({1: [3, 5], 2: [7]}, np.array([0, 2]), survey)
     sched = schedule_for_rank(rows, tree, 0)
     assert sched.neighbors == ((1, (3, 5), "intranode"), (2, (7,), "internode"))
+    assert sched.leader == 0
+    assert [(r, at.tolist()) for r, at in sched.sends] == [(2, [0])]
+    assert sched.recvs == ((2, 1),)
+    member = schedule_for_rank(CoHolders({0: [3, 5]}, rows.leaders), tree, 1)
+    assert member.neighbors == ((0, (3, 5), "intranode"),)
+    assert (member.leader, member.sends) == (0, ())
 
 
 def test_schedule_drops_empty_neighbor_rows():
     tree = build_topology([("node", 2)])
-    sched = schedule_for_rank({1: []}, tree, 0)
+    rows = CoHolders({1: []}, np.array([0, 1]), np.empty((0, 3), np.int64))
+    sched = schedule_for_rank(rows, tree, 0)
     assert sched.neighbors == ()
+    assert (sched.gather, sched.sends, sched.recvs, sched.hands) == \
+        ((), (), (), ())
 
 
 @st.composite
@@ -129,6 +141,13 @@ def assert_same_routes(got: HaloSchedule, want: tuple):
                {1: frozenset(), 2: frozenset({0, 1, 2}), 4: frozenset({2}),
                 5: frozenset({1}), 7: frozenset({0, 2}),
                 8: frozenset({9})}))
+# One rank per node: every rank leads itself, with a team that skips ranks.
+@example(case=(build_topology([("node", 4), ("core", 1)]), [0, 1, 2, 3],
+               {0: frozenset({0, 1, 2}), 1: frozenset({1, 2, 3}),
+                2: frozenset({2, 5}), 3: frozenset({0, 5, 9})}))
+@example(case=(build_topology([("node", 4), ("core", 1)]), [0, 2, 3],
+               {0: frozenset({0, 1}), 2: frozenset({1, 4}),
+                3: frozenset({0, 1, 4})}))
 def test_routes_match_the_dict_era_builder(case):
     # Every leader's routes from its node's survey rows equal those the
     # per-member tables gave, element for element and in order.
@@ -156,23 +175,6 @@ def test_routes_match_the_dict_era_builder(case):
             got = schedule_for_rank(table, tree, m)
             assert got.neighbors == old_neighbors(tables[m], tree, m)
             assert got.leader == leader
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), nodes=st.integers(1, 4), size=st.integers(1, 4))
-def test_plain_mapping_routes_match_the_dict_era_builder(data, nodes, size):
-    # A plain mapping routes its own rows as if every rank were alone on
-    # its node; its lists may be unsorted and repeat node ids.
-    tree = build_topology([("node", nodes), ("core", size)])
-    rank = data.draw(st.integers(0, tree.total_ranks - 1))
-    others = st.integers(0, tree.total_ranks - 1).filter(lambda o: o != rank)
-    rows = data.draw(st.dictionaries(
-        others, st.lists(st.integers(0, 11), max_size=5), max_size=6))
-    got = schedule_for_rank(rows, tree, rank)
-    assert_same_routes(
-        got, dict_era._routes({rank: rows}, rank // size, size, lambda o: o))
-    assert got.neighbors == old_neighbors(rows, tree, rank)
-    assert got.leader == rank
 
 
 # -- exchange ---------------------------------------------------------------------
@@ -392,7 +394,7 @@ def test_exchange_intranode_neighbors_use_copy_channel():
 
 def test_exchange_rejects_bad_input():
     tree = build_topology([("node", 2)])
-    sched = HaloSchedule(neighbors=((1, (7,), "internode"),))
+    sched = HaloSchedule(neighbors=((1, (7,), "internode"),), leader=0)
 
     def prog_missing(ctx):
         if ctx.rank == 0:
@@ -402,14 +404,14 @@ def test_exchange_rejects_bad_input():
         Runtime(tree, seed=0).run(prog_missing)
 
     def prog_mode(ctx):
-        exchange(ctx, HaloSchedule(neighbors=()), {},
+        exchange(ctx, HaloSchedule(neighbors=(), leader=ctx.rank), {},
                  "average")
 
     with pytest.raises(ValueError, match="unknown exchange mode"):
         Runtime(tree, seed=0).run(prog_mode)
 
     def prog_arity(ctx):
-        exchange(ctx, HaloSchedule(neighbors=()),
+        exchange(ctx, HaloSchedule(neighbors=(), leader=ctx.rank),
                  {0: np.array([1.0]), 1: np.array([1.0, 2.0])},
                  "replicate_owner")
 

@@ -227,6 +227,26 @@ def test_hierarchical_refuses_a_weight_total_beyond_float64(method):
     assert sum(r.n_elements for r in res) == mesh.n_elements
 
 
+def test_hierarchical_names_an_element_without_weight():
+    # A weight mapping that misses the last element of each rank's chunk
+    # fails on every rank, naming that element, before any traffic.
+    mesh = triangle_grid(4, 2)
+    tree = build_topology([("node", 2), ("core", 2)])
+    chunks = split_contiguous(mesh, 4)
+
+    def prog(ctx):
+        ids = chunks[ctx.rank].element_ids.tolist()
+        with pytest.raises(ValueError,
+                           match=f"^no weight for element {ids[-1]}$"):
+            hierarchical_partition(ctx, tree, chunks[ctx.rank],
+                                   HierarchicalPlan(),
+                                   {e: 1.0 for e in ids[:-1]})
+
+    rt = Runtime(tree, seed=0)
+    rt.run(prog)
+    assert rt.ledger.phase_totals() == []
+
+
 def test_rcb_heavy_point_leaves_every_part_an_element():
     # The weighted median puts the heavy point alone on the low side of the
     # first cut, which needs two parts; the split keeps two points there.
