@@ -25,7 +25,7 @@ from .mesh import (MeshChunk, adjacency_from_elements, find_shared_nodes,
                    local_dual_graph, split_chunk, split_contiguous)
 from .metrics import (CostModel, comm_metrics, quality_metrics,
                       write_balance_csv, write_levels_csv)
-from .partition import (METHODS, HierarchicalPlan, check_tolerance,
+from .partition import (HierarchicalPlan, check_method, check_tolerance,
                         hierarchical_partition)
 from .runtime import DeadlockError, EpochError, ProtocolError, Runtime
 from .topology import TopologyTree
@@ -104,8 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_method(text: str):
     methods = tuple(m.strip() for m in text.split(","))
     for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}; expected one of {METHODS}")
+        try:
+            check_method(m)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
     return methods[0] if len(methods) == 1 else methods
 
 

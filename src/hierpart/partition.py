@@ -29,9 +29,9 @@ and migrates the elements.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -196,14 +196,13 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     Parts grow one at a time: part p absorbs its best-connected frontier
     vertex, the one maximising (2 * neighbours in p - degree, -id), until it
     reaches its weight target (remaining weight over remaining parts) and
-    holds at least ``m`` vertices, leaving ``m`` for every later part; then
-    the next part starts, and the last part takes whatever is left.  A part
-    whose seed is already taken starts from the unassigned vertex farthest
-    from every assigned one, and an empty frontier continues at the lowest
-    unassigned id.  The refinement sweep moves a boundary vertex to a
-    neighboring part only when that strictly reduces the edge cut, keeps
-    the target part within tolerance and leaves the source part at least
-    ``m`` vertices, so the cut never increases.
+    holds at least ``m`` vertices, leaving ``m`` for every later part; the
+    last part takes whatever is left.  A part whose seed is already taken
+    starts from the unassigned vertex farthest from every assigned one, and
+    an empty frontier continues at the lowest unassigned id.  The sweep
+    moves a boundary vertex to a neighboring part only when that strictly
+    reduces the edge cut, keeps the target part within tolerance and leaves
+    the source part at least ``m`` vertices, so the cut never increases.
 
     ``adjacency`` is a DualGraph or a mapping ``DualGraph.of`` converts;
     ``weights`` map ids to weights or align with a DualGraph's ids.  The
@@ -211,19 +210,20 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     rows as index lists in id order (one argsort when the ids are not).
     Each part grows from a fresh min-heap keyed (degree - 2 * neighbours in
     p, index); a vertex joining p re-pushes only its unassigned neighbours,
-    and stale entries are dropped when popped: O(E log V) in all.  Level
-    BFS gives distances: k - 1 passes place the seeds, each expanding only
-    where the new seed is closer, plus one per taken seed, O(k (V + E)).
+    and stale entries are dropped when popped: O(E log V) in all.  One level
+    BFS places each seed after the first and one restarts each taken seed,
+    O(k (V + E)).  Without weights the last part takes what is left without
+    growing or a seed: unit loads sum exactly in any order.  One array pass
+    over the CSR rows finds the sweep's boundary.
     """
     n = len(adjacency)
     if k < 1 or k * m > n:
         raise ValueError(f"part count {k} outside 1..{n // m}")
     graph = DualGraph.of(adjacency)
-    order, nbrs = np.arange(n), graph.adjncy
+    order, index, nbrs = np.arange(n), np.arange(n), graph.adjncy
     if (graph.ids[1:] < graph.ids[:-1]).any():
         # Neighbour positions become id-order indices, so rows stay sorted.
         order = np.argsort(graph.ids, kind="stable")
-        index = np.empty_like(order)
         index[order] = np.arange(n)
         nbrs = index[nbrs]
     vertices = graph.ids[order].tolist()
@@ -241,34 +241,28 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
 
     ends, flat = graph.xadj.tolist(), nbrs.tolist()
     adj = [flat[ends[i]:ends[i + 1]] for i in order.tolist()]
-    deg = [len(row) for row in adj]
-    seeds = _spread_seeds(adj, k)
-    part = [-1] * n
-    load = [0.0] * k
-    count = [0] * k
-    left = n
-    lowest = 0
-    remaining_weight = sum(w)
+    seeds = _spread_seeds(adj, k - 1 if weights is None else k)
+    part, load, count = [-1] * n, [0.0] * k, [0] * k
+    left, lowest, remaining_weight = n, 0, sum(w)
+    # Heap codes (deg - 2 * neighbours in p) * n + i order by key, then index.
+    base = (np.diff(graph.xadj)[order] * n + np.arange(n)).tolist()
+    step = 2 * n
 
-    for p in range(k):
-        seed = seeds[p]
+    for p, seed in enumerate(seeds):
         if part[seed] >= 0:
             seed = _farthest_unassigned(adj, part)
         target = remaining_weight / (k - p)
-        # Heap codes (deg - 2 * inside) * n + i order by key, then index.
-        inside: dict[int, int] = {}
-        heap = [deg[seed] * n + seed]
+        now = base.copy()   # each vertex's latest heap code for part p
+        heap = [now[seed]]
         # The weight target never starves a later part of its m vertices.
-        keep = (k - 1 - p) * m
-        while left > keep and (p == k - 1 or count[p] < m
-                               or load[p] < target):
+        room = left - (k - 1 - p) * m
+        got, size = 0.0, 0
+        while size < room and (p == k - 1 or size < m or got < target):
             while heap:
-                code = heapq.heappop(heap)
+                code = heappop(heap)
                 v = code % n
-                # Skip taken vertices, and entries pushed before v's
-                # inside count last rose.
-                if part[v] < 0 and \
-                        code == (deg[v] - 2 * inside.get(v, 0)) * n + v:
+                # Skip taken vertices and entries pushed before the latest.
+                if part[v] < 0 and code == now[v]:
                     break
             else:
                 # Empty frontier: continue at the lowest unassigned index.
@@ -276,17 +270,25 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
                     lowest += 1
                 v = lowest
             part[v] = p
-            load[p] += w[v]
-            count[p] += 1
-            left -= 1
+            got += w[v]
+            size += 1
             for u in adj[v]:
                 if part[u] < 0:
-                    c = inside.get(u, 0) + 1
-                    inside[u] = c
-                    heapq.heappush(heap, (deg[u] - 2 * c) * n + u)
-        remaining_weight -= load[p]
+                    now[u] -= step
+                    heappush(heap, now[u])
+        load[p], count[p] = got, size
+        left -= size
+        remaining_weight -= got
 
-    _refine_once(range(n), adj, part, w, load, count, k, tolerance, m)
+    owner = np.array(part)
+    owner[owner < 0] = k - 1    # without weights, every vertex left
+    part = owner.tolist()
+    load[-1] += left
+    count[-1] += left
+    rows = np.repeat(index, np.diff(graph.xadj))
+    cut_ends = np.bincount(rows[owner[nbrs] != owner[rows]], minlength=n)
+    _refine_once(np.flatnonzero(cut_ends).tolist(), adj, part, w, load, count,
+                 k, tolerance, m)
     return dict(zip(vertices, part))
 
 
@@ -317,14 +319,12 @@ def _spread_seeds(adj: list[list[int]], k: int) -> list[int]:
     """k seed indices: index 0, then each vertex farthest from all seeds
     so far (the first maximum, so ties go to the lowest index)."""
     mindist = [float("inf")] * len(adj)
-    seeds: list[int] = []
-    while True:
-        # All inf picks index 0; after that, seeds sit at distance 0 and
-        # every other vertex at 1 or more.
-        seeds.append(mindist.index(max(mindist)))
-        if len(seeds) == k:
-            return seeds
+    seeds = [0]
+    while len(seeds) < k:
         _bfs(adj, seeds[-1:], mindist)
+        # Seeds sit at distance 0 and every other vertex at 1 or more.
+        seeds.append(mindist.index(max(mindist)))
+    return seeds
 
 
 def _farthest_unassigned(adj: list[list[int]], part: list[int]) -> int:

@@ -223,6 +223,16 @@ def test_usage_errors_exit_1(inputs, capsys):
     assert code == 1
 
 
+def test_unknown_method_in_a_list_exits_1_with_the_library_message(
+        inputs, capsys):
+    out = inputs["tmp"] / "x"
+    assert run_partition(inputs, out, ("--method", "rcb,metis")) == 1
+    assert capsys.readouterr().err == (
+        "usage error: unknown method 'metis'; expected one of "
+        "('rcb', 'graph')\n")
+    assert not out.exists()
+
+
 def test_bad_inputs_exit_2(inputs, capsys, tmp_path):
     out = inputs["tmp"] / "x"
     code = main(["partition", "--mesh", str(tmp_path / "missing.json"),

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart import partition
-from hierpart.mesh import local_dual_graph
+from hierpart.mesh import adjacency_from_elements, local_dual_graph
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.partition import graph_partition
 
@@ -233,6 +234,45 @@ def test_matches_oracle_on_mesh_dual_graphs(k):
         assert_same(local_dual_graph(mesh), None, k)
 
 
+@st.composite
+def mesh_unions(draw):
+    """Dual graph of one to three disjoint generated meshes of one kind,
+    its vertices in a drawn order, so the union has several components and
+    its ids are seldom ascending."""
+    if draw(st.booleans()):
+        sizes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+        make = triangle_grid
+    else:
+        sizes = st.tuples(st.integers(1, 2), st.integers(1, 2),
+                          st.integers(1, 2))
+        make = tet_box
+    meshes = [make(*dims) for dims in draw(st.lists(sizes, min_size=1,
+                                                    max_size=3))]
+    ids, conn = [], []
+    for mesh in meshes:  # shift ids and nodes past those of earlier meshes
+        ids.append(mesh.element_ids + sum(map(len, ids)))
+        conn.append(mesh.conn + sum(int(c.max()) + 1 for c in conn))
+    ids, conn = np.concatenate(ids), np.concatenate(conn)
+    order = draw(st.permutations(range(len(ids))))
+    return adjacency_from_elements(ids[order], conn[order], meshes[0].kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=mesh_unions(), m=st.integers(1, 3),
+       tolerance=st.sampled_from([1.0, 1.02, 1.1]))
+def test_unweighted_last_part_equals_the_grown_one(graph, m, tolerance):
+    # Without weights the last part takes what is left ungrown.  A column of
+    # 0.5 takes the growing path, and a power of two scales every load sum
+    # and comparison exactly, so the two must return the same parts; so
+    # must the graph's dict form, whose rows are in id order already.
+    n = len(graph)
+    half, in_id_order = np.full(n, 0.5), dict(graph)
+    for k in range(2, n // m + 1):
+        got = graph_partition(graph, None, k, tolerance, m)
+        assert got == graph_partition(graph, half, k, tolerance, m)
+        assert got == graph_partition(in_id_order, None, k, tolerance, m)
+
+
 # -- one case per branch -----------------------------------------------------------
 
 def test_empty_frontier_continues_at_lowest_unassigned():
@@ -244,9 +284,10 @@ def test_empty_frontier_continues_at_lowest_unassigned():
 
 
 def test_taken_seed_restarts_at_farthest_unassigned(monkeypatch):
-    # Seeds of the path 0-1-2-3 at k=3 are 0, 3 and 1.  Part 0 grows over
-    # 1, so part 2 restarts at the unassigned vertex farthest from every
-    # assigned one, which is 2.
+    # Seeds of the path 0-1-...-10 at k=5 are 0, 10, 5, 2 and 7.  Parts 0-2
+    # grow over {0, 1, 2}, {10, 9} and {5, 4}, so part 3, not the last,
+    # finds its seed 2 taken and restarts at the unassigned vertex farthest
+    # from every assigned one: 7, two hops from 5 and 9.
     calls = []
     original = partition._farthest_unassigned
 
@@ -255,11 +296,12 @@ def test_taken_seed_restarts_at_farthest_unassigned(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(partition, "_farthest_unassigned", spy)
-    path = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-    part = graph_partition(path, None, 3)
-    assert calls == [2]
-    assert part == {0: 0, 1: 0, 3: 1, 2: 2}
-    assert part == oracle_graph_partition(path, None, 3)
+    path = {i: [j for j in (i - 1, i + 1) if 0 <= j <= 10] for i in range(11)}
+    part = graph_partition(path, None, 5)
+    assert calls == [7]
+    assert part == {0: 0, 1: 0, 2: 0, 9: 1, 10: 1, 4: 2, 5: 2, 6: 3, 7: 3,
+                    3: 4, 8: 4}
+    assert part == oracle_graph_partition(path, None, 5)
 
 
 def test_asymmetric_adjacency_names_first_pair_in_sorted_order():
