@@ -88,12 +88,26 @@ def imbalance(assignment: Mapping[int, int],
               weights: Mapping[int, float] | None = None,
               nparts: int | None = None) -> float:
     """Max part load over mean part load; 1.0 is perfect.  Each part's
-    weights are added in the assignment's order."""
+    weights are added in the assignment's order.  Each element needs a
+    finite weight >= 0 (zero is allowed): the first, in the assignment's
+    order, that has none or a NaN, infinite or negative one raises
+    ValueError naming it."""
     if not assignment:
         raise ValueError("empty assignment")
     owner = np.array(list(assignment.values()), dtype=np.int64)
     if weights is not None:
-        weights = np.array([weights[e] for e in assignment], dtype=np.float64)
+        try:
+            weights = np.array([weights[e] for e in assignment],
+                               dtype=np.float64)
+        except KeyError as err:
+            raise ValueError(f"no weight for element {err.args[0]}") from None
+        finite = np.isfinite(weights)
+        bad = ~finite | (weights < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "negative" if finite[i] else "non-finite"
+            raise ValueError(f"{what} weight {weights[i]} on element "
+                             f"{list(assignment)[i]}")
     if nparts is None:
         nparts = int(owner.max()) + 1
     outside = (owner < 0) | (owner >= nparts)

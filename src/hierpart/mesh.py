@@ -27,7 +27,6 @@ Migration rides on blind exchanges.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,8 +38,6 @@ from . import _codec
 from .directory import (CoHolders, _ask_owners, _fresh, _run_pairs, _team_of,
                         _unique, blind_exchange, co_holders)
 from .runtime import RankContext, _normalize_team
-
-log = logging.getLogger(__name__)
 
 # kind -> (code, spatial dim, nodes per element, nodes per face)
 KINDS = {
@@ -622,10 +619,12 @@ def _pair_faces(src: np.ndarray, rows: np.ndarray) -> tuple:
     key, at = _face_runs(rows[:, :-1], elem)
     # A run longer than two is a face of a non-manifold mesh.
     for k in _unique(key[2:][key[2:] == key[:-2]]):
+        # Imported here alone: loading logging costs every verb's start-up.
+        import logging
         a, b = np.searchsorted(key, k, "left"), np.searchsorted(key, k, "right")
-        log.warning("face %s shared by %d elements %s; mesh is not manifold",
-                    tuple(rows[at[a], :-1].tolist()), b - a,
-                    elem[at[a:b]].tolist())
+        logging.getLogger(__name__).warning(
+            "face %s shared by %d elements %s; mesh is not manifold",
+            tuple(rows[at[a], :-1].tolist()), b - a, elem[at[a:b]].tolist())
     i, j = _run_pairs(key)
     return at[i], at[j], elem, elem
 
@@ -638,13 +637,16 @@ def migrate(ctx: RankContext, chunk: MeshChunk,
     Collective over the team.  ``assignment`` is the destination rank of
     each local element, either as an int64 array aligned with the chunk's
     element ids or as a mapping that must cover every local element.  Only
-    elements whose owner changes are packed and sent; the rank's own
-    sub-chunk is merged as carved.  Node records are replicated onto each
-    receiving rank, boundary faces travel with their carrying element, and
-    the rebuilt chunk is ordered by global id so the result is independent
-    of arrival order.  A weighted chunk's leaving weights follow in a
-    second round, one ``exchange_keyed_values`` call, so the result carries
-    each element's weight; every team member must be weighted alike.
+    elements whose owner changes are packed and sent: the chunk is carved
+    into what stays and one group per receiving rank, and a rank that sends
+    nothing keeps its chunk as it is, carving nothing.  A rank that
+    receives nothing returns what stays without a merge.  Node records are
+    replicated onto each receiving rank, boundary faces travel with their
+    carrying element, and the rebuilt chunk is ordered by global id so the
+    result is independent of arrival order.  A weighted chunk's leaving
+    weights follow in a second round, one ``exchange_keyed_values`` call
+    on every rank, so the result carries each element's weight; every team
+    member must be weighted alike.
     """
     team_t = _normalize_team(team, ctx.size)
     if isinstance(assignment, Mapping):
@@ -668,22 +670,29 @@ def migrate(ctx: RankContext, chunk: MeshChunk,
         raise ValueError(f"element {eid} assigned to rank {dest[i]} "
                          f"outside team {team_t}")
 
-    pieces, outgoing = [], {}
-    for rank, sub in zip(team_t, split_chunk(chunk, owner, len(team_t))):
-        if rank == ctx.rank:
-            pieces.append(sub)
-        elif sub.n_elements:
-            outgoing[rank] = pack_chunk(sub)
+    leave = dest != ctx.rank
+    own, outgoing = chunk, {}
+    if leave.any():
+        # Group 0 is what stays, group i the i-th receiving team member.
+        receivers = np.flatnonzero(np.bincount(owner[leave],
+                                               minlength=len(team_t)))
+        label = np.zeros(len(team_t), dtype=np.int64)
+        label[receivers] = np.arange(1, len(receivers) + 1)
+        own, *subs = split_chunk(chunk, np.where(leave, label[owner], 0),
+                                 len(receivers) + 1)
+        outgoing = {team_t[r]: pack_chunk(sub)
+                    for r, sub in zip(receivers.tolist(), subs)}
     received = [unpack_chunk(blob)
                 for _, blob in blind_exchange(ctx, outgoing, team=team_t)]
     if chunk.weights is not None:
-        leave = dest != ctx.rank
         keys, values = exchange_keyed_values(
             ctx, chunk.element_ids[leave], chunk.weights[leave], dest[leave],
             team=team_t)
         for piece in received:
             piece.weights = values[np.searchsorted(keys, piece.element_ids)]
-    return merge_chunks(chunk.kind, pieces + received)
+    if not received:
+        return own
+    return merge_chunks(chunk.kind, [own, *received])
 
 
 def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
@@ -695,17 +704,21 @@ def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
     :func:`migrate` sends a weighted chunk's leaving weights with it;
     collective over the team.
     ``keys``, ``values`` and ``dest`` are aligned arrays.  Each destination
-    gets one message holding its keys in ascending order.  Returns the
-    (keys, values) that arrived here, sorted by key.
+    gets one message holding its keys in ascending order; a rank with no
+    keys only takes part.  Returns the (keys, values) that arrived here,
+    sorted by key.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    dest = np.asarray(dest, dtype=np.int64)
-    order = np.lexsort((keys, dest))
-    keys, values, dest = keys[order], np.asarray(values)[order], dest[order]
-    dests, starts = np.unique(dest, return_index=True)
-    outgoing = {d: _codec.pack_kv_f64(k, v) for d, k, v in zip(
-        dests.tolist(), np.split(keys, starts[1:]),
-        np.split(values, starts[1:]))}
+    outgoing = {}
+    if len(keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        dest = np.asarray(dest, dtype=np.int64)
+        order = np.lexsort((keys, dest))
+        keys, dest = keys[order], dest[order]
+        values = np.asarray(values)[order]
+        dests, starts = np.unique(dest, return_index=True)
+        outgoing = {d: _codec.pack_kv_f64(k, v) for d, k, v in zip(
+            dests.tolist(), np.split(keys, starts[1:]),
+            np.split(values, starts[1:]))}
     received = [_codec.unpack_kv_f64(blob)
                 for _, blob in blind_exchange(ctx, outgoing, team=team)]
     if not received:

@@ -339,9 +339,21 @@ def _refine_once(vertices, adj, part, w, load, count, k, tolerance,
                  m=1) -> None:
     total = sum(load)
     cap = tolerance * total / k
-    boundary = [v for v in vertices
-                if any(part[u] != part[v] for u in adj[v])]
-    for v in boundary:
+    # The boundary is fixed before any move.  Until it or a neighbour
+    # moves, a vertex keeps the links it starts with, and it can gain only
+    # if some other part holds more of them than its own, which needs
+    # more than half of them outside; the others are skipped then.
+    boundary, hopeful = [], []
+    for v in vertices:
+        around = [part[u] for u in adj[v]]
+        inside = around.count(part[v])
+        if inside < len(around):
+            boundary.append(v)
+            hopeful.append(2 * inside < len(around))
+    touched = set()     # vertices that moved or have a neighbour that did
+    for v, hope in zip(boundary, hopeful):
+        if not hope and v not in touched:
+            continue
         p = part[v]
         if count[p] <= m:
             continue
@@ -363,6 +375,8 @@ def _refine_once(vertices, adj, part, w, load, count, k, tolerance,
             load[best_q] += w[v]
             count[p] -= 1
             count[best_q] += 1
+            touched.add(v)
+            touched.update(adj[v])
 
 
 # -- hierarchical pipeline ----------------------------------------------------------
@@ -435,8 +449,13 @@ def _backend(kind: str, method: str, ids: np.ndarray, rows: np.ndarray,
                                       weights, k, tolerance, m)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from err
-    return np.fromiter(map(part_of.__getitem__, ids.tolist()), dtype=np.int64,
-                       count=len(ids))
+    # rcb keys its result in the order of ids, graph_partition ascending.
+    part = np.fromiter(part_of.values(), dtype=np.int64, count=len(ids))
+    if method == "rcb":
+        return part
+    owner = np.empty(len(ids), dtype=np.int64)
+    owner[np.argsort(ids, kind="stable")] = part
+    return owner
 
 
 def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
@@ -494,16 +513,27 @@ def _team_assignment(ctx, team, chunk, method, tolerance, where,
     return _codec.unpack_i64(cascade(ctx, team, replies))
 
 
-def _unpack_rows(kind: str, method: str, data: bytes) -> np.ndarray:
-    """The rows a back-end reads from a member's summary block: for rcb the
-    centroids, bit for bit those ``MeshChunk.centroids`` gives the member,
-    for graph the connectivity."""
+def _unpack_rows(kind: str, method: str, blocks: list[bytes]) -> np.ndarray:
+    """The rows a back-end reads from the members' summary blocks, one
+    member after another: for graph the connectivity, for rcb the
+    centroids, bit for bit those ``MeshChunk.centroids`` gives each member.
+
+    The centroids come from one ``gather_mean`` over every member's
+    coordinates, each member's node rows offset by the coordinate rows of
+    the members before it; each centroid still sums its own nodes in
+    connectivity order."""
     _, dim, npe, _ = kind_info(kind)
     if method != "rcb":
-        return _codec.unpack_i64(data).reshape(-1, npe)
-    coords, rows = _codec.unpack_blocks(data)
-    return gather_mean(_codec.unpack_f64(coords).reshape(-1, dim),
-                       _codec.unpack_i64(rows).reshape(-1, npe))
+        return np.concatenate([_codec.unpack_i64(b) for b in blocks]
+                              ).reshape(-1, npe)
+    coords, rows = [], []
+    offset = 0
+    for block in blocks:
+        xyz, at = _codec.unpack_blocks(block)
+        coords.append(_codec.unpack_f64(xyz).reshape(-1, dim))
+        rows.append(_codec.unpack_i64(at).reshape(-1, npe) + offset)
+        offset += len(coords[-1])
+    return gather_mean(np.concatenate(coords), np.concatenate(rows))
 
 
 def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
@@ -514,7 +544,7 @@ def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
     blocks = [_codec.unpack_blocks(payload) for payload in gathered]
     id_blocks = [_codec.unpack_i64(b[0]) for b in blocks]
     ids = np.concatenate(id_blocks)
-    rows = np.concatenate([_unpack_rows(kind, method, b[1]) for b in blocks])
+    rows = _unpack_rows(kind, method, [b[1] for b in blocks])
     weights = np.concatenate([_codec.unpack_weights(b[2]) for b in blocks]) \
         if has_weights else None
     part = _backend(kind, method, ids, rows, weights, len(team), tolerance,

@@ -9,8 +9,7 @@ acts as its leader.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .runtime import RankContext
@@ -21,10 +20,19 @@ class TopologyTree:
     """Uniform-arity hardware hierarchy; total_ranks = product of arities."""
 
     levels: tuple[tuple[str, int], ...]
+    # _below[i]: leaf ranks below one vertex at depth i (the root at 0),
+    # the product of the arities of levels i.., computed once.
+    _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        below = [1]
+        for _, arity in reversed(self.levels):
+            below.append(below[-1] * arity)
+        object.__setattr__(self, "_below", tuple(reversed(below)))
 
     @property
     def total_ranks(self) -> int:
-        return math.prod(a for _, a in self.levels)
+        return self._below[0]
 
     @property
     def n_levels(self) -> int:
@@ -35,10 +43,10 @@ class TopologyTree:
 
     def group_size(self, level: int) -> int:
         """Number of leaf ranks below one level-``level`` vertex."""
-        return math.prod(a for _, a in self.levels[level + 1:])
+        return self._below[level + 1]
 
     def group_count(self, level: int) -> int:
-        return math.prod(a for _, a in self.levels[:level + 1])
+        return self._below[0] // self._below[level + 1]
 
     def group_index(self, rank: int, level: int) -> int:
         return rank // self.group_size(level)

@@ -76,6 +76,23 @@ def test_imbalance_rejects_bad_input():
         imbalance({0: 2}, nparts=2)
 
 
+@pytest.mark.parametrize("weights, message", [
+    ({1: 1.0}, "no weight for element 2"),
+    ({1: float("nan"), 2: 1.0}, "non-finite weight nan on element 1"),
+    ({1: 1.0, 2: float("inf")}, "non-finite weight inf on element 2"),
+    ({1: -1.0, 2: 1.0}, "negative weight -1.0 on element 1"),
+    ({1: 0.0, 2: 0.0}, "total weight is zero"),
+])
+def test_imbalance_names_the_element_whose_weight_is_missing_or_bad(
+        weights, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        imbalance({1: 0, 2: 1}, weights)
+
+
+def test_imbalance_allows_zero_weights():
+    assert imbalance({1: 0, 2: 1, 3: 1}, {1: 0.0, 2: 1.0, 3: 0.0}) == 2.0
+
+
 # -- rebalance --------------------------------------------------------------------
 
 

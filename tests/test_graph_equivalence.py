@@ -275,6 +275,37 @@ def test_unweighted_last_part_equals_the_grown_one(graph, m, tolerance):
 
 # -- one case per branch -----------------------------------------------------------
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_refine_once_matches_oracle_on_dict_graphs(data):
+    # Random parts on dict adjacency, swept over the whole graph or any
+    # shuffled part of it, interior vertices included, with caps that
+    # block some moves: the sweep that skips vertices which cannot gain
+    # moves exactly the vertices the full sweep moves.
+    adjacency = data.draw(graphs())
+    vertices = sorted(adjacency)
+    n = len(vertices)
+    k = data.draw(st.integers(1, 5))
+    part = dict(zip(vertices, data.draw(
+        st.lists(st.integers(0, k - 1), min_size=n, max_size=n))))
+    w = dict(zip(vertices, data.draw(
+        st.lists(st.sampled_from([0.25, 1.0, 3.0]), min_size=n, max_size=n))))
+    load, count = [0.0] * k, [0] * k
+    for v in vertices:
+        load[part[v]] += w[v]
+        count[part[v]] += 1
+    listed = data.draw(st.permutations(vertices))[
+        :data.draw(st.integers(0, n))]
+    tolerance = data.draw(st.sampled_from([1.0, 1.02, 1.5, 100.0]))
+    got = (dict(part), list(load), list(count))
+    want = (dict(part), list(load), list(count))
+    partition._refine_once(listed, adjacency, got[0], w, got[1], got[2], k,
+                           tolerance)
+    oracle_refine_once(listed, adjacency, want[0], w, want[1], want[2], k,
+                       tolerance)
+    assert got == want
+
+
 def test_empty_frontier_continues_at_lowest_unassigned():
     # No edges: part 0 grows from seed 0, finds no frontier, and takes the
     # lowest unassigned id (1) to reach its target of two vertices.

@@ -662,14 +662,17 @@ def test_migrate_randomized_conservation():
 
 def migrate_through_codec(ctx, chunk, assignment, team=None):
     """Oracle: migrate as first written, packing every destination's
-    sub-chunk, the rank's own included, and merging what arrives."""
+    sub-chunk and its weights, the rank's own included, and merging what
+    arrives.  A rank that gets nothing holds the chunk's empty carve."""
     by_dest: dict[int, list[int]] = {}
     for eid in sorted(chunk.elements):
         by_dest.setdefault(assignment[eid], []).append(eid)
-    outgoing = {dest: pack_chunk(subset_chunk(chunk, ids))
+    outgoing = {dest: _pack_payload(subset_chunk(chunk, ids))
                 for dest, ids in by_dest.items()}
     received = blind_exchange(ctx, outgoing, team=team)
-    return merge_chunks(chunk.kind, [unpack_chunk(b) for _, b in received])
+    if not received:
+        return subset_chunk(chunk, [])
+    return merge_chunks(chunk.kind, [_unpack_payload(b) for _, b in received])
 
 
 def test_migrate_packs_nothing_when_every_element_stays(monkeypatch):
@@ -695,21 +698,43 @@ def test_migrate_packs_nothing_when_every_element_stays(monkeypatch):
 
 def _items(chunk):
     return (chunk.kind, list(chunk.nodes.items()),
-            list(chunk.elements.items()), chunk.boundary)
+            list(chunk.elements.items()), chunk.boundary,
+            None if chunk.weights is None else chunk.weights.tolist())
+
+
+def migration_trials(mesh, team, rng):
+    """(trial, chunks, assignment) over ``team``: one member keeps all its
+    elements, one receives none, one neither sends nor receives, nobody
+    moves, then random destinations."""
+    chunks = dict(zip(team, split_contiguous(mesh, len(team))))
+    a, b, c = team
+    home = {e: r for r, ch in chunks.items() for e in ch.elements}
+    for trial in range(8):
+        assignment = {e: rng.choice(team) for e in mesh.elements}
+        if trial == 0:      # b keeps everything and may receive
+            assignment.update((e, b) for e in chunks[b].elements)
+        elif trial == 1:    # c sends everything and receives nothing
+            assignment = {e: rng.choice((a, b)) for e in mesh.elements}
+        elif trial == 2:    # a neither sends nor receives
+            assignment = {e: a if r == a else rng.choice((b, c))
+                          for e, r in home.items()}
+        elif trial == 3:    # nothing moves
+            assignment = home
+        yield trial, chunks, assignment
 
 
 @pytest.mark.parametrize("mesh", [triangle_grid(5, 3), tet_box(2, 2, 2)],
                          ids=["triangles", "tets"])
 def test_migrate_equals_the_pack_everything_path(mesh):
     # Ranks 1-3 of four migrate among themselves; rank 0 sits out.  Each
-    # rank keeps some elements and sends the rest, or keeps all of them.
+    # rank keeps some elements and sends the rest, keeps all of them, or
+    # sends all of them; some trials leave a whole rank with nothing
+    # arriving.  Unweighted and weighted chunks alike.
+    weighted = replace(mesh, weights=1.0 + (mesh.element_ids % 7) * 0.375)
     team = (1, 2, 3)
-    rng = random.Random(4)
-    for trial in range(6):
-        chunks = dict(zip(team, split_contiguous(mesh, len(team))))
-        assignment = {e: rng.choice(team) for e in mesh.elements}
-        if trial == 0:
-            assignment.update((e, 2) for e in chunks[2].elements)
+    for trial, chunks, assignment in [
+            *migration_trials(mesh, team, random.Random(4)),
+            *migration_trials(weighted, team, random.Random(5))]:
 
         def prog(ctx, migrate_fn):
             if ctx.rank not in team:
@@ -723,3 +748,44 @@ def test_migrate_equals_the_pack_everything_path(mesh):
         want = Runtime(tree_of(4), seed=trial).run(
             lambda ctx: prog(ctx, migrate_through_codec))
         assert got == want
+
+
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unweighted", "weighted"])
+def test_a_rank_with_nothing_moving_neither_carves_nor_merges(monkeypatch,
+                                                              weighted):
+    # Rank 0 keeps its elements and gets none; ranks 1 and 2 swap some.
+    # Rank 0 gets its own chunk back, and only ranks 1 and 2 carve and
+    # merge.  The weight round still runs on every rank.
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mesh_module, name, wrapped)
+
+    mesh = tet_box(2, 2, 2)
+    if weighted:
+        mesh = replace(mesh, weights=1.0 + mesh.element_ids % 3)
+    chunks = split_contiguous(mesh, 3)
+    for name in ("split_chunk", "merge_chunks", "exchange_keyed_values"):
+        spy(name, getattr(mesh_module, name))
+
+    def prog(ctx):
+        chunk = chunks[ctx.rank]
+        ids = chunk.element_ids.tolist()
+        dest = {e: ctx.rank if ctx.rank == 0 or i % 2 else 3 - ctx.rank
+                for i, e in enumerate(ids)}
+        return migrate(ctx, chunk, dest)
+
+    res = Runtime(tree_of(3), seed=2).run(prog)
+    assert res[0] is chunks[0]
+    carved = [args[0] for name, args in calls if name == "split_chunk"]
+    merged = [args[1] for name, args in calls if name == "merge_chunks"]
+    assert len(carved) == 2 and all(c is not chunks[0] for c in carved)
+    assert len(merged) == 2
+    assert all(c is not chunks[0] for pieces in merged for c in pieces)
+    assert sum(name == "exchange_keyed_values"
+               for name, _ in calls) == (3 if weighted else 0)
+    assert merge_chunks(mesh.kind, res) == mesh

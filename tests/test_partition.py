@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import dict_era
 from hierpart import _codec, partition
-from hierpart.mesh import (DualGraph, _even_sizes, local_dual_graph,
+from hierpart.mesh import (DualGraph, _even_sizes, adjacency_from_elements,
+                           gather_mean, kind_info, local_dual_graph,
                            split_chunk, split_contiguous, subset_chunk)
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.partition import (HierarchicalPlan, _backend,
@@ -811,18 +812,72 @@ def test_rcb_team_split_equals_the_split_of_the_members_centroids(case):
     assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
-def summary_blocks(team, chunks):
-    """Each member's rcb summary blocks, in member order."""
+def summary_payloads(team, chunks):
+    """Each member's rcb summary, in member order: what the leader gathers."""
     sent = {}
     real = partition.aggregate
 
     def spy(ctx, members, data):
-        sent[ctx.rank] = _codec.unpack_blocks(data)
+        sent[ctx.rank] = data
         return real(ctx, members, data)
 
     with mock.patch.object(partition, "aggregate", spy):
         run_team_assignment(team, chunks, False, 0)
     return [sent[r] for r in team]
+
+
+def summary_blocks(team, chunks):
+    """Each member's rcb summary blocks, in member order."""
+    return [_codec.unpack_blocks(p) for p in summary_payloads(team, chunks)]
+
+
+def per_member_rows(kind, method, blocks):
+    """Oracle for ``_unpack_rows`` on rcb summaries: one ``gather_mean``
+    per member over its own coordinates and node rows."""
+    _, dim, npe, _ = kind_info(kind)
+    out = []
+    for block in blocks:
+        coords, rows = _codec.unpack_blocks(block)
+        out.append(gather_mean(_codec.unpack_f64(coords).reshape(-1, dim),
+                               _codec.unpack_i64(rows).reshape(-1, npe)))
+    return np.concatenate(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=team_summaries())
+def test_leader_gathers_every_members_centroids_at_once(case):
+    # One gather over the members' concatenated coordinates gives each
+    # centroid bit for bit, so the replies equal a per-member gather's.
+    team, chunks, remap, _ = case
+    gathered = summary_payloads(team, chunks)
+    kind = chunks[0].kind
+    blocks = [_codec.unpack_blocks(p)[1] for p in gathered]
+    assert partition._unpack_rows(kind, "rcb", blocks).tobytes() == \
+        per_member_rows(kind, "rcb", blocks).tobytes()
+    args = (gathered, team, kind, chunks[0].weights is not None, "rcb", 1.02,
+            "test split", remap, 1)
+    got = partition._leader_assign(*args)
+    with mock.patch.object(partition, "_unpack_rows", per_member_rows):
+        assert got == partition._leader_assign(*args)
+
+
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+def test_backend_reads_each_result_in_its_key_order(method):
+    # Ids in no order: rcb keys its result in the order of the ids, the
+    # graph back-end in ascending id, and _backend aligns both with ids.
+    rng = np.random.default_rng(11)
+    mesh = scrambled(tet_box(3, 3, 2), rng)
+    order = rng.permutation(mesh.n_elements)
+    ids = mesh.element_ids[order]
+    if method == "rcb":
+        rows = mesh.centroids()[1][order]
+        part_of = rcb(ids, rows, None, 5)
+    else:
+        rows = mesh.conn[order]
+        part_of = graph_partition(
+            adjacency_from_elements(ids, rows, mesh.kind), None, 5)
+    got = _backend(mesh.kind, method, ids, rows, None, 5, 1.02, "test", 1)
+    assert got.tolist() == [part_of[e] for e in ids.tolist()]
 
 
 @pytest.mark.parametrize("mesh", [tet_box(4, 4, 4), triangle_grid(8, 8),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,18 @@ def test_group_sizes_and_indices():
     assert tree.group_index(5, 0) == 1
     assert tree.group_index(5, 1) == 2
     assert list(tree.group_members(0, 1)) == [4, 5, 6, 7]
+
+
+@settings(max_examples=100, deadline=None)
+@given(arities=st.lists(st.integers(1, 6), min_size=1, max_size=5))
+def test_group_sizes_equal_the_products_of_arities(arities):
+    tree = build_topology([(f"l{i}", a) for i, a in enumerate(arities)])
+    assert tree.total_ranks == math.prod(arities)
+    for level in range(len(arities)):
+        assert tree.group_size(level) == math.prod(arities[level + 1:])
+        assert tree.group_count(level) == math.prod(arities[:level + 1])
+    for rank in range(0, tree.total_ranks, 7):
+        assert tree.group_index(rank, 0) == rank // math.prod(arities[1:])
 
 
 def test_same_node_is_level_zero_ancestry():
