@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .mesh import MeshChunk
-from .partition import (Weights, _as_given, _team_partition, _with_weights,
-                        check_method, check_tolerance)
+from .partition import (Weights, _as_given, _column, _team_partition,
+                        _with_weights, check_method, check_tolerance)
 from .runtime import RankContext
 from .topology import TopologyTree
 
@@ -96,11 +96,7 @@ def imbalance(assignment: Mapping[int, int],
         raise ValueError("empty assignment")
     owner = np.array(list(assignment.values()), dtype=np.int64)
     if weights is not None:
-        try:
-            weights = np.array([weights[e] for e in assignment],
-                               dtype=np.float64)
-        except KeyError as err:
-            raise ValueError(f"no weight for element {err.args[0]}") from None
+        weights = _column(weights, list(assignment))
         finite = np.isfinite(weights)
         bad = ~finite | (weights < 0)
         if bad.any():

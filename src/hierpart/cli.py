@@ -25,8 +25,7 @@ from .mesh import (MeshChunk, adjacency_from_elements, find_shared_nodes,
                    local_dual_graph, split_chunk, split_contiguous)
 from .metrics import (CostModel, comm_metrics, quality_metrics,
                       write_balance_csv, write_levels_csv)
-from .partition import (HierarchicalPlan, check_method, check_tolerance,
-                        hierarchical_partition)
+from .partition import HierarchicalPlan, check_method, hierarchical_partition
 from .runtime import DeadlockError, EpochError, ProtocolError, Runtime
 from .topology import TopologyTree
 
@@ -321,7 +320,6 @@ def _cmd_rebalance(args) -> int:
     args.method = method = _parse_method(args.method)
     if not isinstance(method, str):
         raise UsageError("rebalance takes a single --method")
-    check_tolerance(args.tolerance)  # HierarchicalPlan checks it for partition
     model = CostModel(intranode=args.cost_intra)
 
     # Loads before add each part's weights in file order, loads after in

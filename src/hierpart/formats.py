@@ -9,17 +9,19 @@ Every writer renders its document through ``_render``; a section of
 record rows is a callable leaf that ``_row_list`` fills with one format
 call.
 
-Mesh, assignment and weight documents have two read paths.  The fast one
-takes only the layout this module writes (sorted keys, two-space indents,
-one record row per line) and reads each section's rows straight into int64
-or float64 columns.  Any other layout, and any document that fails a check,
-takes the ``json.load`` path, which accepts any JSON spelling: it checks
-each record once, raises naming the first bad one, and only then converts
-the checked records into arrays.
+Every document is read from disk once.  Mesh, assignment and weight
+documents have two paths over those bytes.  The fast one takes only the
+layout this module writes (sorted keys, two-space indents, one record row
+per line) and reads each section's rows straight into int64 or float64
+columns.  Any other layout, and any document that fails a check, takes the
+``json.loads`` path, which accepts any JSON spelling: it checks each record
+once, raises naming the first bad one, and only then converts the checked
+records into arrays.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -44,11 +46,13 @@ class FormatError(Exception):
         self.message = message
 
 
-def _load_doc(path, kind: str) -> Any:
+def _load_doc(path, kind: str, data: bytes) -> Any:
+    """The ``kind`` payload of ``data``, the bytes of ``path``, decoded as
+    a UTF-8 text file reads them: an error's offset counts a CRLF once."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as err:
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data),
+                                          encoding="utf-8").read())
+    except UnicodeDecodeError as err:
         raise FormatError(path, str(err)) from err
     except json.JSONDecodeError as err:
         raise FormatError(path, f"invalid JSON: {err}") from err
@@ -132,17 +136,16 @@ _INT_LIMIT = 10**18
 _SLOT = "\0"
 
 
-def _read_bytes(path) -> bytes | None:
-    """The file's bytes, or None if it cannot be read; the ``json.load``
-    path then reports why."""
+def _read_bytes(path) -> bytes:
+    """The file's bytes; a file that cannot be read is a FormatError."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
-    except OSError:
-        return None
+    except OSError as err:
+        raise FormatError(path, str(err)) from err
 
 
-def _read_rows(data: bytes | None, kind: str,
+def _read_rows(data: bytes, kind: str,
                layout: Mapping[str, _Row] | _Row
                ) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """The rows of a document in the layout ``dump_doc`` writes, as
@@ -155,8 +158,6 @@ def _read_rows(data: bytes | None, kind: str,
     ``_INT_LIMIT`` in magnitude.  Nothing here builds a Python object per
     record.
     """
-    if data is None:
-        return None
     single = isinstance(layout, _Row)
     payload = _SLOT if single else dict.fromkeys(layout, _SLOT)
     # The document rendered with a placeholder for each list: the text
@@ -304,21 +305,25 @@ def _flat_rows(*columns: list) -> list:
 
 
 def load_mesh(path) -> MeshChunk:
-    chunk = _mesh_from_rows(_read_bytes(path))
+    data = _read_bytes(path)
+    chunk = _mesh_from_rows(data)
     if chunk is not None:
         return chunk
-    raw = _load_doc(path, "mesh")
+    return _named(path, mesh_from_payload, _load_doc(path, "mesh", data))
+
+
+def _named(path, build, *args):
+    """``build(*args)``; its ValueError, TypeError or KeyError becomes a
+    FormatError naming ``path``."""
     try:
-        return mesh_from_payload(raw)
+        return build(*args)
     except (ValueError, TypeError, KeyError) as err:
         raise FormatError(path, str(err)) from err
 
 
-def _mesh_from_rows(data: bytes | None) -> MeshChunk | None:
+def _mesh_from_rows(data: bytes) -> MeshChunk | None:
     """The chunk of a mesh document in the layout ``save_mesh`` writes, or
     None unless it passes every check ``mesh_from_payload`` makes."""
-    if data is None:
-        return None
     # The kind is the first string after a comma: the first element's.
     at = data.find(b', "') + 3
     kind = data[at:data.find(b'"', at)].decode("latin-1")
@@ -482,11 +487,8 @@ def save_topology(path, tree: TopologyTree) -> None:
 
 
 def load_topology(path) -> TopologyTree:
-    raw = _load_doc(path, "topology")
-    try:
-        return build_topology(raw)
-    except (ValueError, TypeError, KeyError) as err:
-        raise FormatError(path, str(err)) from err
+    return _named(path, build_topology,
+                  _load_doc(path, "topology", _read_bytes(path)))
 
 
 # -- assignment, weights, timing -------------------------------------------------
@@ -523,13 +525,14 @@ def _repeats(ids: np.ndarray) -> bool:
 def read_assignment(path) -> tuple[np.ndarray, np.ndarray]:
     """(element ids, parts) of an assignment document, in file order;
     ``id_array`` arrays."""
-    rows = _read_rows(_read_bytes(path), "assignment", _Row(2))
+    data = _read_bytes(path)
+    rows = _read_rows(data, "assignment", _Row(2))
     if rows:
         (ids, parts), = rows
         if len(ids) and not _repeats(ids):
             return ids, parts[:, 0]
-    raw = _load_doc(path, "assignment")
-    _first_bad_in(path, "assignment", raw, _assignment_problem)
+    raw = _load_doc(path, "assignment", data)
+    _named(path, _first_bad, "assignment", raw, _assignment_problem)
     if not raw:
         raise FormatError(path, "assignment is empty")
     ids, parts = _columns(raw, 2)
@@ -553,14 +556,6 @@ def _assignment_problem(rec, seen) -> str | None:
     return None
 
 
-def _first_bad_in(path, section: str, records, problem) -> None:
-    """:func:`_first_bad` for a whole document: the error names ``path``."""
-    try:
-        _first_bad(section, records, problem)
-    except ValueError as err:
-        raise FormatError(path, str(err)) from err
-
-
 def save_weights(path, weights: Mapping[int, float]) -> None:
     ids = sorted(weights)
     dump_doc(path, "weights", partial(_row_list, "[%d, %s]", _flat_rows(
@@ -570,15 +565,16 @@ def save_weights(path, weights: Mapping[int, float]) -> None:
 def read_weights(path) -> tuple[np.ndarray, np.ndarray]:
     """(element ids, weights) of a weights document, in file order: an
     ``id_array`` and a float64 array of finite, positive weights."""
-    rows = _read_rows(_read_bytes(path), "weights", _Row(2, numbers=True))
+    data = _read_bytes(path)
+    rows = _read_rows(data, "weights", _Row(2, numbers=True))
     if rows:
         (ids, weights), = rows
         weights = weights[:, 0]
         if (np.isfinite(weights).all() and (weights > 0).all()
                 and not _repeats(ids)):
             return ids, weights
-    raw = _load_doc(path, "weights")
-    _first_bad_in(path, "weight", raw, _weight_problem)
+    raw = _load_doc(path, "weights", data)
+    _named(path, _first_bad, "weight", raw, _weight_problem)
     ids, weights = _columns(raw, 2)
     return id_array(ids), np.array(weights, dtype=np.float64)
 
@@ -616,8 +612,8 @@ def _weight_problem(rec, seen) -> str | None:
 
 
 def load_timing(path) -> list[tuple[list[int], float]]:
-    raw = _load_doc(path, "timing")
-    _first_bad_in(path, "timing", raw, _timing_problem)
+    raw = _load_doc(path, "timing", _read_bytes(path))
+    _named(path, _first_bad, "timing", raw, _timing_problem)
     return [(rec["elems"], float(rec["seconds"])) for rec in raw]
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import _codec
 from .directory import (CoHolders, _ask_owners, _fresh, _run_pairs, _team_of,
                         _unique, blind_exchange, co_holders)
-from .runtime import RankContext, _normalize_team
+from .runtime import ProtocolError, RankContext, _normalize_team
 
 # kind -> (code, spatial dim, nodes per element, nodes per face)
 KINDS = {
@@ -644,9 +644,10 @@ def migrate(ctx: RankContext, chunk: MeshChunk,
     replicated onto each receiving rank, boundary faces travel with their
     carrying element, and the rebuilt chunk is ordered by global id so the
     result is independent of arrival order.  A weighted chunk's leaving
-    weights follow in a second round, one ``exchange_keyed_values`` call
-    on every rank, so the result carries each element's weight; every team
-    member must be weighted alike.
+    weights follow in a second round, each receiver's sub-chunk ids and
+    weights in one ``exchange_keyed_values`` call on every rank, so the
+    result carries each element's weight; every team member must be
+    weighted alike.
     """
     team_t = _normalize_team(team, ctx.size)
     if isinstance(assignment, Mapping):
@@ -671,7 +672,7 @@ def migrate(ctx: RankContext, chunk: MeshChunk,
                          f"outside team {team_t}")
 
     leave = dest != ctx.rank
-    own, outgoing = chunk, {}
+    own, sent = chunk, {}
     if leave.any():
         # Group 0 is what stays, group i the i-th receiving team member.
         receivers = np.flatnonzero(np.bincount(owner[leave],
@@ -680,52 +681,38 @@ def migrate(ctx: RankContext, chunk: MeshChunk,
         label[receivers] = np.arange(1, len(receivers) + 1)
         own, *subs = split_chunk(chunk, np.where(leave, label[owner], 0),
                                  len(receivers) + 1)
-        outgoing = {team_t[r]: pack_chunk(sub)
-                    for r, sub in zip(receivers.tolist(), subs)}
-    received = [unpack_chunk(blob)
-                for _, blob in blind_exchange(ctx, outgoing, team=team_t)]
+        sent = {team_t[r]: sub for r, sub in zip(receivers.tolist(), subs)}
+    received = [unpack_chunk(blob) for _, blob in blind_exchange(
+        ctx, {d: pack_chunk(sub) for d, sub in sent.items()}, team=team_t)]
     if chunk.weights is not None:
-        keys, values = exchange_keyed_values(
-            ctx, chunk.element_ids[leave], chunk.weights[leave], dest[leave],
+        got = exchange_keyed_values(
+            ctx, {d: (sub.element_ids, sub.weights) for d, sub in sent.items()},
             team=team_t)
-        for piece in received:
-            piece.weights = values[np.searchsorted(keys, piece.element_ids)]
+        if len(got) != len(received) or not all(
+                np.array_equal(keys, piece.element_ids)
+                for (keys, _), piece in zip(got, received)):
+            raise ProtocolError(f"rank {ctx.rank}: the weights that arrived "
+                                f"do not match the elements")
+        for (_, values), piece in zip(got, received):
+            piece.weights = values
     if not received:
         return own
     return merge_chunks(chunk.kind, [own, *received])
 
 
-def exchange_keyed_values(ctx: RankContext, keys: np.ndarray,
-                          values: np.ndarray, dest: np.ndarray,
+def exchange_keyed_values(ctx: RankContext,
+                          outgoing: Mapping[int, tuple[np.ndarray, np.ndarray]],
                           team: Sequence[int] | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Ship one float64 value per key to the key's destination rank.
-
-    :func:`migrate` sends a weighted chunk's leaving weights with it;
-    collective over the team.
-    ``keys``, ``values`` and ``dest`` are aligned arrays.  Each destination
-    gets one message holding its keys in ascending order; a rank with no
-    keys only takes part.  Returns the (keys, values) that arrived here,
-    sorted by key.
-    """
-    outgoing = {}
-    if len(keys):
-        keys = np.asarray(keys, dtype=np.int64)
-        dest = np.asarray(dest, dtype=np.int64)
-        order = np.lexsort((keys, dest))
-        keys, dest = keys[order], dest[order]
-        values = np.asarray(values)[order]
-        dests, starts = np.unique(dest, return_index=True)
-        outgoing = {d: _codec.pack_kv_f64(k, v) for d, k, v in zip(
-            dests.tolist(), np.split(keys, starts[1:]),
-            np.split(values, starts[1:]))}
-    received = [_codec.unpack_kv_f64(blob)
-                for _, blob in blind_exchange(ctx, outgoing, team=team)]
-    if not received:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    got_keys = np.concatenate([k for k, _ in received])
-    order = np.argsort(got_keys, kind="stable")
-    return got_keys[order], np.concatenate([v for _, v in received])[order]
+                          ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Send each rank in ``outgoing`` its (ascending int64 keys, float64
+    values) in one message; collective over the team, as :func:`migrate`
+    sends a weighted chunk's leaving weights.  Returns the (keys, values)
+    of each source that sent here, in the source order of the pieces
+    ``blind_exchange`` delivers."""
+    received = blind_exchange(
+        ctx, {d: _codec.pack_kv_f64(k, v) for d, (k, v) in outgoing.items()},
+        team=team)
+    return [_codec.unpack_kv_f64(blob) for _, blob in received]
 
 
 def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
@@ -739,15 +726,9 @@ def find_shared_nodes(ctx: RankContext, chunk: MeshChunk, n_nodes: int,
 
 
 def _even_sizes(n: int, parts: int) -> list[int]:
-    """Sizes of ``parts`` contiguous, near-equal blocks of n items."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    sizes, left = [], n
-    for p in range(parts):
-        size = -(-left // (parts - p))
-        sizes.append(size)
-        left -= size
-    return sizes
+    """Sizes of ``parts`` contiguous, near-equal blocks of n items, the
+    larger blocks first."""
+    return [n // parts + (p < n % parts) for p in range(parts)]
 
 
 def split_ids_evenly(ids: Sequence[int], parts: int) -> list[list[int]]:

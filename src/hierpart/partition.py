@@ -91,17 +91,22 @@ class HierarchicalPlan:
         return self.method[min(step, len(self.method) - 1)]
 
 
-def _check_weights(ids: np.ndarray, weights: np.ndarray, k: int) -> None:
+def _check_each_weight(ids: np.ndarray, weights: np.ndarray) -> None:
     """Raise ValueError naming the first element, in the order given, whose
-    weight is not a finite positive number, or when the total times the
-    part count ``k`` is not a float64: a cut aims at the total times a part
-    count below k."""
+    weight is not a finite positive number."""
     finite = np.isfinite(weights)
     bad = ~finite | (weights <= 0)
     if bad.any():
         i = int(np.argmax(bad))
         what = "non-positive" if finite[i] else "non-finite"
         raise ValueError(f"{what} weight {weights[i]} on element {ids[i]}")
+
+
+def _check_weights(ids: np.ndarray, weights: np.ndarray, k: int) -> None:
+    """:func:`_check_each_weight`, then raise ValueError when the total
+    times the part count ``k`` is not a float64: a cut aims at the total
+    times a part count below k."""
+    _check_each_weight(ids, weights)
     with np.errstate(over="ignore"):
         total = weights.sum()
         if not np.isfinite(total * k):
@@ -387,25 +392,34 @@ _WEIGHTS_SOME = 1
 Weights = Mapping[int, float] | np.ndarray | None
 
 
+def _column(weights: Mapping[int, float], ids: Sequence[int]) -> np.ndarray:
+    """The float64 weight of each of ``ids``; an id ``weights`` misses
+    raises ValueError naming it."""
+    try:
+        return np.fromiter(map(weights.__getitem__, ids), dtype=np.float64,
+                           count=len(ids))
+    except KeyError as err:
+        raise ValueError(f"no weight for element {err.args[0]}") from None
+
+
 def _with_weights(chunk: MeshChunk, weights: Weights) -> MeshChunk:
     """The chunk with ``weights`` as its column, or as it is for None: an
     array is taken as aligned with the element ids already, a mapping is
-    read once per element."""
-    if weights is None:
-        return chunk
+    read once per element.  Each weight the chunk then carries must be
+    finite and positive, so a bad one is refused on the rank that holds
+    it, before any traffic."""
     if isinstance(weights, Mapping):
-        ids = chunk.element_ids.tolist()
-        try:
-            column = np.fromiter(map(weights.__getitem__, ids),
-                                 dtype=np.float64, count=len(ids))
-        except KeyError as err:
-            raise ValueError(f"no weight for element {err.args[0]}") from None
-    else:
+        chunk = replace(chunk, weights=_column(weights,
+                                               chunk.element_ids.tolist()))
+    elif weights is not None:
         column = np.asarray(weights, dtype=np.float64)
         if column.shape != chunk.element_ids.shape:
             raise ValueError(f"{column.shape} weights for {chunk.n_elements} "
                              f"elements")
-    return replace(chunk, weights=column)
+        chunk = replace(chunk, weights=column)
+    if chunk.weights is not None:
+        _check_each_weight(chunk.element_ids, chunk.weights)
+    return chunk
 
 
 def _as_given(chunk: MeshChunk, given: Weights) -> Weights:

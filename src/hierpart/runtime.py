@@ -397,11 +397,10 @@ class Runtime:
         self._locks = [threading.Lock() for _ in range(P)]
         for lock in self._locks:
             lock.acquire()
-        self._state = ["ready"] * P
+        self._finished = [False] * P
         self._wait: list[tuple | None] = [None] * P
         # The ranks that may run, ascending; the running rank stays on it.
         self._ready = list(range(P))
-        self._done = 0
         # One mailbox per rank; each message records its channel.
         self._inbox: list[deque[_Message]] = [deque() for _ in range(P)]
         self._results: list[Any] = [None] * P
@@ -454,9 +453,8 @@ class Runtime:
             return
         with self._mutex:
             self._results[rank] = result
-            self._state[rank] = "done"
+            self._finished[rank] = True
             self._unready_locked(rank)
-            self._done += 1
             self._dispatch_locked()
 
     # -- scheduler ---------------------------------------------------------------
@@ -466,7 +464,6 @@ class Runtime:
             if self._abort:
                 raise _Aborted()
             if wait is not None and not self._wait_satisfied(rank, wait):
-                self._state[rank] = "blocked"
                 self._wait[rank] = wait
                 self._unready_locked(rank)
             self._dispatch_locked()
@@ -479,7 +476,6 @@ class Runtime:
         # blocked rank's wait.  Conditions are monotone (messages only
         # appear, generations only grow), so it stays runnable until it
         # consumes the event itself.
-        self._state[rank] = "ready"
         self._wait[rank] = None
         bisect.insort(self._ready, rank)
 
@@ -491,9 +487,9 @@ class Runtime:
         if ready:
             self._locks[ready[self._rng.randrange(len(ready))]].release()
             return
-        if self._done == self.size:
+        if all(self._finished):
             return
-        # Everyone alive is blocked: deadlock.
+        # Every unfinished rank is blocked, with what it waits for recorded.
         self._deadlock = self._deadlock_report_locked()
         self._abort_locked()
 
@@ -506,26 +502,22 @@ class Runtime:
     def _deadlock_report_locked(self) -> BaseException:
         lines = []
         fence_only = True
-        any_blocked = False
         for r in range(self.size):
-            if self._state[r] == "done":
+            if self._finished[r]:
                 lines.append(f"rank {r}: finished")
                 continue
-            any_blocked = True
             wait = self._wait[r]
             lines.append(f"rank {r}: blocked on {_describe_wait(wait)}")
-            if wait is None or wait[0] not in ("fence", "barrier"):
+            if wait[0] not in ("fence", "barrier"):
                 fence_only = False
         report = "no runnable rank; blocked state:\n  " + "\n  ".join(lines)
-        if any_blocked and fence_only and any(s == "done" for s in self._state):
+        if fence_only and any(self._finished):
             # Some ranks left the program while others still wait at a fence:
             # the fence/barrier counts cannot match.
             return EpochError("mismatched fence counts across ranks; " + report)
         return DeadlockError(report)
 
-    def _wait_satisfied(self, rank: int, wait: tuple | None) -> bool:
-        if wait is None:
-            return True
+    def _wait_satisfied(self, rank: int, wait: tuple) -> bool:
         kind = wait[0]
         if kind in ("fence", "barrier"):
             _, win, gen0 = wait
@@ -544,9 +536,7 @@ class Runtime:
         return None
 
 
-def _describe_wait(wait: tuple | None) -> str:
-    if wait is None:
-        return "nothing (not yet scheduled)"
+def _describe_wait(wait: tuple) -> str:
     kind = wait[0]
     if kind in ("msg", "copy"):
         _, source, tag = wait
@@ -554,10 +544,7 @@ def _describe_wait(wait: tuple | None) -> str:
         tg = "any" if tag == ANY_TAG else tag
         chan = "recv" if kind == "msg" else "copy_from"
         return f"{chan}(source={src}, tag={tg})"
+    _, win, _ = wait
     if kind == "fence":
-        _, win, _ = wait
         return f"fence(window members={list(win.members)})"
-    if kind == "barrier":
-        _, win, _ = wait
-        return f"barrier(team={list(win.members)})"
-    return repr(wait)
+    return f"barrier(team={list(win.members)})"

@@ -80,8 +80,6 @@ def build_topology(spec: Any) -> TopologyTree:
     Rejects any other shape, empty trees and non-positive arities, naming
     the offending level.
     """
-    if isinstance(spec, TopologyTree):
-        return spec
     if isinstance(spec, dict):
         raw = spec.get("levels")
         if not isinstance(raw, list):

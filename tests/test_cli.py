@@ -222,6 +222,16 @@ def test_usage_errors_exit_1(inputs, capsys):
                          ("--weights", str(wpath), "--timing", str(tpath)))
     assert code == 1
 
+    start = inputs["tmp"] / "start.json"
+    save_assignment(start, {e: e % 4 for e in inputs["mesh"].elements})
+    capsys.readouterr()
+    assert main(["rebalance", "--mesh", str(inputs["mesh_path"]),
+                 "--topo", str(inputs["topo_path"]), "--out", str(out),
+                 "--assignment", str(start), "--level", "0",
+                 "--method", "rcb,graph"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: rebalance takes a single --method\n")
+
 
 def test_unknown_method_in_a_list_exits_1_with_the_library_message(
         inputs, capsys):

@@ -51,6 +51,9 @@ def test_block_size_examples():
     assert block_size(10, 4) == 3
     assert block_size(8, 4) == 2
     assert block_size(1, 8) == 1
+    with pytest.raises(ValueError,
+                       match="^key_space and nranks must be positive$"):
+        block_size(0, 1)
 
 
 def test_owner_last_rank_absorbs_remainder():
@@ -110,6 +113,35 @@ def test_blind_exchange_delivers_sorted_by_source():
 
     res = Runtime(tree_of(4), seed=3).run(prog)
     assert res == [[(3, b"\x03")], [(0, b"\x00")], [(1, b"\x01")], [(2, b"\x02")]]
+
+
+@pytest.mark.parametrize("caller, outgoing, message", [
+    (2, {}, "rank 2 not in team (0, 1)"),
+    (0, {2: b"x"}, "destination 2 not in team (0, 1)"),
+], ids=["caller", "destination"])
+def test_blind_exchange_refuses_ranks_outside_its_team(caller, outgoing,
+                                                        message):
+    def prog(ctx):
+        if ctx.rank != caller:
+            return None
+        with pytest.raises(ValueError) as err:
+            blind_exchange(ctx, outgoing, team=[0, 1])
+        return str(err.value)
+
+    rt = Runtime(tree_of(3), seed=0)
+    assert rt.run(prog)[caller] == message
+    assert rt.ledger.phase_totals() == []
+
+
+def test_range_query_outside_the_key_space_is_a_key_error():
+    def prog(ctx):
+        d = Directory.build(ctx, [], 8)
+        with pytest.raises(KeyError) as err:
+            d.range_query(2, 9)
+        return err.value.args[0]
+
+    assert Runtime(tree_of(2), seed=0).run(prog) == [
+        "range [2, 9) outside key space [0, 8)"] * 2
 
 
 def test_blind_exchange_self_delivery_skips_network():

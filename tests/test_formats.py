@@ -88,6 +88,44 @@ def test_load_missing_file_is_a_format_error(tmp_path):
         load_mesh(tmp_path / "absent.json")
 
 
+_EVERY_LOADER = [load_mesh, load_topology, read_assignment, read_weights,
+                 load_timing]
+
+
+@pytest.mark.parametrize("load", _EVERY_LOADER, ids=lambda f: f.__name__)
+def test_a_top_level_that_is_not_an_object_is_named(tmp_path, load):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([SCHEMA, {}]))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: top "
+                                          f"level must be an object$"):
+        load(path)
+
+
+@pytest.mark.parametrize("load", _EVERY_LOADER, ids=lambda f: f.__name__)
+def test_each_document_is_opened_once(tmp_path, load):
+    # One-line documents take the json.loads path, which parses the bytes
+    # the row reader was given.
+    save = {load_mesh: lambda p: save_mesh(p, triangle_grid(2, 1)),
+            load_topology: lambda p: save_topology(
+                p, build_topology([("node", 2)])),
+            read_assignment: lambda p: save_assignment(p, {0: 1, 1: 0}),
+            read_weights: lambda p: save_weights(p, {0: 1.5, 1: 2.0}),
+            load_timing: lambda p: save_timing(p, [([0, 1], 0.5)])}[load]
+    path = tmp_path / "doc.json"
+    save(path)
+    path.write_text(json.dumps(json.loads(path.read_text())))
+    opened = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", spy):
+        load(path)
+    assert opened == [path]
+
+
 def test_mesh_error_names_offending_record(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -434,10 +472,10 @@ def _outcome_of(load, path):
 
 
 def _both_paths(load, path):
-    """(outcome of ``load``, outcome of its json.load path): with no bytes
-    for the row reader, every loader takes the json.load path."""
+    """(outcome of ``load``, outcome of its json.loads path): with the row
+    reader finding no rows, every loader takes the json.loads path."""
     got = _outcome_of(load, path)
-    with mock.patch.object(formats, "_read_bytes", lambda path: None):
+    with mock.patch.object(formats, "_read_rows", lambda *args: None):
         return got, _outcome_of(load, path)
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import dict_era
 from hierpart.directory import CoHolders, co_holders
-from hierpart.halo import HaloSchedule, exchange, schedule_for_rank
+from hierpart.halo import (HaloSchedule, _rows, _stack, exchange,
+                          schedule_for_rank)
 from hierpart.mesh import find_shared_nodes, split_chunk, split_contiguous
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.runtime import Runtime
@@ -417,3 +418,13 @@ def test_exchange_rejects_bad_input():
 
     with pytest.raises(ValueError, match="arity mismatch"):
         Runtime(tree, seed=0).run(prog_arity)
+
+    with pytest.raises(ValueError, match="^halo payload from rank 3 holds 1 "
+                                         "values, expected 2$"):
+        _rows(3, np.zeros(1).tobytes(), 2, 1)
+
+
+def test_a_field_of_scalars_and_one_vectors_stacks_as_one_column():
+    # A ragged field is stacked node by node; one value is one value.
+    assert _stack({4: 1.5, 2: np.array([2.5]), 9: [3.5]}).tolist() == [
+        [1.5], [2.5], [3.5]]

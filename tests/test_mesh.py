@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -23,7 +24,7 @@ from hierpart import mesh as mesh_module
 from hierpart.directory import blind_exchange, block_size, co_holders
 from hierpart.meshgen import tet_box, triangle_grid
 from hierpart.partition import _pack_payload, _unpack_payload
-from hierpart.runtime import Runtime
+from hierpart.runtime import ProtocolError, Runtime
 from hierpart.topology import build_topology
 
 from dict_era import DictChunk, dict_chunk, element_faces
@@ -82,6 +83,15 @@ def test_tet_box_counts():
     assert mesh.n_elements == 6 * 8
     assert len(mesh.nodes) == 27
     mesh.validate()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: triangle_grid(0, 3), "grid needs nx >= 1 and ny >= 1"),
+    (lambda: tet_box(2, 0, 2), "box needs nx, ny, nz >= 1"),
+], ids=["grid", "box"])
+def test_generators_refuse_an_empty_size(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_grid_boundary_is_perimeter():
@@ -630,15 +640,19 @@ def test_migrate_missing_assignment_is_an_error():
 
 
 def test_exchange_keyed_values_follows_destinations():
+    # Each receiver gets what was addressed to it, one (keys, values) pair
+    # per source, in source order; rank 2 sends nothing.
     def prog(ctx):
-        keys = np.array([ctx.rank * 10], dtype=np.int64)
-        dest = np.array([1 - ctx.rank], dtype=np.int64)
-        got = exchange_keyed_values(ctx, keys, keys + 0.5, dest)
-        return [a.tolist() for a in got]
+        keys = np.array([ctx.rank * 10, ctx.rank * 10 + 1], dtype=np.int64)
+        outgoing = [{1: (keys[:1], keys[:1] + 0.5), 2: (keys, keys + 0.25)},
+                    {2: (keys, keys + 0.25)}, {}][ctx.rank]
+        got = exchange_keyed_values(ctx, outgoing)
+        return [[k.tolist(), v.tolist()] for k, v in got]
 
-    res = Runtime(tree_of(2), seed=0).run(prog)
-    assert res[0] == [[10], [10.5]]
-    assert res[1] == [[0], [0.5]]
+    res = Runtime(tree_of(3), seed=0).run(prog)
+    assert res[0] == []
+    assert res[1] == [[[0], [0.5]]]
+    assert res[2] == [[[0, 1], [0.25, 1.25]], [[10, 11], [10.25, 11.25]]]
 
 
 def test_migrate_randomized_conservation():
@@ -748,6 +762,70 @@ def test_migrate_equals_the_pack_everything_path(mesh):
         want = Runtime(tree_of(4), seed=trial).run(
             lambda ctx: prog(ctx, migrate_through_codec))
         assert got == want
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: split_chunk(m, [0, 0], 2), "2 owners for 4 elements"),
+    (lambda m: split_chunk(m, [0, 2, 0, -1], 2), "owners must lie in -1..1"),
+    (lambda m: subset_chunk(m, [0, 99]), "element 99 not in chunk"),
+    (lambda m: merge_chunks("tetrahedron", [m]),
+     "cannot merge triangle chunk into tetrahedron mesh"),
+    (lambda m: MeshChunk.from_records("triangle", nodes={0: (0.0,)}),
+     "node 0: expected 2 coordinates, got 1"),
+    (lambda m: MeshChunk.from_records("triangle", elements={5: (0, 1)}),
+     "element 5: expected 3 nodes, got 2"),
+    (lambda m: MeshChunk.from_records("triangle", boundary=[(7, (0, 1, 2))]),
+     "boundary face 0 (tag 7): expected 2 nodes, got 3"),
+], ids=["owner-count", "owner-range", "subset-unknown", "merge-kinds",
+        "record-node", "record-element", "record-face"])
+def test_chunk_operations_name_their_bad_input(call, message):
+    mesh = triangle_grid(2, 1)
+    assert mesh.n_elements == 4
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(mesh)
+
+
+@pytest.mark.parametrize("dest, message", [
+    (lambda chunk: np.zeros(chunk.n_elements - 1), "{n_1} destinations for "
+                                                   "{n} elements"),
+    (lambda chunk: np.full(chunk.n_elements, 2),
+     "element {first} assigned to rank 2 outside team (0, 1)"),
+], ids=["count", "outside-team"])
+def test_migrate_names_a_bad_destination_array(dest, message):
+    # Each rank refuses its own array before any traffic.
+    chunks = split_contiguous(triangle_grid(4, 2), 2)
+
+    def prog(ctx):
+        chunk = chunks[ctx.rank]
+        with pytest.raises(ValueError) as err:
+            migrate(ctx, chunk, dest(chunk), team=(0, 1))
+        return str(err.value)
+
+    rt = Runtime(tree_of(3), seed=0)
+    got = rt.run(lambda ctx: prog(ctx) if ctx.rank < 2 else None)
+    assert got[:2] == [message.format(n=ch.n_elements, n_1=ch.n_elements - 1,
+                                      first=ch.element_ids[0])
+                       for ch in chunks]
+    assert rt.ledger.phase_totals() == []
+
+
+@pytest.mark.parametrize("tamper", [lambda got: [(k[::-1], v) for k, v in got],
+                                    lambda got: got[:-1]],
+                         ids=["other-order", "one-source-short"])
+def test_migrate_refuses_weights_that_miss_the_elements(monkeypatch, tamper):
+    # Each piece takes the weights of its own source, checked by id.
+    mesh = replace(triangle_grid(2, 2), weights=np.arange(1.0, 9.0))
+    chunks = split_contiguous(mesh, 2)
+    real = mesh_module.exchange_keyed_values
+    monkeypatch.setattr(mesh_module, "exchange_keyed_values",
+                        lambda *args, **kw: tamper(real(*args, **kw)))
+
+    def prog(ctx):
+        return migrate(ctx, chunks[ctx.rank], np.full(4, 1 - ctx.rank))
+
+    with pytest.raises(ProtocolError, match="weights that arrived do not "
+                                            "match the elements"):
+        Runtime(tree_of(2), seed=0).run(prog)
 
 
 @pytest.mark.parametrize("weighted", [False, True],

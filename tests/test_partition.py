@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import dict_era
 from hierpart import _codec, partition
+from hierpart.balance import rebalance
 from hierpart.mesh import (DualGraph, _even_sizes, adjacency_from_elements,
                            gather_mean, kind_info, local_dual_graph,
                            split_chunk, split_contiguous, subset_chunk)
@@ -153,6 +154,10 @@ def test_rcb_rejects_bad_input():
         rcb([0, 1], np.zeros((2, 2)), np.array([1.0, 0.0]), 2)
     with pytest.raises(ValueError, match="too few points"):
         rcb([0], np.zeros((1, 2)), None, 2)
+    with pytest.raises(ValueError, match="^part count must be >= 1, got 0$"):
+        rcb([0], np.zeros((1, 2)), None, 0)
+    with pytest.raises(ValueError, match="^weights must align with ids$"):
+        rcb([0, 1], np.zeros((2, 2)), np.ones(3), 2)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -246,6 +251,53 @@ def test_hierarchical_names_an_element_without_weight():
     rt = Runtime(tree, seed=0)
     rt.run(prog)
     assert rt.ledger.phase_totals() == []
+
+
+@pytest.mark.parametrize("bad, what", [
+    (0.0, "non-positive"), (-2.0, "non-positive"),
+    (float("nan"), "non-finite"), (float("inf"), "non-finite"),
+])
+@pytest.mark.parametrize("form", ["column", "mapping", "own"])
+@pytest.mark.parametrize("entry", ["hierarchical", "rebalance"])
+def test_a_bad_weight_is_refused_on_the_rank_that_holds_it(entry, form, bad,
+                                                           what):
+    # Every rank holds one bad weight, its chunk's second, as a column, as a
+    # mapping or as the chunk's own column.  Each rank refuses its own,
+    # unprefixed, before any traffic.
+    mesh = triangle_grid(8, 4)
+    tree = build_topology([("node", 2), ("core", 2)])
+    chunks = split_contiguous(mesh, 4)
+
+    def prog(ctx):
+        chunk = chunks[ctx.rank]
+        column = np.ones(chunk.n_elements)
+        column[1] = bad
+        weights = {"column": column, "own": None,
+                   "mapping": dict(zip(chunk.element_ids.tolist(),
+                                       column.tolist()))}[form]
+        if form == "own":
+            chunk = replace(chunk, weights=column)
+        with pytest.raises(ValueError) as err:
+            if entry == "hierarchical":
+                hierarchical_partition(ctx, tree, chunk, HierarchicalPlan(),
+                                       weights)
+            else:
+                rebalance(ctx, tree, chunk, 0, weights=weights)
+        return str(err.value)
+
+    rt = Runtime(tree, seed=0)
+    assert rt.run(prog) == [f"{what} weight {bad} on element "
+                            f"{ch.element_ids[1]}" for ch in chunks]
+    assert rt.ledger.phase_totals() == []
+
+
+@pytest.mark.parametrize("weights", [np.ones(3), np.ones((4, 1))],
+                         ids=["short", "2-d"])
+def test_a_weight_column_of_the_wrong_shape_is_named(weights):
+    chunk = triangle_grid(2, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{weights.shape} weights for 4 elements")):
+        partition._with_weights(chunk, weights)
 
 
 def test_rcb_heavy_point_leaves_every_part_an_element():

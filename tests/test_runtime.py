@@ -10,7 +10,8 @@ import threading
 import pytest
 
 from hierpart.runtime import (ACC_BYTES, ANY_SOURCE, ANY_TAG, DeadlockError,
-                              EpochError, ProtocolError, Runtime)
+                              EpochError, ProtocolError, Runtime,
+                              _normalize_team)
 from hierpart.topology import build_topology
 
 TREE4 = build_topology([("node", 2), ("socket", 2)])
@@ -224,6 +225,37 @@ def test_barrier_outside_team_rejected():
 
     with pytest.raises(ProtocolError, match="rank 2 in barrier"):
         Runtime(TREE4, seed=0).run(prog)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: ctx.send(5, b"x"), "destination rank 5 outside 0..1"),
+    (lambda ctx: ctx.recv(source=-2), "source rank -2 outside 0..1"),
+], ids=["send", "recv"])
+def test_a_rank_outside_the_runtime_is_named(call, message):
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        Runtime(TREE2, seed=0).run(lambda ctx: ctx.rank == 0 and call(ctx))
+
+
+def test_accumulate_to_a_target_outside_the_window_rejected():
+    def prog(ctx):
+        if ctx.rank == 0:
+            win = ctx.window((0,))
+            ctx.fence(win)
+            ctx.accumulate(win, 1)
+
+    with pytest.raises(ProtocolError, match=r"^accumulate target 1 outside "
+                                            r"window members \(0,\)$"):
+        Runtime(TREE2, seed=0).run(prog)
+
+
+@pytest.mark.parametrize("team, message", [
+    ([], "empty team"),
+    ([0, 4], r"team \(0, 4\) outside rank range 0..3"),
+    ([-1, 2], r"team \(-1, 2\) outside rank range 0..3"),
+], ids=["empty", "above", "below"])
+def test_a_bad_team_is_named(team, message):
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        _normalize_team(team, 4)
 
 
 def test_accumulate_outside_epoch_rejected():

@@ -32,6 +32,7 @@ def test_build_topology_rejects_bad_arity():
                                     r"\[name, arity\] pair"),
     ({"levels": [{"name": "node"}]}, "topology level 0 must have"),
     ({"levels": 2}, "must contain a 'levels' list"),
+    ([("", 2)], "topology level 0: name must be a non-empty string"),
 ])
 def test_build_topology_rejects_bad_shapes(spec, message):
     with pytest.raises(ValueError, match=message):

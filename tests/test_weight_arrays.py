@@ -14,6 +14,7 @@ import json
 import random
 import struct
 import threading
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,8 @@ from hierpart.balance import imbalance, load_imbalance, part_loads
 from hierpart.cli import _check_assignment
 from hierpart.formats import (FormatError, SCHEMA, load_assignment,
                               load_weights, read_assignment, read_weights)
-from hierpart.mesh import exchange_keyed_values
+from hierpart.mesh import migrate, split_chunk, split_contiguous
+from hierpart.meshgen import triangle_grid
 from hierpart.partition import _overlap_remap
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
@@ -224,36 +226,38 @@ def _run_capturing(module, prog, nranks, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), nranks=st.integers(2, 4), seed=st.integers(0, 9))
-def test_exchange_keyed_values_sends_the_dict_era_values(data, nranks, seed):
-    keys = data.draw(st.lists(st.integers(-10**12, 10**12), unique=True,
-                              max_size=30))
-    holder = [data.draw(st.integers(0, nranks - 1)) for _ in keys]
-    dest = [data.draw(st.integers(0, nranks - 1)) for _ in keys]
-    values = [data.draw(st.floats(width=64)) for _ in keys]
-
-    def mine(rank):
-        return [i for i, h in enumerate(holder) if h == rank]
+def test_migrate_sends_the_dict_era_weight_messages(data, nranks, seed):
+    # The weight round is migrate's last blind exchange: each message holds
+    # the dict-era keyed exchange's keys and value bits for the elements
+    # leaving to that rank, and each element lands with its own weight.
+    mesh = triangle_grid(3, 2)
+    n = mesh.n_elements
+    values = data.draw(st.lists(st.floats(width=64), min_size=n, max_size=n))
+    to = dict(zip(mesh.element_ids.tolist(), data.draw(
+        st.lists(st.integers(0, nranks - 1), min_size=n, max_size=n))))
+    mesh = replace(mesh, weights=np.array(values, dtype=np.float64))
+    chunks = split_contiguous(mesh, nranks)
 
     def new(ctx):
-        at = mine(ctx.rank)
-        k, v = exchange_keyed_values(
-            ctx, np.array([keys[i] for i in at], dtype=np.int64),
-            np.array([values[i] for i in at], dtype=np.float64),
-            np.array([dest[i] for i in at], dtype=np.int64))
-        return k.tolist(), v.tobytes()
+        chunk = chunks[ctx.rank]
+        got = migrate(ctx, chunk, {e: to[e] for e in chunk.element_ids.tolist()})
+        return got.element_ids.tolist(), got.weights.tobytes()
 
     def old(ctx):
-        at = mine(ctx.rank)
-        got = dict_era.exchange_keyed_values(
-            ctx, {keys[i]: dict_era.pack_one_f64(values[i]) for i in at},
-            {keys[i]: dest[i] for i in at})
-        return list(got), b"".join(got.values())
+        chunk = chunks[ctx.rank]
+        leaving = {e: w for e, w in zip(chunk.element_ids.tolist(),
+                                        chunk.weights.tolist())
+                   if to[e] != ctx.rank}
+        dict_era.exchange_keyed_values(
+            ctx, {e: dict_era.pack_one_f64(w) for e, w in leaving.items()},
+            {e: to[e] for e in leaving})
 
     got, got_sent = _run_capturing(mesh_module, new, nranks, seed)
-    want, want_sent = _run_capturing(dict_era, old, nranks, seed)
-    assert got == want
-    # Each message holds the dict-era keys and value bits, the values in
-    # one weight block.
+    _, want_sent = _run_capturing(dict_era, old, nranks, seed)
+    for rank, (ids, weights) in enumerate(got):
+        assert ids == sorted(e for e, r in to.items() if r == rank)
+        assert weights == mesh.weights[np.searchsorted(mesh.element_ids,
+                                                       ids)].tobytes()
     assert got_sent.keys() == want_sent.keys()
     for rank, outgoing in got_sent.items():
         assert outgoing.keys() == want_sent[rank].keys()
@@ -265,15 +269,31 @@ def test_exchange_keyed_values_sends_the_dict_era_values(data, nranks, seed):
             assert len(blob) == kv_f64_length(keys, values)
 
 
-def test_exchange_keyed_values_takes_any_key_order():
-    # Keys need not arrive sorted; each message and the result are.
-    def prog(ctx):
-        if ctx.rank == 0:
-            keys, dest = np.array([9, 4, 7]), np.array([1, 1, 0])
-        else:
-            keys, dest = np.array([3]), np.array([0])
-        got = exchange_keyed_values(ctx, keys, keys / 2, dest)
-        return [a.tolist() for a in got]
+def test_migrate_weights_follow_interleaved_destinations():
+    # Destinations alternate along the ids; the carve groups them, so each
+    # receiver gets its ids ascending, with their own weights.
+    mesh = replace(triangle_grid(2, 2), weights=np.arange(1.0, 9.0) / 4)
+    # Rank 2 starts empty.
+    chunks = split_chunk(mesh, mesh.element_ids // 4, 3)
+    to = {e: [1, 0, 1, 2][e % 4] for e in mesh.element_ids.tolist()}
+    sent = {}
+    real = mesh_module.exchange_keyed_values
 
-    res = Runtime(build_topology([("node", 2)]), seed=0).run(prog)
-    assert res == [[[3, 7], [1.5, 3.5]], [[4, 9], [2.0, 4.5]]]
+    def spy(ctx, outgoing, team=None):
+        sent[ctx.rank] = {d: (k.tolist(), v.tolist())
+                          for d, (k, v) in outgoing.items()}
+        return real(ctx, outgoing, team=team)
+
+    def prog(ctx):
+        chunk = chunks[ctx.rank]
+        return migrate(ctx, chunk, {e: to[e] for e in chunk.element_ids.tolist()})
+
+    with mock.patch.object(mesh_module, "exchange_keyed_values", spy):
+        res = Runtime(build_topology([("node", 3)]), seed=0).run(prog)
+    assert sent == {0: {1: ([0, 2], [0.25, 0.75]), 2: ([3], [1.0])},
+                    1: {0: ([5], [1.5]), 2: ([7], [2.0])},
+                    2: {}}
+    for rank, chunk in enumerate(res):
+        assert chunk.element_ids.tolist() == sorted(
+            e for e, r in to.items() if r == rank)
+        assert chunk.weights.tolist() == ((chunk.element_ids + 1) / 4).tolist()
