@@ -124,8 +124,9 @@ def rebalance(ctx: RankContext, tree: TopologyTree, chunk: MeshChunk,
     a mapping from element id to weight, and becomes the chunk's column;
     None keeps the chunk's own column (None for unit weights).  Returns the
     rank's new chunk and its column in the form given.  Part labels are
-    matched to the leaves already holding the bulk of each part, so a group
-    that is still balanced sees little or no element movement.  The
+    matched to the leaves already holding the bulk of each part, and a
+    group whose new split would not lower its heaviest leaf's load keeps
+    every element where it is.  The
     method and tolerance are checked as ``HierarchicalPlan`` checks them.
     """
     check_method(method)

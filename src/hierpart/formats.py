@@ -25,7 +25,7 @@ import io
 import json
 import math
 import warnings
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -71,16 +71,25 @@ def dump_doc(path, kind: str, payload: Any) -> None:
         fh.write("\n")
 
 
+@lru_cache(maxsize=1024)
+def _key_text(name: str) -> str:
+    """The JSON text of a dict key's ``str``, formatted once per key."""
+    return json.dumps(name)
+
+
 def _render(value: Any, indent: str) -> str:
     """JSON with record rows kept on one line; keys sorted, byte-stable.
-    A callable leaf is text already rendered: ``value(indent)``."""
+    A callable leaf is text already rendered: ``value(indent)``.  An exact
+    int is its ``str``, which is what ``json.dumps`` writes for it."""
+    if type(value) is int:
+        return str(value)
     if callable(value):
         return value(indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
-        rows = [f'{inner}{json.dumps(str(k))}: {_render(v, inner)}'
+        rows = [f'{inner}{_key_text(str(k))}: {_render(v, inner)}'
                 for k, v in sorted(value.items())]
         return "{\n" + ",\n".join(rows) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):

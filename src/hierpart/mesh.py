@@ -192,11 +192,20 @@ class MeshChunk:
         return len(self.element_ids)
 
     def _rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row of each node id in ``node_ids``, and whether it is there."""
+        """Row of each node id in ``node_ids``, and whether it is there.
+
+        When the sorted, distinct ids are one contiguous range, a row is
+        the id minus the first and "there" is a range test; otherwise each
+        id is searched for.  Both give an unknown id the row its search
+        would, clamped to the rows there are."""
         m = len(self.node_ids)
         if not m:
             return (np.zeros(ids.shape, dtype=np.intp),
                     np.zeros(ids.shape, dtype=bool))
+        first, last = int(self.node_ids[0]), int(self.node_ids[-1])
+        if last - first == m - 1:
+            rows = np.clip(ids, first, last) - first
+            return rows.astype(np.intp, copy=False), rows + first == ids
         rows = np.minimum(np.searchsorted(self.node_ids, ids), m - 1)
         return rows, self.node_ids[rows] == ids
 
@@ -769,17 +778,27 @@ def halo_growth(adjacency: Mapping[int, Sequence[int]],
     neighborhood; the overhead is (sum of grown sizes - N) / N * 100.
     ``adjacency`` is a DualGraph or a mapping ``DualGraph.of`` converts, and
     ``assignment`` maps its ids to parts or is an owner array aligned with
-    them.  The grown sets are one sorted array of part * N + vertex keys;
-    each layer expands only the keys the last one added.
+    them.
     """
-    if layers < 0:
+    return _halo_growths(adjacency, assignment, (layers,))[0]
+
+
+def _halo_growths(adjacency: Mapping[int, Sequence[int]],
+                  assignment: Mapping[int, int] | np.ndarray,
+                  layers: Sequence[int]) -> list[float]:
+    """``halo_growth`` for each of ``layers``, from one growth of each part
+    to the most layers asked for.  The grown sets are one sorted array of
+    part * N + vertex keys; each layer expands only the keys the last one
+    added."""
+    if min(layers) < 0:
         raise ValueError("layers must be >= 0")
     if len(assignment) == 0:
         raise ValueError("empty assignment")
     graph, owner = _graph_and_owner(adjacency, assignment)
     n = len(graph)
     grown = frontier = np.sort(owner * n + np.arange(n))
-    for _ in range(layers):
+    sizes = [n]     # the grown size after each layer
+    for _ in range(max(layers)):
         part, vertex = np.divmod(frontier, n)
         start = graph.xadj[vertex]
         counts = graph.xadj[vertex + 1] - start
@@ -790,4 +809,5 @@ def halo_growth(adjacency: Mapping[int, Sequence[int]],
         at = np.minimum(np.searchsorted(grown, reached), len(grown) - 1)
         frontier = reached[grown[at] != reached]
         grown = np.sort(np.concatenate((grown, frontier)))
-    return (len(grown) - n) / n * 100.0
+        sizes.append(len(grown))
+    return [(sizes[k] - n) / n * 100.0 for k in layers]

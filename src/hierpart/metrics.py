@@ -11,7 +11,7 @@ import numpy as np
 
 from .balance import load_imbalance, part_loads
 from .halo import HaloSchedule
-from .mesh import DualGraph, _graph_and_owner, halo_growth
+from .mesh import DualGraph, _graph_and_owner, _halo_growths
 
 # Halo bytes per shared node: one float64 value, the field the CLI's survey
 # exchange sends.
@@ -99,9 +99,9 @@ def quality_metrics(graph: DualGraph, owner: np.ndarray, nparts: int,
         "partitions": nparts,
         "edge_cut": edge_cut(graph, owner),
         "element_imbalance": load_imbalance(part_loads(owner, None, nparts)),
-        "halo_growth_pct": {
-            str(k): halo_growth(graph, owner, k) for k in GROWTH_LAYERS
-        },
+        "halo_growth_pct": dict(zip(
+            map(str, GROWTH_LAYERS),
+            _halo_growths(graph, owner, GROWTH_LAYERS))),
     }
     if weights is not None:
         out["weight_imbalance"] = load_imbalance(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -244,8 +245,7 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     if k == 1:
         return {v: 0 for v in vertices}
 
-    ends, flat = graph.xadj.tolist(), nbrs.tolist()
-    adj = [flat[ends[i]:ends[i + 1]] for i in order.tolist()]
+    adj = _neighbour_lists(graph.xadj, nbrs, order)
     seeds = _spread_seeds(adj, k - 1 if weights is None else k)
     part, load, count = [-1] * n, [0.0] * k, [0] * k
     left, lowest, remaining_weight = n, 0, sum(w)
@@ -295,6 +295,28 @@ def graph_partition(adjacency: Mapping[int, Sequence[int]],
     _refine_once(np.flatnonzero(cut_ends).tolist(), adj, part, w, load, count,
                  k, tolerance, m)
     return dict(zip(vertices, part))
+
+
+def _neighbour_lists(xadj: np.ndarray, adjncy: np.ndarray,
+                     order: np.ndarray) -> Sequence[list[int]]:
+    """The neighbour list of CSR row ``order[i]`` at index i.
+
+    The rows of one degree are gathered as one (rows, degree) array and
+    converted by one ``tolist``, so the conversion costs one call per
+    degree rather than a slice per row; one ``itemgetter`` then puts the
+    lists in ``order``."""
+    degree = np.diff(xadj)[order]
+    by_degree = np.argsort(degree, kind="stable")
+    lists: list[list[int]] = []
+    start = 0
+    for d, count in enumerate(np.bincount(degree).tolist()):
+        if count:
+            rows = order[by_degree[start:start + count]]
+            lists += adjncy[xadj[rows][:, None] + np.arange(d)].tolist()
+            start += count
+    at = np.empty(len(order), dtype=np.int64)
+    at[by_degree] = np.arange(len(order))
+    return itemgetter(*at.tolist())(lists) if len(lists) > 1 else lists
 
 
 def _bfs(adj: list[list[int]], sources: list[int], dist: list[float]) -> None:
@@ -388,6 +410,8 @@ def _refine_once(vertices, adj, part, w, load, count, k, tolerance,
 
 _WEIGHTS_NONE = 0
 _WEIGHTS_SOME = 1
+# What a leader sends itself in place of the piece it keeps.
+_KEPT = b""
 
 Weights = Mapping[int, float] | np.ndarray | None
 
@@ -483,7 +507,9 @@ def _team_partition(ctx: RankContext, team: Sequence[int], chunk: MeshChunk,
     back-end on the union, and each rank migrates its elements straight to
     their new owners.  With ``remap_overlap`` the part labels are matched to
     the ranks already holding most of each part, which keeps already-good
-    distributions in place.  Each part gets at least ``m`` elements.
+    distributions in place, and a split whose largest part load is not
+    below the largest member load today is dropped: every element stays.
+    Each part gets at least ``m`` elements.
     """
     team = tuple(sorted(team))
     if len(team) == 1:
@@ -566,14 +592,26 @@ def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
 
     # aggregate returns one payload per member, in member order.
     sizes = [len(block) for block in id_blocks]
-    if remap_overlap:
-        holder = np.repeat(np.arange(len(team)), sizes)
-        rank_of_part = _overlap_remap(part, holder, team)
+    members = np.array(team, dtype=np.int64)
+    if not remap_overlap:
+        dest = members[part]
     else:
-        rank_of_part = np.array(team, dtype=np.int64)
-    dest = rank_of_part[part]
+        holder = np.repeat(np.arange(len(team)), sizes)
+        # A split whose largest part is no lighter than the largest member
+        # load today cannot help, so every element stays where it is.
+        if _max_load(part, weights, len(team)) >= _max_load(
+                holder, weights, len(team)):
+            dest = members[holder]
+        else:
+            dest = _overlap_remap(part, holder, team)[part]
     return [_codec.pack_i64(d)
             for d in np.split(dest, np.cumsum(sizes)[:-1])]
+
+
+def _max_load(owner: np.ndarray, weights: np.ndarray | None, k: int) -> float:
+    """The largest load of parts 0..k-1: weights added in array order, or
+    element counts."""
+    return float(np.bincount(owner, weights=weights, minlength=k).max())
 
 
 def _overlap_remap(part: np.ndarray, holder: np.ndarray,
@@ -627,11 +665,12 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
                          f"split, but the hierarchy makes only {splits}")
     kind = chunk.kind
 
+    # A leader keeps its own piece as it is: it sends itself a placeholder.
     ctx.set_phase("collect")
-    gathered = aggregate(ctx, my_group, _pack_payload(chunk))
-    chunk = MeshChunk.empty(kind)
-    if gathered is not None:
-        chunk = merge_chunks(kind, map(_unpack_payload, gathered))
+    gathered = aggregate(ctx, my_group, _KEPT if ctx.rank == my_group[0]
+                         else _pack_payload(chunk))
+    chunk = MeshChunk.empty(kind) if gathered is None else merge_chunks(
+        kind, [chunk, *map(_unpack_payload, gathered[1:])])
 
     # Every split gives each child group at least one element per leaf.
     ctx.set_phase("bootstrap")
@@ -654,8 +693,8 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
 
         # The group leader carves its chunk into one group per child leader:
         # finished parts (approach 2) or equal id blocks the child leaders
-        # then partition among themselves (approach 1).
-        payloads = None
+        # then partition among themselves (approach 1).  It keeps the first
+        # piece as it is, node rows and carriers included.
         if ctx.rank == kids[0]:
             if plan.approach == 2:
                 rows = chunk.centroids()[1] if method == "rcb" else chunk.conn
@@ -665,8 +704,10 @@ def hierarchical_partition(ctx: RankContext, tree: TopologyTree,
                 subs = split_chunk(chunk, part, len(kids))
             else:
                 subs = split_contiguous(chunk, len(kids))
-            payloads = [_pack_payload(sub) for sub in subs]
-        chunk = _unpack_payload(cascade(ctx, kids, payloads))
+            chunk, *rest = subs
+            cascade(ctx, kids, [_KEPT, *map(_pack_payload, rest)])
+        else:
+            chunk = _unpack_payload(cascade(ctx, kids, None))
         if plan.approach == 1:
             chunk = _team_partition(ctx, kids, chunk, method, plan.tolerance,
                                     where, m=leaves)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from hierpart.balance import (WEIGHT_FLOOR, derive_weights, imbalance,
                               rebalance)
+from hierpart.formats import load_mesh, load_topology, load_weights
 from hierpart.mesh import merge_chunks, split_contiguous
 from hierpart.meshgen import triangle_grid
+from hierpart.partition import (HierarchicalPlan, _backend, _overlap_remap,
+                                hierarchical_partition)
 from hierpart.runtime import Runtime
 from hierpart.topology import build_topology
 
@@ -162,6 +168,69 @@ def test_rebalance_balanced_input_is_a_fixed_point():
         return len(before ^ set(after.elements))
 
     assert Runtime(tree, seed=0).run(prog) == [0, 0, 0, 0]
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def demo_rcb_start():
+    """The demo mesh on its 2x2x2 tree: each rank's chunk of the rcb
+    partition, and the tree."""
+    mesh = load_mesh(FIXTURES / "demo_mesh.json")
+    tree = load_topology(FIXTURES / "topo_2x2x2.json")
+    chunks = split_contiguous(mesh, tree.total_ranks)
+
+    def prog(ctx):
+        return hierarchical_partition(ctx, tree, chunks[ctx.rank],
+                                      HierarchicalPlan(method="rcb"))[0]
+
+    return Runtime(tree, seed=0).run(prog), tree
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_rebalance_keeps_a_group_whose_split_cannot_lower_its_peak(weighted):
+    # On the balanced rcb start, the grower's split of a node group is no
+    # lighter at its heaviest than the group's heaviest rank, so the group
+    # is left as it is; a scratch split with the overlap remap alone moved
+    # 226 of the 512 elements.
+    start, tree = demo_rcb_start()
+    given = load_weights(FIXTURES / "demo_weights.json") if weighted else {}
+    weight_of = lambda e: given.get(e, 1.0)
+    res, _ = run_rebalance(start, tree, 0, weight_of, method="graph")
+    for g in range(tree.group_count(0)):
+        group = tree.group_members(0, g)
+        loads = [[sum(map(weight_of, chunks[r].elements)) for r in group]
+                 for chunks in (start, res)]
+        moved = sum(res[r].elements != start[r].elements for r in group)
+        assert max(loads[1]) <= max(loads[0])
+        assert moved == 0 or max(loads[1]) < max(loads[0])
+    if not weighted:
+        assert [r.elements for r in res] == [r.elements for r in start]
+
+
+def test_rebalance_moves_a_group_whose_split_lowers_its_peak():
+    # Rank 0's elements weigh 4, so its node's split lowers the peak: the
+    # elements go where the overlap-matched split puts them.
+    mesh = triangle_grid(8, 4)
+    tree = build_topology([("node", 2), ("core", 2)])
+    chunks = split_contiguous(mesh, 4)
+    heavy = set(chunks[0].elements)
+    weight_of = lambda e: 4.0 if e in heavy else 1.0
+    res, _ = run_rebalance(chunks, tree, 0, weight_of)
+
+    group = merge_chunks(mesh.kind, chunks[:2])
+    weights = np.array([weight_of(e) for e in group.element_ids.tolist()])
+    part = _backend(mesh.kind, "rcb", group.element_ids,
+                    group.centroids()[1], weights, 2, 1.02, "oracle", 1)
+    holder = np.repeat([0, 1], [ch.n_elements for ch in chunks[:2]])
+    dest = _overlap_remap(part, holder, (0, 1))[part]
+    assert (dest != holder).any()
+    for r in (0, 1):
+        assert sorted(res[r].elements) == \
+            group.element_ids[dest == r].tolist()
+    # The other node's loads are equal already; it keeps its elements.
+    assert [res[r].elements for r in (2, 3)] == \
+        [chunks[r].elements for r in (2, 3)]
 
 
 def test_rebalance_leaf_level_is_a_no_op():

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import dict_era
 from hierpart.directory import block_size
-from hierpart.mesh import (KINDS, DualGraph, MeshChunk,
+from hierpart.mesh import (KINDS, DualGraph, MeshChunk, _halo_growths,
                            adjacency_from_elements, build_dual_graph,
                            halo_growth, kind_info)
 from hierpart.meshgen import tet_box, triangle_grid
@@ -200,6 +200,16 @@ def test_quality_block_equals_the_dict_era(case, data):
         for key in ("element_imbalance", "weight_imbalance"):
             if key in want:
                 assert bits(got[key]) == bits(want[key])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=owned_graphs(), layers=st.lists(st.integers(0, 3), min_size=1,
+                                            max_size=4))
+def test_one_growth_pass_gives_each_layer_count_bit_for_bit(case, layers):
+    graph, _, owner = case
+    got = _halo_growths(graph, owner, layers)
+    assert list(map(bits, got)) == \
+        [bits(halo_growth(graph, owner, k)) for k in layers]
 
 
 def test_halo_growth_rejects_what_the_dict_era_rejected():

@@ -292,6 +292,34 @@ def test_render_rows_hand_cases(rows):
     assert _render({"rows": rows}, "") == oracle_render({"rows": rows}, "")
 
 
+# Any int or float, NaN and the infinities included, and keys that need
+# escapes or are not strings; the keys of one dict share a type, so they
+# sort.
+_ANY_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(max_size=4))
+_KEY_TYPES = (st.text(alphabet='"\\\n\t\x00é\U0001f600ab/', max_size=4),
+              st.integers(), st.floats(allow_nan=False), st.booleans())
+_ANY_VALUES = st.recursive(
+    _ANY_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.one_of([st.dictionaries(keys, inner, max_size=4)
+                                for keys in _KEY_TYPES])),
+    max_leaves=20)
+
+
+@given(value=_ANY_VALUES)
+def test_render_formats_scalars_and_keys_as_plain_json(value):
+    assert _render(value, "  ") == oracle_render(value, "  ")
+
+
+def test_render_keys_that_hash_alike_keep_their_own_text():
+    # 1, 1.0 and True are equal dict keys, but each has its own str.
+    for key, text in [(1, '"1"'), (True, '"True"'), (1.0, '"1.0"'),
+                      (1, '"1"')]:
+        assert _render({key: True}, "") == "{\n  " + text + ": true\n}"
+
+
 def test_integer_coordinates_and_weights_load_as_floats(tmp_path):
     mesh = triangle_grid(2, 1)
     payload = mesh_payload(mesh)

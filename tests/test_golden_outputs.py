@@ -593,13 +593,13 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     'rebalance-graph': {
         'assignment.json':
-            'bf213f0db99c44f53ac8a4528adcabaafd9a41682ba0ce6de1aed6f41c37e4ce',
+            '1a28c9b421f9b231fcdb4be104403f6a386157c91609e5327abb6c95a4ccce0c',
         'balance.csv':
             'a52d659f05e7f524decddc57b5f78d99c13258d568910dd5dfaf5430c399eb81',
         'levels.csv':
-            'ec5d27554c42cd829de638a62ebfaa10270c8bf657e3bab2b62bc32e4cd3ca49',
+            'b0a15b377522ac2c4f223b0a798527681109acc6d4d4b1f499df6f840c3e329d',
         'report.json':
-            'b4c91ae5fd407629e0ec800a71a40ab3d1e4db8598db278e848506f18a48b216',
+            '4294f188b99ba6e02a6c1789eb295d0056c973ca391ceb31fbb77f8686cc5f1d',
     },
     'metrics': {
         'levels.csv':
@@ -759,23 +759,23 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     'frac-rebalance-graph-l0': {
         'assignment.json':
-            '9b305eca4dc0a18764b318fbebfba3412760bb67eadd4f9c862e85563fd361ee',
+            '2875be837ac2e48ae3029904322a44eafe15b9f4382967d16b2dd258f8181687',
         'balance.csv':
-            '1433574a856920e99a3d70e8702fc2ab2d2bd3a50adb3770d72d41c243bd8c68',
+            'ad9d27fe4d1a374dcc877085f0fb2af25b072a727ee59f62490500fdc38769df',
         'levels.csv':
-            'b86f34fe7a360723f044775274e75693ad1355f2ab4df1dc6b6f73bd07d92f29',
+            '96a27b14823da47bb8f70ad03453c9d5caf8b5352e44b9806dc235ed1c720732',
         'report.json':
-            '1e679049da79d56c9d47a38fde0c20b97879fcfafa07f4b50c9b9b28f61ac777',
+            'bfb655887604bd5deda9e682778350d15c1a00b32fb4dd77b12931c129df80c7',
     },
     'frac-rebalance-graph-l1': {
         'assignment.json':
-            'f7f59dfc831c044fa4d434f1c53471432a94c88044cbe52f36661da5706cf5d3',
+            '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'balance.csv':
-            'dfa51e59eda49f74795f86a3d9c8070c778afef239bf25b72a81507c08f6b723',
+            '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            'ce75bc9af0a30ac55600fc0df303d88ec5d1fe4093d20fad06df24a27e8b0912',
+            '13073c4bbc9543bde37339dad64d068d7c54c679dda5ab17a08fb9f228bef63c',
         'report.json':
-            'c2c181f71d26351d176c14d609c7c8e62ee48586990622f0090b2f1439376449',
+            'dcf1bf92ed3ce0c8f0602984999f76d2ce24e32578ad8917151fdc81a179e4bb',
     },
     'frac-metrics': {
         'levels.csv':
@@ -853,13 +853,13 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
     'tet-node-core-rebalance-graph-l0': {
         'assignment.json':
-            '3ec53ae04a0aada711c1a08d19d446ce5fb4135920ea91918c26690cd393893d',
+            '7070d24119e84b4f23d5f7652234a353261fc144efb9405900862238dafe27e1',
         'balance.csv':
-            '7e63f559d1414ab0e0f96acdb3d4829969b08616e9b5490e1f49aedad2a964d7',
+            'd759c8866754bcd203e519d254e5fdd19e26bc9a35b5e21858348b0699c0b51c',
         'levels.csv':
-            'eb34ed7984cf6ac67d2ec422a8022f30062e31e1e761ae9fe537f612efb1066a',
+            'd4d3dd79e103aefcd894f5d9527d2a539c808674b74505149848075823e112de',
         'report.json':
-            '49b6bd266883d1b5323ee80e81479491e06674608783726c81fe7c89f2c4ea24',
+            '29a862f62e72479a0b9db78e70df81729632805beb1b70ce2fa3280b068f05f8',
     },
     'tet-node-core-rebalance-graph-l1': {
         'assignment.json':

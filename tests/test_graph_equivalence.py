@@ -350,3 +350,33 @@ def test_asymmetric_adjacency_names_first_pair_in_sorted_order():
     with pytest.raises(ValueError, match=r"not symmetric at edge \(5, 10\)"):
         graph_partition(masked, None, 1)
     assert_same(masked, None, 1)
+
+
+@st.composite
+def csr_rows(draw):
+    """CSR rows of up to 20 vertices, some of degree 0, and an order to list
+    them in."""
+    degrees = draw(st.lists(st.integers(0, 5), min_size=1, max_size=20))
+    n = len(degrees)
+    xadj = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    adjncy = np.array(draw(st.lists(st.integers(0, n - 1),
+                                    min_size=int(xadj[-1]),
+                                    max_size=int(xadj[-1]))), dtype=np.int64)
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return xadj, adjncy, order
+
+
+@given(case=csr_rows())
+def test_neighbour_lists_per_degree_equal_per_vertex_slices(case):
+    xadj, adjncy, order = case
+    want = [adjncy[xadj[i]:xadj[i + 1]].tolist() for i in order.tolist()]
+    assert list(partition._neighbour_lists(xadj, adjncy, order)) == want
+
+
+def test_descending_ids_with_an_isolated_element_match_the_oracle():
+    # Ids descend, so the grower lists rows through the argsort; 4 has no
+    # neighbour, so one degree group is empty rows.
+    adjacency = {9: [8, 7], 8: [9, 6], 7: [9, 6], 6: [8, 7], 4: []}
+    for k in (2, 3):
+        assert_same(adjacency, None, k)
+        assert_same(adjacency, {v: 1.0 + v % 3 for v in adjacency}, k)

@@ -170,3 +170,35 @@ def test_dense_node_ids_still_reject_unknown_references():
         with pytest.raises(ValueError, match=f"boundary face 0 \\(tag 1\\) "
                                              f"references unknown node {bad}"):
             chunk.validate()
+
+
+@st.composite
+def node_id_queries(draw):
+    """Sorted distinct node ids, one contiguous range or with gaps, near
+    int64's ends or not, and ids to look up: known ones and unknown ones
+    below, inside and above the range."""
+    first = draw(st.sampled_from([0, -7, 2**62, -2**63]))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), max_size=12))
+    ids = first + np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
+    if draw(st.booleans()):
+        ids = np.arange(first, first + len(ids), dtype=np.int64)
+    lo, hi = int(ids[0]), int(ids[-1])
+    queries = draw(st.lists(st.integers(max(lo - 3, -2**63),
+                                        min(hi + 3, 2**63 - 1)),
+                            max_size=20))
+    return ids, np.array(queries, dtype=np.int64).reshape(-1, 2) \
+        if len(queries) % 2 == 0 else np.array(queries, dtype=np.int64)
+
+
+@given(case=node_id_queries())
+def test_node_rows_by_range_equal_the_search(case):
+    ids, queries = case
+    chunk = MeshChunk("triangle", np.zeros(0, np.int64),
+                      np.zeros((0, 3), np.int64), ids,
+                      np.zeros((len(ids), 2)), np.zeros(0, np.int64),
+                      np.zeros((0, 2), np.int64))
+    rows, found = chunk._rows(queries)
+    want = np.minimum(np.searchsorted(ids, queries), len(ids) - 1)
+    assert rows.dtype == np.intp and rows.shape == queries.shape
+    assert rows.tolist() == want.tolist()
+    assert found.tolist() == (ids[want] == queries).tolist()

@@ -615,6 +615,33 @@ def test_hierarchical_weighted_balance():
 
 
 @pytest.mark.parametrize("bpl", [0, 1])
+@pytest.mark.parametrize("method", ["rcb", "graph"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_leader_never_packs_its_own_piece(bpl, method, weighted):
+    # Approach 2 sends mesh payloads only at collect and in the level
+    # phases, one message each; every _pack_payload call is one of them.
+    mesh = triangle_grid(8, 8)
+    tree = build_topology([("node", 2), ("socket", 2), ("core", 2)])
+    weights = {e: 1.0 + e % 3 for e in mesh.elements} if weighted else None
+    packed = []
+
+    def spy(chunk):
+        packed.append(chunk.n_elements)
+        return _pack_payload(chunk)
+
+    plan = HierarchicalPlan(bootstrap_level=bpl, method=method)
+    with mock.patch.object(partition, "_pack_payload", spy):
+        res, rt = run_hierarchical(mesh, tree, plan, weights)
+    sent = sum(row["messages"] for row in rt.ledger.phase_totals()
+               if row["phase"] == "collect" or row["phase"].startswith("level"))
+    assert len(packed) == sent
+    # Rank 0 leads at every level, so it ends with the first piece of the
+    # last split as split_chunk carved it, its node rows already found.
+    assert res[0]._conn_rows is not None
+    assert sorted(e for r in res for e in r.elements) == sorted(mesh.elements)
+
+
+@pytest.mark.parametrize("bpl", [0, 1])
 @pytest.mark.parametrize("as_array", [False, True])
 def test_hierarchical_gives_weights_back_in_the_form_given(bpl, as_array):
     # Every rank, the group leaders included, gets a dict keyed by its final
@@ -848,7 +875,8 @@ def test_rcb_team_split_equals_the_split_of_the_members_centroids(case):
     got, (rows, _) = run_team_assignment(team, chunks, remap, seed)
 
     # The oracle: the back-end on the members' own centroids, in member
-    # order, then the same part-to-rank match.
+    # order, then the same part-to-rank match; with the remap, a split whose
+    # largest part is no lighter than the largest member keeps every element.
     centroids = np.concatenate([c.centroids()[1] for c in chunks])
     assert rows.tobytes() == centroids.tobytes()
     weights = None if chunks[0].weights is None else \
@@ -860,7 +888,12 @@ def test_rcb_team_split_equals_the_split_of_the_members_centroids(case):
     holder = np.repeat(np.arange(len(team)), sizes)
     rank_of_part = _overlap_remap(part, holder, team) if remap else \
         np.array(team)
-    want = np.split(rank_of_part[part], np.cumsum(sizes)[:-1])
+    dest = rank_of_part[part]
+    k = len(team)
+    if remap and (np.bincount(part, weights, k).max()
+                  >= np.bincount(holder, weights, k).max()):
+        dest = np.array(team)[holder]
+    want = np.split(dest, np.cumsum(sizes)[:-1])
     assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
