@@ -143,9 +143,9 @@ def co_holders(ctx: RankContext, keys: Sequence[int], key_space: int,
     """The keys this rank holds together with each other rank.
 
     Collective over the team.  ``keys`` may repeat and take any array
-    shape.  Each rank checks its distinct keys and hands them to its node's
-    leader, the lowest team rank on its level-0 vertex, over the copy
-    channel.  The leaders run one ``_ask_owners`` round of
+    shape.  Each rank checks its distinct keys and hands them, in gap form,
+    to its node's leader, the lowest team rank on its level-0 vertex, over
+    the copy channel.  The leaders run one ``_ask_owners`` round of
     (key, holder) rows, in which each owner answers a leader with every
     holder on other nodes of the keys it sent, and then hand each rank of
     their node its (key, other holder) pairs back.  Returns {other rank:
@@ -163,12 +163,12 @@ def co_holders(ctx: RankContext, keys: Sequence[int], key_space: int,
     vertex = ctx.tree.group_index(ctx.rank, 0)
     leader = int(leaders[vertex])
     if ctx.rank != leader:
-        ctx.copy_to(leader, _codec.pack_i64(mine), _TAG_SURVEY)
+        ctx.copy_to(leader, _codec.pack_gaps(mine), _TAG_SURVEY)
         pairs = _codec.unpack_i64(ctx.copy_from(leader, _TAG_SURVEY))
         return CoHolders(_by_holder(pairs.reshape(-1, 2)), leaders)
 
     members = ranks[vertices == vertex].tolist()
-    held = [mine] + [_codec.unpack_i64(ctx.copy_from(m, _TAG_SURVEY))
+    held = [mine] + [_codec.unpack_gaps(ctx.copy_from(m, _TAG_SURVEY))
                      for m in members[1:]]
     rows = np.stack([np.concatenate(held),
                      np.repeat(members, [len(h) for h in held])], axis=1)

@@ -71,8 +71,9 @@ class MeshChunk:
     down to its sub-chunks, so a carved chunk carves again without
     searching for either.  They are not init fields: the constructor and
     ``dataclasses.replace`` start without them, so a chunk built from other
-    arrays derives them afresh, and they stay out of ``==``, ``repr`` and
-    the wire form.
+    arrays derives them afresh, and they stay out of ``==`` and ``repr``.
+    On the wire the node rows are the encoding of the connectivity, so an
+    unpacked chunk holds them; carriers are still derived.
     """
 
     kind: str
@@ -204,7 +205,7 @@ class MeshChunk:
                     np.zeros(ids.shape, dtype=bool))
         first, last = int(self.node_ids[0]), int(self.node_ids[-1])
         if last - first == m - 1:
-            rows = np.clip(ids, first, last) - first
+            rows = np.minimum(np.maximum(ids, first), last) - first
             return rows.astype(np.intp, copy=False), rows + first == ids
         rows = np.minimum(np.searchsorted(self.node_ids, ids), m - 1)
         return rows, self.node_ids[rows] == ids
@@ -253,11 +254,18 @@ def gather_mean(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Centroid of each (elements, nodes per element) row of indices into
     ``coords``.
 
-    One gather-mean over the row array; it sums each element's nodes in
-    connectivity order, so every centroid equals ``np.mean`` of that
-    element's coordinates bit for bit, whoever computes it.
+    One connectivity column is gathered at a time and added, in
+    connectivity order, to a sum that starts at +0.0, then the sum is
+    divided once by the count, as ``np.mean`` of each element's coordinates
+    adds and divides them: every centroid equals it bit for bit (a sum of
+    -0.0s too), whoever computes it, without the (elements, nodes per
+    element, dim) gather.
     """
-    return coords[rows].mean(axis=1)
+    total = np.zeros((len(rows), coords.shape[1]), dtype=coords.dtype)
+    for column in rows.T:
+        total += coords[column]
+    total /= rows.shape[1]
+    return total
 
 
 def reference_problem(elements: Iterable[tuple[int, tuple]],
@@ -571,26 +579,64 @@ def merge_chunks(kind: str, chunks: Iterable[MeshChunk]) -> MeshChunk:
 # -- wire form ----------------------------------------------------------------
 
 def pack_chunk(chunk: MeshChunk) -> bytes:
-    """The chunk's geometry; the weight column is not part of it."""
-    i64, f64 = _codec.pack_i64, _codec.pack_f64
+    """The chunk's geometry; the weight column is not part of it.
+
+    The sorted id columns (element ids, node ids, boundary tags) travel in
+    gap form, and the element and boundary connectivity as rows of the
+    chunk's own node list, whose span is at most the node ids'.  A chunk
+    with an element or boundary node missing from its node list is refused.
+    """
+    gaps, i64 = _codec.pack_gaps, _codec.pack_i64
+    rows = chunk._node_rows()
+    brows, found = chunk._rows(chunk.boundary_conn)
+    if not found.all():
+        i, j = np.argwhere(~found)[0]
+        raise ValueError(f"boundary face {i} (tag {chunk.boundary_tags[i]}) "
+                         f"references unknown node "
+                         f"{chunk.boundary_conn[i, j]}")
     return _codec.pack_blocks([
         i64([kind_info(chunk.kind)[0]]),
-        i64(chunk.element_ids), i64(chunk.conn),
-        i64(chunk.node_ids), f64(chunk.coords),
-        i64(chunk.boundary_tags), i64(chunk.boundary_conn),
+        gaps(chunk.element_ids), i64(rows),
+        gaps(chunk.node_ids), _codec.pack_f64(chunk.coords),
+        gaps(chunk.boundary_tags), i64(brows),
     ])
 
 
+def _unpack_node_rows(data: bytes, width: int, node_ids: np.ndarray,
+                      what: str) -> np.ndarray:
+    """The (rows, width) rows of ``node_ids`` a ``pack_chunk`` block holds;
+    a ragged block, or a row outside ``node_ids``, raises ValueError naming
+    ``what`` and the bad row."""
+    nodes = len(node_ids)
+    flat = _codec.unpack_i64(data)
+    if len(flat) % width:
+        raise ValueError(f"malformed {what}: row {len(flat) // width} holds "
+                         f"{len(flat) % width} of {width} nodes")
+    rows = flat.reshape(-1, width)
+    if len(flat) and not (0 <= flat.min() and flat.max() < nodes):
+        i, j = np.argwhere((rows < 0) | (rows >= nodes))[0]
+        raise ValueError(f"malformed {what}: row {i} names node row "
+                         f"{rows[i, j]} of {nodes}")
+    return rows.astype(np.intp, copy=False)
+
+
 def unpack_chunk(data: bytes) -> MeshChunk:
+    """The chunk ``pack_chunk`` packed, holding its connectivity's node
+    rows as ``_node_rows``, so it carves and takes centroids without a
+    node search."""
     (code_raw, eids_raw, conn_raw, nids_raw, coords_raw,
      tags_raw, bconn_raw) = _codec.unpack_blocks(data)
     kind = _KIND_BY_CODE[_codec.unpack_one_i64(code_raw)]
     _, dim, npe, npf = kind_info(kind)
-    i64 = _codec.unpack_i64
-    return MeshChunk(kind, i64(eids_raw), i64(conn_raw).reshape(-1, npe),
-                     i64(nids_raw),
-                     _codec.unpack_f64(coords_raw).reshape(-1, dim),
-                     i64(tags_raw), i64(bconn_raw).reshape(-1, npf))
+    gaps = _codec.unpack_gaps
+    nids = gaps(nids_raw)
+    rows = _unpack_node_rows(conn_raw, npe, nids, f"{kind} connectivity")
+    brows = _unpack_node_rows(bconn_raw, npf, nids, f"{kind} boundary")
+    chunk = MeshChunk(kind, gaps(eids_raw), nids[rows], nids,
+                      _codec.unpack_f64(coords_raw).reshape(-1, dim),
+                      gaps(tags_raw), nids[brows])
+    chunk._conn_rows = rows
+    return chunk
 
 
 # -- distributed operations -------------------------------------------------------

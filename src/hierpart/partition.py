@@ -529,11 +529,12 @@ def _team_assignment(ctx, team, chunk, method, tolerance, where,
     summary goes to the team leader, which runs the back-end on the union
     and replies to each rank.
 
-    The summary is the element ids, the rows the back-end reads and the
-    weights.  For graph the rows are the connectivity.  For rcb they are the
-    chunk's coordinates and its connectivity as rows of them, from which the
-    leader computes the centroids: a 768-tet chunk of a tet box holds about
-    225 nodes, so this takes 8,505 bytes against the centroids' 18,432.
+    The summary is the element ids in gap form, the rows the back-end reads
+    and the weights.  For graph the rows are the connectivity.  For rcb they
+    are the chunk's coordinates and its connectivity as rows of them, from
+    which the leader computes the centroids: a 768-tet chunk of a tet box
+    holds about 225 nodes, so this takes 8,505 bytes against the centroids'
+    18,432.
     """
     if method == "rcb":
         rows = _codec.pack_blocks([_codec.pack_f64(chunk.coords),
@@ -541,7 +542,7 @@ def _team_assignment(ctx, team, chunk, method, tolerance, where,
     else:
         rows = _codec.pack_i64(chunk.conn)
     gathered = aggregate(ctx, team, _codec.pack_blocks([
-        _codec.pack_i64(chunk.element_ids), rows,
+        _codec.pack_gaps(chunk.element_ids), rows,
         _codec.pack_weights([] if chunk.weights is None else chunk.weights),
     ]))
     replies = None
@@ -582,7 +583,7 @@ def _leader_assign(gathered, team, kind, has_weights, method, tolerance,
     member's reply is the new owner of each of its elements, in the order
     the member sent them."""
     blocks = [_codec.unpack_blocks(payload) for payload in gathered]
-    id_blocks = [_codec.unpack_i64(b[0]) for b in blocks]
+    id_blocks = [_codec.unpack_gaps(b[0]) for b in blocks]
     ids = np.concatenate(id_blocks)
     rows = _unpack_rows(kind, method, [b[1] for b in blocks])
     weights = np.concatenate([_codec.unpack_weights(b[2]) for b in blocks]) \

@@ -4,8 +4,10 @@ Before chunks were stored as arrays, ``MeshChunk`` was a dict of node
 tuples, a dict of element tuples and a list of (tag, face) pairs, and every
 kernel looped over them in Python.  The code below is that version, with
 the class renamed ``DictChunk``: the array kernels must give the same
-chunks, bytes, graphs and error messages.  ``dict_chunk`` converts an array
-chunk through its record views.
+chunks, graphs and error messages.  Its ``pack_chunk`` sends every integer
+column in frame-of-reference form and the connectivity as node ids; the
+array wire form must decode to the same records in no block longer than
+it.  ``dict_chunk`` converts an array chunk through its record views.
 
 The second part keeps the dict-era weight and owner code: the loaders of
 assignment and weights documents, the part loads and imbalance, the

@@ -1,5 +1,5 @@
-"""Wire packing: array packers, weight columns, one-value codecs and
-key/value blocks."""
+"""Wire packing: array packers, gap blocks, weight columns, one-value
+codecs and key/value blocks."""
 
 from __future__ import annotations
 
@@ -65,6 +65,66 @@ def test_an_unknown_width_is_refused():
         _codec.unpack_i64(b"\x03" + bytes(8) + bytes(3))
 
 
+# Non-decreasing int64 columns: repeats, and runs reaching both extremes.
+SORTED = st.lists(I64 | st.sampled_from([-2**63, 2**63 - 1, 0]),
+                  max_size=40).map(sorted)
+
+
+def assert_gaps_round_trip(values):
+    data = _codec.pack_gaps(np.array(values, dtype=np.int64))
+    back = _codec.unpack_gaps(data)
+    assert back.dtype == np.int64 and back.tolist() == list(values)
+    assert len(data) == gap_block_length(values)
+    return data
+
+
+@given(values=SORTED)
+def test_gap_blocks_round_trip(values):
+    data = assert_gaps_round_trip(values)
+    # The largest gap is at most the span, and the first value has none.
+    assert len(data) <= len(_codec.pack_i64(values))
+    assert _codec.pack_gaps(iter(values)) == data
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [-2**63], [2**63 - 1], [-2**63, 2**63 - 1], [5] * 7,
+    [-2**63, -2**63, 0, 2**63 - 1, 2**63 - 1]])
+def test_gap_extremes_round_trip(values):
+    data = assert_gaps_round_trip(values)
+    assert (data == b"") == (values == [])
+
+
+@given(first=I64, gaps=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+       edge=st.sampled_from(EDGES))
+def test_gap_blocks_take_the_narrowest_width_of_their_largest_gap(
+        first, gaps, edge):
+    largest, width = edge
+    # Gaps up to the largest, as many as int64 holds after the first value.
+    steps, total = [largest], largest
+    for g in gaps:
+        if total + g % (largest + 1) > 2**64 - 1:
+            break
+        steps.append(g % (largest + 1))
+        total += steps[-1]
+    first = max(-2**63, min(first, 2**63 - 1 - total))
+    values = [first]
+    for step in steps:
+        values.append(values[-1] + step)
+    data = assert_gaps_round_trip(values)
+    assert data[0] == width
+    assert len(data) == 9 + width * len(steps)
+
+
+def test_a_descending_gap_column_is_refused():
+    with pytest.raises(ValueError, match=r"value 2 \(3\) below 4"):
+        _codec.pack_gaps([1, 4, 3])
+
+
+def test_a_gap_block_of_an_unknown_width_is_refused():
+    with pytest.raises(ValueError, match="width 3"):
+        _codec.unpack_gaps(b"\x03" + bytes(8) + bytes(3))
+
+
 @given(x=I64)
 def test_one_i64_unpacks_from_a_one_element_array(x):
     back = _codec.unpack_one_i64(_codec.pack_i64([x]))
@@ -88,10 +148,21 @@ def weight_block_length(values) -> int:
     return 9 + width * len(values)
 
 
+def gap_block_length(values) -> int:
+    """Exact size of a ``pack_gaps`` block: nothing when empty, else a width
+    byte, the first value and one gap per later value, in the narrowest
+    width that holds the largest gap."""
+    if not len(values):
+        return 0
+    largest = max((b - a for a, b in zip(values, values[1:])), default=0)
+    width = next(w for w in (1, 2, 4, 8) if largest < 1 << 8 * w)
+    return 9 + width * (len(values) - 1)
+
+
 def kv_f64_length(keys, values) -> int:
     """Exact size of a ``pack_kv_f64`` message: the block count, then the
-    keys' block and the values' weight block, each with its length."""
-    return 8 + 8 + len(_codec.pack_i64(keys)) + 8 + \
+    keys' gap block and the values' weight block, each with its length."""
+    return 8 + 8 + gap_block_length(list(keys)) + 8 + \
         weight_block_length(values)
 
 
@@ -165,9 +236,10 @@ def test_an_empty_weight_column_packs_to_no_bytes():
 @given(x=st.floats(width=64))
 def test_one_f64_round_trips_in_ten_bytes(x):
     # A weight travels as one value of a pack_kv_f64 message: a one-value
-    # weight block is a width byte, the value's bits and one offset byte.
+    # weight block is a width byte, the value's bits and one offset byte,
+    # and a one-key gap block a width byte and the key.
     data = _codec.pack_kv_f64(np.array([7]), np.array([x]))
-    assert len(data) == kv_f64_length([7], [x]) == 44
+    assert len(data) == kv_f64_length([7], [x]) == 43
     keys, back = _codec.unpack_kv_f64(data)
     assert keys.tolist() == [7]
     assert back.tobytes() == _codec.pack_f64([x])  # sign of zero and NaN bits kept
@@ -184,9 +256,9 @@ def test_one_value_packers_take_numpy_scalars_and_ints():
 
 
 def test_a_kv_f64_message_with_unequal_lengths_is_refused():
-    data = _codec.pack_blocks([_codec.pack_i64([1, 2]),
+    data = _codec.pack_blocks([_codec.pack_gaps([1, 2]),
                                _codec.pack_weights([1.0])])
-    assert len(data) == 8 + 8 + 11 + 8 + 10
+    assert len(data) == 8 + 8 + 10 + 8 + 10
     with pytest.raises(ValueError, match="2 keys, 1 values"):
         _codec.unpack_kv_f64(data)
 

@@ -345,7 +345,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            'd1baba9ee2b0c4b9e6a70805e307ec93f3ca5c3787f126978994e48343844912',
+            'dec0ee8f66157098af493890d4c8d289ef6db28ac64e7198e9cb748b013ff106',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -355,13 +355,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            '06ed1ca3cd9cce318246a1ce94487d09b0372b7181b0c40e04eef44ef426b736',
+            'd0106efe28a54661fbdb45d138587dad27702dbfb76b28ff3ea2a130d2c714f9',
     },
     'partition-topo_2x2-rcb-a2': {
         'assignment.json':
             'd2b122ad963745312e541385eb633c420d0c7b8d27e3a13b78fc8042e0b967ed',
         'levels.csv':
-            '84fb69e181c0b4b4b19d6f3f6f8fa0cd531292cad297852c86e47bc57bd4d7dd',
+            '24f0ab391fdbf8d759251fdeb8517fbeffea48327d73070b0c8391397a41233d',
         'part-0000.json':
             '75213763bdd6db45e4f3df0c3c2a48c88640fbb859f6c6642d021a3b37e27fbb',
         'part-0001.json':
@@ -371,13 +371,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'd3171059e4ce68a349e87c623fed4c40d035d57c8e2f6fbe18f7c855f70582b0',
         'report.json':
-            'b3267488f8adc44e07c890102f46cc4874c5f80e5fdcf7e5d44637b5fef78d23',
+            '08544f935f8b67d7d09c4e96d09fbe959f953b5a909c2103f23f9b110a0a2b4c',
     },
     'partition-topo_2x2-graph-a1': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            '4d13724d23f3d134bdcb6b4c97d2a0b68d245fe27a8c78acd081c42165d95f1f',
+            '17dc6f670fc8493994dc6829b46fa6e8e2c2ef18830cdc95d06ae27af4756d5b',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -387,13 +387,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '5697b8d613587562e1415c56862345f3061f1b5d3518bb53d5880fb496b9addb',
+            'df8eb2780be135118e352ccab1e034e3994f4d4bd18b1fbd6af749ad06c7d053',
     },
     'partition-topo_2x2-graph-a2': {
         'assignment.json':
             '710f6fffdafb866b9f6538adb8f1d867abc733cd0de5322b5c0cbe9b6d029e9b',
         'levels.csv':
-            'f7619d3d83739d877aabee6cdd421782ea7263f485b4f7d536dd8b055152bc94',
+            '26fc9e26219ffae5d7de3b0fe0b4d7bdcbcf8feed4a1c2f5cc6617e3b1a07951',
         'part-0000.json':
             '9e28f5a13faa46b56e226879b65c9278aa463ed36d9394e04ffee24e44f3ce20',
         'part-0001.json':
@@ -403,13 +403,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             '4e71067d89804df9bd1b77e8412a07ad99d20413e08422736251e9a476b8ba55',
         'report.json':
-            '68fafe83f858bb888faf4500d35911be008d02c7f1a8b19d712df14aec1fd0e0',
+            '816d5ea9bf27f2ecdc452313da6e2f3d2fcbc4bda3471167c1d05c5d44f3121f',
     },
     'partition-topo_2x2-graph,rcb-a1': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '91a7c6f9bd16660a5e01443acb54fd3e1187ee5304864c968a1a4cb63b541d48',
+            'f2dbfc01379c1c9236e98f96f280c15e28c438b025a47869ea94dfe192945865',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -419,13 +419,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            '507ef341f30a78220f479f368e2db81f51af78dcca1f8441cf4d81113ef509e9',
+            'c0d1ef876a6ef7cc933bff3507c444e5f5dcae37bd0c709ab7aa420889b2128b',
     },
     'partition-topo_2x2-graph,rcb-a2': {
         'assignment.json':
             'ef6f05e59618583c4093f9384c7769daaa7d2029b4d0730dd29d680b223c7e69',
         'levels.csv':
-            '4629946302471fb996f29d8485302316b0f07e10ca49d272de81b295f30b18d5',
+            '705b3a24f4cfcd45b580a6bfd24cff9fd1bf215ab4bf552bac1df67a4fb4dd87',
         'part-0000.json':
             '075ec7115d4d1ed6edae4272b791baccdc9d3ebb92beb88e4e479ca2bec24880',
         'part-0001.json':
@@ -435,13 +435,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0003.json':
             'cb82612ebd1535395b2f763e7a75b1ccd43248fd94c6f08346828c86f4301a4e',
         'report.json':
-            '0a7ac31e0fe069eb97aa537ea41b59ffa06b9512554889548215da7a870042a6',
+            'be28dd02c1c06e7bf2d7befde74fb97334d00c8735d78ac4f5488c3ab0a84895',
     },
     'partition-topo_2x2x2-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '9be505edc015c9afc53f4e583641fd99bfa1aba8fe189f316a7dcffb24f5b70d',
+            'a3317d1b695fd0cfa3d9baffdc3df0557ae0f1b7c066f986acc0de119069d32c',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -459,13 +459,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            'cadeb3a93bebf164b8d5c9dbe3cf302ec706925daa3eb6de4e58d72415f13b44',
+            'a6abc09311a5ce517a6230d61ac77b0174b526828511da51fb6b2e6fc80d7955',
     },
     'partition-topo_2x2x2-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            'a2069904841f6eab99a54b6f5fd5343d03e1c7d6dbdc3212d76cc7e7eecdbb77',
+            '0c30b866ac1227142ef9dface37d2e831fb2c9ceb8a104275dcad948fb691613',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -483,13 +483,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '9c0cf71dc539c67e97653b66bf957e237ff58c50b3f860d9ddb1dc18b4924b0e',
+            '416f929ba23e4e42387d82e4d85cdb9848af1feb0e31b42524428c426a2f9696',
     },
     'partition-topo_2x2x2-graph-a1': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            'dd3885fdb20e3b27513e5a9770105ced8a80437af095d756595e5674073269f9',
+            '5c4867603c97987d511a185377e8561650cb35ad0f70a2af9b12e7ebf4dc57ea',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -507,13 +507,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            '49bd08355e291bb3a7317ff486fb2425ce12a15d006123ea727119deb4b59de9',
+            'd4d9cf800297d8a0b5cea18f1ee1538c9d3cf6b057b4731f9c967458dd0aa3f4',
     },
     'partition-topo_2x2x2-graph-a2': {
         'assignment.json':
             'dc78febfb037bd6a13fd8b0f6e9153ee2fffcacd23c668a998325907874bf278',
         'levels.csv':
-            'a88361098d8f74c7d145d032df489101fa80d2fa1383ee721403bcd00f44fb16',
+            '28d2e36f00b8d25cefacde7af58e5dd59f74ccc576323e15a79bc3c8aed2a52a',
         'part-0000.json':
             '02fd2bd338a649afc82c1d3cbe8a8ad14446cb31efc83155824cb094d24a2020',
         'part-0001.json':
@@ -531,13 +531,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '4b797911d8befaffb2d16b88ad4addc3ded773df93a70362a51cf310a2aa6801',
         'report.json':
-            '27ddf1b911397d8528dc238c0317abcf6df80362d60621528b5ea297036dde69',
+            'd0c8d6ce29d2dc52c4b41708df87ff6e9d358eda40b5d5c58bede5a9ce9f6100',
     },
     'partition-topo_2x2x2-graph,rcb-a1': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            '6748e731b031160a0629cb3688c496bb3a2330d07480fe64f0286d3402e42835',
+            '8d5efb06502de755d6b86c51b7d6b525f623bb685b0d22d20c9a40e33b9f2cf6',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -555,13 +555,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            '11a4076c874ac5ac4f72cb13793b851052488cfeeb611b8809e57f4c914202e5',
+            '7a7453366e65bf33d43bad658f2d662626e94a97dd4941f50a624772a0d8e0d1',
     },
     'partition-topo_2x2x2-graph,rcb-a2': {
         'assignment.json':
             'eebcd5386a78e5a96d3b2ceca2b2bd94cb6b0a43ebb8cf60bcd69d18c1fef7d5',
         'levels.csv':
-            '588cf4b00dcc74774e6ce54470db4769d9c646a6b094a3fccc2bf765dae9cb05',
+            'b92a013c29b8bf31e27b3de60b804cb2d242bc61d77a1df1c22ef1a5e5bb0219',
         'part-0000.json':
             'e47c13e617c8a0a04e7cbaec50789c9a3574cf31c78d513f69747887e6eae084',
         'part-0001.json':
@@ -579,7 +579,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'a7d4ff10fbf262a8c62d975caa71cb0baea0270291fd13a8a4274f1a40953645',
         'report.json':
-            'c85a84197925d89663288e64eca525d3586d753aa3b3ce79ccf4d303430d13f4',
+            '9f7c7cacf0e330a97a4a43c7a812efb6fde1424819bf4a23beb80e0c44da38c8',
     },
     'rebalance-rcb': {
         'assignment.json':
@@ -587,9 +587,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '5c2dca82240906e3d4bb7b4dc05fe81b5734626f7ef77b94f9a8a2567393b8b5',
         'levels.csv':
-            'd76268470a00bc0f8c02da94bb3c11bb9c46cb6515266b24214f4dd39c3a8547',
+            '412e14edd343f831e1c0796ec3235143f412c87de827f99f9b0b75b6501d864f',
         'report.json':
-            '3c4813ebed6702e768a53b2f2264704919e06a1a8148115e9b794853802ebe57',
+            '029f18831214c68ef28f951d3a15a5a461f17b91273007fbb58a48249fe970ff',
     },
     'rebalance-graph': {
         'assignment.json':
@@ -597,21 +597,21 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'a52d659f05e7f524decddc57b5f78d99c13258d568910dd5dfaf5430c399eb81',
         'levels.csv':
-            'b0a15b377522ac2c4f223b0a798527681109acc6d4d4b1f499df6f840c3e329d',
+            'c4a118358d868902c7e78caf06e2773d69394c653de84f51bc5991efc41a8b6e',
         'report.json':
-            '4294f188b99ba6e02a6c1789eb295d0056c973ca391ceb31fbb77f8686cc5f1d',
+            '2c6de94e3bcb08439cfdab373c278ec658de24f75057d6e110e71a40fec06080',
     },
     'metrics': {
         'levels.csv':
             '909150f3bd98eee854734f3cb6e03e978f2e2bc2e8ac5dcb198f562797a0b640',
         'report.json':
-            '70aaf28646d8af1ba562f0f465323ceea445d055540f22ac77350b492dc97c1b',
+            '845943d68c9f911d9b12d819dcca7a70bf0cfb88633369b6d091e04ef15f7df7',
     },
     'tet-partition-rcb': {
         'assignment.json':
             'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
         'levels.csv':
-            'c5cf902911628fd79f496ab85862d504e1af9f4f0d4a7bea052bbf08610ff3b1',
+            'bc38b086394b8ab61e5ffcf15f65bc3b6dd433ec2ee8c53d5e7364f255e5f111',
         'part-0000.json':
             'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
         'part-0001.json':
@@ -629,7 +629,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
         'report.json':
-            '2d96a1dabf6c5223a36df8a43d237db81b50742e92e29e7fa785b0942d77aff0',
+            '8aaaab055d94c41add4c98a4b0e752d517c481e599c8edfb0b8a637a467358e7',
     },
     'tet-rebalance-rcb': {
         'assignment.json':
@@ -637,15 +637,15 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '3e96fe4c21331d1e7d24c228440a75cb3509702469cf3d321bc2493e88fde3e1',
         'levels.csv':
-            '33ac96b64c2d80329a763c10e8ee66406ae690dcc7a51d701cc18c82664535c1',
+            '794faad7730b76022fca5bc29123f0aaa9ef0704acbebc944eaefd9322dfda05',
         'report.json':
-            'fa318387593e9f2f66acf63e2120db414e55608ca4577e4913299d67d34065b9',
+            '17c025abe0003be9cf1563171950139af97a710187c64bf3a802325b22b876b2',
     },
     'frac-partition-rcb-a1': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '18d3ea6032e193e294b226c24a109eeedc96a7d7c0340e7c62e497ca5d3bd525',
+            '47bd9236da98a3efc1ce37ea508bb6be61e85e419d8a376f8afe4a9da0c88b2b',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -663,13 +663,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '73554a55ddb6427a9242f60bb06b4e9479fa5e276d74e01d2c1d8dbeca0210d1',
+            '5b5cbee2dfb30d26137ca0e2ad99cd4af7975b901b221c31e1396af64f425f1c',
     },
     'frac-partition-rcb-a2': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '6dd2cd0a5f73a581a91d4290aae862bd0cca1ec90f262c92d66f5e80771f14d3',
+            '7d68703cbec7c595a0a3a4d3e1f99f0875b4ab8ec12cabab53d2beb1e929a653',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -687,13 +687,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '9494f61de8db852b8a96fb698c2d9f90be40245257f98ef93866c171b8c06200',
+            '0916b993da50be39200db6c642a60720ae0fe54c12def5b5958ab050f2a4411d',
     },
     'frac-partition-graph-a1': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            'b55b50473ac58200f7ed60791096c4589f00c9522ef8cce972bed43f4f71c0b5',
+            'e43df99f83bda72c5f741a16497b4e721625e938ecf19861cba9839fae90f1a7',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -711,13 +711,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            '1444a2a906c4e554b6f1e3a88f8c3ec825045bbe96dfa889a58f7ae90a019091',
+            '629f182218aafeea2cc312b3e2342472269210220658e7e24f1e2a8b6b2f5029',
     },
     'frac-partition-graph-a2': {
         'assignment.json':
             '13965df6c9f755280989232c8d3bc368c5fda2b8d53b7afb8f0285c16d5326a0',
         'levels.csv':
-            'e8efe739aeb4f9b103c90a7b3c5425e9af6fe63740429c87d9d5da7f9937809e',
+            '498f7390dc704119de08a7433f5a5afe3ff4b7d3177e56ebe6b2575774f39378',
         'part-0000.json':
             'd076a2e87ab902040a14f744be760f65c4312990dcc44eb032e758f89c1b7955',
         'part-0001.json':
@@ -735,7 +735,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             'f9151b2b6798151206250a961db606c64e4a2992553d9e72d34dfc9be1cc7fbf',
         'report.json':
-            '86ffcc554af3743f08b0edd6827a717fd905e8ad179451f57ccb9aa07a777137',
+            '34361cc2a625015f596d37e38926ed568e4af35db30142391efcb30be58df41b',
     },
     'frac-rebalance-rcb-l0': {
         'assignment.json':
@@ -743,9 +743,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            '5cdfd33d42ebd3c16352e06d240655013e89421f19be77abe49582c5c5d515b5',
+            'cd10f734f8abe9d765055373e0c1ebc2bd699ecc10731011b650844afea2b09a',
         'report.json':
-            '8d35a7e96abbd5c6cf0c6ebeb3f232290beebed3fd48197f458998d65eaf43b9',
+            '0e265445a52e40a241bab81f76249e6015b3e3521c826991655eb527c787ba29',
     },
     'frac-rebalance-rcb-l1': {
         'assignment.json':
@@ -753,9 +753,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            '18f8ec3d7d5dbcee6f319f00cdf800cadce5d67348669d006d687a999d7f8893',
+            '59d887aec06ea4eba309db65a34a5f5369f3a91b8bc97db8918f66cffefdf618',
         'report.json':
-            'e603b16c370f5690ea32af993b915d0848f2c7f01e56e00cb8d64861d3ec031d',
+            '989796deec244a3cca4c1fafff9882fc7e34cbf5d52511a6be547dcf7127999d',
     },
     'frac-rebalance-graph-l0': {
         'assignment.json':
@@ -763,9 +763,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'ad9d27fe4d1a374dcc877085f0fb2af25b072a727ee59f62490500fdc38769df',
         'levels.csv':
-            '96a27b14823da47bb8f70ad03453c9d5caf8b5352e44b9806dc235ed1c720732',
+            '027b2e131bcb8cfcb1a92c04aac400da7042ea0d36053ebac270443c132b51c5',
         'report.json':
-            'bfb655887604bd5deda9e682778350d15c1a00b32fb4dd77b12931c129df80c7',
+            'ce36aa1410cb26d825a5dee086a1ecb691e569bcf4469ceaca67fa77dd20b375',
     },
     'frac-rebalance-graph-l1': {
         'assignment.json':
@@ -773,21 +773,21 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '84687c2a2655819f888123b68783f8c665af30a3a6fbac29304530c4b4234ddf',
         'levels.csv':
-            '13073c4bbc9543bde37339dad64d068d7c54c679dda5ab17a08fb9f228bef63c',
+            '07674b6e67fd9431598872147d706971bf162d1a3039e06126de80dafffa6139',
         'report.json':
-            'dcf1bf92ed3ce0c8f0602984999f76d2ce24e32578ad8917151fdc81a179e4bb',
+            '752ba247b4226e31e9c70a2901fb2a10494ef40cdb9cc7c127216f48b10e0194',
     },
     'frac-metrics': {
         'levels.csv':
             '909150f3bd98eee854734f3cb6e03e978f2e2bc2e8ac5dcb198f562797a0b640',
         'report.json':
-            '3d5b7d1b2c468ff3420db3cb505e320abea2346ec817a5a273005a503c50c50a',
+            '2ecdd638644905e71d7fb1ac786fd8a7fce6243f4e8f99b904f5c01a3b903928',
     },
     'timing-partition': {
         'assignment.json':
             '59f50216512767ac261b945997462069dc8249df8baf68d5b1a79e9707666444',
         'levels.csv':
-            '6dd2cd0a5f73a581a91d4290aae862bd0cca1ec90f262c92d66f5e80771f14d3',
+            '7d68703cbec7c595a0a3a4d3e1f99f0875b4ab8ec12cabab53d2beb1e929a653',
         'part-0000.json':
             '4f8f607a0040a1c91e5898c3c1dc50bc3da7f06f02656be61952bc5c0e08cdb9',
         'part-0001.json':
@@ -805,13 +805,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '856a3d8770b8a5c98f28a64f045ec714f3d0d096e3340878cd695de7226abae2',
         'report.json':
-            '31b7c2763e6d32744601b6d447ca87444c4ea73cc768f6576937f7b9e97359c2',
+            '930e7ac65f4849a14dcc3ab8565da96926d251eb619f8d33fc9ce0ff5a859ba7',
     },
     'tet-node-core-partition-rcb': {
         'assignment.json':
             'c08b4ed95d0c5ecc95f9c73b43d8ecab3c29a6b6e9898b21929fca248e959fa3',
         'levels.csv':
-            '47126218a95bd969208bb1fb1900477157b3bdb32ea607268c73208db99f6371',
+            'b63b05de4ff0a505cced619d19691bbf2049c7288c60eee1ad9bc9a998381efc',
         'part-0000.json':
             'fbe1880d446485a20ae4a6cc4000cbf10b516496c624eadcfc19f1fe60f60736',
         'part-0001.json':
@@ -829,7 +829,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         'part-0007.json':
             '626823075a292178433b046310b0c70ab054be0618b80f98d4913492c241ace3',
         'report.json':
-            'b49e5fae4592dcf8cabae73f553e4d8b909a982712a4680d9c03fd247a6cbf0f',
+            'b1ec90008e027074b2b7f77a1492c9d760eeaec82ea8a40e4d33f368faa016f1',
     },
     'tet-node-core-rebalance-rcb-l0': {
         'assignment.json':
@@ -837,9 +837,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             '3e96fe4c21331d1e7d24c228440a75cb3509702469cf3d321bc2493e88fde3e1',
         'levels.csv':
-            '33ac96b64c2d80329a763c10e8ee66406ae690dcc7a51d701cc18c82664535c1',
+            '794faad7730b76022fca5bc29123f0aaa9ef0704acbebc944eaefd9322dfda05',
         'report.json':
-            'fa318387593e9f2f66acf63e2120db414e55608ca4577e4913299d67d34065b9',
+            '17c025abe0003be9cf1563171950139af97a710187c64bf3a802325b22b876b2',
     },
     'tet-node-core-rebalance-rcb-l1': {
         'assignment.json':
@@ -857,9 +857,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         'balance.csv':
             'd759c8866754bcd203e519d254e5fdd19e26bc9a35b5e21858348b0699c0b51c',
         'levels.csv':
-            'd4d3dd79e103aefcd894f5d9527d2a539c808674b74505149848075823e112de',
+            '8a424b869cc972b296224cc8589c9035765977643e5c24f283ebd6de2eca79ab',
         'report.json':
-            '29a862f62e72479a0b9db78e70df81729632805beb1b70ce2fa3280b068f05f8',
+            'e03106b081ca236a2f6147052bbb2db34df67cde02aaa4fbe917243efe4e5e61',
     },
     'tet-node-core-rebalance-graph-l1': {
         'assignment.json':

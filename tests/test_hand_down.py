@@ -5,7 +5,8 @@ face's carrier once they are found, and ``split_chunk`` hands both down to
 its sub-chunks.  Whatever a chunk holds must equal what a chunk of the same
 arrays with nothing derived finds from scratch: after any chain of carves
 (owners with -1, empty groups), after ``dataclasses.replace`` of the arrays
-they come from, after ``merge_chunks`` and after a pack/unpack round.
+they come from, after ``merge_chunks`` and after a pack/unpack round, which
+hands the node rows over as the encoding of the connectivity.
 """
 
 from __future__ import annotations
@@ -109,17 +110,21 @@ def test_carves_hand_down_what_a_fresh_chunk_derives(chunk, data):
             return
         level = subs
     sub = data.draw(st.sampled_from(level))
-    # Chunks built from other arrays start with nothing derived.
+    # Chunks built from other arrays start with nothing derived; an
+    # unpacked chunk holds the node rows its connectivity travelled as.
+    unpacked = unpack_chunk(pack_chunk(sub))
+    assert_kept_equal_fresh(unpacked)
+    assert unpacked._conn_rows is not None and unpacked._carriers is None
     rebuilt = [
         replace(sub, conn=np.roll(sub.conn, 1, axis=1)),
         replace(sub, node_ids=parent.node_ids, coords=parent.coords),
         replace(sub, boundary_tags=parent.boundary_tags,
                 boundary_conn=parent.boundary_conn),
         merge_chunks(sub.kind, level),
-        unpack_chunk(pack_chunk(sub)),
     ]
     for other in rebuilt:
         assert other._conn_rows is None and other._carriers is None
+    for other in [*rebuilt, unpacked]:
         parts = data.draw(st.integers(1, 3))
         carve(other, data.draw(owners(other.n_elements, parts)), parts)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
-                           find_shared_nodes, halo_growth,
+                           find_shared_nodes, gather_mean, halo_growth,
                            kind_info, local_dual_graph,
                            merge_chunks, migrate, pack_chunk, split_chunk,
                            split_contiguous, split_ids_evenly, subset_chunk,
@@ -176,6 +176,25 @@ def test_centroids_equal_per_element_mean_bit_for_bit(chunk):
     assert pts.shape == want_pts.shape == (len(chunk.elements), chunk.dim)
     assert pts.dtype == np.float64
     assert pts.tobytes() == want_pts.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), npe=st.sampled_from([3, 4]), dim=st.sampled_from([2, 3]))
+def test_gather_mean_equals_np_mean_bit_for_bit(data, npe, dim):
+    # Rows repeat and skip coordinates; signed zeros and subnormals keep
+    # their bits only if the columns add in the order np.mean adds them.
+    m = data.draw(st.integers(1, 12))
+    coord = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324])
+    coords = np.array(data.draw(st.lists(coord, min_size=m * dim,
+                                         max_size=m * dim))).reshape(m, dim)
+    n = data.draw(st.integers(0, 20))
+    rows = np.array(data.draw(st.lists(st.integers(0, m - 1),
+                                       min_size=n * npe, max_size=n * npe)),
+                    dtype=np.intp).reshape(n, npe)
+    got = gather_mean(coords, rows)
+    want = coords[rows].mean(axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape == (n, dim)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mesh", [tet_box(4, 3, 2), triangle_grid(6, 5)],

@@ -4,10 +4,13 @@
 tuples.  On random triangle and tet chunks (unordered, non-contiguous ids;
 few nodes, so faces shared by three or more elements; elements and boundary
 faces that repeat a node; boundary faces no element carries) every kernel
-must give the same records, bytes, graphs and error messages.
+must give the same records, graphs and error messages, and the wire form
+the same records in no more bytes.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ from hypothesis import strategies as st
 
 import dict_era
 from dict_era import dict_chunk, element_faces
+from hierpart import _codec
 from hierpart.mesh import (KINDS, MeshChunk, adjacency_from_elements,
                            kind_info, local_dual_graph,
                            merge_chunks, pack_chunk, split_chunk, unpack_chunk)
+from hierpart.meshgen import tet_box, triangle_grid
 
 
 @st.composite
@@ -86,9 +91,10 @@ def test_split_chunk_matches_dict_era(carve):
     if isinstance(got, list):
         for sub in split_chunk(chunk, owner, parts):
             data = pack_chunk(sub)
-            assert data == dict_era.pack_chunk(dict_chunk(sub))
+            old = dict_era.pack_chunk(dict_chunk(sub))
             assert records(unpack_chunk(data)) == \
-                records(dict_era.unpack_chunk(data))
+                records(dict_era.unpack_chunk(old))
+            assert len(data) <= len(old)
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,13 +150,71 @@ def test_validate_and_centroids_match_dict_era(chunk):
     assert pts.tobytes() == old_pts.tobytes()
 
 
-def test_pack_chunk_bytes_equal_dict_era_on_generated_meshes():
-    from hierpart.meshgen import tet_box, triangle_grid
+def test_pack_chunk_decodes_to_the_dict_era_records_on_generated_meshes():
     for mesh in (triangle_grid(5, 3), tet_box(2, 2, 1)):
-        assert pack_chunk(mesh) == dict_era.pack_chunk(dict_chunk(mesh))
+        old = dict_era.pack_chunk(dict_chunk(mesh))
+        assert records(unpack_chunk(pack_chunk(mesh))) == \
+            records(dict_era.unpack_chunk(old))
+        assert len(pack_chunk(mesh)) < len(old)
         assert unpack_chunk(pack_chunk(mesh)) == mesh
         assert np.array_equal(unpack_chunk(pack_chunk(mesh)).coords,
                               mesh.coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk=record_chunks() | st.sampled_from(
+    [MeshChunk.empty("triangle"), tet_box(2, 1, 1), triangle_grid(4, 3)]))
+def test_pack_chunk_round_trips_and_no_block_grows(chunk):
+    data = pack_chunk(chunk)
+    back = unpack_chunk(data)
+    assert back == chunk
+    # The rows a chunk of the same arrays with nothing derived finds.
+    want = MeshChunk(chunk.kind, *chunk._arrays())._node_rows()
+    assert back._conn_rows.dtype == want.dtype
+    assert np.array_equal(back._conn_rows, want)
+    assert back._carriers is None
+    old = dict_era.pack_chunk(dict_chunk(chunk))
+    for new_block, old_block in zip(_codec.unpack_blocks(data),
+                                    _codec.unpack_blocks(old), strict=True):
+        assert len(new_block) <= len(old_block)
+
+
+@pytest.mark.parametrize("block, at, value, message", [
+    (2, None, None,
+     "malformed triangle connectivity: row 3 holds 2 of 3 nodes"),
+    (2, 4, 6, "malformed triangle connectivity: row 1 names node row 6 of 6"),
+    (6, None, None, "malformed triangle boundary: row 5 holds 1 of 2 nodes"),
+    (6, 3, -1, "malformed triangle boundary: row 1 names node row -1 of 6"),
+], ids=["ragged-conn", "outside-conn", "ragged-boundary",
+        "outside-boundary"])
+def test_unpack_chunk_names_a_malformed_rows_block(block, at, value, message):
+    # A node-rows block loses its last entry (at None) or names ``value``.
+    mesh = triangle_grid(2, 1)
+    assert (mesh.n_elements, len(mesh.node_ids),
+            len(mesh.boundary_tags)) == (4, 6, 6)
+    blocks = _codec.unpack_blocks(pack_chunk(mesh))
+    rows = _codec.unpack_i64(blocks[block])
+    if at is None:
+        rows = rows[:-1]
+    else:
+        rows[at] = value
+    blocks[block] = _codec.pack_i64(rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        unpack_chunk(_codec.pack_blocks(blocks))
+
+
+@pytest.mark.parametrize("elements, boundary, message", [
+    ({0: (0, 1, 2), 1: (1, 2, 9)}, [(1, (0, 1))],
+     "element 1 references unknown node 9"),
+    ({0: (0, 1, 2)}, [(1, (0, 1)), (4, (2, 9))],
+     "boundary face 1 (tag 4) references unknown node 9"),
+], ids=["element", "boundary"])
+def test_pack_chunk_refuses_a_node_missing_from_the_node_list(
+        elements, boundary, message):
+    nodes = {n: (float(n), 0.0) for n in range(4)}
+    chunk = MeshChunk.from_records("triangle", nodes, elements, boundary)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pack_chunk(chunk)
 
 
 def test_dense_node_ids_still_reject_unknown_references():

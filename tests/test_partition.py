@@ -973,7 +973,10 @@ def test_each_member_sends_its_nodes_and_rows(mesh):
     chunks = split_contiguous(mesh, len(team))
     for chunk, blocks in zip(chunks, summary_blocks(team, chunks)):
         ids, geometry, weights = blocks
-        assert ids == _codec.pack_i64(chunk.element_ids) and weights == b""
+        # The ids in gap form: no longer than in frame-of-reference form.
+        assert np.array_equal(_codec.unpack_gaps(ids), chunk.element_ids)
+        assert len(ids) <= len(_codec.pack_i64(chunk.element_ids))
+        assert weights == b""
         rows = np.searchsorted(chunk.node_ids, chunk.conn)
         coords_block, rows_block = _codec.unpack_blocks(geometry)
         assert coords_block == chunk.coords.astype("<f8").tobytes()
